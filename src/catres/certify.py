@@ -280,15 +280,12 @@ def weakly_crepant_check(lam: Algebra, data: AuslanderData, cfg: CertConfig, poo
     ctx_l = context(lam)
     simples_t = distinct_simples(data.tilde)
     lemma_injective = []
-    seen_dims = set()
     for p in ctx_l.projectives:
         if p.dim == 0:
             continue
-        key = p.dim
         lift = theta_rho(p, data)
         ok = all(ext_dim(s, lift, 1) == 0 for s in simples_t)
         lemma_injective.append({"indecomposable_dim": p.dim, "injective_lift": ok})
-        seen_dims.add(key)
     lemma42_ok = all(item["injective_lift"] for item in lemma_injective)
 
     def lemma44_sample(i):

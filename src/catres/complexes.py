@@ -16,6 +16,7 @@ transfer) carries the categorical-resolution certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +30,18 @@ from .functors import (
     theta_rho_data,
     theta_rho_hom,
 )
-from .linalg import Mat, coords_in_rows, nullspace, rank, row_basis, solve_left
+from .homology import is_injective
+from .linalg import (
+    Mat,
+    coords_in_rows,
+    left_nullspace,
+    nullspace,
+    rank,
+    row_basis,
+    row_span_contains,
+    solve,
+    solve_left,
+)
 from .modules import (
     ModHom,
     Repn,
@@ -230,8 +242,6 @@ def homology(C: BComplex) -> list:
     out = []
     for i in C.degrees():
         d = C.diff(i)
-        from .linalg import left_nullspace
-
         ker_rows = left_nullspace(d.mat)
         K, incl = sub_repn(C.term(i), ker_rows)
         prev = C.diff(i - 1)
@@ -324,8 +334,6 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
             (total, rows_dim), dtype=object
         )
         if fld.kind == "rational":
-            from fractions import Fraction
-
             col_entries[...] = Fraction(0)
         used = False
         for t, h in enumerate(hom_bases.get(i + 1, [])):
@@ -556,8 +564,6 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
     f1_diffs = []
     for k, i in enumerate(degs[:-1]):
         # unique induced map on the quotient: solve proj_i @ X = delta_i proj_(i+1)
-        from .linalg import solve
-
         rhs = mid_diffs[k].mat @ seqs[i + 1].f1_proj.mat
         x = solve(seqs[i].f1_proj.mat, rhs)
         assert x is not None, "cokernel complex differential failed to descend"
@@ -570,8 +576,6 @@ def db_hom(C: BComplex, D: BComplex) -> KbHom:
     """Derived-category Hom, computed only where it reduces to the homotopy
     category: source termwise projective, or target termwise injective.
     Everything else is refused rather than approximated."""
-    from .homology import is_injective
-
     if all(t.dim == 0 or is_projective(t) for t in C.terms):
         return kb_hom(C, D)
     if all(t.dim == 0 or is_injective(D.algebra, t) for t in D.terms):
@@ -609,8 +613,6 @@ def quotient_bijective(A: KbHom, B: KbHom, img_chain: Mat, img_htp: Mat) -> dict
     basis span B's chain space modulo homotopy in the full quotient
     dimension; and the two quotients have equal dimension.
     """
-    from .linalg import row_span_contains
-
     htp_ok = all(
         row_span_contains(B.homotopy_rows, img_htp.row_at(r)) if B.homotopy_rows.rows else img_htp.row_at(r).is_zero()
         for r in range(img_htp.rows)
@@ -633,8 +635,6 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
     """Hom_Kb((-,P), F) = Hom_Kb(P, db_theta F) through the explicit map
     f -> counit^(-1) then db_theta(f), verified as a bijection on homotopy
     classes."""
-    from .linalg import solve
-
     sv = step_v_unit(P, data)
     if not sv.ok:
         return {"ok": False, "detail": f"unit failed: {sv.detail}"}

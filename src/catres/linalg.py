@@ -5,7 +5,10 @@ reduces to row reduction of matrices over an exact field.  Two carriers:
 
 * prime field F_p: numpy int64 arrays with canonical entries 0..p-1,
   all vectorized ops followed by ``% p``;
-* rationals: numpy object arrays of ``fractions.Fraction``.
+* rationals: numpy object arrays of ``fractions.Fraction``.  Products and
+  row reduction scale each row (or column) by the lcm of its denominators
+  and run on Python integers; each result entry becomes a canonical
+  ``Fraction`` once, at the end.
 
 No floating point is used anywhere in this package.
 """
@@ -14,14 +17,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 import numpy as np
 
-# int64 products must not overflow: entries < p, inner dimensions stay at
-# desk scale (< 2**12), so (p-1)**2 * 2**12 < 2**63 requires p < 2**25.
-# Keep a comfortable margin.
+# F_p products run in int64: a dot product of length k sums k terms below
+# (p-1)**2.  With p < MAX_PRIME = 2**20 every term is below 2**40, so any
+# inner dimension below 2**23 fits; ``Mat.__matmul__`` enforces the exact
+# bound k * (p-1)**2 < 2**63 through ``_check_int64_headroom``.
 MAX_PRIME = 1 << 20
+
+_ZERO = Fraction(0)
+
+
+def _check_int64_headroom(inner: int, p: int) -> None:
+    """Refuse an F_p product whose int64 dot products could wrap."""
+    if inner * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"F_{p} product with inner dimension {inner} would overflow int64"
+        )
+
+
+def _integer_rows(rows: list) -> tuple[list, list]:
+    """Scale each row of rationals (or ints) by the lcm of its denominators.
+
+    Returns the integer rows and the scale factors.
+    """
+    ints, scales = [], []
+    for row in rows:
+        nums, dens = zip(*[x.as_integer_ratio() for x in row])
+        d = lcm(*dens)
+        ints.append(list(nums) if d == 1 else [n * (d // e) for n, e in zip(nums, dens)])
+        scales.append(d)
+    return ints, scales
 
 
 def is_prime(n: int) -> bool:
@@ -239,8 +268,19 @@ class Mat:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat.zeros(self.field, self.rows, other.cols)
         if self.field.kind == "prime":
+            _check_int64_headroom(self.cols, self.field.p)
             return self._wrap(self.a @ other.a)
-        return Mat(self.field, self.a.dot(other.a), _copy=False)
+        # (D A)(B E) = D (A B) E with D, E the row and column lcms: one
+        # integer product, then one Fraction per output entry.
+        a, d = _integer_rows(self.a.tolist())
+        bt, e = _integer_rows(other.a.T.tolist())
+        c = np.array(a, dtype=object).dot(np.array(bt, dtype=object).T).tolist()
+        out = np.empty((self.rows, other.cols), dtype=object)
+        out[:, :] = [
+            [Fraction(x, di * ej) if x else _ZERO for x, ej in zip(row, e)]
+            for row, di in zip(c, d)
+        ]
+        return Mat(self.field, out, _copy=False)
 
     @property
     def T(self) -> "Mat":
@@ -311,29 +351,40 @@ def _rref_prime(a: np.ndarray, p: int):
 
 
 def _rref_rational(a: np.ndarray):
-    a = a.copy()
-    rows, cols = a.shape
+    # Fraction-free Gauss-Jordan: rows scaled to integers span the same space,
+    # so they have the same RREF.  Updated rows are divided by their content
+    # to keep entries small; the pivots divide out only at the end.
+    rows = [_primitive(r) for r in _integer_rows(a.tolist())[0]]
+    m, n = a.shape
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(n):
+        if r == m:
             break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * (Fraction(1) / a[r, c])
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-    return a, pivots
+    out = np.empty((m, n), dtype=object)
+    out[:, :] = _ZERO
+    for i, pc in enumerate(pivots):
+        p = rows[i][pc]
+        out[i, :] = [Fraction(x, p) if x else _ZERO for x in rows[i]]
+    return out, pivots
+
+
+def _primitive(row: list) -> list:
+    """Integer row divided by the gcd of its entries (unchanged if zero)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def rref(m: Mat):
@@ -409,12 +460,3 @@ def coords_in_rows(basis: Mat, v: Mat) -> Mat:
     if c is None:
         raise ValueError("vector not in row span")
     return c
-
-
-def intersect_row_spaces(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of (row space of a) intersected with (row space of b)."""
-    # x @ a = y @ b  <=>  [x | -y] @ [a ; b] = 0
-    stacked = a.vstack(b)
-    ker = left_nullspace(stacked)
-    part = Mat(a.field, ker.a[:, : a.rows]) @ a
-    return row_basis(part)

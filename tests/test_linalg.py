@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from catres.linalg import (
     FieldSpec,
     Mat,
+    MAX_PRIME,
+    _check_int64_headroom,
     coords_in_rows,
-    intersect_row_spaces,
     left_nullspace,
     nullspace,
     rank,
@@ -17,7 +18,7 @@ from catres.linalg import (
     solve,
     solve_left,
 )
-from oracles import naive_rank, naive_rref
+from oracles import naive_matmul, naive_rank, naive_rref
 
 F5 = FieldSpec("prime", 5)
 QQ = FieldSpec("rational")
@@ -100,7 +101,13 @@ def _rand_mat(draw, field, rows, cols):
             st.lists(st.integers(0, field.p - 1), min_size=rows * cols, max_size=rows * cols)
         )
     else:
-        entries = draw(st.lists(st.integers(-4, 4), min_size=rows * cols, max_size=rows * cols))
+        entries = draw(
+            st.lists(
+                st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+                min_size=rows * cols,
+                max_size=rows * cols,
+            )
+        )
     return Mat.from_rows(field, [entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
@@ -173,13 +180,6 @@ def test_solve_left_and_left_nullspace():
     assert ln.rows == 1 and (ln @ Mat.from_rows(F5, [[1, 2], [2, 4]])).is_zero()
 
 
-def test_intersect_row_spaces():
-    a = Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0]])
-    b = Mat.from_rows(QQ, [[0, 1, 0], [0, 0, 1]])
-    i = intersect_row_spaces(a, b)
-    assert i.rows == 1 and i.tolist() == [[0, 1, 0]]
-
-
 def test_block_and_stack_helpers():
     a = Mat.identity(F5, 2)
     b = Mat.from_rows(F5, [[3]])
@@ -214,6 +214,30 @@ def test_matmul_associative_and_distributive(t):
     assert (x @ y) @ z == x @ (y @ z)
     w = _copy_shape_identityish(y)
     assert x @ (y + w) == x @ y + x @ w
+
+
+@given(mat_triples(), st.sampled_from(["none", "left", "right"]))
+def test_matmul_matches_naive_oracle(t, zero):
+    x, y, _ = t
+    if zero == "left":
+        x = Mat.zeros(x.field, x.rows, x.cols)
+    elif zero == "right":
+        y = Mat.zeros(y.field, y.rows, y.cols)
+    expected = naive_matmul(x.tolist(), y.tolist(), x.field)
+    assert (x @ y).tolist() == [[x.field.coerce(v) for v in row] for row in expected]
+
+
+def test_int64_headroom_guard():
+    p = 1048573  # largest prime below MAX_PRIME
+    assert p < MAX_PRIME
+    _check_int64_headroom(1 << 23, p)
+    limit = ((1 << 63) - 1) // (p - 1) ** 2  # largest inner dimension that fits
+    _check_int64_headroom(limit, p)
+    with pytest.raises(ValueError, match="overflow int64"):
+        _check_int64_headroom(limit + 1, p)
+    _check_int64_headroom((1 << 61) - 1, 3)
+    with pytest.raises(ValueError):
+        _check_int64_headroom(1 << 61, 3)  # 2**61 * 2**2 = 2**63
 
 
 def _copy_shape_identityish(y):
