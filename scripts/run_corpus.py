@@ -3,9 +3,15 @@
 
 Sample counts are reduced for the rational member (Fraction arithmetic is
 exact but slower); pass --samples to override everywhere.
+
+Each line carries the SHA-256 of the report without its ``version`` key,
+the digest perfbench uses; the wall times go to stderr.  So a plain
+``diff`` of the stdout of two checkouts shows whether every report is
+byte-identical.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -13,11 +19,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from catres.certify import CertConfig, certify_resolution, exit_code_for
+from catres.certify import CertConfig, certify_resolution, exit_code_for, report_to_json_str
 from catres.io_json import parse_algebra_or_quiver
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 SLOW_FIELDS = {"rational"}
+
+
+def report_digest(report: dict) -> str:
+    canonical = {k: v for k, v in report.items() if k != "version"}
+    return hashlib.sha256(report_to_json_str(canonical).encode()).hexdigest()
 
 
 def main():
@@ -45,8 +56,10 @@ def main():
         )
         print(
             f"{path.name:28s} verdict={report['verdict']:10s} exit={code} "
-            f"samples={samples:3d} {dt:6.1f}s  {conds}"
+            f"samples={samples:3d} sha256={report_digest(report)}  {conds}",
+            flush=True,
         )
+        print(f"{path.name:28s} {dt:6.1f}s", file=sys.stderr, flush=True)
     return 1 if worst == 1 else 0
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     FieldSpec,
     Mat,
+    RowBasis,
     coords_in_rows,
     left_nullspace,
     nullspace,
@@ -274,15 +275,12 @@ def _subspace_product(A: Algebra, u_rows: Mat, v_rows: Mat) -> Mat:
 
 
 def _is_ideal(A: Algebra, rows: Mat) -> bool:
+    # b*v and v*b for every basis element b and every row v, checked in one batch
+    prods = []
     for i in range(A.dim):
         b = A.basis_element(i)
-        for r in range(rows.rows):
-            v = rows.row_at(r)
-            if not row_span_contains(rows, A.multiply(b, v)):
-                return False
-            if not row_span_contains(rows, A.multiply(v, b)):
-                return False
-    return True
+        prods += [rows @ A.left_mult_matrix(b), rows @ A.right_mult_matrix(b)]
+    return RowBasis(rows).contains(Mat.stack_rows(A.field, prods))
 
 
 def _verify_radical(A: Algebra, j: Mat):

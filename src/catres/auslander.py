@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraError, Idempotent, RadicalChain, corner_algebra
 from .homology import GldimResult, global_dimension
-from .linalg import Mat, coords_in_rows, rank
+from .linalg import Mat, RowBasis, coords_in_rows, rank
 from .modules import (
     Repn,
     direct_sum,
@@ -35,7 +35,7 @@ class AuslanderData:
     projections: list  # M -> summand
     tilde: Algebra
     end_mats: list  # matrices of the End(M) basis
-    end_flat: Mat  # flattened End basis, rows
+    end_basis: RowBasis  # the flattened End basis, factored for coordinates
     e: Idempotent  # coords of the Lambda-summand projector in tilde
     corner: Algebra  # e tilde e
     corner_embed: Mat  # corner basis inside tilde
@@ -62,7 +62,7 @@ class AuslanderData:
         return acc
 
     def end_coords(self, mat: Mat) -> Mat:
-        return coords_in_rows(self.end_flat, mat.flatten_row())
+        return self.end_basis.coords(mat.flatten_row())
 
     def lambda_of_corner_element(self, tilde_coords: Mat) -> Mat:
         """corner_iso on an element of e*tilde*e given in tilde coordinates."""
@@ -88,10 +88,10 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         summands.append(q)
     M, injections, projections = direct_sum(summands)
     tilde, end_mats = endomorphism_algebra(M)
-    end_flat = Mat.stack_rows(lam.field, [m.flatten_row() for m in end_mats])
+    end_basis = RowBasis(Mat.stack_rows(lam.field, [m.flatten_row() for m in end_mats]))
 
     e_mat = projections[-1].mat @ injections[-1].mat  # project then include
-    e = Idempotent(coords_in_rows(end_flat, e_mat.flatten_row()))
+    e = Idempotent(end_basis.coords(e_mat.flatten_row()))
 
     corner, corner_embed, degenerate = corner_algebra(tilde, e)
     if degenerate:
@@ -114,11 +114,11 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         raise AlgebraError("corner is not linearly isomorphic to Lambda")
 
     # b -> iota after left-multiplication after projection, as tilde coords
-    lrows = []
-    for t in range(lam.dim):
-        zeta = pi @ lam.left_mult_matrix(lam.basis_element(t)) @ iota
-        lrows.append(coords_in_rows(end_flat, zeta.flatten_row()))
-    lambda_to_tilde = Mat.stack_rows(lam.field, lrows)
+    zetas = [
+        (pi @ lam.left_mult_matrix(lam.basis_element(t)) @ iota).flatten_row()
+        for t in range(lam.dim)
+    ]
+    lambda_to_tilde = end_basis.coords(Mat.stack_rows(lam.field, zetas))
 
     data = AuslanderData(
         lam=lam,
@@ -129,7 +129,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         projections=projections,
         tilde=tilde,
         end_mats=end_mats,
-        end_flat=end_flat,
+        end_basis=end_basis,
         e=e,
         corner=corner,
         corner_embed=corner_embed,

@@ -33,12 +33,12 @@ from .functors import (
 from .homology import is_injective
 from .linalg import (
     Mat,
+    RowBasis,
     coords_in_rows,
     left_nullspace,
     nullspace,
     rank,
     row_basis,
-    row_span_contains,
     solve,
     solve_left,
 )
@@ -268,6 +268,7 @@ class KbHom:
     target: BComplex
     window: list
     hom_bases: dict  # degree -> list of ModHom
+    hom_flats: dict  # degree -> RowBasis of the flattened hom basis (nonempty ones)
     offsets: dict  # degree -> slice start in the coordinate space
     total: int
     chain_rows: Mat  # rows: coordinates of a chain-map basis
@@ -291,13 +292,11 @@ class KbHom:
 
     def chainmap_to_coords(self, f: ChainMap) -> Mat:
         fld = self.source.algebra.field
-        pieces = []
-        for i in self.window:
-            basis = self.hom_bases[i]
-            if not basis:
-                continue
-            flat = Mat.stack_rows(fld, [h.mat.flatten_row() for h in basis])
-            pieces.append(coords_in_rows(flat, f.comp(i).mat.flatten_row()))
+        pieces = [
+            self.hom_flats[i].coords(f.comp(i).mat.flatten_row())
+            for i in self.window
+            if self.hom_bases[i]
+        ]
         if not pieces:
             return Mat.zeros(fld, 1, 0)
         out = pieces[0]
@@ -318,6 +317,11 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
     hi = max(C.hi, D.hi)
     window = list(range(lo, hi + 1))
     hom_bases = {i: hom_space(C.term(i), D.term(i)) if C.term(i).dim and D.term(i).dim else [] for i in window}
+    hom_flats = {
+        i: RowBasis(Mat.stack_rows(fld, [h.mat.flatten_row() for h in basis]))
+        for i, basis in hom_bases.items()
+        if basis
+    }
     offsets = {}
     total = 0
     for i in window:
@@ -370,15 +374,13 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
             coords = Mat.zeros(fld, 1, total).a.copy()
             ok = True
             for j, mat in comps.items():
-                basis = hom_bases.get(j, [])
-                if not basis:
+                if j not in hom_flats:
                     if not mat.is_zero():
                         ok = False
                         break
                     continue
-                flat = Mat.stack_rows(fld, [b.mat.flatten_row() for b in basis])
-                c = coords_in_rows(flat, mat.flatten_row())
-                coords[0, offsets[j] : offsets[j] + len(basis)] = c.a[0]
+                c = hom_flats[j].coords(mat.flatten_row())
+                coords[0, offsets[j] : offsets[j] + c.cols] = c.a[0]
             assert ok, "homotopy boundary escaped the hom space"
             htp_rows.append(Mat(fld, coords, _copy=False))
     homotopy_rows = (
@@ -390,6 +392,7 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
         target=D,
         window=window,
         hom_bases=hom_bases,
+        hom_flats=hom_flats,
         offsets=offsets,
         total=total,
         chain_rows=chain_rows,
@@ -613,10 +616,7 @@ def quotient_bijective(A: KbHom, B: KbHom, img_chain: Mat, img_htp: Mat) -> dict
     basis span B's chain space modulo homotopy in the full quotient
     dimension; and the two quotients have equal dimension.
     """
-    htp_ok = all(
-        row_span_contains(B.homotopy_rows, img_htp.row_at(r)) if B.homotopy_rows.rows else img_htp.row_at(r).is_zero()
-        for r in range(img_htp.rows)
-    )
+    htp_ok = RowBasis(B.homotopy_rows).contains(img_htp)
     stacked = (
         Mat.stack_rows(A.source.algebra.field, [img_chain, B.homotopy_rows])
         if img_chain.rows or B.homotopy_rows.rows

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auslander import AuslanderData
-from .linalg import Mat, coords_in_rows, left_nullspace, rank, row_basis, solve
+from .linalg import Mat, RowBasis, coords_in_rows, flat_products, left_nullspace, rank, row_basis, solve
 from .modules import (
     ModHom,
     Repn,
@@ -36,8 +36,6 @@ from .modules import (
     zero_hom,
     zero_module,
 )
-
-import numpy as np
 
 
 # -- theta: corner restriction ------------------------------------------------
@@ -54,16 +52,10 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
     lam = data.lam
     rows = corner_rows(F, data)
     k = rows.rows
-    act = (
-        np.zeros((lam.dim, k, k), dtype=np.int64)
-        if lam.field.kind == "prime"
-        else np.empty((lam.dim, k, k), dtype=object)
+    moved = Mat.stack_rows(
+        F.field, [rows @ F.rho(data.lambda_to_tilde.row_at(t)) for t in range(lam.dim)]
     )
-    for t in range(lam.dim):
-        zeta = data.lambda_to_tilde.row_at(t)
-        moved = rows @ F.rho(zeta)
-        act[t] = coords_in_rows(rows, moved).a
-    return Repn(lam, k, act)
+    return Repn(lam, k, RowBasis(rows).coords(moved).a.reshape(lam.dim, k, k))
 
 
 def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn = None, thetaG: Repn = None) -> ModHom:
@@ -92,7 +84,7 @@ def in_mod0(F: Repn, data: AuslanderData) -> bool:
 class ThetaRho:
     module: Repn  # over tilde
     homs: list  # basis of Hom(M, N) as ModHom M -> N
-    flat: Mat  # flattened basis rows
+    basis: RowBasis  # the flattened homs, factored for coordinates
     target: Repn  # N
 
 
@@ -100,18 +92,15 @@ def theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
     tilde = data.tilde
     homs = hom_space(data.M, N)
     k = len(homs)
-    flat = hom_flat_basis(homs, data.M.dim, N.dim, N.field)
-    act = (
-        np.zeros((tilde.dim, k, k), dtype=np.int64)
-        if N.field.kind == "prime"
-        else np.empty((tilde.dim, k, k), dtype=object)
+    basis = RowBasis(hom_flat_basis(homs, data.M.dim, N.dim, N.field))
+    # row j*k + t is f_t . phi_j, which applies phi_j first
+    moved = (
+        flat_products(data.end_mats, [h.mat for h in homs])
+        if homs
+        else Mat.zeros(N.field, 0, basis.cols)
     )
-    for j in range(tilde.dim):
-        phi = data.end_mats[j]
-        for t in range(k):
-            moved = (phi @ homs[t].mat).flatten_row()  # f.phi applies phi first
-            act[j][t] = coords_in_rows(flat, moved).a[0]
-    return ThetaRho(module=Repn(tilde, k, act), homs=homs, flat=flat, target=N)
+    act = basis.coords(moved).a.reshape(tilde.dim, k, k)
+    return ThetaRho(module=Repn(tilde, k, act), homs=homs, basis=basis, target=N)
 
 
 def theta_rho(N: Repn, data: AuslanderData) -> Repn:
@@ -126,10 +115,8 @@ def theta_rho_hom(g: ModHom, data: AuslanderData, src: ThetaRho = None, tgt: The
         tgt = theta_rho_data(g.target, data)
     if not src.homs or not tgt.homs:
         return zero_hom(src.module, tgt.module)
-    rows = []
-    for h in src.homs:
-        rows.append(coords_in_rows(tgt.flat, (h.mat @ g.mat).flatten_row()))
-    return ModHom(src.module, tgt.module, Mat.stack_rows(g.field, rows))
+    moved = flat_products([h.mat for h in src.homs], [g.mat])
+    return ModHom(src.module, tgt.module, tgt.basis.coords(moved))
 
 
 def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
@@ -154,7 +141,7 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
 
 
 def _hom_from_coords(trd: ThetaRho, coords: Mat) -> Mat:
-    acc = Mat.zeros(trd.flat.field, trd.homs[0].mat.rows, trd.homs[0].mat.cols) if trd.homs else Mat.zeros(trd.flat.field, 0, 0)
+    acc = Mat.zeros(trd.basis.field, trd.homs[0].mat.rows, trd.homs[0].mat.cols) if trd.homs else Mat.zeros(trd.basis.field, 0, 0)
     for t, h in enumerate(trd.homs):
         c = coords.a[0, t]
         if c:
@@ -248,39 +235,28 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     by m, include); exactly the corner-adjunction unit.
     """
     lam = data.lam
+    m = data.M.dim
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
     trd = theta_rho_data(thetaF, data)
     middle = trd.module
-    alpha_rows = []
-    psi_cache = []
-    for j in range(data.M.dim):
+    psis = []
+    for j in range(m):
         # matrix of m_hat: Lambda -> M, lambda -> m_j . lambda
-        mj = Mat.zeros(lam.field, 1, data.M.dim).a.copy()
+        mj = Mat.zeros(lam.field, 1, m).a.copy()
         mj[0, j] = lam.field.one
         mj = Mat(lam.field, mj, _copy=False)
         m_hat = Mat.stack_rows(
             lam.field, [mj @ data.M.rho(lam.basis_element(t)) for t in range(lam.dim)]
         )
-        psi = data.pi @ m_hat  # M -> M, "project then multiply"
-        psi_cache.append(coords_in_rows(data.end_flat, psi.flatten_row()))
-    for k in range(F.dim):
-        vk = Mat.zeros(F.field, 1, F.dim).a.copy()
-        vk[0, k] = F.field.one
-        vk = Mat(F.field, vk, _copy=False)
-        g_rows = []
-        for j in range(data.M.dim):
-            moved = vk @ F.rho(psi_cache[j])
-            g_rows.append(coords_in_rows(rows, moved) if rows.rows else Mat.zeros(F.field, 1, 0))
-        g = Mat.stack_rows(F.field, g_rows)  # M -> theta(F)
-        alpha_rows.append(
-            coords_in_rows(trd.flat, g.flatten_row())
-            if trd.homs
-            else Mat.zeros(F.field, 1, 0)
-        )
-    alpha_mat = (
-        Mat.stack_rows(F.field, alpha_rows) if alpha_rows else Mat.zeros(F.field, 0, middle.dim)
-    )
+        psis.append((data.pi @ m_hat).flatten_row())  # M -> M, "project then multiply"
+    psi_coords = data.end_basis.coords(Mat.stack_rows(lam.field, psis))
+    # block j, row k: the coordinates in F.e of v_k . psi_j
+    moved = Mat.stack_rows(F.field, [F.rho(psi_coords.row_at(j)) for j in range(m)])
+    blocks = RowBasis(rows).coords(moved).a.reshape(m, F.dim, rows.rows)
+    # alpha(v_k) is the map g: M -> theta(F) whose row j is block j, row k
+    g = Mat(F.field, blocks.transpose(1, 0, 2).reshape(F.dim, m * rows.rows))
+    alpha_mat = trd.basis.coords(g)
     alpha = ModHom(F, middle, alpha_mat)
     F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))
     F1, f1_proj = quotient_repn(middle, row_basis(alpha_mat))
@@ -302,21 +278,11 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
 
 def _hom_coords_matrix(source_homs: list, map_of_homs, target_homs: list, field) -> Mat:
     """Matrix (in hom bases) of a linear map defined on hom generators."""
-    if not source_homs:
-        return Mat.zeros(field, 0, len(target_homs))
-    tgt_flat = (
-        Mat.stack_rows(field, [h.mat.flatten_row() for h in target_homs])
-        if target_homs
-        else None
-    )
-    rows = []
-    for h in source_homs:
-        image = map_of_homs(h)
-        if tgt_flat is None:
-            rows.append(Mat.zeros(field, 1, 0))
-        else:
-            rows.append(coords_in_rows(tgt_flat, image.flatten_row()))
-    return Mat.stack_rows(field, rows)
+    if not source_homs or not target_homs:
+        return Mat.zeros(field, len(source_homs), len(target_homs))
+    tgt = RowBasis(Mat.stack_rows(field, [h.mat.flatten_row() for h in target_homs]))
+    images = Mat.stack_rows(field, [map_of_homs(h).flatten_row() for h in source_homs])
+    return tgt.coords(images)
 
 
 def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, left_nullspace, rank, solve_left
+from .linalg import Mat, RowBasis, flat_products, left_nullspace, rank
 from .modules import (
     IsoInconclusive,
     ModHom,
@@ -133,14 +133,10 @@ def _hom_precompose_matrix(d: ModHom, src_homs: list, tgt_homs: list) -> Mat:
     field = d.field
     if not src_homs or not tgt_homs:
         return Mat.zeros(field, len(src_homs), len(tgt_homs))
-    flat_tgt = Mat.stack_rows(field, [h.mat.flatten_row() for h in tgt_homs])
-    rows = []
-    for h in src_homs:
-        comp = d.mat @ h.mat
-        c = solve_left(flat_tgt, comp.flatten_row())
-        assert c is not None, "composite escaped the hom space"
-        rows.append(c)
-    return Mat.stack_rows(field, rows)
+    tgt = RowBasis(Mat.stack_rows(field, [h.mat.flatten_row() for h in tgt_homs]))
+    comps = flat_products([d.mat], [h.mat for h in src_homs])
+    assert tgt.contains(comps), "composite escaped the hom space"
+    return tgt.coords(comps)
 
 
 def ext_dim(M: Repn, N: Repn, i: int, resolution: Optional[ProjResolution] = None) -> int:

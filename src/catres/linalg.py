@@ -10,6 +10,13 @@ reduces to row reduction of matrices over an exact field.  Two carriers:
   and run on Python integers; each result entry becomes a canonical
   ``Fraction`` once, at the end.
 
+Coordinates against a fixed row basis go through :class:`RowBasis`: one
+rref factors the basis, after which each batch of right-hand sides costs
+one column slice, one product and one exact residual check.
+``coords_in_rows`` and ``row_span_contains`` are one-shot wrappers over it;
+callers that solve against the same basis repeatedly hold the factored
+basis instead.
+
 No floating point is used anywhere in this package.
 """
 
@@ -51,6 +58,26 @@ def _integer_rows(rows: list) -> tuple[list, list]:
         ints.append(list(nums) if d == 1 else [n * (d // e) for n, e in zip(nums, dens)])
         scales.append(d)
     return ints, scales
+
+
+def _integer_cols(a: np.ndarray) -> tuple[np.ndarray, list]:
+    """Scale each column of a nonempty rational matrix to integers.
+
+    Returns the integer matrix (object dtype) and the column scale factors.
+    """
+    cols, scales = _integer_rows(a.T.tolist())
+    return np.array(cols, dtype=object).T, scales
+
+
+def _scaled_product(a: np.ndarray, d: list, b: np.ndarray, e: list) -> np.ndarray:
+    """diag(1/d) (a @ b) diag(1/e) as Fractions, for integer matrices a and b."""
+    c = a.dot(b).tolist()
+    out = np.empty((len(d), len(e)), dtype=object)
+    out[:, :] = [
+        [Fraction(x, di * ej) if x else _ZERO for x, ej in zip(row, e)]
+        for row, di in zip(c, d)
+    ]
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -273,14 +300,8 @@ class Mat:
         # (D A)(B E) = D (A B) E with D, E the row and column lcms: one
         # integer product, then one Fraction per output entry.
         a, d = _integer_rows(self.a.tolist())
-        bt, e = _integer_rows(other.a.T.tolist())
-        c = np.array(a, dtype=object).dot(np.array(bt, dtype=object).T).tolist()
-        out = np.empty((self.rows, other.cols), dtype=object)
-        out[:, :] = [
-            [Fraction(x, di * ej) if x else _ZERO for x, ej in zip(row, e)]
-            for row, di in zip(c, d)
-        ]
-        return Mat(self.field, out, _copy=False)
+        b, e = _integer_cols(other.a)
+        return Mat(self.field, _scaled_product(np.array(a, dtype=object), d, b, e), _copy=False)
 
     @property
     def T(self) -> "Mat":
@@ -319,6 +340,20 @@ class Mat:
     def flatten_row(self) -> "Mat":
         """Matrix entries as a single 1 x (rows*cols) row, row-major."""
         return Mat(self.field, self.a.reshape(1, -1))
+
+
+def flat_products(lefts: list, rights: list) -> Mat:
+    """Row ``a * len(rights) + b`` is ``lefts[a] @ rights[b]`` flattened row-major.
+
+    All lefts share one shape, all rights another; one product does it all.
+    """
+    f = lefts[0].field
+    p, r = lefts[0].rows, rights[0].cols
+    big = Mat(f, np.vstack([x.a for x in lefts]), _copy=False) @ Mat(
+        f, np.hstack([x.a for x in rights]), _copy=False
+    )
+    a = big.a.reshape(len(lefts), p, len(rights), r).transpose(0, 2, 1, 3)
+    return Mat(f, a.reshape(len(lefts) * len(rights), p * r))
 
 
 # -- row reduction ------------------------------------------------------
@@ -447,16 +482,92 @@ def left_nullspace(m: Mat) -> Mat:
     return nullspace(m.T).T
 
 
+class RowBasis:
+    """A k x n matrix B factored once, for many coordinate solves against it.
+
+    One rref of ``[B | J]``, with J the k x k identity with its columns
+    reversed, gives R = rref(B), its pivots, and a transform T with
+    T @ B = R.  A batch V (m x n) lies in the row span of B iff
+    V[:, pivots] @ R = V, and then c = V[:, pivots] @ T solves c @ B = V.
+    Reversing the identity makes the left-nullspace rows of the rref pivot
+    on the rows of B that depend on earlier rows, so T is zero in those
+    columns: for a dependent B, ``coords`` returns the solution
+    ``solve_left`` picks, supported on the first independent rows.  Over Q,
+    R and T are kept as integer matrices with column scales.
+    """
+
+    __slots__ = ("field", "rows", "cols", "pivots", "_r", "_t")
+
+    def __init__(self, basis: Mat):
+        f = basis.field
+        k, n = basis.rows, basis.cols
+        flip = _empty(f, k, k)
+        for i in range(k):
+            flip[i, k - 1 - i] = f.one
+        full, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
+        self.field = f
+        self.rows, self.cols = k, n
+        self.pivots = [c for c in pivots if c < n]
+        rk = len(self.pivots)
+        r = full.a[:rk, :n]
+        t = full.a[:rk, n:][:, ::-1]
+        if f.kind == "prime":
+            _check_int64_headroom(rk, f.p)
+            self._r, self._t = np.ascontiguousarray(r), np.ascontiguousarray(t)
+        elif rk:
+            self._r, self._t = _integer_cols(r), _integer_cols(t)
+        else:
+            self._r = self._t = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _pivot_part(self, v: Mat):
+        """``v[:, pivots]`` if every row of v lies in the span, else None.
+
+        Over Q the part comes as integer rows with their row scales.
+        """
+        f = self.field
+        if v.field != f or v.cols != self.cols:
+            raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
+        if f.kind == "prime":
+            y = v.a[:, self.pivots]
+            return None if ((y @ self._r - v.a) % f.p).any() else y
+        if not (self.pivots and v.rows):
+            return None if not v.is_zero() else ([], [])
+        # V' = diag(s) V in integers: V = V[:, pivots] R iff V'[:, pivots] R' = V' diag(e)
+        ints, s = _integer_rows(v.a.tolist())
+        ints = np.array(ints, dtype=object)
+        y = ints[:, self.pivots]
+        r, e = self._r
+        return (y, s) if (y.dot(r) == ints * np.array(e, dtype=object)).all() else None
+
+    def contains(self, v: Mat) -> bool:
+        """Is every row of ``v`` in the row span of the basis?"""
+        return self._pivot_part(v) is not None
+
+    def coords(self, v: Mat) -> Mat:
+        """Coordinates c with c @ B = v; raises if a row of v is outside the span."""
+        y = self._pivot_part(v)
+        if y is None:
+            raise ValueError("vector not in row span")
+        f = self.field
+        if f.kind == "prime":
+            return Mat(f, (y @ self._t) % f.p, _copy=False)
+        if not (self.pivots and v.rows):
+            return Mat.zeros(f, v.rows, self.rows)
+        (ints, s), (t, g) = y, self._t
+        return Mat(f, _scaled_product(ints, s, t, g), _copy=False)
+
+
 def row_span_contains(basis: Mat, v: Mat) -> bool:
     """Is every row of v in the row span of ``basis``?"""
     if v.rows == 0:
         return True
-    return solve_left(basis, v) is not None
+    return RowBasis(basis).contains(v)
 
 
 def coords_in_rows(basis: Mat, v: Mat) -> Mat:
     """Coordinates c with c @ basis = v; raises if v is outside the span."""
-    c = solve_left(basis, v)
-    if c is None:
-        raise ValueError("vector not in row span")
-    return c
+    return RowBasis(basis).coords(v)

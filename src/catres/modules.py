@@ -21,9 +21,11 @@ from .algebra import Algebra, AlgebraError, primitive_idempotents
 from .linalg import (
     FieldSpec,
     Mat,
-    coords_in_rows,
+    RowBasis,
+    flat_products,
     left_nullspace,
     nullspace,
+    rank,
     row_basis,
     row_span_contains,
     rref,
@@ -146,18 +148,14 @@ def _action_on_rows(M: Repn, rows: Mat) -> np.ndarray:
     """Induced action matrices on an action-stable row subspace."""
     A = M.algebra
     k = rows.rows
-    out = (
-        np.zeros((A.dim, k, k), dtype=np.int64)
-        if M.field.kind == "prime"
-        else np.empty((A.dim, k, k), dtype=object)
-    )
-    for i in range(A.dim):
-        moved = rows @ M.action_mat(i)
-        c = solve_left(rows, moved)
-        if c is None:
-            raise ValueError("subspace is not action-stable")
-        out[i] = c.a
-    return out
+    # every action matrix side by side: one product moves the rows by all of them
+    wide = Mat(M.field, M.action.transpose(1, 0, 2).reshape(M.dim, A.dim * M.dim))
+    moved = (rows @ wide).a.reshape(k, A.dim, M.dim).transpose(1, 0, 2)
+    try:
+        c = RowBasis(rows).coords(Mat(M.field, moved.reshape(A.dim * k, M.dim)))
+    except ValueError:
+        raise ValueError("subspace is not action-stable") from None
+    return c.a.reshape(A.dim, k, k)
 
 
 def sub_repn(M: Repn, rows: Mat):
@@ -170,8 +168,7 @@ def sub_repn(M: Repn, rows: Mat):
 def quotient_repn(M: Repn, rows: Mat):
     """Quotient by an action-stable row subspace.  Returns (Q, projection)."""
     f = M.field
-    rows = row_basis(rows)
-    r, pivots, _ = rref(rows) if rows.rows else (rows, [], 0)
+    r, pivots, _ = rref(rows)
     nonpiv = [c for c in range(M.dim) if c not in pivots]
     proj = Mat.zeros(f, M.dim, len(nonpiv)).a.copy()
     for jq, c in enumerate(nonpiv):
@@ -181,19 +178,11 @@ def quotient_repn(M: Repn, rows: Mat):
             val = -r.a[i, c]
             proj[pc, jq] = val % f.p if f.kind == "prime" else val
     proj = Mat(f, proj, _copy=False)
-    section = Mat.zeros(f, len(nonpiv), M.dim).a.copy()
-    for jq, c in enumerate(nonpiv):
-        section[jq, c] = f.one
-    section = Mat(f, section, _copy=False)
-    k = len(nonpiv)
-    act = (
-        np.zeros((M.algebra.dim, k, k), dtype=np.int64)
-        if f.kind == "prime"
-        else np.empty((M.algebra.dim, k, k), dtype=object)
-    )
-    for i in range(M.algebra.dim):
-        act[i] = (section @ M.action_mat(i) @ proj).a
-    Q = Repn(M.algebra, k, act)
+    # the quotient acts by section @ rho(b) @ proj, and the section picks
+    # the non-pivot rows: one product for every basis element at once
+    d, k = M.algebra.dim, len(nonpiv)
+    rows_np = Mat(f, M.action[:, nonpiv, :].reshape(d * k, M.dim))
+    Q = Repn(M.algebra, k, (rows_np @ proj).a.reshape(d, k, k))
     return Q, ModHom(M, Q, proj)
 
 
@@ -441,14 +430,33 @@ def projective_cover_with_parts(M: Repn):
         raise AlgebraError("projective cover construction is not surjective")
     ker_rows = left_nullspace(q.mat)
     prad = ctx.radical_rows(P)
-    for t in range(ker_rows.rows):
-        if not row_span_contains(prad, ker_rows.row_at(t)):
-            raise AlgebraError("projective cover kernel is not superfluous")
+    if not RowBasis(prad).contains(ker_rows):
+        raise AlgebraError("projective cover kernel is not superfluous")
     return q, part_indices
 
 
 def is_projective(M: Repn) -> bool:
-    return projective_cover(M).source.dim == M.dim
+    """Is M projective?  Its cover P(M) -> M is onto, so iff dim P(M) = dim M.
+
+    dim P(M) is read off the top, with no cover built:
+
+        dim P(M) = sum_i rank(top(M) e_i) * dim P_i / dim S_i
+
+    over the complete set of primitive idempotents e_i of ``context(A)``.
+    If S_i has multiplicity m in top(M) and lies over the simple factor
+    M_n(D) of A/J, then n of the e_i are conjugate to e_i, each with
+    rank(top(M) e_i) = m dim D, while dim S_i = n dim D: the n terms add
+    up to m dim P_i.  Dividing by rank(S_i e_i) = dim D instead would
+    count P_i n times, which is wrong for non-basic algebras such as the
+    Auslander algebra of upper triangular 2x2 matrices.
+    """
+    ctx = context(M.algebra)
+    top, _ = ctx.top(M)
+    dim_cover = sum(
+        Fraction(rank(top.rho(e.coords)) * P.dim, S.dim)
+        for e, P, S in zip(ctx.idempotents, ctx.projectives, ctx.simples)
+    )
+    return dim_cover == M.dim
 
 
 # -- isomorphism search -----------------------------------------------------
@@ -554,15 +562,12 @@ def endomorphism_algebra(M: Repn):
     f = M.field
     homs = hom_space(M, M)
     k = len(homs)
-    flat = hom_flat_basis(homs, M.dim, M.dim, f)
-    table = (
-        np.zeros((k, k, k), dtype=np.int64) if f.kind == "prime" else np.empty((k, k, k), dtype=object)
-    )
-    for i in range(k):
-        for j in range(k):
-            prod = homs[j].mat @ homs[i].mat
-            table[i, j] = coords_in_rows(flat, prod.flatten_row()).a[0]
-    unit = coords_in_rows(flat, Mat.identity(f, M.dim).flatten_row())
+    mats = [h.mat for h in homs]
+    basis = RowBasis(hom_flat_basis(homs, M.dim, M.dim, f))
+    # row j*k + i holds mat(phi_j) @ mat(phi_i), the matrix of phi_i phi_j
+    prods = basis.coords(flat_products(mats, mats)).a.reshape(k, k, k)
+    table = np.ascontiguousarray(prods.transpose(1, 0, 2))
+    unit = basis.coords(Mat.identity(f, M.dim).flatten_row())
     labels = [f"phi{t}" for t in range(k)]
     E = Algebra(f, labels, unit, table, provenance="endomorphism")
-    return E, [h.mat for h in homs]
+    return E, mats

@@ -2,9 +2,13 @@
 
 Deliberately naive: plain Python lists, no numpy, no shortcuts shared with
 the library code.  These are the second route for every dual-route check.
+The one exception is ``cover_is_projective``, which calls the library's
+projective cover: a route independent of the top count in ``is_projective``.
 """
 
 from fractions import Fraction
+
+from catres.modules import projective_cover
 
 
 def naive_rref(rows, field):
@@ -72,3 +76,9 @@ def naive_hom_dim(M, N):
                     row[i * n + k] -= B[k][j]
                 eqs.append([field.coerce(x) for x in row])
     return m * n - naive_rank(eqs, field)
+
+
+def cover_is_projective(M):
+    """Projectivity by building the whole projective cover P -> M: M is
+    projective iff the cover is an isomorphism, i.e. dim P = dim M."""
+    return projective_cover(M).source.dim == M.dim

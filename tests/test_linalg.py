@@ -7,6 +7,7 @@ from catres.linalg import (
     FieldSpec,
     Mat,
     MAX_PRIME,
+    RowBasis,
     _check_int64_headroom,
     coords_in_rows,
     left_nullspace,
@@ -169,6 +170,48 @@ def test_row_basis_and_membership(m):
     if b.rows:
         c = coords_in_rows(b, m)
         assert c @ b == m
+
+
+@st.composite
+def row_basis_cases(draw):
+    """A basis over F_3 or Q (possibly dependent, possibly with no rows) and
+    a batch of vectors, inside its span or drawn at random."""
+    field = draw(st.sampled_from([FieldSpec("prime", 3), QQ]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    basis = _rand_mat(draw, field, k, n) if k else Mat.zeros(field, 0, n)
+    if k and draw(st.booleans()):
+        # mix in combinations of the rows, then shuffle: dependent rows anywhere
+        basis = basis.vstack(_rand_mat(draw, field, draw(st.integers(1, 3)), k) @ basis)
+        basis = basis.take_rows(draw(st.permutations(range(basis.rows))))
+    m = draw(st.integers(1, 4))
+    if basis.rows and draw(st.booleans()):
+        v = _rand_mat(draw, field, m, basis.rows) @ basis
+    else:
+        v = _rand_mat(draw, field, m, n)
+    return basis, v
+
+
+@given(row_basis_cases())
+def test_row_basis_matches_solve_left_and_naive_rank(case):
+    basis, v = case
+    f = basis.field
+    rb = RowBasis(basis)
+    assert rb.rank == naive_rank(basis.tolist(), f)
+    inside = naive_rank(basis.tolist() + v.tolist(), f) == rb.rank
+    assert rb.contains(v) == inside == row_span_contains(basis, v)
+    expected = solve_left(basis, v)
+    assert (expected is not None) == inside
+    if inside:
+        assert rb.coords(v).tolist() == expected.tolist()
+        assert coords_in_rows(basis, v).tolist() == expected.tolist()
+    else:
+        with pytest.raises(ValueError):
+            rb.coords(v)
+    # one row at a time agrees with the batch
+    for i in range(v.rows):
+        row_inside = naive_rank(basis.tolist() + [v.tolist()[i]], f) == rb.rank
+        assert rb.contains(v.row_at(i)) == row_inside
 
 
 def test_solve_left_and_left_nullspace():

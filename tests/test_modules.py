@@ -1,16 +1,23 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from catres import modules as mod
+from catres.auslander import build_auslander
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
     two_fields,
     upper_triangular_2,
 )
-from catres.linalg import FieldSpec, Mat, rank, row_span_contains
-from oracles import naive_hom_dim
+from catres.io_json import parse_algebra_or_quiver
+from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, row_span_contains
+from catres.samples import random_hom
+from oracles import cover_is_projective, naive_hom_dim
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 F2 = FieldSpec("prime", 2)
 F3 = FieldSpec("prime", 3)
@@ -302,3 +309,43 @@ def test_modhoms_always_intertwine(x2):
         for n in [ctx.regular, ctx.simples[0]]:
             for h in mod.hom_space(m, n):
                 assert h.validate()
+
+
+def _random_modules(A, rng, count):
+    """Sums of pool modules, then possibly a kernel or an image quotient."""
+    ctx = mod.context(A)
+    pool = [m for m in list(ctx.simples) + list(ctx.projectives) + [ctx.regular] if m.dim]
+    out = []
+    for _ in range(count):
+        m, _, _ = mod.direct_sum(rng.sample(pool, min(len(pool), rng.randint(1, 2))))
+        other = rng.choice(pool)
+        move = rng.randrange(3)
+        if move == 1:
+            m, _ = mod.sub_repn(m, left_nullspace(random_hom(rng, m, other).mat))
+        elif move == 2:
+            m, _ = mod.quotient_repn(m, row_basis(random_hom(rng, other, m).mat))
+        out.append(m)
+    return out
+
+
+def test_is_projective_matches_cover_on_corpus_and_auslander_algebras():
+    rng = random.Random(31)
+    non_basic = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        for label, A in ((path.stem, lam), (f"T({path.stem})", build_auslander(lam).tilde)):
+            ctx = mod.context(A)
+            for m in list(ctx.projectives) + [ctx.regular]:
+                assert mod.is_projective(m) and cover_is_projective(m), label
+            for m in list(ctx.simples) + _random_modules(A, rng, 6):
+                assert mod.is_projective(m) == cover_is_projective(m), (label, m.dim)
+            # conjugate primitive idempotents: two isomorphic indecomposable projectives
+            projs = ctx.projectives
+            if any(
+                mod.is_isomorphic(projs[i], projs[j]) is not None
+                for i in range(len(projs))
+                for j in range(i + 1, len(projs))
+                if projs[i].dim == projs[j].dim
+            ):
+                non_basic.add(label)
+    assert "T(t2_f3)" in non_basic
