@@ -15,15 +15,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from .linalg import (
+    _ZERO,
     FieldSpec,
     Mat,
     RowBasis,
-    coords_in_rows,
+    _int64_headroom,
+    _integer_rows,
     left_nullspace,
     nullspace,
     row_basis,
@@ -82,6 +85,8 @@ class Algebra:
         self._radical_chain: Optional[RadicalChain] = None
         self._generators: Optional[list] = None
         self._nz = None
+        self._int_nz = None
+        self.module_context = None  # set by catres.modules.context
         assert table.shape == (self.dim,) * 3
         assert unit.rows == 1 and unit.cols == self.dim
 
@@ -106,19 +111,63 @@ class Algebra:
 
     def multiply(self, u: Mat, v: Mat) -> Mat:
         """Product of two elements given as 1 x dim coordinate rows."""
-        if self.field.kind == "prime":
-            x = np.tensordot(u.a[0], self.table, axes=(0, 0)) % self.field.p
-            w = np.tensordot(v.a[0], x, axes=(0, 0)) % self.field.p
-            return Mat(self.field, w.reshape(1, -1), _copy=False)
-        ua, va = u.a[0], v.a[0]
-        out = [Fraction(0)] * self.dim
-        for i, j, k, val in self._nonzero_triples():
-            ui = ua[i]
-            if ui:
-                vj = va[j]
-                if vj:
-                    out[k] += ui * vj * val
-        return Mat.from_rows(self.field, [out])
+        return self.products(u, v)
+
+    def table_matrix(self) -> Mat:
+        """The table as a dim x dim^2 matrix: row i holds b_i * b_j for all j.
+
+        ``rows @ table_matrix()`` stacks the left-multiplication matrices of
+        all rows side by side, with one product.
+        """
+        d = self.dim
+        return Mat(self.field, self.table.reshape(d, d * d))
+
+    def products(self, u: Mat, v: Mat) -> Mat:
+        """Row ``i * v.rows + j`` is the product of row i of u and row j of v.
+
+        Over F_p two matrix products against the table do every pair at once
+        (``Mat.__matmul__`` enforces the int64 headroom).  Over Q each pair
+        visits the nonzero table entries on integers: the rows and the table
+        are scaled by the lcm of their denominators, and each output entry
+        becomes a ``Fraction`` once.
+        """
+        f, d = self.field, self.dim
+        a, b = u.rows, v.rows
+        if not (a and b and d):
+            return Mat.zeros(f, a * b, d)
+        if f.kind == "rational":
+            return self._rational_products(u, v)
+        # x[i, y, k] = sum_x u[i, x] table[x, y, k]; then contract y with v
+        x = (u @ self.table_matrix()).a.reshape(a, d, d)
+        w = v @ Mat(f, x.transpose(1, 0, 2).reshape(d, a * d), _copy=False)
+        return Mat(f, w.a.reshape(b, a, d).transpose(1, 0, 2).reshape(a * b, d))
+
+    def _rational_products(self, u: Mat, v: Mat) -> Mat:
+        if self._int_nz is None:
+            nz = self._nonzero_triples()
+            ratios = [val.as_integer_ratio() for *_, val in nz]
+            den = lcm(*(r[1] for r in ratios))
+            by_x = {}
+            for (x, y, k, _), (num, r) in zip(nz, ratios):
+                by_x.setdefault(x, []).append((y, k, num * (den // r)))
+            self._int_nz = (den, by_x)
+        den, by_x = self._int_nz
+        vi, vs = _integer_rows(v.a.tolist())
+        rows = []
+        for urow, du in zip(*_integer_rows(u.a.tolist())):
+            terms = [(ux, by_x[x]) for x, ux in enumerate(urow) if ux and x in by_x]
+            for vrow, dv in zip(vi, vs):
+                acc = [0] * self.dim
+                for ux, group in terms:
+                    for y, k, t in group:
+                        vy = vrow[y]
+                        if vy:
+                            acc[k] += ux * vy * t
+                scale = du * dv * den
+                rows.append([Fraction(c, scale) if c else _ZERO for c in acc])
+        out = np.empty((len(rows), self.dim), dtype=object)
+        out[:, :] = rows
+        return Mat(self.field, out, _copy=False)
 
     def left_mult_matrix(self, u: Mat) -> Mat:
         """Matrix of x -> u*x in the row convention (row k = coords of u*b_k)."""
@@ -217,11 +266,7 @@ class Algebra:
             gens.append(i)
             span = row_basis(span.vstack(self.basis_element(i)))
             while True:
-                rows = [span]
-                for r in range(span.rows):
-                    for s in range(span.rows):
-                        rows.append(self.multiply(span.row_at(r), span.row_at(s)))
-                new = row_basis(Mat.stack_rows(self.field, rows))
+                new = row_basis(span.vstack(self.products(span, span)))
                 if new.rows == span.rows:
                     break
                 span = new
@@ -266,12 +311,7 @@ class Algebra:
 def _subspace_product(A: Algebra, u_rows: Mat, v_rows: Mat) -> Mat:
     if u_rows.rows == 0 or v_rows.rows == 0:
         return Mat.zeros(A.field, 0, A.dim)
-    prods = [
-        A.multiply(u_rows.row_at(i), v_rows.row_at(j))
-        for i in range(u_rows.rows)
-        for j in range(v_rows.rows)
-    ]
-    return row_basis(Mat.stack_rows(A.field, prods))
+    return row_basis(A.products(u_rows, v_rows))
 
 
 def _is_ideal(A: Algebra, rows: Mat) -> bool:
@@ -318,17 +358,48 @@ def _radical_trace_form(A: Algebra) -> Mat:
     return row_basis(left_nullspace(gram))
 
 
-def _int_matrix_power_trace(m: np.ndarray, k: int) -> int:
-    """Trace of the k-th power of an integer matrix, exact bigint arithmetic."""
+# matrices of one (count, n, n) power stack hold at most this many entries
+_STACK_ENTRIES = 1 << 21
+
+
+def _power_traces(z: np.ndarray, k: int, modulus: int) -> np.ndarray:
+    """tr(Z^k) mod ``modulus`` for each matrix Z of a (count, n, n) stack.
+
+    Repeated squaring, reducing after every product: in int64 when dot
+    products of length n over entries below ``modulus`` fit, otherwise on
+    exact Python integers.
+    """
+    if not _int64_headroom(z.shape[-1], modulus):
+        z = z.astype(object)
     acc = None
-    base = m.astype(object)
+    base = z % modulus
     while k:
         if k & 1:
-            acc = base if acc is None else acc.dot(base)
+            acc = base if acc is None else (acc @ base) % modulus
         k >>= 1
         if k:
-            base = base.dot(base)
-    return int(np.trace(acc))
+            base = (base @ base) % modulus
+    return np.trace(acc, axis1=1, axis2=2) % modulus
+
+
+def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> np.ndarray:
+    """gram[t, s] = (tr(Z^q) / q) mod p, Z the left-multiplication matrix of
+    b_s * b_t lifted entrywise to 0..p-1, for the rows b of ``basis``.
+
+    Only tr(Z^q) mod p*q is needed, so the lifts of all products are raised
+    to the q-th power together, modulo p*q, in stacks of bounded size.
+    """
+    p, n, r = A.field.p, A.dim, basis.rows
+    w = A.products(basis, basis).a  # row s * r + t is b_s * b_t
+    table = A.table_matrix()
+    step = max(1, _STACK_ENTRIES // (n * n))
+    traces = np.concatenate([
+        _power_traces((Mat(A.field, w[c : c + step]) @ table).a.reshape(-1, n, n), q, p * q)
+        for c in range(0, r * r, step)
+    ])
+    if (traces % q).any():
+        raise AlgebraError("divided-trace divisibility failed; not an F_p algebra?")
+    return (traces // q).astype(np.int64).reshape(r, r).T
 
 
 def _radical_prime_chain(A: Algebra) -> Mat:
@@ -352,16 +423,7 @@ def _radical_prime_chain(A: Algebra) -> Mat:
     for j in range(1, levels + 1):
         if basis.rows == 0:
             break
-        q = p ** (j - 1)
-        gram = np.zeros((basis.rows, basis.rows), dtype=np.int64)
-        for s in range(basis.rows):
-            for t in range(basis.rows):
-                w = A.multiply(basis.row_at(s), basis.row_at(t))
-                z = A.left_mult_matrix(w).a  # canonical entries 0..p-1
-                tr = _int_matrix_power_trace(z, q)
-                if tr % q:
-                    raise AlgebraError("divided-trace divisibility failed; not an F_p algebra?")
-                gram[t, s] = (tr // q) % p
+        gram = _divided_trace_gram(A, basis, p ** (j - 1))
         ker = nullspace(Mat(A.field, gram, _copy=False))  # columns: coefficient vectors
         basis = row_basis(ker.T @ basis)
     return basis
@@ -394,17 +456,7 @@ def quotient_algebra(A: Algebra, ideal_rows: Mat):
     section = Mat(f, section, _copy=False)
 
     dq = len(nonpiv)
-    table = np.zeros((dq, dq, dq), dtype=np.int64) if f.kind == "prime" else np.empty(
-        (dq, dq, dq), dtype=object
-    )
-    for i in range(dq):
-        for j in range(dq):
-            prod = A.multiply(section.row_at(i), section.row_at(j)) @ proj
-            table[i, j] = prod.a[0]
-    if f.kind == "rational":
-        for idx in np.ndindex(table.shape):
-            if table[idx] is None:
-                table[idx] = Fraction(0)
+    table = (A.products(section, section) @ proj).a.reshape(dq, dq, dq)
     labels = [A.basis_labels[c] for c in nonpiv]
     q = Algebra(f, labels, A.unit @ proj, table, provenance="quotient")
     return q, proj, section
@@ -427,26 +479,16 @@ def corner_algebra(A: Algebra, e: Idempotent):
     defect = A.multiply(ec, ec) - ec
     if not defect.is_zero():
         raise AlgebraError("corner: e is not idempotent")
-    rows = [
-        A.multiply(A.multiply(ec, A.basis_element(i)), ec) for i in range(A.dim)
-    ]
-    embed = row_basis(Mat.stack_rows(A.field, rows))
+    embed = row_basis(_corner_rows(A, ec))
     m = embed.rows
     if m == 0:
         empty = np.zeros((0, 0, 0), dtype=np.int64) if A.field.kind == "prime" else np.empty(
             (0, 0, 0), dtype=object
         )
         return Algebra(A.field, [], Mat.zeros(A.field, 1, 0), empty, provenance="corner"), embed, True
-    table = (
-        np.zeros((m, m, m), dtype=np.int64)
-        if A.field.kind == "prime"
-        else np.empty((m, m, m), dtype=object)
-    )
-    for i in range(m):
-        for j in range(m):
-            prod = A.multiply(embed.row_at(i), embed.row_at(j))
-            table[i, j] = coords_in_rows(embed, prod).a[0]
-    unit = coords_in_rows(embed, ec)
+    basis = RowBasis(embed)
+    table = basis.coords(A.products(embed, embed)).a.reshape(m, m, m)
+    unit = basis.coords(ec)
     labels = [f"c{i}" for i in range(m)]
     c = Algebra(A.field, labels, unit, table, provenance="corner")
     return c, embed, False
@@ -589,9 +631,7 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
     for v in candidates:
         if v.is_zero():
             continue
-        ideal_rows = row_basis(
-            Mat.stack_rows(B.field, [B.multiply(v, c.basis.row_at(i)) for i in range(c.dim)])
-        )
+        ideal_rows = row_basis(B.products(v, c.basis))
         if ideal_rows.rows in (0, c.dim):
             continue
         # right ideal vC = fC for an idempotent f: f acts as left identity on vC
@@ -604,21 +644,22 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
     raise SplitGiveUp("no zero divisor found: division algebra of dimension > 1")
 
 
+def _corner_rows(A: Algebra, e: Mat) -> Mat:
+    """Row k is e * b_k * e: (e b_k) e is row k of L(e) times R(e)."""
+    return A.left_mult_matrix(e) @ A.right_mult_matrix(e)
+
+
 def _corner_of_unit(B: Algebra, e: Mat) -> _Corner:
-    rows = [B.multiply(B.multiply(e, B.basis_element(i)), e) for i in range(B.dim)]
-    return _Corner(B, row_basis(Mat.stack_rows(B.field, rows)), e)
+    return _Corner(B, row_basis(_corner_rows(B, e)), e)
 
 
 def _corner_center_rows(B: Algebra, c: _Corner) -> Mat:
-    eqs = []
-    for i in range(c.dim):
-        b = c.basis.row_at(i)
-        rows = [
-            (B.multiply(c.basis.row_at(r), b) - B.multiply(b, c.basis.row_at(r))).a[0]
-            for r in range(c.dim)
-        ]
-        eqs.append(np.stack(rows, axis=0))
-    big = Mat(B.field, np.hstack(eqs), _copy=False)  # c.dim x (c.dim * B.dim * #eqs)
+    k = c.dim
+    prods = B.products(c.basis, c.basis).a.reshape(k, k, B.dim)  # [r, i] = c_r c_i
+    # row r, block i: c_r c_i - c_i c_r, zero in every block iff central
+    big = Mat(B.field, prods.reshape(k, k * B.dim)) - Mat(
+        B.field, prods.transpose(1, 0, 2).reshape(k, k * B.dim)
+    )
     coeff = left_nullspace(big)  # rows: coefficient vectors over corner basis
     return row_basis(coeff @ c.basis)
 
@@ -667,11 +708,7 @@ def _left_identity_on(B: Algebra, c: _Corner, ideal_rows: Mat):
     """Solve for f in the row span with f*x = x for all x spanning the ideal."""
     k = ideal_rows.rows
     # unknown coefficients a_t with sum a_t (g_t * x_s) = x_s for all s
-    lhs_rows = []
-    for t in range(k):
-        prods = [B.multiply(ideal_rows.row_at(t), ideal_rows.row_at(s)).a[0] for s in range(k)]
-        lhs_rows.append(np.concatenate(prods))
-    lhs = Mat(B.field, np.stack(lhs_rows, axis=0), _copy=False)
+    lhs = Mat(B.field, B.products(ideal_rows, ideal_rows).a.reshape(k, k * B.dim))
     rhs = Mat(B.field, np.concatenate([ideal_rows.a[s] for s in range(k)]).reshape(1, -1))
     sol = solve_left(lhs, rhs)
     if sol is None:
@@ -840,19 +877,15 @@ def from_quiver(q: QuiverSpec) -> Algebra:
         row_basis(Mat.stack_rows(f, rel_vecs)) if rel_vecs else Mat.zeros(f, 0, d)
     )
     # saturate to a two-sided ideal under arrow multiplication
-    arrow_rows = [
+    arrows = Mat.stack_rows(f, [
         bounded.basis_element(index[((a[0],), a[1])])
         for a in q.arrows
         if ((a[0],), a[1]) in index
-    ]
-    while ideal.rows:
-        new_rows = [ideal]
-        for r in range(ideal.rows):
-            v = ideal.row_at(r)
-            for ar in arrow_rows:
-                new_rows.append(bounded.multiply(ar, v))
-                new_rows.append(bounded.multiply(v, ar))
-        sat = row_basis(Mat.stack_rows(f, new_rows))
+    ])
+    while ideal.rows and arrows.rows:
+        sat = row_basis(Mat.stack_rows(
+            f, [ideal, bounded.products(arrows, ideal), bounded.products(ideal, arrows)]
+        ))
         if sat.rows == ideal.rows:
             break
         ideal = sat

@@ -148,15 +148,13 @@ def check_corner_iso(data: AuslanderData):
     unit_image = coords_in_rows(data.corner_embed, data.e.coords) @ data.corner_to_lambda
     if unit_image != lam.unit:
         return False, "unit is not preserved"
-    for i in range(corner.dim):
-        for j in range(corner.dim):
-            prod = corner.multiply(corner.basis_element(i), corner.basis_element(j))
-            lhs = prod @ data.corner_to_lambda
-            rhs = lam.multiply(
-                data.corner_to_lambda.row_at(i), data.corner_to_lambda.row_at(j)
-            )
-            if lhs != rhs:
-                return False, f"multiplicativity fails at basis pair ({i}, {j})"
+    ident = Mat.identity(corner.field, corner.dim)
+    lhs = corner.products(ident, ident) @ data.corner_to_lambda
+    rhs = lam.products(data.corner_to_lambda, data.corner_to_lambda)
+    if lhs != rhs:
+        row = next(r for r in range(lhs.rows) if lhs.row_at(r) != rhs.row_at(r))
+        i, j = divmod(row, corner.dim)
+        return False, f"multiplicativity fails at basis pair ({i}, {j})"
     # the two transports invert each other on the corner
     for i in range(corner.dim):
         lam_img = data.corner_to_lambda.row_at(i)

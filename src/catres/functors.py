@@ -384,7 +384,7 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
     for s, i1 in enumerate(parts1):
         pj = ctx.projectives[i1]
         gen = coords_in_rows(
-            _projective_rows(ctx, i1), ctx.idempotents[i1].coords
+            ctx.projective_rows[i1], ctx.idempotents[i1].coords
         )  # coords of e_j inside its projective
         gen_in_q1 = Mat.zeros(data.lam.field, 1, d.source.dim).a.copy()
         gen_in_q1[0, q1_off[s] : q1_off[s] + pj.dim] = gen.a[0]
@@ -395,7 +395,7 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
                 data.lam.field, image.a[:, q0_off[t] : q0_off[t] + pk.dim]
             )
             # back to tilde coordinates: w in e_k tilde e_j
-            w = block @ _projective_rows(ctx, i0)
+            w = block @ ctx.projective_rows[i0]
             W = data.end_matrix(w)
             nj_rows = summands[i1][1].mat
             nk_rows = summands[i0][1].mat
@@ -407,12 +407,3 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
     assert dmod.validate(), "presentation differential is not Lambda-linear"
     Q, _ = quotient_repn(X0, row_basis(dmod.mat))
     return Q
-
-
-def _projective_rows(ctx, idx) -> Mat:
-    """Row basis of the idx-th indecomposable projective inside the regular
-    module of tilde (rebuilt deterministically)."""
-    A = ctx.algebra
-    e = ctx.idempotents[idx]
-    rows = [A.multiply(e.coords, A.basis_element(k)) for k in range(A.dim)]
-    return row_basis(Mat.stack_rows(A.field, rows))

@@ -186,14 +186,33 @@ class GldimResult:
 
 
 def distinct_simples(A: Algebra) -> list:
-    """Simple modules up to isomorphism (idempotents can repeat blocks)."""
+    """Simple modules up to isomorphism (idempotents can repeat blocks).
+
+    S_t is isomorphic to S_s iff S_t e_s != 0: Hom(P_s, S_t) = S_t e_s, and
+    a nonzero map P_s -> S_t factors through the top S_s of P_s.  The first
+    simple of each class is kept; the list is memoised on ``context(A)``.
+    """
     ctx = context(A)
-    reps = []
-    for s in ctx.simples:
-        if any(s.dim == t.dim and is_isomorphic(s, t) is not None for t in reps):
-            continue
-        reps.append(s)
-    return reps
+    if ctx.distinct_simples is None:
+        kept = []  # indices of the kept simples, and of their idempotents
+        for t, s in enumerate(ctx.simples):
+            if all(s.rho(ctx.idempotents[r].coords).is_zero() for r in kept):
+                kept.append(t)
+        ctx.distinct_simples = [ctx.simples[t] for t in kept]
+    return list(ctx.distinct_simples)
+
+
+def _simple_resolutions(A: Algebra) -> list:
+    """The depth-2 minimal resolution of each distinct simple, all that
+    ``ext_dim`` needs in degree 1; built once per algebra and memoised on
+    ``context(A)``."""
+    ctx = context(A)
+    if ctx.simple_resolutions is None:
+        ctx.simple_resolutions = [
+            projective_resolution(s, max_depth=2, halt_on_periodic=False)
+            for s in distinct_simples(A)
+        ]
+    return ctx.simple_resolutions
 
 
 def default_max_depth(A: Algebra) -> int:
@@ -230,10 +249,9 @@ def is_injective(A: Algebra, M: Repn) -> bool:
     """
     if M.dim == 0:
         return True
-    for s in distinct_simples(A):
-        if ext_dim(s, M, 1) != 0:
-            return False
-    return True
+    return all(
+        ext_dim(res.module, M, 1, resolution=res) == 0 for res in _simple_resolutions(A)
+    )
 
 
 def is_self_injective(A: Algebra) -> bool:

@@ -38,9 +38,14 @@ MAX_PRIME = 1 << 20
 _ZERO = Fraction(0)
 
 
+def _int64_headroom(inner: int, modulus: int) -> bool:
+    """Do int64 dot products of length ``inner`` over entries 0..modulus-1 fit?"""
+    return inner * (modulus - 1) ** 2 < 1 << 63
+
+
 def _check_int64_headroom(inner: int, p: int) -> None:
     """Refuse an F_p product whose int64 dot products could wrap."""
-    if inner * (p - 1) ** 2 >= 1 << 63:
+    if not _int64_headroom(inner, p):
         raise ValueError(
             f"F_{p} product with inner dimension {inner} would overflow int64"
         )

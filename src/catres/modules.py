@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class Repn:
         self.dim = dim
         self.action = action  # (algebra.dim, dim, dim)
         assert action.shape == (algebra.dim, dim, dim)
+        # indices into context(algebra).projectives, block by block, when the
+        # module is built as their direct sum; hom_space then uses Yoneda
+        self.projective_parts: Optional[tuple] = None
 
     @property
     def field(self) -> FieldSpec:
@@ -208,6 +211,8 @@ def direct_sum(parts: list):
             act[i][o : o + p.dim, o : o + p.dim] = p.action[i]
         o += p.dim
     S = Repn(A, total, act)
+    if all(p.projective_parts is not None for p in parts):
+        S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
     injections, projections = [], []
     for p, o in zip(parts, offs):
         inj = Mat.zeros(f, p.dim, total).a.copy()
@@ -226,64 +231,97 @@ def direct_sum(parts: list):
 def hom_space(M: Repn, N: Repn) -> list:
     """Basis of Hom(M, N) as a list of ModHom.
 
-    Solves the intertwining equations for a generating set of the algebra
-    (performance), then verifies each basis vector against every basis
-    element (soundness).
+    Out of a direct sum of the projectives of ``context(A)`` the basis comes
+    from Yoneda (``_yoneda_homs``); otherwise from the intertwining equations
+    of a generating set of the algebra (``_kronecker_homs``).  Both return
+    the same reduced basis: the kernel vectors that are the identity on the
+    free columns of the intertwining system.  Every basis vector is then
+    checked against every basis element of the algebra (soundness).
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space: modules over different algebras")
+    if M.dim == 0 or N.dim == 0:
+        return []
+    if M.projective_parts is not None:
+        mats = _yoneda_homs(M, N)
+    else:
+        mats = _kronecker_homs(M, N)
+    _check_intertwines(M, N, mats)
+    return [ModHom(M, N, x) for x in mats]
+
+
+def _kronecker_homs(M: Repn, N: Repn) -> list:
+    """Hom(M, N) as the kernel of rho_M(g) F - F rho_N(g) over the generators g.
+
+    The system has rows (g, i, b) and columns (a, c), for F flattened
+    row-major: rho_M(g)[i, a] [b == c] - [i == a] rho_N(g)[c, b].  It is
+    built for every generator by two broadcast assignments; its entries are
+    action entries or their differences, so no product can overflow.
+    """
     f = M.field
     m, n = M.dim, N.dim
-    if m == 0 or n == 0:
-        return []
     gens = M.algebra.generating_indices()
-    if not gens:
-        # algebra spanned by the unit: every matrix intertwines
-        basis = []
-        for a in range(m):
-            for b in range(n):
-                mat = Mat.zeros(f, m, n).a.copy()
-                mat[a, b] = f.one
-                basis.append(ModHom(M, N, Mat(f, mat, _copy=False)))
-        return basis
-    rows = []
-    for g in gens:
-        rows.append(_intertwine_block(f, M.action[g], N.action[g]))
-    big = Mat(f, np.vstack(rows), _copy=False)
-    ker = nullspace(big)  # columns = flattened hom matrices
-    basis = []
-    for c in range(ker.cols):
-        mat = Mat(f, ker.a[:, c].reshape(m, n))
-        h = ModHom(M, N, mat)
-        if not h.validate():
-            raise AssertionError("generator-reduced hom failed full intertwining check")
-        basis.append(h)
-    return basis
+    system = Mat.zeros(f, len(gens) * m * n, m * n).a.copy().reshape(len(gens), m, n, m, n)
+    ia, ib = np.arange(m), np.arange(n)
+    system[:, :, ib, :, ib] = M.action[gens]
+    system[:, ia, :, ia, :] -= N.action[gens].transpose(0, 2, 1)
+    ker = nullspace(Mat(f, system.reshape(-1, m * n), _copy=False))
+    return [Mat(f, ker.a[:, c].reshape(m, n)) for c in range(ker.cols)]
 
 
-def _intertwine_block(field, act_m: np.ndarray, act_n: np.ndarray) -> np.ndarray:
-    """kron(act_m, I_n) - kron(I_m, act_n.T) without dense object kron."""
-    m = act_m.shape[0]
-    n = act_n.shape[0]
-    if field.kind == "prime":
-        return np.kron(act_m, np.eye(n, dtype=np.int64)) - np.kron(
-            np.eye(m, dtype=np.int64), act_n.T
+def _yoneda_homs(M: Repn, N: Repn) -> list:
+    """Hom(P, N) for P = M, a direct sum of projectives P_i = e_i A.
+
+    Hom(e_i A, N) = N e_i: the map with f(e_i) = v sends the basis vector p_t
+    of P_i to v rho_N(p_t).  The rows of rho_N(e_i) span N e_i, and
+    u rho_N(e_i) rho_N(p_t) = u rho_N(p_t) because e_i p_t = p_t, so the
+    rows of [rho_N(p_0) | rho_N(p_1) | ...] span Hom(P_i, N), flattened.
+    One product against the action builds them.  Reduced in reversed column
+    order, with the rows then reversed, they give the unique basis that is
+    the identity on the free columns of the intertwining system: the basis
+    ``_kronecker_homs`` returns.  Summands of P occupy disjoint columns, so
+    each block is reduced on its own, and once per distinct summand.
+    """
+    ctx = context(M.algebra)
+    f, n, d = M.field, N.dim, M.algebra.dim
+    action = Mat(f, N.action.reshape(d, n * n))
+    blocks, mats, off = {}, [], 0
+    for i in M.projective_parts:
+        k = ctx.projectives[i].dim
+        if i not in blocks:
+            rho = (ctx.projective_rows[i] @ action).a.reshape(k, n, n)  # rho_N(p_t)
+            span = Mat(f, rho.transpose(1, 0, 2).reshape(n, k * n)[:, ::-1])
+            r, _, rk = rref(span)
+            blocks[i] = r.a[:rk, ::-1][::-1].reshape(rk, k, n)
+        for block in blocks[i]:
+            mat = Mat.zeros(f, M.dim, n).a.copy()
+            mat[off : off + k] = block
+            mats.append(Mat(f, mat, _copy=False))
+        off += k
+    return mats
+
+
+def _check_intertwines(M: Repn, N: Repn, mats: list):
+    """rho_M(b) F = F rho_N(b) for every F in ``mats`` and every basis b.
+
+    Two products cover every pair: the actions of M stacked against the
+    F side by side, and the F stacked against the actions of N side by side.
+    """
+    if not mats:
+        return
+    f, d = M.field, M.algebra.dim
+    m, n, k = M.dim, N.dim, len(mats)
+    left = Mat(f, M.action.reshape(d * m, m)) @ Mat(f, np.hstack([x.a for x in mats]))
+    right = Mat(f, np.vstack([x.a for x in mats])) @ Mat(
+        f, N.action.transpose(1, 0, 2).reshape(n, d * n)
+    )
+    lhs = left.a.reshape(d, m, k, n).transpose(2, 0, 1, 3)
+    rhs = right.a.reshape(k, m, d, n).transpose(0, 2, 1, 3)
+    bad = (lhs != rhs).reshape(k, -1).any(axis=1)
+    if bad.any():
+        raise AssertionError(
+            f"hom basis vector {int(np.argmax(bad))} of {k} fails the intertwining check"
         )
-    block = np.empty((m * n, m * n), dtype=object)
-    block[...] = Fraction(0)
-    for i in range(m):
-        for a in range(m):
-            v = act_m[i, a]
-            if v:
-                for b in range(n):
-                    block[i * n + b, a * n + b] += v
-    for c in range(n):
-        for b in range(n):
-            v = act_n[c, b]
-            if v:
-                for i in range(m):
-                    block[i * n + b, i * n + c] -= v
-    return block
 
 
 def hom_flat_basis(homs: list, m: int, n: int, field: FieldSpec) -> Mat:
@@ -320,6 +358,9 @@ class ModuleContext:
         self.chain = A.radical_chain()
         self._idempotents = None
         self._simples_projs = None
+        # filled in by catres.homology
+        self.distinct_simples = None
+        self.simple_resolutions = None
 
     @property
     def idempotents(self):
@@ -334,6 +375,11 @@ class ModuleContext:
     @property
     def simples(self):
         return self._simples_and_projectives()[0]
+
+    @property
+    def projective_rows(self):
+        """Row basis of each P_i = e_i A inside A: the basis of P_i."""
+        return self._simples_and_projectives()[2]
 
     def _simples_and_projectives(self):
         if self._simples_projs is None:
@@ -352,26 +398,31 @@ class ModuleContext:
         return quotient_repn(M, self.radical_rows(M))
 
 
-_contexts: "weakref.WeakKeyDictionary[Algebra, ModuleContext]" = weakref.WeakKeyDictionary()
-
-
 def context(A: Algebra) -> ModuleContext:
-    ctx = _contexts.get(A)
-    if ctx is None:
-        ctx = ModuleContext(A)
-        _contexts[A] = ctx
-    return ctx
+    """The ModuleContext of A, kept on A itself.
+
+    The context refers back to A (its modules do), so a registry keyed
+    weakly by A would keep every algebra alive; on A the two form a cycle
+    that the garbage collector frees with A.
+    """
+    if A.module_context is None:
+        A.module_context = ModuleContext(A)
+    return A.module_context
 
 
 def simple_and_projective_modules(A: Algebra, idempotents: list):
-    """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J."""
+    """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J.
+
+    Returns the simples, the projectives and the row basis of each P_i
+    inside A (row k of L(e_i) is e_i b_k).
+    """
     ctx_reg = regular_module(A)
     chain = A.radical_chain()
-    simples, projs = [], []
-    for e in idempotents:
-        rows = [A.multiply(e.coords, A.basis_element(k)) for k in range(A.dim)]
-        span = row_basis(Mat.stack_rows(A.field, rows))
+    simples, projs, spans = [], [], []
+    for idx, e in enumerate(idempotents):
+        span = row_basis(A.left_mult_matrix(e.coords))
         P, _ = sub_repn(ctx_reg, span)
+        P.projective_parts = (idx,)
         j = chain.radical
         if j.rows and P.dim:
             rad = row_basis(
@@ -382,7 +433,8 @@ def simple_and_projective_modules(A: Algebra, idempotents: list):
         S, _ = quotient_repn(P, rad)
         projs.append(P)
         simples.append(S)
-    return simples, projs
+        spans.append(span)
+    return simples, projs, spans
 
 
 def projective_cover(M: Repn) -> ModHom:

@@ -2,13 +2,26 @@
 
 Deliberately naive: plain Python lists, no numpy, no shortcuts shared with
 the library code.  These are the second route for every dual-route check.
-The one exception is ``cover_is_projective``, which calls the library's
-projective cover: a route independent of the top count in ``is_projective``.
+The exceptions keep a library's former route as the second route of its
+replacement, on the library's own primitives:
+
+* ``cover_is_projective`` builds the projective cover, against the top
+  count in ``is_projective``;
+* ``kron_hom_space`` solves one ``np.kron`` intertwining block per
+  generator, against the broadcast system and the Yoneda route of
+  ``hom_space``;
+* ``iso_distinct_simples`` searches isomorphisms, against the idempotent
+  test in ``distinct_simples``;
+* ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one
+  product at a time, against the batched powers modulo p*q.
 """
 
 from fractions import Fraction
 
-from catres.modules import projective_cover
+import numpy as np
+
+from catres.linalg import Mat, nullspace
+from catres.modules import context, is_isomorphic, projective_cover
 
 
 def naive_rref(rows, field):
@@ -82,3 +95,94 @@ def cover_is_projective(M):
     """Projectivity by building the whole projective cover P -> M: M is
     projective iff the cover is an isomorphism, i.e. dim P = dim M."""
     return projective_cover(M).source.dim == M.dim
+
+
+def naive_product(A, u, v):
+    """u * v for coordinate lists u, v: sum of u_i v_j table[i, j, k] term by term."""
+    field = A.field
+    out = [field.zero] * A.dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            uv = field.coerce(ui) * field.coerce(vj)
+            for k in range(A.dim):
+                out[k] = field.coerce(out[k] + uv * A.table[i, j, k])
+    return out
+
+
+def _intertwine_block(field, act_m, act_n):
+    """kron(act_m, I_n) - kron(I_m, act_n.T), the block of one generator."""
+    m, n = act_m.shape[0], act_n.shape[0]
+    if field.kind == "prime":
+        return np.kron(act_m, np.eye(n, dtype=np.int64)) - np.kron(
+            np.eye(m, dtype=np.int64), act_n.T
+        )
+    block = np.empty((m * n, m * n), dtype=object)
+    block[...] = Fraction(0)
+    for i in range(m):
+        for a in range(m):
+            if act_m[i, a]:
+                for b in range(n):
+                    block[i * n + b, a * n + b] += act_m[i, a]
+    for c in range(n):
+        for b in range(n):
+            if act_n[c, b]:
+                for i in range(m):
+                    block[i * n + b, i * n + c] -= act_n[c, b]
+    return block
+
+
+def kron_hom_space(M, N):
+    """Basis of Hom(M, N) as m x n matrices: the nullspace of the stacked
+    per-generator Kronecker blocks, vectors read row-major."""
+    field = M.algebra.field
+    m, n = M.dim, N.dim
+    if m == 0 or n == 0:
+        return []
+    gens = M.algebra.generating_indices()
+    blocks = [_intertwine_block(field, M.action[g], N.action[g]) for g in gens]
+    if blocks:
+        system = Mat(field, np.vstack(blocks))
+    else:
+        system = Mat.zeros(field, 0, m * n)
+    ker = nullspace(system)
+    return [Mat(field, ker.a[:, c].reshape(m, n)) for c in range(ker.cols)]
+
+
+def iso_distinct_simples(A):
+    """One simple per isomorphism class, by an isomorphism search against
+    every simple kept so far."""
+    reps = []
+    for s in context(A).simples:
+        if any(s.dim == t.dim and is_isomorphic(s, t) is not None for t in reps):
+            continue
+        reps.append(s)
+    return reps
+
+
+def int_matrix_power_trace(m, k):
+    """Trace of the k-th power of an integer matrix, exact bigint arithmetic."""
+    acc = None
+    base = np.array(m, dtype=object)
+    while k:
+        if k & 1:
+            acc = base if acc is None else acc.dot(base)
+        k >>= 1
+        if k:
+            base = base.dot(base)
+    return int(np.trace(acc))
+
+
+def bigint_divided_trace_gram(A, basis, q):
+    """gram[t][s] = (tr(Z^q) / q) mod p for Z = L(b_s * b_t), one pair at a
+    time; None if some trace is not divisible by q."""
+    p, r = A.field.p, basis.rows
+    gram = [[0] * r for _ in range(r)]
+    for s in range(r):
+        for t in range(r):
+            w = basis.row_at(s) @ A.right_mult_matrix(basis.row_at(t))
+            z = A.left_mult_matrix(w).a
+            tr = int_matrix_power_trace(z, q)
+            if tr % q:
+                return None
+            gram[t][s] = (tr // q) % p
+    return gram

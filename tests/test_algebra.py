@@ -1,23 +1,45 @@
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from catres.algebra import (
     Algebra,
     AlgebraError,
     Idempotent,
     QuiverSpec,
+    _divided_trace_gram,
+    _power_traces,
+    _radical_prime_chain,
     corner_algebra,
     from_quiver,
     primitive_idempotents,
     quotient_by_power,
 )
+from catres.auslander import build_auslander
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
     two_fields,
     upper_triangular_2,
 )
-from catres.linalg import FieldSpec, Mat, coords_in_rows, row_span_contains
+from catres.io_json import parse_algebra_or_quiver
+from catres.linalg import (
+    FieldSpec,
+    Mat,
+    _int64_headroom,
+    coords_in_rows,
+    nullspace,
+    row_basis,
+    row_span_contains,
+)
+from oracles import bigint_divided_trace_gram, int_matrix_power_trace, naive_product
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 F2 = FieldSpec("prime", 2)
 F3 = FieldSpec("prime", 3)
@@ -376,3 +398,99 @@ def test_generating_indices_small():
     a = truncated_poly_algebra(F5, 4)
     gens = a.generating_indices()
     assert len(gens) == 1  # x generates with the unit
+
+
+# -- batched kernels against their pairwise routes ----------------------------
+
+def _rescaled_cubic():
+    """Q[x]/x^3 on the basis 1, 2x, 8x^2: (2x)(2x) = 1/2 (8x^2)."""
+    table = np.empty((3, 3, 3), dtype=object)
+    table[...] = Fraction(0)
+    for j in range(3):
+        table[0, j, j] = table[j, 0, j] = Fraction(1)
+    table[1, 1, 2] = Fraction(1, 2)
+    a = Algebra(QQ, ["1", "2x", "8x^2"], Mat.row(QQ, [1, 0, 0]), table)
+    assert a.validate().ok
+    return a
+
+
+PRODUCT_ALGEBRAS = [
+    truncated_poly_algebra(F3, 3),
+    truncated_poly_algebra(QQ, 3),
+    _rescaled_cubic(),
+    upper_triangular_2(QQ),
+    upper_triangular_2(F5),
+    gentle_two_cycle(F2),
+]
+
+
+@st.composite
+def _product_case(draw):
+    a = draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    f = a.field
+
+    def rows():
+        count = draw(st.integers(0, 3))
+        if f.kind == "prime":
+            entry = st.integers(0, f.p - 1)
+        else:
+            entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+        return Mat.from_rows(f, [draw(st.lists(entry, min_size=a.dim, max_size=a.dim))
+                                 for _ in range(count)]) if count else Mat.zeros(f, 0, a.dim)
+
+    return a, rows(), rows()
+
+
+@given(_product_case())
+def test_products_match_pairwise_naive_products(case):
+    a, u, v = case
+    prods = a.products(u, v)
+    assert (prods.rows, prods.cols) == (u.rows * v.rows, a.dim)
+    for i in range(u.rows):
+        for j in range(v.rows):
+            expected = naive_product(a, u.a[i].tolist(), v.a[j].tolist())
+            assert prods.a[i * v.rows + j].tolist() == expected
+            assert a.multiply(u.row_at(i), v.row_at(j)) == prods.row_at(i * v.rows + j)
+
+
+def _prime_corpus_and_auslander_algebras():
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        if lam.field.kind == "prime":
+            yield path.stem, lam
+            yield f"T({path.stem})", build_auslander(lam).tilde
+
+
+def test_divided_trace_gram_matches_bigint_route():
+    levels_seen = set()
+    for label, a in _prime_corpus_and_auslander_algebras():
+        p = a.field.p
+        basis = Mat.identity(a.field, a.dim)
+        q = 1
+        while basis.rows and q <= a.dim:
+            gram = _divided_trace_gram(a, basis, q)
+            assert gram.tolist() == bigint_divided_trace_gram(a, basis, q), (label, q)
+            levels_seen.add(q)
+            basis = row_basis(nullspace(Mat(a.field, gram)).T @ basis)
+            q *= p
+        assert basis == _radical_prime_chain(a), label
+    assert {1, 2, 4} <= levels_seen
+
+
+def test_power_traces_match_bigint_traces_on_both_paths():
+    rng = random.Random(5)
+    z = np.array([[[rng.randrange(50) for _ in range(4)] for _ in range(4)] for _ in range(3)])
+    for k, modulus in ((1, 7), (5, 49), (8, 3**30), (9, 2**61 + 1)):
+        traces = _power_traces(z, k, modulus)
+        assert traces.dtype == (np.int64 if _int64_headroom(4, modulus) else object)
+        assert [int(t) for t in traces] == [int_matrix_power_trace(m, k) % modulus for m in z]
+
+
+def test_power_traces_headroom_boundary_without_allocation():
+    modulus = 3_000_017
+    limit = ((1 << 63) - 1) // (modulus - 1) ** 2  # largest n that fits
+    assert _int64_headroom(limit, modulus) and not _int64_headroom(limit + 1, modulus)
+    # empty stacks of n x n matrices: the path shows in the dtype, nothing is allocated
+    fits = _power_traces(np.zeros((0, limit, limit), dtype=np.int64), 2, modulus)
+    wraps = _power_traces(np.zeros((0, limit + 1, limit + 1), dtype=np.int64), 2, modulus)
+    assert fits.dtype == np.int64 and wraps.dtype == object

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,12 @@ from catres.corpus import (
     two_fields,
     upper_triangular_2,
 )
+from catres.auslander import build_auslander
+from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, left_nullspace, rank, row_span_contains
+from oracles import iso_distinct_simples
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 F2 = FieldSpec("prime", 2)
 F3 = FieldSpec("prime", 3)
@@ -210,3 +217,36 @@ def test_injective_module_detection_t2(t2):
     ctx = mod.context(t2)
     injective_flags = sorted(hml.is_injective(t2, p) for p in ctx.projectives)
     assert injective_flags == [False, True]
+
+
+def _corpus_and_auslander_algebras():
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        yield path.stem, lam
+        yield f"T({path.stem})", build_auslander(lam).tilde
+
+
+def test_distinct_simples_match_isomorphism_route_on_corpus_and_auslander_algebras():
+    repeated = set()
+    for label, A in _corpus_and_auslander_algebras():
+        fast = hml.distinct_simples(A)
+        slow = iso_distinct_simples(A)
+        assert [id(s) for s in fast] == [id(s) for s in slow], label
+        if len(fast) < len(mod.context(A).simples):
+            repeated.add(label)
+    assert "T(t2_f3)" in repeated
+
+
+def test_injectivity_resolves_each_simple_once():
+    rng = random.Random(3)
+    for label, A in _corpus_and_auslander_algebras():
+        ctx = mod.context(A)
+        simples = hml.distinct_simples(A)
+        memo = hml._simple_resolutions(A)
+        assert [res.module for res in memo] == simples, label
+        pool = [ctx.regular] + list(ctx.simples) + list(ctx.projectives)
+        for M in rng.sample(pool, min(4, len(pool))):
+            fresh = [hml.ext_dim(s, M, 1) for s in simples]
+            assert [hml.ext_dim(r.module, M, 1, resolution=r) for r in memo] == fresh, label
+            assert hml.is_injective(A, M) == (not any(fresh)), label
+        assert ctx.simple_resolutions is memo

@@ -1,7 +1,11 @@
+import gc
 import json
 import random
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catres import modules as mod
@@ -13,9 +17,17 @@ from catres.corpus import (
     upper_triangular_2,
 )
 from catres.io_json import parse_algebra_or_quiver
-from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, row_span_contains
+from catres.linalg import (
+    FieldSpec,
+    Mat,
+    left_nullspace,
+    rank,
+    row_basis,
+    row_span_contains,
+    solve_left,
+)
 from catres.samples import random_hom
-from oracles import cover_is_projective, naive_hom_dim
+from oracles import cover_is_projective, kron_hom_space, naive_hom_dim
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -349,3 +361,76 @@ def test_is_projective_matches_cover_on_corpus_and_auslander_algebras():
             ):
                 non_basic.add(label)
     assert "T(t2_f3)" in non_basic
+
+
+def _conjugate(N, rng):
+    """N in another basis: action S rho S^-1 for a random invertible S
+    (with denominators over Q)."""
+    f, n = N.field, N.dim
+
+    def entry():
+        if f.kind == "prime":
+            return rng.randrange(f.p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    while True:
+        s = Mat.from_rows(f, [[entry() for _ in range(n)] for _ in range(n)])
+        if rank(s) == n:
+            break
+    s_inv = solve_left(s, Mat.identity(f, n))
+    act = [(s @ N.action_mat(i) @ s_inv).a for i in range(N.algebra.dim)]
+    return mod.Repn(N.algebra, n, np.stack(act))
+
+
+def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
+    rng = random.Random(47)
+    seen = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        for label, A in ((path.stem, lam), (f"T({path.stem})", build_auslander(lam).tilde)):
+            ctx = mod.context(A)
+            projs = [p for p in ctx.projectives if p.dim]
+            # sums with repeated summands too
+            sources = projs + [
+                mod.direct_sum([rng.choice(projs), rng.choice(projs)])[0]
+                for _ in range(2)
+            ]
+            targets = list(ctx.simples) + [ctx.regular] + _random_modules(A, rng, 3)
+            targets += [_conjugate(n, rng) for n in targets[-3:] if n.dim]
+            assert all(P.projective_parts is not None for P in sources), label
+            # Yoneda out of sums of projectives; the broadcast system otherwise
+            pairs = [(P, N) for P in sources for N in targets]
+            pairs += [(M, N) for M in targets[-3:] for N in targets[-3:]]
+            for M, N in pairs:
+                fast = [h.mat for h in mod.hom_space(M, N)]
+                assert fast == kron_hom_space(M, N), (label, M.dim, N.dim)
+                if A.field.kind == "rational" and any(
+                    Fraction(x).denominator != 1 for h in fast for x in h.a.flat
+                ):
+                    seen.add("rational with denominators")
+            seen.add(A.field.kind)
+    assert seen == {"prime", "rational", "rational with denominators"}
+
+
+def test_hom_space_rejects_a_false_projective_tag():
+    A = upper_triangular_2(F3)
+    ctx = mod.context(A)
+    i = next(i for i, p in enumerate(ctx.projectives) if p.dim == 1)
+    # a one-dimensional simple that is not P_i, tagged as P_i
+    s = next(
+        s for s in ctx.simples if s.dim == 1 and mod.is_isomorphic(s, ctx.projectives[i]) is None
+    )
+    fake = mod.Repn(A, 1, s.action.copy())
+    fake.projective_parts = (i,)
+    with pytest.raises(AssertionError, match="intertwining"):
+        mod.hom_space(fake, ctx.regular)
+
+
+def test_context_is_freed_with_its_algebra():
+    A = truncated_poly_algebra(F3, 2)
+    ctx = mod.context(A)
+    assert mod.context(A) is ctx and ctx.projectives and ctx.simples
+    alive = weakref.ref(A)
+    del A, ctx
+    gc.collect()
+    assert alive() is None
