@@ -253,8 +253,9 @@ class Algebra:
     def generating_indices(self) -> list:
         """Small set of basis indices that generates the algebra with the unit.
 
-        Used to shrink intertwining systems; callers re-verify against the
-        full basis, so this is a performance device, not a trust boundary.
+        An intertwining system over these generators alone has the same
+        kernel as over the whole basis; the Kronecker Hom oracle of the
+        tests builds its systems this way.
         """
         if self._generators is not None:
             return self._generators

@@ -35,6 +35,7 @@ from . import __version__
 from .algebra import Algebra
 from .auslander import AuslanderData, build_auslander, verify_auslander
 from .complexes import (
+    ChainMap,
     cone,
     db_theta,
     homotopy_functor_images,
@@ -117,6 +118,117 @@ def _suite(results):
     }
 
 
+# -- the sampled checks: check(data, pool, cfg, index) -> (ok, detail) ------
+
+
+def unit_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "unit_iso", i)
+    P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    sv = step_v_unit(P, data)
+    return sv.ok, sv.detail
+
+
+def naturality_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "unit_naturality", i)
+    P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    Q = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    u = pool.random_chain_map(rng, P, Q)
+    return step_v_naturality(u, data), "naturality square broke"
+
+
+def adjunction_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "adjunction", i)
+    P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    r = step_iv_adjunction(P, F, data)
+    return r["ok"], str({k: v for k, v in r.items() if k != "ok"}) if not r["ok"] else ""
+
+
+def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "four_term", i)
+    F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    try:
+        p31 = prop31_sequence(F, data)
+    except AssertionError as exc:
+        return False, f"assembly failed: {exc}"
+    for d in F.degrees():
+        s = p31.degreewise[d]
+        if s.F0.dim - s.F.dim + s.middle.dim - s.F1.dim != 0:
+            return False, f"dimension count fails at degree {d}"
+        if not (s.f0_incl.mat @ s.alpha.mat).is_zero():
+            return False, f"kernel does not compose to zero at degree {d}"
+        if not (s.alpha.mat @ s.f1_proj.mat).is_zero():
+            return False, f"image does not die in the cokernel at degree {d}"
+        if not (in_mod0(s.F0, data) and in_mod0(s.F1, data)):
+            return False, f"ends not killed by the corner at degree {d}"
+    for cxp in (p31.F0, p31.middle, p31.F1):
+        if cxp.validate():
+            return False, "assembled complex invalid"
+    if not p31.alpha.validate():
+        return False, "unit map is not a chain map"
+    return True, ""
+
+
+def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "four_term", i)  # same stream: same complexes
+    F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    p31 = prop31_sequence(F, data)
+    cn, _, _ = cone(p31.alpha)
+    return is_lambda_acyclic(cn, data), "cone of the unit map is not corner-acyclic"
+
+
+def kernel_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "kernel_char", i)
+    F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    lhs = is_lambda_acyclic(F, data)
+    rhs = is_acyclic(db_theta(F, data))
+    if lhs != rhs:
+        return False, "corner-acyclic and restricted-acyclic disagree"
+    m = pool.random_tilde_module(rng, cfg.max_term_dim)
+    kills = in_mod0(m, data)
+    restr = theta(m, data).dim == 0
+    if kills != restr:
+        return False, "corner-kill and zero restriction disagree"
+    return True, ""
+
+
+def wc_lemma44_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "wc_lemma44", i)
+    G = pool.random_mod0_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    N = pool.random_lam_module(rng, cfg.max_term_dim // 2 + 1)
+    target = module_complex(theta_rho(N, data), rng.randrange(cfg.max_degree_window))
+    kb = kb_hom(G, target)
+    return kb.dim == 0, f"nonzero Hom from a corner-killed complex (dim {kb.dim})"
+
+
+def wc_right_adjoint_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
+    rng = rng_for(cfg.seed, "wc_right_adjoint", i)
+    F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
+    r = right_adjoint_sample(F, P, data)
+    return r["bijective"], str(r) if not r["bijective"] else ""
+
+
+# suite -> its check; certify_resolution and replay_sample both run these,
+# and each check draws from the rng stream keyed by (seed, stream, index)
+SAMPLE_CHECKS = {
+    "unit_iso": unit_sample,
+    "unit_naturality": naturality_sample,
+    "adjunction": adjunction_sample,
+    "four_term": four_term_sample,
+    "density_witness": density_sample,
+    "kernel_char": kernel_sample,
+    "wc_lemma44": wc_lemma44_sample,
+    "wc_right_adjoint": wc_right_adjoint_sample,
+}
+
+
+def suite_results(suite: str, n: int, data: AuslanderData, pool: ModulePool, cfg: CertConfig):
+    """(ok, detail) of samples 0..n-1 of one suite."""
+    check = SAMPLE_CHECKS[suite]
+    return _run_samples(n, lambda i: check(data, pool, cfg, i), cfg.threads)
+
+
 def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
     data = build_auslander(lam)
     depth = cfg.max_resolution_depth
@@ -131,81 +243,18 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
     context(lam)
     context(data.tilde)
 
-    def unit_sample(i):
-        rng = rng_for(cfg.seed, "unit_iso", i)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        sv = step_v_unit(P, data)
-        return sv.ok, sv.detail
-
-    def naturality_sample(i):
-        rng = rng_for(cfg.seed, "unit_naturality", i)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        Q = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        u = pool.random_chain_map(rng, P, Q)
-        return step_v_naturality(u, data), "naturality square broke"
-
-    def adjunction_sample(i):
-        rng = rng_for(cfg.seed, "adjunction", i)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        r = step_iv_adjunction(P, F, data)
-        return r["ok"], str({k: v for k, v in r.items() if k != "ok"}) if not r["ok"] else ""
-
-    def four_term_sample(i):
-        rng = rng_for(cfg.seed, "four_term", i)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        try:
-            p31 = prop31_sequence(F, data)
-        except AssertionError as exc:
-            return False, f"assembly failed: {exc}"
-        for d in F.degrees():
-            s = p31.degreewise[d]
-            if s.F0.dim - s.F.dim + s.middle.dim - s.F1.dim != 0:
-                return False, f"dimension count fails at degree {d}"
-            if not (s.f0_incl.mat @ s.alpha.mat).is_zero():
-                return False, f"kernel does not compose to zero at degree {d}"
-            if not (s.alpha.mat @ s.f1_proj.mat).is_zero():
-                return False, f"image does not die in the cokernel at degree {d}"
-            if not (in_mod0(s.F0, data) and in_mod0(s.F1, data)):
-                return False, f"ends not killed by the corner at degree {d}"
-        for cxp in (p31.F0, p31.middle, p31.F1):
-            if cxp.validate():
-                return False, "assembled complex invalid"
-        if not p31.alpha.validate():
-            return False, "unit map is not a chain map"
-        return True, ""
-
-    def density_sample(i):
-        rng = rng_for(cfg.seed, "four_term", i)  # same stream: same complexes
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        p31 = prop31_sequence(F, data)
-        cn, _, _ = cone(p31.alpha)
-        return is_lambda_acyclic(cn, data), "cone of the unit map is not corner-acyclic"
-
-    def kernel_sample(i):
-        rng = rng_for(cfg.seed, "kernel_char", i)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        lhs = is_lambda_acyclic(F, data)
-        rhs = is_acyclic(db_theta(F, data))
-        if lhs != rhs:
-            return False, "corner-acyclic and restricted-acyclic disagree"
-        m = pool.random_tilde_module(rng, cfg.max_term_dim)
-        kills = in_mod0(m, data)
-        restr = theta(m, data).dim == 0
-        if kills != restr:
-            return False, "corner-kill and zero restriction disagree"
-        return True, ""
-
     n = cfg.samples
+    counts = {
+        "unit_iso": n,
+        "unit_naturality": max(1, n // 5),
+        "adjunction": n,
+        "four_term": n,
+        "density_witness": n,
+        "kernel_char": n,
+    }
     report_conditions = {
-        "unit_iso": _suite(_run_samples(n, unit_sample, cfg.threads)),
-        "unit_naturality": _suite(
-            _run_samples(max(1, n // 5), naturality_sample, cfg.threads)
-        ),
-        "adjunction": _suite(_run_samples(n, adjunction_sample, cfg.threads)),
-        "four_term": _suite(_run_samples(n, four_term_sample, cfg.threads)),
-        "density_witness": _suite(_run_samples(n, density_sample, cfg.threads)),
-        "kernel_char": _suite(_run_samples(n, kernel_sample, cfg.threads)),
+        suite: _suite(suite_results(suite, count, data, pool, cfg))
+        for suite, count in counts.items()
     }
     wc = weakly_crepant_check(lam, data, cfg, pool)
     report_conditions["weakly_crepant"] = wc
@@ -254,8 +303,6 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
             s = p31.degreewise[i]
             tr_g = theta_rho_hom(g.comp(i), data, s.middle_data, trd_target)
             comps[i] = ModHom(F.term(i), lifted.complex.term(i), s.alpha.mat @ tr_g.mat)
-        from .complexes import ChainMap
-
         return ChainMap(F, lifted.complex, comps)
 
     img_chain, img_htp = homotopy_functor_images(B, A, convert)
@@ -286,26 +333,9 @@ def weakly_crepant_check(lam: Algebra, data: AuslanderData, cfg: CertConfig, poo
         lemma_injective.append({"indecomposable_dim": p.dim, "injective_lift": ok})
     lemma42_ok = all(item["injective_lift"] for item in lemma_injective)
 
-    def lemma44_sample(i):
-        rng = rng_for(cfg.seed, "wc_lemma44", i)
-        G = pool.random_mod0_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        N = pool.random_lam_module(rng, cfg.max_term_dim // 2 + 1)
-        target = module_complex(
-            theta_rho(N, data), rng.randrange(cfg.max_degree_window)
-        )
-        kb = kb_hom(G, target)
-        return kb.dim == 0, f"nonzero Hom from a corner-killed complex (dim {kb.dim})"
-
-    def right_adjoint_sample_i(i):
-        rng = rng_for(cfg.seed, "wc_right_adjoint", i)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        r = right_adjoint_sample(F, P, data)
-        return r["bijective"], str(r) if not r["bijective"] else ""
-
     n44 = max(1, (cfg.samples * 3) // 5)
-    lemma44 = _suite(_run_samples(n44, lemma44_sample, cfg.threads))
-    right_adj = _suite(_run_samples(cfg.samples, right_adjoint_sample_i, cfg.threads))
+    lemma44 = _suite(suite_results("wc_lemma44", n44, data, pool, cfg))
+    right_adj = _suite(suite_results("wc_right_adjoint", cfg.samples, data, pool, cfg))
     passed = lemma42_ok and lemma44["passed"] and right_adj["passed"]
     return {
         "inapplicable": False,
@@ -321,57 +351,13 @@ def weakly_crepant_check(lam: Algebra, data: AuslanderData, cfg: CertConfig, poo
 def replay_sample(lam: Algebra, cfg: CertConfig, suite: str, index: int):
     """Re-execute a single sampled check in isolation.
 
-    The per-sample RNG streams are keyed by (seed, suite, index) only, so a
-    counterexample recorded in a report reproduces here exactly.
-    Returns (ok, detail)."""
+    The per-sample RNG streams are keyed by (seed, suite, index) only, and
+    the check is the one the suite runs, so a sample recorded in a report
+    reproduces here exactly.  Returns (ok, detail)."""
+    if suite not in SAMPLE_CHECKS:
+        raise ValueError(f"unknown suite {suite!r}")
     data = build_auslander(lam)
-    pool = ModulePool(data)
-
-    if suite == "unit_iso":
-        rng = rng_for(cfg.seed, "unit_iso", index)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        sv = step_v_unit(P, data)
-        return sv.ok, sv.detail
-    if suite == "unit_naturality":
-        rng = rng_for(cfg.seed, "unit_naturality", index)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        Q = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        u = pool.random_chain_map(rng, P, Q)
-        return step_v_naturality(u, data), ""
-    if suite == "adjunction":
-        rng = rng_for(cfg.seed, "adjunction", index)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        r = step_iv_adjunction(P, F, data)
-        return r["ok"], ""
-    if suite in ("four_term", "density_witness"):
-        rng = rng_for(cfg.seed, "four_term", index)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        p31 = prop31_sequence(F, data)
-        if suite == "density_witness":
-            cn, _, _ = cone(p31.alpha)
-            return is_lambda_acyclic(cn, data), ""
-        ok = all(
-            in_mod0(p31.degreewise[d].F0, data) and in_mod0(p31.degreewise[d].F1, data)
-            for d in F.degrees()
-        )
-        return ok, ""
-    if suite == "kernel_char":
-        rng = rng_for(cfg.seed, "kernel_char", index)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        return is_lambda_acyclic(F, data) == is_acyclic(db_theta(F, data)), ""
-    if suite == "wc_lemma44":
-        rng = rng_for(cfg.seed, "wc_lemma44", index)
-        G = pool.random_mod0_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        N = pool.random_lam_module(rng, cfg.max_term_dim // 2 + 1)
-        target = module_complex(theta_rho(N, data), rng.randrange(cfg.max_degree_window))
-        return kb_hom(G, target).dim == 0, ""
-    if suite == "wc_right_adjoint":
-        rng = rng_for(cfg.seed, "wc_right_adjoint", index)
-        F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-        return right_adjoint_sample(F, P, data)["bijective"], ""
-    raise ValueError(f"unknown suite {suite!r}")
+    return SAMPLE_CHECKS[suite](data, ModulePool(data), cfg, index)
 
 
 def report_to_json_str(report: dict) -> str:

@@ -29,8 +29,7 @@ from .modules import (
     direct_sum,
     hom_flat_basis,
     hom_space,
-    projective_cover,
-    projective_cover_with_parts,
+    projective_presentation,
     quotient_repn,
     sub_repn,
     zero_hom,
@@ -162,9 +161,9 @@ class ThetaLambda:
 
 
 def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
-    cover = projective_cover(N)
+    pres = projective_presentation(N)
+    cover, ker_rows = pres.cover, pres.syzygy
     p0 = cover.source
-    ker_rows = left_nullspace(cover.mat)
     trd0 = theta_rho_data(p0, data)
     if ker_rows.rows == 0:
         # N projective: theta_lambda(N) = theta_rho(N) on the nose
@@ -178,7 +177,7 @@ def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
             p0_data=trd0,
         )
     omega, incl = sub_repn(p0, ker_rows)
-    cover1 = projective_cover(omega)
+    cover1 = projective_presentation(omega).cover
     d = cover1.then(incl)  # P1 -> P0
     trd1 = theta_rho_data(cover1.source, data)
     lifted = theta_rho_hom(d, data, trd1, trd0)
@@ -348,8 +347,8 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
         psi = data.end_matrix(eps.coords)
         summands.append(sub_repn(data.M, row_basis(psi)))
 
-    q0, parts0 = projective_cover_with_parts(F)
-    ker_rows = left_nullspace(q0.mat)
+    pres0 = projective_presentation(F)
+    q0, parts0, ker_rows = pres0.cover, pres0.parts, pres0.syzygy
     if ker_rows.rows == 0:
         x0_parts = [summands[i][0] for i in parts0]
         if not x0_parts:
@@ -357,7 +356,8 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
         X0, _, _ = direct_sum(x0_parts)
         return X0
     omega, incl = sub_repn(q0.source, ker_rows)
-    q1, parts1 = projective_cover_with_parts(omega)
+    pres1 = projective_presentation(omega)
+    q1, parts1 = pres1.cover, pres1.parts
     d = q1.then(incl)  # Q1 -> Q0 over tilde
 
     x0_parts = [summands[i][0] for i in parts0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, RowBasis, flat_products, left_nullspace, rank
+from .linalg import Mat, RowBasis, flat_products, rank
 from .modules import (
     IsoInconclusive,
     ModHom,
@@ -19,7 +19,7 @@ from .modules import (
     context,
     hom_space,
     is_isomorphic,
-    projective_cover,
+    projective_presentation,
     sub_repn,
     zero_module,
 )
@@ -59,14 +59,15 @@ class ProjResolution:
 def projective_resolution(M: Repn, max_depth: int, halt_on_periodic: bool = True) -> ProjResolution:
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    aug = projective_cover(M)
+    pres = projective_presentation(M)
+    aug = pres.cover
     modules = [aug.source]
     diffs = []
     syzygies = []
     omegas = [M]
     periodic: Optional[tuple] = None
     inconclusive = False
-    ker_rows = left_nullspace(aug.mat)
+    ker_rows = pres.syzygy
     depth = 0
     while True:
         if ker_rows.rows == 0:
@@ -95,10 +96,11 @@ def projective_resolution(M: Repn, max_depth: int, halt_on_periodic: bool = True
         if periodic is not None and halt_on_periodic:
             status = ResStatus(kind="periodic", period=periodic[1], offset=periodic[0])
             break
-        cov = projective_cover(omega)
-        diffs.append(cov.then(incl))
-        modules.append(cov.source)
-        ker_rows = left_nullspace(cov.mat)
+        # shared with the isomorphism tests of omega above
+        pres = projective_presentation(omega)
+        diffs.append(pres.cover.then(incl))
+        modules.append(pres.cover.source)
+        ker_rows = pres.syzygy
         depth += 1
     return ProjResolution(
         module=M,

@@ -6,12 +6,20 @@ is a matrix F with rho_src(b) @ F = F @ rho_tgt(b) for every basis b.
 Composition "f then g" is matrix product F @ G, and the composition
 convention (fg)(m) = f(g(m)) makes Hom(M, N) a right End(M)-module with
 no opposite-algebra twist anywhere in the code.
+
+Hom spaces are computed one way: out of a sum of indecomposable
+projectives by Yoneda, Hom(e_i A, N) = N e_i, and out of any other module
+M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
+presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
+2003).  The presentation is memoised on M.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,7 +32,6 @@ from .linalg import (
     RowBasis,
     flat_products,
     left_nullspace,
-    nullspace,
     rank,
     row_basis,
     row_span_contains,
@@ -48,6 +55,8 @@ class Repn:
         # indices into context(algebra).projectives, block by block, when the
         # module is built as their direct sum; hom_space then uses Yoneda
         self.projective_parts: Optional[tuple] = None
+        # the projective presentation, built once by projective_presentation
+        self._presentation: Optional[Presentation] = None
 
     @property
     def field(self) -> FieldSpec:
@@ -59,18 +68,16 @@ class Repn:
     def action_list(self, i: int) -> list:
         return [list(r) for r in self.action[i].tolist()]
 
+    def flat_action(self) -> Mat:
+        """One row per basis element: its action matrix, flattened row-major.
+
+        ``coords @ flat_action()`` gives rho of every coordinate row at once.
+        """
+        return Mat(self.field, self.action.reshape(self.algebra.dim, -1), _copy=False)
+
     def rho(self, coords: Mat) -> Mat:
         """Matrix of the action of the element with the given coordinates."""
-        if self.field.kind == "prime":
-            a = np.tensordot(coords.a[0], self.action, axes=(0, 0)) % self.field.p
-            return Mat(self.field, a, _copy=False)
-        # object dtype: coordinate rows are usually sparse
-        a = np.empty((self.dim, self.dim), dtype=object)
-        a[...] = Fraction(0)
-        for i in range(self.algebra.dim):
-            c = coords.a[0, i]
-            if c:
-                a = a + self.action[i] * c
+        a = (coords @ self.flat_action()).a.reshape(self.dim, self.dim)
         return Mat(self.field, a, _copy=False)
 
     def act(self, v: Mat, coords: Mat) -> Mat:
@@ -232,73 +239,89 @@ def hom_space(M: Repn, N: Repn) -> list:
     """Basis of Hom(M, N) as a list of ModHom.
 
     Out of a direct sum of the projectives of ``context(A)`` the basis comes
-    from Yoneda (``_yoneda_homs``); otherwise from the intertwining equations
-    of a generating set of the algebra (``_kronecker_homs``).  Both return
-    the same reduced basis: the kernel vectors that are the identity on the
-    free columns of the intertwining system.  Every basis vector is then
-    checked against every basis element of the algebra (soundness).
+    from Yoneda (``_yoneda_homs``); out of any other module from its
+    projective presentation (``_presentation_homs``).  Both return the same
+    reduced basis: the kernel vectors of the intertwining system that are
+    the identity on its free columns, exactly what ``nullspace`` of that
+    system gives.  Every basis vector is then checked against every basis
+    element of the algebra (soundness).
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space: modules over different algebras")
     if M.dim == 0 or N.dim == 0:
         return []
     if M.projective_parts is not None:
-        mats = _yoneda_homs(M, N)
+        stack = _yoneda_homs(M, N)
     else:
-        mats = _kronecker_homs(M, N)
+        stack = _presentation_homs(M, N)
+    mats = [Mat(M.field, x) for x in stack]
     _check_intertwines(M, N, mats)
     return [ModHom(M, N, x) for x in mats]
 
 
-def _kronecker_homs(M: Repn, N: Repn) -> list:
-    """Hom(M, N) as the kernel of rho_M(g) F - F rho_N(g) over the generators g.
+def _reduced_homs(flat: Mat, m: int, n: int) -> np.ndarray:
+    """The canonical basis of the span of flattened m x n homs, as (k, m, n).
 
-    The system has rows (g, i, b) and columns (a, c), for F flattened
-    row-major: rho_M(g)[i, a] [b == c] - [i == a] rho_N(g)[c, b].  It is
-    built for every generator by two broadcast assignments; its entries are
-    action entries or their differences, so no product can overflow.
+    Reduced in reversed column order, with the rows then reversed, any
+    spanning set gives the unique basis that is the identity on the free
+    columns of the intertwining system: the basis ``nullspace`` returns.
     """
-    f = M.field
-    m, n = M.dim, N.dim
-    gens = M.algebra.generating_indices()
-    system = Mat.zeros(f, len(gens) * m * n, m * n).a.copy().reshape(len(gens), m, n, m, n)
-    ia, ib = np.arange(m), np.arange(n)
-    system[:, :, ib, :, ib] = M.action[gens]
-    system[:, ia, :, ia, :] -= N.action[gens].transpose(0, 2, 1)
-    ker = nullspace(Mat(f, system.reshape(-1, m * n), _copy=False))
-    return [Mat(f, ker.a[:, c].reshape(m, n)) for c in range(ker.cols)]
+    r, _, rk = rref(Mat(flat.field, flat.a[:, ::-1]))
+    return r.a[:rk, ::-1][::-1].reshape(rk, m, n)
 
 
-def _yoneda_homs(M: Repn, N: Repn) -> list:
+def _yoneda_homs(M: Repn, N: Repn) -> np.ndarray:
     """Hom(P, N) for P = M, a direct sum of projectives P_i = e_i A.
 
     Hom(e_i A, N) = N e_i: the map with f(e_i) = v sends the basis vector p_t
     of P_i to v rho_N(p_t).  The rows of rho_N(e_i) span N e_i, and
     u rho_N(e_i) rho_N(p_t) = u rho_N(p_t) because e_i p_t = p_t, so the
     rows of [rho_N(p_0) | rho_N(p_1) | ...] span Hom(P_i, N), flattened.
-    One product against the action builds them.  Reduced in reversed column
-    order, with the rows then reversed, they give the unique basis that is
-    the identity on the free columns of the intertwining system: the basis
-    ``_kronecker_homs`` returns.  Summands of P occupy disjoint columns, so
-    each block is reduced on its own, and once per distinct summand.
+    One product against the action builds them, and ``_reduced_homs`` turns
+    them into the canonical basis.  Summands of P occupy disjoint columns,
+    so each block is reduced on its own, and once per distinct summand.
+    Returns the basis as a (k, dim P, dim N) array.
     """
     ctx = context(M.algebra)
-    f, n, d = M.field, N.dim, M.algebra.dim
-    action = Mat(f, N.action.reshape(d, n * n))
-    blocks, mats, off = {}, [], 0
+    f, n = M.field, N.dim
+    blocks, stacks, off = {}, [], 0
     for i in M.projective_parts:
         k = ctx.projectives[i].dim
         if i not in blocks:
-            rho = (ctx.projective_rows[i] @ action).a.reshape(k, n, n)  # rho_N(p_t)
-            span = Mat(f, rho.transpose(1, 0, 2).reshape(n, k * n)[:, ::-1])
-            r, _, rk = rref(span)
-            blocks[i] = r.a[:rk, ::-1][::-1].reshape(rk, k, n)
-        for block in blocks[i]:
-            mat = Mat.zeros(f, M.dim, n).a.copy()
-            mat[off : off + k] = block
-            mats.append(Mat(f, mat, _copy=False))
+            rho = (ctx.projective_rows[i] @ N.flat_action()).a.reshape(k, n, n)  # rho_N(p_t)
+            blocks[i] = _reduced_homs(Mat(f, rho.transpose(1, 0, 2).reshape(n, k * n)), k, n)
+        block = blocks[i]
+        stack = Mat.zeros(f, len(block), M.dim * n).a.copy().reshape(len(block), M.dim, n)
+        stack[:, off : off + k] = block
+        stacks.append(stack)
         off += k
-    return mats
+    return np.concatenate(stacks)
+
+
+def _presentation_homs(M: Repn, N: Repn) -> np.ndarray:
+    """Hom(M, N) = ker(Hom(P_0, N) -> Hom(Omega, N)) for the presentation
+    0 -> Omega -> P_0 -> M -> 0 of ``projective_presentation(M)``.
+
+    A map g: P_0 -> N factors through the cover q iff it kills the syzygy
+    rows Omega, and then g = q (s g) for the section s with s q = I.  With
+    F_1..F_h the Yoneda basis of Hom(P_0, N), one product of [Omega; s]
+    against [F_1 | ... | F_h] gives both the restrictions Omega F_j and the
+    maps s F_j.  The left nullspace of the restrictions, one row per F_j,
+    gives the combinations c with Omega (sum_j c_j F_j) = 0, and the maps
+    s (sum_j c_j F_j) span Hom(M, N); ``_reduced_homs`` turns them into the
+    canonical basis.  Returns it as a (k, dim M, dim N) array.
+    """
+    pres = projective_presentation(M)
+    f, m, n = M.field, M.dim, N.dim
+    homs = _yoneda_homs(pres.cover.source, N)
+    h, p, k = len(homs), pres.cover.source.dim, pres.syzygy.rows
+    if h == 0:  # no map out of P_0, so none out of M
+        return homs[:, :m]
+    wide = Mat(f, homs.transpose(1, 0, 2).reshape(p, h * n))
+    both = (pres.syzygy.vstack(pres.section) @ wide).a.reshape(k + m, h, n)
+    restricted = Mat(f, both[:k].transpose(1, 0, 2).reshape(h, k * n))
+    maps = Mat(f, both[k:].transpose(1, 0, 2).reshape(h, m * n))
+    return _reduced_homs(left_nullspace(restricted) @ maps, m, n)
 
 
 def _check_intertwines(M: Repn, N: Repn, mats: list):
@@ -388,14 +411,18 @@ class ModuleContext:
 
     def radical_rows(self, M: Repn) -> Mat:
         """Row span of M . J inside M."""
-        j = self.chain.radical
-        if j.rows == 0 or M.dim == 0:
-            return Mat.zeros(M.field, 0, M.dim)
-        mats = [M.rho(j.row_at(t)) for t in range(j.rows)]
-        return row_basis(Mat.stack_rows(M.field, [m for m in mats]))
+        return _radical_rows(M, self.chain.radical)
 
     def top(self, M: Repn):
         return quotient_repn(M, self.radical_rows(M))
+
+
+def _radical_rows(M: Repn, j: Mat) -> Mat:
+    """Row span of M . J inside M, for the rows j of a basis of J: the rows
+    of every rho_M(j_t), from one product."""
+    if j.rows == 0 or M.dim == 0:
+        return Mat.zeros(M.field, 0, M.dim)
+    return row_basis(Mat(M.field, (j @ M.flat_action()).a.reshape(j.rows * M.dim, M.dim)))
 
 
 def context(A: Algebra) -> ModuleContext:
@@ -423,32 +450,51 @@ def simple_and_projective_modules(A: Algebra, idempotents: list):
         span = row_basis(A.left_mult_matrix(e.coords))
         P, _ = sub_repn(ctx_reg, span)
         P.projective_parts = (idx,)
-        j = chain.radical
-        if j.rows and P.dim:
-            rad = row_basis(
-                Mat.stack_rows(A.field, [P.rho(j.row_at(t)) for t in range(j.rows)])
-            )
-        else:
-            rad = Mat.zeros(A.field, 0, P.dim)
-        S, _ = quotient_repn(P, rad)
+        S, _ = quotient_repn(P, _radical_rows(P, chain.radical))
         projs.append(P)
         simples.append(S)
         spans.append(span)
     return simples, projs, spans
 
 
+@dataclass(frozen=True)
+class Presentation:
+    """The projective presentation 0 -> Omega -> P_0 -> M -> 0 of M."""
+
+    cover: ModHom  # the minimal projective cover q: P_0 -> M
+    parts: list  # indices into context(A).projectives of P_0's summands
+    syzygy: Mat  # rows of Omega = ker q inside P_0
+    section: Mat  # s with s q = I on M
+
+
 def projective_cover(M: Repn) -> ModHom:
     """Minimal projective cover P -> M (epi with superfluous kernel)."""
-    return projective_cover_with_parts(M)[0]
+    return projective_presentation(M).cover
 
 
-def projective_cover_with_parts(M: Repn):
-    """Projective cover plus the indices (into context(A).projectives) of its
-    indecomposable summands, in block order."""
+# certify samples run on threads and share modules; one build per module
+_PRESENTATION_LOCK = threading.RLock()
+
+
+def projective_presentation(M: Repn) -> Presentation:
+    """The presentation of M from its minimal projective cover, built once
+    and kept on M: resolutions, isomorphism tests and Hom spaces out of M
+    all share it."""
+    pres = M._presentation
+    if pres is None:
+        with _PRESENTATION_LOCK:
+            if M._presentation is None:
+                M._presentation = _build_presentation(M)
+            pres = M._presentation
+    return pres
+
+
+def _build_presentation(M: Repn) -> Presentation:
     ctx = context(M.algebra)
     f = M.field
     if M.dim == 0:
-        return zero_hom(zero_module(M.algebra), M), []
+        empty = Mat.zeros(f, 0, 0)
+        return Presentation(zero_hom(zero_module(M.algebra), M), [], empty, empty)
     T, piT = ctx.top(M)
     chosen = []
     part_indices = []
@@ -478,13 +524,14 @@ def projective_cover_with_parts(M: Repn):
     q = ModHom(P, M, Mat.stack_rows(f, [h.mat for h in chosen]))
     # epi + kernel inside P.J; fails only for non-split simples, which the
     # idempotent machinery would have rejected earlier
-    if rref(q.mat)[2] != M.dim:
+    rows = RowBasis(q.mat)
+    if rows.rank != M.dim:
         raise AlgebraError("projective cover construction is not surjective")
     ker_rows = left_nullspace(q.mat)
     prad = ctx.radical_rows(P)
     if not RowBasis(prad).contains(ker_rows):
         raise AlgebraError("projective cover kernel is not superfluous")
-    return q, part_indices
+    return Presentation(q, part_indices, ker_rows, rows.coords(Mat.identity(f, M.dim)))
 
 
 def is_projective(M: Repn) -> bool:

@@ -8,8 +8,8 @@ replacement, on the library's own primitives:
 * ``cover_is_projective`` builds the projective cover, against the top
   count in ``is_projective``;
 * ``kron_hom_space`` solves one ``np.kron`` intertwining block per
-  generator, against the broadcast system and the Yoneda route of
-  ``hom_space``;
+  generator, against the Yoneda and the projective-presentation routes of
+  ``hom_space`` (the library builds no intertwining system any more);
 * ``iso_distinct_simples`` searches isomorphisms, against the idempotent
   test in ``distinct_simples``;
 * ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from catres.corpus import (
     two_fields,
     upper_triangular_2,
 )
+from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 F2 = FieldSpec("prime", 2)
 F3 = FieldSpec("prime", 3)
@@ -135,6 +139,35 @@ def test_replay_reproduces_samples():
             assert ok, (suite, idx, detail)
     with pytest.raises(ValueError):
         replay_sample(lam, cfg, "nonsense", 0)
+
+
+def test_replay_returns_each_suite_sample(monkeypatch):
+    """Replaying any (suite, index) gives the (ok, detail) the suite recorded,
+    also for failing samples, whose details the report keeps."""
+    from catres import certify as ct
+
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x2_f2.json").read_text()))
+    cfg = CertConfig(seed=2, samples=3)
+    real_results, real_acyclic = ct.suite_results, ct.is_lambda_acyclic
+    for forged in (False, True):
+        recorded = {}
+
+        def record(suite, n, data, pool, cfg):
+            recorded[suite] = real_results(suite, n, data, pool, cfg)
+            return recorded[suite]
+
+        monkeypatch.setattr(ct, "suite_results", record)
+        if forged:
+            # corner-acyclicity lies: kernel_char and density_witness fail
+            monkeypatch.setattr(ct, "is_lambda_acyclic", lambda F, data: not real_acyclic(F, data))
+        certify_resolution(lam, cfg)
+        monkeypatch.setattr(ct, "suite_results", real_results)
+        assert set(recorded) == set(ct.SAMPLE_CHECKS)
+        if forged:
+            assert not any(ok for ok, _ in recorded["kernel_char"])
+        for suite, results in recorded.items():
+            for index, expected in enumerate(results):
+                assert ct.replay_sample(lam, cfg, suite, index) == expected, (suite, index)
 
 
 def test_failure_soundness_forged_counterexample(monkeypatch):

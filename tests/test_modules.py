@@ -1,7 +1,10 @@
 import gc
 import json
 import random
+import sys
 import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 from catres import modules as mod
 from catres.auslander import build_auslander
+from catres.homology import projective_resolution
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
@@ -410,6 +414,116 @@ def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebr
                     seen.add("rational with denominators")
             seen.add(A.field.kind)
     assert seen == {"prime", "rational", "rational with denominators"}
+
+
+def _radical_quotient_sum(A):
+    """The sum of the A/J^i over i = 1..n: the M of the Auslander algebra of A."""
+    chain = A.radical_chain()
+    reg = mod.regular_module(A)
+    parts = [
+        mod.quotient_repn(reg, chain.power(i))[0] for i in range(1, chain.nilpotency_index + 1)
+    ]
+    return mod.direct_sum(parts)[0]
+
+
+def _untagged(N):
+    return mod.Repn(N.algebra, N.dim, N.action.copy())
+
+
+def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
+    rng = random.Random(53)
+    seen = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        data = build_auslander(lam)
+        for label, A, M in (
+            (path.stem, lam, data.M),
+            (f"T({path.stem})", data.tilde, _radical_quotient_sum(data.tilde)),
+        ):
+            ctx = mod.context(A)
+            simples = [s for s in ctx.simples if s.dim]
+            syzygies = [
+                z
+                for s in simples
+                for z in projective_resolution(s, max_depth=2, halt_on_periodic=False).syzygies
+                if z.dim
+            ]
+            s, z = rng.choice(simples), rng.choice(syzygies or simples)
+            sources = [M, ctx.regular] + [_untagged(P) for P in ctx.projectives if P.dim]
+            sources += simples + syzygies + [mod.direct_sum([s, s, z])[0]]
+            if A.field.kind == "rational":
+                sources += [_conjugate(x, rng) for x in sources if x.dim <= 6]
+            targets = simples + syzygies + [ctx.regular, M] + _random_modules(A, rng, 3)
+            targets += [_conjugate(n, rng) for n in targets[-4:] if 0 < n.dim <= 6]
+            assert all(x.projective_parts is None for x in sources), label
+            for src in sources:
+                for N in targets:
+                    if src.dim * N.dim > 120:
+                        continue
+                    fast = [h.mat for h in mod.hom_space(src, N)]
+                    assert fast == kron_hom_space(src, N), (label, src.dim, N.dim)
+                    if src is M:
+                        seen.add("M")
+                    if not fast:
+                        seen.add("Hom = 0")
+                    if mod.projective_presentation(src).syzygy.rows == 0:
+                        seen.add("untagged projective")
+                    if A.field.kind == "rational" and any(
+                        Fraction(x).denominator != 1 for h in fast for x in h.a.flat
+                    ):
+                        seen.add("rational with denominators")
+            seen.add(label)
+    assert {"M", "Hom = 0", "untagged projective", "rational with denominators"} <= seen
+    assert {"x3_q", "T(x3_q)", "T(t2_f3)", "T(gentle_two_cycle_f2)"} <= seen
+
+
+def test_presentation_is_built_once_per_module(monkeypatch):
+    built = Counter()
+    build = mod._build_presentation
+
+    def counting(M):
+        built[id(M)] += 1
+        return build(M)
+
+    monkeypatch.setattr(mod, "_build_presentation", counting)
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text()))
+    for s in mod.context(lam).simples:
+        res = projective_resolution(s, max_depth=4, halt_on_periodic=False)
+        # the periodicity test takes Hom out of each syzygy, the next step
+        # covers it: one presentation serves both
+        assert len(res.syzygies) == 4
+        assert res.status.kind == "periodic"
+        for z in [s] + res.syzygies:
+            assert built[id(z)] == 1
+        assert mod.projective_cover(s) is res.augmentation
+        assert mod.projective_cover(s) is mod.projective_cover(s)
+    assert set(built.values()) == {1}
+
+
+def test_presentation_is_built_once_under_threads(monkeypatch):
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "t2_f3.json").read_text()))
+    T = build_auslander(lam).tilde
+    shared = mod.context(T).simples + [mod.regular_module(T)]
+    built = Counter()
+    build = mod._build_presentation
+
+    def counting(M):
+        built[id(M)] += 1
+        return build(M)
+
+    monkeypatch.setattr(mod, "_build_presentation", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            covers = list(
+                ex.map(lambda i: mod.projective_cover(shared[i % len(shared)]), range(64))
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    for i, q in enumerate(covers):
+        assert q is mod.projective_cover(shared[i % len(shared)])
+    assert built == Counter(id(M) for M in shared)
 
 
 def test_hom_space_rejects_a_false_projective_tag():
