@@ -15,20 +15,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from .linalg import (
-    _ZERO,
     FieldSpec,
     Mat,
     RowBasis,
     _int64_headroom,
-    _integer_rows,
     left_nullspace,
     nullspace,
+    nullspace_of_rref,
     row_basis,
     row_span_contains,
     rref,
@@ -73,41 +71,32 @@ class RadicalChain:
 
 
 class Algebra:
-    def __init__(self, field: FieldSpec, basis_labels, unit: Mat, table: np.ndarray,
+    """An algebra by structure constants.  ``table`` is the dim x dim^2
+    matrix whose row i holds the coordinates of b_i * b_j for all j."""
+
+    def __init__(self, field: FieldSpec, basis_labels, unit: Mat, table: Mat,
                  radical_hint: Optional[Mat] = None, provenance: str = "table"):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
         self.unit = unit
-        self.table = table  # (dim, dim, dim), table[i, j] = coords of b_i b_j
+        self._table = table
+        self._right_table: Optional[Mat] = None
         self.radical_hint = radical_hint
         self.provenance = provenance
         self._radical_chain: Optional[RadicalChain] = None
         self._generators: Optional[list] = None
-        self._nz = None
-        self._int_nz = None
         self.module_context = None  # set by catres.modules.context
-        assert table.shape == (self.dim,) * 3
+        assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
         assert unit.rows == 1 and unit.cols == self.dim
 
+    @property
+    def table(self) -> np.ndarray:
+        """(dim, dim, dim) view of the table numerators: ``table[i, j]`` is
+        b_i * b_j scaled by ``table_matrix().den``."""
+        return self._table.a.reshape((self.dim,) * 3)
+
     # -- raw arithmetic on coordinate rows ------------------------------
-
-    def _red(self, a: np.ndarray) -> np.ndarray:
-        return a % self.field.p if self.field.kind == "prime" else a
-
-    def _nonzero_triples(self):
-        """(i, j, k, value) for nonzero table entries; object tables are
-        sparse enough that skipping zeros beats dense Fraction tensordots."""
-        if self._nz is None:
-            nz = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for k in range(self.dim):
-                        v = self.table[i, j, k]
-                        if v:
-                            nz.append((i, j, k, v))
-            self._nz = nz
-        return self._nz
 
     def multiply(self, u: Mat, v: Mat) -> Mat:
         """Product of two elements given as 1 x dim coordinate rows."""
@@ -119,88 +108,44 @@ class Algebra:
         ``rows @ table_matrix()`` stacks the left-multiplication matrices of
         all rows side by side, with one product.
         """
-        d = self.dim
-        return Mat(self.field, self.table.reshape(d, d * d))
+        return self._table
+
+    def right_table(self) -> Mat:
+        """The dim x dim^2 matrix whose row j holds b_i * b_j for all i:
+        ``rows @ right_table()`` stacks right-multiplication matrices."""
+        if self._right_table is None:
+            d = self.dim
+            self._right_table = self._table.with_array(
+                self.table.transpose(1, 0, 2).reshape(d, d * d)
+            )
+        return self._right_table
 
     def products(self, u: Mat, v: Mat) -> Mat:
         """Row ``i * v.rows + j`` is the product of row i of u and row j of v.
 
-        Over F_p two matrix products against the table do every pair at once
-        (``Mat.__matmul__`` enforces the int64 headroom).  Over Q each pair
-        visits the nonzero table entries on integers: the rows and the table
-        are scaled by the lcm of their denominators, and each output entry
-        becomes a ``Fraction`` once.
+        Two matrix products against the table do every pair at once, on the
+        integer carrier over both fields (``Mat.__matmul__`` enforces the
+        int64 headroom over F_p and multiplies the denominators over Q).
         """
         f, d = self.field, self.dim
         a, b = u.rows, v.rows
         if not (a and b and d):
             return Mat.zeros(f, a * b, d)
-        if f.kind == "rational":
-            return self._rational_products(u, v)
         # x[i, y, k] = sum_x u[i, x] table[x, y, k]; then contract y with v
-        x = (u @ self.table_matrix()).a.reshape(a, d, d)
-        w = v @ Mat(f, x.transpose(1, 0, 2).reshape(d, a * d), _copy=False)
-        return Mat(f, w.a.reshape(b, a, d).transpose(1, 0, 2).reshape(a * b, d))
-
-    def _rational_products(self, u: Mat, v: Mat) -> Mat:
-        if self._int_nz is None:
-            nz = self._nonzero_triples()
-            ratios = [val.as_integer_ratio() for *_, val in nz]
-            den = lcm(*(r[1] for r in ratios))
-            by_x = {}
-            for (x, y, k, _), (num, r) in zip(nz, ratios):
-                by_x.setdefault(x, []).append((y, k, num * (den // r)))
-            self._int_nz = (den, by_x)
-        den, by_x = self._int_nz
-        vi, vs = _integer_rows(v.a.tolist())
-        rows = []
-        for urow, du in zip(*_integer_rows(u.a.tolist())):
-            terms = [(ux, by_x[x]) for x, ux in enumerate(urow) if ux and x in by_x]
-            for vrow, dv in zip(vi, vs):
-                acc = [0] * self.dim
-                for ux, group in terms:
-                    for y, k, t in group:
-                        vy = vrow[y]
-                        if vy:
-                            acc[k] += ux * vy * t
-                scale = du * dv * den
-                rows.append([Fraction(c, scale) if c else _ZERO for c in acc])
-        out = np.empty((len(rows), self.dim), dtype=object)
-        out[:, :] = rows
-        return Mat(self.field, out, _copy=False)
+        x = u @ self._table
+        w = v @ x.with_array(x.a.reshape(a, d, d).transpose(1, 0, 2).reshape(d, a * d))
+        return w.with_array(w.a.reshape(b, a, d).transpose(1, 0, 2).reshape(a * b, d))
 
     def left_mult_matrix(self, u: Mat) -> Mat:
         """Matrix of x -> u*x in the row convention (row k = coords of u*b_k)."""
-        if self.field.kind == "prime":
-            x = np.tensordot(u.a[0], self.table, axes=(0, 0)) % self.field.p
-            return Mat(self.field, x, _copy=False)
-        ua = u.a[0]
-        x = np.empty((self.dim, self.dim), dtype=object)
-        x[...] = Fraction(0)
-        for i, j, k, val in self._nonzero_triples():
-            ui = ua[i]
-            if ui:
-                x[j, k] += ui * val
-        return Mat(self.field, x, _copy=False)
+        return (u @ self._table).reshape(self.dim, self.dim)
 
     def right_mult_matrix(self, u: Mat) -> Mat:
         """Matrix of x -> x*u (row k = coords of b_k*u)."""
-        if self.field.kind == "prime":
-            x = np.tensordot(u.a[0], self.table, axes=(0, 1)) % self.field.p
-            return Mat(self.field, x, _copy=False)
-        ua = u.a[0]
-        x = np.empty((self.dim, self.dim), dtype=object)
-        x[...] = Fraction(0)
-        for i, j, k, val in self._nonzero_triples():
-            uj = ua[j]
-            if uj:
-                x[i, k] += uj * val
-        return Mat(self.field, x, _copy=False)
+        return (u @ self.right_table()).reshape(self.dim, self.dim)
 
     def basis_element(self, i: int) -> Mat:
-        m = Mat.zeros(self.field, 1, self.dim).a.copy()
-        m[0, i] = self.field.one
-        return Mat(self.field, m, _copy=False)
+        return Mat.identity(self.field, self.dim).row_at(i)
 
     def power(self, u: Mat, k: int) -> Mat:
         acc = self.unit
@@ -219,12 +164,15 @@ class Algebra:
             violations.append("unit law fails on the left")
         if ru != ident:
             violations.append("unit law fails on the right")
+        # both sides are sums of products of two table entries: compare the
+        # numerators, each scaled by den^2
         t = self.table
+        red = (lambda x: x % self.field.p) if self.field.kind == "prime" else (lambda x: x)
         for i in range(self.dim):
             # (b_i b_j) b_k vs b_i (b_j b_k), all j, k at once
-            lhs = self._red(np.tensordot(t[i], t, axes=(1, 0)))
+            lhs = red(np.tensordot(t[i], t, axes=(1, 0)))
             # rhs[j, k, :] = sum_m t[j, k, m] * t[i, m, :]
-            rhs = self._red(np.tensordot(t, t[i], axes=(2, 0)))
+            rhs = red(np.tensordot(t, t[i], axes=(2, 0)))
             if not (lhs == rhs).all():
                 j, k = next(
                     (j, k)
@@ -243,11 +191,7 @@ class Algebra:
 
     def opposite(self) -> "Algebra":
         return Algebra(
-            self.field,
-            self.basis_labels,
-            self.unit,
-            self.table.transpose(1, 0, 2).copy(),
-            provenance="opposite",
+            self.field, self.basis_labels, self.unit, self.right_table(), provenance="opposite"
         )
 
     def generating_indices(self) -> list:
@@ -304,9 +248,8 @@ class Algebra:
         for i in range(self.dim):
             b = self.basis_element(i)
             # row k of the block: coords of (b_k*b - b*b_k), zero iff central
-            blocks.append((self.right_mult_matrix(b) - self.left_mult_matrix(b)).a)
-        big = Mat(self.field, np.hstack(blocks), _copy=False)
-        return row_basis(left_nullspace(big))
+            blocks.append(self.right_mult_matrix(b) - self.left_mult_matrix(b))
+        return row_basis(left_nullspace(Mat.stack_cols(self.field, blocks)))
 
 
 def _subspace_product(A: Algebra, u_rows: Mat, v_rows: Mat) -> Mat:
@@ -347,16 +290,15 @@ def _radical_by_field(A: Algebra) -> Mat:
 
 
 def _radical_trace_form(A: Algebra) -> Mat:
-    """Kernel of T(a,b) = trace(L_a L_b); equals the radical in characteristic 0."""
+    """Kernel of T(a,b) = trace(L_a L_b); equals the radical in characteristic 0.
+
+    tr(L_a L_b) is the dot product of L_a and the transpose of L_b, both
+    flattened: the whole Gram matrix is one product.
+    """
     lmats = [A.left_mult_matrix(A.basis_element(i)) for i in range(A.dim)]
-    g = Mat.zeros(A.field, A.dim, A.dim).a.copy()
-    for i in range(A.dim):
-        for k in range(i, A.dim):
-            tr = np.trace((lmats[i] @ lmats[k]).a)
-            g[i, k] = tr
-            g[k, i] = tr
-    gram = Mat(A.field, g, _copy=False)
-    return row_basis(left_nullspace(gram))
+    flat = Mat.stack_rows(A.field, [m.flatten_row() for m in lmats])
+    flat_t = Mat.stack_rows(A.field, [m.T.flatten_row() for m in lmats])
+    return row_basis(left_nullspace(flat @ flat_t.T))
 
 
 # matrices of one (count, n, n) power stack hold at most this many entries
@@ -391,11 +333,11 @@ def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> np.ndarray:
     to the q-th power together, modulo p*q, in stacks of bounded size.
     """
     p, n, r = A.field.p, A.dim, basis.rows
-    w = A.products(basis, basis).a  # row s * r + t is b_s * b_t
+    w = A.products(basis, basis)  # row s * r + t is b_s * b_t
     table = A.table_matrix()
     step = max(1, _STACK_ENTRIES // (n * n))
     traces = np.concatenate([
-        _power_traces((Mat(A.field, w[c : c + step]) @ table).a.reshape(-1, n, n), q, p * q)
+        _power_traces((w.with_array(w.a[c : c + step]) @ table).a.reshape(-1, n, n), q, p * q)
         for c in range(0, r * r, step)
     ])
     if (traces % q).any():
@@ -439,28 +381,26 @@ def quotient_algebra(A: Algebra, ideal_rows: Mat):
     ``proj`` is dim(A) x dim(Q) (row convention: v -> v @ proj);
     ``section`` is dim(Q) x dim(A) with section @ proj = identity.
     """
-    f = A.field
-    r, pivots, rk = rref(ideal_rows) if ideal_rows.rows else (ideal_rows, [], 0)
-    nonpiv = [c for c in range(A.dim) if c not in pivots]
-    # reduction: v -> v - v[pivots] @ R, then restrict to non-pivot coords
-    proj = Mat.zeros(f, A.dim, len(nonpiv)).a.copy()
-    for jq, c in enumerate(nonpiv):
-        proj[c, jq] = f.one
-    for i, pc in enumerate(pivots):
-        for jq, c in enumerate(nonpiv):
-            val = -r.a[i, c]
-            proj[pc, jq] = val % f.p if f.kind == "prime" else val
-    proj = Mat(f, proj, _copy=False)
-    section = Mat.zeros(f, len(nonpiv), A.dim).a.copy()
-    for jq, c in enumerate(nonpiv):
-        section[jq, c] = f.one
-    section = Mat(f, section, _copy=False)
-
+    proj, nonpiv = quotient_projection(ideal_rows)
+    section = Mat.identity(A.field, A.dim).take_rows(nonpiv)
     dq = len(nonpiv)
-    table = (A.products(section, section) @ proj).a.reshape(dq, dq, dq)
+    table = (A.products(section, section) @ proj).reshape(dq, dq * dq)
     labels = [A.basis_labels[c] for c in nonpiv]
-    q = Algebra(f, labels, A.unit @ proj, table, provenance="quotient")
+    q = Algebra(A.field, labels, A.unit @ proj, table, provenance="quotient")
     return q, proj, section
+
+
+def quotient_projection(rows: Mat):
+    """The projection onto the quotient by the row span of ``rows``, and
+    the non-pivot columns that index the quotient basis.
+
+    The projection v -> v - v[pivots] @ R, restricted to the non-pivot
+    coordinates, is the identity on the non-pivot rows and -R on the pivot
+    rows, for R = rref(rows): the nullspace of ``rows``.  The section
+    picks the non-pivot rows of the identity.
+    """
+    r, pivots, _ = rref(rows)
+    return nullspace_of_rref(r, pivots), [c for c in range(rows.cols) if c not in pivots]
 
 
 def quotient_by_power(A: Algebra, chain: RadicalChain, i: int):
@@ -483,12 +423,10 @@ def corner_algebra(A: Algebra, e: Idempotent):
     embed = row_basis(_corner_rows(A, ec))
     m = embed.rows
     if m == 0:
-        empty = np.zeros((0, 0, 0), dtype=np.int64) if A.field.kind == "prime" else np.empty(
-            (0, 0, 0), dtype=object
-        )
+        empty = Mat.zeros(A.field, 0, 0)
         return Algebra(A.field, [], Mat.zeros(A.field, 1, 0), empty, provenance="corner"), embed, True
     basis = RowBasis(embed)
-    table = basis.coords(A.products(embed, embed)).a.reshape(m, m, m)
+    table = basis.coords(A.products(embed, embed)).reshape(m, m * m)
     unit = basis.coords(ec)
     labels = [f"c{i}" for i in range(m)]
     c = Algebra(A.field, labels, unit, table, provenance="corner")
@@ -549,13 +487,6 @@ def _poly_roots(field: FieldSpec, coeffs):
     return roots
 
 
-def _eval_poly(A: Algebra, coeffs, u: Mat) -> Mat:
-    acc = Mat.zeros(A.field, 1, A.dim)
-    for c in reversed(coeffs):
-        acc = A.multiply(acc, u) + A.unit.scale(c)
-    return acc
-
-
 class _Corner:
     """A unital subspace of a fixed semisimple algebra, with its own unit."""
 
@@ -600,15 +531,7 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
     # 1) central splitting
     zc = _corner_center_rows(B, c)
     if zc.rows > 1:
-        candidates = [zc.row_at(i) for i in range(zc.rows)]
-        for _ in range(budget):
-            coeffs_vec = [rng.randrange(B.field.p) if B.field.kind == "prime" else rng.randint(-3, 3)
-                          for _ in range(zc.rows)]
-            v = Mat.zeros(B.field, 1, B.dim)
-            for t, cf in enumerate(coeffs_vec):
-                v = v + zc.row_at(t).scale(cf)
-            candidates.append(v)
-        for z in candidates:
+        for z in _with_random_combinations(zc, rng, budget):
             e = try_element(z)
             if e is not None:
                 left = _corner_of_unit(B, e)
@@ -621,15 +544,7 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
         )
 
     # 2) center is one-dimensional: simple algebra; hunt a zero divisor
-    candidates = [c.basis.row_at(i) for i in range(c.dim)]
-    for _ in range(budget):
-        coeffs_vec = [rng.randrange(B.field.p) if B.field.kind == "prime" else rng.randint(-3, 3)
-                      for _ in range(c.dim)]
-        v = Mat.zeros(B.field, 1, B.dim)
-        for t, cf in enumerate(coeffs_vec):
-            v = v + c.basis.row_at(t).scale(cf)
-        candidates.append(v)
-    for v in candidates:
+    for v in _with_random_combinations(c.basis, rng, budget):
         if v.is_zero():
             continue
         ideal_rows = row_basis(B.products(v, c.basis))
@@ -645,6 +560,18 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
     raise SplitGiveUp("no zero divisor found: division algebra of dimension > 1")
 
 
+def _with_random_combinations(rows: Mat, rng: random.Random, budget: int) -> list:
+    """The rows of ``rows``, then ``budget`` random combinations of them,
+    all built by one product."""
+    f = rows.field
+    coeffs = [
+        [rng.randrange(f.p) if f.kind == "prime" else rng.randint(-3, 3) for _ in range(rows.rows)]
+        for _ in range(budget)
+    ]
+    combos = Mat.from_rows(f, coeffs) @ rows
+    return [rows.row_at(i) for i in range(rows.rows)] + [combos.row_at(i) for i in range(budget)]
+
+
 def _corner_rows(A: Algebra, e: Mat) -> Mat:
     """Row k is e * b_k * e: (e b_k) e is row k of L(e) times R(e)."""
     return A.left_mult_matrix(e) @ A.right_mult_matrix(e)
@@ -656,11 +583,10 @@ def _corner_of_unit(B: Algebra, e: Mat) -> _Corner:
 
 def _corner_center_rows(B: Algebra, c: _Corner) -> Mat:
     k = c.dim
-    prods = B.products(c.basis, c.basis).a.reshape(k, k, B.dim)  # [r, i] = c_r c_i
+    prods = B.products(c.basis, c.basis)  # row r * k + i is c_r c_i
     # row r, block i: c_r c_i - c_i c_r, zero in every block iff central
-    big = Mat(B.field, prods.reshape(k, k * B.dim)) - Mat(
-        B.field, prods.transpose(1, 0, 2).reshape(k, k * B.dim)
-    )
+    swapped = prods.a.reshape(k, k, B.dim).transpose(1, 0, 2)
+    big = prods.reshape(k, k * B.dim) - prods.with_array(swapped.reshape(k, k * B.dim))
     coeff = left_nullspace(big)  # rows: coefficient vectors over corner basis
     return row_basis(coeff @ c.basis)
 
@@ -673,10 +599,7 @@ def _min_poly_coords_in_corner(B: Algebra, c: _Corner, u: Mat):
         span = Mat.stack_rows(B.field, rows)
         rel = solve_left(span, power)
         if rel is not None:
-            coeffs = [-rel.a[0, t] for t in range(len(rows))] + [B.field.one]
-            if B.field.kind == "prime":
-                coeffs = [int(x) % B.field.p for x in coeffs]
-            return coeffs
+            return (-rel).tolist()[0] + [B.field.one]
         rows.append(power)
 
 
@@ -709,9 +632,8 @@ def _left_identity_on(B: Algebra, c: _Corner, ideal_rows: Mat):
     """Solve for f in the row span with f*x = x for all x spanning the ideal."""
     k = ideal_rows.rows
     # unknown coefficients a_t with sum a_t (g_t * x_s) = x_s for all s
-    lhs = Mat(B.field, B.products(ideal_rows, ideal_rows).a.reshape(k, k * B.dim))
-    rhs = Mat(B.field, np.concatenate([ideal_rows.a[s] for s in range(k)]).reshape(1, -1))
-    sol = solve_left(lhs, rhs)
+    lhs = B.products(ideal_rows, ideal_rows).reshape(k, k * B.dim)
+    sol = solve_left(lhs, ideal_rows.flatten_row())
     if sol is None:
         return None
     f = sol @ ideal_rows
@@ -828,27 +750,19 @@ def from_quiver(q: QuiverSpec) -> Algebra:
             return None  # killed by the bound
         return index[(combined, si)]
 
-    table = np.zeros((d, d, d), dtype=np.int64) if f.kind == "prime" else np.empty(
-        (d, d, d), dtype=object
-    )
-    if f.kind == "rational":
-        table[...] = Fraction(0)
+    table = np.zeros((d, d, d), dtype=np.int64)
     for i in range(d):
         for j in range(d):
             k = concat(i, j)
             if k is not None:
-                table[i, j, k] = f.one
-    unit = Mat.zeros(f, 1, d).a.copy()
-    for i, (arrs, s, t) in enumerate(paths):
-        if not arrs:
-            unit[0, i] = f.one
-    unit = Mat(f, unit, _copy=False)
-    bounded = Algebra(f, labels, unit, table, provenance="quiver-bounded")
+                table[i, j, k] = 1
+    unit = Mat.row(f, [0 if arrs else 1 for arrs, s, t in paths])
+    bounded = Algebra(f, labels, unit, Mat(f, table.reshape(d, d * d)), provenance="quiver-bounded")
 
     # relation vectors, validated: parallel summands, admissible (length >= 2)
     rel_vecs = []
     for rel in q.relations:
-        vec = Mat.zeros(f, 1, d).a.copy()
+        vec = [f.zero] * d
         sig = None
         touched = False
         for coeff, arr_names in rel:
@@ -868,11 +782,11 @@ def from_quiver(q: QuiverSpec) -> Algebra:
                 raise AlgebraError("relation mixes non-parallel paths")
             key = (tuple(arr_names), src)
             if key in index:
-                vec[0, index[key]] += f.coerce(coeff)
+                vec[index[key]] += f.coerce(coeff)
                 touched = True
             # paths of length >= L are already zero in the bounded algebra
         if touched:
-            rel_vecs.append(Mat(f, vec, _copy=False))
+            rel_vecs.append(Mat.row(f, vec))
 
     ideal = (
         row_basis(Mat.stack_rows(f, rel_vecs)) if rel_vecs else Mat.zeros(f, 0, d)

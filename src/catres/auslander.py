@@ -54,26 +54,20 @@ class AuslanderData:
 
     def end_matrix(self, coords: Mat) -> Mat:
         """The endomorphism of M with the given tilde-coordinates."""
-        acc = Mat.zeros(self.lam.field, self.M.dim, self.M.dim)
-        for t in range(self.tilde.dim):
-            c = coords.a[0, t]
-            if c:
-                acc = acc + self.end_mats[t].scale(c)
-        return acc
-
-    def end_coords(self, mat: Mat) -> Mat:
-        return self.end_basis.coords(mat.flatten_row())
-
-    def lambda_of_corner_element(self, tilde_coords: Mat) -> Mat:
-        """corner_iso on an element of e*tilde*e given in tilde coordinates."""
-        psi = self.end_matrix(tilde_coords)
-        restr = self.iota @ psi @ self.pi
-        return self.lam.unit @ restr
+        return end_combination(self.end_mats, coords)
 
     def tilde_of_lambda(self, lam_coords: Mat) -> Mat:
         """Inverse transport: coordinates in tilde of the corner lift of an
         element of Lambda."""
         return lam_coords @ self.lambda_to_tilde
+
+
+def end_combination(mats: list, coords: Mat) -> Mat:
+    """sum_t coords[t] mats[t] for a 1 x len(mats) coordinate row: one
+    product against the matrices flattened to rows."""
+    m = mats[0]
+    flat = Mat.stack_rows(m.field, [x.flatten_row() for x in mats])
+    return (coords @ flat).reshape(m.rows, m.cols)
 
 
 def build_auslander(lam: Algebra) -> AuslanderData:
@@ -101,13 +95,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     pi = projections[-1].mat
     rows = []
     for i in range(corner.dim):
-        tcoords = corner_embed.row_at(i)
-        acc = Mat.zeros(lam.field, M.dim, M.dim)
-        for t in range(tilde.dim):
-            c = tcoords.a[0, t]
-            if c:
-                acc = acc + end_mats[t].scale(c)
-        restr = iota @ acc @ pi
+        restr = iota @ end_combination(end_mats, corner_embed.row_at(i)) @ pi
         rows.append(lam.unit @ restr)
     corner_to_lambda = Mat.stack_rows(lam.field, rows)
     if rank(corner_to_lambda) != lam.dim or corner.dim != lam.dim:

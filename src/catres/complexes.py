@@ -16,11 +16,8 @@ transfer) carries the categorical-resolution certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .auslander import AuslanderData
+from .auslander import AuslanderData, end_combination
 from .functors import (
     corner_rows,
     counit,
@@ -211,14 +208,15 @@ def cone(f: ChainMap):
         b = D.term(i).dim
         a2 = C.term(i + 2).dim
         b2 = D.term(i + 1).dim
-        m = Mat.zeros(fld, a + b, a2 + b2).a.copy()
+        blocks = []
         if a and a2:
-            m[:a, :a2] = (-C.diff(i + 1).mat).a
+            blocks.append((0, 0, -C.diff(i + 1).mat))
         if a and b2:
-            m[:a, a2:] = f.comp(i + 1).mat.a
+            blocks.append((0, a2, f.comp(i + 1).mat))
         if b and b2:
-            m[a:, a2:] = D.diff(i).mat.a
-        diffs.append(ModHom(terms[i - lo], terms[i - lo + 1], Mat(fld, m, _copy=False)))
+            blocks.append((a, a2, D.diff(i).mat))
+        m = Mat.from_blocks(fld, a + b, a2 + b2, blocks)
+        diffs.append(ModHom(terms[i - lo], terms[i - lo + 1], m))
     cn = BComplex(algebra, lo, terms, diffs)
     incl_comps = {}
     proj_comps = {}
@@ -226,14 +224,10 @@ def cone(f: ChainMap):
     for i in range(lo, hi + 1):
         a = C.term(i + 1).dim
         b = D.term(i).dim
-        im = Mat.zeros(fld, b, a + b).a.copy()
-        if b:
-            im[:, a:] = Mat.identity(fld, b).a
-        incl_comps[i] = ModHom(D.term(i), cn.term(i), Mat(fld, im, _copy=False))
-        pm = Mat.zeros(fld, a + b, a).a.copy()
-        if a:
-            pm[:a, :] = Mat.identity(fld, a).a
-        proj_comps[i] = ModHom(cn.term(i), shifted.term(i), Mat(fld, pm, _copy=False))
+        im = Mat.from_blocks(fld, b, a + b, [(0, a, Mat.identity(fld, b))])
+        incl_comps[i] = ModHom(D.term(i), cn.term(i), im)
+        pm = Mat.from_blocks(fld, a + b, a, [(0, 0, Mat.identity(fld, a))])
+        proj_comps[i] = ModHom(cn.term(i), shifted.term(i), pm)
     return cn, ChainMap(D, cn, incl_comps), ChainMap(cn, shifted, proj_comps)
 
 
@@ -282,11 +276,8 @@ class KbHom:
             if not basis:
                 continue
             off = self.offsets[i]
-            acc = Mat.zeros(coords.field, basis[0].mat.rows, basis[0].mat.cols)
-            for t, h in enumerate(basis):
-                c = coords.a[0, off + t]
-                if c:
-                    acc = acc + h.mat.scale(c)
+            part = coords.with_array(coords.a[:, off : off + len(basis)])
+            acc = end_combination([h.mat for h in basis], part)
             comps[i] = ModHom(self.source.term(i), self.target.term(i), acc)
         return ChainMap(self.source, self.target, comps)
 
@@ -303,9 +294,6 @@ class KbHom:
         for p in pieces[1:]:
             out = out.hstack(p)
         return out
-
-    def basis_chainmaps(self):
-        return [self.coords_to_chainmap(self.chain_rows.row_at(r)) for r in range(self.chain_rows.rows)]
 
 
 def kb_hom(C: BComplex, D: BComplex) -> KbHom:
@@ -333,26 +321,16 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
         rows_dim = C.term(i).dim * D.term(i + 1).dim
         if rows_dim == 0:
             continue
-        cols = []
-        col_entries = np.zeros((total, rows_dim), dtype=np.int64) if fld.kind == "prime" else np.empty(
-            (total, rows_dim), dtype=object
-        )
-        if fld.kind == "rational":
-            col_entries[...] = Fraction(0)
-        used = False
-        for t, h in enumerate(hom_bases.get(i + 1, [])):
-            v = (C.diff(i).mat @ h.mat).flatten_row()
-            col_entries[offsets[i + 1] + t] = v.a[0]
-            used = True
-        for t, h in enumerate(hom_bases.get(i, [])):
-            v = (h.mat @ D.diff(i).mat).flatten_row()
-            if fld.kind == "prime":
-                col_entries[offsets[i] + t] = (col_entries[offsets[i] + t] - v.a[0]) % fld.p
-            else:
-                col_entries[offsets[i] + t] = col_entries[offsets[i] + t] - v.a[0]
-            used = True
-        if used:
-            blocks.append(Mat(fld, col_entries.T, _copy=False))
+        # row offsets[i+1] + t: dC_i F_t; row offsets[i] + t: -F_t dD_i
+        col_entries = [
+            (offsets[i + 1] + t, 0, (C.diff(i).mat @ h.mat).flatten_row())
+            for t, h in enumerate(hom_bases.get(i + 1, []))
+        ] + [
+            (offsets[i] + t, 0, -(h.mat @ D.diff(i).mat).flatten_row())
+            for t, h in enumerate(hom_bases.get(i, []))
+        ]
+        if col_entries:
+            blocks.append(Mat.from_blocks(fld, total, rows_dim, col_entries).T)
     if blocks:
         big = Mat.stack_rows(fld, blocks)
         ker = nullspace(big)  # columns = coordinate solutions
@@ -371,7 +349,7 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
             f_im1 = C.diff(i - 1).mat @ h.mat
             if i - 1 in window:
                 comps[i - 1] = f_im1
-            coords = Mat.zeros(fld, 1, total).a.copy()
+            placed = []
             ok = True
             for j, mat in comps.items():
                 if j not in hom_flats:
@@ -379,10 +357,9 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
                         ok = False
                         break
                     continue
-                c = hom_flats[j].coords(mat.flatten_row())
-                coords[0, offsets[j] : offsets[j] + c.cols] = c.a[0]
+                placed.append((0, offsets[j], hom_flats[j].coords(mat.flatten_row())))
             assert ok, "homotopy boundary escaped the hom space"
-            htp_rows.append(Mat(fld, coords, _copy=False))
+            htp_rows.append(Mat.from_blocks(fld, 1, total, placed))
     homotopy_rows = (
         row_basis(Mat.stack_rows(fld, htp_rows)) if htp_rows else Mat.zeros(fld, 0, total)
     )

@@ -7,8 +7,6 @@ triangular 2x2 algebra, and a product of two copies of the base field.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .algebra import Algebra, QuiverSpec, from_quiver
@@ -19,18 +17,14 @@ def truncated_poly_algebra(field: FieldSpec, n: int) -> Algebra:
     """k[x]/(x^n) by structure constants, basis 1, x, ..., x^(n-1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if field.kind == "prime":
-        table = np.zeros((n, n, n), dtype=np.int64)
-    else:
-        table = np.empty((n, n, n), dtype=object)
-        table[...] = Fraction(0)
+    table = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
             if i + j < n:
-                table[i, j, i + j] = field.one
+                table[i, j, i + j] = 1
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
     unit = Mat.from_rows(field, [[field.one] + [field.zero] * (n - 1)])
-    a = Algebra(field, labels, unit, table, provenance="table")
+    a = Algebra(field, labels, unit, Mat(field, table.reshape(n, n * n)), provenance="table")
     return a
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .auslander import AuslanderData
+from .auslander import AuslanderData, end_combination
 from .linalg import Mat, RowBasis, coords_in_rows, flat_products, left_nullspace, rank, row_basis, solve
 from .modules import (
     ModHom,
@@ -54,7 +54,7 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
     moved = Mat.stack_rows(
         F.field, [rows @ F.rho(data.lambda_to_tilde.row_at(t)) for t in range(lam.dim)]
     )
-    return Repn(lam, k, RowBasis(rows).coords(moved).a.reshape(lam.dim, k, k))
+    return Repn(lam, k, RowBasis(rows).coords(moved).reshape(lam.dim, k * k))
 
 
 def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn = None, thetaG: Repn = None) -> ModHom:
@@ -98,7 +98,7 @@ def theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
         if homs
         else Mat.zeros(N.field, 0, basis.cols)
     )
-    act = basis.coords(moved).a.reshape(tilde.dim, k, k)
+    act = basis.coords(moved).reshape(tilde.dim, k * k)
     return ThetaRho(module=Repn(tilde, k, act), homs=homs, basis=basis, target=N)
 
 
@@ -140,12 +140,9 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
 
 
 def _hom_from_coords(trd: ThetaRho, coords: Mat) -> Mat:
-    acc = Mat.zeros(trd.basis.field, trd.homs[0].mat.rows, trd.homs[0].mat.cols) if trd.homs else Mat.zeros(trd.basis.field, 0, 0)
-    for t, h in enumerate(trd.homs):
-        c = coords.a[0, t]
-        if c:
-            acc = acc + h.mat.scale(c)
-    return acc
+    if not trd.homs:
+        return Mat.zeros(trd.basis.field, 0, 0)
+    return end_combination([h.mat for h in trd.homs], coords)
 
 
 # -- theta_lambda: presentation cokernel ----------------------------------------
@@ -242,9 +239,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     psis = []
     for j in range(m):
         # matrix of m_hat: Lambda -> M, lambda -> m_j . lambda
-        mj = Mat.zeros(lam.field, 1, m).a.copy()
-        mj[0, j] = lam.field.one
-        mj = Mat(lam.field, mj, _copy=False)
+        mj = Mat.identity(lam.field, m).row_at(j)
         m_hat = Mat.stack_rows(
             lam.field, [mj @ data.M.rho(lam.basis_element(t)) for t in range(lam.dim)]
         )
@@ -252,9 +247,11 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     psi_coords = data.end_basis.coords(Mat.stack_rows(lam.field, psis))
     # block j, row k: the coordinates in F.e of v_k . psi_j
     moved = Mat.stack_rows(F.field, [F.rho(psi_coords.row_at(j)) for j in range(m)])
-    blocks = RowBasis(rows).coords(moved).a.reshape(m, F.dim, rows.rows)
+    blocks = RowBasis(rows).coords(moved)
     # alpha(v_k) is the map g: M -> theta(F) whose row j is block j, row k
-    g = Mat(F.field, blocks.transpose(1, 0, 2).reshape(F.dim, m * rows.rows))
+    g = blocks.with_array(
+        blocks.a.reshape(m, F.dim, rows.rows).transpose(1, 0, 2).reshape(F.dim, m * rows.rows)
+    )
     alpha_mat = trd.basis.coords(g)
     alpha = ModHom(F, middle, alpha_mat)
     F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))
@@ -380,30 +377,25 @@ def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
     x1_off = offsets(x1_parts)
     x0_off = offsets(x0_parts)
 
-    dmat = Mat.zeros(data.lam.field, X1.dim, X0.dim).a.copy()
+    fld = data.lam.field
+    cores = []
     for s, i1 in enumerate(parts1):
         pj = ctx.projectives[i1]
         gen = coords_in_rows(
             ctx.projective_rows[i1], ctx.idempotents[i1].coords
         )  # coords of e_j inside its projective
-        gen_in_q1 = Mat.zeros(data.lam.field, 1, d.source.dim).a.copy()
-        gen_in_q1[0, q1_off[s] : q1_off[s] + pj.dim] = gen.a[0]
-        image = Mat(data.lam.field, gen_in_q1, _copy=False) @ d.mat
+        gen_in_q1 = Mat.from_blocks(fld, 1, d.source.dim, [(0, q1_off[s], gen)])
+        image = gen_in_q1 @ d.mat
         for t, i0 in enumerate(parts0):
             pk = ctx.projectives[i0]
-            block = Mat(
-                data.lam.field, image.a[:, q0_off[t] : q0_off[t] + pk.dim]
-            )
+            block = image.with_array(image.a[:, q0_off[t] : q0_off[t] + pk.dim])
             # back to tilde coordinates: w in e_k tilde e_j
             w = block @ ctx.projective_rows[i0]
             W = data.end_matrix(w)
             nj_rows = summands[i1][1].mat
             nk_rows = summands[i0][1].mat
-            core = coords_in_rows(nk_rows, nj_rows @ W)
-            dmat[
-                x1_off[s] : x1_off[s] + core.rows, x0_off[t] : x0_off[t] + core.cols
-            ] = core.a
-    dmod = ModHom(X1, X0, Mat(data.lam.field, dmat, _copy=False))
+            cores.append((x1_off[s], x0_off[t], coords_in_rows(nk_rows, nj_rows @ W)))
+    dmod = ModHom(X1, X0, Mat.from_blocks(fld, X1.dim, X0.dim, cores))
     assert dmod.validate(), "presentation differential is not Lambda-linear"
     Q, _ = quotient_repn(X0, row_basis(dmod.mat))
     return Q

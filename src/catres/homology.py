@@ -188,20 +188,10 @@ class GldimResult:
 
 
 def distinct_simples(A: Algebra) -> list:
-    """Simple modules up to isomorphism (idempotents can repeat blocks).
-
-    S_t is isomorphic to S_s iff S_t e_s != 0: Hom(P_s, S_t) = S_t e_s, and
-    a nonzero map P_s -> S_t factors through the top S_s of P_s.  The first
-    simple of each class is kept; the list is memoised on ``context(A)``.
-    """
+    """Simple modules up to isomorphism (idempotents can repeat blocks):
+    the simple of each ``context(A).representatives`` index."""
     ctx = context(A)
-    if ctx.distinct_simples is None:
-        kept = []  # indices of the kept simples, and of their idempotents
-        for t, s in enumerate(ctx.simples):
-            if all(s.rho(ctx.idempotents[r].coords).is_zero() for r in kept):
-                kept.append(t)
-        ctx.distinct_simples = [ctx.simples[t] for t in kept]
-    return list(ctx.distinct_simples)
+    return [ctx.simples[t] for t in ctx.representatives]
 
 
 def _simple_resolutions(A: Algebra) -> list:

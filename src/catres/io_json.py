@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Algebra, AlgebraError, QuiverSpec, from_quiver
 from .auslander import AuslanderData, build_auslander
 from .complexes import BComplex
@@ -61,9 +59,14 @@ def _parse_scalar(x, field: FieldSpec, path: str):
         raise ParseError(path, str(exc)) from None
 
 
-def _parse_vector(v, field: FieldSpec, dim: int, path: str) -> Mat:
+def _check_vector(v, dim: int, path: str) -> list:
     if not isinstance(v, list) or len(v) != dim:
         raise ParseError(path, f"expected a list of {dim} scalars")
+    return v
+
+
+def _parse_vector(v, field: FieldSpec, dim: int, path: str) -> Mat:
+    v = _check_vector(v, dim, path)
     return Mat.from_rows(field, [[_parse_scalar(x, field, f"{path}[{i}]") for i, x in enumerate(v)]])
 
 
@@ -104,17 +107,16 @@ def parse_algebra(obj: dict, path: str = "$") -> Algebra:
     mult = obj["mult"]
     if not isinstance(mult, list) or len(mult) != dim:
         raise ParseError(f"{path}.mult", f"expected {dim} rows of products")
-    table = (
-        np.zeros((dim, dim, dim), dtype=np.int64)
-        if field.kind == "prime"
-        else np.empty((dim, dim, dim), dtype=object)
-    )
+    table = []  # row i: the products b_i * b_j for all j, side by side
     for i, row in enumerate(mult):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{path}.mult[{i}]", f"expected {dim} product vectors")
-        for j, vec in enumerate(row):
-            v = _parse_vector(vec, field, dim, f"{path}.mult[{i}][{j}]")
-            table[i, j] = v.a[0]
+        table.append([
+            _parse_scalar(x, field, f"{path}.mult[{i}][{j}][{k}]")
+            for j, vec in enumerate(row)
+            for k, x in enumerate(_check_vector(vec, dim, f"{path}.mult[{i}][{j}]"))
+        ])
+    table = Mat.from_rows(field, table)
     radical = None
     if "radical" in obj:
         rad = obj["radical"]
@@ -195,15 +197,12 @@ def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) 
     if not isinstance(action_obj, list) or len(action_obj) != base.dim:
         raise ParseError(f"{path}.action", f"expected {base.dim} action matrices")
     field = base.field
-    action = (
-        np.zeros((base.dim, dim, dim), dtype=np.int64)
-        if field.kind == "prime"
-        else np.empty((base.dim, dim, dim), dtype=object)
-    )
-    for i, mat in enumerate(action_obj):
-        m = _parse_matrix(mat, field, dim, dim, f"{path}.action[{i}]")
-        action[i] = m.a
-    module = Repn(base, dim, action)
+    action = [
+        _parse_matrix(mat, field, dim, dim, f"{path}.action[{i}]").flatten_row()
+        for i, mat in enumerate(action_obj)
+    ]
+    flat = Mat.stack_rows(field, action) if action else Mat.zeros(field, 0, dim * dim)
+    module = Repn(base, dim, flat)
     if not module.validate():
         raise ParseError(path, "module invariant violated: action does not respect the table")
     return ParsedModule(module=module, base=base, auslander=data)
@@ -259,16 +258,14 @@ def parse_complex(obj: dict, path: str = "$") -> BComplex:
 
 def algebra_to_json(a: Algebra) -> dict:
     f = a.field
-    mult = [
-        [[f.scalar_to_json(x) for x in a.table[i, j].tolist()] for j in range(a.dim)]
-        for i in range(a.dim)
-    ]
+    d = a.dim
+    mult = [[row[j * d : (j + 1) * d] for j in range(d)] for row in a.table_matrix().to_json()]
     out = {
         "format": ALGEBRA_FORMAT,
         "field": f.to_json(),
         "dim": a.dim,
         "basis": list(a.basis_labels),
-        "unit": [f.scalar_to_json(x) for x in a.unit.a[0].tolist()],
+        "unit": a.unit.to_json()[0],
         "mult": mult,
     }
     if a.radical_hint is not None:
@@ -277,17 +274,13 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def module_to_json(m: Repn, algebra_obj: Optional[dict] = None) -> dict:
-    f = m.field
     if algebra_obj is None:
         algebra_obj = algebra_to_json(m.algebra)
     return {
         "format": MODULE_FORMAT,
         "algebra": algebra_obj,
         "dim": m.dim,
-        "action": [
-            [[f.scalar_to_json(x) for x in row] for row in m.action[i].tolist()]
-            for i in range(m.algebra.dim)
-        ],
+        "action": [m.action_mat(i).to_json() for i in range(m.algebra.dim)],
     }
 
 

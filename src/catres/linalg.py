@@ -1,14 +1,20 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
 Everything downstream (module categories, resolutions, certification)
-reduces to row reduction of matrices over an exact field.  Two carriers:
+reduces to row reduction of matrices over an exact field.  One carrier
+serves both fields: a matrix is an integer array ``a`` over one positive
+common denominator ``den``.
 
-* prime field F_p: numpy int64 arrays with canonical entries 0..p-1,
-  all vectorized ops followed by ``% p``;
-* rationals: numpy object arrays of ``fractions.Fraction``.  Products and
-  row reduction scale each row (or column) by the lcm of its denominators
-  and run on Python integers; each result entry becomes a canonical
-  ``Fraction`` once, at the end.
+* prime field F_p: ``a`` is a numpy int64 array with canonical entries
+  0..p-1 and ``den`` is 1; all vectorized ops are followed by ``% p``;
+* rationals: ``a`` is a numpy object array of Python ints and the matrix
+  is a / den, kept canonical: gcd(den, entries) = 1, and den = 1 for the
+  zero matrix.  Products, row reduction and coordinate solves run on the
+  integers alone, and equality compares (den, a).
+
+``fractions.Fraction`` values are made only where scalars enter or leave a
+matrix: ``FieldSpec.coerce``, ``Mat.from_rows``, ``Mat.tolist`` and
+``Mat.to_json``.
 
 Coordinates against a fixed row basis go through :class:`RowBasis`: one
 rref factors the basis, after which each batch of right-hand sides costs
@@ -35,9 +41,6 @@ import numpy as np
 # bound k * (p-1)**2 < 2**63 through ``_check_int64_headroom``.
 MAX_PRIME = 1 << 20
 
-_ZERO = Fraction(0)
-
-
 def _int64_headroom(inner: int, modulus: int) -> bool:
     """Do int64 dot products of length ``inner`` over entries 0..modulus-1 fit?"""
     return inner * (modulus - 1) ** 2 < 1 << 63
@@ -49,40 +52,6 @@ def _check_int64_headroom(inner: int, p: int) -> None:
         raise ValueError(
             f"F_{p} product with inner dimension {inner} would overflow int64"
         )
-
-
-def _integer_rows(rows: list) -> tuple[list, list]:
-    """Scale each row of rationals (or ints) by the lcm of its denominators.
-
-    Returns the integer rows and the scale factors.
-    """
-    ints, scales = [], []
-    for row in rows:
-        nums, dens = zip(*[x.as_integer_ratio() for x in row])
-        d = lcm(*dens)
-        ints.append(list(nums) if d == 1 else [n * (d // e) for n, e in zip(nums, dens)])
-        scales.append(d)
-    return ints, scales
-
-
-def _integer_cols(a: np.ndarray) -> tuple[np.ndarray, list]:
-    """Scale each column of a nonempty rational matrix to integers.
-
-    Returns the integer matrix (object dtype) and the column scale factors.
-    """
-    cols, scales = _integer_rows(a.T.tolist())
-    return np.array(cols, dtype=object).T, scales
-
-
-def _scaled_product(a: np.ndarray, d: list, b: np.ndarray, e: list) -> np.ndarray:
-    """diag(1/d) (a @ b) diag(1/e) as Fractions, for integer matrices a and b."""
-    c = a.dot(b).tolist()
-    out = np.empty((len(d), len(e)), dtype=object)
-    out[:, :] = [
-        [Fraction(x, di * ej) if x else _ZERO for x, ej in zip(row, e)]
-        for row, di in zip(c, d)
-    ]
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -175,28 +144,48 @@ class FieldSpec:
         raise ValueError(f"unknown field type {obj['type']!r}")
 
 
+
+
 def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
-    if field.kind == "prime":
-        return np.zeros((rows, cols), dtype=np.int64)
-    arr = np.empty((rows, cols), dtype=object)
-    arr[:, :] = Fraction(0)
-    return arr
+    """A zero carrier array: int64 over F_p, Python ints over Q."""
+    return np.zeros((rows, cols), dtype=np.int64 if field.kind == "prime" else object)
+
+
+def _common_den(mats: list) -> tuple[int, list]:
+    """The lcm of the denominators, and each array brought to it."""
+    den = lcm(*(m.den for m in mats))
+    return den, [m.a if m.den == den else m.a * (den // m.den) for m in mats]
 
 
 class Mat:
-    """Immutable dense matrix over a :class:`FieldSpec`.
+    """Immutable dense matrix over a :class:`FieldSpec`: the integer array
+    ``a`` over the positive denominator ``den`` (always 1 over F_p).
 
     Stored row-major; most callers use the row-vector convention
     (vectors are 1 x n matrices acted on by right multiplication).
     """
 
-    __slots__ = ("field", "a")
+    __slots__ = ("field", "a", "den")
 
-    def __init__(self, field: FieldSpec, a: np.ndarray, _copy: bool = True):
+    def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _copy: bool = True):
         assert a.ndim == 2
+        if field.kind == "rational":
+            if a.dtype != object:
+                a, _copy = a.astype(object), False
+            if den != 1:
+                g = gcd(den, *a.flat)
+                if g != 1:
+                    a, den, _copy = a // g, den // g, False
         self.field = field
         self.a = a.copy() if _copy else a
+        self.den = den
         self.a.setflags(write=False)
+
+    def with_array(self, a: np.ndarray) -> "Mat":
+        """The matrix a / self.den, for an array derived from ``self.a`` (a
+        slice, reshape or permutation) or otherwise on the same scale.  The
+        array is taken over, not copied."""
+        return Mat(self.field, a, self.den, _copy=False)
 
     # -- constructors -------------------------------------------------
 
@@ -207,21 +196,24 @@ class Mat:
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
         a = _empty(field, n, n)
-        for i in range(n):
-            a[i, i] = field.one
+        np.fill_diagonal(a, 1)
         return Mat(field, a, _copy=False)
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Mat":
-        rows = [list(r) for r in rows]
-        n = len(rows[0]) if rows else 0
-        a = _empty(field, len(rows), n)
-        for i, r in enumerate(rows):
-            if len(r) != n:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(r):
-                a[i, j] = field.coerce(x)
-        return Mat(field, a, _copy=False)
+        """The matrix with rows of field scalars (ints, Fractions, "p/q")."""
+        vals = [[field.coerce(x) for x in r] for r in rows]
+        n = len(vals[0]) if vals else 0
+        if any(len(r) != n for r in vals):
+            raise ValueError("ragged rows")
+        a = _empty(field, len(vals), n)
+        den = 1
+        if field.kind == "rational":
+            den = lcm(*(x.denominator for r in vals for x in r))
+            vals = [[x.numerator * (den // x.denominator) for x in r] for r in vals]
+        if vals:
+            a[:, :] = vals
+        return Mat(field, a, den, _copy=False)
 
     @staticmethod
     def row(field: FieldSpec, entries: Iterable) -> "Mat":
@@ -238,30 +230,38 @@ class Mat:
         return self.a.shape[1]
 
     def __getitem__(self, ij):
-        return self.a[ij]
+        """Entry (i, j) as a field scalar."""
+        x = self.a[ij]
+        return x if self.field.kind == "prime" else Fraction(x, self.den)
 
     def row_at(self, i: int) -> "Mat":
-        return Mat(self.field, self.a[i : i + 1])
+        return self.with_array(self.a[i : i + 1])
 
     def take_rows(self, idx) -> "Mat":
-        return Mat(self.field, self.a[list(idx), :])
+        return self.with_array(self.a[list(idx), :])
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """Entries re-read row-major into a rows x cols matrix."""
+        return self.with_array(self.a.reshape(rows, cols))
 
     def tolist(self) -> list:
-        return [[x for x in row] for row in self.a.tolist()]
+        """Entries as field scalars: ints over F_p, Fractions over Q."""
+        if self.field.kind == "prime":
+            return self.a.tolist()
+        den = self.den
+        return [[Fraction(x, den) for x in row] for row in self.a.tolist()]
 
     def to_json(self) -> list:
         f = self.field
-        return [[f.scalar_to_json(x) for x in row] for row in self.a.tolist()]
+        return [[f.scalar_to_json(x) for x in row] for row in self.tolist()]
 
     def is_zero(self) -> bool:
-        if self.field.kind == "prime":
-            return not self.a.any()
-        return all(x == 0 for x in self.a.flat)
+        return not self.a.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.field != other.field or self.a.shape != other.a.shape:
+        if self.field != other.field or self.a.shape != other.a.shape or self.den != other.den:
             return False
         return bool((self.a == other.a).all())
 
@@ -273,78 +273,98 @@ class Mat:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _wrap(self, a: np.ndarray) -> "Mat":
+    def _wrap(self, a: np.ndarray, den: int = 1) -> "Mat":
         if self.field.kind == "prime":
             a = a % self.field.p
-        return Mat(self.field, a, _copy=False)
+        return Mat(self.field, a, den, _copy=False)
+
+    def _aligned(self, other: "Mat"):
+        assert self.field == other.field
+        if self.den == other.den:
+            return self.a, other.a, self.den
+        den, (a, b) = _common_den([self, other])
+        return a, b, den
 
     def __add__(self, other: "Mat") -> "Mat":
-        assert self.field == other.field
-        return self._wrap(self.a + other.a)
+        a, b, den = self._aligned(other)
+        return self._wrap(a + b, den)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        assert self.field == other.field
-        return self._wrap(self.a - other.a)
+        a, b, den = self._aligned(other)
+        return self._wrap(a - b, den)
 
     def __neg__(self) -> "Mat":
-        return self._wrap(-self.a)
+        return self._wrap(-self.a, self.den)
 
     def scale(self, c) -> "Mat":
         c = self.field.coerce(c)
-        return self._wrap(self.a * c)
+        if self.field.kind == "prime":
+            return self._wrap(self.a * c)
+        return self._wrap(self.a * c.numerator, self.den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        assert self.field == other.field
-        if self.cols != other.rows:
+        f = self.field
+        assert f == other.field
+        (m, k), (k2, n) = self.a.shape, other.a.shape
+        if k != k2:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        if self.field.kind == "prime":
-            _check_int64_headroom(self.cols, self.field.p)
-            return self._wrap(self.a @ other.a)
-        # (D A)(B E) = D (A B) E with D, E the row and column lcms: one
-        # integer product, then one Fraction per output entry.
-        a, d = _integer_rows(self.a.tolist())
-        b, e = _integer_cols(other.a)
-        return Mat(self.field, _scaled_product(np.array(a, dtype=object), d, b, e), _copy=False)
+        if not (m and k and n):
+            return Mat.zeros(f, m, n)
+        if f.kind == "prime":
+            _check_int64_headroom(k, f.p)
+            return Mat(f, (self.a @ other.a) % f.p, _copy=False)
+        # (A / d)(B / e) = (A B) / (d e): one integer product, one normalisation
+        return Mat(f, self.a @ other.a, self.den * other.den, _copy=False)
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, self.a.T)
+        return self.with_array(self.a.T)
 
     def hstack(self, other: "Mat") -> "Mat":
         assert self.field == other.field and self.rows == other.rows
-        return Mat(self.field, np.hstack([self.a, other.a]), _copy=False)
+        return Mat.stack_cols(self.field, [self, other])
 
     def vstack(self, other: "Mat") -> "Mat":
         assert self.field == other.field and self.cols == other.cols
-        return Mat(self.field, np.vstack([self.a, other.a]), _copy=False)
+        return Mat.stack_rows(self.field, [self, other])
 
     @staticmethod
     def stack_rows(field: FieldSpec, mats: list["Mat"]) -> "Mat":
-        """Vertical stack; empty list gives a 0 x 0 matrix."""
-        mats = [m for m in mats]
+        """Vertical stack over the lcm of the denominators; empty list gives
+        a 0 x 0 matrix."""
         if not mats:
             return Mat.zeros(field, 0, 0)
-        cols = mats[0].cols
-        assert all(m.cols == cols for m in mats)
-        return Mat(field, np.vstack([m.a for m in mats]), _copy=False)
+        assert all(m.cols == mats[0].cols for m in mats)
+        den, arrays = _common_den(mats)
+        return Mat(field, np.vstack(arrays), den, _copy=False)
+
+    @staticmethod
+    def stack_cols(field: FieldSpec, mats: list["Mat"]) -> "Mat":
+        """Horizontal stack over the lcm of the denominators."""
+        den, arrays = _common_den(mats)
+        return Mat(field, np.hstack(arrays), den, _copy=False)
+
+    @staticmethod
+    def from_blocks(field: FieldSpec, rows: int, cols: int, blocks: list) -> "Mat":
+        """A rows x cols matrix, zero outside the ``(i, j, block)`` triples,
+        each block placed with its top-left entry at (i, j)."""
+        den, arrays = _common_den([b for _, _, b in blocks])
+        a = _empty(field, rows, cols)
+        for (i, j, b), x in zip(blocks, arrays):
+            a[i : i + b.rows, j : j + b.cols] = x
+        return Mat(field, a, den, _copy=False)
 
     @staticmethod
     def block_diag(field: FieldSpec, blocks: list["Mat"]) -> "Mat":
-        r = sum(b.rows for b in blocks)
-        c = sum(b.cols for b in blocks)
-        a = _empty(field, r, c)
-        i = j = 0
+        placed, i, j = [], 0, 0
         for b in blocks:
-            a[i : i + b.rows, j : j + b.cols] = b.a
-            i += b.rows
-            j += b.cols
-        return Mat(field, a, _copy=False)
+            placed.append((i, j, b))
+            i, j = i + b.rows, j + b.cols
+        return Mat.from_blocks(field, i, j, placed)
 
     def flatten_row(self) -> "Mat":
         """Matrix entries as a single 1 x (rows*cols) row, row-major."""
-        return Mat(self.field, self.a.reshape(1, -1))
+        return self.reshape(1, self.rows * self.cols)
 
 
 def flat_products(lefts: list, rights: list) -> Mat:
@@ -354,11 +374,9 @@ def flat_products(lefts: list, rights: list) -> Mat:
     """
     f = lefts[0].field
     p, r = lefts[0].rows, rights[0].cols
-    big = Mat(f, np.vstack([x.a for x in lefts]), _copy=False) @ Mat(
-        f, np.hstack([x.a for x in rights]), _copy=False
-    )
+    big = Mat.stack_rows(f, lefts) @ Mat.stack_cols(f, rights)
     a = big.a.reshape(len(lefts), p, len(rights), r).transpose(0, 2, 1, 3)
-    return Mat(f, a.reshape(len(lefts) * len(rights), p * r))
+    return big.with_array(a.reshape(len(lefts) * len(rights), p * r))
 
 
 # -- row reduction ------------------------------------------------------
@@ -391,10 +409,11 @@ def _rref_prime(a: np.ndarray, p: int):
 
 
 def _rref_rational(a: np.ndarray):
-    # Fraction-free Gauss-Jordan: rows scaled to integers span the same space,
-    # so they have the same RREF.  Updated rows are divided by their content
-    # to keep entries small; the pivots divide out only at the end.
-    rows = [_primitive(r) for r in _integer_rows(a.tolist())[0]]
+    # Fraction-free Gauss-Jordan on the numerators: scaling does not change
+    # the row space, so the rows of a have the RREF of a / den.  Updated
+    # rows are divided by their content to keep entries small; the pivots
+    # divide out only at the end, as the lcm of the pivots.
+    rows = [_primitive(r) for r in a.tolist()]
     m, n = a.shape
     pivots = []
     r = 0
@@ -413,12 +432,12 @@ def _rref_rational(a: np.ndarray):
                 rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-    out = np.empty((m, n), dtype=object)
-    out[:, :] = _ZERO
+    den = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+    out = np.zeros((m, n), dtype=object)
     for i, pc in enumerate(pivots):
-        p = rows[i][pc]
-        out[i, :] = [Fraction(x, p) if x else _ZERO for x in rows[i]]
-    return out, pivots
+        s = den // rows[i][pc]
+        out[i, :] = [x * s for x in rows[i]]
+    return out, pivots, den
 
 
 def _primitive(row: list) -> list:
@@ -430,12 +449,12 @@ def _primitive(row: list) -> list:
 def rref(m: Mat):
     """Reduced row-echelon form.  Returns ``(R, pivots, rank)``."""
     if m.rows == 0 or m.cols == 0:
-        return Mat(m.field, m.a), [], 0
+        return m, [], 0
     if m.field.kind == "prime":
         a, pivots = _rref_prime(m.a.copy(), m.field.p)
-    else:
-        a, pivots = _rref_rational(m.a)
-    return Mat(m.field, a, _copy=False), pivots, len(pivots)
+        return Mat(m.field, a, _copy=False), pivots, len(pivots)
+    a, pivots, den = _rref_rational(m.a)
+    return Mat(m.field, a, den, _copy=False), pivots, len(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -445,35 +464,41 @@ def rank(m: Mat) -> int:
 def row_basis(m: Mat) -> Mat:
     """Canonical basis (rref rows) of the row space."""
     r, _, rk = rref(m)
-    return Mat(m.field, r.a[:rk, :])
+    return r.with_array(r.a[:rk, :])
 
 
 def nullspace(m: Mat) -> Mat:
     """Basis of the right kernel {x : m @ x = 0}, returned as columns."""
-    r, pivots, rk = rref(m)
-    field = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = _empty(field, m.cols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = field.one
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = -r.a[i, fc] if field.kind == "rational" else (-int(r.a[i, fc])) % field.p
-    return Mat(field, basis, _copy=False)
+    r, pivots, _ = rref(m)
+    return nullspace_of_rref(r, pivots)
+
+
+def nullspace_of_rref(r: Mat, pivots: list) -> Mat:
+    """``nullspace`` of a matrix from its rref R and pivots.
+
+    Column k is the identity on the k-th free column and -R on the pivots;
+    over R's denominator that is den and -R.a.
+    """
+    rk, pivot_set = len(pivots), set(pivots)
+    free = np.array([c for c in range(r.cols) if c not in pivot_set], dtype=np.intp)
+    basis = _empty(r.field, r.cols, len(free))
+    basis[free, np.arange(len(free))] = r.den
+    if rk:
+        basis[pivots, :] = -r.a[:rk, free]
+    return r._wrap(basis, r.den)
 
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
     """Any exact solution x of ``a @ x = b``, or None iff inconsistent."""
     if a.rows != b.rows:
         raise ValueError(f"solve: {a.rows} equations vs rhs with {b.rows} rows")
-    aug = a.hstack(b)
-    r, pivots, rk = rref(aug)
+    r, pivots, rk = rref(a.hstack(b))
     if any(pc >= a.cols for pc in pivots):
         return None
-    field = a.field
-    x = _empty(field, a.cols, b.cols)
-    for i, pc in enumerate(pivots):
-        x[pc, :] = r.a[i, a.cols :]
-    return Mat(field, x, _copy=False)
+    x = _empty(a.field, a.cols, b.cols)
+    if rk:
+        x[pivots, :] = r.a[:rk, a.cols :]
+    return Mat(a.field, x, r.den, _copy=False)
 
 
 def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
@@ -497,8 +522,8 @@ class RowBasis:
     Reversing the identity makes the left-nullspace rows of the rref pivot
     on the rows of B that depend on earlier rows, so T is zero in those
     columns: for a dependent B, ``coords`` returns the solution
-    ``solve_left`` picks, supported on the first independent rows.  Over Q,
-    R and T are kept as integer matrices with column scales.
+    ``solve_left`` picks, supported on the first independent rows.  R and
+    T stay on the carrier, so both checks are integer products.
     """
 
     __slots__ = ("field", "rows", "cols", "pivots", "_r", "_t")
@@ -507,46 +532,25 @@ class RowBasis:
         f = basis.field
         k, n = basis.rows, basis.cols
         flip = _empty(f, k, k)
-        for i in range(k):
-            flip[i, k - 1 - i] = f.one
+        flip[np.arange(k), np.arange(k)[::-1]] = 1
         full, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
         self.field = f
         self.rows, self.cols = k, n
         self.pivots = [c for c in pivots if c < n]
         rk = len(self.pivots)
-        r = full.a[:rk, :n]
-        t = full.a[:rk, n:][:, ::-1]
-        if f.kind == "prime":
-            _check_int64_headroom(rk, f.p)
-            self._r, self._t = np.ascontiguousarray(r), np.ascontiguousarray(t)
-        elif rk:
-            self._r, self._t = _integer_cols(r), _integer_cols(t)
-        else:
-            self._r = self._t = None
+        self._r = full.with_array(full.a[:rk, :n])
+        self._t = full.with_array(full.a[:rk, n:][:, ::-1])
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _pivot_part(self, v: Mat):
-        """``v[:, pivots]`` if every row of v lies in the span, else None.
-
-        Over Q the part comes as integer rows with their row scales.
-        """
-        f = self.field
-        if v.field != f or v.cols != self.cols:
+    def _pivot_part(self, v: Mat) -> Optional[Mat]:
+        """``v[:, pivots]`` if every row of v lies in the span, else None."""
+        if v.field != self.field or v.cols != self.cols:
             raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
-        if f.kind == "prime":
-            y = v.a[:, self.pivots]
-            return None if ((y @ self._r - v.a) % f.p).any() else y
-        if not (self.pivots and v.rows):
-            return None if not v.is_zero() else ([], [])
-        # V' = diag(s) V in integers: V = V[:, pivots] R iff V'[:, pivots] R' = V' diag(e)
-        ints, s = _integer_rows(v.a.tolist())
-        ints = np.array(ints, dtype=object)
-        y = ints[:, self.pivots]
-        r, e = self._r
-        return (y, s) if (y.dot(r) == ints * np.array(e, dtype=object)).all() else None
+        y = v.with_array(v.a[:, self.pivots])
+        return y if y @ self._r == v else None
 
     def contains(self, v: Mat) -> bool:
         """Is every row of ``v`` in the row span of the basis?"""
@@ -557,13 +561,7 @@ class RowBasis:
         y = self._pivot_part(v)
         if y is None:
             raise ValueError("vector not in row span")
-        f = self.field
-        if f.kind == "prime":
-            return Mat(f, (y @ self._t) % f.p, _copy=False)
-        if not (self.pivots and v.rows):
-            return Mat.zeros(f, v.rows, self.rows)
-        (ints, s), (t, g) = y, self._t
-        return Mat(f, _scaled_product(ints, s, t, g), _copy=False)
+        return y @ self._t
 
 
 def row_span_contains(basis: Mat, v: Mat) -> bool:

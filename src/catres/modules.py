@@ -25,11 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, primitive_idempotents
+from .algebra import Algebra, AlgebraError, primitive_idempotents, quotient_projection
 from .linalg import (
     FieldSpec,
     Mat,
     RowBasis,
+    _common_den,
+    _empty,
     flat_products,
     left_nullspace,
     rank,
@@ -45,13 +47,16 @@ class IsoInconclusive(Exception):
 
 
 class Repn:
-    """A right module: ``action[i]`` is the matrix of the i-th basis element."""
+    """A right module, stored as its flat action: row i of the
+    algebra.dim x dim^2 matrix ``flat_action()`` is the matrix of the i-th
+    basis element, flattened row-major."""
 
-    def __init__(self, algebra: Algebra, dim: int, action: np.ndarray):
+    def __init__(self, algebra: Algebra, dim: int, action: Mat):
         self.algebra = algebra
         self.dim = dim
-        self.action = action  # (algebra.dim, dim, dim)
-        assert action.shape == (algebra.dim, dim, dim)
+        self._flat = action
+        assert action.field == algebra.field
+        assert (action.rows, action.cols) == (algebra.dim, dim * dim)
         # indices into context(algebra).projectives, block by block, when the
         # module is built as their direct sum; hom_space then uses Yoneda
         self.projective_parts: Optional[tuple] = None
@@ -62,23 +67,31 @@ class Repn:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def action_mat(self, i: int) -> Mat:
-        return Mat(self.field, self.action[i])
+    @property
+    def action(self) -> np.ndarray:
+        """(algebra.dim, dim, dim) view of the action numerators, on the
+        scale of ``flat_action().den``."""
+        return self._flat.a.reshape(self.algebra.dim, self.dim, self.dim)
 
-    def action_list(self, i: int) -> list:
-        return [list(r) for r in self.action[i].tolist()]
+    def action_mat(self, i: int) -> Mat:
+        return self._flat.row_at(i).reshape(self.dim, self.dim)
 
     def flat_action(self) -> Mat:
         """One row per basis element: its action matrix, flattened row-major.
 
         ``coords @ flat_action()`` gives rho of every coordinate row at once.
         """
-        return Mat(self.field, self.action.reshape(self.algebra.dim, -1), _copy=False)
+        return self._flat
+
+    def wide_action(self) -> Mat:
+        """dim x (algebra.dim * dim): the action matrices side by side, so
+        that ``rows @ wide_action()`` moves rows by every basis element."""
+        n = self.dim
+        return self._flat.with_array(self.action.transpose(1, 0, 2).reshape(n, self.algebra.dim * n))
 
     def rho(self, coords: Mat) -> Mat:
         """Matrix of the action of the element with the given coordinates."""
-        a = (coords @ self.flat_action()).a.reshape(self.dim, self.dim)
-        return Mat(self.field, a, _copy=False)
+        return (coords @ self._flat).reshape(self.dim, self.dim)
 
     def act(self, v: Mat, coords: Mat) -> Mat:
         return v @ self.rho(coords)
@@ -89,14 +102,10 @@ class Repn:
             return True
         if self.rho(A.unit) != Mat.identity(self.field, self.dim):
             return False
-        for i in range(A.dim):
-            mi = self.action_mat(i)
-            for j in range(A.dim):
-                lhs = mi @ self.action_mat(j)
-                rhs = self.rho(Mat(self.field, A.table[i, j].reshape(1, -1)))
-                if lhs != rhs:
-                    return False
-        return True
+        # row i * d + j: rho(b_i) rho(b_j) against rho(b_i b_j), all pairs at once
+        mats = [self.action_mat(i) for i in range(A.dim)]
+        pairs = A.table_matrix().reshape(A.dim * A.dim, A.dim)
+        return flat_products(mats, mats) == pairs @ self._flat
 
     def __repr__(self):
         return f"Repn(dim={self.dim})"
@@ -132,12 +141,7 @@ class ModHom:
 
 
 def zero_module(A: Algebra) -> Repn:
-    action = (
-        np.zeros((A.dim, 0, 0), dtype=np.int64)
-        if A.field.kind == "prime"
-        else np.empty((A.dim, 0, 0), dtype=object)
-    )
-    return Repn(A, 0, action)
+    return Repn(A, 0, Mat.zeros(A.field, A.dim, 0))
 
 
 def zero_hom(M: Repn, N: Repn) -> ModHom:
@@ -149,23 +153,24 @@ def identity_hom(M: Repn) -> ModHom:
 
 
 def regular_module(A: Algebra) -> Repn:
-    """A as a right module over itself: action of b_i = right multiplication."""
-    act = A.table.transpose(1, 0, 2)  # act[i][k, :] = coords of b_k * b_i
-    return Repn(A, A.dim, np.ascontiguousarray(act))
+    """A as a right module over itself: action of b_i = right multiplication,
+    whose row k holds b_k * b_i: row i of ``A.right_table()``."""
+    return Repn(A, A.dim, A.right_table())
 
 
-def _action_on_rows(M: Repn, rows: Mat) -> np.ndarray:
-    """Induced action matrices on an action-stable row subspace."""
+def _action_on_rows(M: Repn, rows: Mat) -> Mat:
+    """Induced flat action on an action-stable row subspace."""
     A = M.algebra
     k = rows.rows
-    # every action matrix side by side: one product moves the rows by all of them
-    wide = Mat(M.field, M.action.transpose(1, 0, 2).reshape(M.dim, A.dim * M.dim))
-    moved = (rows @ wide).a.reshape(k, A.dim, M.dim).transpose(1, 0, 2)
+    moved = rows @ M.wide_action()
+    moved = moved.with_array(
+        moved.a.reshape(k, A.dim, M.dim).transpose(1, 0, 2).reshape(A.dim * k, M.dim)
+    )
     try:
-        c = RowBasis(rows).coords(Mat(M.field, moved.reshape(A.dim * k, M.dim)))
+        c = RowBasis(rows).coords(moved)
     except ValueError:
         raise ValueError("subspace is not action-stable") from None
-    return c.a.reshape(A.dim, k, k)
+    return c.reshape(A.dim, k * k)
 
 
 def sub_repn(M: Repn, rows: Mat):
@@ -177,22 +182,12 @@ def sub_repn(M: Repn, rows: Mat):
 
 def quotient_repn(M: Repn, rows: Mat):
     """Quotient by an action-stable row subspace.  Returns (Q, projection)."""
-    f = M.field
-    r, pivots, _ = rref(rows)
-    nonpiv = [c for c in range(M.dim) if c not in pivots]
-    proj = Mat.zeros(f, M.dim, len(nonpiv)).a.copy()
-    for jq, c in enumerate(nonpiv):
-        proj[c, jq] = f.one
-    for i, pc in enumerate(pivots):
-        for jq, c in enumerate(nonpiv):
-            val = -r.a[i, c]
-            proj[pc, jq] = val % f.p if f.kind == "prime" else val
-    proj = Mat(f, proj, _copy=False)
+    proj, nonpiv = quotient_projection(rows)
     # the quotient acts by section @ rho(b) @ proj, and the section picks
     # the non-pivot rows: one product for every basis element at once
     d, k = M.algebra.dim, len(nonpiv)
-    rows_np = Mat(f, M.action[:, nonpiv, :].reshape(d * k, M.dim))
-    Q = Repn(M.algebra, k, (rows_np @ proj).a.reshape(d, k, k))
+    rows_np = M._flat.with_array(M.action[:, nonpiv, :].reshape(d * k, M.dim))
+    Q = Repn(M.algebra, k, (rows_np @ proj).reshape(d, k * k))
     return Q, ModHom(M, Q, proj)
 
 
@@ -203,32 +198,17 @@ def direct_sum(parts: list):
     A = parts[0].algebra
     f = A.field
     total = sum(p.dim for p in parts)
-    act = (
-        np.zeros((A.dim, total, total), dtype=np.int64)
-        if f.kind == "prime"
-        else np.empty((A.dim, total, total), dtype=object)
-    )
-    if f.kind == "rational":
-        act[...] = Fraction(0)
-    offs = []
-    o = 0
-    for p in parts:
-        offs.append(o)
-        for i in range(A.dim):
-            act[i][o : o + p.dim, o : o + p.dim] = p.action[i]
-        o += p.dim
-    S = Repn(A, total, act)
+    offs = np.cumsum([0] + [p.dim for p in parts]).tolist()
+    den, arrays = _common_den([p._flat for p in parts])
+    act = _empty(f, A.dim * total, total).reshape(A.dim, total, total)
+    for p, x, o in zip(parts, arrays, offs):
+        act[:, o : o + p.dim, o : o + p.dim] = x.reshape(A.dim, p.dim, p.dim)
+    S = Repn(A, total, Mat(f, act.reshape(A.dim, total * total), den, _copy=False))
     if all(p.projective_parts is not None for p in parts):
         S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
-    injections, projections = [], []
-    for p, o in zip(parts, offs):
-        inj = Mat.zeros(f, p.dim, total).a.copy()
-        prj = Mat.zeros(f, total, p.dim).a.copy()
-        for t in range(p.dim):
-            inj[t, o + t] = f.one
-            prj[o + t, t] = f.one
-        injections.append(ModHom(p, S, Mat(f, inj, _copy=False)))
-        projections.append(ModHom(S, p, Mat(f, prj, _copy=False)))
+    ident = Mat.identity(f, total)
+    injections = [ModHom(p, S, ident.take_rows(range(o, o + p.dim))) for p, o in zip(parts, offs)]
+    projections = [ModHom(S, h.source, h.mat.T) for h in injections]
     return S, injections, projections
 
 
@@ -251,26 +231,26 @@ def hom_space(M: Repn, N: Repn) -> list:
     if M.dim == 0 or N.dim == 0:
         return []
     if M.projective_parts is not None:
-        stack = _yoneda_homs(M, N)
+        flat = _yoneda_homs(M, N)
     else:
-        stack = _presentation_homs(M, N)
-    mats = [Mat(M.field, x) for x in stack]
+        flat = _presentation_homs(M, N)
+    mats = [flat.row_at(t).reshape(M.dim, N.dim) for t in range(flat.rows)]
     _check_intertwines(M, N, mats)
     return [ModHom(M, N, x) for x in mats]
 
 
-def _reduced_homs(flat: Mat, m: int, n: int) -> np.ndarray:
-    """The canonical basis of the span of flattened m x n homs, as (k, m, n).
+def _reduced_homs(flat: Mat) -> Mat:
+    """The canonical basis of the span of flattened homs, one per row.
 
     Reduced in reversed column order, with the rows then reversed, any
     spanning set gives the unique basis that is the identity on the free
     columns of the intertwining system: the basis ``nullspace`` returns.
     """
-    r, _, rk = rref(Mat(flat.field, flat.a[:, ::-1]))
-    return r.a[:rk, ::-1][::-1].reshape(rk, m, n)
+    r, _, rk = rref(flat.with_array(flat.a[:, ::-1]))
+    return r.with_array(r.a[:rk, ::-1][::-1])
 
 
-def _yoneda_homs(M: Repn, N: Repn) -> np.ndarray:
+def _yoneda_homs(M: Repn, N: Repn) -> Mat:
     """Hom(P, N) for P = M, a direct sum of projectives P_i = e_i A.
 
     Hom(e_i A, N) = N e_i: the map with f(e_i) = v sends the basis vector p_t
@@ -280,25 +260,25 @@ def _yoneda_homs(M: Repn, N: Repn) -> np.ndarray:
     One product against the action builds them, and ``_reduced_homs`` turns
     them into the canonical basis.  Summands of P occupy disjoint columns,
     so each block is reduced on its own, and once per distinct summand.
-    Returns the basis as a (k, dim P, dim N) array.
+    Returns the basis flattened, one hom per row.
     """
     ctx = context(M.algebra)
-    f, n = M.field, N.dim
-    blocks, stacks, off = {}, [], 0
+    n = N.dim
+    blocks, placed, row, off = {}, [], 0, 0
     for i in M.projective_parts:
         k = ctx.projectives[i].dim
         if i not in blocks:
-            rho = (ctx.projective_rows[i] @ N.flat_action()).a.reshape(k, n, n)  # rho_N(p_t)
-            blocks[i] = _reduced_homs(Mat(f, rho.transpose(1, 0, 2).reshape(n, k * n)), k, n)
-        block = blocks[i]
-        stack = Mat.zeros(f, len(block), M.dim * n).a.copy().reshape(len(block), M.dim, n)
-        stack[:, off : off + k] = block
-        stacks.append(stack)
+            rho = ctx.projective_rows[i] @ N.flat_action()  # row t: rho_N(p_t)
+            wide = rho.with_array(rho.a.reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n))
+            blocks[i] = _reduced_homs(wide)
+        # the rows off..off+k of a dim P x n matrix, flattened
+        placed.append((row, off * n, blocks[i]))
+        row += blocks[i].rows
         off += k
-    return np.concatenate(stacks)
+    return Mat.from_blocks(M.field, row, M.dim * n, placed)
 
 
-def _presentation_homs(M: Repn, N: Repn) -> np.ndarray:
+def _presentation_homs(M: Repn, N: Repn) -> Mat:
     """Hom(M, N) = ker(Hom(P_0, N) -> Hom(Omega, N)) for the presentation
     0 -> Omega -> P_0 -> M -> 0 of ``projective_presentation(M)``.
 
@@ -309,19 +289,20 @@ def _presentation_homs(M: Repn, N: Repn) -> np.ndarray:
     maps s F_j.  The left nullspace of the restrictions, one row per F_j,
     gives the combinations c with Omega (sum_j c_j F_j) = 0, and the maps
     s (sum_j c_j F_j) span Hom(M, N); ``_reduced_homs`` turns them into the
-    canonical basis.  Returns it as a (k, dim M, dim N) array.
+    canonical basis.  Returns it flattened, one hom per row.
     """
     pres = projective_presentation(M)
-    f, m, n = M.field, M.dim, N.dim
+    m, n = M.dim, N.dim
     homs = _yoneda_homs(pres.cover.source, N)
-    h, p, k = len(homs), pres.cover.source.dim, pres.syzygy.rows
+    h, p, k = homs.rows, pres.cover.source.dim, pres.syzygy.rows
     if h == 0:  # no map out of P_0, so none out of M
-        return homs[:, :m]
-    wide = Mat(f, homs.transpose(1, 0, 2).reshape(p, h * n))
-    both = (pres.syzygy.vstack(pres.section) @ wide).a.reshape(k + m, h, n)
-    restricted = Mat(f, both[:k].transpose(1, 0, 2).reshape(h, k * n))
-    maps = Mat(f, both[k:].transpose(1, 0, 2).reshape(h, m * n))
-    return _reduced_homs(left_nullspace(restricted) @ maps, m, n)
+        return Mat.zeros(M.field, 0, m * n)
+    wide = homs.with_array(homs.a.reshape(h, p, n).transpose(1, 0, 2).reshape(p, h * n))
+    both = pres.syzygy.vstack(pres.section) @ wide
+    parts = both.a.reshape(k + m, h, n).transpose(1, 0, 2)
+    restricted = both.with_array(parts[:, :k].reshape(h, k * n))
+    maps = both.with_array(parts[:, k:].reshape(h, m * n))
+    return _reduced_homs(left_nullspace(restricted) @ maps)
 
 
 def _check_intertwines(M: Repn, N: Repn, mats: list):
@@ -329,17 +310,18 @@ def _check_intertwines(M: Repn, N: Repn, mats: list):
 
     Two products cover every pair: the actions of M stacked against the
     F side by side, and the F stacked against the actions of N side by side.
+    Both are integer products; their entries are compared over one scale.
     """
     if not mats:
         return
     f, d = M.field, M.algebra.dim
     m, n, k = M.dim, N.dim, len(mats)
-    left = Mat(f, M.action.reshape(d * m, m)) @ Mat(f, np.hstack([x.a for x in mats]))
-    right = Mat(f, np.vstack([x.a for x in mats])) @ Mat(
-        f, N.action.transpose(1, 0, 2).reshape(n, d * n)
-    )
+    left = M.flat_action().reshape(d * m, m) @ Mat.stack_cols(f, mats)
+    right = Mat.stack_rows(f, mats) @ N.wide_action()
     lhs = left.a.reshape(d, m, k, n).transpose(2, 0, 1, 3)
     rhs = right.a.reshape(k, m, d, n).transpose(0, 2, 1, 3)
+    if left.den != right.den:  # equal canonical matrices share their denominator
+        lhs, rhs = lhs * right.den, rhs * left.den
     bad = (lhs != rhs).reshape(k, -1).any(axis=1)
     if bad.any():
         raise AssertionError(
@@ -381,8 +363,8 @@ class ModuleContext:
         self.chain = A.radical_chain()
         self._idempotents = None
         self._simples_projs = None
+        self._representatives = None
         # filled in by catres.homology
-        self.distinct_simples = None
         self.simple_resolutions = None
 
     @property
@@ -404,6 +386,23 @@ class ModuleContext:
         """Row basis of each P_i = e_i A inside A: the basis of P_i."""
         return self._simples_and_projectives()[2]
 
+    @property
+    def representatives(self) -> list:
+        """Indices of one primitive idempotent per isomorphism class of
+        simples (equivalently, of indecomposable projectives), the lowest
+        index of each class.
+
+        S_t is isomorphic to S_s iff S_t e_s != 0: Hom(P_s, S_t) = S_t e_s,
+        and a nonzero map P_s -> S_t factors through the top S_s of P_s.
+        """
+        if self._representatives is None:
+            kept = []
+            for t, s in enumerate(self.simples):
+                if all(s.rho(self.idempotents[r].coords).is_zero() for r in kept):
+                    kept.append(t)
+            self._representatives = kept
+        return self._representatives
+
     def _simples_and_projectives(self):
         if self._simples_projs is None:
             self._simples_projs = simple_and_projective_modules(self.algebra, self.idempotents)
@@ -422,7 +421,7 @@ def _radical_rows(M: Repn, j: Mat) -> Mat:
     of every rho_M(j_t), from one product."""
     if j.rows == 0 or M.dim == 0:
         return Mat.zeros(M.field, 0, M.dim)
-    return row_basis(Mat(M.field, (j @ M.flat_action()).a.reshape(j.rows * M.dim, M.dim)))
+    return row_basis((j @ M.flat_action()).reshape(j.rows * M.dim, M.dim))
 
 
 def context(A: Algebra) -> ModuleContext:
@@ -499,22 +498,20 @@ def _build_presentation(M: Repn) -> Presentation:
     chosen = []
     part_indices = []
     # greedy: keep a hom iff its composite to the top is independent of the
-    # composites already chosen.  Pool the span per source dimension: copies
-    # of isomorphic projectives (repeated summands) must not double-cover,
-    # while homs from non-isomorphic sources can never mix linearly (a
-    # flattened vector in both spans would intertwine both actions).
-    spans = {}
-    for pi_idx, P in enumerate(ctx.projectives):
-        if P.dim == 0:
-            continue
-        for h in hom_space(P, M):
+    # composites already chosen from the same projective.  Only the lowest
+    # projective of each isomorphism class covers: isomorphic copies (such
+    # as the conjugate e_i of one matrix block of A/J) have composites in
+    # different bases, so they would double-cover.  Repeated homs out of
+    # one representative give its multiplicity.
+    for pi_idx in ctx.representatives:
+        span = None
+        for h in hom_space(ctx.projectives[pi_idx], M):
             comp = (h.mat @ piT.mat).flatten_row()
             if comp.is_zero():
                 continue
-            span = spans.get(P.dim)
             if span is not None and row_span_contains(span, comp):
                 continue
-            spans[P.dim] = comp if span is None else row_basis(span.vstack(comp))
+            span = comp if span is None else row_basis(span.vstack(comp))
             chosen.append(h)
             part_indices.append(pi_idx)
     if not chosen:
@@ -664,8 +661,8 @@ def endomorphism_algebra(M: Repn):
     mats = [h.mat for h in homs]
     basis = RowBasis(hom_flat_basis(homs, M.dim, M.dim, f))
     # row j*k + i holds mat(phi_j) @ mat(phi_i), the matrix of phi_i phi_j
-    prods = basis.coords(flat_products(mats, mats)).a.reshape(k, k, k)
-    table = np.ascontiguousarray(prods.transpose(1, 0, 2))
+    prods = basis.coords(flat_products(mats, mats))
+    table = prods.with_array(prods.a.reshape(k, k, k).transpose(1, 0, 2).reshape(k, k * k))
     unit = basis.coords(Mat.identity(f, M.dim).flatten_row())
     labels = [f"phi{t}" for t in range(k)]
     E = Algebra(f, labels, unit, table, provenance="endomorphism")

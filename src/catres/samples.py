@@ -159,13 +159,12 @@ class ModulePool:
         kb = kb_hom(C, D)
         if kb.chain_rows.rows == 0:
             return ChainMap(C, D, {})
-        coords = Mat.zeros(C.algebra.field, 1, kb.total).a.copy()
+        coords = Mat.zeros(C.algebra.field, 1, kb.total)
         for r in range(kb.chain_rows.rows):
             c = random_scalar(rng, C.algebra.field)
             if c:
-                row = kb.chain_rows.row_at(r).scale(c)
-                coords = (Mat(C.algebra.field, coords, _copy=False) + row).a
-        return kb.coords_to_chainmap(Mat(C.algebra.field, coords))
+                coords = coords + kb.chain_rows.row_at(r).scale(c)
+        return kb.coords_to_chainmap(coords)
 
     def _random_complex(self, rng, window, max_term_dim, module_picker, resolution_pool):
         """Shifted sums, cones of random chain maps, truncated resolutions."""

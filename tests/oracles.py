@@ -78,8 +78,8 @@ def naive_hom_dim(M, N):
         return 0
     eqs = []
     for t in range(M.algebra.dim):
-        A = M.action_list(t)
-        B = N.action_list(t)
+        A = M.action_mat(t).tolist()
+        B = N.action_mat(t).tolist()
         for i in range(m):
             for j in range(n):
                 row = [field.zero] * (m * n)
@@ -100,12 +100,13 @@ def cover_is_projective(M):
 def naive_product(A, u, v):
     """u * v for coordinate lists u, v: sum of u_i v_j table[i, j, k] term by term."""
     field = A.field
+    table = A.table_matrix().tolist()  # row i, column j * dim + k: table[i, j, k]
     out = [field.zero] * A.dim
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
             uv = field.coerce(ui) * field.coerce(vj)
             for k in range(A.dim):
-                out[k] = field.coerce(out[k] + uv * A.table[i, j, k])
+                out[k] = field.coerce(out[k] + uv * table[i][j * A.dim + k])
     return out
 
 
@@ -139,13 +140,18 @@ def kron_hom_space(M, N):
     if m == 0 or n == 0:
         return []
     gens = M.algebra.generating_indices()
-    blocks = [_intertwine_block(field, M.action[g], N.action[g]) for g in gens]
+    dtype = np.int64 if field.kind == "prime" else object
+
+    def values(X, g):
+        return np.array(X.action_mat(g).tolist(), dtype=dtype)
+
+    blocks = [_intertwine_block(field, values(M, g), values(N, g)) for g in gens]
     if blocks:
-        system = Mat(field, np.vstack(blocks))
+        system = Mat.from_rows(field, np.vstack(blocks).tolist())
     else:
         system = Mat.zeros(field, 0, m * n)
-    ker = nullspace(system)
-    return [Mat(field, ker.a[:, c].reshape(m, n)) for c in range(ker.cols)]
+    kernel = nullspace(system).T.tolist()  # one kernel vector per row
+    return [Mat.from_rows(field, [v[r * n : (r + 1) * n] for r in range(m)]) for v in kernel]
 
 
 def iso_distinct_simples(A):
@@ -180,7 +186,7 @@ def bigint_divided_trace_gram(A, basis, q):
     for s in range(r):
         for t in range(r):
             w = basis.row_at(s) @ A.right_mult_matrix(basis.row_at(t))
-            z = A.left_mult_matrix(w).a
+            z = A.left_mult_matrix(w).tolist()
             tr = int_matrix_power_trace(z, q)
             if tr % q:
                 return None

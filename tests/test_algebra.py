@@ -60,10 +60,10 @@ def matrix_span_algebra(field, mats, labels):
             prod = np.array(mats[i], dtype=object) @ np.array(mats[j], dtype=object)
             if field.kind == "prime":
                 prod = prod % field.p
-            table[i, j] = coords_in_rows(flat, Mat.from_rows(field, [prod.flatten().tolist()])).a[0]
+            table[i, j] = coords_in_rows(flat, Mat.from_rows(field, [prod.flatten().tolist()])).tolist()[0]
     n = len(mats[0])
     unit = coords_in_rows(flat, Mat.from_rows(field, [np.eye(n, dtype=int).flatten().tolist()]))
-    return Algebra(field, labels, unit, table)
+    return Algebra(field, labels, unit, Mat.from_rows(field, table.reshape(d, d * d).tolist()))
 
 
 # -- validate ------------------------------------------------------------
@@ -78,12 +78,12 @@ def test_validate_detects_broken_table():
     a = truncated_poly_algebra(F5, 2)
     table = a.table.copy()
     table[1, 1] = [1, 0]  # x*x = 1 breaks associativity/unit structure here
-    bad = Algebra(F5, a.basis_labels, a.unit, table)
+    bad = Algebra(F5, a.basis_labels, a.unit, Mat(F5, table.reshape(2, 4)))
     rep = bad.validate()
     # x*x=1 makes this the group algebra of Z/2: still associative; force a
     # genuinely broken table instead
     table[0, 1] = [1, 0]
-    worse = Algebra(F5, a.basis_labels, a.unit, table)
+    worse = Algebra(F5, a.basis_labels, a.unit, Mat(F5, table.reshape(2, 4)))
     rep = worse.validate()
     assert not rep.ok and rep.violations
 
@@ -198,18 +198,12 @@ def group_algebra(field, n):
     """k[C_n] on the group basis g^0..g^(n-1); radical not basis-aligned."""
     import numpy as np
 
-    if field.kind == "prime":
-        table = np.zeros((n, n, n), dtype=np.int64)
-    else:
-        from fractions import Fraction
-
-        table = np.empty((n, n, n), dtype=object)
-        table[...] = Fraction(0)
+    table = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            table[i, j, (i + j) % n] = field.one
+            table[i, j, (i + j) % n] = 1
     unit = Mat.from_rows(field, [[field.one] + [field.zero] * (n - 1)])
-    return Algebra(field, [f"g{i}" for i in range(n)], unit, table)
+    return Algebra(field, [f"g{i}" for i in range(n)], unit, Mat(field, table.reshape(n, n * n)))
 
 
 def test_radical_of_modular_group_algebras():
@@ -409,7 +403,7 @@ def _rescaled_cubic():
     for j in range(3):
         table[0, j, j] = table[j, 0, j] = Fraction(1)
     table[1, 1, 2] = Fraction(1, 2)
-    a = Algebra(QQ, ["1", "2x", "8x^2"], Mat.row(QQ, [1, 0, 0]), table)
+    a = Algebra(QQ, ["1", "2x", "8x^2"], Mat.row(QQ, [1, 0, 0]), Mat.from_rows(QQ, table.reshape(3, 9).tolist()))
     assert a.validate().ok
     return a
 
@@ -448,8 +442,8 @@ def test_products_match_pairwise_naive_products(case):
     assert (prods.rows, prods.cols) == (u.rows * v.rows, a.dim)
     for i in range(u.rows):
         for j in range(v.rows):
-            expected = naive_product(a, u.a[i].tolist(), v.a[j].tolist())
-            assert prods.a[i * v.rows + j].tolist() == expected
+            expected = naive_product(a, u.tolist()[i], v.tolist()[j])
+            assert prods.tolist()[i * v.rows + j] == expected
             assert a.multiply(u.row_at(i), v.row_at(j)) == prods.row_at(i * v.rows + j)
 
 

@@ -284,10 +284,7 @@ def test_int64_headroom_guard():
 
 
 def _copy_shape_identityish(y):
-    m = Mat.zeros(y.field, y.rows, y.cols).a.copy()
-    for i in range(min(y.rows, y.cols)):
-        m[i, i] = y.field.one
-    return Mat(y.field, m)
+    return Mat.from_rows(y.field, [[int(i == j) for j in range(y.cols)] for i in range(y.rows)])
 
 
 @given(mats(max_dim=4))

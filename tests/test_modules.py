@@ -313,7 +313,7 @@ def test_endomorphism_action_axioms(x2):
                 prod = E.multiply(E.basis_element(i), E.basis_element(j))
                 rhs = Mat.zeros(m.field, m.dim, n.dim)
                 for t in range(E.dim):
-                    c = prod.a[0, t]
+                    c = prod.tolist()[0][t]
                     if c:
                         rhs = rhs + (basis[t] @ h.mat).scale(c)
                 assert lhs == rhs
@@ -382,8 +382,8 @@ def _conjugate(N, rng):
         if rank(s) == n:
             break
     s_inv = solve_left(s, Mat.identity(f, n))
-    act = [(s @ N.action_mat(i) @ s_inv).a for i in range(N.algebra.dim)]
-    return mod.Repn(N.algebra, n, np.stack(act))
+    act = [(s @ N.action_mat(i) @ s_inv).flatten_row() for i in range(N.algebra.dim)]
+    return mod.Repn(N.algebra, n, Mat.stack_rows(f, act))
 
 
 def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
@@ -409,7 +409,7 @@ def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebr
                 fast = [h.mat for h in mod.hom_space(M, N)]
                 assert fast == kron_hom_space(M, N), (label, M.dim, N.dim)
                 if A.field.kind == "rational" and any(
-                    Fraction(x).denominator != 1 for h in fast for x in h.a.flat
+                    x.denominator != 1 for h in fast for row in h.tolist() for x in row
                 ):
                     seen.add("rational with denominators")
             seen.add(A.field.kind)
@@ -427,7 +427,7 @@ def _radical_quotient_sum(A):
 
 
 def _untagged(N):
-    return mod.Repn(N.algebra, N.dim, N.action.copy())
+    return mod.Repn(N.algebra, N.dim, N.flat_action())
 
 
 def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
@@ -469,7 +469,7 @@ def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_
                     if mod.projective_presentation(src).syzygy.rows == 0:
                         seen.add("untagged projective")
                     if A.field.kind == "rational" and any(
-                        Fraction(x).denominator != 1 for h in fast for x in h.a.flat
+                        x.denominator != 1 for h in fast for row in h.tolist() for x in row
                     ):
                         seen.add("rational with denominators")
             seen.add(label)
@@ -534,7 +534,7 @@ def test_hom_space_rejects_a_false_projective_tag():
     s = next(
         s for s in ctx.simples if s.dim == 1 and mod.is_isomorphic(s, ctx.projectives[i]) is None
     )
-    fake = mod.Repn(A, 1, s.action.copy())
+    fake = mod.Repn(A, 1, s.flat_action())
     fake.projective_parts = (i,)
     with pytest.raises(AssertionError, match="intertwining"):
         mod.hom_space(fake, ctx.regular)
