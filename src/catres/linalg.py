@@ -98,14 +98,14 @@ class FieldSpec:
     def coerce(self, x):
         """Canonical representative of a scalar: int in 0..p-1, or a Fraction."""
         if self.kind == "prime":
+            if type(x) is int:
+                return x % self.p
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"non-integer scalar {x} in a prime field")
                 x = x.numerator
             return int(x) % self.p
-        if isinstance(x, str):
-            return Fraction(x)
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def inv(self, x):
         if self.kind == "prime":
@@ -202,7 +202,9 @@ class Mat:
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Mat":
         """The matrix with rows of field scalars (ints, Fractions, "p/q")."""
-        vals = [[field.coerce(x) for x in r] for r in rows]
+        # over Q a Python int is its own numerator over 1: no Fraction needed
+        keep = int if field.kind == "rational" else None
+        vals = [[x if type(x) is keep else field.coerce(x) for x in r] for r in rows]
         n = len(vals[0]) if vals else 0
         if any(len(r) != n for r in vals):
             raise ValueError("ragged rows")

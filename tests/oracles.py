@@ -11,7 +11,7 @@ replacement, on the library's own primitives:
   generator, against the Yoneda and the projective-presentation routes of
   ``hom_space`` (the library builds no intertwining system any more);
 * ``iso_distinct_simples`` searches isomorphisms, against the idempotent
-  test in ``distinct_simples``;
+  test of ``ModuleContext.representatives`` behind ``distinct_simples``;
 * ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one
   product at a time, against the batched powers modulo p*q.
 """
@@ -146,7 +146,9 @@ def kron_hom_space(M, N):
         return np.array(X.action_mat(g).tolist(), dtype=dtype)
 
     blocks = [_intertwine_block(field, values(M, g), values(N, g)) for g in gens]
-    if blocks:
+    if blocks and field.kind == "prime":
+        system = Mat(field, np.vstack(blocks) % field.p)
+    elif blocks:
         system = Mat.from_rows(field, np.vstack(blocks).tolist())
     else:
         system = Mat.zeros(field, 0, m * n)

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -302,3 +304,89 @@ def test_prime_scalar_arithmetic_canonical(a, b):
     assert f.coerce(a * b) == (x * y) % 7
     if x:
         assert (x * f.inv(x)) % 7 == 1
+
+
+def _canonical(m):
+    """The carrier invariant: over F_p int64 entries in 0..p-1 over den 1;
+    over Q Python ints over a positive den with gcd(den, entries) = 1 (so
+    den = 1 for the zero matrix)."""
+    if m.field.kind == "prime":
+        return m.den == 1 and m.a.dtype == np.int64 and ((m.a >= 0) & (m.a < m.field.p)).all()
+    return (
+        m.a.dtype == object
+        and all(type(x) is int for x in m.a.flat)
+        and m.den >= 1
+        and gcd(m.den, *m.a.flat) == 1
+    )
+
+
+@given(mat_triples(), st.integers(1, 6))
+def test_carrier_stays_canonical_and_matches_the_fraction_oracles(t, k):
+    x, y, z = t
+    f = x.field
+    third = f.coerce(Fraction(1, 3)) if f.kind == "rational" else f.coerce(k)
+    w = x.scale(third)  # same shape as x, another denominator over Q
+    vals = x.tolist()
+    r, piv, _ = rref(x)
+    rows, piv2 = naive_rref(vals, f)
+    b = row_basis(x)
+    c = _rand_mat_from_seed(f, k, x.rows)
+    rb = RowBasis(x)
+    cases = {
+        "matmul": (x @ y, naive_matmul(vals, y.tolist(), f)),
+        "rref": (r, [[f.coerce(v) for v in row] for row in rows]),
+        "coords": (rb.coords(c @ x) @ x, (c @ x).tolist()),
+        "T": (x.T, [list(col) for col in zip(*vals)]),
+        "vstack": (x.vstack(w), vals + w.tolist()),
+        "hstack": (x.hstack(w), [a + b_ for a, b_ in zip(vals, w.tolist())]),
+        "stack_rows": (Mat.stack_rows(f, [w, x, w]), w.tolist() + vals + w.tolist()),
+        "block_diag": (
+            Mat.block_diag(f, [x, w]),
+            [row + [f.zero] * w.cols for row in vals]
+            + [[f.zero] * x.cols + row for row in w.tolist()],
+        ),
+        "with_array": (x.with_array(x.a[:, :1]), [row[:1] for row in vals]),
+        "row_at": (w.row_at(x.rows - 1), [w.tolist()[-1]]),
+        "flatten_row": (w.flatten_row(), [[v for row in w.tolist() for v in row]]),
+        "sum": (x + w, [[f.coerce(a + b_) for a, b_ in zip(p, q)] for p, q in zip(vals, w.tolist())]),
+        "difference": (x - x, [[f.zero] * x.cols for _ in vals]),
+    }
+    assert piv == piv2
+    for name, (m, expected) in cases.items():
+        assert _canonical(m), name
+        assert m.tolist() == expected, name
+    for m in (b, nullspace(x), rb._r, rb._t, rb.coords(c @ x)):
+        assert _canonical(m)
+
+
+def _rand_mat_from_seed(field, seed, rows):
+    """A 1 x rows coordinate row with small entries, one of them nonzero."""
+    return Mat.from_rows(field, [[(seed * (i + 1)) % 3 + (i == 0) for i in range(rows)]])
+
+
+@given(mats())
+def test_equal_values_built_by_different_routes_compare_equal(m):
+    f = m.field
+    assert Mat.from_rows(f, m.tolist()) == m
+    assert m.scale(3).scale(f.inv(3)) == m
+    assert m + m - m == m
+    assert m.T.T == m and m.flatten_row().reshape(m.rows, m.cols) == m
+    if f.kind == "rational":
+        # a non-canonical (den, a) pair is normalised on construction
+        assert Mat(f, m.a * 6, m.den * 6) == m
+        assert m.scale(Fraction(1, 2)) == Mat(f, m.a, m.den * 2)
+        assert (m == m.scale(Fraction(1, 2))) == m.is_zero()
+
+
+def test_products_and_sums_normalise_their_denominator():
+    half = Mat.from_rows(QQ, [[Fraction(1, 2), Fraction(3, 2)]])
+    two = Mat.from_rows(QQ, [[2], [2]])
+    prod = half @ two
+    assert (prod.den, prod.a.tolist()) == (1, [[4]]) and prod == Mat.from_rows(QQ, [[4]])
+    s = half + Mat.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 2)]])
+    assert (s.den, s.a.tolist()) == (1, [[1, 2]])
+    zero = half - half
+    assert zero.den == 1 and zero == Mat.zeros(QQ, 1, 2)
+    assert Mat(QQ, np.array([[2, 4]], dtype=object), 4) == Mat.from_rows(QQ, [[Fraction(1, 2), 1]])
+    mixed = Mat.from_rows(QQ, [[1, 1]]).vstack(half)
+    assert mixed.den == 2 and mixed.tolist() == [[1, 1], [Fraction(1, 2), Fraction(3, 2)]]

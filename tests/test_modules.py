@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from catres import modules as mod
-from catres.auslander import build_auslander
+from catres.algebra import Algebra
+from catres.auslander import build_auslander, verify_auslander
 from catres.homology import projective_resolution
 from catres.corpus import (
     gentle_two_cycle,
@@ -386,12 +387,68 @@ def _conjugate(N, rng):
     return mod.Repn(N.algebra, n, Mat.stack_rows(f, act))
 
 
+def permutation_group_algebra(field, gens):
+    """k[G] for the permutation group G generated by ``gens``, on the basis
+    of the group elements in order of discovery; (gh)(i) = g(h(i))."""
+    ident = tuple(range(len(gens[0])))
+    elems, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(g[i] for i in s)
+                if h not in index:
+                    index[h] = len(elems)
+                    elems.append(h)
+                    new.append(h)
+        frontier = new
+    d = len(elems)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            table[i, j, index[tuple(g[k] for k in h)]] = 1
+    unit = Mat.row(field, [1] + [0] * (d - 1))
+    return Algebra(field, [f"g{i}" for i in range(d)], unit, Mat(field, table.reshape(d, d * d)))
+
+
+def f2_s3():
+    """F_2[S_3]: A/J = M_2(F_2) x F_2, so two of its three primitive
+    idempotents give isomorphic projectives (not basic)."""
+    return permutation_group_algebra(F2, [(1, 0, 2), (1, 2, 0)])
+
+
+def f3_a4():
+    """F_3[A_4]: A/J = M_3(F_3) x F_3, three isomorphic projectives of dim 3."""
+    return permutation_group_algebra(F3, [(1, 2, 0, 3), (1, 0, 3, 2)])
+
+
+def _dual_route_algebras():
+    """(label, Lambda) for every corpus file, and the non-basic F_2[S_3]."""
+    for path in sorted(CORPUS.glob("*.json")):
+        yield path.stem, parse_algebra_or_quiver(json.loads(path.read_text()))
+    yield "F2[S3]", f2_s3()
+
+
+@pytest.mark.parametrize("build,dim,parts", [(f2_s3, 6, 3), (f3_a4, 12, 4)])
+def test_regular_module_of_non_basic_group_algebra_covers_by_itself(build, dim, parts):
+    A = build()
+    ctx = mod.context(A)
+    assert len(ctx.representatives) < len(ctx.projectives)  # not basic
+    pres = mod.projective_presentation(mod.regular_module(A))
+    assert pres.cover.source.dim == dim == A.dim and pres.syzygy.rows == 0
+    assert len(pres.parts) == parts and set(pres.parts) <= set(ctx.representatives)
+    assert mod.is_projective(mod.regular_module(A))
+
+
+def test_auslander_algebra_of_f2_s3_verifies():
+    assert verify_auslander(build_auslander(f2_s3()))["ok"]
+
+
 def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
     rng = random.Random(47)
     seen = set()
-    for path in sorted(CORPUS.glob("*.json")):
-        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
-        for label, A in ((path.stem, lam), (f"T({path.stem})", build_auslander(lam).tilde)):
+    for name, lam in _dual_route_algebras():
+        for label, A in ((name, lam), (f"T({name})", build_auslander(lam).tilde)):
             ctx = mod.context(A)
             projs = [p for p in ctx.projectives if p.dim]
             # sums with repeated summands too
@@ -413,7 +470,8 @@ def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebr
                 ):
                     seen.add("rational with denominators")
             seen.add(A.field.kind)
-    assert seen == {"prime", "rational", "rational with denominators"}
+            seen.add(label)
+    assert {"prime", "rational", "rational with denominators", "F2[S3]", "T(F2[S3])"} <= seen
 
 
 def _radical_quotient_sum(A):
@@ -433,12 +491,11 @@ def _untagged(N):
 def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
     rng = random.Random(53)
     seen = set()
-    for path in sorted(CORPUS.glob("*.json")):
-        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+    for name, lam in _dual_route_algebras():
         data = build_auslander(lam)
         for label, A, M in (
-            (path.stem, lam, data.M),
-            (f"T({path.stem})", data.tilde, _radical_quotient_sum(data.tilde)),
+            (name, lam, data.M),
+            (f"T({name})", data.tilde, _radical_quotient_sum(data.tilde)),
         ):
             ctx = mod.context(A)
             simples = [s for s in ctx.simples if s.dim]
@@ -474,7 +531,7 @@ def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_
                         seen.add("rational with denominators")
             seen.add(label)
     assert {"M", "Hom = 0", "untagged projective", "rational with denominators"} <= seen
-    assert {"x3_q", "T(x3_q)", "T(t2_f3)", "T(gentle_two_cycle_f2)"} <= seen
+    assert {"x3_q", "T(x3_q)", "T(t2_f3)", "T(gentle_two_cycle_f2)", "F2[S3]", "T(F2[S3])"} <= seen
 
 
 def test_presentation_is_built_once_per_module(monkeypatch):
@@ -538,6 +595,31 @@ def test_hom_space_rejects_a_false_projective_tag():
     fake.projective_parts = (i,)
     with pytest.raises(AssertionError, match="intertwining"):
         mod.hom_space(fake, ctx.regular)
+
+
+def test_intertwining_check_fails_on_a_hom_wrong_only_by_a_denominator():
+    A = truncated_poly_algebra(QQ, 3)
+    N = _conjugate(mod.regular_module(A), random.Random(3))  # actions with denominators
+    homs = [h.mat for h in mod.hom_space(N, N)]
+    assert N.flat_action().den > 1 and len(homs) == 3
+    mod._check_intertwines(N, N, homs)
+    # one entry p/q of a hom with denominators becomes p/(q+1)
+    src = next(h for h in homs if h.den > 1)
+    vals = src.tolist()
+    i, j = next((i, j) for i, row in enumerate(vals) for j, x in enumerate(row) if x.denominator > 1)
+    x = vals[i][j]
+    vals[i][j] = Fraction(x.numerator, x.denominator + 1)
+    wrong = Mat.from_rows(QQ, vals)
+    with pytest.raises(AssertionError, match="hom basis vector 3 of 4"):
+        mod._check_intertwines(N, N, homs + [wrong])
+    # a scalar multiple of a hom is a hom: only the entry's own scale matters
+    mod._check_intertwines(N, N, homs + [Mat(QQ, src.a, src.den * 7)])
+    # a target whose action is N's numerators over twice N's denominator:
+    # both products have the same numerators, and only the scale tells
+    flat = N.flat_action()
+    halved = mod.Repn(A, N.dim, Mat(QQ, flat.a, flat.den * 2))
+    with pytest.raises(AssertionError, match="intertwining"):
+        mod._check_intertwines(N, halved, [Mat.identity(QQ, N.dim)])
 
 
 def test_context_is_freed_with_its_algebra():
