@@ -423,8 +423,9 @@ def corner_algebra(A: Algebra, e: Idempotent):
     embed = row_basis(_corner_rows(A, ec))
     m = embed.rows
     if m == 0:
-        empty = Mat.zeros(A.field, 0, 0)
-        return Algebra(A.field, [], Mat.zeros(A.field, 1, 0), empty, provenance="corner"), embed, True
+        empty = Algebra(A.field, [], Mat.zeros(A.field, 1, 0), Mat.zeros(A.field, 0, 0),
+                        provenance="corner")
+        return empty, embed, True
     basis = RowBasis(embed)
     table = basis.coords(A.products(embed, embed)).reshape(m, m * m)
     unit = basis.coords(ec)

@@ -54,20 +54,12 @@ class AuslanderData:
 
     def end_matrix(self, coords: Mat) -> Mat:
         """The endomorphism of M with the given tilde-coordinates."""
-        return end_combination(self.end_mats, coords)
+        return self.end_basis.combine(coords).reshape(self.M.dim, self.M.dim)
 
     def tilde_of_lambda(self, lam_coords: Mat) -> Mat:
         """Inverse transport: coordinates in tilde of the corner lift of an
         element of Lambda."""
         return lam_coords @ self.lambda_to_tilde
-
-
-def end_combination(mats: list, coords: Mat) -> Mat:
-    """sum_t coords[t] mats[t] for a 1 x len(mats) coordinate row: one
-    product against the matrices flattened to rows."""
-    m = mats[0]
-    flat = Mat.stack_rows(m.field, [x.flatten_row() for x in mats])
-    return (coords @ flat).reshape(m.rows, m.cols)
 
 
 def build_auslander(lam: Algebra) -> AuslanderData:
@@ -95,7 +87,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     pi = projections[-1].mat
     rows = []
     for i in range(corner.dim):
-        restr = iota @ end_combination(end_mats, corner_embed.row_at(i)) @ pi
+        restr = iota @ end_basis.combine(corner_embed.row_at(i)).reshape(M.dim, M.dim) @ pi
         rows.append(lam.unit @ restr)
     corner_to_lambda = Mat.stack_rows(lam.field, rows)
     if rank(corner_to_lambda) != lam.dim or corner.dim != lam.dim:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .auslander import AuslanderData, end_combination
+from .auslander import AuslanderData
 from .functors import (
     corner_rows,
     counit,
@@ -277,7 +277,7 @@ class KbHom:
                 continue
             off = self.offsets[i]
             part = coords.with_array(coords.a[:, off : off + len(basis)])
-            acc = end_combination([h.mat for h in basis], part)
+            acc = self.hom_flats[i].combine(part).reshape(basis[0].mat.rows, basis[0].mat.cols)
             comps[i] = ModHom(self.source.term(i), self.target.term(i), acc)
         return ChainMap(self.source, self.target, comps)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .auslander import AuslanderData, end_combination
+from .auslander import AuslanderData
 from .linalg import Mat, RowBasis, coords_in_rows, flat_products, left_nullspace, rank, row_basis, solve
 from .modules import (
     ModHom,
@@ -127,22 +127,15 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
     u = data.lam.unit @ data.iota  # the element iota(1) of M
-    out_rows = []
-    for r in range(rows.rows):
-        hmat = _hom_from_coords(trd, rows.row_at(r))
-        out_rows.append(u @ hmat)
-    mat = (
-        Mat.stack_rows(N.field, out_rows)
-        if out_rows
-        else Mat.zeros(N.field, 0, N.dim)
-    )
+    if trd.homs:
+        # row t: the image of iota(1) under the t-th hom; row r of ``rows``
+        # combines the homs, so one product evaluates them all
+        k = len(trd.homs)
+        images = (u @ Mat.stack_cols(N.field, [h.mat for h in trd.homs])).reshape(k, N.dim)
+        mat = rows @ images
+    else:
+        mat = Mat.zeros(N.field, rows.rows, N.dim)
     return ModHom(thetaF, N, mat), trd
-
-
-def _hom_from_coords(trd: ThetaRho, coords: Mat) -> Mat:
-    if not trd.homs:
-        return Mat.zeros(trd.basis.field, 0, 0)
-    return end_combination([h.mat for h in trd.homs], coords)
 
 
 # -- theta_lambda: presentation cokernel ----------------------------------------

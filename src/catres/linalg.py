@@ -144,8 +144,6 @@ class FieldSpec:
         raise ValueError(f"unknown field type {obj['type']!r}")
 
 
-
-
 def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
     """A zero carrier array: int64 over F_p, Python ints over Q."""
     return np.zeros((rows, cols), dtype=np.int64 if field.kind == "prime" else object)
@@ -336,7 +334,6 @@ class Mat:
         a 0 x 0 matrix."""
         if not mats:
             return Mat.zeros(field, 0, 0)
-        assert all(m.cols == mats[0].cols for m in mats)
         den, arrays = _common_den(mats)
         return Mat(field, np.vstack(arrays), den, _copy=False)
 
@@ -528,11 +525,12 @@ class RowBasis:
     T stay on the carrier, so both checks are integer products.
     """
 
-    __slots__ = ("field", "rows", "cols", "pivots", "_r", "_t")
+    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_r", "_t")
 
     def __init__(self, basis: Mat):
         f = basis.field
         k, n = basis.rows, basis.cols
+        self.basis = basis
         flip = _empty(f, k, k)
         flip[np.arange(k), np.arange(k)[::-1]] = 1
         full, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
@@ -564,6 +562,10 @@ class RowBasis:
         if y is None:
             raise ValueError("vector not in row span")
         return y @ self._t
+
+    def combine(self, c: Mat) -> Mat:
+        """The vectors c @ B with the given coordinates, inverse to ``coords``."""
+        return c @ self.basis
 
 
 def row_span_contains(basis: Mat, v: Mat) -> bool:

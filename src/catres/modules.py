@@ -87,7 +87,8 @@ class Repn:
         """dim x (algebra.dim * dim): the action matrices side by side, so
         that ``rows @ wide_action()`` moves rows by every basis element."""
         n = self.dim
-        return self._flat.with_array(self.action.transpose(1, 0, 2).reshape(n, self.algebra.dim * n))
+        wide = self.action.transpose(1, 0, 2).reshape(n, self.algebra.dim * n)
+        return self._flat.with_array(wide)
 
     def rho(self, coords: Mat) -> Mat:
         """Matrix of the action of the element with the given coordinates."""

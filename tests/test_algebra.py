@@ -60,7 +60,8 @@ def matrix_span_algebra(field, mats, labels):
             prod = np.array(mats[i], dtype=object) @ np.array(mats[j], dtype=object)
             if field.kind == "prime":
                 prod = prod % field.p
-            table[i, j] = coords_in_rows(flat, Mat.from_rows(field, [prod.flatten().tolist()])).tolist()[0]
+            row = Mat.from_rows(field, [prod.flatten().tolist()])
+            table[i, j] = coords_in_rows(flat, row).tolist()[0]
     n = len(mats[0])
     unit = coords_in_rows(flat, Mat.from_rows(field, [np.eye(n, dtype=int).flatten().tolist()]))
     return Algebra(field, labels, unit, Mat.from_rows(field, table.reshape(d, d * d).tolist()))
@@ -403,7 +404,8 @@ def _rescaled_cubic():
     for j in range(3):
         table[0, j, j] = table[j, 0, j] = Fraction(1)
     table[1, 1, 2] = Fraction(1, 2)
-    a = Algebra(QQ, ["1", "2x", "8x^2"], Mat.row(QQ, [1, 0, 0]), Mat.from_rows(QQ, table.reshape(3, 9).tolist()))
+    table = Mat.from_rows(QQ, table.reshape(3, 9).tolist())
+    a = Algebra(QQ, ["1", "2x", "8x^2"], Mat.row(QQ, [1, 0, 0]), table)
     assert a.validate().ok
     return a
 

@@ -206,6 +206,7 @@ def test_row_basis_matches_solve_left_and_naive_rank(case):
     assert (expected is not None) == inside
     if inside:
         assert rb.coords(v).tolist() == expected.tolist()
+        assert rb.combine(rb.coords(v)) == v
         assert coords_in_rows(basis, v).tolist() == expected.tolist()
     else:
         with pytest.raises(ValueError):
@@ -348,7 +349,10 @@ def test_carrier_stays_canonical_and_matches_the_fraction_oracles(t, k):
         "with_array": (x.with_array(x.a[:, :1]), [row[:1] for row in vals]),
         "row_at": (w.row_at(x.rows - 1), [w.tolist()[-1]]),
         "flatten_row": (w.flatten_row(), [[v for row in w.tolist() for v in row]]),
-        "sum": (x + w, [[f.coerce(a + b_) for a, b_ in zip(p, q)] for p, q in zip(vals, w.tolist())]),
+        "sum": (
+            x + w,
+            [[f.coerce(a + b_) for a, b_ in zip(p, q)] for p, q in zip(vals, w.tolist())],
+        ),
         "difference": (x - x, [[f.zero] * x.cols for _ in vals]),
     }
     assert piv == piv2

@@ -606,7 +606,9 @@ def test_intertwining_check_fails_on_a_hom_wrong_only_by_a_denominator():
     # one entry p/q of a hom with denominators becomes p/(q+1)
     src = next(h for h in homs if h.den > 1)
     vals = src.tolist()
-    i, j = next((i, j) for i, row in enumerate(vals) for j, x in enumerate(row) if x.denominator > 1)
+    i, j = next(
+        (i, j) for i, row in enumerate(vals) for j, x in enumerate(row) if x.denominator > 1
+    )
     x = vals[i][j]
     vals[i][j] = Fraction(x.numerator, x.denominator + 1)
     wrong = Mat.from_rows(QQ, vals)
