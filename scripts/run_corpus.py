@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the certification suites over every corpus file and print a table.
 
-Sample counts are reduced for the rational member (Fraction arithmetic is
-exact but slower); pass --samples to override everywhere.
+Sample counts are reduced for the rational member (its entries are
+unbounded integers, so a sample can cost more than over F_p); pass
+--samples to override everywhere.
 
 Each line carries the SHA-256 of the report without its ``version`` key,
 the digest perfbench uses; the wall times go to stderr.  So a plain

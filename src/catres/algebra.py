@@ -98,6 +98,9 @@ class Algebra:
 
     # -- raw arithmetic on coordinate rows ------------------------------
 
+    def _red(self, a: np.ndarray) -> np.ndarray:
+        return a % self.field.p if self.field.kind == "prime" else a
+
     def multiply(self, u: Mat, v: Mat) -> Mat:
         """Product of two elements given as 1 x dim coordinate rows."""
         return self.products(u, v)
@@ -167,12 +170,11 @@ class Algebra:
         # both sides are sums of products of two table entries: compare the
         # numerators, each scaled by den^2
         t = self.table
-        red = (lambda x: x % self.field.p) if self.field.kind == "prime" else (lambda x: x)
         for i in range(self.dim):
             # (b_i b_j) b_k vs b_i (b_j b_k), all j, k at once
-            lhs = red(np.tensordot(t[i], t, axes=(1, 0)))
+            lhs = self._red(np.tensordot(t[i], t, axes=(1, 0)))
             # rhs[j, k, :] = sum_m t[j, k, m] * t[i, m, :]
-            rhs = red(np.tensordot(t, t[i], axes=(2, 0)))
+            rhs = self._red(np.tensordot(t, t[i], axes=(2, 0)))
             if not (lhs == rhs).all():
                 j, k = next(
                     (j, k)
