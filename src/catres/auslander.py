@@ -5,18 +5,30 @@ filtration module M with its summand injections/projections, the algebra
 tilde = End(M) (with the composition convention (fg)(m) = f(g(m)), which
 absorbs the usual opposite-algebra twist), the idempotent e projecting
 onto the Lambda-summand, and the explicit corner isomorphism
-e*tilde*e -> Lambda given by restriction to that summand.
+e*tilde*e -> Lambda given by restriction to that summand.  tilde carries
+its radical from the construction (``local_piece_radical``) as its
+radical hint, which ``Algebra.radical_chain`` certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgebraError, Idempotent, RadicalChain, corner_algebra
+import numpy as np
+
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    Idempotent,
+    RadicalChain,
+    corner_algebra,
+    quotient_projection,
+)
 from .homology import GldimResult, global_dimension
-from .linalg import Mat, RowBasis, coords_in_rows, rank
+from .linalg import Mat, RowBasis, coords_in_rows, left_nullspace, rank, row_basis
 from .modules import (
     Repn,
+    context,
     direct_sum,
     endomorphism_algebra,
     hom_space,
@@ -74,6 +86,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         summands.append(q)
     M, injections, projections = direct_sum(summands)
     tilde, end_mats = endomorphism_algebra(M)
+    tilde.radical_hint = local_piece_radical(lam, chain, M, end_mats)
     end_basis = RowBasis(Mat.stack_rows(lam.field, [m.flatten_row() for m in end_mats]))
 
     e_mat = projections[-1].mat @ injections[-1].mat  # project then include
@@ -120,6 +133,70 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     if not ok:
         raise AlgebraError(f"corner isomorphism check failed: {detail}")
     return data
+
+
+def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end_mats: list) -> Mat:
+    """rad End(M) for M = Lambda/J + ... + Lambda/J^n, from the local pieces
+    of M, as coordinates against ``end_mats``, one row per element of a
+    spanning set.
+
+    Left multiplication by a primitive idempotent e_v of Lambda on the
+    summand Lambda/J^i is an idempotent eps of End(M) whose image is the
+    local module X = e_v Lambda / e_v J^i; these pieces decompose M.  By
+    Krull-Schmidt, f lies in rad End(M) iff no component f_kl: X_l -> X_k
+    is an isomorphism (Auslander, Reiten and Smalo, Representation Theory
+    of Artin Algebras, ch. I-II).  A map between local modules of equal
+    dimension whose image leaves X_k J is onto, so an isomorphism, and
+    pieces of unequal dimension impose nothing.  With B_d the rows of the
+    pieces of dimension d and G_d the sum of their eps followed by the
+    projection M -> M/MJ, f is radical iff B_d mat(f) G_d = 0 for every d:
+    two products over all of ``end_mats`` give every condition.
+    ``Algebra.radical_chain`` certifies the result.
+    """
+    f, dl, m, k = lam.field, lam.dim, M.dim, len(end_mats)
+    ctx = context(lam)
+    e_rows = Mat.stack_rows(f, [e.coords for e in ctx.idempotents])
+    nv = e_rows.rows
+    # row v * dl + c is e_v b_c: every left multiplication, stacked
+    lefts = (e_rows @ lam.table_matrix()).reshape(nv * dl, dl)
+    rows_by_dim, eps_by_dim = {}, {}  # d -> placed piece rows; d -> {offset: sum of eps}
+    off = 0
+    for i in range(1, chain.nilpotency_index + 1):
+        proj, nonpiv = quotient_projection(chain.power(i))
+        s = len(nonpiv)
+        # on Lambda/J^i: the section picks the non-pivot rows, then project
+        eps_all = lefts.take_rows([v * dl + c for v in range(nv) for c in nonpiv]) @ proj
+        for v in range(nv):
+            eps = eps_all.take_rows(range(v * s, (v + 1) * s))
+            rows = row_basis(eps)
+            rows_by_dim.setdefault(rows.rows, []).append((off, rows))
+            sums = eps_by_dim.setdefault(rows.rows, {})
+            sums[off] = sums[off] + eps if off in sums else eps
+        off += s
+    top, _ = quotient_projection(ctx.radical_rows(M))
+    dims = sorted(rows_by_dim)
+    placed, spans, r = [], [], 0
+    for d in dims:
+        start = r
+        for o, rows in rows_by_dim[d]:
+            placed.append((r, o, rows))
+            r += rows.rows
+        spans.append((start, r))
+    b = Mat.from_blocks(f, r, m, placed)
+    g = Mat.stack_cols(f, [
+        Mat.from_blocks(f, m, m, [(o, o, e) for o, e in eps_by_dim[d].items()]) @ top
+        for d in dims
+    ])
+    t = top.cols
+    # y[a, j] = row a of B mat(phi_j); then z[a, j, d] = that row times G_d
+    y = b @ Mat.stack_cols(f, end_mats)
+    z = y.reshape(r * k, m) @ g
+    z4 = z.a.reshape(r, k, len(dims), t)
+    conds = [
+        z4[lo:hi, :, j, :].transpose(1, 0, 2).reshape(k, (hi - lo) * t)
+        for j, (lo, hi) in enumerate(spans)
+    ]
+    return left_nullspace(z.with_array(np.concatenate(conds, axis=1)))
 
 
 def check_corner_iso(data: AuslanderData):

@@ -89,15 +89,15 @@ def cmd_gldim(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    pm1 = parse_module(_load(args.module_a))
-    obj2 = _load(args.module_b)
-    # the second module must be over the same algebra; reuse the parsed one
-    norm1 = json.dumps(
-        module_to_json(pm1.module)["algebra"], sort_keys=True
-    )
-    pm2_alg = obj2.get("algebra")
-    norm2 = json.dumps(pm2_alg, sort_keys=True) if pm2_alg is not None else None
-    if norm2 is not None and norm1 != norm2:
+    obj1, obj2 = _load(args.module_a), _load(args.module_b)
+    pm1 = parse_module(obj1)
+    # the second module must be over the same algebra spec, as written (a
+    # quiver or an auslander_of spec never equals the parsed table); the
+    # parsed algebra is then reused
+    spec2 = obj2.get("algebra") if isinstance(obj2, dict) else None
+    if spec2 is not None and (
+        json.dumps(obj1["algebra"], sort_keys=True) != json.dumps(spec2, sort_keys=True)
+    ):
         print("error: modules are over different algebras", file=sys.stderr)
         return 1
     pm2 = parse_module(obj2, algebra=pm1.base)

@@ -117,6 +117,13 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / x
 
+    def random_scalar(self, rng, spread: int):
+        """A random scalar: uniform on F_p, or an integer in
+        [-spread, spread] over Q.  One ``rng`` call either way."""
+        if self.kind == "prime":
+            return rng.randrange(self.p)
+        return rng.randint(-spread, spread)
+
     def scalar_to_json(self, x):
         if self.kind == "prime":
             return int(x)

@@ -588,10 +588,7 @@ def is_isomorphic(M: Repn, N: Repn):
     k = len(homs)
     rng = random.Random(f"catres-iso:{M.dim}:{k}")
     for _ in range(RANDOM_TRIALS):
-        if f.kind == "prime":
-            coeffs = [rng.randrange(f.p) for _ in range(k)]
-        else:
-            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+        coeffs = [f.random_scalar(rng, 3) for _ in range(k)]
         cand = _combine(homs, coeffs)
         if _is_invertible(cand.mat):
             return cand

@@ -30,17 +30,11 @@ def rng_for(seed: int, suite: str, index: int) -> random.Random:
     return random.Random(f"catres:{seed}:{suite}:{index}")
 
 
-def random_scalar(rng: random.Random, field):
-    if field.kind == "prime":
-        return rng.randrange(field.p)
-    return rng.randint(-2, 2)
-
-
 def random_hom(rng: random.Random, M: Repn, N: Repn) -> ModHom:
     homs = hom_space(M, N)
     acc = Mat.zeros(M.field, M.dim, N.dim)
     for h in homs:
-        c = random_scalar(rng, M.field)
+        c = M.field.random_scalar(rng, 2)
         if c:
             acc = acc + h.mat.scale(c)
     return ModHom(M, N, acc)
@@ -161,7 +155,7 @@ class ModulePool:
             return ChainMap(C, D, {})
         coords = Mat.zeros(C.algebra.field, 1, kb.total)
         for r in range(kb.chain_rows.rows):
-            c = random_scalar(rng, C.algebra.field)
+            c = C.algebra.field.random_scalar(rng, 2)
             if c:
                 coords = coords + kb.chain_rows.row_at(r).scale(c)
         return kb.coords_to_chainmap(coords)

@@ -13,14 +13,17 @@ replacement, on the library's own primitives:
 * ``iso_distinct_simples`` searches isomorphisms, against the idempotent
   test of ``ModuleContext.representatives`` behind ``distinct_simples``;
 * ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one
-  product at a time, against the batched powers modulo p*q.
+  product at a time, against the batched powers modulo p*q;
+* ``loop_is_ideal`` builds the left- and right-multiplication matrices one
+  basis element at a time, against the two table products of
+  ``algebra._is_ideal``.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from catres.linalg import Mat, nullspace
+from catres.linalg import Mat, RowBasis, nullspace
 from catres.modules import context, is_isomorphic, projective_cover
 
 
@@ -194,3 +197,13 @@ def bigint_divided_trace_gram(A, basis, q):
                 return None
             gram[t][s] = (tr // q) % p
     return gram
+
+
+def loop_is_ideal(A, rows):
+    """Is the row span of ``rows`` a two-sided ideal?  b*v and v*b for every
+    basis element b and every row v, one basis element at a time."""
+    prods = []
+    for i in range(A.dim):
+        b = A.basis_element(i)
+        prods += [rows @ A.left_mult_matrix(b), rows @ A.right_mult_matrix(b)]
+    return RowBasis(rows).contains(Mat.stack_rows(A.field, prods))

@@ -13,6 +13,7 @@ from catres.algebra import (
     Idempotent,
     QuiverSpec,
     _divided_trace_gram,
+    _is_ideal,
     _power_traces,
     _radical_prime_chain,
     corner_algebra,
@@ -37,7 +38,12 @@ from catres.linalg import (
     row_basis,
     row_span_contains,
 )
-from oracles import bigint_divided_trace_gram, int_matrix_power_trace, naive_product
+from oracles import (
+    bigint_divided_trace_gram,
+    int_matrix_power_trace,
+    loop_is_ideal,
+    naive_product,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -236,6 +242,16 @@ def test_radical_annotation_verified():
     assert ch.nilpotency_index == 2
     with pytest.raises(AlgebraError):
         a.radical_chain(annotation=Mat.from_rows(F5, [[1, 0]]))  # not nilpotent
+
+
+def test_radical_annotation_checks_ideal_then_nilpotency_then_quotient():
+    a = truncated_poly_algebra(F5, 3)  # basis 1, x, x^2
+    with pytest.raises(AlgebraError, match="two-sided ideal"):
+        a.radical_chain(annotation=Mat.from_rows(F5, [[0, 1, 0]]))  # x * x leaves span(x)
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        a.radical_chain(annotation=Mat.identity(F5, 3))  # the whole algebra
+    with pytest.raises(AlgebraError, match="not semisimple"):
+        a.radical_chain(annotation=Mat.from_rows(F5, [[0, 0, 1]]))  # J^2 only
 
 
 def test_radical_elements_nilpotent_and_powers_nest():
@@ -490,3 +506,24 @@ def test_power_traces_headroom_boundary_without_allocation():
     fits = _power_traces(np.zeros((0, limit, limit), dtype=np.int64), 2, modulus)
     wraps = _power_traces(np.zeros((0, limit + 1, limit + 1), dtype=np.int64), 2, modulus)
     assert fits.dtype == np.int64 and wraps.dtype == object
+
+
+def test_is_ideal_matches_the_basis_loop_on_corpus_and_auslander_algebras():
+    rng = random.Random(11)
+    outcomes = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        for label, a in ((path.stem, lam), (f"T({path.stem})", build_auslander(lam).tilde)):
+            chain = a.radical_chain()
+            cands = [p for p in chain.powers if p.rows]
+            cands += [a.basis_element(i) for i in range(a.dim)]
+            cands += [chain.radical.vstack(a.basis_element(i)) for i in range(a.dim)]
+            cands += [
+                Mat.from_rows(a.field, [[rng.randrange(3) for _ in range(a.dim)] for _ in range(2)])
+                for _ in range(3)
+            ]
+            for rows in cands:
+                fast = _is_ideal(a, rows)
+                assert fast == loop_is_ideal(a, rows), (label, rows.tolist())
+                outcomes.add(fast)
+    assert outcomes == {True, False}

@@ -1,10 +1,20 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from catres.algebra import AlgebraError, QuiverSpec, _radical_by_field, from_quiver
 from catres.auslander import build_auslander, check_corner_iso, hom_dim_sum, verify_auslander
 from catres.corpus import shipped_corpus, truncated_poly_algebra, two_fields
-from catres.linalg import FieldSpec, rank
+from catres.io_json import parse_algebra_or_quiver
+from catres.linalg import FieldSpec, rank, row_basis, row_span_contains
 from catres.modules import is_isomorphic
+from test_modules import f2_s3
 
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+F2 = FieldSpec("prime", 2)
+F3 = FieldSpec("prime", 3)
 F5 = FieldSpec("prime", 5)
 F7 = FieldSpec("prime", 7)
 
@@ -97,3 +107,41 @@ def test_theta_of_regular_tilde_is_m(data_x2):
     t = theta(regular_module(data_x2.tilde), data_x2)
     assert t.dim == data_x2.M.dim
     assert is_isomorphic(t, data_x2.M) is not None
+
+
+def _radical_dual_route_algebras():
+    """(label, Lambda): every corpus file, F_2[S_3], F_3[x]/x^4 and kQ/J^2
+    on the 4-cycle over F_2."""
+    for path in sorted(CORPUS.glob("*.json")):
+        yield path.stem, parse_algebra_or_quiver(json.loads(path.read_text()))
+    yield "F2[S3]", f2_s3()
+    yield "F3[x]/x^4", truncated_poly_algebra(F3, 4)
+    arrows = [(f"a{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    yield "kQ/J^2 on the 4-cycle", from_quiver(QuiverSpec(F2, list("0123"), arrows, [], 2))
+
+
+def test_local_piece_radical_matches_the_field_route():
+    fields = set()
+    for label, lam in _radical_dual_route_algebras():
+        tilde = build_auslander(lam).tilde
+        expected = _radical_by_field(tilde)
+        assert row_basis(tilde.radical_hint) == expected, label
+        assert tilde.radical_chain().radical == expected, label
+        fields.add(tilde.field.kind)
+    assert fields == {"prime", "rational"}
+
+
+@pytest.mark.parametrize("name", ["x3_f3", "x3_q", "gentle_two_cycle_f2"])
+def test_radical_annotation_missing_or_extra_row_is_rejected(name):
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / f"{name}.json").read_text()))
+    tilde = build_auslander(lam).tilde
+    rad = tilde.radical_chain().radical
+    assert tilde.radical_chain(annotation=rad).radical == rad
+    with pytest.raises(AlgebraError):
+        tilde.radical_chain(annotation=rad.take_rows(range(rad.rows - 1)))
+    outside = next(
+        b for b in (tilde.basis_element(i) for i in range(tilde.dim))
+        if not row_span_contains(rad, b)
+    )
+    with pytest.raises(AlgebraError):
+        tilde.radical_chain(annotation=rad.vstack(outside))

@@ -261,3 +261,31 @@ def test_corpus_files_match_generator():
     assert proc.returncode == 0
     after = {p.name: p.read_text() for p in CORPUS.glob("*.json")}
     assert before == after, "shipped corpus files drifted from the generator"
+
+
+def test_cli_hom_accepts_two_modules_over_a_quiver_or_auslander_of_spec(tmp_path):
+    # the second file's algebra spec is compared as written: a quiver spec
+    # or an auslander_of spec never equals the table the first one parses to
+    quiver = {
+        "format": "catres-quiver-v1",
+        "field": {"type": "prime", "p": 2},
+        "vertices": ["1", "2"],
+        "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "1"}],
+        "relations": [],
+        "length_bound": 2,
+    }
+    x2 = json.loads((CORPUS / "x2_f2.json").read_text())
+    simple_q = mod.context(parse_algebra_or_quiver(quiver)).simples[0]
+    simple_t = mod.context(build_auslander(parse_algebra_or_quiver(x2)).tilde).simples[0]
+    cases = [
+        ("q", module_to_json(simple_q, algebra_obj=quiver)),
+        ("t", module_to_json(simple_t, algebra_obj={"auslander_of": x2})),
+    ]
+    for name, obj in cases:
+        a, b = tmp_path / f"{name}1.json", tmp_path / f"{name}2.json"
+        a.write_text(json.dumps(obj))
+        b.write_text(json.dumps(obj, indent=1))
+        out = run_cli("hom", str(a), str(b), "--format", "json").stdout
+        assert json.loads(out)["dim"] == 1
+    proc = run_cli("hom", str(tmp_path / "q1.json"), str(tmp_path / "t1.json"), expect=1)
+    assert "different algebras" in proc.stderr
