@@ -28,7 +28,6 @@ from .linalg import (
     nullspace,
     nullspace_of_rref,
     row_basis,
-    row_span_contains,
     rref,
     solve_left,
 )
@@ -85,7 +84,6 @@ class Algebra:
         self.radical_hint = radical_hint
         self.provenance = provenance
         self._radical_chain: Optional[RadicalChain] = None
-        self._generators: Optional[list] = None
         self.module_context = None  # set by catres.modules.context
         assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
         assert unit.rows == 1 and unit.cols == self.dim
@@ -150,12 +148,6 @@ class Algebra:
     def basis_element(self, i: int) -> Mat:
         return Mat.identity(self.field, self.dim).row_at(i)
 
-    def power(self, u: Mat, k: int) -> Mat:
-        acc = self.unit
-        for _ in range(k):
-            acc = self.multiply(acc, u)
-        return acc
-
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -195,32 +187,6 @@ class Algebra:
         return Algebra(
             self.field, self.basis_labels, self.unit, self.right_table(), provenance="opposite"
         )
-
-    def generating_indices(self) -> list:
-        """Small set of basis indices that generates the algebra with the unit.
-
-        An intertwining system over these generators alone has the same
-        kernel as over the whole basis; the Kronecker Hom oracle of the
-        tests builds its systems this way.
-        """
-        if self._generators is not None:
-            return self._generators
-        span = row_basis(self.unit)
-        gens = []
-        for i in range(self.dim):
-            if row_span_contains(span, self.basis_element(i)):
-                continue
-            gens.append(i)
-            span = row_basis(span.vstack(self.basis_element(i)))
-            while True:
-                new = row_basis(span.vstack(self.products(span, span)))
-                if new.rows == span.rows:
-                    break
-                span = new
-            if span.rows == self.dim:
-                break
-        self._generators = gens
-        return gens
 
     # -- radical -----------------------------------------------------------
 

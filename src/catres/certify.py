@@ -26,8 +26,6 @@ deterministic functions of (input, config): fixed sample streams keyed by
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,21 +70,10 @@ class CertConfig:
     max_degree_window: int = 4
     max_term_dim: int = 12
     max_resolution_depth: Optional[int] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.samples < 1 or self.max_degree_window < 1 or self.max_term_dim < 1:
             raise ValueError("certification config values must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-
-    @staticmethod
-    def from_env_threads() -> int:
-        raw = os.environ.get("CATRES_THREADS", "1")
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
 
     def to_json(self):
         return {
@@ -96,14 +83,6 @@ class CertConfig:
             "max_term_dim": self.max_term_dim,
             "max_resolution_depth": self.max_resolution_depth,
         }
-
-
-def _run_samples(n: int, fn, threads: int):
-    """Evaluate fn(0..n-1), order-stable regardless of thread count."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n)))
 
 
 def _suite(results):
@@ -209,24 +188,35 @@ def wc_right_adjoint_sample(data: AuslanderData, pool: ModulePool, cfg: CertConf
     return r["bijective"], str(r) if not r["bijective"] else ""
 
 
-# suite -> its check; certify_resolution and replay_sample both run these,
-# and each check draws from the rng stream keyed by (seed, stream, index)
+def _every(n: int) -> int:
+    return n
+
+
+# suite -> (its check, its sample count as a function of cfg.samples), in
+# run order; certify_resolution and replay_sample both run these checks,
+# and each check draws from the rng stream keyed by (seed, stream, index).
+# The wc_ suites run inside weakly_crepant_check, for self-injective inputs.
 SAMPLE_CHECKS = {
-    "unit_iso": unit_sample,
-    "unit_naturality": naturality_sample,
-    "adjunction": adjunction_sample,
-    "four_term": four_term_sample,
-    "density_witness": density_sample,
-    "kernel_char": kernel_sample,
-    "wc_lemma44": wc_lemma44_sample,
-    "wc_right_adjoint": wc_right_adjoint_sample,
+    "unit_iso": (unit_sample, _every),
+    "unit_naturality": (naturality_sample, lambda n: max(1, n // 5)),
+    "adjunction": (adjunction_sample, _every),
+    "four_term": (four_term_sample, _every),
+    "density_witness": (density_sample, _every),
+    "kernel_char": (kernel_sample, _every),
+    "wc_lemma44": (wc_lemma44_sample, lambda n: max(1, 3 * n // 5)),
+    "wc_right_adjoint": (wc_right_adjoint_sample, _every),
 }
 
 
 def suite_results(suite: str, n: int, data: AuslanderData, pool: ModulePool, cfg: CertConfig):
     """(ok, detail) of samples 0..n-1 of one suite."""
-    check = SAMPLE_CHECKS[suite]
-    return _run_samples(n, lambda i: check(data, pool, cfg, i), cfg.threads)
+    check, _ = SAMPLE_CHECKS[suite]
+    return [check(data, pool, cfg, i) for i in range(n)]
+
+
+def _run_suite(suite: str, data: AuslanderData, pool: ModulePool, cfg: CertConfig) -> dict:
+    _, count = SAMPLE_CHECKS[suite]
+    return _suite(suite_results(suite, count(cfg.samples), data, pool, cfg))
 
 
 def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
@@ -239,22 +229,10 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
     degenerate = gl_lambda.kind != "infinite"
 
     pool = ModulePool(data)
-    # warm the per-algebra caches before any thread fan-out
-    context(lam)
-    context(data.tilde)
-
-    n = cfg.samples
-    counts = {
-        "unit_iso": n,
-        "unit_naturality": max(1, n // 5),
-        "adjunction": n,
-        "four_term": n,
-        "density_witness": n,
-        "kernel_char": n,
-    }
     report_conditions = {
-        suite: _suite(suite_results(suite, count, data, pool, cfg))
-        for suite, count in counts.items()
+        suite: _run_suite(suite, data, pool, cfg)
+        for suite in SAMPLE_CHECKS
+        if not suite.startswith("wc_")
     }
     wc = weakly_crepant_check(lam, data, cfg, pool)
     report_conditions["weakly_crepant"] = wc
@@ -333,9 +311,8 @@ def weakly_crepant_check(lam: Algebra, data: AuslanderData, cfg: CertConfig, poo
         lemma_injective.append({"indecomposable_dim": p.dim, "injective_lift": ok})
     lemma42_ok = all(item["injective_lift"] for item in lemma_injective)
 
-    n44 = max(1, (cfg.samples * 3) // 5)
-    lemma44 = _suite(suite_results("wc_lemma44", n44, data, pool, cfg))
-    right_adj = _suite(suite_results("wc_right_adjoint", cfg.samples, data, pool, cfg))
+    lemma44 = _run_suite("wc_lemma44", data, pool, cfg)
+    right_adj = _run_suite("wc_right_adjoint", data, pool, cfg)
     passed = lemma42_ok and lemma44["passed"] and right_adj["passed"]
     return {
         "inapplicable": False,
@@ -356,8 +333,9 @@ def replay_sample(lam: Algebra, cfg: CertConfig, suite: str, index: int):
     reproduces here exactly.  Returns (ok, detail)."""
     if suite not in SAMPLE_CHECKS:
         raise ValueError(f"unknown suite {suite!r}")
+    check, _ = SAMPLE_CHECKS[suite]
     data = build_auslander(lam)
-    return SAMPLE_CHECKS[suite](data, ModulePool(data), cfg, index)
+    return check(data, ModulePool(data), cfg, index)
 
 
 def report_to_json_str(report: dict) -> str:

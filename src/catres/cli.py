@@ -143,7 +143,6 @@ def cmd_certify(args) -> int:
         max_degree_window=args.max_window,
         max_term_dim=args.max_term_dim,
         max_resolution_depth=args.max_depth,
-        threads=CertConfig.from_env_threads(),
     )
     report = certify_resolution(alg, cfg)
     if args.format == "json":

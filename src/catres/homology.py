@@ -251,17 +251,3 @@ def is_self_injective(A: Algebra) -> bool:
 
     return is_injective(A, regular_module(A))
 
-
-@dataclass
-class InjectivityTests:
-    """Bundled injectivity interface for one algebra."""
-
-    algebra: Algebra
-    is_self_injective: bool
-
-    def is_injective(self, M: Repn) -> bool:
-        return is_injective(self.algebra, M)
-
-
-def injectivity_tests(A: Algebra) -> InjectivityTests:
-    return InjectivityTests(algebra=A, is_self_injective=is_self_injective(A))

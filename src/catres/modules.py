@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -472,21 +471,13 @@ def projective_cover(M: Repn) -> ModHom:
     return projective_presentation(M).cover
 
 
-# certify samples run on threads and share modules; one build per module
-_PRESENTATION_LOCK = threading.RLock()
-
-
 def projective_presentation(M: Repn) -> Presentation:
     """The presentation of M from its minimal projective cover, built once
     and kept on M: resolutions, isomorphism tests and Hom spaces out of M
     all share it."""
-    pres = M._presentation
-    if pres is None:
-        with _PRESENTATION_LOCK:
-            if M._presentation is None:
-                M._presentation = _build_presentation(M)
-            pres = M._presentation
-    return pres
+    if M._presentation is None:
+        M._presentation = _build_presentation(M)
+    return M._presentation
 
 
 def _build_presentation(M: Repn) -> Presentation:

@@ -1,7 +1,7 @@
 """Deterministic sample generation for property suites.
 
 Every sample is derived from (seed, suite, index) through a string-seeded
-RNG, so results are identical across runs, platforms, and thread counts.
+RNG, so results are identical across runs and platforms.
 Modules are drawn from a fixed pool (simples, projectives, Hom-lifts of the
 filtration summands), then combined by sums, random quotients and kernels;
 complexes by shifted sums, cones, and truncated resolutions.

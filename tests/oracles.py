@@ -8,8 +8,9 @@ replacement, on the library's own primitives:
 * ``cover_is_projective`` builds the projective cover, against the top
   count in ``is_projective``;
 * ``kron_hom_space`` solves one ``np.kron`` intertwining block per
-  generator, against the Yoneda and the projective-presentation routes of
-  ``hom_space`` (the library builds no intertwining system any more);
+  generator (``generating_indices``), against the Yoneda and the
+  projective-presentation routes of ``hom_space`` (the library builds no
+  intertwining system any more);
 * ``iso_distinct_simples`` searches isomorphisms, against the idempotent
   test of ``ModuleContext.representatives`` behind ``distinct_simples``;
 * ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one
@@ -19,11 +20,12 @@ replacement, on the library's own primitives:
   ``algebra._is_ideal``.
 """
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
 
-from catres.linalg import Mat, RowBasis, nullspace
+from catres.linalg import Mat, RowBasis, nullspace, row_basis, row_span_contains
 from catres.modules import context, is_isomorphic, projective_cover
 
 
@@ -135,6 +137,36 @@ def _intertwine_block(field, act_m, act_n):
     return block
 
 
+_GENERATORS = weakref.WeakKeyDictionary()  # algebra -> generating_indices
+
+
+def generating_indices(A):
+    """Small set of basis indices that generates the algebra A with the unit.
+
+    An intertwining system over these generators alone has the same kernel
+    as over the whole basis.  Memoised per algebra: the dual-route tests
+    call the Kronecker oracle thousands of times on a few algebras.
+    """
+    if A in _GENERATORS:
+        return _GENERATORS[A]
+    span = row_basis(A.unit)
+    gens = []
+    for i in range(A.dim):
+        if row_span_contains(span, A.basis_element(i)):
+            continue
+        gens.append(i)
+        span = row_basis(span.vstack(A.basis_element(i)))
+        while True:
+            new = row_basis(span.vstack(A.products(span, span)))
+            if new.rows == span.rows:
+                break
+            span = new
+        if span.rows == A.dim:
+            break
+    _GENERATORS[A] = gens
+    return gens
+
+
 def kron_hom_space(M, N):
     """Basis of Hom(M, N) as m x n matrices: the nullspace of the stacked
     per-generator Kronecker blocks, vectors read row-major."""
@@ -142,7 +174,7 @@ def kron_hom_space(M, N):
     m, n = M.dim, N.dim
     if m == 0 or n == 0:
         return []
-    gens = M.algebra.generating_indices()
+    gens = generating_indices(M.algebra)
     dtype = np.int64 if field.kind == "prime" else object
 
     def values(X, g):

@@ -247,11 +247,11 @@ def test_criterion_8_oracle_equivalence(flagship_data, flagship_pool):
 
 
 def test_criterion_9_determinism():
+    cfg = CertConfig(seed=11, samples=8)
+    cold = report_to_json_str(certify_resolution(truncated_poly_algebra(F2, 2), cfg))
     lam = truncated_poly_algebra(F2, 2)
-    r1 = report_to_json_str(certify_resolution(lam, CertConfig(seed=11, samples=8, threads=1)))
-    r2 = report_to_json_str(certify_resolution(lam, CertConfig(seed=11, samples=8, threads=1)))
-    r3 = report_to_json_str(certify_resolution(lam, CertConfig(seed=11, samples=8, threads=4)))
-    ok = r1 == r2 == r3
-    parsed = json.loads(r1)
-    ok = ok and parsed["verdict"] == "pass"
-    _line(9, ok, "reports byte-identical across runs and thread counts 1 vs 4")
+    certify_resolution(lam, CertConfig(seed=5, samples=8))  # warms the caches on lam
+    warm = report_to_json_str(certify_resolution(lam, cfg))
+    again = report_to_json_str(certify_resolution(lam, cfg))
+    ok = cold == warm == again and json.loads(cold)["verdict"] == "pass"
+    _line(9, ok, "reports byte-identical across runs and from cold vs warmed algebra caches")

@@ -227,11 +227,10 @@ def test_kb_hom_computes_ext_from_projective_resolutions(data):
 
 
 def test_injectivity_bundle(data):
-    from catres.homology import injectivity_tests
+    from catres.homology import is_injective, is_self_injective
 
-    bundle = injectivity_tests(data.lam)
-    assert bundle.is_self_injective
-    assert bundle.is_injective(mod.context(data.lam).regular)
+    assert is_self_injective(data.lam)
+    assert is_injective(data.lam, mod.context(data.lam).regular)
 
 
 def test_db_hom_reductions_and_refusal(data):

@@ -1,10 +1,8 @@
 import gc
 import json
 import random
-import sys
 import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -555,32 +553,6 @@ def test_presentation_is_built_once_per_module(monkeypatch):
         assert mod.projective_cover(s) is res.augmentation
         assert mod.projective_cover(s) is mod.projective_cover(s)
     assert set(built.values()) == {1}
-
-
-def test_presentation_is_built_once_under_threads(monkeypatch):
-    lam = parse_algebra_or_quiver(json.loads((CORPUS / "t2_f3.json").read_text()))
-    T = build_auslander(lam).tilde
-    shared = mod.context(T).simples + [mod.regular_module(T)]
-    built = Counter()
-    build = mod._build_presentation
-
-    def counting(M):
-        built[id(M)] += 1
-        return build(M)
-
-    monkeypatch.setattr(mod, "_build_presentation", counting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            covers = list(
-                ex.map(lambda i: mod.projective_cover(shared[i % len(shared)]), range(64))
-            )
-    finally:
-        sys.setswitchinterval(interval)
-    for i, q in enumerate(covers):
-        assert q is mod.projective_cover(shared[i % len(shared)])
-    assert built == Counter(id(M) for M in shared)
 
 
 def test_hom_space_rejects_a_false_projective_tag():
