@@ -96,9 +96,6 @@ class Algebra:
 
     # -- raw arithmetic on coordinate rows ------------------------------
 
-    def _red(self, a: np.ndarray) -> np.ndarray:
-        return a % self.field.p if self.field.kind == "prime" else a
-
     def multiply(self, u: Mat, v: Mat) -> Mat:
         """Product of two elements given as 1 x dim coordinate rows."""
         return self.products(u, v)
@@ -159,21 +156,14 @@ class Algebra:
             violations.append("unit law fails on the left")
         if ru != ident:
             violations.append("unit law fails on the right")
-        # both sides are sums of products of two table entries: compare the
-        # numerators, each scaled by den^2
-        t = self.table
-        for i in range(self.dim):
-            # (b_i b_j) b_k vs b_i (b_j b_k), all j, k at once
-            lhs = self._red(np.tensordot(t[i], t, axes=(1, 0)))
-            # rhs[j, k, :] = sum_m t[j, k, m] * t[i, m, :]
-            rhs = self._red(np.tensordot(t, t[i], axes=(2, 0)))
-            if not (lhs == rhs).all():
-                j, k = next(
-                    (j, k)
-                    for j in range(self.dim)
-                    for k in range(self.dim)
-                    if not (lhs[j, k] == rhs[j, k]).all()
-                )
+        d = self.dim
+        pairs = self._table.reshape(d * d, d)  # row j * d + k: b_j b_k
+        for i in range(d):
+            # row j * d + k: (b_i b_j) b_k on the left, b_i (b_j b_k) on the right
+            left = self._table.row_at(i).reshape(d, d)  # L(b_i)
+            bad = (left @ self._table).reshape(d * d, d) - pairs @ left
+            if not bad.is_zero():
+                j, k = divmod(int(np.argmax(bad.a.any(axis=1))), d)
                 violations.append(
                     f"associativity fails at triple ({self.basis_labels[i]},"
                     f" {self.basis_labels[j]}, {self.basis_labels[k]})"

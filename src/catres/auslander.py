@@ -25,8 +25,9 @@ from .algebra import (
     quotient_projection,
 )
 from .homology import GldimResult, global_dimension
-from .linalg import Mat, RowBasis, coords_in_rows, left_nullspace, rank, row_basis
+from .linalg import Mat, coords_in_rows, left_nullspace, rank, row_basis
 from .modules import (
+    HomSpace,
     Repn,
     context,
     direct_sum,
@@ -46,8 +47,7 @@ class AuslanderData:
     injections: list  # summand -> M
     projections: list  # M -> summand
     tilde: Algebra
-    end_mats: list  # matrices of the End(M) basis
-    end_basis: RowBasis  # the flattened End basis, factored for coordinates
+    end: HomSpace  # End(M), whose basis is the basis of tilde
     e: Idempotent  # coords of the Lambda-summand projector in tilde
     corner: Algebra  # e tilde e
     corner_embed: Mat  # corner basis inside tilde
@@ -66,7 +66,7 @@ class AuslanderData:
 
     def end_matrix(self, coords: Mat) -> Mat:
         """The endomorphism of M with the given tilde-coordinates."""
-        return self.end_basis.combine(coords).reshape(self.M.dim, self.M.dim)
+        return (coords @ self.end.flat).reshape(self.M.dim, self.M.dim)
 
     def tilde_of_lambda(self, lam_coords: Mat) -> Mat:
         """Inverse transport: coordinates in tilde of the corner lift of an
@@ -85,12 +85,11 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         q, _ = quotient_repn(reg, chain.power(i))
         summands.append(q)
     M, injections, projections = direct_sum(summands)
-    tilde, end_mats = endomorphism_algebra(M)
-    tilde.radical_hint = local_piece_radical(lam, chain, M, end_mats)
-    end_basis = RowBasis(Mat.stack_rows(lam.field, [m.flatten_row() for m in end_mats]))
+    tilde, end = endomorphism_algebra(M)
+    tilde.radical_hint = local_piece_radical(lam, chain, M, end)
 
     e_mat = projections[-1].mat @ injections[-1].mat  # project then include
-    e = Idempotent(end_basis.coords(e_mat.flatten_row()))
+    e = Idempotent(end.basis.coords(e_mat.flatten_row()))
 
     corner, corner_embed, degenerate = corner_algebra(tilde, e)
     if degenerate:
@@ -98,11 +97,9 @@ def build_auslander(lam: Algebra) -> AuslanderData:
 
     iota = injections[-1].mat
     pi = projections[-1].mat
-    rows = []
-    for i in range(corner.dim):
-        restr = iota @ end_basis.combine(corner_embed.row_at(i)).reshape(M.dim, M.dim) @ pi
-        rows.append(lam.unit @ restr)
-    corner_to_lambda = Mat.stack_rows(lam.field, rows)
+    # row i: the unit of Lambda through iota, the i-th corner element and pi
+    corner_maps = HomSpace(M, M, corner_embed @ end.flat)
+    corner_to_lambda = corner_maps.after(lam.unit @ iota) @ pi
     if rank(corner_to_lambda) != lam.dim or corner.dim != lam.dim:
         raise AlgebraError("corner is not linearly isomorphic to Lambda")
 
@@ -111,7 +108,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         (pi @ lam.left_mult_matrix(lam.basis_element(t)) @ iota).flatten_row()
         for t in range(lam.dim)
     ]
-    lambda_to_tilde = end_basis.coords(Mat.stack_rows(lam.field, zetas))
+    lambda_to_tilde = end.basis.coords(Mat.stack_rows(lam.field, zetas))
 
     data = AuslanderData(
         lam=lam,
@@ -121,8 +118,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
         injections=injections,
         projections=projections,
         tilde=tilde,
-        end_mats=end_mats,
-        end_basis=end_basis,
+        end=end,
         e=e,
         corner=corner,
         corner_embed=corner_embed,
@@ -135,10 +131,10 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     return data
 
 
-def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end_mats: list) -> Mat:
+def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpace) -> Mat:
     """rad End(M) for M = Lambda/J + ... + Lambda/J^n, from the local pieces
-    of M, as coordinates against ``end_mats``, one row per element of a
-    spanning set.
+    of M, as coordinates against the basis of ``end``, one row per element
+    of a spanning set.
 
     Left multiplication by a primitive idempotent e_v of Lambda on the
     summand Lambda/J^i is an idempotent eps of End(M) whose image is the
@@ -150,10 +146,10 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end_mats: li
     pieces of unequal dimension impose nothing.  With B_d the rows of the
     pieces of dimension d and G_d the sum of their eps followed by the
     projection M -> M/MJ, f is radical iff B_d mat(f) G_d = 0 for every d:
-    two products over all of ``end_mats`` give every condition.
+    two products over all of ``end`` give every condition.
     ``Algebra.radical_chain`` certifies the result.
     """
-    f, dl, m, k = lam.field, lam.dim, M.dim, len(end_mats)
+    f, dl, m, k = lam.field, lam.dim, M.dim, len(end)
     ctx = context(lam)
     e_rows = Mat.stack_rows(f, [e.coords for e in ctx.idempotents])
     nv = e_rows.rows
@@ -189,7 +185,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end_mats: li
     ])
     t = top.cols
     # y[a, j] = row a of B mat(phi_j); then z[a, j, d] = that row times G_d
-    y = b @ Mat.stack_cols(f, end_mats)
+    y = b @ end.wide()
     z = y.reshape(r * k, m) @ g
     z4 = z.a.reshape(r, k, len(dims), t)
     conds = [

@@ -261,8 +261,7 @@ class KbHom:
     source: BComplex
     target: BComplex
     window: list
-    hom_bases: dict  # degree -> list of ModHom
-    hom_flats: dict  # degree -> RowBasis of the flattened hom basis (nonempty ones)
+    spaces: dict  # degree -> HomSpace of the term maps
     offsets: dict  # degree -> slice start in the coordinate space
     total: int
     chain_rows: Mat  # rows: coordinates of a chain-map basis
@@ -272,21 +271,21 @@ class KbHom:
     def coords_to_chainmap(self, coords: Mat) -> ChainMap:
         comps = {}
         for i in self.window:
-            basis = self.hom_bases[i]
-            if not basis:
+            space = self.spaces[i]
+            if not space:
                 continue
             off = self.offsets[i]
-            part = coords.with_array(coords.a[:, off : off + len(basis)])
-            acc = self.hom_flats[i].combine(part).reshape(basis[0].mat.rows, basis[0].mat.cols)
-            comps[i] = ModHom(self.source.term(i), self.target.term(i), acc)
+            part = coords.with_array(coords.a[:, off : off + len(space)])
+            acc = (part @ space.flat).reshape(space.source.dim, space.target.dim)
+            comps[i] = ModHom(space.source, space.target, acc)
         return ChainMap(self.source, self.target, comps)
 
     def chainmap_to_coords(self, f: ChainMap) -> Mat:
         fld = self.source.algebra.field
         pieces = [
-            self.hom_flats[i].coords(f.comp(i).mat.flatten_row())
+            self.spaces[i].basis.coords(f.comp(i).mat.flatten_row())
             for i in self.window
-            if self.hom_bases[i]
+            if self.spaces[i]
         ]
         if not pieces:
             return Mat.zeros(fld, 1, 0)
@@ -304,33 +303,24 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
     lo = min(C.lo, D.lo)
     hi = max(C.hi, D.hi)
     window = list(range(lo, hi + 1))
-    hom_bases = {i: hom_space(C.term(i), D.term(i)) if C.term(i).dim and D.term(i).dim else [] for i in window}
-    hom_flats = {
-        i: RowBasis(Mat.stack_rows(fld, [h.mat.flatten_row() for h in basis]))
-        for i, basis in hom_bases.items()
-        if basis
-    }
+    spaces = {i: hom_space(C.term(i), D.term(i)) for i in window}
     offsets = {}
     total = 0
     for i in window:
         offsets[i] = total
-        total += len(hom_bases[i])
+        total += len(spaces[i])
     # chain-map constraints: for each i, dC_i F_(i+1) - F_i dD_i = 0
     blocks = []
     for i in window[:-1]:
         rows_dim = C.term(i).dim * D.term(i + 1).dim
-        if rows_dim == 0:
+        if rows_dim == 0 or not (spaces[i] or spaces[i + 1]):
             continue
         # row offsets[i+1] + t: dC_i F_t; row offsets[i] + t: -F_t dD_i
         col_entries = [
-            (offsets[i + 1] + t, 0, (C.diff(i).mat @ h.mat).flatten_row())
-            for t, h in enumerate(hom_bases.get(i + 1, []))
-        ] + [
-            (offsets[i] + t, 0, -(h.mat @ D.diff(i).mat).flatten_row())
-            for t, h in enumerate(hom_bases.get(i, []))
+            (offsets[i + 1], 0, spaces[i + 1].after(C.diff(i).mat)),
+            (offsets[i], 0, -spaces[i].then(D.diff(i).mat)),
         ]
-        if col_entries:
-            blocks.append(Mat.from_blocks(fld, total, rows_dim, col_entries).T)
+        blocks.append(Mat.from_blocks(fld, total, rows_dim, col_entries).T)
     if blocks:
         big = Mat.stack_rows(fld, blocks)
         ker = nullspace(big)  # columns = coordinate solutions
@@ -340,26 +330,19 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
     # null-homotopic image: homotopies h_i : C_i -> D_(i-1)
     htp_rows = []
     for i in window:
-        if C.term(i).dim == 0 or D.term(i - 1).dim == 0:
+        homotopies = hom_space(C.term(i), D.term(i - 1))
+        if not homotopies:
             continue
-        for h in hom_space(C.term(i), D.term(i - 1)):
-            comps = {}
-            f_i = h.mat @ D.diff(i - 1).mat
-            comps[i] = f_i
-            f_im1 = C.diff(i - 1).mat @ h.mat
-            if i - 1 in window:
-                comps[i - 1] = f_im1
-            placed = []
-            ok = True
-            for j, mat in comps.items():
-                if j not in hom_flats:
-                    if not mat.is_zero():
-                        ok = False
-                        break
-                    continue
-                placed.append((0, offsets[j], hom_flats[j].coords(mat.flatten_row())))
-            assert ok, "homotopy boundary escaped the hom space"
-            htp_rows.append(Mat.from_blocks(fld, 1, total, placed))
+        # row t: the boundary of the t-th homotopy h, h dD_(i-1) in degree i
+        # and dC_(i-1) h in degree i - 1
+        boundary = {i: homotopies.then(D.diff(i - 1).mat)}
+        if i - 1 in window:
+            boundary[i - 1] = homotopies.after(C.diff(i - 1).mat)
+        try:
+            placed = [(0, offsets[j], spaces[j].basis.coords(b)) for j, b in boundary.items()]
+        except ValueError:
+            raise AssertionError("homotopy boundary escaped the hom space") from None
+        htp_rows.append(Mat.from_blocks(fld, len(homotopies), total, placed))
     homotopy_rows = (
         row_basis(Mat.stack_rows(fld, htp_rows)) if htp_rows else Mat.zeros(fld, 0, total)
     )
@@ -368,8 +351,7 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
         source=C,
         target=D,
         window=window,
-        hom_bases=hom_bases,
-        hom_flats=hom_flats,
+        spaces=spaces,
         offsets=offsets,
         total=total,
         chain_rows=chain_rows,

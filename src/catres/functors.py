@@ -12,9 +12,8 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 * the unit alpha: F -> theta_rho(theta(F)) with its four-term exact sequence
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
-``theta_via_presentation`` recomputes theta from a projective presentation
-over tilde with no corner restriction anywhere; it is the independent oracle
-for the corner-restriction route.
+The independent oracle for the corner-restriction route, theta recomputed
+from a projective presentation over tilde, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,18 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auslander import AuslanderData
-from .linalg import Mat, RowBasis, coords_in_rows, flat_products, left_nullspace, rank, row_basis, solve
+from .linalg import Mat, RowBasis, coords_in_rows, left_nullspace, rank, row_basis, solve
 from .modules import (
+    HomSpace,
     ModHom,
     Repn,
-    direct_sum,
-    hom_flat_basis,
     hom_space,
     projective_presentation,
     quotient_repn,
     sub_repn,
     zero_hom,
-    zero_module,
 )
 
 
@@ -59,16 +56,24 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
 
 def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn = None, thetaG: Repn = None) -> ModHom:
     """theta on morphisms: restriction of the matrix to the corner subspaces."""
-    rows_src = corner_rows(f.source, data)
-    rows_tgt = corner_rows(f.target, data)
     if thetaF is None:
         thetaF = theta(f.source, data)
     if thetaG is None:
         thetaG = theta(f.target, data)
-    if rows_src.rows == 0 or rows_tgt.rows == 0:
-        return zero_hom(thetaF, thetaG)
-    mat = coords_in_rows(rows_tgt, rows_src @ f.mat)
-    return ModHom(thetaF, thetaG, mat)
+    return _theta_maps(HomSpace(f.source, f.target, f.mat.flatten_row()), data, thetaF, thetaG)[0]
+
+
+def _theta_maps(space: HomSpace, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> HomSpace:
+    """theta of every map of ``space`` at once, as maps thetaF -> thetaG:
+    the corner rows of the source followed by each map, in coordinates of
+    the corner rows of the target."""
+    rows_src = corner_rows(space.source, data)
+    rows_tgt = corner_rows(space.target, data)
+    k, a, b = len(space), rows_src.rows, rows_tgt.rows
+    if a == 0 or b == 0:
+        return HomSpace(thetaF, thetaG, Mat.zeros(data.lam.field, k, a * b))
+    moved = space.after(rows_src).reshape(k * a, space.target.dim)
+    return HomSpace(thetaF, thetaG, coords_in_rows(rows_tgt, moved).reshape(k, a * b))
 
 
 def in_mod0(F: Repn, data: AuslanderData) -> bool:
@@ -82,24 +87,17 @@ def in_mod0(F: Repn, data: AuslanderData) -> bool:
 @dataclass
 class ThetaRho:
     module: Repn  # over tilde
-    homs: list  # basis of Hom(M, N) as ModHom M -> N
-    basis: RowBasis  # the flattened homs, factored for coordinates
-    target: Repn  # N
+    space: HomSpace  # Hom(M, N); its basis is the basis of ``module``
 
 
 def theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
-    tilde = data.tilde
-    homs = hom_space(data.M, N)
-    k = len(homs)
-    basis = RowBasis(hom_flat_basis(homs, data.M.dim, N.dim, N.field))
-    # row j*k + t is f_t . phi_j, which applies phi_j first
-    moved = (
-        flat_products(data.end_mats, [h.mat for h in homs])
-        if homs
-        else Mat.zeros(N.field, 0, basis.cols)
-    )
-    act = basis.coords(moved).reshape(tilde.dim, k * k)
-    return ThetaRho(module=Repn(tilde, k, act), homs=homs, basis=basis, target=N)
+    space = hom_space(data.M, N)
+    k, d, m = len(space), data.tilde.dim, data.M.dim
+    # row t * d + j is f_t . phi_j, which applies phi_j first
+    moved = space.after(data.end.flat.reshape(d * m, m)).reshape(k * d, m * N.dim)
+    c = space.basis.coords(moved)
+    act = c.with_array(c.a.reshape(k, d, k).transpose(1, 0, 2).reshape(d, k * k))
+    return ThetaRho(module=Repn(data.tilde, k, act), space=space)
 
 
 def theta_rho(N: Repn, data: AuslanderData) -> Repn:
@@ -112,10 +110,9 @@ def theta_rho_hom(g: ModHom, data: AuslanderData, src: ThetaRho = None, tgt: The
         src = theta_rho_data(g.source, data)
     if tgt is None:
         tgt = theta_rho_data(g.target, data)
-    if not src.homs or not tgt.homs:
+    if not src.space or not tgt.space:
         return zero_hom(src.module, tgt.module)
-    moved = flat_products([h.mat for h in src.homs], [g.mat])
-    return ModHom(src.module, tgt.module, tgt.basis.coords(moved))
+    return ModHom(src.module, tgt.module, tgt.space.basis.coords(src.space.then(g.mat)))
 
 
 def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
@@ -127,15 +124,9 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
     u = data.lam.unit @ data.iota  # the element iota(1) of M
-    if trd.homs:
-        # row t: the image of iota(1) under the t-th hom; row r of ``rows``
-        # combines the homs, so one product evaluates them all
-        k = len(trd.homs)
-        images = (u @ Mat.stack_cols(N.field, [h.mat for h in trd.homs])).reshape(k, N.dim)
-        mat = rows @ images
-    else:
-        mat = Mat.zeros(N.field, rows.rows, N.dim)
-    return ModHom(thetaF, N, mat), trd
+    # row t: the image of iota(1) under the t-th hom; row r of ``rows``
+    # combines the homs, so one product evaluates them all
+    return ModHom(thetaF, N, rows @ trd.space.after(u)), trd
 
 
 # -- theta_lambda: presentation cokernel ----------------------------------------
@@ -237,7 +228,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
             lam.field, [mj @ data.M.rho(lam.basis_element(t)) for t in range(lam.dim)]
         )
         psis.append((data.pi @ m_hat).flatten_row())  # M -> M, "project then multiply"
-    psi_coords = data.end_basis.coords(Mat.stack_rows(lam.field, psis))
+    psi_coords = data.end.basis.coords(Mat.stack_rows(lam.field, psis))
     # block j, row k: the coordinates in F.e of v_k . psi_j
     moved = Mat.stack_rows(F.field, [F.rho(psi_coords.row_at(j)) for j in range(m)])
     blocks = RowBasis(rows).coords(moved)
@@ -245,7 +236,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     g = blocks.with_array(
         blocks.a.reshape(m, F.dim, rows.rows).transpose(1, 0, 2).reshape(F.dim, m * rows.rows)
     )
-    alpha_mat = trd.basis.coords(g)
+    alpha_mat = trd.space.basis.coords(g)
     alpha = ModHom(F, middle, alpha_mat)
     F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))
     F1, f1_proj = quotient_repn(middle, row_basis(alpha_mat))
@@ -265,15 +256,6 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
 # -- adjunction checks ---------------------------------------------------------------
 
 
-def _hom_coords_matrix(source_homs: list, map_of_homs, target_homs: list, field) -> Mat:
-    """Matrix (in hom bases) of a linear map defined on hom generators."""
-    if not source_homs or not target_homs:
-        return Mat.zeros(field, len(source_homs), len(target_homs))
-    tgt = RowBasis(Mat.stack_rows(field, [h.mat.flatten_row() for h in target_homs]))
-    images = Mat.stack_rows(field, [map_of_homs(h).flatten_row() for h in source_homs])
-    return tgt.coords(images)
-
-
 def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:
     """Both module-level adjunctions with their explicit bijections.
 
@@ -287,27 +269,16 @@ def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:
 
     left_homs = hom_space(F, trdN.module)
     right_homs = hom_space(thetaF, N)
-
-    def right_map(g: ModHom) -> Mat:
-        tg = theta_hom(g, data, thetaF, None)
-        return tg.mat @ c.mat
-
-    phi = _hom_coords_matrix(left_homs, right_map, right_homs, F.field)
-    right_ok = (
-        len(left_homs) == len(right_homs)
-        and rank(phi) == len(left_homs)
-    )
+    # g -> theta(g) then the counit, on every basis map at once
+    phi = right_homs.basis.coords(_theta_maps(left_homs, data, thetaF, c.source).then(c.mat))
+    right_ok = len(left_homs) == len(right_homs) and rank(phi) == len(left_homs)
 
     tld = theta_lambda_data(N, data)
     unit, _ = unit_on_module(N, data, tld)
     lam_homs = hom_space(N, thetaF)
     tilde_homs = hom_space(tld.module, F)
-
-    def left_map(h: ModHom) -> Mat:
-        th = theta_hom(h, data, None, thetaF)
-        return unit.mat @ th.mat
-
-    psi = _hom_coords_matrix(tilde_homs, left_map, lam_homs, F.field)
+    # h -> the unit then theta(h)
+    psi = lam_homs.basis.coords(_theta_maps(tilde_homs, data, unit.target, thetaF).after(unit.mat))
     left_ok = len(tilde_homs) == len(lam_homs) and rank(psi) == len(tilde_homs)
 
     return {
@@ -317,78 +288,3 @@ def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:
         "left_bijective": left_ok,
         "ok": right_ok and left_ok,
     }
-
-
-# -- independent oracle: theta via a projective presentation over tilde ---------------
-
-
-def theta_via_presentation(F: Repn, data: AuslanderData) -> Repn:
-    """theta(F) computed with no corner restriction: choose a projective
-    presentation Q1 -> Q0 -> F -> 0 over tilde, read off the underlying map
-    of add-M summands through the Yoneda correspondence, and take its
-    cokernel in mod-Lambda."""
-    from .modules import context
-
-    if F.dim == 0:
-        return zero_module(data.lam)
-    ctx = context(data.tilde)
-    summands = []
-    for eps in ctx.idempotents:
-        psi = data.end_matrix(eps.coords)
-        summands.append(sub_repn(data.M, row_basis(psi)))
-
-    pres0 = projective_presentation(F)
-    q0, parts0, ker_rows = pres0.cover, pres0.parts, pres0.syzygy
-    if ker_rows.rows == 0:
-        x0_parts = [summands[i][0] for i in parts0]
-        if not x0_parts:
-            return zero_module(data.lam)
-        X0, _, _ = direct_sum(x0_parts)
-        return X0
-    omega, incl = sub_repn(q0.source, ker_rows)
-    pres1 = projective_presentation(omega)
-    q1, parts1 = pres1.cover, pres1.parts
-    d = q1.then(incl)  # Q1 -> Q0 over tilde
-
-    x0_parts = [summands[i][0] for i in parts0]
-    x1_parts = [summands[i][0] for i in parts1]
-    X0, _, _ = direct_sum(x0_parts) if x0_parts else (zero_module(data.lam), [], [])
-    X1, _, _ = direct_sum(x1_parts) if x1_parts else (zero_module(data.lam), [], [])
-
-    # block offsets in Q1, Q0 and X1, X0
-    def offsets(mods):
-        offs, o = [], 0
-        for m in mods:
-            offs.append(o)
-            o += m.dim
-        return offs
-
-    q1_blocks = [ctx.projectives[i] for i in parts1]
-    q0_blocks = [ctx.projectives[i] for i in parts0]
-    q1_off = offsets(q1_blocks)
-    q0_off = offsets(q0_blocks)
-    x1_off = offsets(x1_parts)
-    x0_off = offsets(x0_parts)
-
-    fld = data.lam.field
-    cores = []
-    for s, i1 in enumerate(parts1):
-        pj = ctx.projectives[i1]
-        gen = coords_in_rows(
-            ctx.projective_rows[i1], ctx.idempotents[i1].coords
-        )  # coords of e_j inside its projective
-        gen_in_q1 = Mat.from_blocks(fld, 1, d.source.dim, [(0, q1_off[s], gen)])
-        image = gen_in_q1 @ d.mat
-        for t, i0 in enumerate(parts0):
-            pk = ctx.projectives[i0]
-            block = image.with_array(image.a[:, q0_off[t] : q0_off[t] + pk.dim])
-            # back to tilde coordinates: w in e_k tilde e_j
-            w = block @ ctx.projective_rows[i0]
-            W = data.end_matrix(w)
-            nj_rows = summands[i1][1].mat
-            nk_rows = summands[i0][1].mat
-            cores.append((x1_off[s], x0_off[t], coords_in_rows(nk_rows, nj_rows @ W)))
-    dmod = ModHom(X1, X0, Mat.from_blocks(fld, X1.dim, X0.dim, cores))
-    assert dmod.validate(), "presentation differential is not Lambda-linear"
-    Q, _ = quotient_repn(X0, row_basis(dmod.mat))
-    return Q

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, RowBasis, flat_products, rank
+from .linalg import rank
 from .modules import (
+    HomSpace,
     IsoInconclusive,
     ModHom,
     Repn,
@@ -130,15 +131,14 @@ def projective_dimension(M: Repn, max_depth: int) -> PdResult:
     return PdResult(kind="unknown", bound=max_depth)
 
 
-def _hom_precompose_matrix(d: ModHom, src_homs: list, tgt_homs: list) -> Mat:
-    """Matrix of Hom(P_i, N) -> Hom(P_(i+1), N), f -> d then f, in hom bases."""
-    field = d.field
-    if not src_homs or not tgt_homs:
-        return Mat.zeros(field, len(src_homs), len(tgt_homs))
-    tgt = RowBasis(Mat.stack_rows(field, [h.mat.flatten_row() for h in tgt_homs]))
-    comps = flat_products([d.mat], [h.mat for h in src_homs])
-    assert tgt.contains(comps), "composite escaped the hom space"
-    return tgt.coords(comps)
+def _precompose_rank(d: Optional[ModHom], src: HomSpace, tgt: HomSpace) -> int:
+    """Rank of Hom(P_i, N) -> Hom(P_(i+1), N), f -> d then f (0 without d)."""
+    if d is None or not src or not tgt:
+        return 0
+    try:
+        return rank(tgt.basis.coords(src.after(d.mat)))
+    except ValueError:
+        raise AssertionError("composite escaped the hom space") from None
 
 
 def ext_dim(M: Repn, N: Repn, i: int, resolution: Optional[ProjResolution] = None) -> int:
@@ -150,22 +150,11 @@ def ext_dim(M: Repn, N: Repn, i: int, resolution: Optional[ProjResolution] = Non
         res = projective_resolution(M, max_depth=i + 1, halt_on_periodic=False)
     if res.status.kind == "truncated" and len(res.modules) < i + 2:
         raise ValueError(f"resolution truncated before depth {i + 1}")
-    homs = {}
-    for j in (i - 1, i, i + 1):
-        if j >= 0:
-            pj = res.term(j)
-            homs[j] = hom_space(pj, N) if pj.dim and N.dim else []
-    d_in = (
-        _hom_precompose_matrix(res.differential(i), homs[i - 1], homs[i])
-        if i >= 1 and res.differential(i) is not None
-        else Mat.zeros(M.field, len(homs.get(i - 1, [])), len(homs[i]))
-    )
-    d_out = (
-        _hom_precompose_matrix(res.differential(i + 1), homs[i], homs[i + 1])
-        if res.differential(i + 1) is not None
-        else Mat.zeros(M.field, len(homs[i]), len(homs[i + 1]))
-    )
-    return len(homs[i]) - rank(d_out) - rank(d_in)
+    homs = {j: hom_space(res.term(j), N) for j in (i - 1, i, i + 1) if j >= 0}
+    # res.differential(j) is None for j < 1, so homs[j - 1] exists when read
+    r_in = _precompose_rank(res.differential(i), homs.get(i - 1), homs[i])
+    r_out = _precompose_rank(res.differential(i + 1), homs[i], homs[i + 1])
+    return len(homs[i]) - r_out - r_in
 
 
 @dataclass

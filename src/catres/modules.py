@@ -11,7 +11,10 @@ Hom spaces are computed one way: out of a sum of indecomposable
 projectives by Yoneda, Hom(e_i A, N) = N e_i, and out of any other module
 M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
 presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
-2003).  The presentation is memoised on M.
+2003).  The presentation is memoised on M.  ``hom_space`` returns one
+``HomSpace``: the reduced basis stacked, one flattened map per row, with
+its side-by-side layout, its batched compositions and its factored
+``RowBasis``.  No other code lays out or factors a Hom basis.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .linalg import (
     left_nullspace,
     rank,
     row_basis,
-    row_span_contains,
     rref,
     solve_left,
 )
@@ -123,10 +125,8 @@ class ModHom:
         return self.source.field
 
     def validate(self) -> bool:
-        for i in range(self.source.algebra.dim):
-            if self.source.action_mat(i) @ self.mat != self.mat @ self.target.action_mat(i):
-                return False
-        return True
+        space = HomSpace(self.source, self.target, self.mat.flatten_row())
+        return _first_non_intertwiner(space) is None
 
     def then(self, g: "ModHom") -> "ModHom":
         """self followed by g (apply self first)."""
@@ -215,8 +215,66 @@ def direct_sum(parts: list):
 # -- Hom spaces -----------------------------------------------------------
 
 
-def hom_space(M: Repn, N: Repn) -> list:
-    """Basis of Hom(M, N) as a list of ModHom.
+class HomSpace:
+    """k maps M -> N held stacked: ``flat`` has one map per row, flattened
+    row-major (k x m*n).  ``hom_space`` returns the reduced basis of
+    Hom(M, N) in this form; every layout a caller needs is read off it.
+
+    ``len``, iteration and indexing go over the maps as ModHoms, built on
+    first use.  ``basis`` factors ``flat`` once for coordinate solves.
+    """
+
+    def __init__(self, source: Repn, target: Repn, flat: Mat):
+        assert flat.cols == source.dim * target.dim
+        self.source = source
+        self.target = target
+        self.flat = flat
+        self._basis: Optional[RowBasis] = None
+        self._maps: Optional[list] = None
+
+    @property
+    def basis(self) -> RowBasis:
+        if self._basis is None:
+            self._basis = RowBasis(self.flat)
+        return self._basis
+
+    def wide(self) -> Mat:
+        """m x (k*n): the maps side by side, the layout of ``Repn.wide_action``."""
+        k, m, n = self.flat.rows, self.source.dim, self.target.dim
+        return self.flat.with_array(self.flat.a.reshape(k, m, n).transpose(1, 0, 2).reshape(m, k * n))
+
+    def then(self, g: Mat) -> Mat:
+        """Row t: map t followed by g (n x q), flattened; one product."""
+        k, m = self.flat.rows, self.source.dim
+        return (self.flat.reshape(k * m, self.target.dim) @ g).reshape(k, m * g.cols)
+
+    def after(self, d: Mat) -> Mat:
+        """Row t: d (p x m) followed by map t, flattened; one product."""
+        k, p, n = self.flat.rows, d.rows, self.target.dim
+        w = d @ self.wide()
+        return w.with_array(w.a.reshape(p, k, n).transpose(1, 0, 2).reshape(k, p * n))
+
+    def _homs(self) -> list:
+        if self._maps is None:
+            m, n = self.source.dim, self.target.dim
+            self._maps = [
+                ModHom(self.source, self.target, self.flat.row_at(t).reshape(m, n))
+                for t in range(self.flat.rows)
+            ]
+        return self._maps
+
+    def __len__(self) -> int:
+        return self.flat.rows
+
+    def __iter__(self):
+        return iter(self._homs())
+
+    def __getitem__(self, t: int) -> ModHom:
+        return self._homs()[t]
+
+
+def hom_space(M: Repn, N: Repn) -> HomSpace:
+    """The reduced basis of Hom(M, N).
 
     Out of a direct sum of the projectives of ``context(A)`` the basis comes
     from Yoneda (``_yoneda_homs``); out of any other module from its
@@ -229,14 +287,15 @@ def hom_space(M: Repn, N: Repn) -> list:
     if M.algebra is not N.algebra:
         raise ValueError("hom_space: modules over different algebras")
     if M.dim == 0 or N.dim == 0:
-        return []
+        return HomSpace(M, N, Mat.zeros(M.field, 0, M.dim * N.dim))
     if M.projective_parts is not None:
-        flat = _yoneda_homs(M, N)
+        space = HomSpace(M, N, _yoneda_homs(M, N))
     else:
-        flat = _presentation_homs(M, N)
-    mats = [flat.row_at(t).reshape(M.dim, N.dim) for t in range(flat.rows)]
-    _check_intertwines(M, N, mats)
-    return [ModHom(M, N, x) for x in mats]
+        space = HomSpace(M, N, _presentation_homs(M, N))
+    bad = _first_non_intertwiner(space)
+    if bad is not None:
+        raise AssertionError(f"hom basis vector {bad} of {len(space)} fails the intertwining check")
+    return space
 
 
 def _reduced_homs(flat: Mat) -> Mat:
@@ -293,47 +352,36 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
     """
     pres = projective_presentation(M)
     m, n = M.dim, N.dim
-    homs = _yoneda_homs(pres.cover.source, N)
-    h, p, k = homs.rows, pres.cover.source.dim, pres.syzygy.rows
+    homs = HomSpace(pres.cover.source, N, _yoneda_homs(pres.cover.source, N))
+    h, k = len(homs), pres.syzygy.rows
     if h == 0:  # no map out of P_0, so none out of M
         return Mat.zeros(M.field, 0, m * n)
-    wide = homs.with_array(homs.a.reshape(h, p, n).transpose(1, 0, 2).reshape(p, h * n))
-    both = pres.syzygy.vstack(pres.section) @ wide
-    parts = both.a.reshape(k + m, h, n).transpose(1, 0, 2)
-    restricted = both.with_array(parts[:, :k].reshape(h, k * n))
-    maps = both.with_array(parts[:, k:].reshape(h, m * n))
+    both = homs.after(pres.syzygy.vstack(pres.section))
+    restricted = both.with_array(both.a[:, : k * n])
+    maps = both.with_array(both.a[:, k * n :])
     return _reduced_homs(left_nullspace(restricted) @ maps)
 
 
-def _check_intertwines(M: Repn, N: Repn, mats: list):
-    """rho_M(b) F = F rho_N(b) for every F in ``mats`` and every basis b.
+def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
+    """The index of the first map F of ``space`` with rho_M(b) F != F rho_N(b)
+    for some basis element b, or None if every map intertwines.
 
-    Two products cover every pair: the actions of M stacked against the
-    F side by side, and the F stacked against the actions of N side by side.
-    Both are integer products; their entries are compared over one scale.
+    Two products cover every pair: the actions of M stacked, followed by
+    every F, and every F followed by the actions of N side by side.  Both
+    are integer products; their entries are compared over one scale.
     """
-    if not mats:
-        return
-    f, d = M.field, M.algebra.dim
-    m, n, k = M.dim, N.dim, len(mats)
-    left = M.flat_action().reshape(d * m, m) @ Mat.stack_cols(f, mats)
-    right = Mat.stack_rows(f, mats) @ N.wide_action()
-    lhs = left.a.reshape(d, m, k, n).transpose(2, 0, 1, 3)
+    M, N = space.source, space.target
+    d, m, n, k = M.algebra.dim, M.dim, N.dim, len(space)
+    if k == 0:
+        return None
+    left = space.after(M.flat_action().reshape(d * m, m))
+    right = space.then(N.wide_action())
+    lhs = left.a.reshape(k, d, m, n)
     rhs = right.a.reshape(k, m, d, n).transpose(0, 2, 1, 3)
     if left.den != right.den:  # equal canonical matrices share their denominator
         lhs, rhs = lhs * right.den, rhs * left.den
     bad = (lhs != rhs).reshape(k, -1).any(axis=1)
-    if bad.any():
-        raise AssertionError(
-            f"hom basis vector {int(np.argmax(bad))} of {k} fails the intertwining check"
-        )
-
-
-def hom_flat_basis(homs: list, m: int, n: int, field: FieldSpec) -> Mat:
-    """Hom basis flattened to rows (k x m*n), for coordinate computations."""
-    if not homs:
-        return Mat.zeros(field, 0, m * n)
-    return Mat.stack_rows(field, [h.mat.flatten_row() for h in homs])
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def hom_factorization(fh: ModHom):
@@ -490,27 +538,23 @@ def _build_presentation(M: Repn) -> Presentation:
     chosen = []
     part_indices = []
     # greedy: keep a hom iff its composite to the top is independent of the
-    # composites already chosen from the same projective.  Only the lowest
+    # composites already chosen from the same projective, that is, keep the
+    # pivot columns of the composites side by side.  Only the lowest
     # projective of each isomorphism class covers: isomorphic copies (such
     # as the conjugate e_i of one matrix block of A/J) have composites in
     # different bases, so they would double-cover.  Repeated homs out of
     # one representative give its multiplicity.
     for pi_idx in ctx.representatives:
-        span = None
-        for h in hom_space(ctx.projectives[pi_idx], M):
-            comp = (h.mat @ piT.mat).flatten_row()
-            if comp.is_zero():
-                continue
-            if span is not None and row_span_contains(span, comp):
-                continue
-            span = comp if span is None else row_basis(span.vstack(comp))
-            chosen.append(h)
-            part_indices.append(pi_idx)
-    if not chosen:
+        space = hom_space(ctx.projectives[pi_idx], M)
+        if not space:
+            continue
+        _, kept, _ = rref(space.then(piT.mat).T)
+        chosen.append(space.flat.take_rows(kept).reshape(len(kept) * space.source.dim, M.dim))
+        part_indices += [pi_idx] * len(kept)
+    if not part_indices:
         raise AlgebraError("projective cover: no covering maps found (nonzero M with zero top?)")
-    parts = [h.source for h in chosen]
-    P, injections, _ = direct_sum(parts)
-    q = ModHom(P, M, Mat.stack_rows(f, [h.mat for h in chosen]))
+    P, _, _ = direct_sum([ctx.projectives[i] for i in part_indices])
+    q = ModHom(P, M, Mat.stack_rows(f, chosen))
     # epi + kernel inside P.J; fails only for non-split simples, which the
     # idempotent machinery would have rejected earlier
     rows = RowBasis(q.mat)
@@ -579,37 +623,26 @@ def is_isomorphic(M: Repn, N: Repn):
     k = len(homs)
     rng = random.Random(f"catres-iso:{M.dim}:{k}")
     for _ in range(RANDOM_TRIALS):
-        coeffs = [f.random_scalar(rng, 3) for _ in range(k)]
-        cand = _combine(homs, coeffs)
+        cand = hom_combination(homs, [f.random_scalar(rng, 3) for _ in range(k)])
         if _is_invertible(cand.mat):
             return cand
-    # deterministic exhaustive fallback
-    if f.kind == "prime":
-        if f.p**k <= EXHAUSTIVE_BUDGET:
-            for coeffs in itertools.product(range(f.p), repeat=k):
-                cand = _combine(homs, coeffs)
-                if _is_invertible(cand.mat):
-                    return cand
-            return None
-    else:
-        # det of a combination has degree <= dim in each coefficient, so
-        # vanishing on the grid {0..dim}^k certifies no isomorphism exists
-        grid = M.dim + 1
-        if grid**k <= EXHAUSTIVE_BUDGET:
-            for coeffs in itertools.product(range(grid), repeat=k):
-                cand = _combine(homs, coeffs)
-                if _is_invertible(cand.mat):
-                    return cand
-            return None
-    raise IsoInconclusive(f"hom dimension {k} exceeds the exhaustive budget")
+    # deterministic exhaustive fallback: every combination over F_p; over Q
+    # the det of a combination has degree <= dim in each coefficient, so
+    # vanishing on the grid {0..dim}^k certifies no isomorphism exists
+    values = f.p if f.kind == "prime" else M.dim + 1
+    if values**k > EXHAUSTIVE_BUDGET:
+        raise IsoInconclusive(f"hom dimension {k} exceeds the exhaustive budget")
+    for coeffs in itertools.product(range(values), repeat=k):
+        cand = hom_combination(homs, coeffs)
+        if _is_invertible(cand.mat):
+            return cand
+    return None
 
 
-def _combine(homs: list, coeffs) -> ModHom:
-    acc = Mat.zeros(homs[0].field, homs[0].mat.rows, homs[0].mat.cols)
-    for h, c in zip(homs, coeffs):
-        if c:
-            acc = acc + h.mat.scale(c)
-    return ModHom(homs[0].source, homs[0].target, acc)
+def hom_combination(space: HomSpace, coeffs) -> ModHom:
+    """The map sum_t coeffs[t] * space[t], from one product against ``flat``."""
+    c = Mat.row(space.source.field, coeffs)
+    return ModHom(space.source, space.target, (c @ space.flat).reshape(space.source.dim, space.target.dim))
 
 
 # -- approximations and endomorphism algebras --------------------------------
@@ -622,37 +655,31 @@ def right_approximation(N: Repn, M: Repn) -> ModHom:
     if r == 0:
         return zero_hom(zero_module(M.algebra), N)
     P, _, _ = direct_sum([M] * r)
-    return ModHom(P, N, Mat.stack_rows(M.field, [h.mat for h in homs]))
+    return ModHom(P, N, homs.flat.reshape(r * M.dim, N.dim))
 
 
 def factors_through(f: ModHom, approx: ModHom) -> bool:
     """Does f: M -> N factor as g then approx for some module map g?"""
-    homs = hom_space(f.source, approx.source)
-    if not homs:
-        return f.is_zero()
-    stacked = Mat.stack_rows(
-        f.field, [(h.mat @ approx.mat).flatten_row() for h in homs]
-    )
-    return solve_left(stacked, f.mat.flatten_row()) is not None
+    composites = hom_space(f.source, approx.source).then(approx.mat)
+    return solve_left(composites, f.mat.flatten_row()) is not None
 
 
 def endomorphism_algebra(M: Repn):
-    """End(M) with product (fg)(m) = f(g(m)).  Returns (Algebra, end_basis).
+    """End(M) with product (fg)(m) = f(g(m)).  Returns (Algebra, space).
 
-    ``end_basis[t]`` is the matrix of the t-th basis endomorphism; the
-    algebra product phi_i phi_j corresponds to mat(phi_j) @ mat(phi_i).
+    ``space`` is the HomSpace End(M) whose t-th map is the t-th basis
+    element phi_t; the algebra product phi_i phi_j corresponds to
+    mat(phi_j) @ mat(phi_i).
     """
     if M.dim == 0:
         raise ValueError("endomorphism algebra of the zero module")
-    f = M.field
-    homs = hom_space(M, M)
-    k = len(homs)
-    mats = [h.mat for h in homs]
-    basis = RowBasis(hom_flat_basis(homs, M.dim, M.dim, f))
-    # row j*k + i holds mat(phi_j) @ mat(phi_i), the matrix of phi_i phi_j
-    prods = basis.coords(flat_products(mats, mats))
-    table = prods.with_array(prods.a.reshape(k, k, k).transpose(1, 0, 2).reshape(k, k * k))
-    unit = basis.coords(Mat.identity(f, M.dim).flatten_row())
+    f, m = M.field, M.dim
+    space = hom_space(M, M)
+    k = len(space)
+    # row i, block j: mat(phi_j) @ mat(phi_i), the matrix of phi_i phi_j
+    prods = space.after(space.flat.reshape(k * m, m)).reshape(k * k, m * m)
+    table = space.basis.coords(prods).reshape(k, k * k)
+    unit = space.basis.coords(Mat.identity(f, m).flatten_row())
     labels = [f"phi{t}" for t in range(k)]
     E = Algebra(f, labels, unit, table, provenance="endomorphism")
-    return E, mats
+    return E, space

@@ -12,13 +12,16 @@ from __future__ import annotations
 import random
 
 from .auslander import AuslanderData
+from .complexes import BComplex, ChainMap, cone, direct_sum_complexes, kb_hom, module_complex
 from .functors import in_mod0, theta_rho
+from .homology import projective_resolution
 from .linalg import Mat, left_nullspace, row_basis
 from .modules import (
     ModHom,
     Repn,
     context,
     direct_sum,
+    hom_combination,
     hom_space,
     quotient_repn,
     sub_repn,
@@ -31,13 +34,26 @@ def rng_for(seed: int, suite: str, index: int) -> random.Random:
 
 
 def random_hom(rng: random.Random, M: Repn, N: Repn) -> ModHom:
-    homs = hom_space(M, N)
-    acc = Mat.zeros(M.field, M.dim, N.dim)
-    for h in homs:
-        c = M.field.random_scalar(rng, 2)
-        if c:
-            acc = acc + h.mat.scale(c)
-    return ModHom(M, N, acc)
+    space = hom_space(M, N)
+    return hom_combination(space, [M.field.random_scalar(rng, 2) for _ in range(len(space))])
+
+
+def _pick_parts(rng: random.Random, pool: list, tries: int, max_dim: int, fallback: Repn) -> Repn:
+    """The sum of up to ``tries`` random pool members that fit in
+    ``max_dim`` together, or of ``fallback`` alone if none fits."""
+    parts = []
+    budget = max_dim
+    for _ in range(rng.randint(1, tries)):
+        cand = rng.choice(pool)
+        if cand.dim <= budget:
+            parts.append(cand)
+            budget -= cand.dim
+    m, _, _ = direct_sum(parts or [fallback])
+    return m
+
+
+def _smallest(pool: list) -> Repn:
+    return min(pool, key=lambda m: m.dim)
 
 
 class ModulePool:
@@ -58,16 +74,7 @@ class ModulePool:
 
     def random_tilde_module(self, rng: random.Random, max_dim: int) -> Repn:
         """Direct sums, then optionally a random quotient or submodule."""
-        parts = []
-        budget = max_dim
-        for _ in range(rng.randint(1, 3)):
-            cand = rng.choice(self.tilde_pool)
-            if cand.dim <= budget:
-                parts.append(cand)
-                budget -= cand.dim
-        if not parts:
-            parts = [min(self.tilde_pool, key=lambda m: m.dim)]
-        m, _, _ = direct_sum(parts)
+        m = _pick_parts(rng, self.tilde_pool, 3, max_dim, _smallest(self.tilde_pool))
         move = rng.randrange(3)
         if move and m.dim > 1:
             other = rng.choice(self.tilde_pool)
@@ -88,17 +95,8 @@ class ModulePool:
         quotient (mod0 is closed under sums, subs and quotients)."""
         if not self.tilde_mod0:
             return zero_module(self.data.tilde)
-        parts = []
-        budget = max_dim
-        for _ in range(rng.randint(1, 3)):
-            cand = rng.choice(self.tilde_mod0)
-            if cand.dim <= budget:
-                parts.append(cand)
-                budget -= cand.dim
-        if not parts:
-            parts = [self.tilde_mod0[0]]
-        m, _, _ = direct_sum(parts)
-        if rng.randrange(2) and len(self.tilde_mod0) > 0:
+        m = _pick_parts(rng, self.tilde_mod0, 3, max_dim, self.tilde_mod0[0])
+        if rng.randrange(2):
             f = random_hom(rng, rng.choice(self.tilde_mod0), m)
             q, _ = quotient_repn(m, row_basis(f.mat))
             if q.dim:
@@ -106,113 +104,63 @@ class ModulePool:
         return m
 
     def random_lam_module(self, rng: random.Random, max_dim: int) -> Repn:
-        parts = []
-        budget = max_dim
-        for _ in range(rng.randint(1, 2)):
-            cand = rng.choice(self.lam_pool)
-            if cand.dim <= budget:
-                parts.append(cand)
-                budget -= cand.dim
-        if not parts:
-            parts = [min(self.lam_pool, key=lambda m: m.dim)]
-        m, _, _ = direct_sum(parts)
-        return m
+        return _pick_parts(rng, self.lam_pool, 2, max_dim, _smallest(self.lam_pool))
 
     def random_projective_lam_module(self, rng: random.Random, max_dim: int) -> Repn:
-        parts = []
-        budget = max_dim
-        for _ in range(rng.randint(1, 3)):
-            cand = rng.choice(self.lam_projectives)
-            if cand.dim <= budget:
-                parts.append(cand)
-                budget -= cand.dim
-        if not parts:
-            parts = [min(self.lam_projectives, key=lambda m: m.dim)]
-        m, _, _ = direct_sum(parts)
-        return m
+        return _pick_parts(
+            rng, self.lam_projectives, 3, max_dim, _smallest(self.lam_projectives)
+        )
 
     # -- complexes ------------------------------------------------------
 
     def _sum_of_shifts(self, rng, window: int, max_term_dim: int, module_picker):
-        from .complexes import BComplex, direct_sum_complexes, module_complex, zero_complex
-
-        algebra = None
         parts = []
         for _ in range(rng.randint(1, 3)):
             m = module_picker(rng, max_term_dim)
-            algebra = m.algebra
-            deg = rng.randrange(window)
-            parts.append(module_complex(m, deg))
-        if not parts:
-            return zero_complex(algebra)
+            parts.append(module_complex(m, rng.randrange(window)))
         return direct_sum_complexes(parts)
 
-    def random_chain_map(self, rng, C, D):
-        from .complexes import ChainMap, kb_hom
+    def _random_cone(self, rng, window: int, max_term_dim: int, module_picker):
+        """The cone of a random chain map between two sums of shifts."""
+        a = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
+        b = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
+        cn, _, _ = cone(self.random_chain_map(rng, a, b))
+        return cn
 
+    def random_chain_map(self, rng, C, D):
         kb = kb_hom(C, D)
         if kb.chain_rows.rows == 0:
             return ChainMap(C, D, {})
-        coords = Mat.zeros(C.algebra.field, 1, kb.total)
-        for r in range(kb.chain_rows.rows):
-            c = C.algebra.field.random_scalar(rng, 2)
-            if c:
-                coords = coords + kb.chain_rows.row_at(r).scale(c)
-        return kb.coords_to_chainmap(coords)
+        f = C.algebra.field
+        coeffs = Mat.row(f, [f.random_scalar(rng, 2) for _ in range(kb.chain_rows.rows)])
+        return kb.coords_to_chainmap(coeffs @ kb.chain_rows)
 
-    def _random_complex(self, rng, window, max_term_dim, module_picker, resolution_pool):
+    def random_tilde_complex(self, rng, window: int, max_term_dim: int):
         """Shifted sums, cones of random chain maps, truncated resolutions."""
-        from .complexes import cone
-
         kind = rng.randrange(4)
-        if kind == 0:
-            return self._sum_of_shifts(rng, window, max_term_dim, module_picker)
         if kind == 1:
-            a = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
-            b = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
-            f = self.random_chain_map(rng, a, b)
-            cn, _, _ = cone(f)
+            cn = self._random_cone(rng, window, max_term_dim, self.random_tilde_module)
             return cn.trim() if not cn.is_zero() else cn
-        if kind == 2 and resolution_pool:
-            from .complexes import BComplex
-            from .homology import projective_resolution
-
-            m = rng.choice(resolution_pool)
+        if kind == 2 and self.tilde_pool:
+            m = rng.choice(self.tilde_pool)
             depth = rng.randint(1, max(1, window - 1))
             res = projective_resolution(m, max_depth=depth, halt_on_periodic=False)
             # place P_j at degree -j: ... -> P_1 -> P_0
             terms = list(reversed(res.modules))
             diffs = list(reversed(res.differentials))
-            if len(terms) == 1:
-                cx = BComplex(m.algebra, 0, terms, [])
-            else:
-                cx = BComplex(m.algebra, -(len(terms) - 1), terms, diffs)
+            cx = BComplex(m.algebra, -(len(terms) - 1), terms, diffs)
             return cx.shift(rng.randrange(window) - window // 2)
-        return self._sum_of_shifts(rng, window, max_term_dim, module_picker)
-
-    def random_tilde_complex(self, rng, window: int, max_term_dim: int):
-        return self._random_complex(
-            rng, window, max_term_dim, self.random_tilde_module, self.tilde_pool
-        )
+        return self._sum_of_shifts(rng, window, max_term_dim, self.random_tilde_module)
 
     def random_mod0_complex(self, rng, window: int, max_term_dim: int):
         """All terms killed by e: sums of shifted mod0 modules and cones of
         chain maps between them (cone terms are sums of mod0 terms)."""
-        kind = rng.randrange(2)
-        if kind == 0:
+        if rng.randrange(2) == 0:
             return self._sum_of_shifts(rng, window, max_term_dim, self.random_mod0_module)
-        from .complexes import cone
-
-        a = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, self.random_mod0_module)
-        b = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, self.random_mod0_module)
-        f = self.random_chain_map(rng, a, b)
-        cn, _, _ = cone(f)
-        return cn
+        return self._random_cone(rng, window, max_term_dim, self.random_mod0_module)
 
     def random_projective_lam_complex(self, rng, window: int, max_term_dim: int):
         """Bounded complex with all terms in add(regular module)."""
-        from .complexes import BComplex, cone, module_complex
-
         kind = rng.randrange(3)
         if kind == 0:
             return self._sum_of_shifts(
@@ -224,12 +172,4 @@ class ModulePool:
             f = random_hom(rng, p, q)
             deg = rng.randrange(max(1, window - 1))
             return BComplex(p.algebra, deg, [p, q], [f])
-        a = self._sum_of_shifts(
-            rng, max(1, window - 1), max_term_dim // 2 + 1, self.random_projective_lam_module
-        )
-        b = self._sum_of_shifts(
-            rng, max(1, window - 1), max_term_dim // 2 + 1, self.random_projective_lam_module
-        )
-        f = self.random_chain_map(rng, a, b)
-        cn, _, _ = cone(f)
-        return cn
+        return self._random_cone(rng, window, max_term_dim, self.random_projective_lam_module)

@@ -17,7 +17,13 @@ replacement, on the library's own primitives:
   product at a time, against the batched powers modulo p*q;
 * ``loop_is_ideal`` builds the left- and right-multiplication matrices one
   basis element at a time, against the two table products of
-  ``algebra._is_ideal``.
+  ``algebra._is_ideal``;
+* ``greedy_cover`` picks the covering maps of a projective cover one hom at
+  a time, against the one rref per projective of
+  ``modules._build_presentation``;
+* ``theta_via_presentation`` recomputes theta from a projective
+  presentation over tilde with no corner restriction anywhere, against the
+  corner-restriction route of ``functors.theta``.
 """
 
 import weakref
@@ -25,8 +31,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from catres.linalg import Mat, RowBasis, nullspace, row_basis, row_span_contains
-from catres.modules import context, is_isomorphic, projective_cover
+from catres.linalg import (
+    Mat,
+    RowBasis,
+    coords_in_rows,
+    nullspace,
+    row_basis,
+    row_span_contains,
+)
+from catres.modules import (
+    ModHom,
+    context,
+    direct_sum,
+    hom_space,
+    is_isomorphic,
+    projective_cover,
+    projective_presentation,
+    quotient_repn,
+    sub_repn,
+    zero_module,
+)
 
 
 def naive_rref(rows, field):
@@ -239,3 +263,93 @@ def loop_is_ideal(A, rows):
         b = A.basis_element(i)
         prods += [rows @ A.left_mult_matrix(b), rows @ A.right_mult_matrix(b)]
     return RowBasis(rows).contains(Mat.stack_rows(A.field, prods))
+
+
+def greedy_cover(M):
+    """(parts, cover matrix) of the projective cover of M, one hom at a
+    time: out of each representative projective, keep a hom iff its
+    composite to the top of M is independent of the composites kept
+    before out of that projective."""
+    ctx = context(M.algebra)
+    _, to_top = ctx.top(M)
+    parts, mats = [], []
+    for i in ctx.representatives:
+        span = None
+        for h in hom_space(ctx.projectives[i], M):
+            comp = (h.mat @ to_top.mat).flatten_row()
+            if comp.is_zero() or (span is not None and row_span_contains(span, comp)):
+                continue
+            span = comp if span is None else row_basis(span.vstack(comp))
+            parts.append(i)
+            mats.append(h.mat)
+    return parts, Mat.stack_rows(M.field, mats)
+
+
+def theta_via_presentation(F, data):
+    """theta(F) computed with no corner restriction: choose a projective
+    presentation Q1 -> Q0 -> F -> 0 over tilde, read off the underlying map
+    of add-M summands through the Yoneda correspondence, and take its
+    cokernel in mod-Lambda."""
+    if F.dim == 0:
+        return zero_module(data.lam)
+    ctx = context(data.tilde)
+    summands = []
+    for eps in ctx.idempotents:
+        psi = data.end_matrix(eps.coords)
+        summands.append(sub_repn(data.M, row_basis(psi)))
+
+    pres0 = projective_presentation(F)
+    q0, parts0, ker_rows = pres0.cover, pres0.parts, pres0.syzygy
+    if ker_rows.rows == 0:
+        x0_parts = [summands[i][0] for i in parts0]
+        if not x0_parts:
+            return zero_module(data.lam)
+        X0, _, _ = direct_sum(x0_parts)
+        return X0
+    omega, incl = sub_repn(q0.source, ker_rows)
+    pres1 = projective_presentation(omega)
+    q1, parts1 = pres1.cover, pres1.parts
+    d = q1.then(incl)  # Q1 -> Q0 over tilde
+
+    x0_parts = [summands[i][0] for i in parts0]
+    x1_parts = [summands[i][0] for i in parts1]
+    X0, _, _ = direct_sum(x0_parts) if x0_parts else (zero_module(data.lam), [], [])
+    X1, _, _ = direct_sum(x1_parts) if x1_parts else (zero_module(data.lam), [], [])
+
+    # block offsets in Q1, Q0 and X1, X0
+    def offsets(mods):
+        offs, o = [], 0
+        for m in mods:
+            offs.append(o)
+            o += m.dim
+        return offs
+
+    q1_blocks = [ctx.projectives[i] for i in parts1]
+    q0_blocks = [ctx.projectives[i] for i in parts0]
+    q1_off = offsets(q1_blocks)
+    q0_off = offsets(q0_blocks)
+    x1_off = offsets(x1_parts)
+    x0_off = offsets(x0_parts)
+
+    fld = data.lam.field
+    cores = []
+    for s, i1 in enumerate(parts1):
+        pj = ctx.projectives[i1]
+        gen = coords_in_rows(
+            ctx.projective_rows[i1], ctx.idempotents[i1].coords
+        )  # coords of e_j inside its projective
+        gen_in_q1 = Mat.from_blocks(fld, 1, d.source.dim, [(0, q1_off[s], gen)])
+        image = gen_in_q1 @ d.mat
+        for t, i0 in enumerate(parts0):
+            pk = ctx.projectives[i0]
+            block = image.with_array(image.a[:, q0_off[t] : q0_off[t] + pk.dim])
+            # back to tilde coordinates: w in e_k tilde e_j
+            w = block @ ctx.projective_rows[i0]
+            W = data.end_matrix(w)
+            nj_rows = summands[i1][1].mat
+            nk_rows = summands[i0][1].mat
+            cores.append((x1_off[s], x0_off[t], coords_in_rows(nk_rows, nj_rows @ W)))
+    dmod = ModHom(X1, X0, Mat.from_blocks(fld, X1.dim, X0.dim, cores))
+    assert dmod.validate(), "presentation differential is not Lambda-linear"
+    Q, _ = quotient_repn(X0, row_basis(dmod.mat))
+    return Q

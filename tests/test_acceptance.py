@@ -12,11 +12,11 @@ from catres import modules as mod
 from catres.auslander import build_auslander, check_corner_iso
 from catres.certify import CertConfig, certify_resolution, report_to_json_str, weakly_crepant_check
 from catres.corpus import shipped_corpus, truncated_poly_algebra
-from catres.functors import in_mod0, theta, theta_via_presentation
+from catres.functors import in_mod0, theta
 from catres.homology import global_dimension, projective_resolution
 from catres.linalg import FieldSpec
 from catres.samples import ModulePool, rng_for
-from oracles import naive_hom_dim
+from oracles import naive_hom_dim, theta_via_presentation
 
 F2 = FieldSpec("prime", 2)
 F3 = FieldSpec("prime", 3)

@@ -15,11 +15,11 @@ from catres.functors import (
     theta_rho,
     theta_rho_data,
     theta_rho_hom,
-    theta_via_presentation,
     unit_on_module,
 )
 from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, solve_left
 from catres.samples import ModulePool, random_hom, rng_for
+from oracles import theta_via_presentation
 
 F2 = FieldSpec("prime", 2)
 
@@ -200,7 +200,6 @@ def test_remark_uniqueness_of_induced_map(data, pool):
         if not homs:
             assert (sigma.mat @ sG.alpha.mat).is_zero() or sF.middle.dim == 0
             continue
-        flat = mod.hom_flat_basis(homs, sF.middle.dim, sG.middle.dim, F.field)
         target = sigma.mat @ sG.alpha.mat  # F -> middle_G
         # delta must satisfy alpha_F then delta = target
         rows = []
