@@ -631,6 +631,10 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
 
 # -- quiver frontend ------------------------------------------------------
 
+# from_quiver tabulates the product of the d bounded paths as a d x d x d
+# int64 array: 200 paths bound it at 200**3 * 8 bytes = 64 MB.
+MAX_QUIVER_PATHS = 200
+
 
 @dataclass
 class QuiverSpec:
@@ -653,6 +657,30 @@ class QuiverSpec:
             if s not in vs or t not in vs:
                 raise AlgebraError(f"arrow {name} references unknown vertex")
 
+    def path_count(self) -> int:
+        """The number of paths of length < length_bound, lazy paths included,
+        or the first partial count above MAX_QUIVER_PATHS.
+
+        The paths of length l are counted by the entries of A^l, A the
+        adjacency matrix, in exact integers: entry t of the row 1 A^l counts
+        those ending at vertex t.  Each nonzero power adds a path, so at most
+        MAX_QUIVER_PATHS + 1 vector products are taken, whatever the bound.
+        """
+        at = {v: i for i, v in enumerate(self.vertices)}
+        if len(at) > MAX_QUIVER_PATHS:
+            return len(at)  # before the adjacency matrix is allocated
+        adj = np.zeros((len(at), len(at)), dtype=object)
+        for _, s, t in self.arrows:
+            adj[at[s], at[t]] += 1
+        ends = np.ones(len(at), dtype=object)  # the row 1 A^0
+        total = len(at)
+        for _ in range(self.length_bound - 1):
+            if total > MAX_QUIVER_PATHS or not ends.any():
+                break
+            ends = ends @ adj
+            total += int(ends.sum())
+        return total
+
 
 def from_quiver(q: QuiverSpec) -> Algebra:
     """Bounded path algebra modulo relations.
@@ -662,6 +690,8 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     bound).  The path [a, b] means "a first, then b"; right modules act
     by path concatenation on the right.
     """
+    if q.path_count() > MAX_QUIVER_PATHS:
+        raise AlgebraError(f"more than {MAX_QUIVER_PATHS} paths of length < {q.length_bound}")
     f = q.field
     arrow_by_name = {a[0]: a for a in q.arrows}
     # enumerate paths of length < L: tuples of arrow names; source/target tracked

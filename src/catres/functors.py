@@ -208,29 +208,33 @@ class FourTermSeq:
     middle_data: ThetaRho
 
 
+def unit_psis(data: AuslanderData) -> Mat:
+    """Row j: the endomorphism psi_j of M, "project to Lambda, then multiply
+    m_j", flattened row-major.
+
+    psi_j = pi @ m_hat_j, where row t of m_hat_j (Lambda -> M, lambda ->
+    m_j . lambda) is row j of rho_M(b_t); so entry (i, j * m + k) of
+    pi @ flat_action() is entry (i, k) of psi_j, and one product gives all.
+    """
+    m = data.M.dim
+    prod = data.pi @ data.M.flat_action()
+    return prod.with_array(prod.a.reshape(m, m, m).transpose(1, 0, 2).reshape(m, m * m))
+
+
 def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     """0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0 with mod0 ends.
 
     alpha sends v to the module map M -> F.e, m -> v . (project, multiply
     by m, include); exactly the corner-adjunction unit.
     """
-    lam = data.lam
     m = data.M.dim
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
     trd = theta_rho_data(thetaF, data)
     middle = trd.module
-    psis = []
-    for j in range(m):
-        # matrix of m_hat: Lambda -> M, lambda -> m_j . lambda
-        mj = Mat.identity(lam.field, m).row_at(j)
-        m_hat = Mat.stack_rows(
-            lam.field, [mj @ data.M.rho(lam.basis_element(t)) for t in range(lam.dim)]
-        )
-        psis.append((data.pi @ m_hat).flatten_row())  # M -> M, "project then multiply"
-    psi_coords = data.end.basis.coords(Mat.stack_rows(lam.field, psis))
+    psi_coords = data.end.basis.coords(unit_psis(data))
     # block j, row k: the coordinates in F.e of v_k . psi_j
-    moved = Mat.stack_rows(F.field, [F.rho(psi_coords.row_at(j)) for j in range(m)])
+    moved = (psi_coords @ F.flat_action()).reshape(m * F.dim, F.dim)
     blocks = RowBasis(rows).coords(moved)
     # alpha(v_k) is the map g: M -> theta(F) whose row j is block j, row k
     g = blocks.with_array(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, QuiverSpec, from_quiver
+from .algebra import MAX_QUIVER_PATHS, Algebra, AlgebraError, QuiverSpec, from_quiver
 from .auslander import AuslanderData, build_auslander
 from .complexes import BComplex
 from .linalg import FieldSpec, Mat
@@ -163,6 +163,10 @@ def parse_quiver(obj: dict, path: str = "$") -> Algebra:
         raise ParseError(f"{path}.length_bound", "length_bound must be an integer")
     try:
         spec = QuiverSpec(field, vertices, arrows, relations, lb)
+        if spec.path_count() > MAX_QUIVER_PATHS:
+            raise ParseError(
+                f"{path}.length_bound", f"more than {MAX_QUIVER_PATHS} paths of length < {lb}"
+            )
         return from_quiver(spec)
     except AlgebraError as exc:
         raise ParseError(path, str(exc)) from None

@@ -16,6 +16,16 @@ common denominator ``den``.
 matrix: ``FieldSpec.coerce``, ``Mat.from_rows``, ``Mat.tolist`` and
 ``Mat.to_json``.
 
+Row reduction runs on Python lists over both fields.  Over F_p it is
+Gauss-Jordan over the nonzero rows only, touching only the rows with an
+entry in the pivot column.  The library's F_p matrices are small and
+sparse: in the set-ups of F_3[x]/x^4 to x^6, every one of 1,000 cells or
+more has under 5 % nonzero entries, and the largest, 7225 x 91 in the
+chain of powers of rad T for F_3[x]/x^6, has 510 nonzeros.  At those
+sizes numpy's per-call overhead outweighs the arithmetic.  Dense matrices
+pay for it: a dense 100 x 100 over F_3 reduces 5-6x slower than with
+numpy row operations, which remain in the tests as the reference route.
+
 Coordinates against a fixed row basis go through :class:`RowBasis`: one
 rref factors the basis, after which each batch of right-hand sides costs
 one column slice, one product and one exact residual check.
@@ -389,29 +399,31 @@ def flat_products(lefts: list, rights: list) -> Mat:
 
 
 def _rref_prime(a: np.ndarray, p: int):
-    a = a % p
-    rows, cols = a.shape
+    # Gauss-Jordan on Python lists over the nonzero rows (see the module
+    # docstring for why); the input array is never written.
+    rows = (a[a.any(axis=1)] % p).tolist()
+    m = len(rows)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(a.shape[1]):
+        if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        # entries stay below p**2 before reduction: safe in int64
-        a -= np.outer(col, a[r])
-        a %= p
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-    return a, pivots
+    out = np.zeros(a.shape, dtype=np.int64)
+    if r:
+        out[:r] = rows[:r]
+    return out, pivots
 
 
 def _rref_rational(a: np.ndarray):
@@ -457,7 +469,7 @@ def rref(m: Mat):
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
     if m.field.kind == "prime":
-        a, pivots = _rref_prime(m.a.copy(), m.field.p)
+        a, pivots = _rref_prime(m.a, m.field.p)
         return Mat(m.field, a, _copy=False), pivots, len(pivots)
     a, pivots, den = _rref_rational(m.a)
     return Mat(m.field, a, den, _copy=False), pivots, len(pivots)

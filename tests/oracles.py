@@ -23,7 +23,12 @@ replacement, on the library's own primitives:
   ``modules._build_presentation``;
 * ``theta_via_presentation`` recomputes theta from a projective
   presentation over tilde with no corner restriction anywhere, against the
-  corner-restriction route of ``functors.theta``.
+  corner-restriction route of ``functors.theta``;
+* ``numpy_rref_prime`` eliminates over F_p with whole-array numpy row
+  operations, against the list Gauss-Jordan of ``linalg._rref_prime``;
+* ``loop_unit_psis`` builds each map psi_j of the four-term sequence one
+  row of m_hat_j at a time, against the one product of
+  ``functors.unit_psis``.
 """
 
 import weakref
@@ -82,6 +87,34 @@ def naive_rref(rows, field):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def numpy_rref_prime(a, p):
+    """RREF of an int64 array over F_p by numpy row operations on all rows.
+    Returns (rref, pivot_cols); the argument is not written."""
+    a = a % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        # entries stay below p**2 before reduction: safe in int64
+        a -= np.outer(col, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def naive_rank(rows, field):
@@ -353,3 +386,18 @@ def theta_via_presentation(F, data):
     assert dmod.validate(), "presentation differential is not Lambda-linear"
     Q, _ = quotient_repn(X0, row_basis(dmod.mat))
     return Q
+
+
+def loop_unit_psis(data):
+    """``functors.unit_psis`` one map at a time: psi_j = pi @ m_hat_j, where
+    m_hat_j (Lambda -> M, lambda -> m_j . lambda) is stacked one product
+    per basis element of Lambda."""
+    lam, m = data.lam, data.M.dim
+    psis = []
+    for j in range(m):
+        mj = Mat.identity(lam.field, m).row_at(j)
+        m_hat = Mat.stack_rows(
+            lam.field, [mj @ data.M.rho(lam.basis_element(t)) for t in range(lam.dim)]
+        )
+        psis.append((data.pi @ m_hat).flatten_row())
+    return Mat.stack_rows(lam.field, psis)

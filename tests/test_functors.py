@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from catres import modules as mod
@@ -16,12 +19,15 @@ from catres.functors import (
     theta_rho_data,
     theta_rho_hom,
     unit_on_module,
+    unit_psis,
 )
+from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, solve_left
 from catres.samples import ModulePool, random_hom, rng_for
-from oracles import theta_via_presentation
+from oracles import loop_unit_psis, theta_via_presentation
 
 F2 = FieldSpec("prime", 2)
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +174,12 @@ def test_four_term_fixture_cokernel_of_socle_postcomposition(data):
     seq = four_term_sequence(F, data)
     assert seq.F0.dim == 0 and seq.F1.dim == 1
     assert in_mod0(seq.F1, data)
+
+
+def test_unit_psis_match_the_loop_on_every_corpus_file():
+    for path in sorted(CORPUS.glob("*.json")):
+        data = build_auslander(parse_algebra_or_quiver(json.loads(path.read_text())))
+        assert unit_psis(data) == loop_unit_psis(data), path.stem
 
 
 def test_four_term_invariants_random(data, pool):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from catres import modules as mod
+from catres.algebra import MAX_QUIVER_PATHS, AlgebraError, QuiverSpec, from_quiver
 from catres.auslander import build_auslander
 from catres.corpus import truncated_poly_algebra
 from catres.functors import theta_rho
@@ -91,6 +93,40 @@ def test_rejects_missing_length_bound():
     with pytest.raises(ParseError) as exc:
         parse_algebra_or_quiver(quiver)
     assert "length_bound" in str(exc.value)
+
+
+def _two_loop_quiver(length_bound):
+    return {
+        "format": "catres-quiver-v1",
+        "field": {"type": "prime", "p": 2},
+        "vertices": ["v"],
+        "arrows": [{"name": "a", "from": "v", "to": "v"}, {"name": "b", "from": "v", "to": "v"}],
+        "relations": [],
+        "length_bound": length_bound,
+    }
+
+
+def test_rejects_a_quiver_over_the_path_budget_before_building_it():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_or_quiver(_two_loop_quiver(10**6))
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.path == "$.length_bound"
+    assert str(MAX_QUIVER_PATHS) in exc.value.reason
+
+
+def test_path_count_sums_the_powers_of_the_adjacency_matrix():
+    f2 = FieldSpec("prime", 2)
+    loops = [("a", "v", "v"), ("b", "v", "v")]
+    # 2**l paths of length l on two loops: 1 + 2 + ... + 64 = 127 below length 7
+    assert QuiverSpec(f2, ["v"], loops, [], 7).path_count() == 127
+    assert QuiverSpec(f2, ["v"], loops, [], 8).path_count() == 255
+    cycle = [(f"a{i}", str(i), str((i + 1) % 3)) for i in range(3)]
+    assert QuiverSpec(f2, list("012"), cycle, [], 3).path_count() == 9
+    many = QuiverSpec(f2, [str(i) for i in range(10**4)], [], [], 2)
+    assert many.path_count() > MAX_QUIVER_PATHS
+    with pytest.raises(AlgebraError):
+        from_quiver(QuiverSpec(f2, ["v"], loops, [], 8))
 
 
 def test_rejects_invariant_violation():

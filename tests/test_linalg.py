@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from catres.linalg import (
     FieldSpec,
@@ -11,6 +11,7 @@ from catres.linalg import (
     MAX_PRIME,
     RowBasis,
     _check_int64_headroom,
+    _rref_prime,
     coords_in_rows,
     left_nullspace,
     nullspace,
@@ -21,7 +22,7 @@ from catres.linalg import (
     solve,
     solve_left,
 )
-from oracles import naive_matmul, naive_rank, naive_rref
+from oracles import naive_matmul, naive_rank, naive_rref, numpy_rref_prime
 
 F5 = FieldSpec("prime", 5)
 QQ = FieldSpec("rational")
@@ -135,6 +136,42 @@ def test_rref_matches_naive_oracle(m):
     rows, piv2 = naive_rref(m.tolist(), m.field)
     assert piv == piv2
     assert r.tolist() == [[m.field.coerce(x) for x in row] for row in rows]
+
+
+@st.composite
+def sparse_prime_mats(draw):
+    """Tall sparse F_p matrices, the shapes the library reduces: up to
+    80 x 30, density at most 0.2, with all-zero rows mixed in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+    a[rng.random(rows) < draw(st.sampled_from([0.0, 0.3, 0.7])), :] = 0
+    return Mat(FieldSpec("prime", p), a.astype(np.int64))
+
+
+@given(sparse_prime_mats())
+@example(Mat.zeros(FieldSpec("prime", 3), 40, 12))
+def test_sparse_prime_rref_matches_the_numpy_and_naive_routes(m):
+    p, before = m.field.p, m.a.copy()
+    r, piv, rk = rref(m)
+    via_numpy, piv_numpy = numpy_rref_prime(m.a, p)
+    via_lists, piv_naive = naive_rref(m.tolist(), m.field)
+    assert piv == piv_numpy == piv_naive and rk == len(piv)
+    assert r.a.dtype == np.int64 and r.a.shape == m.a.shape
+    assert ((0 <= r.a) & (r.a < p)).all()
+    assert (r.a == via_numpy).all() and r.tolist() == via_lists
+    assert (m.a == before).all()
+
+
+def test_prime_kernel_reduces_entries_outside_the_residues():
+    # a leading 3 and a row of multiples of 3 are zero over F_3
+    a = np.array([[3, 7, -2], [6, 4, 1], [0, 0, 3], [-1, 5, 8]], dtype=np.int64)
+    out, piv = _rref_prime(a, 3)
+    expected, piv_numpy = numpy_rref_prime(a, 3)
+    assert piv == piv_numpy == [0, 1]
+    assert (out == expected).all()
 
 
 @given(mats())
