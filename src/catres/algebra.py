@@ -2,8 +2,8 @@
 
 An algebra is a basis b_0..b_{d-1}, a unit vector, and a table
 ``table[i, j] = coordinates of b_i * b_j``.  On top of that: radical
-chains, quotients, corners, opposite algebras, primitive idempotents,
-and a bounded-length quiver-with-relations frontend.
+chains, quotients, corners, primitive idempotents, and a bounded-length
+quiver-with-relations frontend.
 
 Conventions (fixed across the package): elements are coordinate row
 vectors; the path ``[a, b]`` means "a first, then b"; modules are right
@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -74,7 +75,7 @@ class Algebra:
     matrix whose row i holds the coordinates of b_i * b_j for all j."""
 
     def __init__(self, field: FieldSpec, basis_labels, unit: Mat, table: Mat,
-                 radical_hint: Optional[Mat] = None, provenance: str = "table"):
+                 radical_hint: Optional[Mat] = None):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
@@ -82,7 +83,6 @@ class Algebra:
         self._table = table
         self._right_table: Optional[Mat] = None
         self.radical_hint = radical_hint
-        self.provenance = provenance
         self._radical_chain: Optional[RadicalChain] = None
         self.module_context = None  # set by catres.modules.context
         assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
@@ -171,26 +171,19 @@ class Algebra:
                 break
         return ValidationReport(not violations, violations)
 
-    # -- derived algebras --------------------------------------------------
-
-    def opposite(self) -> "Algebra":
-        return Algebra(
-            self.field, self.basis_labels, self.unit, self.right_table(), provenance="opposite"
-        )
-
     # -- radical -----------------------------------------------------------
 
-    def radical_chain(self, annotation: Optional[Mat] = None) -> RadicalChain:
-        if self._radical_chain is not None and annotation is None:
+    def radical_chain(self) -> RadicalChain:
+        if self._radical_chain is not None:
             return self._radical_chain
         if self.dim == 0:
             raise AlgebraError("radical of the zero algebra is undefined")
-        j = annotation if annotation is not None else self.radical_hint
+        j = self.radical_hint
         if j is None:
-            j = _radical_by_field(self)
+            j = _radical_by_traces(self)
         j = row_basis(j) if j.rows else Mat.zeros(self.field, 0, self.dim)
         # certified in three steps: j is an ideal, the chain of its powers
-        # reaches zero (so j is nilpotent), and the field route finds no
+        # reaches zero (so j is nilpotent), and the trace route finds no
         # radical in A/j
         if j.rows and not _is_ideal(self, j):
             raise AlgebraError("claimed radical is not a two-sided ideal")
@@ -200,21 +193,10 @@ class Algebra:
             if len(powers) > self.dim + 1:
                 raise AlgebraError("claimed radical is not nilpotent")
         quot, _, _ = quotient_algebra(self, j)
-        if quot.dim and _radical_by_field(quot).rows:
+        if quot.dim and _radical_by_traces(quot).rows:
             raise AlgebraError("quotient by claimed radical is not semisimple")
-        chain = RadicalChain(powers=powers, nilpotency_index=len(powers))
-        if annotation is None:
-            self._radical_chain = chain
-        return chain
-
-    def center(self) -> Mat:
-        """Row basis of the center {z : zb = bz for all basis b}."""
-        blocks = []
-        for i in range(self.dim):
-            b = self.basis_element(i)
-            # row k of the block: coords of (b_k*b - b*b_k), zero iff central
-            blocks.append(self.right_mult_matrix(b) - self.left_mult_matrix(b))
-        return row_basis(left_nullspace(Mat.stack_cols(self.field, blocks)))
+        self._radical_chain = RadicalChain(powers=powers, nilpotency_index=len(powers))
+        return self._radical_chain
 
 
 def _subspace_product(A: Algebra, u_rows: Mat, v_rows: Mat) -> Mat:
@@ -231,24 +213,6 @@ def _is_ideal(A: Algebra, rows: Mat) -> bool:
     left = (rows @ A.table_matrix()).reshape(r * d, d)
     right = (rows @ A.right_table()).reshape(r * d, d)
     return RowBasis(rows).contains(left.vstack(right))
-
-
-def _radical_by_field(A: Algebra) -> Mat:
-    if A.field.kind == "rational":
-        return _radical_trace_form(A)
-    return _radical_prime_chain(A)
-
-
-def _radical_trace_form(A: Algebra) -> Mat:
-    """Kernel of T(a,b) = trace(L_a L_b); equals the radical in characteristic 0.
-
-    tr(L_a L_b) is the dot product of L_a and the transpose of L_b, both
-    flattened: the whole Gram matrix is one product.
-    """
-    lmats = [A.left_mult_matrix(A.basis_element(i)) for i in range(A.dim)]
-    flat = Mat.stack_rows(A.field, [m.flatten_row() for m in lmats])
-    flat_t = Mat.stack_rows(A.field, [m.T.flatten_row() for m in lmats])
-    return row_basis(left_nullspace(flat @ flat_t.T))
 
 
 # matrices of one (count, n, n) power stack hold at most this many entries
@@ -295,30 +259,30 @@ def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> np.ndarray:
     return (traces // q).astype(np.int64).reshape(r, r).T
 
 
-def _radical_prime_chain(A: Algebra) -> Mat:
-    """Radical over F_p by the divided-trace chain.
+def _radical_by_traces(A: Algebra) -> Mat:
+    """The radical by the chain of trace forms, over Q and F_p alike.
 
-    Level j imposes g_j(x, y) = (tr(Z^{p^(j-1)}) / p^(j-1)) mod p on the
-    previous level, where Z lifts the left-multiplication matrix of x*y
-    entrywise to 0..p-1.  On the prime field these conditions are linear,
-    and the last level is the radical.  ``Algebra.radical_chain``
-    re-certifies the result (ideal, nilpotent, semisimple quotient), so a
-    defect here cannot go unnoticed.
+    Level 1 is the kernel of the trace form T(x, y) = tr(L_{xy}): row k of
+    the table is L_{b_k} flattened, so one product against the flattened
+    identity gives every tr(L_{b_k}), and one more gives the Gram matrix
+    tr(L_{b_i b_j}).  In characteristic 0 that kernel is the radical.  Over
+    F_p, level j > 1 imposes (tr(Z^q) / q) mod p with q = p^(j-1) <= dim on
+    the previous level, Z lifting the left multiplication by x*y entrywise
+    to 0..p-1; these conditions are linear, and the last level is the
+    radical.  ``Algebra.radical_chain`` re-certifies the result (ideal,
+    nilpotent, semisimple quotient), so a defect here cannot go unnoticed.
     """
-    p = A.field.p
-    n = A.dim
-    levels = 1
+    f, n = A.field, A.dim
+    table = A.table_matrix()
+    traces = table @ Mat.identity(f, n).reshape(n * n, 1)  # row k: tr(L_{b_k})
+    gram = (table.reshape(n * n, n) @ traces).reshape(n, n)
+    basis = row_basis(nullspace(gram).T)
+    p = f.p or 0  # the characteristic: over Q, level 1 is the radical
     q = p
-    while q <= n:
-        levels += 1
-        q *= p
-    basis = Mat.identity(A.field, n)  # rows: current I_{j-1} basis
-    for j in range(1, levels + 1):
-        if basis.rows == 0:
-            break
-        gram = _divided_trace_gram(A, basis, p ** (j - 1))
-        ker = nullspace(Mat(A.field, gram, _copy=False))  # columns: coefficient vectors
+    while basis.rows and 0 < q <= n:
+        ker = nullspace(Mat(f, _divided_trace_gram(A, basis, q), _copy=False))
         basis = row_basis(ker.T @ basis)
+        q *= p
     return basis
 
 
@@ -336,7 +300,7 @@ def quotient_algebra(A: Algebra, ideal_rows: Mat):
     dq = len(nonpiv)
     table = (A.products(section, section) @ proj).reshape(dq, dq * dq)
     labels = [A.basis_labels[c] for c in nonpiv]
-    q = Algebra(A.field, labels, A.unit @ proj, table, provenance="quotient")
+    q = Algebra(A.field, labels, A.unit @ proj, table)
     return q, proj, section
 
 
@@ -353,14 +317,6 @@ def quotient_projection(rows: Mat):
     return nullspace_of_rref(r, pivots), [c for c in range(rows.cols) if c not in pivots]
 
 
-def quotient_by_power(A: Algebra, chain: RadicalChain, i: int):
-    """The algebra A/J^i with its canonical projection; 1 <= i <= n."""
-    if not 1 <= i <= chain.nilpotency_index:
-        raise AlgebraError(f"power index {i} out of range 1..{chain.nilpotency_index}")
-    q, proj, _ = quotient_algebra(A, chain.power(i))
-    return q, proj
-
-
 def corner_algebra(A: Algebra, e: Idempotent):
     """The corner eAe with unit e.  Returns (C, embed, degenerate).
 
@@ -373,14 +329,13 @@ def corner_algebra(A: Algebra, e: Idempotent):
     embed = row_basis(_corner_rows(A, ec))
     m = embed.rows
     if m == 0:
-        empty = Algebra(A.field, [], Mat.zeros(A.field, 1, 0), Mat.zeros(A.field, 0, 0),
-                        provenance="corner")
+        empty = Algebra(A.field, [], Mat.zeros(A.field, 1, 0), Mat.zeros(A.field, 0, 0))
         return empty, embed, True
     basis = RowBasis(embed)
     table = basis.coords(A.products(embed, embed)).reshape(m, m * m)
     unit = basis.coords(ec)
     labels = [f"c{i}" for i in range(m)]
-    c = Algebra(A.field, labels, unit, table, provenance="corner")
+    c = Algebra(A.field, labels, unit, table)
     return c, embed, False
 
 
@@ -399,9 +354,7 @@ def _poly_roots(field: FieldSpec, coeffs):
                 roots.append(x)
         return roots
     # rational roots of an integer-cleared polynomial
-    den = 1
-    for c in coeffs:
-        den = den * Fraction(c).denominator // np.gcd(den, Fraction(c).denominator)
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -451,7 +404,11 @@ class _Corner:
         return self.basis.rows
 
 
-def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 80):
+# random combinations tried per split, after the rows themselves
+_RANDOM_COMBINATIONS = 80
+
+
+def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random):
     """Orthogonal primitive idempotents of a corner of semisimple B."""
     if c.dim == 0:
         return []
@@ -482,20 +439,18 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
     # 1) central splitting
     zc = _corner_center_rows(B, c)
     if zc.rows > 1:
-        for z in _with_random_combinations(zc, rng, budget):
+        for z in _with_random_combinations(zc, rng):
             e = try_element(z)
             if e is not None:
                 left = _corner_of_unit(B, e)
                 right = _corner_of_unit(B, c.unit - e)
-                return _split_semisimple(B, left, rng, budget) + _split_semisimple(
-                    B, right, rng, budget
-                )
+                return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
         raise SplitGiveUp(
             "cannot split the center: division components beyond the prime field"
         )
 
     # 2) center is one-dimensional: simple algebra; hunt a zero divisor
-    for v in _with_random_combinations(c.basis, rng, budget):
+    for v in _with_random_combinations(c.basis, rng):
         if v.is_zero():
             continue
         ideal_rows = row_basis(B.products(v, c.basis))
@@ -507,17 +462,17 @@ def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random, budget: int = 
             continue
         left = _corner_of_unit(B, f)
         right = _corner_of_unit(B, c.unit - f)
-        return _split_semisimple(B, left, rng, budget) + _split_semisimple(B, right, rng, budget)
+        return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
     raise SplitGiveUp("no zero divisor found: division algebra of dimension > 1")
 
 
-def _with_random_combinations(rows: Mat, rng: random.Random, budget: int) -> list:
-    """The rows of ``rows``, then ``budget`` random combinations of them,
-    all built by one product."""
-    f = rows.field
-    coeffs = [[f.random_scalar(rng, 3) for _ in range(rows.rows)] for _ in range(budget)]
+def _with_random_combinations(rows: Mat, rng: random.Random) -> list:
+    """The rows of ``rows``, then ``_RANDOM_COMBINATIONS`` random
+    combinations of them, all built by one product."""
+    f, k = rows.field, _RANDOM_COMBINATIONS
+    coeffs = [[f.random_scalar(rng, 3) for _ in range(rows.rows)] for _ in range(k)]
     combos = Mat.from_rows(f, coeffs) @ rows
-    return [rows.row_at(i) for i in range(rows.rows)] + [combos.row_at(i) for i in range(budget)]
+    return [rows.row_at(i) for i in range(rows.rows)] + [combos.row_at(i) for i in range(k)]
 
 
 def _corner_rows(A: Algebra, e: Mat) -> Mat:
@@ -735,7 +690,7 @@ def from_quiver(q: QuiverSpec) -> Algebra:
             if k is not None:
                 table[i, j, k] = 1
     unit = Mat.row(f, [0 if arrs else 1 for arrs, s, t in paths])
-    bounded = Algebra(f, labels, unit, Mat(f, table.reshape(d, d * d)), provenance="quiver-bounded")
+    bounded = Algebra(f, labels, unit, Mat(f, table.reshape(d, d * d)))
 
     # relation vectors, validated: parallel summands, admissible (length >= 2)
     rel_vecs = []
@@ -787,7 +742,6 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     rep = alg.validate()
     if not rep.ok:
         raise AlgebraError(f"ideal not admissible within bound: {rep.violations}")
-    alg.provenance = "quiver"
     # radical = image of positive-length paths (admissible ideal)
     pos = [bounded.basis_element(i) @ proj for i, (arrs, s, t) in enumerate(paths) if arrs]
     alg.radical_hint = (

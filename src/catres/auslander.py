@@ -64,10 +64,6 @@ class AuslanderData:
         """Projection matrix onto the Lambda-summand (dim M x dim lam)."""
         return self.projections[-1].mat
 
-    def end_matrix(self, coords: Mat) -> Mat:
-        """The endomorphism of M with the given tilde-coordinates."""
-        return (coords @ self.end.flat).reshape(self.M.dim, self.M.dim)
-
     def tilde_of_lambda(self, lam_coords: Mat) -> Mat:
         """Inverse transport: coordinates in tilde of the corner lift of an
         element of Lambda."""
@@ -227,16 +223,15 @@ def hom_dim_sum(data: AuslanderData) -> int:
     return total
 
 
-def verify_auslander(data: AuslanderData, max_depth=None) -> dict:
+def verify_auslander(data: AuslanderData) -> dict:
     """Desk-scale verification of the two headline properties.
 
     Returns a report: finiteness of gldim(tilde) (with the internal-
-    inconsistency flag if the default depth is exceeded), the corner
-    isomorphism e*tilde*e = Lambda, and the dimension double-count.
+    inconsistency flag if the depth n + 2 is exceeded, n the nilpotency
+    index of Lambda), the corner isomorphism e*tilde*e = Lambda, and the
+    dimension double-count.
     """
-    if max_depth is None:
-        max_depth = data.chain.nilpotency_index + 2
-    g: GldimResult = global_dimension(data.tilde, max_depth)
+    g: GldimResult = global_dimension(data.tilde, data.chain.nilpotency_index + 2)
     corner_ok, corner_detail = check_corner_iso(data)
     dim_two_ways = hom_dim_sum(data)
     report = {

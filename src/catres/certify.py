@@ -289,11 +289,11 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     return res
 
 
-def weakly_crepant_check(lam: Algebra, data: AuslanderData, cfg: CertConfig, pool=None) -> dict:
+def weakly_crepant_check(
+    lam: Algebra, data: AuslanderData, cfg: CertConfig, pool: ModulePool
+) -> dict:
     """Theorem-level check that the lift is also a right adjoint when the
     base algebra is self-injective; inapplicable otherwise."""
-    if pool is None:
-        pool = ModulePool(data)
     if not is_self_injective(lam):
         return {
             "inapplicable": True,

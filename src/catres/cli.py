@@ -163,6 +163,24 @@ def cmd_certify(args) -> int:
     return exit_code_for(report)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int >= ``low``, else an argparse error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="catres",
@@ -186,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gldim", help="tri-state global dimension")
     sp.add_argument("input")
-    sp.add_argument("--max-depth", type=int, default=None)
+    sp.add_argument("--max-depth", type=_non_negative_int, default=None)
     add_fmt(sp)
     sp.set_defaults(fn=cmd_gldim)
 
@@ -204,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="run the categorical-resolution suites")
     sp.add_argument("input")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_positive_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-depth", type=int, default=None)
-    sp.add_argument("--max-window", type=int, default=4)
-    sp.add_argument("--max-term-dim", type=int, default=12)
+    sp.add_argument("--max-depth", type=_non_negative_int, default=None)
+    sp.add_argument("--max-window", type=_positive_int, default=4)
+    sp.add_argument("--max-term-dim", type=_positive_int, default=12)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_certify)
     return p

@@ -7,7 +7,7 @@ solution space) / (image of the degree -1 homotopies).
 
 The two lifts: ``db_theta`` applies the corner restriction termwise (its
 value on a bounded complex represents the derived direct image, since the
-restriction is exact); ``kb_theta_lambda`` applies Hom(M, -) termwise to a
+restriction is exact); ``kb_theta_lambda_data`` applies Hom(M, -) termwise to a
 complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
@@ -27,7 +27,6 @@ from .functors import (
     theta_rho_data,
     theta_rho_hom,
 )
-from .homology import is_injective
 from .linalg import (
     Mat,
     RowBasis,
@@ -56,10 +55,6 @@ class ComplexError(ValueError):
     pass
 
 
-class NotComputable(ValueError):
-    """Raised when a derived-category Hom has no sound homotopy reduction."""
-
-
 class BComplex:
     def __init__(self, algebra, lo: int, terms: list, diffs: list):
         """terms[k] sits in degree lo + k; diffs[k] : terms[k] -> terms[k+1]."""
@@ -85,9 +80,6 @@ class BComplex:
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
-
-    def total_dim(self) -> int:
-        return sum(t.dim for t in self.terms)
 
     def is_zero(self) -> bool:
         return all(t.dim == 0 for t in self.terms)
@@ -411,10 +403,6 @@ def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> KbThetaLambda:
     return KbThetaLambda(complex=out, term_data=term_data)
 
 
-def kb_theta_lambda(P: BComplex, data: AuslanderData) -> BComplex:
-    return kb_theta_lambda_data(P, data).complex
-
-
 def kb_theta_lambda_chainmap(u: ChainMap, data: AuslanderData, src: KbThetaLambda, tgt: KbThetaLambda) -> ChainMap:
     comps = {}
     for i in u.comps:
@@ -532,21 +520,6 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
         f1_diffs.append(ModHom(f1_terms[k], f1_terms[k + 1], x))
     F1 = BComplex(data.tilde, F.lo, f1_terms, f1_diffs)
     return Prop31(F=F, F0=F0, alpha=alpha, middle=middle, F1=F1, degreewise=seqs)
-
-
-def db_hom(C: BComplex, D: BComplex) -> KbHom:
-    """Derived-category Hom, computed only where it reduces to the homotopy
-    category: source termwise projective, or target termwise injective.
-    Everything else is refused rather than approximated."""
-    if all(t.dim == 0 or is_projective(t) for t in C.terms):
-        return kb_hom(C, D)
-    if all(t.dim == 0 or is_injective(D.algebra, t) for t in D.terms):
-        return kb_hom(C, D)
-    raise NotComputable(
-        "derived-category Hom is not computable by this tool: the source is "
-        "not a complex of projectives and the target is not a complex of "
-        "injectives"
-    )
 
 
 def homotopy_functor_images(A: KbHom, B: KbHom, convert):

@@ -24,8 +24,7 @@ def truncated_poly_algebra(field: FieldSpec, n: int) -> Algebra:
                 table[i, j, i + j] = 1
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
     unit = Mat.from_rows(field, [[field.one] + [field.zero] * (n - 1)])
-    a = Algebra(field, labels, unit, Mat(field, table.reshape(n, n * n)), provenance="table")
-    return a
+    return Algebra(field, labels, unit, Mat(field, table.reshape(n, n * n)))
 
 
 def gentle_two_cycle(field: FieldSpec) -> Algebra:

@@ -104,22 +104,18 @@ def theta_rho(N: Repn, data: AuslanderData) -> Repn:
     return theta_rho_data(N, data).module
 
 
-def theta_rho_hom(g: ModHom, data: AuslanderData, src: ThetaRho = None, tgt: ThetaRho = None) -> ModHom:
-    """theta_rho on morphisms: postcomposition Hom(M,N) -> Hom(M,N')."""
-    if src is None:
-        src = theta_rho_data(g.source, data)
-    if tgt is None:
-        tgt = theta_rho_data(g.target, data)
+def theta_rho_hom(g: ModHom, data: AuslanderData, src: ThetaRho, tgt: ThetaRho) -> ModHom:
+    """theta_rho on morphisms: postcomposition Hom(M,N) -> Hom(M,N'), for
+    ``src`` and ``tgt`` the theta_rho data of g's source and target."""
     if not src.space or not tgt.space:
         return zero_hom(src.module, tgt.module)
     return ModHom(src.module, tgt.module, tgt.space.basis.coords(src.space.then(g.mat)))
 
 
-def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
+def counit(N: Repn, data: AuslanderData, trd: ThetaRho):
     """The natural isomorphism theta(theta_rho(N)) -> N, by evaluation at
-    the image of the unit in the Lambda-summand."""
-    if trd is None:
-        trd = theta_rho_data(N, data)
+    the image of the unit in the Lambda-summand; ``trd`` is the theta_rho
+    data of N."""
     F = trd.module
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
@@ -135,7 +131,6 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho = None):
 @dataclass
 class ThetaLambda:
     module: Repn  # over tilde
-    proj_from: Repn  # theta_rho(P0)
     quotient: ModHom  # theta_rho(P0) -> module
     cover: ModHom  # P0 -> N over Lambda
     p0_data: ThetaRho
@@ -150,13 +145,7 @@ def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
         # N projective: theta_lambda(N) = theta_rho(N) on the nose
         trdN = theta_rho_data(N, data)
         quotient = theta_rho_hom(cover, data, trd0, trdN)
-        return ThetaLambda(
-            module=trdN.module,
-            proj_from=trd0.module,
-            quotient=quotient,
-            cover=cover,
-            p0_data=trd0,
-        )
+        return ThetaLambda(module=trdN.module, quotient=quotient, cover=cover, p0_data=trd0)
     omega, incl = sub_repn(p0, ker_rows)
     cover1 = projective_presentation(omega).cover
     d = cover1.then(incl)  # P1 -> P0
@@ -164,7 +153,7 @@ def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
     lifted = theta_rho_hom(d, data, trd1, trd0)
     img = row_basis(lifted.mat)
     Q, proj = quotient_repn(trd0.module, img)
-    return ThetaLambda(module=Q, proj_from=trd0.module, quotient=proj, cover=cover, p0_data=trd0)
+    return ThetaLambda(module=Q, quotient=proj, cover=cover, p0_data=trd0)
 
 
 def theta_lambda(N: Repn, data: AuslanderData) -> Repn:

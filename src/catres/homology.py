@@ -165,7 +165,6 @@ class GldimResult:
     period: Optional[int] = None
     offset: Optional[int] = None
     bound: Optional[int] = None
-    per_simple: Optional[list] = None
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -210,15 +209,12 @@ def global_dimension(A: Algebra, max_depth: Optional[int] = None) -> GldimResult
         pd = projective_dimension(s, max_depth)
         per.append(pd)
         if pd.kind == "infinite":
-            return GldimResult(
-                kind="infinite", witness=idx, period=pd.period, offset=pd.offset, per_simple=per
-            )
+            return GldimResult(kind="infinite", witness=idx, period=pd.period, offset=pd.offset)
         if pd.kind == "unknown":
             worst_unknown = pd
     if worst_unknown is not None:
-        return GldimResult(kind="unknown", bound=max_depth, per_simple=per)
-    value = max((pd.value for pd in per), default=0)
-    return GldimResult(kind="finite", value=value, per_simple=per)
+        return GldimResult(kind="unknown", bound=max_depth)
+    return GldimResult(kind="finite", value=max((pd.value for pd in per), default=0))
 
 
 def is_injective(A: Algebra, M: Repn) -> bool:

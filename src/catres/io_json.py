@@ -9,7 +9,6 @@ ints or "p/q" strings; prime-field scalars as ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import MAX_QUIVER_PATHS, Algebra, AlgebraError, QuiverSpec, from_quiver
@@ -44,17 +43,7 @@ def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset
 
 def _parse_scalar(x, field: FieldSpec, path: str):
     try:
-        if field.kind == "prime":
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError("prime-field scalars must be integers")
-            return field.coerce(x)
-        if isinstance(x, bool):
-            raise ValueError("booleans are not scalars")
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise ValueError(f"cannot read {x!r} as a rational scalar")
+        return field.scalar_from_json(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, str(exc)) from None
 
@@ -123,7 +112,7 @@ def parse_algebra(obj: dict, path: str = "$") -> Algebra:
         if not isinstance(rad, list):
             raise ParseError(f"{path}.radical", "expected a list of coordinate vectors")
         radical = _parse_matrix(rad, field, len(rad), dim, f"{path}.radical")
-    alg = Algebra(field, basis, unit, table, radical_hint=radical, provenance="table")
+    alg = Algebra(field, basis, unit, table, radical_hint=radical)
     rep = alg.validate()
     if not rep.ok:
         raise ParseError(path, f"algebra invariant violated: {rep.violations[0]}")

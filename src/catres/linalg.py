@@ -13,8 +13,8 @@ common denominator ``den``.
   integers alone, and equality compares (den, a).
 
 ``fractions.Fraction`` values are made only where scalars enter or leave a
-matrix: ``FieldSpec.coerce``, ``Mat.from_rows``, ``Mat.tolist`` and
-``Mat.to_json``.
+matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
+``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
 
 Row reduction runs on Python lists over both fields.  Over F_p it is
 Gauss-Jordan over the nonzero rows only, touching only the rows with an
@@ -29,9 +29,8 @@ numpy row operations, which remain in the tests as the reference route.
 Coordinates against a fixed row basis go through :class:`RowBasis`: one
 rref factors the basis, after which each batch of right-hand sides costs
 one column slice, one product and one exact residual check.
-``coords_in_rows`` and ``row_span_contains`` are one-shot wrappers over it;
-callers that solve against the same basis repeatedly hold the factored
-basis instead.
+``coords_in_rows`` is a one-shot wrapper over it; callers that solve
+against the same basis repeatedly hold the factored basis instead.
 
 No floating point is used anywhere in this package.
 """
@@ -139,6 +138,19 @@ class FieldSpec:
             return int(x)
         x = Fraction(x)
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    def scalar_from_json(self, x):
+        """The scalar a JSON value denotes: an int over F_p, an int or a
+        "p/q" string over Q.  Raises ValueError (ZeroDivisionError for "p/0")."""
+        if self.kind == "prime":
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError("prime-field scalars must be integers")
+            return self.coerce(x)
+        if isinstance(x, bool):
+            raise ValueError("booleans are not scalars")
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        raise ValueError(f"cannot read {x!r} as a rational scalar")
 
     def to_json(self) -> dict:
         if self.kind == "prime":
@@ -581,17 +593,6 @@ class RowBasis:
         if y is None:
             raise ValueError("vector not in row span")
         return y @ self._t
-
-    def combine(self, c: Mat) -> Mat:
-        """The vectors c @ B with the given coordinates, inverse to ``coords``."""
-        return c @ self.basis
-
-
-def row_span_contains(basis: Mat, v: Mat) -> bool:
-    """Is every row of v in the row span of ``basis``?"""
-    if v.rows == 0:
-        return True
-    return RowBasis(basis).contains(v)
 
 
 def coords_in_rows(basis: Mat, v: Mat) -> Mat:

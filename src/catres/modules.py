@@ -39,7 +39,6 @@ from .linalg import (
     rank,
     row_basis,
     rref,
-    solve_left,
 )
 
 
@@ -95,9 +94,6 @@ class Repn:
         """Matrix of the action of the element with the given coordinates."""
         return (coords @ self._flat).reshape(self.dim, self.dim)
 
-    def act(self, v: Mat, coords: Mat) -> Mat:
-        return v @ self.rho(coords)
-
     def validate(self) -> bool:
         A = self.algebra
         if self.dim == 0:
@@ -146,10 +142,6 @@ def zero_module(A: Algebra) -> Repn:
 
 def zero_hom(M: Repn, N: Repn) -> ModHom:
     return ModHom(M, N, Mat.zeros(M.field, M.dim, N.dim))
-
-
-def identity_hom(M: Repn) -> ModHom:
-    return ModHom(M, M, Mat.identity(M.field, M.dim))
 
 
 def regular_module(A: Algebra) -> Repn:
@@ -382,21 +374,6 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
         lhs, rhs = lhs * right.den, rhs * left.den
     bad = (lhs != rhs).reshape(k, -1).any(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
-
-
-def hom_factorization(fh: ModHom):
-    """Kernel, image, cokernel of a morphism.
-
-    Returns ((K, incl), (I, incl), (C, proj)); rank-nullity and the
-    exactness of 0 -> K -> source -> I -> 0 hold by construction and are
-    asserted in tests.
-    """
-    ker_rows = left_nullspace(fh.mat)
-    K, k_incl = sub_repn(fh.source, ker_rows)
-    im_rows = row_basis(fh.mat)
-    I, i_incl = sub_repn(fh.target, im_rows)
-    C, c_proj = quotient_repn(fh.target, im_rows)
-    return (K, k_incl), (I, i_incl), (C, c_proj)
 
 
 # -- per-algebra derived data ----------------------------------------------
@@ -645,23 +622,7 @@ def hom_combination(space: HomSpace, coeffs) -> ModHom:
     return ModHom(space.source, space.target, (c @ space.flat).reshape(space.source.dim, space.target.dim))
 
 
-# -- approximations and endomorphism algebras --------------------------------
-
-
-def right_approximation(N: Repn, M: Repn) -> ModHom:
-    """The right add(M)-approximation M^r -> N given by a Hom-basis."""
-    homs = hom_space(M, N)
-    r = len(homs)
-    if r == 0:
-        return zero_hom(zero_module(M.algebra), N)
-    P, _, _ = direct_sum([M] * r)
-    return ModHom(P, N, homs.flat.reshape(r * M.dim, N.dim))
-
-
-def factors_through(f: ModHom, approx: ModHom) -> bool:
-    """Does f: M -> N factor as g then approx for some module map g?"""
-    composites = hom_space(f.source, approx.source).then(approx.mat)
-    return solve_left(composites, f.mat.flatten_row()) is not None
+# -- endomorphism algebras -----------------------------------------------------
 
 
 def endomorphism_algebra(M: Repn):
@@ -681,5 +642,5 @@ def endomorphism_algebra(M: Repn):
     table = space.basis.coords(prods).reshape(k, k * k)
     unit = space.basis.coords(Mat.identity(f, m).flatten_row())
     labels = [f"phi{t}" for t in range(k)]
-    E = Algebra(f, labels, unit, table, provenance="endomorphism")
+    E = Algebra(f, labels, unit, table)
     return E, space

@@ -28,7 +28,10 @@ replacement, on the library's own primitives:
   operations, against the list Gauss-Jordan of ``linalg._rref_prime``;
 * ``loop_unit_psis`` builds each map psi_j of the four-term sequence one
   row of m_hat_j at a time, against the one product of
-  ``functors.unit_psis``.
+  ``functors.unit_psis``;
+* ``trace_form_radical`` takes the kernel of tr(L_a L_b) from the stacked
+  left-multiplication matrices, against the two table products of
+  ``algebra._radical_by_traces`` over Q.
 """
 
 import weakref
@@ -40,9 +43,9 @@ from catres.linalg import (
     Mat,
     RowBasis,
     coords_in_rows,
+    left_nullspace,
     nullspace,
     row_basis,
-    row_span_contains,
 )
 from catres.modules import (
     ModHom,
@@ -209,7 +212,7 @@ def generating_indices(A):
     span = row_basis(A.unit)
     gens = []
     for i in range(A.dim):
-        if row_span_contains(span, A.basis_element(i)):
+        if RowBasis(span).contains(A.basis_element(i)):
             continue
         gens.append(i)
         span = row_basis(span.vstack(A.basis_element(i)))
@@ -310,7 +313,7 @@ def greedy_cover(M):
         span = None
         for h in hom_space(ctx.projectives[i], M):
             comp = (h.mat @ to_top.mat).flatten_row()
-            if comp.is_zero() or (span is not None and row_span_contains(span, comp)):
+            if comp.is_zero() or (span is not None and RowBasis(span).contains(comp)):
                 continue
             span = comp if span is None else row_basis(span.vstack(comp))
             parts.append(i)
@@ -328,7 +331,7 @@ def theta_via_presentation(F, data):
     ctx = context(data.tilde)
     summands = []
     for eps in ctx.idempotents:
-        psi = data.end_matrix(eps.coords)
+        psi = (eps.coords @ data.end.flat).reshape(data.M.dim, data.M.dim)
         summands.append(sub_repn(data.M, row_basis(psi)))
 
     pres0 = projective_presentation(F)
@@ -378,7 +381,7 @@ def theta_via_presentation(F, data):
             block = image.with_array(image.a[:, q0_off[t] : q0_off[t] + pk.dim])
             # back to tilde coordinates: w in e_k tilde e_j
             w = block @ ctx.projective_rows[i0]
-            W = data.end_matrix(w)
+            W = (w @ data.end.flat).reshape(data.M.dim, data.M.dim)
             nj_rows = summands[i1][1].mat
             nk_rows = summands[i0][1].mat
             cores.append((x1_off[s], x0_off[t], coords_in_rows(nk_rows, nj_rows @ W)))
@@ -401,3 +404,15 @@ def loop_unit_psis(data):
         )
         psis.append((data.pi @ m_hat).flatten_row())
     return Mat.stack_rows(lam.field, psis)
+
+
+def trace_form_radical(A):
+    """Kernel of T(a, b) = tr(L_a L_b), the radical in characteristic 0.
+
+    tr(L_a L_b) is the dot product of L_a and the transpose of L_b, both
+    flattened: the whole Gram matrix is one product.
+    """
+    lmats = [A.left_mult_matrix(A.basis_element(i)) for i in range(A.dim)]
+    flat = Mat.stack_rows(A.field, [m.flatten_row() for m in lmats])
+    flat_t = Mat.stack_rows(A.field, [m.T.flatten_row() for m in lmats])
+    return row_basis(left_nullspace(flat @ flat_t.T))

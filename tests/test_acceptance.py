@@ -196,7 +196,7 @@ def test_criterion_7_weakly_crepant():
     ]:
         data = build_auslander(lam)
         cfg = CertConfig(seed=0, samples=nadj)
-        wc = weakly_crepant_check(lam, data, cfg)
+        wc = weakly_crepant_check(lam, data, cfg, ModulePool(data))
         ok = ok and not wc["inapplicable"] and wc["lemma42_passed"]
         ok = ok and wc["mod0_vanishing"]["passed"] and wc["mod0_vanishing"]["samples"] >= n44
         ok = ok and wc["right_adjoint"]["passed"] and wc["right_adjoint"]["samples"] == nadj
@@ -207,7 +207,8 @@ def test_criterion_7_weakly_crepant():
     from catres.corpus import upper_triangular_2
 
     t2 = upper_triangular_2(F3)
-    wc_t2 = weakly_crepant_check(t2, build_auslander(t2), CertConfig(seed=0, samples=4))
+    data_t2 = build_auslander(t2)
+    wc_t2 = weakly_crepant_check(t2, data_t2, CertConfig(seed=0, samples=4), ModulePool(data_t2))
     ok = ok and wc_t2["inapplicable"]
     dt = time.monotonic() - t0
     ok = ok and dt < 300

@@ -12,14 +12,17 @@ from catres.algebra import (
     AlgebraError,
     Idempotent,
     QuiverSpec,
+    _corner_center_rows,
+    _corner_of_unit,
     _divided_trace_gram,
     _is_ideal,
+    _poly_roots,
     _power_traces,
-    _radical_prime_chain,
+    _radical_by_traces,
     corner_algebra,
     from_quiver,
     primitive_idempotents,
-    quotient_by_power,
+    quotient_algebra,
 )
 from catres.auslander import build_auslander
 from catres.corpus import (
@@ -32,11 +35,11 @@ from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import (
     FieldSpec,
     Mat,
+    RowBasis,
     _int64_headroom,
     coords_in_rows,
     nullspace,
     row_basis,
-    row_span_contains,
 )
 from oracles import (
     bigint_divided_trace_gram,
@@ -44,6 +47,7 @@ from oracles import (
     int_matrix_power_trace,
     loop_is_ideal,
     naive_product,
+    trace_form_radical,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -236,23 +240,29 @@ def test_radical_of_modular_group_algebras():
     assert d.radical_chain().radical.rows == 0
 
 
+def with_radical_hint(a, rows):
+    """A fresh copy of ``a`` that carries ``rows`` as its radical hint."""
+    return Algebra(a.field, a.basis_labels, a.unit, a.table_matrix(), radical_hint=rows)
+
+
 def test_radical_annotation_verified():
     a = truncated_poly_algebra(F5, 2)
     good = Mat.from_rows(F5, [[0, 1]])
-    ch = a.radical_chain(annotation=good)
+    ch = with_radical_hint(a, good).radical_chain()
     assert ch.nilpotency_index == 2
     with pytest.raises(AlgebraError):
-        a.radical_chain(annotation=Mat.from_rows(F5, [[1, 0]]))  # not nilpotent
+        with_radical_hint(a, Mat.from_rows(F5, [[1, 0]])).radical_chain()  # not nilpotent
 
 
 def test_radical_annotation_checks_ideal_then_nilpotency_then_quotient():
     a = truncated_poly_algebra(F5, 3)  # basis 1, x, x^2
     with pytest.raises(AlgebraError, match="two-sided ideal"):
-        a.radical_chain(annotation=Mat.from_rows(F5, [[0, 1, 0]]))  # x * x leaves span(x)
+        # x * x leaves span(x)
+        with_radical_hint(a, Mat.from_rows(F5, [[0, 1, 0]])).radical_chain()
     with pytest.raises(AlgebraError, match="not nilpotent"):
-        a.radical_chain(annotation=Mat.identity(F5, 3))  # the whole algebra
+        with_radical_hint(a, Mat.identity(F5, 3)).radical_chain()  # the whole algebra
     with pytest.raises(AlgebraError, match="not semisimple"):
-        a.radical_chain(annotation=Mat.from_rows(F5, [[0, 0, 1]]))  # J^2 only
+        with_radical_hint(a, Mat.from_rows(F5, [[0, 0, 1]])).radical_chain()  # J^2 only
 
 
 def test_radical_elements_nilpotent_and_powers_nest():
@@ -267,7 +277,7 @@ def test_radical_elements_nilpotent_and_powers_nest():
             assert power.is_zero()
         for i in range(len(ch.powers) - 1):
             for r in range(ch.powers[i + 1].rows):
-                assert row_span_contains(ch.powers[i], ch.powers[i + 1].row_at(r))
+                assert RowBasis(ch.powers[i]).contains(ch.powers[i + 1].row_at(r))
         # spot-check J^i * J^j <= J^(i+j)
         n = ch.nilpotency_index
         for i in range(1, n):
@@ -278,7 +288,7 @@ def test_radical_elements_nilpotent_and_powers_nest():
                 for r in range(a_rows.rows):
                     for s in range(b_rows.rows):
                         prod = a.multiply(a_rows.row_at(r), b_rows.row_at(s))
-                        assert row_span_contains(tgt, prod) or prod.is_zero()
+                        assert RowBasis(tgt).contains(prod) or prod.is_zero()
 
 
 # -- quotients ---------------------------------------------------------------
@@ -287,28 +297,21 @@ def test_radical_elements_nilpotent_and_powers_nest():
 def test_quotient_by_power_top_and_bottom():
     a = truncated_poly_algebra(QQ, 3)
     ch = a.radical_chain()
-    top, _ = quotient_by_power(a, ch, 1)
+    top, _, _ = quotient_algebra(a, ch.power(1))
     assert top.dim == 1
-    full, _ = quotient_by_power(a, ch, 3)
+    full, _, _ = quotient_algebra(a, ch.power(3))
     assert full.dim == 3 and full.validate().ok
 
 
 def test_quotient_by_power_middle_is_x2():
     a = truncated_poly_algebra(QQ, 3)
     ch = a.radical_chain()
-    mid, proj = quotient_by_power(a, ch, 2)
+    mid, proj, _ = quotient_algebra(a, ch.power(2))
     assert mid.dim == 2 and mid.validate().ok
     # x has nonzero image with square zero
     ximg = a.basis_element(1) @ proj
     assert not ximg.is_zero()
     assert mid.multiply(ximg, ximg).is_zero()
-
-
-def test_quotient_index_out_of_range():
-    a = truncated_poly_algebra(QQ, 3)
-    ch = a.radical_chain()
-    with pytest.raises(AlgebraError):
-        quotient_by_power(a, ch, 4)
 
 
 # -- idempotents and corners ---------------------------------------------------
@@ -384,26 +387,27 @@ def test_corner_rejects_non_idempotent():
         corner_algebra(a, Idempotent(a.basis_element(1)))
 
 
-# -- opposite -------------------------------------------------------------------
+# -- opposite and center --------------------------------------------------------
+# The right table of A is the table of A^op.
 
 
 def test_opposite_commutative_equal():
     a = truncated_poly_algebra(F5, 2)
-    assert (a.opposite().table == a.table).all()
+    assert a.right_table() == a.table_matrix()
 
 
 def test_opposite_t2_validates_and_involutes():
     a = upper_triangular_2(F3)
-    op = a.opposite()
+    op = Algebra(a.field, a.basis_labels, a.unit, a.right_table())
     assert op.validate().ok
-    assert (op.opposite().table == a.table).all()
-    assert not (op.table == a.table).all()
+    assert op.right_table() == a.table_matrix()
+    assert op.table_matrix() != a.table_matrix()
 
 
 def test_center_of_t2():
     a = upper_triangular_2(F3)
-    z = a.center()
-    assert z.rows == 1  # spanned by the unit
+    z = _corner_center_rows(a, _corner_of_unit(a, a.unit))
+    assert z == a.unit  # spanned by the unit
 
 
 def test_generating_indices_small():
@@ -486,8 +490,23 @@ def test_divided_trace_gram_matches_bigint_route():
             levels_seen.add(q)
             basis = row_basis(nullspace(Mat(a.field, gram)).T @ basis)
             q *= p
-        assert basis == _radical_prime_chain(a), label
+        assert basis == _radical_by_traces(a), label
     assert {1, 2, 4} <= levels_seen
+
+
+def test_trace_route_matches_the_trace_form_reference_over_q():
+    x3_q = parse_algebra_or_quiver(json.loads((CORPUS / "x3_q.json").read_text()))
+    for label, a in (("x3_q", x3_q), ("Q[x]/x^5", truncated_poly_algebra(QQ, 5))):
+        for name, b in ((label, a), (f"T({label})", build_auslander(a).tilde)):
+            assert _radical_by_traces(b) == trace_form_radical(b), name
+
+
+def test_poly_roots_over_q_with_a_denominator_beyond_int64():
+    # (t - 1/d)(t - 1): the common denominator is d, but an int64 lcm loop
+    # forms d * d on the way and wraps
+    d = 2**32 + 15
+    coeffs = [Fraction(1, d), -(1 + Fraction(1, d)), Fraction(1)]
+    assert set(_poly_roots(QQ, coeffs)) == {Fraction(1, d), Fraction(1)}
 
 
 def test_power_traces_match_bigint_traces_on_both_paths():

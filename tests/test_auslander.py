@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from catres.algebra import AlgebraError, QuiverSpec, _radical_by_field, from_quiver
+from catres.algebra import AlgebraError, QuiverSpec, _radical_by_traces, from_quiver
 from catres.auslander import build_auslander, check_corner_iso, hom_dim_sum, verify_auslander
 from catres.corpus import shipped_corpus, truncated_poly_algebra, two_fields
 from catres.io_json import parse_algebra_or_quiver
-from catres.linalg import FieldSpec, rank, row_basis, row_span_contains
+from catres.linalg import FieldSpec, RowBasis, rank, row_basis
 from catres.modules import is_isomorphic
+from test_algebra import with_radical_hint
 from test_modules import f2_s3
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -124,7 +125,7 @@ def test_local_piece_radical_matches_the_field_route():
     fields = set()
     for label, lam in _radical_dual_route_algebras():
         tilde = build_auslander(lam).tilde
-        expected = _radical_by_field(tilde)
+        expected = _radical_by_traces(tilde)
         assert row_basis(tilde.radical_hint) == expected, label
         assert tilde.radical_chain().radical == expected, label
         fields.add(tilde.field.kind)
@@ -136,12 +137,12 @@ def test_radical_annotation_missing_or_extra_row_is_rejected(name):
     lam = parse_algebra_or_quiver(json.loads((CORPUS / f"{name}.json").read_text()))
     tilde = build_auslander(lam).tilde
     rad = tilde.radical_chain().radical
-    assert tilde.radical_chain(annotation=rad).radical == rad
+    assert with_radical_hint(tilde, rad).radical_chain().radical == rad
     with pytest.raises(AlgebraError):
-        tilde.radical_chain(annotation=rad.take_rows(range(rad.rows - 1)))
+        with_radical_hint(tilde, rad.take_rows(range(rad.rows - 1))).radical_chain()
     outside = next(
         b for b in (tilde.basis_element(i) for i in range(tilde.dim))
-        if not row_span_contains(rad, b)
+        if not RowBasis(rad).contains(b)
     )
     with pytest.raises(AlgebraError):
-        tilde.radical_chain(annotation=rad.vstack(outside))
+        with_radical_hint(tilde, rad.vstack(outside)).radical_chain()

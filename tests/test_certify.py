@@ -19,6 +19,7 @@ from catres.corpus import (
 )
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec
+from catres.samples import ModulePool
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -126,7 +127,7 @@ def test_report_is_valid_sorted_json(flagship_report):
 def test_weakly_crepant_check_direct():
     lam = truncated_poly_algebra(F3, 3)
     data = build_auslander(lam)
-    wc = weakly_crepant_check(lam, data, CertConfig(seed=0, samples=4))
+    wc = weakly_crepant_check(lam, data, CertConfig(seed=0, samples=4), ModulePool(data))
     assert not wc["inapplicable"]
     assert wc["passed"]
 

@@ -5,7 +5,7 @@ from catres import modules as mod
 from catres.auslander import build_auslander
 from catres.corpus import truncated_poly_algebra
 from catres.functors import in_mod0, theta_rho
-from catres.linalg import FieldSpec
+from catres.linalg import FieldSpec, Mat
 from catres.samples import ModulePool, rng_for
 
 F2 = FieldSpec("prime", 2)
@@ -37,7 +37,8 @@ def test_validate_and_shift(data, reg):
 
 def test_cone_of_identity_is_acyclic(data, reg):
     c = cx.module_complex(reg)
-    cn, incl, proj = cx.cone(cx.ChainMap(c, c, {0: mod.identity_hom(reg)}))
+    ident = mod.ModHom(reg, reg, Mat.identity(F2, reg.dim))
+    cn, incl, proj = cx.cone(cx.ChainMap(c, c, {0: ident}))
     assert cx.is_acyclic(cn)
     assert incl.validate() and proj.validate()
 
@@ -83,7 +84,7 @@ def test_kb_hom_yoneda_at_projective(data, reg):
 def test_kb_hom_kills_homotopic(data, reg):
     # the two-term complex with identity differential is contractible, so
     # every chain map out of it is null-homotopic
-    c = cx.BComplex(data.lam, 0, [reg, reg], [mod.identity_hom(reg)])
+    c = cx.BComplex(data.lam, 0, [reg, reg], [mod.ModHom(reg, reg, Mat.identity(F2, reg.dim))])
     d = cx.module_complex(reg)
     kb = cx.kb_hom(c, d)
     assert kb.dim == 0
@@ -106,12 +107,12 @@ def test_db_theta_functoriality(data, pool):
 def test_db_theta_on_mod0_complex_vanishes(data, pool):
     rng = rng_for(0, "dbth0", 0)
     G = pool.random_mod0_complex(rng, 3, 8)
-    assert cx.db_theta(G, data).total_dim() == 0
+    assert cx.db_theta(G, data).is_zero()
 
 
 def test_kb_theta_lambda_projective_terms(data, reg):
     p = cx.BComplex(data.lam, 0, [reg, reg], [mod.ModHom(reg, reg, reg.action_mat(1))])
-    lifted = cx.kb_theta_lambda(p, data)
+    lifted = cx.kb_theta_lambda_data(p, data).complex
     assert [t.dim for t in lifted.terms] == [3, 3]
     assert lifted.validate() == []
     for t in lifted.terms:
@@ -123,7 +124,7 @@ def test_kb_theta_lambda_rejects_nonprojective(data):
     s = ctx.simples[0]
     c = cx.module_complex(s)
     with pytest.raises(cx.ComplexError):
-        cx.kb_theta_lambda(c, data)
+        cx.kb_theta_lambda_data(c, data)
 
 
 def test_step_v_on_100_random_projective_complexes(data, pool):
@@ -149,7 +150,7 @@ def test_yoneda_vanishing_mod0(data, pool):
     for i in range(15):
         rng = rng_for(0, "yoneda0", i)
         P = pool.random_projective_lam_complex(rng, 4, 10)
-        lifted = cx.kb_theta_lambda(P, data)
+        lifted = cx.kb_theta_lambda_data(P, data).complex
         G = pool.random_mod0_complex(rng, 3, 10)
         assert cx.kb_hom(lifted, G).dim == 0
 
@@ -233,31 +234,14 @@ def test_injectivity_bundle(data):
     assert is_injective(data.lam, mod.context(data.lam).regular)
 
 
-def test_db_hom_reductions_and_refusal(data):
-    ctx = mod.context(data.lam)
-    reg, s = ctx.regular, ctx.simples[0]
-    proj = cx.module_complex(reg)
-    simple = cx.module_complex(s)
-    # projective source: computable, agrees with kb_hom
-    assert cx.db_hom(proj, simple).dim == cx.kb_hom(proj, simple).dim
-    # injective target over the self-injective base: also computable
-    assert cx.db_hom(simple, proj).dim == cx.kb_hom(simple, proj).dim
-    # neither side reducible over the Auslander algebra: refused
-    ctx_t = mod.context(data.tilde)
-    s_t = next(t for t in ctx_t.simples if not mod.is_projective(t))
-    c = cx.module_complex(s_t)
-    from catres.homology import is_injective
-
-    if not is_injective(data.tilde, s_t):
-        with pytest.raises(cx.NotComputable):
-            cx.db_hom(c, c)
-
-
 def test_acyclic_implies_lambda_acyclic(data, pool):
     for i in range(10):
         rng = rng_for(0, "acy", i)
         F = pool.random_tilde_complex(rng, 3, 8)
-        idm = cx.ChainMap(F, F, {j: mod.identity_hom(F.term(j)) for j in F.degrees()})
+        idm = cx.ChainMap(F, F, {
+            j: mod.ModHom(F.term(j), F.term(j), Mat.identity(F2, F.term(j).dim))
+            for j in F.degrees()
+        })
         cn, _, _ = cx.cone(idm)
         assert cx.is_acyclic(cn)
         assert cx.is_lambda_acyclic(cn, data)

@@ -54,7 +54,7 @@ def test_theta_rho_dims(data):
 def test_theta_of_theta_rho_is_counit_iso(data):
     ctx = lam_ctx(data)
     for n in [ctx.regular, ctx.simples[0]]:
-        c, _ = counit(n, data)
+        c, _ = counit(n, data, theta_rho_data(n, data))
         assert c.validate()
         assert c.mat.rows == c.mat.cols == n.dim
         assert rank(c.mat) == n.dim

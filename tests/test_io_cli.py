@@ -190,9 +190,7 @@ def test_rational_scalars_roundtrip_as_strings():
     assert '"1/2"' not in s  # integral table stays integral
     from fractions import Fraction
 
-    from catres.io_json import _parse_scalar
-
-    assert _parse_scalar("2/3", QQ, "$") == Fraction(2, 3)
+    assert QQ.scalar_from_json("2/3") == Fraction(2, 3)
     assert QQ.scalar_to_json(Fraction(2, 3)) == "2/3"
     assert QQ.scalar_to_json(Fraction(4, 2)) == 2
 
@@ -246,6 +244,20 @@ def test_cli_certify_across_hash_seeds(tmp_path):
     )
     assert a == b
     assert json.loads(a)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--samples", "0"),
+    ("certify", "--max-window", "0"),
+    ("certify", "--max-term-dim", "-3"),
+    ("certify", "--max-depth", "-1"),
+    ("gldim", "--max-depth", "-1"),
+])
+def test_cli_rejects_out_of_range_flags_without_a_traceback(argv):
+    verb, flag, value = argv
+    proc = run_cli(verb, "corpus/x2_f2.json", flag, value, expect=2)
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_parse_error_paths():
