@@ -33,24 +33,21 @@ from . import __version__
 from .algebra import Algebra
 from .auslander import AuslanderData, build_auslander, verify_auslander
 from .complexes import (
-    ChainMap,
     cone,
     db_theta,
-    homotopy_functor_images,
     is_acyclic,
     is_lambda_acyclic,
     kb_hom,
     kb_theta_lambda_data,
     module_complex,
     prop31_sequence,
-    quotient_bijective,
     step_iv_adjunction,
     step_v_naturality,
     step_v_unit,
 )
-from .functors import in_mod0, theta, theta_rho, theta_rho_hom
+from .functors import in_mod0, theta, theta_rho, theta_rho_maps
 from .homology import global_dimension, is_injective, is_self_injective
-from .modules import ModHom, context
+from .modules import context
 from .samples import ModulePool, rng_for
 
 
@@ -152,8 +149,7 @@ def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: in
     rng = rng_for(cfg.seed, "four_term", i)  # same stream: same complexes
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     p31 = prop31_sequence(F, data)
-    cn, _, _ = cone(p31.alpha)
-    return is_lambda_acyclic(cn, data), "cone of the unit map is not corner-acyclic"
+    return is_lambda_acyclic(cone(p31.alpha), data), "cone of the unit map is not corner-acyclic"
 
 
 def kernel_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
@@ -271,22 +267,14 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     B = kb_hom(thetaF, P)
     A = kb_hom(F, lifted.complex)
     p31 = prop31_sequence(F, data)
-
-    def convert(g):
-        comps = {}
-        for i in F.degrees():
-            trd_target = lifted.term_data.get(i)
-            if trd_target is None or lifted.complex.term(i).dim == 0 or F.term(i).dim == 0:
-                continue
+    # g -> alpha then theta_rho(g), on every basis map of each degree
+    blocks = {}
+    for i in B.window:
+        if B.spaces[i] and A.spaces[i]:
             s = p31.degreewise[i]
-            tr_g = theta_rho_hom(g.comp(i), data, s.middle_data, trd_target)
-            comps[i] = ModHom(F.term(i), lifted.complex.term(i), s.alpha.mat @ tr_g.mat)
-        return ChainMap(F, lifted.complex, comps)
-
-    img_chain, img_htp = homotopy_functor_images(B, A, convert)
-    res = quotient_bijective(B, A, img_chain, img_htp)
-    res["dims"] = (B.dim, A.dim)
-    return res
+            lifted_g = theta_rho_maps(B.spaces[i], s.middle_data, lifted.term_data[i])
+            blocks[i] = A.spaces[i].basis.coords(lifted_g.after(s.alpha.mat))
+    return B.induced_bijection(A, blocks)
 
 
 def weakly_crepant_check(

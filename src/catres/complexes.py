@@ -11,6 +11,12 @@ restriction is exact); ``kb_theta_lambda_data`` applies Hom(M, -) termwise to a
 complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
+
+``KbHom.induced_bijection`` checks that a linear functor on chain maps
+induces a bijection on homotopy classes.  The functor is given by one
+coordinate matrix per degree, from ``theta_maps`` or ``theta_rho_maps`` on
+the whole Hom space of the terms, and the chain and homotopy bases are
+multiplied by them once.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .functors import (
     four_term_sequence,
     theta,
     theta_hom,
+    theta_maps,
     theta_rho_data,
     theta_rho_hom,
 )
@@ -155,13 +162,6 @@ class ChainMap:
                 return False
         return True
 
-    def is_zero(self) -> bool:
-        return all(h.mat.is_zero() for h in self.comps.values())
-
-    def shift(self, k: int = 1) -> "ChainMap":
-        comps = {i - k: h for i, h in self.comps.items()}
-        return ChainMap(self.source.shift(k), self.target.shift(k), comps)
-
 
 def direct_sum_complexes(parts: list) -> BComplex:
     algebra = parts[0].algebra
@@ -179,12 +179,8 @@ def direct_sum_complexes(parts: list) -> BComplex:
     return BComplex(algebra, lo, terms, diffs)
 
 
-def cone(f: ChainMap):
-    """Mapping cone with its canonical triangle maps.
-
-    cone(f)_i = source_(i+1) (+) target_i; returns (cone, incl, proj) with
-    incl : target -> cone and proj : cone -> source[1].
-    """
+def cone(f: ChainMap) -> BComplex:
+    """Mapping cone: cone(f)_i = source_(i+1) (+) target_i."""
     C, D = f.source, f.target
     algebra = C.algebra
     fld = algebra.field
@@ -209,18 +205,7 @@ def cone(f: ChainMap):
             blocks.append((a, a2, D.diff(i).mat))
         m = Mat.from_blocks(fld, a + b, a2 + b2, blocks)
         diffs.append(ModHom(terms[i - lo], terms[i - lo + 1], m))
-    cn = BComplex(algebra, lo, terms, diffs)
-    incl_comps = {}
-    proj_comps = {}
-    shifted = C.shift(1)
-    for i in range(lo, hi + 1):
-        a = C.term(i + 1).dim
-        b = D.term(i).dim
-        im = Mat.from_blocks(fld, b, a + b, [(0, a, Mat.identity(fld, b))])
-        incl_comps[i] = ModHom(D.term(i), cn.term(i), im)
-        pm = Mat.from_blocks(fld, a + b, a, [(0, 0, Mat.identity(fld, a))])
-        proj_comps[i] = ModHom(cn.term(i), shifted.term(i), pm)
-    return cn, ChainMap(D, cn, incl_comps), ChainMap(cn, shifted, proj_comps)
+    return BComplex(algebra, lo, terms, diffs)
 
 
 def homology(C: BComplex) -> list:
@@ -272,19 +257,29 @@ class KbHom:
             comps[i] = ModHom(space.source, space.target, acc)
         return ChainMap(self.source, self.target, comps)
 
-    def chainmap_to_coords(self, f: ChainMap) -> Mat:
+    def induced_bijection(self, other: "KbHom", blocks: dict) -> dict:
+        """Does the linear map on chain maps with coordinate matrix
+        ``blocks[i]`` in degree i, from the coordinates of ``spaces[i]`` to
+        those of ``other.spaces[i]`` (zero in degrees without a block),
+        induce a bijection on homotopy classes?
+
+        Checks: null-homotopics land in null-homotopics; the images of a
+        chain basis span other's chain space modulo homotopy in the full
+        quotient dimension; and the two quotients have equal dimension.
+        """
         fld = self.source.algebra.field
-        pieces = [
-            self.spaces[i].basis.coords(f.comp(i).mat.flatten_row())
-            for i in self.window
-            if self.spaces[i]
-        ]
-        if not pieces:
-            return Mat.zeros(fld, 1, 0)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = out.hstack(p)
-        return out
+        placed = [(self.offsets[i], other.offsets[i], b) for i, b in blocks.items()]
+        big = Mat.from_blocks(fld, self.total, other.total, placed)
+        htp = other.homotopy_rows
+        htp_ok = RowBasis(htp).contains(self.homotopy_rows @ big)
+        induced_rank = rank((self.chain_rows @ big).vstack(htp)) - htp.rows
+        return {
+            "dims_equal": self.dim == other.dim,
+            "homotopics_preserved": htp_ok,
+            "induced_rank": induced_rank,
+            "bijective": htp_ok and self.dim == other.dim and induced_rank == self.dim,
+            "dims": (self.dim, other.dim),
+        }
 
 
 def kb_hom(C: BComplex, D: BComplex) -> KbHom:
@@ -364,17 +359,6 @@ def db_theta(F: BComplex, data: AuslanderData) -> BComplex:
     return BComplex(data.lam, F.lo, thetas, diffs)
 
 
-def db_theta_chainmap(f: ChainMap, data: AuslanderData, src: BComplex = None, tgt: BComplex = None) -> ChainMap:
-    if src is None:
-        src = db_theta(f.source, data)
-    if tgt is None:
-        tgt = db_theta(f.target, data)
-    comps = {}
-    for i in f.comps:
-        comps[i] = theta_hom(f.comp(i), data, src.term(i), tgt.term(i))
-    return ChainMap(src, tgt, comps)
-
-
 @dataclass
 class KbThetaLambda:
     complex: BComplex  # over tilde
@@ -395,7 +379,7 @@ def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> KbThetaLambda:
     diffs = []
     degs = list(P.degrees())
     for i in degs[:-1]:
-        diffs.append(theta_rho_hom(P.diff(i), data, term_data[i], term_data[i + 1]))
+        diffs.append(theta_rho_hom(P.diff(i), term_data[i], term_data[i + 1]))
     out = BComplex(data.tilde, P.lo, terms, diffs)
     for i, t in zip(degs, out.terms):
         if t.dim and not is_projective(t):
@@ -403,19 +387,11 @@ def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> KbThetaLambda:
     return KbThetaLambda(complex=out, term_data=term_data)
 
 
-def kb_theta_lambda_chainmap(u: ChainMap, data: AuslanderData, src: KbThetaLambda, tgt: KbThetaLambda) -> ChainMap:
-    comps = {}
-    for i in u.comps:
-        comps[i] = theta_rho_hom(u.comp(i), data, src.term_data[i], tgt.term_data[i])
-    return ChainMap(src.complex, tgt.complex, comps)
-
-
 # -- Step V: the unit isomorphism, on the nose through the counit ----------------
 
 
 @dataclass
 class StepV:
-    P: BComplex
     lifted: KbThetaLambda
     back: BComplex  # db_theta(kb_theta_lambda(P))
     counits: dict  # degree -> ModHom back.term(i) -> P.term(i)
@@ -431,7 +407,7 @@ def step_v_unit(P: BComplex, data: AuslanderData) -> StepV:
     ok = True
     detail = ""
     for i in P.degrees():
-        c, _ = counit(P.term(i), data, lifted.term_data[i])
+        c = counit(P.term(i), data, lifted.term_data[i])
         counits[i] = c
         if c.mat.rows != c.mat.cols or rank(c.mat) != c.mat.rows:
             ok = False
@@ -444,7 +420,7 @@ def step_v_unit(P: BComplex, data: AuslanderData) -> StepV:
                 ok = False
                 detail = f"transported differential differs at degree {i}"
                 break
-    return StepV(P=P, lifted=lifted, back=back, counits=counits, ok=ok, detail=detail)
+    return StepV(lifted=lifted, back=back, counits=counits, ok=ok, detail=detail)
 
 
 def step_v_naturality(u: ChainMap, data: AuslanderData) -> bool:
@@ -454,14 +430,11 @@ def step_v_naturality(u: ChainMap, data: AuslanderData) -> bool:
     sv_tgt = step_v_unit(u.target, data)
     if not (sv_src.ok and sv_tgt.ok):
         return False
-    lifted_u = kb_theta_lambda_chainmap(u, data, sv_src.lifted, sv_tgt.lifted)
-    back_u = db_theta_chainmap(lifted_u, data, sv_src.back, sv_tgt.back)
-    lo = min(u.source.lo, u.target.lo)
-    hi = max(u.source.hi, u.target.hi)
-    for i in range(lo, hi + 1):
-        lhs = back_u.comp(i).mat @ sv_tgt.counits.get(i, zero_hom(sv_tgt.back.term(i), u.target.term(i))).mat
-        rhs = sv_src.counits.get(i, zero_hom(sv_src.back.term(i), u.source.term(i))).mat @ u.comp(i).mat
-        if lhs != rhs:
+    # degrees without a component of u hold zero maps on both sides
+    for i, u_i in u.comps.items():
+        lifted = theta_rho_hom(u_i, sv_src.lifted.term_data[i], sv_tgt.lifted.term_data[i])
+        back = theta_hom(lifted, data, sv_src.back.term(i), sv_tgt.back.term(i))
+        if back.mat @ sv_tgt.counits[i].mat != sv_src.counits[i].mat @ u_i.mat:
             return False
     return True
 
@@ -493,7 +466,7 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
     mid_diffs = []
     for i in degs[:-1]:
         t_d = theta_hom(F.diff(i), data, seqs[i].theta_F, seqs[i + 1].theta_F)
-        delta = theta_rho_hom(t_d, data, seqs[i].middle_data, seqs[i + 1].middle_data)
+        delta = theta_rho_hom(t_d, seqs[i].middle_data, seqs[i + 1].middle_data)
         mid_diffs.append(delta)
         lhs = seqs[i].alpha.mat @ delta.mat
         rhs = F.diff(i).mat @ seqs[i + 1].alpha.mat
@@ -522,47 +495,6 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
     return Prop31(F=F, F0=F0, alpha=alpha, middle=middle, F1=F1, degreewise=seqs)
 
 
-def homotopy_functor_images(A: KbHom, B: KbHom, convert):
-    """Apply a linear chain-map functor to A's bases, in B-coordinates.
-
-    ``convert`` maps a ChainMap in A to a ChainMap between B's complexes.
-    Returns (images of the chain basis, images of the homotopy basis).
-    """
-    fld = A.source.algebra.field
-
-    def image_rows(rows: Mat) -> Mat:
-        out = []
-        for r in range(rows.rows):
-            f = A.coords_to_chainmap(rows.row_at(r))
-            g = convert(f)
-            out.append(B.chainmap_to_coords(g))
-        return Mat.stack_rows(fld, out) if out else Mat.zeros(fld, 0, B.total)
-
-    return image_rows(A.chain_rows), image_rows(A.homotopy_rows)
-
-
-def quotient_bijective(A: KbHom, B: KbHom, img_chain: Mat, img_htp: Mat) -> dict:
-    """Does the induced map on homotopy classes biject?
-
-    Checks: null-homotopics land in null-homotopics; the images of a chain
-    basis span B's chain space modulo homotopy in the full quotient
-    dimension; and the two quotients have equal dimension.
-    """
-    htp_ok = RowBasis(B.homotopy_rows).contains(img_htp)
-    stacked = (
-        Mat.stack_rows(A.source.algebra.field, [img_chain, B.homotopy_rows])
-        if img_chain.rows or B.homotopy_rows.rows
-        else Mat.zeros(A.source.algebra.field, 0, B.total)
-    )
-    induced_rank = rank(stacked) - B.homotopy_rows.rows
-    return {
-        "dims_equal": A.dim == B.dim,
-        "homotopics_preserved": htp_ok,
-        "induced_rank": induced_rank,
-        "bijective": htp_ok and A.dim == B.dim and induced_rank == A.dim,
-    }
-
-
 def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
     """Hom_Kb((-,P), F) = Hom_Kb(P, db_theta F) through the explicit map
     f -> counit^(-1) then db_theta(f), verified as a bijection on homotopy
@@ -574,22 +506,15 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
     thetaF = db_theta(F, data)
     A = kb_hom(lifted.complex, F)
     B = kb_hom(P, thetaF)
-    inv_counits = {}
-    for i, c in sv.counits.items():
-        inv = solve(c.mat, Mat.identity(P.algebra.field, c.mat.rows))
-        inv_counits[i] = inv
-
-    def convert(f: ChainMap) -> ChainMap:
-        tf = db_theta_chainmap(f, data, sv.back, thetaF)
-        comps = {}
-        for i in P.degrees():
-            if i in inv_counits and P.term(i).dim and thetaF.term(i).dim:
-                comps[i] = ModHom(P.term(i), thetaF.term(i), inv_counits[i] @ tf.comp(i).mat)
-        return ChainMap(P, thetaF, comps)
-
-    img_chain, img_htp = homotopy_functor_images(A, B, convert)
-    result = quotient_bijective(A, B, img_chain, img_htp)
-    result["dims"] = (A.dim, B.dim)
+    # f -> counit^(-1) then theta(f), on every basis map of each degree
+    blocks = {}
+    for i in A.window:
+        if A.spaces[i] and B.spaces[i]:
+            c = sv.counits[i].mat
+            inv = solve(c, Mat.identity(P.algebra.field, c.rows))
+            moved = theta_maps(A.spaces[i], data, sv.back.term(i), thetaF.term(i)).after(inv)
+            blocks[i] = B.spaces[i].basis.coords(moved)
+    result = A.induced_bijection(B, blocks)
     result["ok"] = result["bijective"]
     return result
 

@@ -12,6 +12,12 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 * the unit alpha: F -> theta_rho(theta(F)) with its four-term exact sequence
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
+On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
+``theta_maps`` restricts every map of a space to the corners with one
+product and one coordinate solve, and ``theta_rho_maps`` postcomposes the
+basis of Hom(M, N) with every map the same way.  ``theta_hom`` and
+``theta_rho_hom`` are their one-map calls.
+
 The independent oracle for the corner-restriction route, theta recomputed
 from a projective presentation over tilde, lives in ``tests/oracles.py``.
 """
@@ -30,7 +36,6 @@ from .modules import (
     projective_presentation,
     quotient_repn,
     sub_repn,
-    zero_hom,
 )
 
 
@@ -54,16 +59,13 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
     return Repn(lam, k, RowBasis(rows).coords(moved).reshape(lam.dim, k * k))
 
 
-def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn = None, thetaG: Repn = None) -> ModHom:
-    """theta on morphisms: restriction of the matrix to the corner subspaces."""
-    if thetaF is None:
-        thetaF = theta(f.source, data)
-    if thetaG is None:
-        thetaG = theta(f.target, data)
-    return _theta_maps(HomSpace(f.source, f.target, f.mat.flatten_row()), data, thetaF, thetaG)[0]
+def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> ModHom:
+    """theta on one morphism, for ``thetaF`` and ``thetaG`` theta of its
+    source and target: ``theta_maps`` of a one-map space."""
+    return theta_maps(HomSpace(f.source, f.target, f.mat.flatten_row()), data, thetaF, thetaG)[0]
 
 
-def _theta_maps(space: HomSpace, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> HomSpace:
+def theta_maps(space: HomSpace, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> HomSpace:
     """theta of every map of ``space`` at once, as maps thetaF -> thetaG:
     the corner rows of the source followed by each map, in coordinates of
     the corner rows of the target."""
@@ -104,15 +106,27 @@ def theta_rho(N: Repn, data: AuslanderData) -> Repn:
     return theta_rho_data(N, data).module
 
 
-def theta_rho_hom(g: ModHom, data: AuslanderData, src: ThetaRho, tgt: ThetaRho) -> ModHom:
-    """theta_rho on morphisms: postcomposition Hom(M,N) -> Hom(M,N'), for
-    ``src`` and ``tgt`` the theta_rho data of g's source and target."""
-    if not src.space or not tgt.space:
-        return zero_hom(src.module, tgt.module)
-    return ModHom(src.module, tgt.module, tgt.space.basis.coords(src.space.then(g.mat)))
+def theta_rho_maps(space: HomSpace, src: ThetaRho, tgt: ThetaRho) -> HomSpace:
+    """theta_rho of every map g_t of ``space`` at once, as maps src.module ->
+    tgt.module: postcomposition Hom(M,N) -> Hom(M,N') for ``src`` and ``tgt``
+    the theta_rho data of N and N'.  Row s of block t is f_s followed by g_t,
+    in coordinates of the basis of Hom(M,N')."""
+    k, h, hh = len(space), len(src.space), len(tgt.space)
+    if not (k and h and hh):
+        return HomSpace(src.module, tgt.module, Mat.zeros(space.flat.field, k, h * hh))
+    m, n = src.space.source.dim, space.target.dim
+    # entry (s * m + i, t * n + j) is entry (i, j) of f_s followed by g_t
+    prod = src.space.flat.reshape(h * m, space.source.dim) @ space.wide()
+    moved = prod.with_array(prod.a.reshape(h, m, k, n).transpose(2, 0, 1, 3).reshape(k * h, m * n))
+    return HomSpace(src.module, tgt.module, tgt.space.basis.coords(moved).reshape(k, h * hh))
 
 
-def counit(N: Repn, data: AuslanderData, trd: ThetaRho):
+def theta_rho_hom(g: ModHom, src: ThetaRho, tgt: ThetaRho) -> ModHom:
+    """theta_rho on one morphism: ``theta_rho_maps`` of a one-map space."""
+    return theta_rho_maps(HomSpace(g.source, g.target, g.mat.flatten_row()), src, tgt)[0]
+
+
+def counit(N: Repn, data: AuslanderData, trd: ThetaRho) -> ModHom:
     """The natural isomorphism theta(theta_rho(N)) -> N, by evaluation at
     the image of the unit in the Lambda-summand; ``trd`` is the theta_rho
     data of N."""
@@ -122,7 +136,7 @@ def counit(N: Repn, data: AuslanderData, trd: ThetaRho):
     u = data.lam.unit @ data.iota  # the element iota(1) of M
     # row t: the image of iota(1) under the t-th hom; row r of ``rows``
     # combines the homs, so one product evaluates them all
-    return ModHom(thetaF, N, rows @ trd.space.after(u)), trd
+    return ModHom(thetaF, N, rows @ trd.space.after(u))
 
 
 # -- theta_lambda: presentation cokernel ----------------------------------------
@@ -144,13 +158,13 @@ def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
     if ker_rows.rows == 0:
         # N projective: theta_lambda(N) = theta_rho(N) on the nose
         trdN = theta_rho_data(N, data)
-        quotient = theta_rho_hom(cover, data, trd0, trdN)
+        quotient = theta_rho_hom(cover, trd0, trdN)
         return ThetaLambda(module=trdN.module, quotient=quotient, cover=cover, p0_data=trd0)
     omega, incl = sub_repn(p0, ker_rows)
     cover1 = projective_presentation(omega).cover
     d = cover1.then(incl)  # P1 -> P0
     trd1 = theta_rho_data(cover1.source, data)
-    lifted = theta_rho_hom(d, data, trd1, trd0)
+    lifted = theta_rho_hom(d, trd1, trd0)
     img = row_basis(lifted.mat)
     Q, proj = quotient_repn(trd0.module, img)
     return ThetaLambda(module=Q, quotient=proj, cover=cover, p0_data=trd0)
@@ -160,25 +174,25 @@ def theta_lambda(N: Repn, data: AuslanderData) -> Repn:
     return theta_lambda_data(N, data).module
 
 
-def unit_on_module(N: Repn, data: AuslanderData, tld: ThetaLambda = None):
-    """The unit N -> theta(theta_lambda(N)) of the left adjunction.
+def unit_on_module(N: Repn, data: AuslanderData, tld: ThetaLambda) -> ModHom:
+    """The unit N -> theta(theta_lambda(N)) of the left adjunction, for
+    ``tld`` the theta_lambda data of N.
 
     Built by factoring theta(quotient) o counit^(-1): P0 -> theta(theta_lambda N)
     through the cover P0 -> N; existence and uniqueness are theorems, and the
     construction solves the factorization exactly.
     """
-    if tld is None:
-        tld = theta_lambda_data(N, data)
-    c0, _ = counit(tld.cover.source, data, tld.p0_data)
+    c0 = counit(tld.cover.source, data, tld.p0_data)
     # theta applied to the quotient map theta_rho(P0) -> theta_lambda(N)
-    tq = theta_hom(tld.quotient, data)
+    q = tld.quotient
+    tq = theta_hom(q, data, theta(q.source, data), theta(q.target, data))
     # c0 is invertible; route P0 -> theta(theta_rho P0) via its inverse
     inv = solve(c0.mat, Mat.identity(N.field, c0.mat.rows))
     assert inv is not None and c0.mat.rows == tld.cover.source.dim
     u0 = inv @ tq.mat  # P0 -> theta(theta_lambda N)
     sol = solve(tld.cover.mat, u0)
     assert sol is not None, "unit factorization failed"
-    return ModHom(N, tq.target, sol), tld
+    return ModHom(N, tq.target, sol)
 
 
 # -- four-term sequence -----------------------------------------------------------
@@ -258,20 +272,20 @@ def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:
     """
     trdN = theta_rho_data(N, data)
     thetaF = theta(F, data)
-    c, _ = counit(N, data, trdN)
+    c = counit(N, data, trdN)
 
     left_homs = hom_space(F, trdN.module)
     right_homs = hom_space(thetaF, N)
     # g -> theta(g) then the counit, on every basis map at once
-    phi = right_homs.basis.coords(_theta_maps(left_homs, data, thetaF, c.source).then(c.mat))
+    phi = right_homs.basis.coords(theta_maps(left_homs, data, thetaF, c.source).then(c.mat))
     right_ok = len(left_homs) == len(right_homs) and rank(phi) == len(left_homs)
 
     tld = theta_lambda_data(N, data)
-    unit, _ = unit_on_module(N, data, tld)
+    unit = unit_on_module(N, data, tld)
     lam_homs = hom_space(N, thetaF)
     tilde_homs = hom_space(tld.module, F)
     # h -> the unit then theta(h)
-    psi = lam_homs.basis.coords(_theta_maps(tilde_homs, data, unit.target, thetaF).after(unit.mat))
+    psi = lam_homs.basis.coords(theta_maps(tilde_homs, data, unit.target, thetaF).after(unit.mat))
     left_ok = len(tilde_homs) == len(lam_homs) and rank(psi) == len(tilde_homs)
 
     return {

@@ -119,7 +119,6 @@ class PdResult:
     value: Optional[int] = None
     period: Optional[int] = None
     offset: Optional[int] = None
-    bound: Optional[int] = None
 
 
 def projective_dimension(M: Repn, max_depth: int) -> PdResult:
@@ -128,7 +127,7 @@ def projective_dimension(M: Repn, max_depth: int) -> PdResult:
         return PdResult(kind="finite", value=res.status.length)
     if res.status.kind == "periodic":
         return PdResult(kind="infinite", period=res.status.period, offset=res.status.offset)
-    return PdResult(kind="unknown", bound=max_depth)
+    return PdResult(kind="unknown")
 
 
 def _precompose_rank(d: Optional[ModHom], src: HomSpace, tgt: HomSpace) -> int:

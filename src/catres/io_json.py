@@ -41,6 +41,17 @@ def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset
         raise ParseError(path, f"unknown field(s) {sorted(unknown)}")
 
 
+def _list_at(x, path: str, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(path, f"expected a list of {what}")
+    return x
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_scalar(x, field: FieldSpec, path: str):
     try:
         return field.scalar_from_json(x)
@@ -87,7 +98,7 @@ def parse_algebra(obj: dict, path: str = "$") -> Algebra:
         raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
     field = _parse_field(obj["field"], f"{path}.field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ParseError(f"{path}.dim", "dim must be a non-negative integer")
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
@@ -130,14 +141,18 @@ def parse_quiver(obj: dict, path: str = "$") -> Algebra:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError(f"{path}.vertices", "expected a list of vertex names")
     arrows = []
-    for k, arr in enumerate(obj["arrows"]):
+    for k, arr in enumerate(_list_at(obj["arrows"], f"{path}.arrows", "arrows")):
         _require_keys(arr, f"{path}.arrows[{k}]", {"name", "from", "to"})
+        for key in ("name", "from", "to"):
+            if not isinstance(arr[key], str):
+                raise ParseError(f"{path}.arrows[{k}].{key}", "expected a string")
         arrows.append((arr["name"], arr["from"], arr["to"]))
     relations = []
-    for k, rel in enumerate(obj["relations"]):
+    for k, rel in enumerate(_list_at(obj["relations"], f"{path}.relations", "relations")):
         _require_keys(rel, f"{path}.relations[{k}]", {"terms"})
         terms = []
-        for t, term in enumerate(rel["terms"]):
+        rel_terms = _list_at(rel["terms"], f"{path}.relations[{k}].terms", "terms")
+        for t, term in enumerate(rel_terms):
             _require_keys(term, f"{path}.relations[{k}].terms[{t}]", {"coeff", "path"})
             coeff = _parse_scalar(term["coeff"], field, f"{path}.relations[{k}].terms[{t}].coeff")
             p = term["path"]
@@ -148,7 +163,7 @@ def parse_quiver(obj: dict, path: str = "$") -> Algebra:
             terms.append((coeff, p))
         relations.append(terms)
     lb = obj["length_bound"]
-    if not isinstance(lb, int):
+    if not _is_int(lb):
         raise ParseError(f"{path}.length_bound", "length_bound must be an integer")
     try:
         spec = QuiverSpec(field, vertices, arrows, relations, lb)
@@ -184,7 +199,7 @@ def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) 
         else:
             base = parse_algebra_or_quiver(aspec, f"{path}.algebra")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ParseError(f"{path}.dim", "dim must be a non-negative integer")
     action_obj = obj["action"]
     if not isinstance(action_obj, list) or len(action_obj) != base.dim:
@@ -217,19 +232,21 @@ def parse_complex(obj: dict, path: str = "$") -> BComplex:
         raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
     base = parse_algebra_or_quiver(obj["algebra"], f"{path}.algebra")
     lo, hi = obj["lo"], obj["hi"]
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
         raise ParseError(f"{path}.lo", "need integers lo <= hi")
     count = hi - lo + 1
-    if len(obj["terms"]) != count:
+    term_objs = _list_at(obj["terms"], f"{path}.terms", "modules")
+    diff_objs = _list_at(obj["differentials"], f"{path}.differentials", "matrices")
+    if len(term_objs) != count:
         raise ParseError(f"{path}.terms", f"expected {count} terms")
-    if len(obj["differentials"]) != max(0, count - 1):
+    if len(diff_objs) != max(0, count - 1):
         raise ParseError(f"{path}.differentials", f"expected {count - 1} differentials")
     terms = []
-    for k, t in enumerate(obj["terms"]):
+    for k, t in enumerate(term_objs):
         pm = parse_module(t, f"{path}.terms[{k}]", algebra=base)
         terms.append(pm.module)
     diffs = []
-    for k, d in enumerate(obj["differentials"]):
+    for k, d in enumerate(diff_objs):
         m = _parse_matrix(
             d, base.field, terms[k].dim, terms[k + 1].dim, f"{path}.differentials[{k}]"
         )

@@ -124,8 +124,7 @@ class ModulePool:
         """The cone of a random chain map between two sums of shifts."""
         a = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
         b = self._sum_of_shifts(rng, max(1, window - 1), max_term_dim // 2 + 1, module_picker)
-        cn, _, _ = cone(self.random_chain_map(rng, a, b))
-        return cn
+        return cone(self.random_chain_map(rng, a, b))
 
     def random_chain_map(self, rng, C, D):
         kb = kb_hom(C, D)

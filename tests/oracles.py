@@ -31,7 +31,14 @@ replacement, on the library's own primitives:
   ``functors.unit_psis``;
 * ``trace_form_radical`` takes the kernel of tr(L_a L_b) from the stacked
   left-multiplication matrices, against the two table products of
-  ``algebra._radical_by_traces`` over Q.
+  ``algebra._radical_by_traces`` over Q;
+* ``loop_theta_rho_hom`` lifts one map at a time, against the one product
+  and one coordinate solve of ``functors.theta_rho_maps``;
+* ``roundtrip_adjunction`` and ``roundtrip_right_adjoint`` send each basis
+  row of a homotopy Hom through a ``ChainMap`` of per-map functor images
+  and solve it back to coordinates, against the one coordinate matrix per
+  degree of ``KbHom.induced_bijection`` in ``complexes.step_iv_adjunction``
+  and ``certify.right_adjoint_sample``.
 """
 
 import weakref
@@ -39,13 +46,24 @@ from fractions import Fraction
 
 import numpy as np
 
+from catres.complexes import (
+    ChainMap,
+    db_theta,
+    kb_hom,
+    kb_theta_lambda_data,
+    prop31_sequence,
+    step_v_unit,
+)
+from catres.functors import theta_hom
 from catres.linalg import (
     Mat,
     RowBasis,
     coords_in_rows,
     left_nullspace,
     nullspace,
+    rank,
     row_basis,
+    solve,
 )
 from catres.modules import (
     ModHom,
@@ -57,6 +75,7 @@ from catres.modules import (
     projective_presentation,
     quotient_repn,
     sub_repn,
+    zero_hom,
     zero_module,
 )
 
@@ -416,3 +435,98 @@ def trace_form_radical(A):
     flat = Mat.stack_rows(A.field, [m.flatten_row() for m in lmats])
     flat_t = Mat.stack_rows(A.field, [m.T.flatten_row() for m in lmats])
     return row_basis(left_nullspace(flat @ flat_t.T))
+
+
+def loop_theta_rho_hom(g, src, tgt):
+    """theta_rho of one map g: N -> N': the basis of Hom(M, N) followed by
+    g, in coordinates of the basis of Hom(M, N'), for ``src`` and ``tgt``
+    the theta_rho data of N and N'."""
+    if not src.space or not tgt.space:
+        return zero_hom(src.module, tgt.module)
+    return ModHom(src.module, tgt.module, tgt.space.basis.coords(src.space.then(g.mat)))
+
+
+def _chainmap_coords(kb, f):
+    """The coordinates of the chain map f in the term Hom spaces of kb."""
+    fld = kb.source.algebra.field
+    pieces = [
+        kb.spaces[i].basis.coords(f.comp(i).mat.flatten_row()) for i in kb.window if kb.spaces[i]
+    ]
+    return Mat.stack_cols(fld, pieces) if pieces else Mat.zeros(fld, 1, 0)
+
+
+def _roundtrip_bijection(A, B, convert):
+    """Does ``convert``, a linear map from chain maps of A to chain maps of
+    B, induce a bijection on homotopy classes?  Each basis row of A goes
+    through a ChainMap and back to B-coordinates on its own."""
+    fld = A.source.algebra.field
+
+    def image_rows(rows):
+        out = [
+            _chainmap_coords(B, convert(A.coords_to_chainmap(rows.row_at(r))))
+            for r in range(rows.rows)
+        ]
+        return Mat.stack_rows(fld, out) if out else Mat.zeros(fld, 0, B.total)
+
+    img_chain, img_htp = image_rows(A.chain_rows), image_rows(A.homotopy_rows)
+    htp_ok = RowBasis(B.homotopy_rows).contains(img_htp)
+    if img_chain.rows or B.homotopy_rows.rows:
+        stacked = Mat.stack_rows(fld, [img_chain, B.homotopy_rows])
+    else:
+        stacked = Mat.zeros(fld, 0, B.total)
+    induced_rank = rank(stacked) - B.homotopy_rows.rows
+    return {
+        "dims_equal": A.dim == B.dim,
+        "homotopics_preserved": htp_ok,
+        "induced_rank": induced_rank,
+        "bijective": htp_ok and A.dim == B.dim and induced_rank == A.dim,
+        "dims": (A.dim, B.dim),
+    }
+
+
+def roundtrip_adjunction(P, F, data):
+    """``complexes.step_iv_adjunction`` one chain map at a time: f ->
+    counit^(-1) then theta(f), term by term."""
+    sv = step_v_unit(P, data)
+    if not sv.ok:
+        return {"ok": False, "detail": f"unit failed: {sv.detail}"}
+    thetaF = db_theta(F, data)
+    A = kb_hom(sv.lifted.complex, F)
+    B = kb_hom(P, thetaF)
+    fld = P.algebra.field
+    inv_counits = {i: solve(c.mat, Mat.identity(fld, c.mat.rows)) for i, c in sv.counits.items()}
+
+    def convert(f):
+        comps = {}
+        for i in P.degrees():
+            if P.term(i).dim and thetaF.term(i).dim:
+                tf = theta_hom(f.comp(i), data, sv.back.term(i), thetaF.term(i))
+                comps[i] = ModHom(P.term(i), thetaF.term(i), inv_counits[i] @ tf.mat)
+        return ChainMap(P, thetaF, comps)
+
+    result = _roundtrip_bijection(A, B, convert)
+    result["ok"] = result["bijective"]
+    return result
+
+
+def roundtrip_right_adjoint(F, P, data):
+    """``certify.right_adjoint_sample`` one chain map at a time: g -> alpha
+    then theta_rho(g), term by term, with ``loop_theta_rho_hom``."""
+    lifted = kb_theta_lambda_data(P, data)
+    thetaF = db_theta(F, data)
+    B = kb_hom(thetaF, P)
+    A = kb_hom(F, lifted.complex)
+    p31 = prop31_sequence(F, data)
+
+    def convert(g):
+        comps = {}
+        for i in F.degrees():
+            trd_target = lifted.term_data.get(i)
+            if trd_target is None or lifted.complex.term(i).dim == 0 or F.term(i).dim == 0:
+                continue
+            s = p31.degreewise[i]
+            tr_g = loop_theta_rho_hom(g.comp(i), s.middle_data, trd_target)
+            comps[i] = ModHom(F.term(i), lifted.complex.term(i), s.alpha.mat @ tr_g.mat)
+        return ChainMap(F, lifted.complex, comps)
+
+    return _roundtrip_bijection(B, A, convert)

@@ -174,7 +174,7 @@ def test_criterion_6_prop31_surrogates(flagship_data, flagship_pool):
                 ok = False
             if not (s.alpha.mat @ s.f1_proj.mat).is_zero():
                 ok = False
-        cn, _, _ = cx.cone(p31.alpha)
+        cn = cx.cone(p31.alpha)
         if not cx.is_lambda_acyclic(cn, data):
             ok = False
         if cx.is_lambda_acyclic(F, data) != cx.is_acyclic(cx.db_theta(F, data)):

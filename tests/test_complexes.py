@@ -1,14 +1,21 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from catres import complexes as cx
 from catres import modules as mod
 from catres.auslander import build_auslander
+from catres.certify import right_adjoint_sample
 from catres.corpus import truncated_poly_algebra
-from catres.functors import in_mod0, theta_rho
+from catres.functors import in_mod0, theta_hom, theta_rho
+from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat
 from catres.samples import ModulePool, rng_for
+from oracles import roundtrip_adjunction, roundtrip_right_adjoint
 
 F2 = FieldSpec("prime", 2)
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +45,14 @@ def test_validate_and_shift(data, reg):
 def test_cone_of_identity_is_acyclic(data, reg):
     c = cx.module_complex(reg)
     ident = mod.ModHom(reg, reg, Mat.identity(F2, reg.dim))
-    cn, incl, proj = cx.cone(cx.ChainMap(c, c, {0: ident}))
+    cn = cx.cone(cx.ChainMap(c, c, {0: ident}))
+    assert cn.validate() == []
     assert cx.is_acyclic(cn)
-    assert incl.validate() and proj.validate()
 
 
 def test_cone_of_zero_is_sum_with_shift(data, reg):
     c = cx.module_complex(reg)
-    cn, _, _ = cx.cone(cx.ChainMap(c, c, {}))
+    cn = cx.cone(cx.ChainMap(c, c, {}))
     assert (cn.lo, cn.hi) == (-1, 0)
     assert [t.dim for t in cn.terms] == [2, 2]
     assert cx.homology(cn) and all(h.dim == 2 for h in cx.homology(cn))
@@ -54,7 +61,7 @@ def test_cone_of_zero_is_sum_with_shift(data, reg):
 def test_cone_of_x_multiplication(data, reg):
     c = cx.module_complex(reg)
     xmul = mod.ModHom(reg, reg, reg.action_mat(1))
-    cn, _, _ = cx.cone(cx.ChainMap(c, c, {0: xmul}))
+    cn = cx.cone(cx.ChainMap(c, c, {0: xmul}))
     hs = cx.homology(cn)
     assert [h.dim for h in hs] == [1, 1]  # the simple in two degrees
 
@@ -99,7 +106,9 @@ def test_db_theta_functoriality(data, pool):
         u = pool.random_chain_map(rng, F, G)
         tf = cx.db_theta(F, data)
         tg = cx.db_theta(G, data)
-        tu = cx.db_theta_chainmap(u, data, tf, tg)
+        tu = cx.ChainMap(tf, tg, {
+            j: theta_hom(h, data, tf.term(j), tg.term(j)) for j, h in u.comps.items()
+        })
         assert tf.validate() == [] and tg.validate() == []
         assert tu.validate()
 
@@ -164,6 +173,32 @@ def test_step_iv_adjunction_random_pairs(data, pool):
         assert r["ok"], (i, r)
 
 
+def _adjunctions_match_the_round_trip(data, pool, stream, pairs, window, term_dim):
+    """Both complex-level adjunction checks equal their ChainMap round trip
+    on ``pairs`` random (P, F); returns how many had a nonzero Hom."""
+    nonzero = 0
+    for i in range(pairs):
+        rng = rng_for(0, stream, i)
+        P = pool.random_projective_lam_complex(rng, window, term_dim)
+        F = pool.random_tilde_complex(rng, window, term_dim)
+        left = cx.step_iv_adjunction(P, F, data)
+        assert left == roundtrip_adjunction(P, F, data), (i, left)
+        right = right_adjoint_sample(F, P, data)
+        assert right == roundtrip_right_adjoint(F, P, data), (i, right)
+        nonzero += left["dims"][0] > 0 and right["dims"][0] > 0
+    return nonzero
+
+
+def test_adjunction_checks_match_the_chainmap_round_trip(data, pool):
+    assert _adjunctions_match_the_round_trip(data, pool, "roundtrip", 20, 4, 10) > 0
+
+
+def test_adjunction_checks_match_the_chainmap_round_trip_over_q():
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x3_q.json").read_text()))
+    data = build_auslander(lam)
+    assert _adjunctions_match_the_round_trip(data, ModulePool(data), "roundtrip-q", 12, 2, 4) > 0
+
+
 def test_prop31_assembly_and_mod0_ends(data, pool):
     for i in range(25):
         rng = rng_for(0, "p31", i)
@@ -184,7 +219,7 @@ def test_prop31_cone_of_alpha_lambda_acyclic(data, pool):
         rng = rng_for(0, "p31cone", i)
         F = pool.random_tilde_complex(rng, 4, 10)
         p31 = cx.prop31_sequence(F, data)
-        cn, _, _ = cx.cone(p31.alpha)
+        cn = cx.cone(p31.alpha)
         assert cx.is_lambda_acyclic(cn, data)
 
 
@@ -242,6 +277,6 @@ def test_acyclic_implies_lambda_acyclic(data, pool):
             j: mod.ModHom(F.term(j), F.term(j), Mat.identity(F2, F.term(j).dim))
             for j in F.degrees()
         })
-        cn, _, _ = cx.cone(idm)
+        cn = cx.cone(idm)
         assert cx.is_acyclic(cn)
         assert cx.is_lambda_acyclic(cn, data)

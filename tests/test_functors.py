@@ -18,13 +18,14 @@ from catres.functors import (
     theta_rho,
     theta_rho_data,
     theta_rho_hom,
+    theta_rho_maps,
     unit_on_module,
     unit_psis,
 )
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, solve_left
 from catres.samples import ModulePool, random_hom, rng_for
-from oracles import loop_unit_psis, theta_via_presentation
+from oracles import loop_theta_rho_hom, loop_unit_psis, theta_via_presentation
 
 F2 = FieldSpec("prime", 2)
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -54,7 +55,7 @@ def test_theta_rho_dims(data):
 def test_theta_of_theta_rho_is_counit_iso(data):
     ctx = lam_ctx(data)
     for n in [ctx.regular, ctx.simples[0]]:
-        c, _ = counit(n, data, theta_rho_data(n, data))
+        c = counit(n, data, theta_rho_data(n, data))
         assert c.validate()
         assert c.mat.rows == c.mat.cols == n.dim
         assert rank(c.mat) == n.dim
@@ -69,12 +70,41 @@ def test_counit_natural_on_random_modules(data, pool):
         g = random_hom(rng, n1, n2)
         trd1 = theta_rho_data(n1, data)
         trd2 = theta_rho_data(n2, data)
-        c1, _ = counit(n1, data, trd1)
-        c2, _ = counit(n2, data, trd2)
+        c1 = counit(n1, data, trd1)
+        c2 = counit(n2, data, trd2)
         assert rank(c1.mat) == n1.dim and rank(c2.mat) == n2.dim
-        lifted = theta_rho_hom(g, data, trd1, trd2)
-        back = theta_hom(lifted, data)
+        lifted = theta_rho_hom(g, trd1, trd2)
+        back = theta_hom(lifted, data, c1.source, c2.source)
         assert back.mat @ c2.mat == c1.mat @ g.mat
+
+
+def _theta_rho_maps_match_the_loop(space, data):
+    src, tgt = theta_rho_data(space.source, data), theta_rho_data(space.target, data)
+    lifted = theta_rho_maps(space, src, tgt)
+    assert (lifted.source, lifted.target) == (src.module, tgt.module)
+    assert (lifted.flat.rows, lifted.flat.cols) == (len(space), src.module.dim * tgt.module.dim)
+    for t, g in enumerate(space):
+        assert lifted[t].mat == loop_theta_rho_hom(g, src, tgt).mat, t
+        assert theta_rho_hom(g, src, tgt).mat == lifted[t].mat, t
+
+
+@pytest.mark.parametrize("corpus_file", ["x2_f2", "x3_q"])
+def test_theta_rho_maps_match_the_per_map_loop(corpus_file):
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / f"{corpus_file}.json").read_text()))
+    data = build_auslander(lam)
+    pool = ModulePool(data)
+    zero = mod.zero_module(lam)
+    for i in range(12):
+        rng = rng_for(0, "theta-rho-maps", i)
+        n1, n2 = pool.random_lam_module(rng, 6), pool.random_lam_module(rng, 6)
+        _theta_rho_maps_match_the_loop(mod.hom_space(n1, n2), data)
+    # an empty space, and one map into and one out of the zero module,
+    # whose theta_rho is zero-dimensional
+    reg = mod.context(lam).regular
+    _theta_rho_maps_match_the_loop(mod.hom_space(zero, reg), data)
+    for a, b in ((reg, zero), (zero, reg)):
+        assert theta_rho(zero, data).dim == 0
+        _theta_rho_maps_match_the_loop(mod.HomSpace(a, b, Mat.zeros(lam.field, 1, 0)), data)
 
 
 def test_theta_on_mod0_simple_is_zero(data):
@@ -100,8 +130,9 @@ def test_theta_exactness_on_random_short_exact_sequences(data, pool):
         f = random_hom(rng, other, big)
         sub, incl = mod.sub_repn(big, row_basis(f.mat))
         quot, proj = mod.quotient_repn(big, row_basis(f.mat))
-        t_incl = theta_hom(incl, data)
-        t_proj = theta_hom(proj, data)
+        t_sub, t_big, t_quot = (theta(m, data) for m in (sub, big, quot))
+        t_incl = theta_hom(incl, data, t_sub, t_big)
+        t_proj = theta_hom(proj, data, t_big, t_quot)
         assert rank(t_incl.mat) == t_incl.source.dim  # still mono
         assert rank(t_proj.mat) == t_proj.target.dim  # still epi
         assert (t_incl.mat @ t_proj.mat).is_zero()
@@ -141,7 +172,7 @@ def test_unit_on_module_is_iso(data, pool):
     for i in range(10):
         rng = rng_for(0, "unit-mod", i)
         n = pool.random_lam_module(rng, 5)
-        u, _ = unit_on_module(n, data)
+        u = unit_on_module(n, data, theta_lambda_data(n, data))
         assert u.validate()
         assert u.mat.rows == u.mat.cols == n.dim
         assert rank(u.mat) == n.dim
@@ -168,7 +199,7 @@ def test_four_term_fixture_cokernel_of_socle_postcomposition(data):
     incl = next(h for h in mod.hom_space(s, reg) if not h.is_zero())
     trd_s = theta_rho_data(s, data)
     trd_r = theta_rho_data(reg, data)
-    lifted = theta_rho_hom(incl, data, trd_s, trd_r)
+    lifted = theta_rho_hom(incl, trd_s, trd_r)
     F, _ = mod.quotient_repn(trd_r.module, row_basis(lifted.mat))
     assert F.dim == 1
     seq = four_term_sequence(F, data)
@@ -193,7 +224,7 @@ def test_four_term_invariants_random(data, pool):
         assert (seq.f0_incl.mat @ seq.alpha.mat).is_zero()
         assert (seq.alpha.mat @ seq.f1_proj.mat).is_zero()
         # theta applied to the sequence: middle map becomes an isomorphism
-        t_alpha = theta_hom(seq.alpha, data)
+        t_alpha = theta_hom(seq.alpha, data, seq.theta_F, theta(seq.middle, data))
         assert t_alpha.mat.rows == t_alpha.mat.cols
         assert rank(t_alpha.mat) == t_alpha.mat.rows
 

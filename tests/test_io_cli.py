@@ -183,6 +183,27 @@ def test_complex_roundtrip():
         parse_complex(obj_bad)
 
 
+def _two_term_complex_json():
+    from catres import complexes as cx
+
+    a = truncated_poly_algebra(F5, 2)
+    reg = mod.context(a).regular
+    return complex_to_json(cx.BComplex(a, 0, [reg, reg], [mod.ModHom(reg, reg, reg.action_mat(1))]))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("terms", 3),
+    ("differentials", 5),
+    ("lo", True),
+])
+def test_complex_rejects_malformed_containers_at_their_path(key, value):
+    obj = _two_term_complex_json()
+    obj[key] = value
+    with pytest.raises(ParseError) as exc:
+        parse_complex(obj)
+    assert exc.value.path == f"$.{key}"
+
+
 def test_rational_scalars_roundtrip_as_strings():
     a = truncated_poly_algebra(QQ, 2)
     obj = algebra_to_json(a)
@@ -270,6 +291,46 @@ def test_cli_parse_error_paths():
         assert "mult[1]" in proc.stderr
     finally:
         bad.unlink()
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+def _set_arrow_name(obj):
+    obj["arrows"][0]["name"] = ["a"]
+
+
+@pytest.mark.parametrize("source, edit, where", [
+    ("gentle_two_cycle_f2", _set("arrows", 5), "$.arrows"),
+    ("gentle_two_cycle_f2", _set("relations", 7), "$.relations"),
+    ("gentle_two_cycle_f2", _set("relations", [{"terms": 3}]), "$.relations[0].terms"),
+    ("gentle_two_cycle_f2", _set_arrow_name, "$.arrows[0].name"),
+    ("gentle_two_cycle_f2", _set("length_bound", True), "$.length_bound"),
+    ("x2_f2", _set("dim", True), "$.dim"),
+])
+def test_cli_malformed_input_is_a_parse_error_not_a_traceback(tmp_path, source, edit, where):
+    obj = json.loads((CORPUS / f"{source}.json").read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    proc = run_cli("analyze", str(bad), expect=1)
+    assert f"at {where}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_module_dim_must_not_be_a_boolean(tmp_path):
+    a = truncated_poly_algebra(F2, 2)
+    obj = module_to_json(mod.context(a).simples[0], algebra_obj=algebra_to_json(a))
+    assert obj["dim"] == 1
+    obj["dim"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    proc = run_cli("functor", "theta-rho", str(bad), expect=1)
+    assert "at $.dim:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_hom_and_functor(tmp_path):
