@@ -9,7 +9,7 @@ fields or rationals); there is no floating point anywhere.
 
 __version__ = "0.1.0"
 
-from .algebra import Algebra, QuiverSpec, RadicalChain, Idempotent, from_quiver
+from .algebra import Algebra, QuiverSpec, RadicalChain, from_quiver
 from .auslander import AuslanderData, build_auslander, verify_auslander
 from .certify import CertConfig, certify_resolution
 from .linalg import FieldSpec, Mat
@@ -19,7 +19,6 @@ __all__ = [
     "AuslanderData",
     "CertConfig",
     "FieldSpec",
-    "Idempotent",
     "Mat",
     "QuiverSpec",
     "RadicalChain",

@@ -2,7 +2,7 @@
 
 An algebra is a basis b_0..b_{d-1}, a unit vector, and a table
 ``table[i, j] = coordinates of b_i * b_j``.  On top of that: radical
-chains, quotients, corners, primitive idempotents, and a bounded-length
+chains, quotients, primitive idempotents, and a bounded-length
 quiver-with-relations frontend.
 
 Conventions (fixed across the package): elements are coordinate row
@@ -49,11 +49,6 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
-
-
-@dataclass
-class Idempotent:
-    coords: Mat  # 1 x dim row in the ambient algebra
 
 
 @dataclass
@@ -286,7 +281,7 @@ def _radical_by_traces(A: Algebra) -> Mat:
     return basis
 
 
-# -- quotients, subalgebras, corners ------------------------------------
+# -- quotients ---------------------------------------------------------------
 
 
 def quotient_algebra(A: Algebra, ideal_rows: Mat):
@@ -317,33 +312,23 @@ def quotient_projection(rows: Mat):
     return nullspace_of_rref(r, pivots), [c for c in range(rows.cols) if c not in pivots]
 
 
-def corner_algebra(A: Algebra, e: Idempotent):
-    """The corner eAe with unit e.  Returns (C, embed, degenerate).
-
-    ``embed`` is dim(C) x dim(A), its rows are the corner basis inside A.
-    """
-    ec = e.coords
-    defect = A.multiply(ec, ec) - ec
-    if not defect.is_zero():
-        raise AlgebraError("corner: e is not idempotent")
-    embed = row_basis(_corner_rows(A, ec))
-    m = embed.rows
-    if m == 0:
-        empty = Algebra(A.field, [], Mat.zeros(A.field, 1, 0), Mat.zeros(A.field, 0, 0))
-        return empty, embed, True
-    basis = RowBasis(embed)
-    table = basis.coords(A.products(embed, embed)).reshape(m, m * m)
-    unit = basis.coords(ec)
-    labels = [f"c{i}" for i in range(m)]
-    c = Algebra(A.field, labels, unit, table)
-    return c, embed, False
-
-
 # -- primitive idempotents ------------------------------------------------
 
 
+# the rational root search trial-divides up to the square roots of the
+# lowest nonzero and the leading coefficient of the integer-cleared
+# polynomial and then tries every pair of divisors; a product below this
+# bounds both steps to about a second
+MAX_ROOT_SEARCH_PRODUCT = 1 << 48
+
+
 def _poly_roots(field: FieldSpec, coeffs):
-    """Roots in the base field of a monic polynomial given low-to-high."""
+    """Roots in the base field of a monic polynomial given low-to-high.
+
+    Over Q, raises SplitGiveUp when the lowest nonzero and the leading
+    coefficient of the integer-cleared polynomial have a product of at
+    least ``MAX_ROOT_SEARCH_PRODUCT``.
+    """
     roots = []
     if field.kind == "prime":
         for x in range(field.p):
@@ -363,6 +348,11 @@ def _poly_roots(field: FieldSpec, coeffs):
     if const == 0:
         roots.append(Fraction(0))
         return roots
+    if abs(const * lead) >= MAX_ROOT_SEARCH_PRODUCT:
+        raise SplitGiveUp(
+            f"rational root search: lowest coefficient {const} times leading"
+            f" coefficient {lead} reaches the bound {MAX_ROOT_SEARCH_PRODUCT}"
+        )
 
     def divisors(n):
         n = abs(n)
@@ -546,7 +536,8 @@ def _left_identity_on(B: Algebra, c: _Corner, ideal_rows: Mat):
 
 
 def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
-    """Complete orthogonal set of primitive idempotents summing to 1.
+    """Complete orthogonal set of primitive idempotents summing to 1, as
+    1 x dim coordinate rows.
 
     Decomposes the semisimple quotient A/J and lifts along the nilpotent
     kernel by the cubic refinement e <- 3e^2 - 2e^3.
@@ -571,14 +562,14 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
             g = g2.scale(3) - g3.scale(2)
         else:
             raise AlgebraError("idempotent refinement failed to converge")
-        lifted.append(Idempotent(g))
+        lifted.append(g)
         total = total + g
     if not (total - A.unit).is_zero():
         raise AlgebraError("lifted idempotents do not sum to the unit")
     for i, ei in enumerate(lifted):
         for j, ej in enumerate(lifted):
-            prod = A.multiply(ei.coords, ej.coords)
-            expect = ei.coords if i == j else Mat.zeros(A.field, 1, A.dim)
+            prod = A.multiply(ei, ej)
+            expect = ei if i == j else Mat.zeros(A.field, 1, A.dim)
             if prod != expect:
                 raise AlgebraError("lifted idempotents are not orthogonal")
     return lifted

@@ -1,13 +1,15 @@
 """Construction of the endomorphism algebra of M = Lambda/J + ... + Lambda/J^n.
 
 ``build_auslander`` packages everything the functor machinery needs: the
-filtration module M with its summand injections/projections, the algebra
-tilde = End(M) (with the composition convention (fg)(m) = f(g(m)), which
-absorbs the usual opposite-algebra twist), the idempotent e projecting
-onto the Lambda-summand, and the explicit corner isomorphism
-e*tilde*e -> Lambda given by restriction to that summand.  tilde carries
-its radical from the construction (``local_piece_radical``) as its
-radical hint, which ``Algebra.radical_chain`` certifies.
+filtration module M with the inclusion and projection of its
+Lambda-summand, the algebra tilde = End(M) (with the composition
+convention (fg)(m) = f(g(m)), which absorbs the usual opposite-algebra
+twist), and the map zeta: Lambda -> tilde, b -> (project, left-multiply
+by b, include).  The idempotent e = zeta(1) projects onto the
+Lambda-summand, and ``check_corner_iso`` certifies that zeta is an
+algebra isomorphism onto e*tilde*e.  tilde carries its radical from the
+construction (``local_piece_radical``) as its radical hint, which
+``Algebra.radical_chain`` certifies.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    Idempotent,
-    RadicalChain,
-    corner_algebra,
-    quotient_projection,
-)
+from .algebra import Algebra, AlgebraError, RadicalChain, quotient_projection
 from .homology import GldimResult, global_dimension
-from .linalg import Mat, coords_in_rows, left_nullspace, rank, row_basis
+from .linalg import Mat, left_nullspace, rank, row_basis
 from .modules import (
     HomSpace,
     Repn,
@@ -41,65 +36,30 @@ from .modules import (
 @dataclass
 class AuslanderData:
     lam: Algebra
-    chain: RadicalChain
     summands: list  # Lambda/J^1, ..., Lambda/J^n as Repn over lam
     M: Repn
-    injections: list  # summand -> M
-    projections: list  # M -> summand
+    iota: Mat  # inclusion of the Lambda-summand (dim lam x dim M)
+    pi: Mat  # projection onto the Lambda-summand (dim M x dim lam)
     tilde: Algebra
     end: HomSpace  # End(M), whose basis is the basis of tilde
-    e: Idempotent  # coords of the Lambda-summand projector in tilde
-    corner: Algebra  # e tilde e
-    corner_embed: Mat  # corner basis inside tilde
-    corner_to_lambda: Mat  # algebra iso on coordinates, corner -> lam
-    lambda_to_tilde: Mat  # lam -> tilde, b -> (project, left-multiply, include)
-
-    @property
-    def iota(self) -> Mat:
-        """Inclusion matrix of the Lambda-summand (dim lam x dim M)."""
-        return self.injections[-1].mat
-
-    @property
-    def pi(self) -> Mat:
-        """Projection matrix onto the Lambda-summand (dim M x dim lam)."""
-        return self.projections[-1].mat
-
-    def tilde_of_lambda(self, lam_coords: Mat) -> Mat:
-        """Inverse transport: coordinates in tilde of the corner lift of an
-        element of Lambda."""
-        return lam_coords @ self.lambda_to_tilde
+    e: Mat  # 1 x dim tilde: zeta(1), the Lambda-summand projector
+    lambda_to_tilde: Mat  # zeta: lam -> tilde, b -> (project, left-multiply, include)
 
 
 def build_auslander(lam: Algebra) -> AuslanderData:
     if lam.dim == 0:
         raise AlgebraError("Auslander construction needs a nonzero algebra")
     chain = lam.radical_chain()
-    n = chain.nilpotency_index
     reg = regular_module(lam)
-    summands = []
-    for i in range(1, n + 1):
-        q, _ = quotient_repn(reg, chain.power(i))
-        summands.append(q)
-    M, injections, projections = direct_sum(summands)
+    n = chain.nilpotency_index
+    summands = [quotient_repn(reg, chain.power(i))[0] for i in range(1, n + 1)]
+    M = direct_sum(summands)
     tilde, end = endomorphism_algebra(M)
     tilde.radical_hint = local_piece_radical(lam, chain, M, end)
 
-    e_mat = projections[-1].mat @ injections[-1].mat  # project then include
-    e = Idempotent(end.basis.coords(e_mat.flatten_row()))
-
-    corner, corner_embed, degenerate = corner_algebra(tilde, e)
-    if degenerate:
-        raise AlgebraError("corner at the Lambda-summand collapsed")
-
-    iota = injections[-1].mat
-    pi = projections[-1].mat
-    # row i: the unit of Lambda through iota, the i-th corner element and pi
-    corner_maps = HomSpace(M, M, corner_embed @ end.flat)
-    corner_to_lambda = corner_maps.after(lam.unit @ iota) @ pi
-    if rank(corner_to_lambda) != lam.dim or corner.dim != lam.dim:
-        raise AlgebraError("corner is not linearly isomorphic to Lambda")
-
-    # b -> iota after left-multiplication after projection, as tilde coords
+    # the Lambda-summand Lambda/J^n is the last block of M
+    iota = Mat.identity(lam.field, M.dim).take_rows(range(M.dim - lam.dim, M.dim))
+    pi = iota.T
     zetas = [
         (pi @ lam.left_mult_matrix(lam.basis_element(t)) @ iota).flatten_row()
         for t in range(lam.dim)
@@ -108,17 +68,13 @@ def build_auslander(lam: Algebra) -> AuslanderData:
 
     data = AuslanderData(
         lam=lam,
-        chain=chain,
         summands=summands,
         M=M,
-        injections=injections,
-        projections=projections,
+        iota=iota,
+        pi=pi,
         tilde=tilde,
         end=end,
-        e=e,
-        corner=corner,
-        corner_embed=corner_embed,
-        corner_to_lambda=corner_to_lambda,
+        e=lam.unit @ lambda_to_tilde,
         lambda_to_tilde=lambda_to_tilde,
     )
     ok, detail = check_corner_iso(data)
@@ -147,7 +103,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     """
     f, dl, m, k = lam.field, lam.dim, M.dim, len(end)
     ctx = context(lam)
-    e_rows = Mat.stack_rows(f, [e.coords for e in ctx.idempotents])
+    e_rows = Mat.stack_rows(f, ctx.idempotents)
     nv = e_rows.rows
     # row v * dl + c is e_v b_c: every left multiplication, stacked
     lefts = (e_rows @ lam.table_matrix()).reshape(nv * dl, dl)
@@ -191,25 +147,31 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     return left_nullspace(z.with_array(np.concatenate(conds, axis=1)))
 
 
+def corner_dim(data: AuslanderData) -> int:
+    """dim e*tilde*e: row k of L(e) R(e) is e b_k e."""
+    t = data.tilde
+    return rank(t.left_mult_matrix(data.e) @ t.right_mult_matrix(data.e))
+
+
 def check_corner_iso(data: AuslanderData):
-    """The corner map transports unit to unit and products to products."""
-    lam, corner = data.lam, data.corner
-    unit_image = coords_in_rows(data.corner_embed, data.e.coords) @ data.corner_to_lambda
-    if unit_image != lam.unit:
-        return False, "unit is not preserved"
-    ident = Mat.identity(corner.field, corner.dim)
-    lhs = corner.products(ident, ident) @ data.corner_to_lambda
-    rhs = lam.products(data.corner_to_lambda, data.corner_to_lambda)
+    """zeta: Lambda -> tilde is an algebra isomorphism onto e*tilde*e.
+
+    Multiplicativity makes e = zeta(1) idempotent and gives zeta(b) =
+    zeta(1 b 1) = e zeta(b) e, so zeta lands in the corner; injective and
+    of the corner's dimension, it is onto it.
+    """
+    lam, zeta = data.lam, data.lambda_to_tilde
+    d = lam.dim
+    lhs = data.tilde.products(zeta, zeta)  # row i * d + j: zeta(b_i) zeta(b_j)
+    rhs = lam.table_matrix().reshape(d * d, d) @ zeta  # zeta(b_i b_j)
     if lhs != rhs:
         row = next(r for r in range(lhs.rows) if lhs.row_at(r) != rhs.row_at(r))
-        i, j = divmod(row, corner.dim)
+        i, j = divmod(row, d)
         return False, f"multiplicativity fails at basis pair ({i}, {j})"
-    # the two transports invert each other on the corner
-    for i in range(corner.dim):
-        lam_img = data.corner_to_lambda.row_at(i)
-        back = data.tilde_of_lambda(lam_img)
-        if back != data.corner_embed.row_at(i):
-            return False, f"transports do not invert at basis {i}"
+    if rank(zeta) != d:
+        return False, "zeta is not injective"
+    if corner_dim(data) != d:
+        return False, "corner dimension differs from dim Lambda"
     return True, ""
 
 
@@ -228,15 +190,17 @@ def verify_auslander(data: AuslanderData) -> dict:
 
     Returns a report: finiteness of gldim(tilde) (with the internal-
     inconsistency flag if the depth n + 2 is exceeded, n the nilpotency
-    index of Lambda), the corner isomorphism e*tilde*e = Lambda, and the
+    index of Lambda), the certificate that zeta: Lambda -> tilde is an
+    algebra isomorphism onto e*tilde*e (``check_corner_iso``), and the
     dimension double-count.
     """
-    g: GldimResult = global_dimension(data.tilde, data.chain.nilpotency_index + 2)
+    n = data.lam.radical_chain().nilpotency_index
+    g: GldimResult = global_dimension(data.tilde, n + 2)
     corner_ok, corner_detail = check_corner_iso(data)
     dim_two_ways = hom_dim_sum(data)
     report = {
         "dim_lambda": data.lam.dim,
-        "nilpotency_index": data.chain.nilpotency_index,
+        "nilpotency_index": n,
         "dim_m": data.M.dim,
         "dim_tilde": data.tilde.dim,
         "dim_tilde_by_hom_sum": dim_two_ways,
@@ -246,8 +210,8 @@ def verify_auslander(data: AuslanderData) -> dict:
         "internal_inconsistency": g.kind != "finite",
         "corner_iso_ok": corner_ok,
         "corner_iso_detail": corner_detail,
-        "corner_dim": data.corner.dim,
-        "e_coords": data.e.coords.to_json()[0],
+        "corner_dim": corner_dim(data),
+        "e_coords": data.e.to_json()[0],
     }
     report["ok"] = bool(
         report["dim_sum_consistent"] and report["gldim_tilde_finite"] and corner_ok

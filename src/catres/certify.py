@@ -219,7 +219,7 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
     data = build_auslander(lam)
     depth = cfg.max_resolution_depth
     if depth is None:
-        depth = max(10, data.chain.nilpotency_index + 2)
+        depth = max(10, lam.radical_chain().nilpotency_index + 2)
     regularity = verify_auslander(data)
     gl_lambda = global_dimension(lam, depth)
     degenerate = gl_lambda.kind != "infinite"

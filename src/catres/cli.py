@@ -55,7 +55,7 @@ def cmd_analyze(args) -> int:
         "basis": alg.basis_labels,
         "radical_dims": [p.rows for p in chain.powers],
         "nilpotency_index": chain.nilpotency_index,
-        "primitive_idempotents": [e.coords.to_json()[0] for e in ctx.idempotents],
+        "primitive_idempotents": [e.to_json()[0] for e in ctx.idempotents],
         "projective_dims": [p.dim for p in ctx.projectives],
         "simple_dims": [s.dim for s in ctx.simples],
     }

@@ -170,9 +170,7 @@ def direct_sum_complexes(parts: list) -> BComplex:
     terms = []
     diffs = []
     for i in range(lo, hi + 1):
-        blocks = [p.term(i) for p in parts]
-        s, _, _ = direct_sum(blocks)
-        terms.append(s)
+        terms.append(direct_sum([p.term(i) for p in parts]))
     for i in range(lo, hi):
         dmat = Mat.block_diag(algebra.field, [p.diff(i).mat for p in parts])
         diffs.append(ModHom(terms[i - lo], terms[i - lo + 1], dmat))
@@ -188,8 +186,7 @@ def cone(f: ChainMap) -> BComplex:
     hi = max(C.hi - 1, D.hi)
     terms = []
     for i in range(lo, hi + 1):
-        s, _, _ = direct_sum([C.term(i + 1), D.term(i)])
-        terms.append(s)
+        terms.append(direct_sum([C.term(i + 1), D.term(i)]))
     diffs = []
     for i in range(lo, hi):
         a = C.term(i + 1).dim

@@ -44,7 +44,7 @@ from .modules import (
 
 def corner_rows(F: Repn, data: AuslanderData) -> Mat:
     """Canonical basis (rref rows) of F.e inside F."""
-    E = F.rho(data.e.coords)
+    E = F.rho(data.e)
     return row_basis(E)
 
 
@@ -80,7 +80,7 @@ def theta_maps(space: HomSpace, data: AuslanderData, thetaF: Repn, thetaG: Repn)
 
 def in_mod0(F: Repn, data: AuslanderData) -> bool:
     """Membership in the kernel of theta: F.e = 0."""
-    return F.rho(data.e.coords).is_zero()
+    return F.rho(data.e).is_zero()
 
 
 # -- theta_rho: Hom(M, -) ------------------------------------------------------

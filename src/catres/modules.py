@@ -183,8 +183,8 @@ def quotient_repn(M: Repn, rows: Mat):
     return Q, ModHom(M, Q, proj)
 
 
-def direct_sum(parts: list):
-    """Block-diagonal sum.  Returns (sum, injections, projections)."""
+def direct_sum(parts: list) -> Repn:
+    """Block-diagonal sum; part i occupies the rows after parts 0..i-1."""
     if not parts:
         raise ValueError("direct_sum of no parts needs an algebra; use zero_module")
     A = parts[0].algebra
@@ -198,10 +198,7 @@ def direct_sum(parts: list):
     S = Repn(A, total, Mat(f, act.reshape(A.dim, total * total), den, _copy=False))
     if all(p.projective_parts is not None for p in parts):
         S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
-    ident = Mat.identity(f, total)
-    injections = [ModHom(p, S, ident.take_rows(range(o, o + p.dim))) for p, o in zip(parts, offs)]
-    projections = [ModHom(S, h.source, h.mat.T) for h in injections]
-    return S, injections, projections
+    return S
 
 
 # -- Hom spaces -----------------------------------------------------------
@@ -423,7 +420,7 @@ class ModuleContext:
         if self._representatives is None:
             kept = []
             for t, s in enumerate(self.simples):
-                if all(s.rho(self.idempotents[r].coords).is_zero() for r in kept):
+                if all(s.rho(self.idempotents[r]).is_zero() for r in kept):
                     kept.append(t)
             self._representatives = kept
         return self._representatives
@@ -471,7 +468,7 @@ def simple_and_projective_modules(A: Algebra, idempotents: list):
     chain = A.radical_chain()
     simples, projs, spans = [], [], []
     for idx, e in enumerate(idempotents):
-        span = row_basis(A.left_mult_matrix(e.coords))
+        span = row_basis(A.left_mult_matrix(e))
         P, _ = sub_repn(ctx_reg, span)
         P.projective_parts = (idx,)
         S, _ = quotient_repn(P, _radical_rows(P, chain.radical))
@@ -530,7 +527,7 @@ def _build_presentation(M: Repn) -> Presentation:
         part_indices += [pi_idx] * len(kept)
     if not part_indices:
         raise AlgebraError("projective cover: no covering maps found (nonzero M with zero top?)")
-    P, _, _ = direct_sum([ctx.projectives[i] for i in part_indices])
+    P = direct_sum([ctx.projectives[i] for i in part_indices])
     q = ModHom(P, M, Mat.stack_rows(f, chosen))
     # epi + kernel inside P.J; fails only for non-split simples, which the
     # idempotent machinery would have rejected earlier
@@ -562,7 +559,7 @@ def is_projective(M: Repn) -> bool:
     ctx = context(M.algebra)
     top, _ = ctx.top(M)
     dim_cover = sum(
-        Fraction(rank(top.rho(e.coords)) * P.dim, S.dim)
+        Fraction(rank(top.rho(e)) * P.dim, S.dim)
         for e, P, S in zip(ctx.idempotents, ctx.projectives, ctx.simples)
     )
     return dim_cover == M.dim

@@ -48,8 +48,7 @@ def _pick_parts(rng: random.Random, pool: list, tries: int, max_dim: int, fallba
         if cand.dim <= budget:
             parts.append(cand)
             budget -= cand.dim
-    m, _, _ = direct_sum(parts or [fallback])
-    return m
+    return direct_sum(parts or [fallback])
 
 
 def _smallest(pool: list) -> Repn:

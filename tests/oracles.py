@@ -38,7 +38,11 @@ replacement, on the library's own primitives:
   row of a homotopy Hom through a ``ChainMap`` of per-map functor images
   and solve it back to coordinates, against the one coordinate matrix per
   degree of ``KbHom.induced_bijection`` in ``complexes.step_iv_adjunction``
-  and ``certify.right_adjoint_sample``.
+  and ``certify.right_adjoint_sample``;
+* ``corner_route_iso`` builds e*tilde*e as an ``Algebra`` (``corner_algebra``),
+  transports it to Lambda by restriction to the Lambda-summand and checks
+  that zeta inverts that transport basis element by basis element, against
+  the three whole-matrix checks on zeta of ``auslander.check_corner_iso``.
 """
 
 import weakref
@@ -46,6 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from catres.algebra import Algebra, AlgebraError
 from catres.complexes import (
     ChainMap,
     db_theta,
@@ -66,6 +71,7 @@ from catres.linalg import (
     solve,
 )
 from catres.modules import (
+    HomSpace,
     ModHom,
     context,
     direct_sum,
@@ -350,7 +356,7 @@ def theta_via_presentation(F, data):
     ctx = context(data.tilde)
     summands = []
     for eps in ctx.idempotents:
-        psi = (eps.coords @ data.end.flat).reshape(data.M.dim, data.M.dim)
+        psi = (eps @ data.end.flat).reshape(data.M.dim, data.M.dim)
         summands.append(sub_repn(data.M, row_basis(psi)))
 
     pres0 = projective_presentation(F)
@@ -359,8 +365,7 @@ def theta_via_presentation(F, data):
         x0_parts = [summands[i][0] for i in parts0]
         if not x0_parts:
             return zero_module(data.lam)
-        X0, _, _ = direct_sum(x0_parts)
-        return X0
+        return direct_sum(x0_parts)
     omega, incl = sub_repn(q0.source, ker_rows)
     pres1 = projective_presentation(omega)
     q1, parts1 = pres1.cover, pres1.parts
@@ -368,8 +373,8 @@ def theta_via_presentation(F, data):
 
     x0_parts = [summands[i][0] for i in parts0]
     x1_parts = [summands[i][0] for i in parts1]
-    X0, _, _ = direct_sum(x0_parts) if x0_parts else (zero_module(data.lam), [], [])
-    X1, _, _ = direct_sum(x1_parts) if x1_parts else (zero_module(data.lam), [], [])
+    X0 = direct_sum(x0_parts) if x0_parts else zero_module(data.lam)
+    X1 = direct_sum(x1_parts) if x1_parts else zero_module(data.lam)
 
     # block offsets in Q1, Q0 and X1, X0
     def offsets(mods):
@@ -390,9 +395,8 @@ def theta_via_presentation(F, data):
     cores = []
     for s, i1 in enumerate(parts1):
         pj = ctx.projectives[i1]
-        gen = coords_in_rows(
-            ctx.projective_rows[i1], ctx.idempotents[i1].coords
-        )  # coords of e_j inside its projective
+        # coords of e_j inside its projective
+        gen = coords_in_rows(ctx.projective_rows[i1], ctx.idempotents[i1])
         gen_in_q1 = Mat.from_blocks(fld, 1, d.source.dim, [(0, q1_off[s], gen)])
         image = gen_in_q1 @ d.mat
         for t, i0 in enumerate(parts0):
@@ -530,3 +534,44 @@ def roundtrip_right_adjoint(F, P, data):
         return ChainMap(F, lifted.complex, comps)
 
     return _roundtrip_bijection(B, A, convert)
+
+
+def corner_algebra(A, e):
+    """The corner eAe with unit e, a 1 x dim row.  Returns (C, embed,
+    degenerate); the rows of ``embed`` (dim C x dim A) are the corner basis
+    inside A."""
+    if A.multiply(e, e) != e:
+        raise AlgebraError("corner: e is not idempotent")
+    embed = row_basis(A.left_mult_matrix(e) @ A.right_mult_matrix(e))
+    m = embed.rows
+    if m == 0:
+        empty = Algebra(A.field, [], Mat.zeros(A.field, 1, 0), Mat.zeros(A.field, 0, 0))
+        return empty, embed, True
+    basis = RowBasis(embed)
+    table = basis.coords(A.products(embed, embed)).reshape(m, m * m)
+    return Algebra(A.field, [f"c{i}" for i in range(m)], basis.coords(e), table), embed, False
+
+
+def corner_route_iso(data):
+    """e*tilde*e = Lambda by the corner algebra: e = pi iota as a map of M,
+    the corner transported to Lambda by restriction to the Lambda-summand
+    (c -> pi(c(iota(1)))), that transport unital and multiplicative, and
+    zeta inverse to it on every corner basis element.  Returns
+    (ok, detail, dim e*tilde*e)."""
+    lam, M, end = data.lam, data.M, data.end
+    e = end.basis.coords((data.pi @ data.iota).flatten_row())
+    corner, embed, degenerate = corner_algebra(data.tilde, e)
+    if degenerate:
+        return False, "corner at the Lambda-summand collapsed", 0
+    to_lam = HomSpace(M, M, embed @ end.flat).after(lam.unit @ data.iota) @ data.pi
+    if rank(to_lam) != lam.dim or corner.dim != lam.dim:
+        return False, "corner is not linearly isomorphic to Lambda", corner.dim
+    if coords_in_rows(embed, e) @ to_lam != lam.unit:
+        return False, "unit is not preserved", corner.dim
+    ident = Mat.identity(corner.field, corner.dim)
+    if corner.products(ident, ident) @ to_lam != lam.products(to_lam, to_lam):
+        return False, "multiplicativity fails", corner.dim
+    for i in range(corner.dim):
+        if to_lam.row_at(i) @ data.lambda_to_tilde != embed.row_at(i):
+            return False, f"transports do not invert at basis {i}", corner.dim
+    return True, "", corner.dim

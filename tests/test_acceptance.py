@@ -9,7 +9,7 @@ import pytest
 
 from catres import complexes as cx
 from catres import modules as mod
-from catres.auslander import build_auslander, check_corner_iso
+from catres.auslander import build_auslander, check_corner_iso, corner_dim
 from catres.certify import CertConfig, certify_resolution, report_to_json_str, weakly_crepant_check
 from catres.corpus import shipped_corpus, truncated_poly_algebra
 from catres.functors import in_mod0, theta
@@ -44,10 +44,10 @@ def test_criterion_1_auslander_fixtures():
     t0 = time.monotonic()
     d5 = build_auslander(truncated_poly_algebra(F5, 2))
     ok = (
-        d5.chain.nilpotency_index == 2
+        d5.lam.radical_chain().nilpotency_index == 2
         and d5.M.dim == 3
         and d5.tilde.dim == 5
-        and d5.corner.dim == 2
+        and corner_dim(d5) == 2
         and check_corner_iso(d5)[0]
     )
     t5 = time.monotonic() - t0
@@ -81,7 +81,7 @@ def test_criterion_2_gldim_tilde_finite_everywhere():
         from catres.homology import distinct_simples
 
         for s in distinct_simples(d.tilde):
-            res = projective_resolution(s, max_depth=d.chain.nilpotency_index + 2)
+            res = projective_resolution(s, max_depth=d.lam.radical_chain().nilpotency_index + 2)
             ok = ok and res.status.kind == "complete"
             maps = [res.augmentation] + res.differentials
             for i in range(1, len(maps)):

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 
 from catres.algebra import (
     Algebra,
+    MAX_ROOT_SEARCH_PRODUCT,
     AlgebraError,
-    Idempotent,
     QuiverSpec,
+    SplitGiveUp,
     _corner_center_rows,
     _corner_of_unit,
     _divided_trace_gram,
@@ -19,7 +20,6 @@ from catres.algebra import (
     _poly_roots,
     _power_traces,
     _radical_by_traces,
-    corner_algebra,
     from_quiver,
     primitive_idempotents,
     quotient_algebra,
@@ -43,6 +43,7 @@ from catres.linalg import (
 )
 from oracles import (
     bigint_divided_trace_gram,
+    corner_algebra,
     generating_indices,
     int_matrix_power_trace,
     loop_is_ideal,
@@ -314,30 +315,30 @@ def test_quotient_by_power_middle_is_x2():
     assert mid.multiply(ximg, ximg).is_zero()
 
 
-# -- idempotents and corners ---------------------------------------------------
+# -- idempotents, and corners by the oracle route ------------------------------
 
 
 def test_primitive_idempotents_local():
     a = truncated_poly_algebra(F2, 2)
     idems = primitive_idempotents(a, a.radical_chain())
-    assert len(idems) == 1 and idems[0].coords == a.unit
+    assert len(idems) == 1 and idems[0] == a.unit
 
 
 def test_primitive_idempotents_kxk():
     a = two_fields(F5)
     idems = primitive_idempotents(a, a.radical_chain())
     assert len(idems) == 2
-    assert sorted(e.coords.tolist() for e in idems) == [[[0, 1]], [[1, 0]]]
+    assert sorted(e.tolist() for e in idems) == [[[0, 1]], [[1, 0]]]
 
 
 def test_primitive_idempotents_t2():
     a = upper_triangular_2(F3)
     idems = primitive_idempotents(a, a.radical_chain())
     assert len(idems) == 2
-    total = idems[0].coords + idems[1].coords
+    total = idems[0] + idems[1]
     assert total == a.unit
     for e in idems:
-        assert a.multiply(e.coords, e.coords) == e.coords
+        assert a.multiply(e, e) == e
 
 
 def test_primitive_idempotents_matrix_block():
@@ -345,7 +346,7 @@ def test_primitive_idempotents_matrix_block():
     a = matrix_span_algebra(F2, mats, ["E11", "E12", "E21", "E22"])
     idems = primitive_idempotents(a, a.radical_chain())
     assert len(idems) == 2
-    s = idems[0].coords + idems[1].coords
+    s = idems[0] + idems[1]
     assert s == a.unit
 
 
@@ -362,7 +363,7 @@ def test_split_gives_up_on_proper_division_component():
 
 def test_corner_identity_and_zero():
     a = truncated_poly_algebra(F5, 2)
-    c, embed, degenerate = corner_algebra(a, Idempotent(a.unit))
+    c, embed, degenerate = corner_algebra(a, a.unit)
     assert not degenerate and c.dim == a.dim
     # corner at 1 is isomorphic to a via the embedding rows
     for i in range(c.dim):
@@ -370,7 +371,7 @@ def test_corner_identity_and_zero():
             lhs = a.multiply(embed.row_at(i), embed.row_at(j))
             rhs = coords_in_rows(embed, lhs)
             assert (rhs @ embed) == lhs
-    z, _, degenerate = corner_algebra(a, Idempotent(Mat.zeros(F5, 1, 2)))
+    z, _, degenerate = corner_algebra(a, Mat.zeros(F5, 1, 2))
     assert degenerate and z.dim == 0
 
 
@@ -384,7 +385,7 @@ def test_corner_t2_vertex():
 def test_corner_rejects_non_idempotent():
     a = truncated_poly_algebra(F5, 2)
     with pytest.raises(AlgebraError):
-        corner_algebra(a, Idempotent(a.basis_element(1)))
+        corner_algebra(a, a.basis_element(1))
 
 
 # -- opposite and center --------------------------------------------------------
@@ -499,6 +500,32 @@ def test_trace_route_matches_the_trace_form_reference_over_q():
     for label, a in (("x3_q", x3_q), ("Q[x]/x^5", truncated_poly_algebra(QQ, 5))):
         for name, b in ((label, a), (f"T({label})", build_auslander(a).tilde)):
             assert _radical_by_traces(b) == trace_form_radical(b), name
+
+
+def q_times_q(n):
+    """Q x Q on the basis (1, 1), (n, 0) as catres-algebra-v1 JSON: u = (n, 0)
+    has minimal polynomial t^2 - n t, so the rational root search runs on
+    the divisors of n."""
+    return {
+        "format": "catres-algebra-v1",
+        "field": {"type": "rational"},
+        "dim": 2,
+        "basis": ["1", "u"],
+        "unit": [1, 0],
+        "mult": [[[1, 0], [0, 1]], [[0, 1], [0, n]]],
+    }
+
+
+def test_rational_root_search_under_its_bound_keeps_the_idempotents():
+    a = parse_algebra_or_quiver(q_times_q(10**6))
+    idems = primitive_idempotents(a, a.radical_chain())
+    assert [e.to_json()[0] for e in idems] == [[0, "1/1000000"], [1, "-1/1000000"]]
+
+
+def test_rational_root_search_gives_up_at_its_bound():
+    n = MAX_ROOT_SEARCH_PRODUCT
+    with pytest.raises(SplitGiveUp, match=f"lowest coefficient -{n} times leading"):
+        _poly_roots(QQ, [Fraction(0), Fraction(-n), Fraction(1)])
 
 
 def test_poly_roots_over_q_with_a_denominator_beyond_int64():

@@ -5,7 +5,7 @@ import pytest
 
 from catres import complexes as cx
 from catres import modules as mod
-from catres.auslander import build_auslander
+from catres.auslander import build_auslander, corner_dim
 from catres.certify import right_adjoint_sample
 from catres.corpus import truncated_poly_algebra
 from catres.functors import in_mod0, theta_hom, theta_rho
@@ -85,7 +85,7 @@ def test_kb_hom_single_module(data, reg):
 def test_kb_hom_yoneda_at_projective(data, reg):
     f = theta_rho(reg, data)
     c = cx.module_complex(f)
-    assert cx.kb_hom(c, c).dim == data.corner.dim
+    assert cx.kb_hom(c, c).dim == corner_dim(data)
 
 
 def test_kb_hom_kills_homotopic(data, reg):

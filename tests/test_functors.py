@@ -161,7 +161,7 @@ def test_theta_lambda_independent_of_presentation(data, pool):
         n = pool.random_lam_module(rng, 5)
         tl = theta_lambda(n, data)
         # recompute after permuting a direct-sum presentation of n
-        m, _, _ = mod.direct_sum([n])
+        m = mod.direct_sum([n])
         tl2 = theta_lambda(m, data)
         assert tl.dim == tl2.dim
         if tl.dim:

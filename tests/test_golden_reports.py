@@ -1,14 +1,16 @@
 """Byte-identity of reports on the shipped corpus.
 
-For every ``corpus/*.json`` the SHA-256 of two reports is pinned: the
-Auslander verification report and a one-sample certify report at seed 0.
-Reports are canonicalised as ``scripts/run_corpus.py`` does (JSON with
+For every ``corpus/*.json`` the SHA-256 of three reports is pinned: the
+Auslander verification report, a one-sample certify report at seed 0 and
+the ``catres analyze --format json`` output.  Reports are canonicalised as ``scripts/run_corpus.py`` does (JSON with
 sorted keys, the ``version`` key dropped), so a change to the arithmetic
 carrier, the sampling or the report layout that moves one byte of any
 report fails here.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -16,43 +18,52 @@ import pytest
 
 from catres.auslander import build_auslander, verify_auslander
 from catres.certify import CertConfig, certify_resolution, report_to_json_str
+from catres.cli import main
 from catres.io_json import parse_algebra_or_quiver
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
-# file -> (verify_auslander digest, certify_resolution digest)
+# file -> (verify_auslander digest, certify_resolution digest, analyze digest)
 GOLDEN = {
     "gentle_two_cycle_f2.json": (
         "957e06f93eda2c79437fb58dff4bc7d0ce7879f29ffa81b55ed127d85ecb10e1",
         "9a58cabc3e98809176c0720772c2181edf699b64a9ff0908fb18fc9bcdd0785e",
+        "ed28bd387430c36ea269b3865eec49f01dbcef874526ae69dfada89c7507b3a0",
     ),
     "kxk_f5.json": (
         "5baa8fb9cc6297cf1021c5364879abfd2769949861ed376d07fdfa577526ad8a",
         "f539b265bf56ff69fa7e3af2c32ac5b2f5b73488a3907b9ee82e1c1cc4cb7317",
+        "659a01327fe056dd439cd19c638297c772afc46cac313f06bd2e8e1eb639103d",
     ),
     "t2_f3.json": (
         "ca581e03c83ae52cc4b8149c8f1c5ce8541b2f7fdbfbb81c4fd63e3f641d9806",
         "7c8f9ea2b12db12f892d3aa4a0dcc1edc1090341f9c22c3d5a9762edb817434d",
+        "77d3978cf2bd53475b08714ff1f8840870ac64c657f4d82982f7ff472350914a",
     ),
     "x2_f2.json": (
         "959adda31545a3e9094b79b5659874b4acb7f6053fbcf8e2fb0b64ecc288d8ef",
         "4f10dfd917501b640dcc1c6e0465b542b2b8b1d3e0246ed70049d4fa00e64f8c",
+        "22fefd5a4bd35876d77b360d21efb622f233f86fbb5586b6f172f5750d748f64",
     ),
     "x2_f5.json": (
         "959adda31545a3e9094b79b5659874b4acb7f6053fbcf8e2fb0b64ecc288d8ef",
         "27041346ad07c719006e4e152a6b4ef371d6beef807437d420cee84e99805155",
+        "c516a59d3e49cd7224b0baa7292e8e382e71fa34954ec564cc138deddb61c139",
     ),
     "x3_f3.json": (
         "6da3c3115380cbb2bc7834dcb97bf61b4f6d71952d0f50ceda46d5be159e1166",
         "c4b7c41cd60a54a2fc7589a11a7da4f064627e8161737f941110db83c3a5d310",
+        "4d783fc2825d434ea1abd132148198e1ae7bfc19d815965f2206be4f83650ce7",
     ),
     "x3_f7.json": (
         "6da3c3115380cbb2bc7834dcb97bf61b4f6d71952d0f50ceda46d5be159e1166",
         "4db5382e21d378b1d4f7b9d028773007025e34e2e305f0b8fd6e8bca472bd19d",
+        "54ba2a0a5e1d71a328f1c06f26131cda99d7784ee14cb43239202a47674afd76",
     ),
     "x3_q.json": (
         "6da3c3115380cbb2bc7834dcb97bf61b4f6d71952d0f50ceda46d5be159e1166",
         "c4f69dffc54c54d21b10197f686a7f68b5177f8e1b35fd422ae0c4cfd2573ab6",
+        "c41541b017fbd98df8fc7be7ec5cd6b5c3e449dfa952852fe7d96b46b96a7ef6",
     ),
 }
 
@@ -71,4 +82,8 @@ def test_reports_are_byte_identical(name):
     lam = parse_algebra_or_quiver(json.loads((CORPUS / name).read_text()))
     verify = verify_auslander(build_auslander(lam))
     certify = certify_resolution(lam, CertConfig(seed=0, samples=1))
-    assert (_digest(verify), _digest(certify)) == GOLDEN[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(CORPUS / name), "--format", "json"]) == 0
+    analyze = json.loads(out.getvalue())
+    assert (_digest(verify), _digest(certify), _digest(analyze)) == GOLDEN[name]

@@ -15,7 +15,7 @@ from catres.corpus import (
 )
 from catres.auslander import build_auslander
 from catres.io_json import parse_algebra_or_quiver
-from catres.linalg import FieldSpec, RowBasis, left_nullspace, rank
+from catres.linalg import FieldSpec, Mat, RowBasis, left_nullspace, rank
 from oracles import iso_distinct_simples
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -137,26 +137,34 @@ def _padded_resolution(m, depth):
     extra = ctx.projectives[0]
     if len(res.modules) < 2 or extra.dim == 0:
         return res
+
+    def inclusions(first, total):
+        """The row blocks of the two parts of a sum whose first part has dim first."""
+        ident = Mat.identity(m.field, total)
+        return ident.take_rows(range(first)), ident.take_rows(range(first, total))
+
     # splice P_extra with identity between spots 1 and 0's kernel: standard
     # trick: replace P_1 by P_1 + E and P_2 by P_2 + E with identity on E
     p1 = res.modules[1]
-    new_p1, injs1, prjs1 = mod.direct_sum([p1, extra])
+    new_p1 = mod.direct_sum([p1, extra])
+    injs1 = inclusions(p1.dim, new_p1.dim)
     d1 = res.differentials[0]
-    new_d1 = mod.ModHom(new_p1, res.modules[0], prjs1[0].mat @ d1.mat)
+    new_d1 = mod.ModHom(new_p1, res.modules[0], injs1[0].T @ d1.mat)
     modules = [res.modules[0], new_p1]
     diffs = [new_d1]
     if len(res.modules) > 2:
         p2 = res.modules[2]
-        new_p2, injs2, prjs2 = mod.direct_sum([p2, extra])
+        new_p2 = mod.direct_sum([p2, extra])
+        injs2 = inclusions(p2.dim, new_p2.dim)
         d2 = res.differentials[1]
-        m2 = prjs2[0].mat @ d2.mat @ injs1[0].mat + prjs2[1].mat @ injs1[1].mat
+        m2 = injs2[0].T @ d2.mat @ injs1[0] + injs2[1].T @ injs1[1]
         diffs.append(mod.ModHom(new_p2, new_p1, m2))
         modules.append(new_p2)
         modules.extend(res.modules[3:])
         rest = list(res.differentials[2:])
         if rest:
             d3 = rest[0]
-            rest[0] = mod.ModHom(d3.source, new_p2, d3.mat @ injs2[0].mat)
+            rest[0] = mod.ModHom(d3.source, new_p2, d3.mat @ injs2[0])
         diffs.extend(rest)
     status = ResStatus(kind=res.status.kind, length=res.status.length, depth=res.status.depth)
     return ProjResolution(

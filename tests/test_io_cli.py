@@ -9,6 +9,7 @@ import pytest
 from catres import modules as mod
 from catres.algebra import MAX_QUIVER_PATHS, AlgebraError, QuiverSpec, from_quiver
 from catres.auslander import build_auslander
+from catres.cli import main
 from catres.corpus import truncated_poly_algebra
 from catres.functors import theta_rho
 from catres.io_json import (
@@ -22,6 +23,7 @@ from catres.io_json import (
     parse_module,
 )
 from catres.linalg import FieldSpec
+from test_algebra import q_times_q
 
 F2 = FieldSpec("prime", 2)
 F5 = FieldSpec("prime", 5)
@@ -113,6 +115,15 @@ def test_rejects_a_quiver_over_the_path_budget_before_building_it():
     assert time.perf_counter() - start < 0.5
     assert exc.value.path == "$.length_bound"
     assert str(MAX_QUIVER_PATHS) in exc.value.reason
+
+
+def test_cli_analyze_gives_up_on_an_oversized_rational_root_search(tmp_path, capsys):
+    path = tmp_path / "qq.json"
+    path.write_text(json.dumps(q_times_q(10**30)))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--format", "json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"lowest coefficient -{10**30} times leading" in capsys.readouterr().err
 
 
 def test_path_count_sums_the_powers_of_the_adjacency_matrix():
