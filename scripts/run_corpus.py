@@ -3,14 +3,18 @@
 
 Every file runs 30 samples at seed 0; --samples and --seed override them.
 
-Each line carries the SHA-256 of the report without its ``version`` key,
-the digest perfbench uses; the wall times go to stderr.  So a plain
+Each line carries the SHA-256 of the certify report without its
+``version`` key, the digest perfbench uses, and the same digest of the
+``catres analyze --format json`` output (radical dimensions, primitive
+idempotents, global dimensions); the wall times go to stderr.  So a plain
 ``diff`` of the stdout of two checkouts shows whether every report is
 byte-identical.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
@@ -19,6 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from catres.certify import CertConfig, certify_resolution, exit_code_for, report_to_json_str
+from catres.cli import main as catres_main
 from catres.io_json import parse_algebra_or_quiver
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -27,6 +32,13 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 def report_digest(report: dict) -> str:
     canonical = {k: v for k, v in report.items() if k != "version"}
     return hashlib.sha256(report_to_json_str(canonical).encode()).hexdigest()
+
+
+def analyze_digest(path: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        catres_main(["analyze", str(path), "--format", "json"])
+    return report_digest(json.loads(out.getvalue()))
 
 
 def main():
@@ -51,7 +63,8 @@ def main():
         )
         print(
             f"{path.name:28s} verdict={report['verdict']:10s} exit={code} "
-            f"samples={args.samples:3d} sha256={report_digest(report)}  {conds}",
+            f"samples={args.samples:3d} sha256={report_digest(report)} "
+            f"analyze={analyze_digest(path)}  {conds}",
             flush=True,
         )
         print(f"{path.name:28s} {dt:6.1f}s", file=sys.stderr, flush=True)

@@ -5,6 +5,13 @@ An algebra is a basis b_0..b_{d-1}, a unit vector, and a table
 chains, quotients, primitive idempotents, and a bounded-length
 quiver-with-relations frontend.
 
+Primitive idempotents come from splitting the semisimple quotient A/J one
+corner at a time, by one of two candidate searches: a central element
+whose minimal polynomial has a root when the corner's center has
+dimension > 1, a zero divisor when the corner is simple.  The random
+coefficients of a search are drawn from a seeded rng before any of its
+candidates is tried, so the idempotents are a function of the input.
+
 Conventions (fixed across the package): elements are coordinate row
 vectors; the path ``[a, b]`` means "a first, then b"; modules are right
 modules.
@@ -15,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional
 
 import numpy as np
@@ -329,25 +336,14 @@ def _poly_roots(field: FieldSpec, coeffs):
     coefficient of the integer-cleared polynomial have a product of at
     least ``MAX_ROOT_SEARCH_PRODUCT``.
     """
-    roots = []
     if field.kind == "prime":
-        for x in range(field.p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % field.p
-            if acc == 0:
-                roots.append(x)
-        return roots
-    # rational roots of an integer-cleared polynomial
+        return [x for x in range(field.p) if _eval_scalar(field, coeffs, x) == 0]
+    # rational roots of an integer-cleared polynomial; monic, so the
+    # leading coefficient is the common denominator
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
     lead = ints[-1]
-    const = next((c for c in ints if c != 0), 0)
-    if const == 0:
-        roots.append(Fraction(0))
-        return roots
+    const = next(c for c in ints if c != 0)
     if abs(const * lead) >= MAX_ROOT_SEARCH_PRODUCT:
         raise SplitGiveUp(
             f"rational root search: lowest coefficient {const} times leading"
@@ -355,138 +351,131 @@ def _poly_roots(field: FieldSpec, coeffs):
         )
 
     def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out)
+        small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+        return sorted({*small, *(abs(n) // d for d in small)})
 
+    roots = []
     for num in divisors(const):
         for dq in divisors(lead):
             for sign in (1, -1):
                 cand = Fraction(sign * num, dq)
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * cand + Fraction(c)
-                if acc == 0 and cand not in roots:
+                if _eval_scalar(field, coeffs, cand) == 0 and cand not in roots:
                     roots.append(cand)
-    if 0 not in roots:
-        accz = Fraction(coeffs[0])
-        if accz == 0:
-            roots.append(Fraction(0))
+    if coeffs[0] == 0:  # the candidates above are all nonzero
+        roots.append(Fraction(0))
     return roots
-
-
-class _Corner:
-    """A unital subspace of a fixed semisimple algebra, with its own unit."""
-
-    def __init__(self, B: Algebra, basis: Mat, unit: Mat):
-        self.B = B
-        self.basis = basis  # rows in B-coordinates
-        self.unit = unit
-
-    @property
-    def dim(self):
-        return self.basis.rows
 
 
 # random combinations tried per split, after the rows themselves
 _RANDOM_COMBINATIONS = 80
 
 
-def _split_semisimple(B: Algebra, c: _Corner, rng: random.Random):
-    """Orthogonal primitive idempotents of a corner of semisimple B."""
-    if c.dim == 0:
-        return []
-    if c.dim == 1:
-        return [c.unit]
+def _split_semisimple(B: Algebra, basis: Mat, unit: Mat, rng: random.Random) -> list:
+    """Orthogonal primitive idempotents of the corner of semisimple B with
+    row basis ``basis`` and unit ``unit``.
 
-    def try_element(z: Mat):
-        """Split along a central element with reducible minimal polynomial."""
-        coeffs = _min_poly_coords_in_corner(B, c, z)
-        deg = len(coeffs) - 1
-        if deg <= 1:
-            return None
-        roots = _poly_roots(B.field, coeffs)
-        if not roots:
-            return None
-        lam = roots[0]
-        # e = g(z)/g(lam) with g = minpoly/(t - lam); idempotent, central in c
-        g = _poly_divide_linear(B.field, coeffs, lam)
-        gz = _eval_poly_in_corner(B, c, g, z)
-        glam = _eval_scalar(B.field, g, lam)
-        if glam == 0:
-            return None
-        e = gz.scale(B.field.inv(glam))
-        if (B.multiply(e, e) - e).is_zero() and not e.is_zero() and not (e - c.unit).is_zero():
-            return e
-        return None
-
-    # 1) central splitting
-    zc = _corner_center_rows(B, c)
-    if zc.rows > 1:
-        for z in _with_random_combinations(zc, rng):
-            e = try_element(z)
-            if e is not None:
-                left = _corner_of_unit(B, e)
-                right = _corner_of_unit(B, c.unit - e)
-                return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
-        raise SplitGiveUp(
-            "cannot split the center: division components beyond the prime field"
-        )
-
-    # 2) center is one-dimensional: simple algebra; hunt a zero divisor
-    for v in _with_random_combinations(c.basis, rng):
-        if v.is_zero():
-            continue
-        ideal_rows = row_basis(B.products(v, c.basis))
-        if ideal_rows.rows in (0, c.dim):
-            continue
-        # right ideal vC = fC for an idempotent f: f acts as left identity on vC
-        f = _left_identity_on(B, c, ideal_rows)
-        if f is None:
-            continue
-        left = _corner_of_unit(B, f)
-        right = _corner_of_unit(B, c.unit - f)
-        return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
-    raise SplitGiveUp("no zero divisor found: division algebra of dimension > 1")
+    A corner whose center has dimension > 1 splits along a central element;
+    a simple corner splits along a zero divisor.  The first idempotent e
+    that the search finds splits the corner into eBe and (1-e)B(1-e).
+    """
+    if basis.rows <= 1:
+        return [unit] if basis.rows else []
+    center = _corner_center_rows(B, basis)
+    if center.rows > 1:
+        candidates = _with_random_combinations(center, rng)
+        found = (_central_idempotent(B, unit, z) for z in candidates)
+        give_up = "cannot split the center: division components beyond the prime field"
+    else:
+        candidates = _with_random_combinations(basis, rng)
+        found = (_zero_divisor_idempotent(B, basis, v) for v in candidates)
+        give_up = "no zero divisor found: division algebra of dimension > 1"
+    e = next((e for e in found if e is not None), None)
+    if e is None:
+        raise SplitGiveUp(give_up)
+    return [f for u in (e, unit - e) for f in _split_semisimple(B, _corner_rows(B, u), u, rng)]
 
 
-def _with_random_combinations(rows: Mat, rng: random.Random) -> list:
-    """The rows of ``rows``, then ``_RANDOM_COMBINATIONS`` random
-    combinations of them, all built by one product."""
+def _with_random_combinations(rows: Mat, rng: random.Random):
+    """Yield the rows of ``rows``, then ``_RANDOM_COMBINATIONS`` random
+    combinations of them.
+
+    Every coefficient is drawn before the first row is yielded, so the
+    ``rng`` stream does not depend on how many candidates the caller
+    tries; each combination is built only when it is asked for.
+    """
     f, k = rows.field, _RANDOM_COMBINATIONS
     coeffs = [[f.random_scalar(rng, 3) for _ in range(rows.rows)] for _ in range(k)]
-    combos = Mat.from_rows(f, coeffs) @ rows
-    return [rows.row_at(i) for i in range(rows.rows)] + [combos.row_at(i) for i in range(k)]
+    for i in range(rows.rows):
+        yield rows.row_at(i)
+    for c in coeffs:
+        yield Mat.row(f, c) @ rows
 
 
 def _corner_rows(A: Algebra, e: Mat) -> Mat:
-    """Row k is e * b_k * e: (e b_k) e is row k of L(e) times R(e)."""
-    return A.left_mult_matrix(e) @ A.right_mult_matrix(e)
+    """Row basis of the corner eAe: row k of L(e) times R(e) is e * b_k * e."""
+    return row_basis(A.left_mult_matrix(e) @ A.right_mult_matrix(e))
 
 
-def _corner_of_unit(B: Algebra, e: Mat) -> _Corner:
-    return _Corner(B, row_basis(_corner_rows(B, e)), e)
-
-
-def _corner_center_rows(B: Algebra, c: _Corner) -> Mat:
-    k = c.dim
-    prods = B.products(c.basis, c.basis)  # row r * k + i is c_r c_i
+def _corner_center_rows(B: Algebra, basis: Mat) -> Mat:
+    """Row basis of the center of the corner with row basis ``basis``."""
+    k = basis.rows
+    prods = B.products(basis, basis)  # row r * k + i is c_r c_i
     # row r, block i: c_r c_i - c_i c_r, zero in every block iff central
     swapped = prods.a.reshape(k, k, B.dim).transpose(1, 0, 2)
     big = prods.reshape(k, k * B.dim) - prods.with_array(swapped.reshape(k, k * B.dim))
     coeff = left_nullspace(big)  # rows: coefficient vectors over corner basis
-    return row_basis(coeff @ c.basis)
+    return row_basis(coeff @ basis)
 
 
-def _min_poly_coords_in_corner(B: Algebra, c: _Corner, u: Mat):
-    rows = [c.unit]
-    power = c.unit
+def _central_idempotent(B: Algebra, unit: Mat, z: Mat) -> Optional[Mat]:
+    """e = g(z)/g(lam) for the first root lam of the minimal polynomial of
+    the central z and g = minpoly/(t - lam): an idempotent of the corner
+    other than 0 and ``unit``, or None."""
+    coeffs = _min_poly(B, unit, z)
+    if len(coeffs) <= 2:
+        return None
+    roots = _poly_roots(B.field, coeffs)
+    if not roots:
+        return None
+    g = _poly_divide_linear(B.field, coeffs, roots[0])
+    glam = _eval_scalar(B.field, g, roots[0])
+    if glam == 0:
+        return None
+    gz = Mat.zeros(B.field, 1, B.dim)
+    for cf in reversed(g):
+        gz = B.multiply(gz, z) + unit.scale(cf)
+    e = gz.scale(B.field.inv(glam))
+    if B.multiply(e, e) == e and not e.is_zero() and e != unit:
+        return e
+    return None
+
+
+def _zero_divisor_idempotent(B: Algebra, basis: Mat, v: Mat) -> Optional[Mat]:
+    """For v in the simple corner C with row basis ``basis``: the
+    idempotent f with vC = fC, when vC is a proper nonzero right ideal,
+    or None.  f lies in vC and acts on it as a left identity."""
+    if v.is_zero():
+        return None
+    ideal = row_basis(B.products(v, basis))
+    k = ideal.rows
+    if k in (0, basis.rows):
+        return None
+    # unknown coefficients a_t with sum a_t (g_t * g_s) = g_s for all s
+    lhs = B.products(ideal, ideal).reshape(k, k * B.dim)
+    sol = solve_left(lhs, ideal.flatten_row())
+    if sol is None:
+        return None
+    f = sol @ ideal
+    if B.multiply(f, f) == f and not f.is_zero():
+        return f
+    return None
+
+
+def _min_poly(B: Algebra, unit: Mat, u: Mat):
+    """Coefficients, low to high, of the minimal polynomial of u in the
+    corner with unit ``unit``."""
+    rows = [unit]
+    power = unit
     while True:
         power = B.multiply(power, u)
         span = Mat.stack_rows(B.field, rows)
@@ -494,13 +483,6 @@ def _min_poly_coords_in_corner(B: Algebra, c: _Corner, u: Mat):
         if rel is not None:
             return (-rel).tolist()[0] + [B.field.one]
         rows.append(power)
-
-
-def _eval_poly_in_corner(B: Algebra, c: _Corner, coeffs, u: Mat) -> Mat:
-    acc = Mat.zeros(B.field, 1, B.dim)
-    for cf in reversed(coeffs):
-        acc = B.multiply(acc, u) + c.unit.scale(cf)
-    return acc
 
 
 def _eval_scalar(field: FieldSpec, coeffs, x):
@@ -521,32 +503,26 @@ def _poly_divide_linear(field: FieldSpec, coeffs, lam):
     return out
 
 
-def _left_identity_on(B: Algebra, c: _Corner, ideal_rows: Mat):
-    """Solve for f in the row span with f*x = x for all x spanning the ideal."""
-    k = ideal_rows.rows
-    # unknown coefficients a_t with sum a_t (g_t * x_s) = x_s for all s
-    lhs = B.products(ideal_rows, ideal_rows).reshape(k, k * B.dim)
-    sol = solve_left(lhs, ideal_rows.flatten_row())
-    if sol is None:
-        return None
-    f = sol @ ideal_rows
-    if (B.multiply(f, f) - f).is_zero() and not f.is_zero():
-        return f
-    return None
-
-
 def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
     """Complete orthogonal set of primitive idempotents summing to 1, as
     1 x dim coordinate rows.
 
-    Decomposes the semisimple quotient A/J and lifts along the nilpotent
-    kernel by the cubic refinement e <- 3e^2 - 2e^3.
+    Splits the semisimple quotient A/J one corner at a time, starting from
+    A/J itself.  A corner whose center has dimension > 1 is searched for a
+    central element whose minimal polynomial has a root in the field; a
+    simple corner is searched for a zero divisor v, whose right ideal vC =
+    fC gives the idempotent f.  Each search tries the basis rows of the
+    center or of the corner, then ``_RANDOM_COMBINATIONS`` random
+    combinations of them, whose coefficients are all drawn before the
+    first candidate is tried.  The first idempotent e found splits the
+    corner into e and 1 - e.  The idempotents of A/J are lifted along the
+    nilpotent kernel by the cubic refinement e <- 3e^2 - 2e^3.
     """
     if A.dim == 0:
         return []
     quot, proj, section = quotient_algebra(A, chain.radical)
     rng = random.Random(20240801)
-    ssquare = _split_semisimple(quot, _corner_of_unit(quot, quot.unit), rng)
+    ssquare = _split_semisimple(quot, _corner_rows(quot, quot.unit), quot.unit, rng)
     lifted = []
     total = Mat.zeros(A.field, 1, A.dim)
     for ebar in ssquare:
@@ -554,24 +530,21 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
         cmpl = A.unit - total
         g = A.multiply(A.multiply(cmpl, g), cmpl)
         for _ in range(A.dim + 4):
-            defect = A.multiply(g, g) - g
-            if defect.is_zero():
-                break
             g2 = A.multiply(g, g)
-            g3 = A.multiply(g2, g)
-            g = g2.scale(3) - g3.scale(2)
+            if g2 == g:
+                break
+            g = g2.scale(3) - A.multiply(g2, g).scale(2)
         else:
             raise AlgebraError("idempotent refinement failed to converge")
         lifted.append(g)
         total = total + g
     if not (total - A.unit).is_zero():
         raise AlgebraError("lifted idempotents do not sum to the unit")
-    for i, ei in enumerate(lifted):
-        for j, ej in enumerate(lifted):
-            prod = A.multiply(ei, ej)
-            expect = ei if i == j else Mat.zeros(A.field, 1, A.dim)
-            if prod != expect:
-                raise AlgebraError("lifted idempotents are not orthogonal")
+    # row i of the products, reshaped, is e_i e_0 | ... | e_i e_{n-1}: e_i
+    # in block i and zero elsewhere
+    n, e = len(lifted), Mat.stack_rows(A.field, lifted)
+    if A.products(e, e).reshape(n, n * A.dim) != Mat.block_diag(A.field, lifted):
+        raise AlgebraError("lifted idempotents are not orthogonal")
     return lifted
 
 

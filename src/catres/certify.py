@@ -120,13 +120,22 @@ def adjunction_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i:
     return r["ok"], str({k: v for k, v in r.items() if k != "ok"}) if not r["ok"] else ""
 
 
+def _assembled(F, data: AuslanderData):
+    """``(prop31_sequence(F, data), "")``, or ``(None, detail)`` when the
+    assembly fails one of the assertions it makes, so that every suite
+    that assembles records the failure instead of aborting the run."""
+    try:
+        return prop31_sequence(F, data), ""
+    except AssertionError as exc:
+        return None, f"assembly failed: {exc}"
+
+
 def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
     rng = rng_for(cfg.seed, "four_term", i)
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-    try:
-        p31 = prop31_sequence(F, data)
-    except AssertionError as exc:
-        return False, f"assembly failed: {exc}"
+    p31, failure = _assembled(F, data)
+    if p31 is None:
+        return False, failure
     for d in F.degrees():
         s = p31.degreewise[d]
         if s.F0.dim - s.F.dim + s.middle.dim - s.F1.dim != 0:
@@ -148,7 +157,9 @@ def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: 
 def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
     rng = rng_for(cfg.seed, "four_term", i)  # same stream: same complexes
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
-    p31 = prop31_sequence(F, data)
+    p31, failure = _assembled(F, data)
+    if p31 is None:
+        return False, failure
     return is_lambda_acyclic(cone(p31.alpha), data), "cone of the unit map is not corner-acyclic"
 
 
@@ -261,12 +272,15 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
 def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     """Theorem-level right adjunction: Hom(db_theta F, P) = Hom(F, (-,P))
     through g -> (unit map, then Hom(M,-) of g), bijective on homotopy
-    classes."""
+    classes.  A failed assembly of the unit map gives ``bijective`` False
+    and the failure as ``detail``."""
     lifted = kb_theta_lambda_data(P, data)
     thetaF = db_theta(F, data)
     B = kb_hom(thetaF, P)
     A = kb_hom(F, lifted.complex)
-    p31 = prop31_sequence(F, data)
+    p31, failure = _assembled(F, data)
+    if p31 is None:
+        return {"bijective": False, "detail": failure}
     # g -> alpha then theta_rho(g), on every basis map of each degree
     blocks = {}
     for i in B.window:

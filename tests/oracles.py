@@ -42,15 +42,29 @@ replacement, on the library's own primitives:
 * ``corner_route_iso`` builds e*tilde*e as an ``Algebra`` (``corner_algebra``),
   transports it to Lambda by restriction to the Lambda-summand and checks
   that zeta inverts that transport basis element by basis element, against
-  the three whole-matrix checks on zeta of ``auslander.check_corner_iso``.
+  the three whole-matrix checks on zeta of ``auslander.check_corner_iso``;
+* ``corner_split_idempotents`` splits A/J as the library once did: a
+  ``_Corner`` per corner, every candidate list of random combinations
+  built before the first one is tried, two split-and-recurse blocks and a
+  pairwise orthogonality loop, against the one recursive routine and the
+  one orthogonality product of ``algebra.primitive_idempotents``.
 """
 
+import random
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from catres.algebra import Algebra, AlgebraError
+from catres.algebra import (
+    _RANDOM_COMBINATIONS,
+    MAX_ROOT_SEARCH_PRODUCT,
+    Algebra,
+    AlgebraError,
+    SplitGiveUp,
+    quotient_algebra,
+)
 from catres.complexes import (
     ChainMap,
     db_theta,
@@ -69,6 +83,7 @@ from catres.linalg import (
     rank,
     row_basis,
     solve,
+    solve_left,
 )
 from catres.modules import (
     HomSpace,
@@ -575,3 +590,254 @@ def corner_route_iso(data):
         if to_lam.row_at(i) @ data.lambda_to_tilde != embed.row_at(i):
             return False, f"transports do not invert at basis {i}", corner.dim
     return True, "", corner.dim
+
+
+# -- the former splitting of A/J ------------------------------------------------
+# Kept as it was: a ``_Corner`` per corner, a ``try_element`` closure, two
+# split-and-recurse blocks, every candidate list built before the first
+# one is tried, and the pairwise orthogonality loop.
+
+
+def loop_poly_roots(field, coeffs):
+    """Roots in the base field of a monic polynomial given low-to-high.
+
+    Over Q, raises SplitGiveUp when the lowest nonzero and the leading
+    coefficient of the integer-cleared polynomial have a product of at
+    least ``MAX_ROOT_SEARCH_PRODUCT``.
+    """
+    roots = []
+    if field.kind == "prime":
+        for x in range(field.p):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % field.p
+            if acc == 0:
+                roots.append(x)
+        return roots
+    # rational roots of an integer-cleared polynomial
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    lead = ints[-1]
+    const = next((c for c in ints if c != 0), 0)
+    if const == 0:
+        roots.append(Fraction(0))
+        return roots
+    if abs(const * lead) >= MAX_ROOT_SEARCH_PRODUCT:
+        raise SplitGiveUp(
+            f"rational root search: lowest coefficient {const} times leading"
+            f" coefficient {lead} reaches the bound {MAX_ROOT_SEARCH_PRODUCT}"
+        )
+
+    def divisors(n):
+        n = abs(n)
+        out = set()
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.add(d)
+                out.add(n // d)
+            d += 1
+        return sorted(out)
+
+    for num in divisors(const):
+        for dq in divisors(lead):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, dq)
+                acc = Fraction(0)
+                for c in reversed(coeffs):
+                    acc = acc * cand + Fraction(c)
+                if acc == 0 and cand not in roots:
+                    roots.append(cand)
+    if 0 not in roots:
+        accz = Fraction(coeffs[0])
+        if accz == 0:
+            roots.append(Fraction(0))
+    return roots
+
+
+class _Corner:
+    """A unital subspace of a fixed semisimple algebra, with its own unit."""
+
+    def __init__(self, B, basis, unit):
+        self.B = B
+        self.basis = basis  # rows in B-coordinates
+        self.unit = unit
+
+    @property
+    def dim(self):
+        return self.basis.rows
+
+
+def _split_semisimple(B, c, rng):
+    """Orthogonal primitive idempotents of a corner of semisimple B."""
+    if c.dim == 0:
+        return []
+    if c.dim == 1:
+        return [c.unit]
+
+    def try_element(z):
+        """Split along a central element with reducible minimal polynomial."""
+        coeffs = _min_poly_coords_in_corner(B, c, z)
+        deg = len(coeffs) - 1
+        if deg <= 1:
+            return None
+        roots = loop_poly_roots(B.field, coeffs)
+        if not roots:
+            return None
+        lam = roots[0]
+        # e = g(z)/g(lam) with g = minpoly/(t - lam); idempotent, central in c
+        g = _poly_divide_linear(B.field, coeffs, lam)
+        gz = _eval_poly_in_corner(B, c, g, z)
+        glam = _eval_scalar(B.field, g, lam)
+        if glam == 0:
+            return None
+        e = gz.scale(B.field.inv(glam))
+        if (B.multiply(e, e) - e).is_zero() and not e.is_zero() and not (e - c.unit).is_zero():
+            return e
+        return None
+
+    # 1) central splitting
+    zc = _corner_center_rows(B, c)
+    if zc.rows > 1:
+        for z in eager_random_combinations(zc, rng):
+            e = try_element(z)
+            if e is not None:
+                left = _corner_of_unit(B, e)
+                right = _corner_of_unit(B, c.unit - e)
+                return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
+        raise SplitGiveUp(
+            "cannot split the center: division components beyond the prime field"
+        )
+
+    # 2) center is one-dimensional: simple algebra; hunt a zero divisor
+    for v in eager_random_combinations(c.basis, rng):
+        if v.is_zero():
+            continue
+        ideal_rows = row_basis(B.products(v, c.basis))
+        if ideal_rows.rows in (0, c.dim):
+            continue
+        # right ideal vC = fC for an idempotent f: f acts as left identity on vC
+        f = _left_identity_on(B, c, ideal_rows)
+        if f is None:
+            continue
+        left = _corner_of_unit(B, f)
+        right = _corner_of_unit(B, c.unit - f)
+        return _split_semisimple(B, left, rng) + _split_semisimple(B, right, rng)
+    raise SplitGiveUp("no zero divisor found: division algebra of dimension > 1")
+
+
+def eager_random_combinations(rows, rng):
+    """The rows of ``rows``, then ``_RANDOM_COMBINATIONS`` random
+    combinations of them, all built by one product."""
+    f, k = rows.field, _RANDOM_COMBINATIONS
+    coeffs = [[f.random_scalar(rng, 3) for _ in range(rows.rows)] for _ in range(k)]
+    combos = Mat.from_rows(f, coeffs) @ rows
+    return [rows.row_at(i) for i in range(rows.rows)] + [combos.row_at(i) for i in range(k)]
+
+
+def _corner_of_unit(B, e):
+    # row k is e * b_k * e: (e b_k) e is row k of L(e) times R(e)
+    return _Corner(B, row_basis(B.left_mult_matrix(e) @ B.right_mult_matrix(e)), e)
+
+
+def _corner_center_rows(B, c):
+    k = c.dim
+    prods = B.products(c.basis, c.basis)  # row r * k + i is c_r c_i
+    # row r, block i: c_r c_i - c_i c_r, zero in every block iff central
+    swapped = prods.a.reshape(k, k, B.dim).transpose(1, 0, 2)
+    big = prods.reshape(k, k * B.dim) - prods.with_array(swapped.reshape(k, k * B.dim))
+    coeff = left_nullspace(big)  # rows: coefficient vectors over corner basis
+    return row_basis(coeff @ c.basis)
+
+
+def _min_poly_coords_in_corner(B, c, u):
+    rows = [c.unit]
+    power = c.unit
+    while True:
+        power = B.multiply(power, u)
+        span = Mat.stack_rows(B.field, rows)
+        rel = solve_left(span, power)
+        if rel is not None:
+            return (-rel).tolist()[0] + [B.field.one]
+        rows.append(power)
+
+
+def _eval_poly_in_corner(B, c, coeffs, u):
+    acc = Mat.zeros(B.field, 1, B.dim)
+    for cf in reversed(coeffs):
+        acc = B.multiply(acc, u) + c.unit.scale(cf)
+    return acc
+
+
+def _eval_scalar(field, coeffs, x):
+    acc = field.zero
+    for cf in reversed(coeffs):
+        acc = field.coerce(acc * x + field.coerce(cf))
+    return acc
+
+
+def _poly_divide_linear(field, coeffs, lam):
+    """coeffs / (t - lam) for monic coeffs (exact division of the minimal poly)."""
+    n = len(coeffs) - 1
+    out = [field.zero] * n
+    carry = field.zero
+    for k in range(n - 1, -1, -1):
+        carry = field.coerce(coeffs[k + 1] + carry * lam)
+        out[k] = carry
+    return out
+
+
+def _left_identity_on(B, c, ideal_rows):
+    """Solve for f in the row span with f*x = x for all x spanning the ideal."""
+    k = ideal_rows.rows
+    # unknown coefficients a_t with sum a_t (g_t * x_s) = x_s for all s
+    lhs = B.products(ideal_rows, ideal_rows).reshape(k, k * B.dim)
+    sol = solve_left(lhs, ideal_rows.flatten_row())
+    if sol is None:
+        return None
+    f = sol @ ideal_rows
+    if (B.multiply(f, f) - f).is_zero() and not f.is_zero():
+        return f
+    return None
+
+
+def corner_split_idempotents(A, chain):
+    """Complete orthogonal set of primitive idempotents summing to 1, as
+    1 x dim coordinate rows, by the former route.
+
+    Decomposes the semisimple quotient A/J and lifts along the nilpotent
+    kernel by the cubic refinement e <- 3e^2 - 2e^3.
+    """
+    if A.dim == 0:
+        return []
+    quot, proj, section = quotient_algebra(A, chain.radical)
+    rng = random.Random(20240801)
+    ssquare = _split_semisimple(quot, _corner_of_unit(quot, quot.unit), rng)
+    lifted = []
+    total = Mat.zeros(A.field, 1, A.dim)
+    for ebar in ssquare:
+        g = ebar @ section
+        cmpl = A.unit - total
+        g = A.multiply(A.multiply(cmpl, g), cmpl)
+        for _ in range(A.dim + 4):
+            defect = A.multiply(g, g) - g
+            if defect.is_zero():
+                break
+            g2 = A.multiply(g, g)
+            g3 = A.multiply(g2, g)
+            g = g2.scale(3) - g3.scale(2)
+        else:
+            raise AlgebraError("idempotent refinement failed to converge")
+        lifted.append(g)
+        total = total + g
+    if not (total - A.unit).is_zero():
+        raise AlgebraError("lifted idempotents do not sum to the unit")
+    for i, ei in enumerate(lifted):
+        for j, ej in enumerate(lifted):
+            prod = A.multiply(ei, ej)
+            expect = ei if i == j else Mat.zeros(A.field, 1, A.dim)
+            if prod != expect:
+                raise AlgebraError("lifted idempotents are not orthogonal")
+    return lifted

@@ -12,14 +12,16 @@ from catres.algebra import (
     MAX_ROOT_SEARCH_PRODUCT,
     AlgebraError,
     QuiverSpec,
+    _RANDOM_COMBINATIONS,
     SplitGiveUp,
     _corner_center_rows,
-    _corner_of_unit,
+    _corner_rows,
     _divided_trace_gram,
     _is_ideal,
     _poly_roots,
     _power_traces,
     _radical_by_traces,
+    _with_random_combinations,
     from_quiver,
     primitive_idempotents,
     quotient_algebra,
@@ -44,12 +46,16 @@ from catres.linalg import (
 from oracles import (
     bigint_divided_trace_gram,
     corner_algebra,
+    corner_split_idempotents,
+    eager_random_combinations,
     generating_indices,
     int_matrix_power_trace,
     loop_is_ideal,
+    loop_poly_roots,
     naive_product,
     trace_form_radical,
 )
+from test_modules import f2_s3, f3_a4
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -318,6 +324,92 @@ def test_quotient_by_power_middle_is_x2():
 # -- idempotents, and corners by the oracle route ------------------------------
 
 
+_M2_BASIS = [[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+
+
+def block_diag_2(m, first):
+    """The 4 x 4 matrix with the 2 x 2 block m in the first or second place."""
+    out = np.zeros((4, 4), dtype=int)
+    at = slice(0, 2) if first else slice(2, 4)
+    out[at, at] = m
+    return out.tolist()
+
+
+def idempotent_inputs():
+    """label -> builder of Lambda, for the inputs whose idempotents are
+    pinned beyond the corpus.  M_2(k) on a basis of invertible matrices
+    has no basis row that splits it: a random combination does.  In
+    M_2(F_3) x M_2(F_3) the second factor needs one too, so its rows
+    depend on where the first search left the rng stream."""
+    arrows = [(f"a{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    return {
+        "kQ/J^2 on the 4-cycle over F_2": lambda: from_quiver(
+            QuiverSpec(F2, list("0123"), arrows, [], 2)
+        ),
+        "F_2[S_3]": f2_s3,
+        "F_3[C_6]": lambda: group_algebra(F3, 6),
+        "F_5[C_4]": lambda: group_algebra(F5, 4),
+        "F_3[x]/x^4": lambda: truncated_poly_algebra(F3, 4),
+        "M_2(F_3)": lambda: matrix_span_algebra(F3, _M2_BASIS, ["I", "D", "U", "L"]),
+        "M_2(F_5)": lambda: matrix_span_algebra(F5, _M2_BASIS, ["I", "D", "U", "L"]),
+        "M_2(Q)": lambda: matrix_span_algebra(QQ, _M2_BASIS, ["I", "D", "U", "L"]),
+        "M_2(F_3) x M_2(F_3)": lambda: matrix_span_algebra(
+            F3, [block_diag_2(b, first) for first in (True, False) for b in _M2_BASIS],
+            [f"{side}{x}" for side in "lr" for x in "IDUL"],
+        ),
+        "F_3[A_4]": f3_a4,
+    }
+
+
+def _split_dual_route_algebras():
+    """(label, A): every corpus file and every pinned input, each with its
+    Auslander algebra, except T of F_3[A_4] (dim 95)."""
+    lams = [(p.stem, parse_algebra_or_quiver(json.loads(p.read_text())))
+            for p in sorted(CORPUS.glob("*.json"))]
+    lams += [(label, build()) for label, build in idempotent_inputs().items()]
+    for label, lam in lams:
+        yield label, lam
+        if label != "F_3[A_4]":
+            yield f"T({label})", build_auslander(lam).tilde
+
+
+def test_split_routes_agree():
+    seen = set()
+    for label, a in _split_dual_route_algebras():
+        ch = a.radical_chain()
+        assert primitive_idempotents(a, ch) == corner_split_idempotents(a, ch), label
+        seen.add(label)
+    assert {"x3_q", "T(x3_q)", "M_2(Q)", "T(F_2[S_3])", "F_3[A_4]"} <= seen
+
+
+@pytest.mark.parametrize("field", [F3, QQ])
+def test_random_combinations_draw_every_coefficient_first(field):
+    rows = Mat.from_rows(field, [[1, 2, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]])
+    rng, drawn = random.Random(7), random.Random(7)
+    candidates = _with_random_combinations(rows, rng)
+    first = next(candidates)
+    for _ in range(rows.rows * _RANDOM_COMBINATIONS):
+        field.random_scalar(drawn, 3)
+    assert rng.getstate() == drawn.getstate()
+    assert [first, *candidates] == eager_random_combinations(rows, random.Random(7))
+
+
+def test_split_gives_up_on_the_quaternions():
+    # Hamilton's quaternions over Q: center Q, no zero divisor, so every
+    # basis row and every random combination is tried and fails
+    # b_x b_y = sign[x][y] b_(x xor y) on the basis 1, i, j, k
+    sign = [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for x in range(4):
+        for y in range(4):
+            table[x, y, x ^ y] = sign[x][y]
+    a = Algebra(QQ, ["1", "i", "j", "k"], Mat.row(QQ, [1, 0, 0, 0]), Mat(QQ, table.reshape(4, 16)))
+    assert a.validate().ok
+    message = "^no zero divisor found: division algebra of dimension > 1$"
+    with pytest.raises(SplitGiveUp, match=message):
+        primitive_idempotents(a, a.radical_chain())
+
+
 def test_primitive_idempotents_local():
     a = truncated_poly_algebra(F2, 2)
     idems = primitive_idempotents(a, a.radical_chain())
@@ -407,7 +499,7 @@ def test_opposite_t2_validates_and_involutes():
 
 def test_center_of_t2():
     a = upper_triangular_2(F3)
-    z = _corner_center_rows(a, _corner_of_unit(a, a.unit))
+    z = _corner_center_rows(a, _corner_rows(a, a.unit))
     assert z == a.unit  # spanned by the unit
 
 
@@ -534,6 +626,24 @@ def test_poly_roots_over_q_with_a_denominator_beyond_int64():
     d = 2**32 + 15
     coeffs = [Fraction(1, d), -(1 + Fraction(1, d)), Fraction(1)]
     assert set(_poly_roots(QQ, coeffs)) == {Fraction(1, d), Fraction(1)}
+
+
+@given(
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=6), max_size=3),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=2),
+)
+def test_poly_roots_over_q_match_the_loop_route(roots, low):
+    coeffs = [*low, Fraction(1)]
+    for r in roots:  # times (t - r)
+        coeffs = [a - r * b for a, b in zip([Fraction(0), *coeffs], [*coeffs, Fraction(0)])]
+    assert _poly_roots(QQ, coeffs) == loop_poly_roots(QQ, coeffs)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), max_size=5))
+def test_poly_roots_over_f_p_match_the_loop_route(p, low):
+    field = FieldSpec("prime", p)
+    coeffs = [c % p for c in low] + [1]
+    assert _poly_roots(field, coeffs) == loop_poly_roots(field, coeffs)
 
 
 def test_power_traces_match_bigint_traces_on_both_paths():

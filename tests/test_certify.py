@@ -183,6 +183,37 @@ def test_replay_returns_each_suite_sample(monkeypatch):
                 assert ct.replay_sample(lam, cfg, suite, index) == expected, (suite, index)
 
 
+def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch):
+    """A failed assertion in prop31_sequence becomes a recorded failure of
+    four_term, density_witness and wc_right_adjoint, and each replays."""
+    from catres import certify as ct
+
+    def broken(F, data):
+        raise AssertionError("forged")
+
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x2_f2.json").read_text()))
+    cfg = CertConfig(seed=0, samples=2)
+    recorded, real_results = {}, ct.suite_results
+
+    def record(suite, n, data, pool, cfg):
+        recorded[suite] = real_results(suite, n, data, pool, cfg)
+        return recorded[suite]
+
+    monkeypatch.setattr(ct, "suite_results", record)
+    monkeypatch.setattr(ct, "prop31_sequence", broken)
+    rep = certify_resolution(lam, cfg)
+    assert rep["verdict"] == "fail"
+    conds = rep["conditions"]
+    for suite in (conds["four_term"], conds["density_witness"],
+                  conds["weakly_crepant"]["right_adjoint"]):
+        assert suite["failure_count"] == cfg.samples
+    assert recorded["four_term"][0] == (False, "assembly failed: forged")
+    for suite in ("four_term", "density_witness", "wc_right_adjoint"):
+        for index, (ok, detail) in enumerate(recorded[suite]):
+            assert not ok and "assembly failed: forged" in detail, (suite, index)
+            assert ct.replay_sample(lam, cfg, suite, index) == (ok, detail), (suite, index)
+
+
 def test_failure_soundness_forged_counterexample(monkeypatch):
     """A reported counterexample must replay: forge a suite failure by
     corrupting one sampled complex and check the failure is recorded with

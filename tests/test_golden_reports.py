@@ -6,6 +6,11 @@ the ``catres analyze --format json`` output.  Reports are canonicalised as ``scr
 sorted keys, the ``version`` key dropped), so a change to the arithmetic
 carrier, the sampling or the report layout that moves one byte of any
 report fails here.
+
+The primitive idempotents of Lambda and of its Auslander algebra T are
+pinned the same way on inputs beyond the corpus (``IDEMPOTENT_GOLDEN``);
+the digests were taken with the former splitting route, which
+``tests/oracles.py`` keeps.
 """
 
 import contextlib
@@ -20,6 +25,8 @@ from catres.auslander import build_auslander, verify_auslander
 from catres.certify import CertConfig, certify_resolution, report_to_json_str
 from catres.cli import main
 from catres.io_json import parse_algebra_or_quiver
+from catres.modules import context
+from test_algebra import idempotent_inputs
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -87,3 +94,68 @@ def test_reports_are_byte_identical(name):
         assert main(["analyze", str(CORPUS / name), "--format", "json"]) == 0
     analyze = json.loads(out.getvalue())
     assert (_digest(verify), _digest(certify), _digest(analyze)) == GOLDEN[name]
+
+
+# -- primitive idempotents of Lambda and of T ----------------------------------
+# The splitting of A/J draws from a seeded rng; the simples, projectives and
+# resolutions of both algebras follow the idempotents it returns, so their
+# exact rows are pinned on inputs beyond the corpus.
+
+# label -> (digest of Lambda's idempotents, digest of T's, or None where
+# T is too large to build in the suite: dim T of F_3[A_4] is 95)
+IDEMPOTENT_GOLDEN = {
+    "kQ/J^2 on the 4-cycle over F_2": (
+        "1bf48d52a9856cf3f8597bd6dd73e5887c57986992778668cd49cf9231829f81",
+        "5d3dba652918ccee23c53b1fcb82c01b5a4a5c5796872fb547ce06d1fb62e5ab",
+    ),
+    "F_2[S_3]": (
+        "e335b84603c200187805cd6aaac229aeefa177cd7e28dcdd303cfe48e2a27df5",
+        "dbbfdde8ad9fc8aa98441156106c64d94a0060b92690c4279296fe8cdcdd0c9d",
+    ),
+    "F_3[C_6]": (
+        "749e443ce1a79fd86dd2f5d5c64f84089773b0713cc72d5afb28c305cce568b8",
+        "2f25e3d71c86b5be0b0989f7720e81b4c9fa19ae675cc3fc5ad7219a195a3d13",
+    ),
+    "F_5[C_4]": (
+        "0db86bad9e9eef56713f310e1f8b326983407d9318cf623f9c49834aa0cc1004",
+        "c19f214a1e3cbd6a474afce13571ca96f26b0af8c14b9245bb8ff1983e75c22f",
+    ),
+    "F_3[x]/x^4": (
+        "df57496bcb758c99abc5739bd1f882249ca1f674dc1b82f1787758ed232e8e1d",
+        "5aefbfbc96c752b0af9764e55323e248252c7c09ab781bd5cece63b768567516",
+    ),
+    "M_2(F_3)": (
+        "c2dd527f0366f6e670ef4f8339b2d56b36bc040c392f78436c95415d3e8d5436",
+        "8df149d8a5b72bdf0493487f7753829c6d8b4be75f1bee66c0c6b660b97e3ee8",
+    ),
+    "M_2(F_5)": (
+        "63996c4ad1cb1e7c07d7396f3fde94fb94d2e678df1191c98d8994758a2361b0",
+        "846e0821f3f2ad4367e23827fdb161f4bdff7b208cb8e9b9ca8c468bcd2b1ce0",
+    ),
+    "M_2(Q)": (
+        "101317f0a681cd3e5185b9fe6274e79d42c7802527b1fbfadc4cef40ce529863",
+        "b586a57a188dc50bb75c2bd70349c9f66dbe8847786cdea1c4eebe4585398e5d",
+    ),
+    "M_2(F_3) x M_2(F_3)": (
+        "9f885b14ce781e31cc0c55b5156914b31547d6f3366b255ba6eea9a816f730ef",
+        "007dcb5d92a8d4ebe3d0984b204592e82d72af761c6715bb6e73d355f4fd7768",
+    ),
+    "F_3[A_4]": (
+        "b148856d4270221c0e0fe0b8145db197226958aff8b9cd6bb13cad7304f925c1",
+        None,
+    ),
+}
+
+
+def _idempotent_digest(A) -> str:
+    rows = [e.to_json()[0] for e in context(A).idempotents]
+    return hashlib.sha256(report_to_json_str(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(IDEMPOTENT_GOLDEN))
+def test_idempotents_are_byte_identical(label):
+    lam = idempotent_inputs()[label]()
+    lam_digest, tilde_digest = IDEMPOTENT_GOLDEN[label]
+    assert _idempotent_digest(lam) == lam_digest
+    if tilde_digest is not None:
+        assert _idempotent_digest(build_auslander(lam).tilde) == tilde_digest
