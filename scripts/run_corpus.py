@@ -4,11 +4,13 @@
 Every file runs 30 samples at seed 0; --samples and --seed override them.
 
 Each line carries the SHA-256 of the certify report without its
-``version`` key, the digest perfbench uses, and the same digest of the
+``version`` key, the digest perfbench uses, the same digest of the
 ``catres analyze --format json`` output (radical dimensions, primitive
-idempotents, global dimensions); the wall times go to stderr.  So a plain
-``diff`` of the stdout of two checkouts shows whether every report is
-byte-identical.
+idempotents, global dimensions) and one SHA-256 of the outputs of
+``catres gldim --format json --max-depth d`` for d = 0..4 joined (the
+depths where the global dimension turns from unknown to known); the wall
+times go to stderr.  So a plain ``diff`` of the stdout of two checkouts
+shows whether every report is byte-identical.
 """
 
 import argparse
@@ -34,11 +36,23 @@ def report_digest(report: dict) -> str:
     return hashlib.sha256(report_to_json_str(canonical).encode()).hexdigest()
 
 
-def analyze_digest(path: Path) -> str:
+def cli_output(argv: list) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        catres_main(["analyze", str(path), "--format", "json"])
-    return report_digest(json.loads(out.getvalue()))
+        catres_main(argv)
+    return out.getvalue()
+
+
+def analyze_digest(path: Path) -> str:
+    return report_digest(json.loads(cli_output(["analyze", str(path), "--format", "json"])))
+
+
+def gldim_digest(path: Path) -> str:
+    outputs = [
+        cli_output(["gldim", str(path), "--format", "json", "--max-depth", str(d)])
+        for d in range(5)
+    ]
+    return hashlib.sha256("".join(outputs).encode()).hexdigest()
 
 
 def main():
@@ -64,7 +78,7 @@ def main():
         print(
             f"{path.name:28s} verdict={report['verdict']:10s} exit={code} "
             f"samples={args.samples:3d} sha256={report_digest(report)} "
-            f"analyze={analyze_digest(path)}  {conds}",
+            f"analyze={analyze_digest(path)} gldim={gldim_digest(path)}  {conds}",
             flush=True,
         )
         print(f"{path.name:28s} {dt:6.1f}s", file=sys.stderr, flush=True)

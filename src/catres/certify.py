@@ -71,6 +71,9 @@ class CertConfig:
     def __post_init__(self):
         if self.samples < 1 or self.max_degree_window < 1 or self.max_term_dim < 1:
             raise ValueError("certification config values must be positive")
+        depth = self.max_resolution_depth
+        if depth is not None and (type(depth) is not int or depth < 0):
+            raise ValueError("max_resolution_depth must be None or an integer >= 0")
 
     def to_json(self):
         return {

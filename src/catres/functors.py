@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auslander import AuslanderData
+from .homology import projective_resolution
 from .linalg import Mat, RowBasis, coords_in_rows, left_nullspace, rank, row_basis, solve
 from .modules import (
     HomSpace,
     ModHom,
     Repn,
     hom_space,
-    projective_presentation,
     quotient_repn,
     sub_repn,
 )
@@ -151,19 +151,16 @@ class ThetaLambda:
 
 
 def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
-    pres = projective_presentation(N)
-    cover, ker_rows = pres.cover, pres.syzygy
-    p0 = cover.source
-    trd0 = theta_rho_data(p0, data)
-    if ker_rows.rows == 0:
+    res = projective_resolution(N, max_depth=1)
+    cover = res.augmentation
+    trd0 = theta_rho_data(cover.source, data)
+    d = res.differential(1)  # P1 -> P0
+    if d is None:
         # N projective: theta_lambda(N) = theta_rho(N) on the nose
         trdN = theta_rho_data(N, data)
         quotient = theta_rho_hom(cover, trd0, trdN)
         return ThetaLambda(module=trdN.module, quotient=quotient, cover=cover, p0_data=trd0)
-    omega, incl = sub_repn(p0, ker_rows)
-    cover1 = projective_presentation(omega).cover
-    d = cover1.then(incl)  # P1 -> P0
-    trd1 = theta_rho_data(cover1.source, data)
+    trd1 = theta_rho_data(d.source, data)
     lifted = theta_rho_hom(d, trd1, trd0)
     img = row_basis(lifted.mat)
     Q, proj = quotient_repn(trd0.module, img)

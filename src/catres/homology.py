@@ -1,8 +1,12 @@
 """Projective resolutions, Ext, global dimension, injectivity.
 
-Resolutions are minimal (iterated projective covers).  Infinite projective
-dimension is certified by syzygy periodicity: once some syzygy is
-isomorphic to an earlier one, the minimal resolution can never terminate.
+Resolutions are minimal: each walks the chain M, Omega^1, Omega^2, ... of
+syzygies kept on the projective presentations (``Presentation.omega``), so
+the resolutions, projective dimensions and Ext groups of a module all read
+one chain, built once.  Periodicity is certified only in
+``projective_dimension``: once some syzygy is isomorphic to M or to an
+earlier syzygy, the minimal resolution can never terminate, and the
+projective dimension is infinite.
 """
 
 from __future__ import annotations
@@ -21,19 +25,8 @@ from .modules import (
     hom_space,
     is_isomorphic,
     projective_presentation,
-    sub_repn,
     zero_module,
 )
-
-
-@dataclass
-class ResStatus:
-    kind: str  # "complete" | "truncated" | "periodic"
-    length: Optional[int] = None
-    depth: Optional[int] = None
-    period: Optional[int] = None
-    offset: Optional[int] = None
-    note: str = ""
 
 
 @dataclass
@@ -42,8 +35,7 @@ class ProjResolution:
     modules: list  # P_0 .. P_d
     differentials: list  # d_i : P_i -> P_(i-1), entries for i = 1..d
     augmentation: ModHom  # P_0 -> M
-    syzygies: list  # Omega^1, Omega^2, ... as Repn
-    status: ResStatus
+    complete: bool  # the syzygy after P_d is zero: the resolution ends at P_d
 
     def term(self, i: int) -> Repn:
         if 0 <= i < len(self.modules):
@@ -57,60 +49,20 @@ class ProjResolution:
         return None
 
 
-def projective_resolution(M: Repn, max_depth: int, halt_on_periodic: bool = True) -> ProjResolution:
+def projective_resolution(M: Repn, max_depth: int) -> ProjResolution:
+    """The minimal resolution P_d -> ... -> P_0 -> M, down the syzygy chain
+    of M until a syzygy vanishes or d = max_depth."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     pres = projective_presentation(M)
     aug = pres.cover
-    modules = [aug.source]
-    diffs = []
-    syzygies = []
-    omegas = [M]
-    periodic: Optional[tuple] = None
-    inconclusive = False
-    ker_rows = pres.syzygy
-    depth = 0
-    while True:
-        if ker_rows.rows == 0:
-            if periodic is not None:
-                raise AssertionError("resolution terminated despite a periodicity certificate")
-            status = ResStatus(kind="complete", length=depth)
-            break
-        if depth == max_depth:
-            if periodic is not None:
-                status = ResStatus(kind="periodic", period=periodic[1], offset=periodic[0])
-            else:
-                note = "isomorphism search inconclusive" if inconclusive else ""
-                status = ResStatus(kind="truncated", depth=depth, note=note)
-            break
-        omega, incl = sub_repn(modules[-1], ker_rows)
-        syzygies.append(omega)
-        if periodic is None:
-            for j, prev in enumerate(omegas):
-                try:
-                    if prev.dim == omega.dim and is_isomorphic(omega, prev) is not None:
-                        periodic = (j, len(omegas) - j)
-                        break
-                except IsoInconclusive:
-                    inconclusive = True
-        omegas.append(omega)
-        if periodic is not None and halt_on_periodic:
-            status = ResStatus(kind="periodic", period=periodic[1], offset=periodic[0])
-            break
-        # shared with the isomorphism tests of omega above
+    modules, diffs = [aug.source], []
+    while pres.syzygy.rows and len(diffs) < max_depth:
+        omega, incl = pres.omega
         pres = projective_presentation(omega)
         diffs.append(pres.cover.then(incl))
         modules.append(pres.cover.source)
-        ker_rows = pres.syzygy
-        depth += 1
-    return ProjResolution(
-        module=M,
-        modules=modules,
-        differentials=diffs,
-        augmentation=aug,
-        syzygies=syzygies,
-        status=status,
-    )
+    return ProjResolution(M, modules, diffs, aug, complete=pres.syzygy.rows == 0)
 
 
 @dataclass
@@ -122,12 +74,32 @@ class PdResult:
 
 
 def projective_dimension(M: Repn, max_depth: int) -> PdResult:
-    res = projective_resolution(M, max_depth)
-    if res.status.kind == "complete":
-        return PdResult(kind="finite", value=res.status.length)
-    if res.status.kind == "periodic":
-        return PdResult(kind="infinite", period=res.status.period, offset=res.status.offset)
-    return PdResult(kind="unknown")
+    """pd M, tri-state, from the syzygy chain of M.
+
+    Finite, with value k, when Omega^(k+1) is the first zero syzygy and
+    k <= max_depth.  Before that, each Omega^k is compared, in order, with
+    M = Omega^0, Omega^1, ..., Omega^(k-1) of its dimension (inconclusive
+    searches are skipped); an isomorphism with Omega^j certifies infinite
+    pd with offset j and period k - j.  Unknown when neither happens within
+    max_depth steps.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    seen = [M]  # M, Omega^1, ..., Omega^depth
+    pres = projective_presentation(M)
+    while pres.syzygy.rows:
+        if len(seen) - 1 == max_depth:
+            return PdResult(kind="unknown")
+        omega = pres.omega[0]
+        for j, prev in enumerate(seen):
+            try:
+                if prev.dim == omega.dim and is_isomorphic(omega, prev) is not None:
+                    return PdResult(kind="infinite", period=len(seen) - j, offset=j)
+            except IsoInconclusive:
+                pass
+        seen.append(omega)
+        pres = projective_presentation(omega)
+    return PdResult(kind="finite", value=len(seen) - 1)
 
 
 def _precompose_rank(d: Optional[ModHom], src: HomSpace, tgt: HomSpace) -> int:
@@ -146,8 +118,8 @@ def ext_dim(M: Repn, N: Repn, i: int, resolution: Optional[ProjResolution] = Non
         raise ValueError("ext degree must be >= 0")
     res = resolution
     if res is None:
-        res = projective_resolution(M, max_depth=i + 1, halt_on_periodic=False)
-    if res.status.kind == "truncated" and len(res.modules) < i + 2:
+        res = projective_resolution(M, max_depth=i + 1)
+    if not res.complete and len(res.modules) < i + 2:
         raise ValueError(f"resolution truncated before depth {i + 1}")
     homs = {j: hom_space(res.term(j), N) for j in (i - 1, i, i + 1) if j >= 0}
     # res.differential(j) is None for j < 1, so homs[j - 1] exists when read
@@ -181,19 +153,6 @@ def distinct_simples(A: Algebra) -> list:
     return [ctx.simples[t] for t in ctx.representatives]
 
 
-def _simple_resolutions(A: Algebra) -> list:
-    """The depth-2 minimal resolution of each distinct simple, all that
-    ``ext_dim`` needs in degree 1; built once per algebra and memoised on
-    ``context(A)``."""
-    ctx = context(A)
-    if ctx.simple_resolutions is None:
-        ctx.simple_resolutions = [
-            projective_resolution(s, max_depth=2, halt_on_periodic=False)
-            for s in distinct_simples(A)
-        ]
-    return ctx.simple_resolutions
-
-
 def default_max_depth(A: Algebra) -> int:
     return A.radical_chain().nilpotency_index + 2
 
@@ -202,18 +161,15 @@ def global_dimension(A: Algebra, max_depth: Optional[int] = None) -> GldimResult
     """gldim as max projective dimension of the simples; tri-state."""
     if max_depth is None:
         max_depth = default_max_depth(A)
-    per = []
-    worst_unknown = None
+    values = []  # None where the pd is unknown
     for idx, s in enumerate(distinct_simples(A)):
         pd = projective_dimension(s, max_depth)
-        per.append(pd)
         if pd.kind == "infinite":
             return GldimResult(kind="infinite", witness=idx, period=pd.period, offset=pd.offset)
-        if pd.kind == "unknown":
-            worst_unknown = pd
-    if worst_unknown is not None:
+        values.append(pd.value)
+    if None in values:
         return GldimResult(kind="unknown", bound=max_depth)
-    return GldimResult(kind="finite", value=max((pd.value for pd in per), default=0))
+    return GldimResult(kind="finite", value=max(values, default=0))
 
 
 def is_injective(A: Algebra, M: Repn) -> bool:
@@ -225,9 +181,7 @@ def is_injective(A: Algebra, M: Repn) -> bool:
     """
     if M.dim == 0:
         return True
-    return all(
-        ext_dim(res.module, M, 1, resolution=res) == 0 for res in _simple_resolutions(A)
-    )
+    return all(ext_dim(s, M, 1) == 0 for s in distinct_simples(A))
 
 
 def is_self_injective(A: Algebra) -> bool:

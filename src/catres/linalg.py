@@ -165,7 +165,10 @@ class FieldSpec:
         if extra:
             raise ValueError(f"unknown field keys {sorted(extra)}")
         if obj["type"] == "prime":
-            return FieldSpec("prime", int(obj["p"]))
+            p = obj.get("p")
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError("prime field modulus 'p' must be an integer")
+            return FieldSpec("prime", p)
         if obj["type"] == "rational":
             if "p" in obj:
                 raise ValueError("rational field takes no modulus")

@@ -11,10 +11,11 @@ Hom spaces are computed one way: out of a sum of indecomposable
 projectives by Yoneda, Hom(e_i A, N) = N e_i, and out of any other module
 M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
 presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
-2003).  The presentation is memoised on M.  ``hom_space`` returns one
-``HomSpace``: the reduced basis stacked, one flattened map per row, with
-its side-by-side layout, its batched compositions and its factored
-``RowBasis``.  No other code lays out or factors a Hom basis.
+2003).  The presentation is memoised on M, and the syzygy Omega on the
+presentation.  ``hom_space`` returns one ``HomSpace``: the reduced basis
+stacked, one flattened map per row, with its side-by-side layout, its
+batched compositions and its factored ``RowBasis``.  No other code lays
+out or factors a Hom basis.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -386,8 +388,6 @@ class ModuleContext:
         self._idempotents = None
         self._simples_projs = None
         self._representatives = None
-        # filled in by catres.homology
-        self.simple_resolutions = None
 
     @property
     def idempotents(self):
@@ -480,12 +480,23 @@ def simple_and_projective_modules(A: Algebra, idempotents: list):
 
 @dataclass(frozen=True)
 class Presentation:
-    """The projective presentation 0 -> Omega -> P_0 -> M -> 0 of M."""
+    """The projective presentation 0 -> Omega -> P_0 -> M -> 0 of M.
+
+    ``omega`` is the syzygy Omega as a module with its inclusion into P_0,
+    built on first use and kept.  Omega keeps its own presentation in
+    turn, so the chain M, Omega^1, Omega^2, ... is built once and every
+    resolution of M walks it.
+    """
 
     cover: ModHom  # the minimal projective cover q: P_0 -> M
     parts: list  # indices into context(A).projectives of P_0's summands
     syzygy: Mat  # rows of Omega = ker q inside P_0
     section: Mat  # s with s q = I on M
+
+    @cached_property
+    def omega(self) -> tuple:
+        """(Omega, its inclusion into P_0)."""
+        return sub_repn(self.cover.source, self.syzygy)
 
 
 def projective_cover(M: Repn) -> ModHom:

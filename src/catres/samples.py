@@ -142,7 +142,7 @@ class ModulePool:
         if kind == 2 and self.tilde_pool:
             m = rng.choice(self.tilde_pool)
             depth = rng.randint(1, max(1, window - 1))
-            res = projective_resolution(m, max_depth=depth, halt_on_periodic=False)
+            res = projective_resolution(m, max_depth=depth)
             # place P_j at degree -j: ... -> P_1 -> P_0
             terms = list(reversed(res.modules))
             diffs = list(reversed(res.differentials))

@@ -47,12 +47,19 @@ replacement, on the library's own primitives:
   ``_Corner`` per corner, every candidate list of random combinations
   built before the first one is tried, two split-and-recurse blocks and a
   pairwise orthogonality loop, against the one recursive routine and the
-  one orthogonality product of ``algebra.primitive_idempotents``.
+  one orthogonality product of ``algebra.primitive_idempotents``;
+* ``loop_projective_resolution`` is the resolution loop with its
+  periodicity flag: it builds each syzygy afresh, searches it against the
+  earlier ones and halts on periodicity if asked, against the walk down
+  the syzygy chain kept on each presentation in
+  ``homology.projective_resolution`` and ``homology.projective_dimension``.
 """
 
 import random
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 from math import lcm
 
 import numpy as np
@@ -87,6 +94,7 @@ from catres.linalg import (
 )
 from catres.modules import (
     HomSpace,
+    IsoInconclusive,
     ModHom,
     context,
     direct_sum,
@@ -841,3 +849,72 @@ def corner_split_idempotents(A, chain):
             if prod != expect:
                 raise AlgebraError("lifted idempotents are not orthogonal")
     return lifted
+
+
+# -- the resolution loop with its periodicity flag ------------------------------
+
+
+@dataclass
+class LoopStatus:
+    kind: str  # "complete" | "truncated" | "periodic"
+    length: Optional[int] = None
+    depth: Optional[int] = None
+    period: Optional[int] = None
+    offset: Optional[int] = None
+
+
+@dataclass
+class LoopResolution:
+    modules: list  # P_0 .. P_d
+    differentials: list  # d_i : P_i -> P_(i-1), entries for i = 1..d
+    augmentation: ModHom  # P_0 -> M
+    syzygies: list  # Omega^1, Omega^2, ... as Repn, each built afresh
+    status: LoopStatus
+
+
+def loop_projective_resolution(M, max_depth, halt_on_periodic=True):
+    """The minimal resolution of M as the library once built it: each
+    syzygy from ``sub_repn`` on the kernel rows, compared with M and every
+    earlier syzygy of its dimension, in order, until the first isomorphism
+    (inconclusive searches skipped); with ``halt_on_periodic`` the loop
+    stops there, otherwise it resolves on to ``max_depth``."""
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    pres = projective_presentation(M)
+    aug = pres.cover
+    modules, diffs, syzygies, omegas = [aug.source], [], [], [M]
+    periodic = None
+    ker_rows = pres.syzygy
+    depth = 0
+    while True:
+        if ker_rows.rows == 0:
+            if periodic is not None:
+                raise AssertionError("resolution terminated despite a periodicity certificate")
+            status = LoopStatus(kind="complete", length=depth)
+            break
+        if depth == max_depth:
+            if periodic is not None:
+                status = LoopStatus(kind="periodic", period=periodic[1], offset=periodic[0])
+            else:
+                status = LoopStatus(kind="truncated", depth=depth)
+            break
+        omega, incl = sub_repn(modules[-1], ker_rows)
+        syzygies.append(omega)
+        if periodic is None:
+            for j, prev in enumerate(omegas):
+                try:
+                    if prev.dim == omega.dim and is_isomorphic(omega, prev) is not None:
+                        periodic = (j, len(omegas) - j)
+                        break
+                except IsoInconclusive:
+                    pass
+        omegas.append(omega)
+        if periodic is not None and halt_on_periodic:
+            status = LoopStatus(kind="periodic", period=periodic[1], offset=periodic[0])
+            break
+        pres = projective_presentation(omega)
+        diffs.append(pres.cover.then(incl))
+        modules.append(pres.cover.source)
+        ker_rows = pres.syzygy
+        depth += 1
+    return LoopResolution(modules, diffs, aug, syzygies, status)

@@ -82,7 +82,7 @@ def test_criterion_2_gldim_tilde_finite_everywhere():
 
         for s in distinct_simples(d.tilde):
             res = projective_resolution(s, max_depth=d.lam.radical_chain().nilpotency_index + 2)
-            ok = ok and res.status.kind == "complete"
+            ok = ok and res.complete
             maps = [res.augmentation] + res.differentials
             for i in range(1, len(maps)):
                 ok = ok and (maps[i].mat @ maps[i - 1].mat).is_zero()

@@ -237,3 +237,15 @@ def test_failure_soundness_forged_counterexample(monkeypatch):
     assert failing
     suite = rep2["conditions"][failing[0]]
     assert suite["failures"] and "index" in suite["failures"][0]
+
+
+@pytest.mark.parametrize("depth", [-1, True, 2.0])
+def test_config_rejects_a_resolution_depth_that_is_not_a_non_negative_int(depth):
+    # rejected before the Auslander algebra is built, not deep in a resolution
+    with pytest.raises(ValueError, match="max_resolution_depth"):
+        CertConfig(max_resolution_depth=depth)
+
+
+def test_config_accepts_a_resolution_depth_of_zero_or_none():
+    assert CertConfig(max_resolution_depth=0).max_resolution_depth == 0
+    assert CertConfig().max_resolution_depth is None

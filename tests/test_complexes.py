@@ -249,7 +249,7 @@ def test_kb_hom_computes_ext_from_projective_resolutions(data):
     ctx_t = mod.context(tilde)
     targets = [ctx_t.simples[0], ctx_t.regular, ctx_t.simples[-1]]
     for s in distinct_simples(tilde):
-        res = projective_resolution(s, max_depth=4, halt_on_periodic=False)
+        res = projective_resolution(s, max_depth=4)
         terms = list(reversed(res.modules))
         diffs = list(reversed(res.differentials))
         if len(terms) == 1:

@@ -11,6 +11,11 @@ The primitive idempotents of Lambda and of its Auslander algebra T are
 pinned the same way on inputs beyond the corpus (``IDEMPOTENT_GOLDEN``);
 the digests were taken with the former splitting route, which
 ``tests/oracles.py`` keeps.
+
+The tri-state global dimensions of Lambda and of T are pinned at the
+resolution depths where the answer turns from unknown to finite or
+infinite (``GLDIM_GOLDEN``); the digests were taken with the former
+resolution loop, which ``tests/oracles.py`` keeps.
 """
 
 import contextlib
@@ -24,6 +29,7 @@ import pytest
 from catres.auslander import build_auslander, verify_auslander
 from catres.certify import CertConfig, certify_resolution, report_to_json_str
 from catres.cli import main
+from catres.homology import global_dimension
 from catres.io_json import parse_algebra_or_quiver
 from catres.modules import context
 from test_algebra import idempotent_inputs
@@ -159,3 +165,35 @@ def test_idempotents_are_byte_identical(label):
     assert _idempotent_digest(lam) == lam_digest
     if tilde_digest is not None:
         assert _idempotent_digest(build_auslander(lam).tilde) == tilde_digest
+
+
+# -- global dimensions at the depth boundaries ------------------------------
+# certify resolves to depth >= 10, past every boundary; these digests pin
+# the unknown branch and the finite-at-exactly-max_depth branch as well.
+
+GLDIM_DEPTHS = (0, 1, 2, 3, 4, None)
+
+# file -> digest of [global_dimension(A, d).to_json() for A in (Lambda, T)
+# for d in GLDIM_DEPTHS]
+GLDIM_GOLDEN = {
+    "gentle_two_cycle_f2.json": "3299780ca2020d582d00a828db460f679183f8a12ee5edee5cc5e162ab922c83",
+    "kxk_f5.json": "9e21394904d9da988a9f77905bbe6dc9c024fd9f6dcf6af7f7dfe6c19cc2894a",
+    "t2_f3.json": "219f27fe9294131845236d533cb5ca284ac420a5eed12ec7d8c380330dcb8bbf",
+    "x2_f2.json": "de606df9827184e8e1275dfe0d24e5bbe2d88f9a3738a02f42c38dbb9e0b1ef1",
+    "x2_f5.json": "de606df9827184e8e1275dfe0d24e5bbe2d88f9a3738a02f42c38dbb9e0b1ef1",
+    "x3_f3.json": "3299780ca2020d582d00a828db460f679183f8a12ee5edee5cc5e162ab922c83",
+    "x3_f7.json": "3299780ca2020d582d00a828db460f679183f8a12ee5edee5cc5e162ab922c83",
+    "x3_q.json": "3299780ca2020d582d00a828db460f679183f8a12ee5edee5cc5e162ab922c83",
+}
+
+
+def test_every_corpus_file_has_pinned_global_dimensions():
+    assert sorted(GLDIM_GOLDEN) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GLDIM_GOLDEN))
+def test_global_dimensions_are_byte_identical(name):
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / name).read_text()))
+    tilde = build_auslander(lam).tilde
+    dims = [global_dimension(A, d).to_json() for A in (lam, tilde) for d in GLDIM_DEPTHS]
+    assert hashlib.sha256(report_to_json_str(dims).encode()).hexdigest() == GLDIM_GOLDEN[name]

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from catres.corpus import (
 from catres.auslander import build_auslander
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, left_nullspace, rank
-from oracles import iso_distinct_simples
+from oracles import iso_distinct_simples, loop_projective_resolution
+from test_modules import syzygy_chain
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -44,14 +46,14 @@ def ss():
 def test_resolution_of_projective_has_length_zero(x2):
     reg = mod.regular_module(x2)
     res = hml.projective_resolution(reg, max_depth=3)
-    assert res.status.kind == "complete" and res.status.length == 0
+    assert res.complete and len(res.modules) - 1 == 0
 
 
 def test_resolution_of_simple_is_periodic(x2):
     s = mod.context(x2).simples[0]
-    res = hml.projective_resolution(s, max_depth=6)
-    assert res.status.kind == "periodic"
-    assert res.status.period == 1 and res.status.offset == 0
+    pd = hml.projective_dimension(s, max_depth=6)
+    assert pd.kind == "infinite"
+    assert pd.period == 1 and pd.offset == 0
 
 
 def test_resolution_t2_nonprojective_simple(t2):
@@ -59,8 +61,8 @@ def test_resolution_t2_nonprojective_simple(t2):
     lengths = []
     for s in ctx.simples:
         res = hml.projective_resolution(s, max_depth=4)
-        assert res.status.kind == "complete"
-        lengths.append(res.status.length)
+        assert res.complete
+        lengths.append(len(res.modules) - 1)
     assert sorted(lengths) == [0, 1]
 
 
@@ -70,7 +72,7 @@ def test_resolution_invariants_d_squared_and_exactness(t2):
     for a in [t2, gentle_two_cycle(F2), truncated_poly_algebra(F3, 3)]:
         ctx = mod.context(a)
         for s in ctx.simples:
-            res = hml.projective_resolution(s, max_depth=4, halt_on_periodic=False)
+            res = hml.projective_resolution(s, max_depth=4)
             maps = [res.augmentation] + res.differentials
             for i in range(1, len(maps)):
                 comp = maps[i].mat @ maps[i - 1].mat
@@ -130,10 +132,10 @@ def test_ext_independent_of_resolution(x2):
 
 def _padded_resolution(m, depth):
     """Non-minimal resolution: direct-sum an extra projective with identity."""
-    from catres.homology import ProjResolution, ResStatus
+    from catres.homology import ProjResolution
 
     ctx = mod.context(m.algebra)
-    res = hml.projective_resolution(m, max_depth=depth, halt_on_periodic=False)
+    res = hml.projective_resolution(m, max_depth=depth)
     extra = ctx.projectives[0]
     if len(res.modules) < 2 or extra.dim == 0:
         return res
@@ -166,14 +168,12 @@ def _padded_resolution(m, depth):
             d3 = rest[0]
             rest[0] = mod.ModHom(d3.source, new_p2, d3.mat @ injs2[0])
         diffs.extend(rest)
-    status = ResStatus(kind=res.status.kind, length=res.status.length, depth=res.status.depth)
     return ProjResolution(
         module=m,
         modules=modules,
         differentials=diffs,
         augmentation=res.augmentation,
-        syzygies=res.syzygies,
-        status=status,
+        complete=res.complete,
     )
 
 
@@ -246,16 +246,85 @@ def test_distinct_simples_match_isomorphism_route_on_corpus_and_auslander_algebr
     assert "T(t2_f3)" in repeated
 
 
-def test_injectivity_resolves_each_simple_once():
+def test_injectivity_resolves_each_simple_once(monkeypatch):
+    # gldim, the injectivity test and later resolutions of a simple all walk
+    # one syzygy chain: every module gets one presentation, and every
+    # presentation one syzygy module
+    built, alive = Counter(), []
+    build = mod._build_presentation
+
+    def counting(M):
+        built[id(M)] += 1
+        alive.append(M)  # keeps every id distinct
+        return build(M)
+
+    monkeypatch.setattr(mod, "_build_presentation", counting)
     rng = random.Random(3)
     for label, A in _corpus_and_auslander_algebras():
         ctx = mod.context(A)
         simples = hml.distinct_simples(A)
-        memo = hml._simple_resolutions(A)
-        assert [res.module for res in memo] == simples, label
+        hml.global_dimension(A)
+        omegas = [mod.projective_presentation(s).omega for s in simples]
         pool = [ctx.regular] + list(ctx.simples) + list(ctx.projectives)
         for M in rng.sample(pool, min(4, len(pool))):
             fresh = [hml.ext_dim(s, M, 1) for s in simples]
-            assert [hml.ext_dim(r.module, M, 1, resolution=r) for r in memo] == fresh, label
+            resolved = [hml.projective_resolution(s, max_depth=2) for s in simples]
+            assert [hml.ext_dim(r.module, M, 1, resolution=r) for r in resolved] == fresh, label
             assert hml.is_injective(A, M) == (not any(fresh)), label
-        assert ctx.simple_resolutions is memo
+        for s, omega in zip(simples, omegas):
+            res = hml.projective_resolution(s, max_depth=4)
+            assert mod.projective_presentation(s).omega is omega, label
+            if len(res.modules) > 1:
+                assert res.modules[1] is mod.projective_cover(omega[0]).source, label
+        assert set(built.values()) == {1}, label
+
+
+_LOOP_KIND = {"complete": "finite", "periodic": "infinite", "truncated": "unknown"}
+
+
+def test_resolution_walk_matches_the_loop_route_on_corpus_and_auslander_algebras():
+    # S + P(S) has the syzygies of S but is none of them: periodicity
+    # there starts at offset 1
+    seen = set()
+    for label, A in _corpus_and_auslander_algebras():
+        for s in hml.distinct_simples(A):
+            padded = mod.direct_sum([s, mod.projective_cover(s).source])
+            for M in [s] + [z for z in syzygy_chain(s, 2) if z.dim] + [padded]:
+                for depth in range(7):
+                    where = (label, M.dim, depth)
+                    pd = hml.projective_dimension(M, depth)
+                    loop = loop_projective_resolution(M, depth).status
+                    assert pd.kind == _LOOP_KIND[loop.kind], where
+                    assert (pd.value, pd.period, pd.offset) == (
+                        loop.length,
+                        loop.period,
+                        loop.offset,
+                    ), where
+                    res = hml.projective_resolution(M, depth)
+                    full = loop_projective_resolution(M, depth, halt_on_periodic=False)
+                    assert [P.dim for P in res.modules] == [P.dim for P in full.modules], where
+                    assert res.augmentation.mat == full.augmentation.mat, where
+                    assert [d.mat for d in res.differentials] == [
+                        d.mat for d in full.differentials
+                    ], where
+                    assert res.complete == (full.status.kind == "complete"), where
+                    seen.add((pd.kind, pd.offset))
+    assert {("finite", None), ("unknown", None), ("infinite", 0), ("infinite", 1)} <= seen
+
+
+def test_infinite_projective_dimension_never_resolves():
+    seen = 0
+    for label, A in _corpus_and_auslander_algebras():
+        for s in hml.distinct_simples(A):
+            if hml.projective_dimension(s, 8).kind == "infinite":
+                assert not hml.projective_resolution(s, 8).complete, label
+                seen += 1
+    assert seen
+
+
+def test_negative_depth_is_rejected():
+    s = mod.context(truncated_poly_algebra(F2, 2)).simples[0]
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        hml.projective_dimension(s, -1)
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        hml.projective_resolution(s, -1)

@@ -148,6 +148,15 @@ def test_rejects_invariant_violation():
     assert "invariant" in str(exc.value)
 
 
+@pytest.mark.parametrize("modulus", [7.9, "7", 7.0, True])
+def test_rejects_a_field_modulus_that_is_not_a_json_integer(modulus):
+    obj = algebra_to_json(truncated_poly_algebra(FieldSpec("prime", 7), 2))
+    obj["field"]["p"] = modulus
+    with pytest.raises(ParseError, match="integer") as exc:
+        parse_algebra(obj)
+    assert exc.value.path == "$.field"
+
+
 def test_rejects_nonint_scalar_in_prime_field():
     obj = algebra_to_json(truncated_poly_algebra(F5, 2))
     obj["unit"] = ["1/2", 0]

@@ -12,7 +12,12 @@ import pytest
 from catres import modules as mod
 from catres.algebra import Algebra
 from catres.auslander import build_auslander, verify_auslander
-from catres.homology import projective_resolution
+from catres.homology import (
+    global_dimension,
+    is_injective,
+    projective_dimension,
+    projective_resolution,
+)
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
@@ -452,6 +457,15 @@ def _untagged(N):
     return mod.Repn(N.algebra, N.dim, N.flat_action())
 
 
+def syzygy_chain(M, depth):
+    """Omega^1(M), ..., Omega^depth(M), read off the presentations."""
+    out = []
+    for _ in range(depth):
+        M = mod.projective_presentation(M).omega[0]
+        out.append(M)
+    return out
+
+
 def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebras():
     rng = random.Random(53)
     seen = set()
@@ -463,12 +477,7 @@ def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_
         ):
             ctx = mod.context(A)
             simples = [s for s in ctx.simples if s.dim]
-            syzygies = [
-                z
-                for s in simples
-                for z in projective_resolution(s, max_depth=2, halt_on_periodic=False).syzygies
-                if z.dim
-            ]
+            syzygies = [z for s in simples for z in syzygy_chain(s, 2) if z.dim]
             s, z = rng.choice(simples), rng.choice(syzygies or simples)
             sources = [M, ctx.regular] + [_untagged(P) for P in ctx.projectives if P.dim]
             sources += simples + syzygies + [mod.direct_sum([s, s, z])]
@@ -578,23 +587,30 @@ def test_projective_cover_matches_greedy_route_on_corpus_and_auslander_algebras(
 
 
 def test_presentation_is_built_once_per_module(monkeypatch):
-    built = Counter()
+    built, alive = Counter(), []
     build = mod._build_presentation
 
     def counting(M):
         built[id(M)] += 1
+        alive.append(M)  # keeps every id distinct
         return build(M)
 
     monkeypatch.setattr(mod, "_build_presentation", counting)
     lam = parse_algebra_or_quiver(json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text()))
+    assert global_dimension(lam).kind == "infinite"
+    assert is_injective(lam, mod.context(lam).regular)
     for s in mod.context(lam).simples:
-        res = projective_resolution(s, max_depth=4, halt_on_periodic=False)
+        res = projective_resolution(s, max_depth=4)
+        syzygies = syzygy_chain(s, 4)
         # the periodicity test takes Hom out of each syzygy, the next step
-        # covers it: one presentation serves both
-        assert len(res.syzygies) == 4
-        assert res.status.kind == "periodic"
-        for z in [s] + res.syzygies:
+        # covers it: one presentation serves both, and the resolution walks
+        # the syzygies that gldim built
+        assert len(res.modules) == 5 and all(z.dim for z in syzygies)
+        assert projective_dimension(s, 4).kind == "infinite"
+        for z, P in zip([s] + syzygies, res.modules):
             assert built[id(z)] == 1
+            assert mod.projective_cover(z).source is P
+        assert mod.projective_presentation(s).omega is mod.projective_presentation(s).omega
         assert mod.projective_cover(s) is res.augmentation
         assert mod.projective_cover(s) is mod.projective_cover(s)
     assert set(built.values()) == {1}
