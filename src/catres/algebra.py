@@ -31,10 +31,10 @@ from .linalg import (
     FieldSpec,
     Mat,
     RowBasis,
-    _int64_headroom,
     left_nullspace,
     nullspace,
     nullspace_of_rref,
+    power_traces,
     row_basis,
     rref,
     solve_left,
@@ -90,12 +90,6 @@ class Algebra:
         assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
         assert unit.rows == 1 and unit.cols == self.dim
 
-    @property
-    def table(self) -> np.ndarray:
-        """(dim, dim, dim) view of the table numerators: ``table[i, j]`` is
-        b_i * b_j scaled by ``table_matrix().den``."""
-        return self._table.a.reshape((self.dim,) * 3)
-
     # -- raw arithmetic on coordinate rows ------------------------------
 
     def multiply(self, u: Mat, v: Mat) -> Mat:
@@ -115,9 +109,7 @@ class Algebra:
         ``rows @ right_table()`` stacks right-multiplication matrices."""
         if self._right_table is None:
             d = self.dim
-            self._right_table = self._table.with_array(
-                self.table.transpose(1, 0, 2).reshape(d, d * d)
-            )
+            self._right_table = self._table.permuted((d, d, d), (1, 0, 2), d, d * d)
         return self._right_table
 
     def products(self, u: Mat, v: Mat) -> Mat:
@@ -133,8 +125,8 @@ class Algebra:
             return Mat.zeros(f, a * b, d)
         # x[i, y, k] = sum_x u[i, x] table[x, y, k]; then contract y with v
         x = u @ self._table
-        w = v @ x.with_array(x.a.reshape(a, d, d).transpose(1, 0, 2).reshape(d, a * d))
-        return w.with_array(w.a.reshape(b, a, d).transpose(1, 0, 2).reshape(a * b, d))
+        w = v @ x.permuted((a, d, d), (1, 0, 2), d, a * d)
+        return w.permuted((b, a, d), (1, 0, 2), a * b, d)
 
     def left_mult_matrix(self, u: Mat) -> Mat:
         """Matrix of x -> u*x in the row convention (row k = coords of u*b_k)."""
@@ -151,21 +143,18 @@ class Algebra:
 
     def validate(self) -> ValidationReport:
         violations = []
-        lu = self.left_mult_matrix(self.unit)
-        ru = self.right_mult_matrix(self.unit)
         ident = Mat.identity(self.field, self.dim)
-        if lu != ident:
-            violations.append("unit law fails on the left")
-        if ru != ident:
-            violations.append("unit law fails on the right")
+        for side, mult in (("left", self.left_mult_matrix), ("right", self.right_mult_matrix)):
+            if mult(self.unit) != ident:
+                violations.append(f"unit law fails on the {side}")
         d = self.dim
         pairs = self._table.reshape(d * d, d)  # row j * d + k: b_j b_k
         for i in range(d):
             # row j * d + k: (b_i b_j) b_k on the left, b_i (b_j b_k) on the right
             left = self._table.row_at(i).reshape(d, d)  # L(b_i)
-            bad = (left @ self._table).reshape(d * d, d) - pairs @ left
-            if not bad.is_zero():
-                j, k = divmod(int(np.argmax(bad.a.any(axis=1))), d)
+            row = (left @ self._table).reshape(d * d, d).first_differing_row(pairs @ left)
+            if row is not None:
+                j, k = divmod(row, d)
                 violations.append(
                     f"associativity fails at triple ({self.basis_labels[i]},"
                     f" {self.basis_labels[j]}, {self.basis_labels[k]})"
@@ -221,27 +210,7 @@ def _is_ideal(A: Algebra, rows: Mat) -> bool:
 _STACK_ENTRIES = 1 << 21
 
 
-def _power_traces(z: np.ndarray, k: int, modulus: int) -> np.ndarray:
-    """tr(Z^k) mod ``modulus`` for each matrix Z of a (count, n, n) stack.
-
-    Repeated squaring, reducing after every product: in int64 when dot
-    products of length n over entries below ``modulus`` fit, otherwise on
-    exact Python integers.
-    """
-    if not _int64_headroom(z.shape[-1], modulus):
-        z = z.astype(object)
-    acc = None
-    base = z % modulus
-    while k:
-        if k & 1:
-            acc = base if acc is None else (acc @ base) % modulus
-        k >>= 1
-        if k:
-            base = (base @ base) % modulus
-    return np.trace(acc, axis1=1, axis2=2) % modulus
-
-
-def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> np.ndarray:
+def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> Mat:
     """gram[t, s] = (tr(Z^q) / q) mod p, Z the left-multiplication matrix of
     b_s * b_t lifted entrywise to 0..p-1, for the rows b of ``basis``.
 
@@ -253,12 +222,12 @@ def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> np.ndarray:
     table = A.table_matrix()
     step = max(1, _STACK_ENTRIES // (n * n))
     traces = np.concatenate([
-        _power_traces((w.with_array(w.a[c : c + step]) @ table).a.reshape(-1, n, n), q, p * q)
+        power_traces(w.take_rows(slice(c, c + step)) @ table, n, q, p * q)
         for c in range(0, r * r, step)
     ])
     if (traces % q).any():
         raise AlgebraError("divided-trace divisibility failed; not an F_p algebra?")
-    return (traces // q).astype(np.int64).reshape(r, r).T
+    return Mat(A.field, (traces // q).astype(np.int64).reshape(r, r).T)
 
 
 def _radical_by_traces(A: Algebra) -> Mat:
@@ -282,7 +251,7 @@ def _radical_by_traces(A: Algebra) -> Mat:
     p = f.p or 0  # the characteristic: over Q, level 1 is the radical
     q = p
     while basis.rows and 0 < q <= n:
-        ker = nullspace(Mat(f, _divided_trace_gram(A, basis, q), _copy=False))
+        ker = nullspace(_divided_trace_gram(A, basis, q))
         basis = row_basis(ker.T @ basis)
         q *= p
     return basis
@@ -421,8 +390,7 @@ def _corner_center_rows(B: Algebra, basis: Mat) -> Mat:
     k = basis.rows
     prods = B.products(basis, basis)  # row r * k + i is c_r c_i
     # row r, block i: c_r c_i - c_i c_r, zero in every block iff central
-    swapped = prods.a.reshape(k, k, B.dim).transpose(1, 0, 2)
-    big = prods.reshape(k, k * B.dim) - prods.with_array(swapped.reshape(k, k * B.dim))
+    big = prods.reshape(k, k * B.dim) - prods.permuted((k, k, B.dim), (1, 0, 2), k, k * B.dim)
     coeff = left_nullspace(big)  # rows: coefficient vectors over corner basis
     return row_basis(coeff @ basis)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Algebra, AlgebraError, RadicalChain, quotient_projection
 from .homology import GldimResult, global_dimension
 from .linalg import Mat, left_nullspace, rank, row_basis
@@ -139,12 +137,12 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     # y[a, j] = row a of B mat(phi_j); then z[a, j, d] = that row times G_d
     y = b @ end.wide()
     z = y.reshape(r * k, m) @ g
-    z4 = z.a.reshape(r, k, len(dims), t)
-    conds = [
-        z4[lo:hi, :, j, :].transpose(1, 0, 2).reshape(k, (hi - lo) * t)
-        for j, (lo, hi) in enumerate(spans)
+    # regrouped as z[j, d, a]: condition d keeps the rows a of its span
+    z = z.permuted((r, k, len(dims), t), (1, 2, 0, 3), k, len(dims) * r * t)
+    cols = [
+        c for j, (lo, hi) in enumerate(spans) for c in range((j * r + lo) * t, (j * r + hi) * t)
     ]
-    return left_nullspace(z.with_array(np.concatenate(conds, axis=1)))
+    return left_nullspace(z.take_cols(cols))
 
 
 def corner_dim(data: AuslanderData) -> int:
@@ -164,8 +162,8 @@ def check_corner_iso(data: AuslanderData):
     d = lam.dim
     lhs = data.tilde.products(zeta, zeta)  # row i * d + j: zeta(b_i) zeta(b_j)
     rhs = lam.table_matrix().reshape(d * d, d) @ zeta  # zeta(b_i b_j)
-    if lhs != rhs:
-        row = next(r for r in range(lhs.rows) if lhs.row_at(r) != rhs.row_at(r))
+    row = lhs.first_differing_row(rhs)
+    if row is not None:
         i, j = divmod(row, d)
         return False, f"multiplicativity fails at basis pair ({i}, {j})"
     if rank(zeta) != d:

@@ -69,8 +69,12 @@ class CertConfig:
     max_resolution_depth: Optional[int] = None
 
     def __post_init__(self):
-        if self.samples < 1 or self.max_degree_window < 1 or self.max_term_dim < 1:
-            raise ValueError("certification config values must be positive")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
+        for name in ("samples", "max_degree_window", "max_term_dim"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         depth = self.max_resolution_depth
         if depth is not None and (type(depth) is not int or depth < 0):
             raise ValueError("max_resolution_depth must be None or an integer >= 0")
@@ -250,7 +254,7 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
     applicable = [v for k, v in report_conditions.items() if not v.get("inapplicable")]
     all_pass = all(v["passed"] for v in applicable)
     verdict = "fail" if not all_pass else ("degenerate" if degenerate else "pass")
-    report = {
+    return {
         "format": REPORT_FORMAT,
         "version": __version__,
         "algebra": {
@@ -269,7 +273,6 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
         "scope": SCOPE_NOTE,
         "verdict": verdict,
     }
-    return report
 
 
 def right_adjoint_sample(F, P, data: AuslanderData) -> dict:

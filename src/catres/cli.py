@@ -2,8 +2,10 @@
 
 Verbs: analyze, auslander, gldim, hom, functor, certify.  JSON output is
 stable-ordered (sorted keys) so certification reports diff cleanly; exit
-codes are 0 (pass), 1 (failure or error), 2 (degenerate-hypothesis-only
-warnings from certify).
+codes are 0 (pass), 1 (failure or error), 2 (certify's suites pass but the
+infinite-global-dimension hypothesis is not established: gldim of the base
+algebra is finite, or ``unknown`` within the resolution depth; the report
+says ``degenerate`` either way).
 """
 
 from __future__ import annotations

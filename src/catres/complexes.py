@@ -167,10 +167,8 @@ def direct_sum_complexes(parts: list) -> BComplex:
     algebra = parts[0].algebra
     lo = min(p.lo for p in parts)
     hi = max(p.hi for p in parts)
-    terms = []
+    terms = [direct_sum([p.term(i) for p in parts]) for i in range(lo, hi + 1)]
     diffs = []
-    for i in range(lo, hi + 1):
-        terms.append(direct_sum([p.term(i) for p in parts]))
     for i in range(lo, hi):
         dmat = Mat.block_diag(algebra.field, [p.diff(i).mat for p in parts])
         diffs.append(ModHom(terms[i - lo], terms[i - lo + 1], dmat))
@@ -184,9 +182,7 @@ def cone(f: ChainMap) -> BComplex:
     fld = algebra.field
     lo = min(C.lo - 1, D.lo)
     hi = max(C.hi - 1, D.hi)
-    terms = []
-    for i in range(lo, hi + 1):
-        terms.append(direct_sum([C.term(i + 1), D.term(i)]))
+    terms = [direct_sum([C.term(i + 1), D.term(i)]) for i in range(lo, hi + 1)]
     diffs = []
     for i in range(lo, hi):
         a = C.term(i + 1).dim
@@ -249,7 +245,7 @@ class KbHom:
             if not space:
                 continue
             off = self.offsets[i]
-            part = coords.with_array(coords.a[:, off : off + len(space)])
+            part = coords.take_cols(slice(off, off + len(space)))
             acc = (part @ space.flat).reshape(space.source.dim, space.target.dim)
             comps[i] = ModHom(space.source, space.target, acc)
         return ChainMap(self.source, self.target, comps)

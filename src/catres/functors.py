@@ -44,8 +44,7 @@ from .modules import (
 
 def corner_rows(F: Repn, data: AuslanderData) -> Mat:
     """Canonical basis (rref rows) of F.e inside F."""
-    E = F.rho(data.e)
-    return row_basis(E)
+    return row_basis(F.rho(data.e))
 
 
 def theta(F: Repn, data: AuslanderData) -> Repn:
@@ -98,7 +97,7 @@ def theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
     # row t * d + j is f_t . phi_j, which applies phi_j first
     moved = space.after(data.end.flat.reshape(d * m, m)).reshape(k * d, m * N.dim)
     c = space.basis.coords(moved)
-    act = c.with_array(c.a.reshape(k, d, k).transpose(1, 0, 2).reshape(d, k * k))
+    act = c.permuted((k, d, k), (1, 0, 2), d, k * k)
     return ThetaRho(module=Repn(data.tilde, k, act), space=space)
 
 
@@ -117,7 +116,7 @@ def theta_rho_maps(space: HomSpace, src: ThetaRho, tgt: ThetaRho) -> HomSpace:
     m, n = src.space.source.dim, space.target.dim
     # entry (s * m + i, t * n + j) is entry (i, j) of f_s followed by g_t
     prod = src.space.flat.reshape(h * m, space.source.dim) @ space.wide()
-    moved = prod.with_array(prod.a.reshape(h, m, k, n).transpose(2, 0, 1, 3).reshape(k * h, m * n))
+    moved = prod.permuted((h, m, k, n), (2, 0, 1, 3), k * h, m * n)
     return HomSpace(src.module, tgt.module, tgt.space.basis.coords(moved).reshape(k, h * hh))
 
 
@@ -218,7 +217,7 @@ def unit_psis(data: AuslanderData) -> Mat:
     """
     m = data.M.dim
     prod = data.pi @ data.M.flat_action()
-    return prod.with_array(prod.a.reshape(m, m, m).transpose(1, 0, 2).reshape(m, m * m))
+    return prod.permuted((m, m, m), (1, 0, 2), m, m * m)
 
 
 def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
@@ -237,9 +236,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     moved = (psi_coords @ F.flat_action()).reshape(m * F.dim, F.dim)
     blocks = RowBasis(rows).coords(moved)
     # alpha(v_k) is the map g: M -> theta(F) whose row j is block j, row k
-    g = blocks.with_array(
-        blocks.a.reshape(m, F.dim, rows.rows).transpose(1, 0, 2).reshape(F.dim, m * rows.rows)
-    )
+    g = blocks.permuted((m, F.dim, rows.rows), (1, 0, 2), F.dim, m * rows.rows)
     alpha_mat = trd.space.basis.coords(g)
     alpha = ModHom(F, middle, alpha_mat)
     F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))

@@ -22,6 +22,10 @@ QUIVER_FORMAT = "catres-quiver-v1"
 MODULE_FORMAT = "catres-module-v1"
 COMPLEX_FORMAT = "catres-complex-v1"
 
+# the largest dim an algebra or module file may declare, checked before anything
+# is built; the quiver frontend's path bound, so a table has at most 200**3 entries
+MAX_DIM = MAX_QUIVER_PATHS
+
 
 class ParseError(ValueError):
     def __init__(self, path: str, reason: str):
@@ -83,6 +87,12 @@ def _parse_matrix(m, field: FieldSpec, rows: int, cols: int, path: str) -> Mat:
     return Mat.from_rows(field, out)
 
 
+def _parse_dim(dim, path: str) -> int:
+    if not _is_int(dim) or not 0 <= dim <= MAX_DIM:
+        raise ParseError(path, f"dim must be an integer in 0..{MAX_DIM}")
+    return dim
+
+
 def _parse_field(obj, path: str) -> FieldSpec:
     try:
         return FieldSpec.from_json(obj)
@@ -97,9 +107,7 @@ def parse_algebra(obj: dict, path: str = "$") -> Algebra:
     if obj["format"] != ALGEBRA_FORMAT:
         raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
     field = _parse_field(obj["field"], f"{path}.field")
-    dim = obj["dim"]
-    if not _is_int(dim) or dim < 0:
-        raise ParseError(f"{path}.dim", "dim must be a non-negative integer")
+    dim = _parse_dim(obj["dim"], f"{path}.dim")
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError(f"{path}.basis", f"expected {dim} string labels")
@@ -187,6 +195,7 @@ def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) 
     _require_keys(obj, path, {"format", "algebra", "dim", "action"})
     if obj["format"] != MODULE_FORMAT:
         raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+    dim = _parse_dim(obj["dim"], f"{path}.dim")
     data = None
     if algebra is not None:
         base = algebra
@@ -198,9 +207,6 @@ def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) 
             base = data.tilde
         else:
             base = parse_algebra_or_quiver(aspec, f"{path}.algebra")
-    dim = obj["dim"]
-    if not _is_int(dim) or dim < 0:
-        raise ParseError(f"{path}.dim", "dim must be a non-negative integer")
     action_obj = obj["action"]
     if not isinstance(action_obj, list) or len(action_obj) != base.dim:
         raise ParseError(f"{path}.action", f"expected {base.dim} action matrices")

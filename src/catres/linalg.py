@@ -16,6 +16,11 @@ common denominator ``den``.
 matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
 ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
 
+Only this module reads the carrier (``a``, ``den``, ``with_array``); the
+other layers regroup entries through ``Mat.permuted``, select with
+``take_rows`` and ``take_cols``, and compare with ``==`` and
+``first_differing_row``.
+
 Row reduction runs on Python lists over both fields.  Over F_p it is
 Gauss-Jordan over the nonzero rows only, touching only the rows with an
 entry in the pivot column.  The library's F_p matrices are small and
@@ -212,9 +217,7 @@ class Mat:
         self.a.setflags(write=False)
 
     def with_array(self, a: np.ndarray) -> "Mat":
-        """The matrix a / self.den, for an array derived from ``self.a`` (a
-        slice, reshape or permutation) or otherwise on the same scale.  The
-        array is taken over, not copied."""
+        """a / self.den, for an array on the scale of ``self.a``; not copied."""
         return Mat(self.field, a, self.den, _copy=False)
 
     # -- constructors -------------------------------------------------
@@ -270,7 +273,17 @@ class Mat:
         return self.with_array(self.a[i : i + 1])
 
     def take_rows(self, idx) -> "Mat":
-        return self.with_array(self.a[list(idx), :])
+        """The rows ``idx``: a slice gives a view, any other iterable a copy."""
+        return self.with_array(self.a[idx if isinstance(idx, slice) else list(idx)])
+
+    def take_cols(self, idx) -> "Mat":
+        """The columns ``idx``: a slice gives a view, a list a copy."""
+        return self.with_array(self.a[:, idx])
+
+    def permuted(self, shape: tuple, axes: tuple, rows: int, cols: int) -> "Mat":
+        """The entries read row-major as an array of ``shape``, its axes
+        permuted by ``axes``, re-read row-major as a rows x cols matrix."""
+        return self.with_array(self.a.reshape(shape).transpose(axes).reshape(rows, cols))
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """Entries re-read row-major into a rows x cols matrix."""
@@ -296,6 +309,14 @@ class Mat:
         if self.field != other.field or self.a.shape != other.a.shape or self.den != other.den:
             return False
         return bool((self.a == other.a).all())
+
+    def first_differing_row(self, other: "Mat") -> Optional[int]:
+        """The first row where ``other``, of the same shape, differs, or None."""
+        if self.a.shape != other.a.shape:
+            raise ValueError(f"shape mismatch {self.a.shape} vs {other.a.shape}")
+        a, b, _ = self._aligned(other)
+        bad = (a != b).any(axis=1)
+        return int(np.argmax(bad)) if bad.any() else None
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -393,6 +414,19 @@ class Mat:
             i, j = i + b.rows, j + b.cols
         return Mat.from_blocks(field, i, j, placed)
 
+    @staticmethod
+    def block_diag_rows(field: FieldSpec, flats: list["Mat"], dims: list) -> "Mat":
+        """Row i: the block-diagonal matrix of the rows i of ``flats``, read
+        as dims[t] x dims[t] matrices, flattened row-major."""
+        n, total = flats[0].rows, sum(dims)
+        den, arrays = _common_den(flats)
+        a = _empty(field, n * total, total).reshape(n, total, total)
+        o = 0
+        for x, m in zip(arrays, dims):
+            a[:, o : o + m, o : o + m] = x.reshape(n, m, m)
+            o += m
+        return Mat(field, a.reshape(n, total * total), den, _copy=False)
+
     def flatten_row(self) -> "Mat":
         """Matrix entries as a single 1 x (rows*cols) row, row-major."""
         return self.reshape(1, self.rows * self.cols)
@@ -404,10 +438,28 @@ def flat_products(lefts: list, rights: list) -> Mat:
     All lefts share one shape, all rights another; one product does it all.
     """
     f = lefts[0].field
-    p, r = lefts[0].rows, rights[0].cols
+    p, r, k, h = lefts[0].rows, rights[0].cols, len(lefts), len(rights)
     big = Mat.stack_rows(f, lefts) @ Mat.stack_cols(f, rights)
-    a = big.a.reshape(len(lefts), p, len(rights), r).transpose(0, 2, 1, 3)
-    return big.with_array(a.reshape(len(lefts) * len(rights), p * r))
+    return big.permuted((k, p, h, r), (0, 2, 1, 3), k * h, p * r)
+
+
+def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
+    """tr(Z^k) mod ``modulus`` for each row of the F_p matrix ``m``, read as
+    an n x n integer matrix Z.  Repeated squaring, reducing after every
+    product: in int64 when dot products of length n over entries below
+    ``modulus`` fit, otherwise on exact Python integers."""
+    z = m.a.reshape(m.rows, n, n)
+    if not _int64_headroom(n, modulus):
+        z = z.astype(object)
+    acc = None
+    base = z % modulus
+    while k:
+        if k & 1:
+            acc = base if acc is None else (acc @ base) % modulus
+        k >>= 1
+        if k:
+            base = (base @ base) % modulus
+    return np.trace(acc, axis1=1, axis2=2) % modulus
 
 
 # -- row reduction ------------------------------------------------------
@@ -498,6 +550,15 @@ def row_basis(m: Mat) -> Mat:
     """Canonical basis (rref rows) of the row space."""
     r, _, rk = rref(m)
     return r.with_array(r.a[:rk, :])
+
+
+def reverse_row_basis(m: Mat) -> Mat:
+    """The rref basis of the row space in reversed column order, rows then
+    reversed.  For any rows spanning the kernel of S this is the transpose
+    of ``nullspace(S)``, the kernel basis that is the identity on S's free
+    columns."""
+    r, _, rk = rref(m.with_array(m.a[:, ::-1]))
+    return r.with_array(r.a[:rk, ::-1][::-1])
 
 
 def nullspace(m: Mat) -> Mat:

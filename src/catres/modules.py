@@ -34,11 +34,10 @@ from .linalg import (
     FieldSpec,
     Mat,
     RowBasis,
-    _common_den,
-    _empty,
     flat_products,
     left_nullspace,
     rank,
+    reverse_row_basis,
     row_basis,
     rref,
 )
@@ -71,8 +70,9 @@ class Repn:
 
     @property
     def action(self) -> np.ndarray:
-        """(algebra.dim, dim, dim) view of the action numerators, on the
-        scale of ``flat_action().den``."""
+        """(algebra.dim, dim, dim) view of the action numerators, by which
+        the span tracer of ``perfbench`` keys modules; the library reads
+        ``flat_action``."""
         return self._flat.a.reshape(self.algebra.dim, self.dim, self.dim)
 
     def action_mat(self, i: int) -> Mat:
@@ -88,9 +88,8 @@ class Repn:
     def wide_action(self) -> Mat:
         """dim x (algebra.dim * dim): the action matrices side by side, so
         that ``rows @ wide_action()`` moves rows by every basis element."""
-        n = self.dim
-        wide = self.action.transpose(1, 0, 2).reshape(n, self.algebra.dim * n)
-        return self._flat.with_array(wide)
+        d, n = self.algebra.dim, self.dim
+        return self._flat.permuted((d, n, n), (1, 0, 2), n, d * n)
 
     def rho(self, coords: Mat) -> Mat:
         """Matrix of the action of the element with the given coordinates."""
@@ -156,10 +155,7 @@ def _action_on_rows(M: Repn, rows: Mat) -> Mat:
     """Induced flat action on an action-stable row subspace."""
     A = M.algebra
     k = rows.rows
-    moved = rows @ M.wide_action()
-    moved = moved.with_array(
-        moved.a.reshape(k, A.dim, M.dim).transpose(1, 0, 2).reshape(A.dim * k, M.dim)
-    )
+    moved = (rows @ M.wide_action()).permuted((k, A.dim, M.dim), (1, 0, 2), A.dim * k, M.dim)
     try:
         c = RowBasis(rows).coords(moved)
     except ValueError:
@@ -179,8 +175,9 @@ def quotient_repn(M: Repn, rows: Mat):
     proj, nonpiv = quotient_projection(rows)
     # the quotient acts by section @ rho(b) @ proj, and the section picks
     # the non-pivot rows: one product for every basis element at once
-    d, k = M.algebra.dim, len(nonpiv)
-    rows_np = M._flat.with_array(M.action[:, nonpiv, :].reshape(d * k, M.dim))
+    d, m, k = M.algebra.dim, M.dim, len(nonpiv)
+    picked = [b * m + i for b in range(d) for i in nonpiv]
+    rows_np = M.flat_action().reshape(d * m, m).take_rows(picked)
     Q = Repn(M.algebra, k, (rows_np @ proj).reshape(d, k * k))
     return Q, ModHom(M, Q, proj)
 
@@ -190,14 +187,8 @@ def direct_sum(parts: list) -> Repn:
     if not parts:
         raise ValueError("direct_sum of no parts needs an algebra; use zero_module")
     A = parts[0].algebra
-    f = A.field
-    total = sum(p.dim for p in parts)
-    offs = np.cumsum([0] + [p.dim for p in parts]).tolist()
-    den, arrays = _common_den([p._flat for p in parts])
-    act = _empty(f, A.dim * total, total).reshape(A.dim, total, total)
-    for p, x, o in zip(parts, arrays, offs):
-        act[:, o : o + p.dim, o : o + p.dim] = x.reshape(A.dim, p.dim, p.dim)
-    S = Repn(A, total, Mat(f, act.reshape(A.dim, total * total), den, _copy=False))
+    dims = [p.dim for p in parts]
+    S = Repn(A, sum(dims), Mat.block_diag_rows(A.field, [p.flat_action() for p in parts], dims))
     if all(p.projective_parts is not None for p in parts):
         S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
     return S
@@ -232,7 +223,7 @@ class HomSpace:
     def wide(self) -> Mat:
         """m x (k*n): the maps side by side, the layout of ``Repn.wide_action``."""
         k, m, n = self.flat.rows, self.source.dim, self.target.dim
-        return self.flat.with_array(self.flat.a.reshape(k, m, n).transpose(1, 0, 2).reshape(m, k * n))
+        return self.flat.permuted((k, m, n), (1, 0, 2), m, k * n)
 
     def then(self, g: Mat) -> Mat:
         """Row t: map t followed by g (n x q), flattened; one product."""
@@ -242,8 +233,7 @@ class HomSpace:
     def after(self, d: Mat) -> Mat:
         """Row t: d (p x m) followed by map t, flattened; one product."""
         k, p, n = self.flat.rows, d.rows, self.target.dim
-        w = d @ self.wide()
-        return w.with_array(w.a.reshape(p, k, n).transpose(1, 0, 2).reshape(k, p * n))
+        return (d @ self.wide()).permuted((p, k, n), (1, 0, 2), k, p * n)
 
     def _homs(self) -> list:
         if self._maps is None:
@@ -289,17 +279,6 @@ def hom_space(M: Repn, N: Repn) -> HomSpace:
     return space
 
 
-def _reduced_homs(flat: Mat) -> Mat:
-    """The canonical basis of the span of flattened homs, one per row.
-
-    Reduced in reversed column order, with the rows then reversed, any
-    spanning set gives the unique basis that is the identity on the free
-    columns of the intertwining system: the basis ``nullspace`` returns.
-    """
-    r, _, rk = rref(flat.with_array(flat.a[:, ::-1]))
-    return r.with_array(r.a[:rk, ::-1][::-1])
-
-
 def _yoneda_homs(M: Repn, N: Repn) -> Mat:
     """Hom(P, N) for P = M, a direct sum of projectives P_i = e_i A.
 
@@ -307,9 +286,9 @@ def _yoneda_homs(M: Repn, N: Repn) -> Mat:
     of P_i to v rho_N(p_t).  The rows of rho_N(e_i) span N e_i, and
     u rho_N(e_i) rho_N(p_t) = u rho_N(p_t) because e_i p_t = p_t, so the
     rows of [rho_N(p_0) | rho_N(p_1) | ...] span Hom(P_i, N), flattened.
-    One product against the action builds them, and ``_reduced_homs`` turns
-    them into the canonical basis.  Summands of P occupy disjoint columns,
-    so each block is reduced on its own, and once per distinct summand.
+    One product against the action builds them, and ``reverse_row_basis``
+    turns them into the canonical basis.  Summands of P occupy disjoint
+    columns, so each block is reduced on its own, once per distinct summand.
     Returns the basis flattened, one hom per row.
     """
     ctx = context(M.algebra)
@@ -319,8 +298,7 @@ def _yoneda_homs(M: Repn, N: Repn) -> Mat:
         k = ctx.projectives[i].dim
         if i not in blocks:
             rho = ctx.projective_rows[i] @ N.flat_action()  # row t: rho_N(p_t)
-            wide = rho.with_array(rho.a.reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n))
-            blocks[i] = _reduced_homs(wide)
+            blocks[i] = reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
         # the rows off..off+k of a dim P x n matrix, flattened
         placed.append((row, off * n, blocks[i]))
         row += blocks[i].rows
@@ -338,8 +316,8 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
     against [F_1 | ... | F_h] gives both the restrictions Omega F_j and the
     maps s F_j.  The left nullspace of the restrictions, one row per F_j,
     gives the combinations c with Omega (sum_j c_j F_j) = 0, and the maps
-    s (sum_j c_j F_j) span Hom(M, N); ``_reduced_homs`` turns them into the
-    canonical basis.  Returns it flattened, one hom per row.
+    s (sum_j c_j F_j) span Hom(M, N); ``reverse_row_basis`` turns them into
+    the canonical basis.  Returns it flattened, one hom per row.
     """
     pres = projective_presentation(M)
     m, n = M.dim, N.dim
@@ -348,9 +326,9 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
     if h == 0:  # no map out of P_0, so none out of M
         return Mat.zeros(M.field, 0, m * n)
     both = homs.after(pres.syzygy.vstack(pres.section))
-    restricted = both.with_array(both.a[:, : k * n])
-    maps = both.with_array(both.a[:, k * n :])
-    return _reduced_homs(left_nullspace(restricted) @ maps)
+    restricted = both.take_cols(slice(0, k * n))
+    maps = both.take_cols(slice(k * n, None))
+    return reverse_row_basis(left_nullspace(restricted) @ maps)
 
 
 def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
@@ -358,8 +336,7 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
     for some basis element b, or None if every map intertwines.
 
     Two products cover every pair: the actions of M stacked, followed by
-    every F, and every F followed by the actions of N side by side.  Both
-    are integer products; their entries are compared over one scale.
+    every F, and every F followed by the actions of N side by side.
     """
     M, N = space.source, space.target
     d, m, n, k = M.algebra.dim, M.dim, N.dim, len(space)
@@ -367,12 +344,7 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
         return None
     left = space.after(M.flat_action().reshape(d * m, m))
     right = space.then(N.wide_action())
-    lhs = left.a.reshape(k, d, m, n)
-    rhs = right.a.reshape(k, m, d, n).transpose(0, 2, 1, 3)
-    if left.den != right.den:  # equal canonical matrices share their denominator
-        lhs, rhs = lhs * right.den, rhs * left.den
-    bad = (lhs != rhs).reshape(k, -1).any(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
+    return left.first_differing_row(right.permuted((k, m, d, n), (0, 2, 1, 3), k, d * m * n))
 
 
 # -- per-algebra derived data ----------------------------------------------
@@ -520,8 +492,7 @@ def _build_presentation(M: Repn) -> Presentation:
         empty = Mat.zeros(f, 0, 0)
         return Presentation(zero_hom(zero_module(M.algebra), M), [], empty, empty)
     T, piT = ctx.top(M)
-    chosen = []
-    part_indices = []
+    chosen, part_indices = [], []
     # greedy: keep a hom iff its composite to the top is independent of the
     # composites already chosen from the same projective, that is, keep the
     # pivot columns of the composites side by side.  Only the lowest

@@ -60,10 +60,8 @@ class ModulePool:
 
     def __init__(self, data: AuslanderData):
         self.data = data
-        lam = data.lam
-        tilde = data.tilde
-        ctx_l = context(lam)
-        ctx_t = context(tilde)
+        ctx_l = context(data.lam)
+        ctx_t = context(data.tilde)
         self.lam_pool = [ctx_l.regular] + list(ctx_l.simples) + list(data.summands)
         self.lam_projectives = [p for p in ctx_l.projectives if p.dim]
         tilde_pool = [s for s in ctx_t.simples] + [p for p in ctx_t.projectives if p.dim]

@@ -55,6 +55,7 @@ replacement, on the library's own primitives:
   ``homology.projective_resolution`` and ``homology.projective_dimension``.
 """
 
+import itertools
 import random
 import weakref
 from dataclasses import dataclass
@@ -177,6 +178,56 @@ def naive_matmul(a, b, field):
         p = field.p
         return [[sum(x * y for x, y in zip(ra, cb)) % p for cb in zip(*b)] for ra in a]
     return [[sum(Fraction(x) * Fraction(y) for x, y in zip(ra, cb)) for cb in zip(*b)] for ra in a]
+
+
+def list_permuted(rows, shape, axes, nrows, ncols):
+    """The entries of ``rows`` read row-major as an array of ``shape``, its
+    axes permuted, re-read row-major as nrows x ncols: one entry at a time."""
+    flat = [x for r in rows for x in r]
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    out_shape = [shape[a] for a in axes]
+    out = []
+    for index in itertools.product(*(range(n) for n in out_shape)):
+        out.append(flat[sum(i * strides[a] for i, a in zip(index, axes))])
+    return [out[r * ncols : (r + 1) * ncols] for r in range(nrows)]
+
+
+def list_take_cols(rows, idx, ncols):
+    """Columns ``idx`` (a slice or a list) of a matrix with ``ncols`` columns."""
+    cols = list(range(ncols))[idx] if isinstance(idx, slice) else list(idx)
+    return [[r[j] for j in cols] for r in rows]
+
+
+def list_first_differing_row(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def list_block_diag_rows(flats, dims):
+    """Row i: the block-diagonal matrix of row i of each flat, read as a
+    dims[t] x dims[t] matrix, flattened; built one entry at a time."""
+    total = sum(dims)
+    out = []
+    for i in range(len(flats[0])):
+        big = [[0] * total for _ in range(total)]
+        o = 0
+        for flat, m in zip(flats, dims):
+            for r in range(m):
+                for c in range(m):
+                    big[o + r][o + c] = flat[i][r * m + c]
+            o += m
+        out.append([x for r in big for x in r])
+    return out
+
+
+def list_reverse_row_basis(rows, field):
+    """``naive_rref`` of the columns reversed, nonzero rows kept, then both
+    the columns and the rows put back in reverse order."""
+    if not rows:
+        return []
+    red, pivots = naive_rref([r[::-1] for r in rows], field)
+    return [r[::-1] for r in red[: len(pivots)]][::-1]
 
 
 def naive_hom_dim(M, N):

@@ -19,7 +19,6 @@ from catres.algebra import (
     _divided_trace_gram,
     _is_ideal,
     _poly_roots,
-    _power_traces,
     _radical_by_traces,
     _with_random_combinations,
     from_quiver,
@@ -41,6 +40,7 @@ from catres.linalg import (
     _int64_headroom,
     coords_in_rows,
     nullspace,
+    power_traces,
     row_basis,
 )
 from oracles import (
@@ -95,7 +95,7 @@ def test_validate_x2_table():
 
 def test_validate_detects_broken_table():
     a = truncated_poly_algebra(F5, 2)
-    table = a.table.copy()
+    table = np.array(a.table_matrix().tolist(), dtype=np.int64).reshape(2, 2, 2)
     table[1, 1] = [1, 0]  # x*x = 1 breaks associativity/unit structure here
     bad = Algebra(F5, a.basis_labels, a.unit, Mat(F5, table.reshape(2, 4)))
     rep = bad.validate()
@@ -581,7 +581,7 @@ def test_divided_trace_gram_matches_bigint_route():
             gram = _divided_trace_gram(a, basis, q)
             assert gram.tolist() == bigint_divided_trace_gram(a, basis, q), (label, q)
             levels_seen.add(q)
-            basis = row_basis(nullspace(Mat(a.field, gram)).T @ basis)
+            basis = row_basis(nullspace(gram).T @ basis)
             q *= p
         assert basis == _radical_by_traces(a), label
     assert {1, 2, 4} <= levels_seen
@@ -649,8 +649,9 @@ def test_poly_roots_over_f_p_match_the_loop_route(p, low):
 def test_power_traces_match_bigint_traces_on_both_paths():
     rng = random.Random(5)
     z = np.array([[[rng.randrange(50) for _ in range(4)] for _ in range(4)] for _ in range(3)])
+    flat = Mat(FieldSpec("prime", 53), z.reshape(3, 16))  # one matrix per row
     for k, modulus in ((1, 7), (5, 49), (8, 3**30), (9, 2**61 + 1)):
-        traces = _power_traces(z, k, modulus)
+        traces = power_traces(flat, 4, k, modulus)
         assert traces.dtype == (np.int64 if _int64_headroom(4, modulus) else object)
         assert [int(t) for t in traces] == [int_matrix_power_trace(m, k) % modulus for m in z]
 
@@ -659,9 +660,10 @@ def test_power_traces_headroom_boundary_without_allocation():
     modulus = 3_000_017
     limit = ((1 << 63) - 1) // (modulus - 1) ** 2  # largest n that fits
     assert _int64_headroom(limit, modulus) and not _int64_headroom(limit + 1, modulus)
-    # empty stacks of n x n matrices: the path shows in the dtype, nothing is allocated
-    fits = _power_traces(np.zeros((0, limit, limit), dtype=np.int64), 2, modulus)
-    wraps = _power_traces(np.zeros((0, limit + 1, limit + 1), dtype=np.int64), 2, modulus)
+    # no rows of n x n matrices: the path shows in the dtype, nothing is allocated
+    f3 = FieldSpec("prime", 3)
+    fits = power_traces(Mat.zeros(f3, 0, limit * limit), limit, 2, modulus)
+    wraps = power_traces(Mat.zeros(f3, 0, (limit + 1) ** 2), limit + 1, 2, modulus)
     assert fits.dtype == np.int64 and wraps.dtype == object
 
 

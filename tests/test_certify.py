@@ -249,3 +249,23 @@ def test_config_rejects_a_resolution_depth_that_is_not_a_non_negative_int(depth)
 def test_config_accepts_a_resolution_depth_of_zero_or_none():
     assert CertConfig(max_resolution_depth=0).max_resolution_depth == 0
     assert CertConfig().max_resolution_depth is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("samples", 2.5),
+        ("samples", True),
+        ("max_degree_window", 2.0),
+        ("max_degree_window", True),
+        ("max_term_dim", 3.5),
+        ("max_term_dim", True),
+    ],
+)
+def test_config_rejects_a_value_that_is_not_an_int_in_range(field, value):
+    # every case certified F_2[x]/x^2 (or failed only after the Auslander
+    # build) before the check; now it is refused at construction
+    with pytest.raises(ValueError, match=field):
+        CertConfig(**{field: value})

@@ -12,7 +12,9 @@ from catres.auslander import build_auslander
 from catres.cli import main
 from catres.corpus import truncated_poly_algebra
 from catres.functors import theta_rho
+from catres import io_json
 from catres.io_json import (
+    MAX_DIM,
     ParseError,
     algebra_to_json,
     complex_to_json,
@@ -115,6 +117,38 @@ def test_rejects_a_quiver_over_the_path_budget_before_building_it():
     assert time.perf_counter() - start < 0.5
     assert exc.value.path == "$.length_bound"
     assert str(MAX_QUIVER_PATHS) in exc.value.reason
+
+
+def test_rejects_an_algebra_dim_over_the_bound_before_reading_its_table():
+    assert MAX_DIM == MAX_QUIVER_PATHS == 200
+    obj = algebra_to_json(truncated_poly_algebra(F5, 2))
+    # neither basis nor mult is read: both would fail their own checks
+    obj.update(dim=MAX_DIM + 1, basis=None, mult=None)
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(obj)
+    assert exc.value.path == "$.dim"
+    assert str(MAX_DIM) in exc.value.reason
+    obj["dim"] = MAX_DIM  # at the bound the dim passes, and the basis is read
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(obj)
+    assert exc.value.path == "$.basis"
+
+
+@pytest.mark.parametrize("dim", [-1, True, 1.0, MAX_DIM + 1])
+def test_module_dim_is_checked_before_the_auslander_algebra_is_built(dim, monkeypatch):
+    def refuse(lam):
+        raise AssertionError("built the Auslander algebra for a module with a bad dim")
+
+    monkeypatch.setattr(io_json, "build_auslander", refuse)
+    obj = {
+        "format": "catres-module-v1",
+        "algebra": {"auslander_of": algebra_to_json(truncated_poly_algebra(F2, 2))},
+        "dim": dim,
+        "action": [],
+    }
+    with pytest.raises(ParseError) as exc:
+        parse_module(obj)
+    assert exc.value.path == "$.dim"
 
 
 def test_cli_analyze_gives_up_on_an_oversized_rational_root_search(tmp_path, capsys):

@@ -9,6 +9,10 @@ be in ``ALLOWED_UNUSED`` with the reason it stays; a test-only helper
 belongs in the tests (``tests/oracles.py`` for a second route), not in the
 library.  Every tracer target must resolve the way ``Tracer.install`` reads
 it, so a rename that breaks ``--trace 1`` fails here.
+
+It also walks the same files for the matrix carrier: only ``linalg.py``
+reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array`` or imports a private
+name of ``linalg``, so that the storage of a matrix can change in one file.
 """
 
 import ast
@@ -90,3 +94,56 @@ def test_every_allowlisted_name_is_defined_and_unused():
     for qualified in ALLOWED_UNUSED:
         assert qualified in defs, qualified
         assert defs[qualified] not in used, f"{qualified} is used now; drop it from the list"
+
+
+CARRIER_ATTRIBUTES = {"a", "den", "with_array"}
+
+# (file stem, Class.method) allowed to read the carrier outside linalg
+CARRIER_READERS = {
+    # the (dim A, dim M, dim M) view of the action numerators: the span
+    # tracer keys its hom_space probe by module content through it, and no
+    # library code reads it
+    ("modules", "Repn.action"),
+}
+
+
+def carrier_reads() -> list:
+    """``file:line`` of every carrier attribute and every private linalg
+    import in ``src/catres`` outside ``linalg.py`` and ``CARRIER_READERS``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in tree.body:
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else []:
+                if (path.stem, f"{cls.name}.{getattr(fn, 'name', '')}") in CARRIER_READERS:
+                    allowed.update(id(node) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in CARRIER_ATTRIBUTES:
+                if id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("linalg", "catres.linalg"):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    return found
+
+
+def test_only_linalg_reads_the_matrix_carrier():
+    assert carrier_reads() == []
+
+
+def test_the_carrier_readers_exist_and_read_the_carrier():
+    # an exception that no longer reads the carrier is dropped from the list
+    for stem, qualified in CARRIER_READERS:
+        cls_name, meth = qualified.split(".")
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name)
+        fn = next(n for n in cls.body if getattr(n, "name", None) == meth)
+        assert any(
+            isinstance(n, ast.Attribute) and n.attr in CARRIER_ATTRIBUTES for n in ast.walk(fn)
+        ), qualified

@@ -16,12 +16,23 @@ from catres.linalg import (
     left_nullspace,
     nullspace,
     rank,
+    reverse_row_basis,
     row_basis,
     rref,
     solve,
     solve_left,
 )
-from oracles import naive_matmul, naive_rank, naive_rref, numpy_rref_prime
+from oracles import (
+    list_block_diag_rows,
+    list_first_differing_row,
+    list_permuted,
+    list_reverse_row_basis,
+    list_take_cols,
+    naive_matmul,
+    naive_rank,
+    naive_rref,
+    numpy_rref_prime,
+)
 
 F5 = FieldSpec("prime", 5)
 QQ = FieldSpec("rational")
@@ -430,3 +441,100 @@ def test_products_and_sums_normalise_their_denominator():
     assert Mat(QQ, np.array([[2, 4]], dtype=object), 4) == Mat.from_rows(QQ, [[Fraction(1, 2), 1]])
     mixed = Mat.from_rows(QQ, [[1, 1]]).vstack(half)
     assert mixed.den == 2 and mixed.tolist() == [[1, 1], [Fraction(1, 2), Fraction(3, 2)]]
+
+
+# -- the regrouping surface: every route against a nested-list route ----------
+# Over Q the entries have denominators 1..6, so matrices on different
+# denominators meet in every comparison.
+
+FIELDS = [FieldSpec("prime", 3), F5, QQ]
+
+
+@st.composite
+def permute_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    n = int(np.prod(shape))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    rows = draw(st.sampled_from(divisors))
+    m = _rand_mat(draw, field, rows, n // rows)
+    axes = tuple(draw(st.permutations(range(len(shape)))))
+    out_rows = draw(st.sampled_from(divisors))
+    return m, shape, axes, out_rows, n // out_rows
+
+
+@given(permute_cases())
+def test_permuted_matches_the_list_route(case):
+    m, shape, axes, rows, cols = case
+    expected = list_permuted(m.tolist(), shape, axes, rows, cols)
+    assert m.permuted(shape, axes, rows, cols) == Mat.from_rows(m.field, expected)
+
+
+@given(mats(max_dim=6), st.data())
+def test_take_cols_matches_the_list_route(m, data):
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, m.cols))
+        idx = slice(lo, data.draw(st.integers(lo, m.cols)))
+    else:
+        idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=6))
+    got = m.take_cols(idx)
+    expected = list_take_cols(m.tolist(), idx, m.cols)
+    assert got.rows == m.rows and got.tolist() == expected
+    if got.cols:  # canonical over Q: the denominator of the kept columns
+        assert got == Mat.from_rows(m.field, expected)
+
+
+@given(mats(), st.data())
+def test_first_differing_row_matches_the_list_route(m, data):
+    other = m
+    for i in data.draw(st.lists(st.integers(0, m.rows - 1), max_size=2)):
+        row = _rand_mat(data.draw, m.field, 1, m.cols)
+        parts = [other.take_rows(range(i)), row, other.take_rows(range(i + 1, m.rows))]
+        other = Mat.stack_rows(m.field, parts)
+    expected = list_first_differing_row(m.tolist(), other.tolist())
+    assert m.first_differing_row(other) == other.first_differing_row(m) == expected
+    assert (expected is None) == (m == other)
+
+
+def test_first_differing_row_aligns_denominators():
+    a = Mat.from_rows(QQ, [[Fraction(1, 2), 1], [1, 1]])  # over 2
+    b = Mat.from_rows(QQ, [[Fraction(1, 2), 1], [1, Fraction(1, 3)]])  # over 6
+    assert a.first_differing_row(b) == 1 and b.first_differing_row(a) == 1
+    assert a.first_differing_row(a.take_rows([0, 1])) is None
+    with pytest.raises(ValueError, match="shape"):
+        a.first_differing_row(a.T.take_rows([0]))
+
+
+@st.composite
+def block_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    return field, [_rand_mat(draw, field, n, d * d) for d in dims], dims
+
+
+@given(block_cases())
+def test_block_diag_rows_matches_the_list_route(case):
+    field, flats, dims = case
+    got = Mat.block_diag_rows(field, flats, dims)
+    expected = list_block_diag_rows([f.tolist() for f in flats], dims)
+    assert got.rows == flats[0].rows and got.tolist() == expected
+    if got.cols:
+        assert got == Mat.from_rows(field, expected)
+
+
+@given(mats(max_dim=6))
+def test_reverse_row_basis_matches_the_list_route(m):
+    got = reverse_row_basis(m)
+    expected = list_reverse_row_basis(m.tolist(), m.field)
+    assert got.rows == len(expected) and got.cols == m.cols
+    assert got.tolist() == [[m.field.coerce(x) for x in r] for r in expected]
+
+
+@given(mats(max_dim=5), st.data())
+def test_reverse_row_basis_of_a_kernel_span_is_the_nullspace_basis(m, data):
+    kernel = nullspace(m).T
+    if kernel.rows:
+        mixed = _rand_mat(data.draw, m.field, data.draw(st.integers(1, 3)), kernel.rows)
+        spanning = (mixed @ kernel).vstack(kernel.scale(-1))
+        assert reverse_row_basis(spanning) == kernel
