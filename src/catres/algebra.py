@@ -42,7 +42,12 @@ from .linalg import (
 
 
 class AlgebraError(ValueError):
-    pass
+    """``at`` locates the item of a spec to blame, as the keys and indices
+    that lead to it, such as ("relations", 0); empty when no one item is."""
+
+    def __init__(self, message: str, at: tuple = ()):
+        super().__init__(message)
+        self.at = at
 
 
 class SplitGiveUp(AlgebraError):
@@ -533,16 +538,17 @@ class QuiverSpec:
 
     def __post_init__(self):
         if self.length_bound < 1:
-            raise AlgebraError("quiver spec requires a positive length_bound")
-        names = [a[0] for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise AlgebraError("duplicate arrow names")
+            raise AlgebraError("quiver spec requires a positive length_bound", ("length_bound",))
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
-            raise AlgebraError("duplicate vertices")
-        for name, s, t in self.arrows:
+            raise AlgebraError("duplicate vertices", ("vertices",))
+        names = set()
+        for k, (name, s, t) in enumerate(self.arrows):
+            if name in names:
+                raise AlgebraError("duplicate arrow names", ("arrows", k))
             if s not in vs or t not in vs:
-                raise AlgebraError(f"arrow {name} references unknown vertex")
+                raise AlgebraError(f"arrow {name} references unknown vertex", ("arrows", k))
+            names.add(name)
 
     def path_count(self) -> int:
         """The number of paths of length < length_bound, lazy paths included,
@@ -578,7 +584,9 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     by path concatenation on the right.
     """
     if q.path_count() > MAX_QUIVER_PATHS:
-        raise AlgebraError(f"more than {MAX_QUIVER_PATHS} paths of length < {q.length_bound}")
+        raise AlgebraError(
+            f"more than {MAX_QUIVER_PATHS} paths of length < {q.length_bound}", ("length_bound",)
+        )
     f = q.field
     arrow_by_name = {a[0]: a for a in q.arrows}
     # enumerate paths of length < L: tuples of arrow names; source/target tracked
@@ -626,25 +634,26 @@ def from_quiver(q: QuiverSpec) -> Algebra:
 
     # relation vectors, validated: parallel summands, admissible (length >= 2)
     rel_vecs = []
-    for rel in q.relations:
+    for k, rel in enumerate(q.relations):
         vec = [f.zero] * d
         sig = None
         touched = False
-        for coeff, arr_names in rel:
+        for t, (coeff, arr_names) in enumerate(rel):
+            at = ("relations", k, "terms", t, "path")
             for nm in arr_names:
                 if nm not in arrow_by_name:
-                    raise AlgebraError(f"relation references unknown arrow {nm!r}")
+                    raise AlgebraError(f"relation references unknown arrow {nm!r}", at)
             if len(arr_names) < 2:
-                raise AlgebraError("relations must be admissible: paths of length >= 2")
+                raise AlgebraError("relations must be admissible: paths of length >= 2", at)
             src = arrow_by_name[arr_names[0]][1]
             tgt = arrow_by_name[arr_names[-1]][2]
             for a, b in zip(arr_names, arr_names[1:]):
                 if arrow_by_name[a][2] != arrow_by_name[b][1]:
-                    raise AlgebraError(f"relation path {arr_names} is not composable")
+                    raise AlgebraError(f"relation path {arr_names} is not composable", at)
             if sig is None:
                 sig = (src, tgt)
             elif sig != (src, tgt):
-                raise AlgebraError("relation mixes non-parallel paths")
+                raise AlgebraError("relation mixes non-parallel paths", ("relations", k))
             key = (tuple(arr_names), src)
             if key in index:
                 vec[index[key]] += f.coerce(coeff)

@@ -119,7 +119,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
             sums = eps_by_dim.setdefault(rows.rows, {})
             sums[off] = sums[off] + eps if off in sums else eps
         off += s
-    top, _ = quotient_projection(ctx.radical_rows(M))
+    top = ctx.top_projection(M)
     dims = sorted(rows_by_dim)
     placed, spans, r = [], [], 0
     for d in dims:

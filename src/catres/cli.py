@@ -36,7 +36,7 @@ def _load(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
         raise ParseError(path, f"invalid JSON: {exc}") from None
 
 

@@ -12,6 +12,9 @@ complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
 
+Exactness is read off ranks (``_is_exact``), on the terms in
+``is_acyclic`` and on their corner rows in ``is_lambda_acyclic``.
+
 ``KbHom.induced_bijection`` checks that a linear functor on chain maps
 induces a bijection on homotopy classes.  The functor is given by one
 coordinate matrix per degree, from ``theta_maps`` or ``theta_rho_maps`` on
@@ -38,7 +41,6 @@ from .linalg import (
     Mat,
     RowBasis,
     coords_in_rows,
-    left_nullspace,
     nullspace,
     rank,
     row_basis,
@@ -51,8 +53,6 @@ from .modules import (
     direct_sum,
     hom_space,
     is_projective,
-    quotient_repn,
-    sub_repn,
     zero_hom,
     zero_module,
 )
@@ -201,26 +201,15 @@ def cone(f: ChainMap) -> BComplex:
     return BComplex(algebra, lo, terms, diffs)
 
 
-def homology(C: BComplex) -> list:
-    """H_i = ker d_i / im d_(i-1) as modules, for i in the degree window."""
-    out = []
-    for i in C.degrees():
-        d = C.diff(i)
-        ker_rows = left_nullspace(d.mat)
-        K, incl = sub_repn(C.term(i), ker_rows)
-        prev = C.diff(i - 1)
-        img = row_basis(prev.mat)
-        if img.rows:
-            img_in_k = coords_in_rows(incl.mat, img)
-        else:
-            img_in_k = Mat.zeros(C.algebra.field, 0, K.dim)
-        H, _ = quotient_repn(K, img_in_k)
-        out.append(H)
-    return out
+def _is_exact(dims: list, maps: list) -> bool:
+    """Is 0 -> C_0 -> ... -> C_n -> 0 exact, with dim C_i = dims[i] and d_i =
+    maps[i]?  It is exact at i iff rank d_(i-1) + rank d_i = dim C_i."""
+    ranks = [0] + [rank(m) for m in maps] + [0]
+    return all(ranks[i] + ranks[i + 1] == d for i, d in enumerate(dims))
 
 
 def is_acyclic(C: BComplex) -> bool:
-    return all(h.dim == 0 for h in homology(C))
+    return _is_exact([t.dim for t in C.terms], [d.mat for d in C.diffs])
 
 
 # -- homotopy-category Hom ---------------------------------------------------
@@ -514,20 +503,7 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
 
 def is_lambda_acyclic(F: BComplex, data: AuslanderData) -> bool:
     """Evaluation at the corner is exact: plain linear algebra on F.e,
-    deliberately independent of db_theta + homology."""
-    rows = {i: corner_rows(F.term(i), data) for i in F.degrees()}
-    ranks = {}
-    for i in list(F.degrees())[:-1]:
-        if rows[i].rows == 0 or rows[i + 1].rows == 0:
-            ranks[i] = 0
-            continue
-        moved = rows[i] @ F.diff(i).mat
-        c = coords_in_rows(rows[i + 1], moved)
-        ranks[i] = rank(c)
-    for i in F.degrees():
-        dim_i = rows[i].rows
-        r_in = ranks.get(i - 1, 0)
-        r_out = ranks.get(i, 0)
-        if r_in + r_out != dim_i:
-            return False
-    return True
+    deliberately independent of db_theta."""
+    rows = [corner_rows(t, data) for t in F.terms]
+    maps = [coords_in_rows(rows[k + 1], rows[k] @ d.mat) for k, d in enumerate(F.diffs)]
+    return _is_exact([r.rows for r in rows], maps)

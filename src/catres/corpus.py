@@ -64,6 +64,7 @@ def shipped_corpus() -> dict:
         "x2_f2": truncated_poly_algebra(FieldSpec("prime", 2), 2),
         "x2_f5": truncated_poly_algebra(FieldSpec("prime", 5), 2),
         "x3_f3": truncated_poly_algebra(FieldSpec("prime", 3), 3),
+        "x3_f7": truncated_poly_algebra(FieldSpec("prime", 7), 3),
         "x3_q": truncated_poly_algebra(FieldSpec("rational"), 3),
         "gentle_two_cycle_f2": gentle_two_cycle(FieldSpec("prime", 2)),
         "t2_f3": upper_triangular_2(FieldSpec("prime", 3)),

@@ -7,6 +7,9 @@ one chain, built once.  Periodicity is certified only in
 ``projective_dimension``: once some syzygy is isomorphic to M or to an
 earlier syzygy, the minimal resolution can never terminate, and the
 projective dimension is infinite.
+
+Ext is read off Hom dimensions down the same chain, by dimension shifting
+(Auslander, Reiten and Smalo, Representation theory of Artin algebras).
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import rank
 from .modules import (
-    HomSpace,
     IsoInconclusive,
     ModHom,
     Repn,
@@ -25,7 +26,6 @@ from .modules import (
     hom_space,
     is_isomorphic,
     projective_presentation,
-    zero_module,
 )
 
 
@@ -36,11 +36,6 @@ class ProjResolution:
     differentials: list  # d_i : P_i -> P_(i-1), entries for i = 1..d
     augmentation: ModHom  # P_0 -> M
     complete: bool  # the syzygy after P_d is zero: the resolution ends at P_d
-
-    def term(self, i: int) -> Repn:
-        if 0 <= i < len(self.modules):
-            return self.modules[i]
-        return zero_module(self.module.algebra)
 
     def differential(self, i: int) -> Optional[ModHom]:
         """d_i: P_i -> P_(i-1) when both exist."""
@@ -102,30 +97,23 @@ def projective_dimension(M: Repn, max_depth: int) -> PdResult:
     return PdResult(kind="finite", value=len(seen) - 1)
 
 
-def _precompose_rank(d: Optional[ModHom], src: HomSpace, tgt: HomSpace) -> int:
-    """Rank of Hom(P_i, N) -> Hom(P_(i+1), N), f -> d then f (0 without d)."""
-    if d is None or not src or not tgt:
-        return 0
-    try:
-        return rank(tgt.basis.coords(src.after(d.mat)))
-    except ValueError:
-        raise AssertionError("composite escaped the hom space") from None
-
-
-def ext_dim(M: Repn, N: Repn, i: int, resolution: Optional[ProjResolution] = None) -> int:
-    """dim Ext^i(M, N) from a minimal (or any) projective resolution of M."""
+def ext_dim(M: Repn, N: Repn, i: int) -> int:
+    """dim Ext^i(M, N): dim Hom(M, N) for i = 0; for i >= 1, Ext^1(X, N) of
+    X = Omega^(i-1) M, whose presentation 0 -> Omega X -> P -> X -> 0 gives
+    0 -> Hom(X, N) -> Hom(P, N) -> Hom(Omega X, N) -> Ext^1(X, N) -> 0."""
     if i < 0:
         raise ValueError("ext degree must be >= 0")
-    res = resolution
-    if res is None:
-        res = projective_resolution(M, max_depth=i + 1)
-    if not res.complete and len(res.modules) < i + 2:
-        raise ValueError(f"resolution truncated before depth {i + 1}")
-    homs = {j: hom_space(res.term(j), N) for j in (i - 1, i, i + 1) if j >= 0}
-    # res.differential(j) is None for j < 1, so homs[j - 1] exists when read
-    r_in = _precompose_rank(res.differential(i), homs.get(i - 1), homs[i])
-    r_out = _precompose_rank(res.differential(i + 1), homs[i], homs[i + 1])
-    return len(homs[i]) - r_out - r_in
+    chain = [M]  # M, Omega M, ..., Omega^i M
+    for _ in range(i):
+        pres = projective_presentation(chain[-1])
+        if not pres.syzygy.rows:
+            return 0
+        chain.append(pres.omega[0])
+    if i == 0:
+        return len(hom_space(M, N))
+    # pres presents X = chain[-2] by P = pres.cover.source, with syzygy chain[-1]
+    omega_x, p, x = (len(hom_space(Y, N)) for Y in (chain[-1], pres.cover.source, chain[-2]))
+    return omega_x - p + x
 
 
 @dataclass

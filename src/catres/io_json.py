@@ -174,14 +174,10 @@ def parse_quiver(obj: dict, path: str = "$") -> Algebra:
     if not _is_int(lb):
         raise ParseError(f"{path}.length_bound", "length_bound must be an integer")
     try:
-        spec = QuiverSpec(field, vertices, arrows, relations, lb)
-        if spec.path_count() > MAX_QUIVER_PATHS:
-            raise ParseError(
-                f"{path}.length_bound", f"more than {MAX_QUIVER_PATHS} paths of length < {lb}"
-            )
-        return from_quiver(spec)
+        return from_quiver(QuiverSpec(field, vertices, arrows, relations, lb))
     except AlgebraError as exc:
-        raise ParseError(path, str(exc)) from None
+        at = "".join(f"[{key}]" if _is_int(key) else f".{key}" for key in exc.at)
+        raise ParseError(path + at, str(exc)) from None
 
 
 @dataclass

@@ -42,6 +42,7 @@ No floating point is used anywhere in this package.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -54,6 +55,9 @@ import numpy as np
 # inner dimension below 2**23 fits; ``Mat.__matmul__`` enforces the exact
 # bound k * (p-1)**2 < 2**63 through ``_check_int64_headroom``.
 MAX_PRIME = 1 << 20
+
+# the strings a rational scalar may be written as in JSON: "n" or "n/d"
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def _int64_headroom(inner: int, modulus: int) -> bool:
     """Do int64 dot products of length ``inner`` over entries 0..modulus-1 fit?"""
@@ -146,16 +150,19 @@ class FieldSpec:
 
     def scalar_from_json(self, x):
         """The scalar a JSON value denotes: an int over F_p, an int or a
-        "p/q" string over Q.  Raises ValueError (ZeroDivisionError for "p/0")."""
+        "p/q" string of ASCII digits over Q, with no sign but a leading "-"
+        (so no exponent, point, blank or "_" is read, and Python's limit on
+        the digits of an int bounds each part).  Raises ValueError
+        (ZeroDivisionError for "p/0")."""
         if self.kind == "prime":
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError("prime-field scalars must be integers")
             return self.coerce(x)
         if isinstance(x, bool):
             raise ValueError("booleans are not scalars")
-        if isinstance(x, (int, str)):
+        if isinstance(x, int) or isinstance(x, str) and _RATIONAL_STRING.fullmatch(x):
             return Fraction(x)
-        raise ValueError(f"cannot read {x!r} as a rational scalar")
+        raise ValueError(f'cannot read {x!r} as a rational scalar: expected an integer or "p/q"')
 
     def to_json(self) -> dict:
         if self.kind == "prime":

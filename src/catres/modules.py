@@ -406,8 +406,9 @@ class ModuleContext:
         """Row span of M . J inside M."""
         return _radical_rows(M, self.chain.radical)
 
-    def top(self, M: Repn):
-        return quotient_repn(M, self.radical_rows(M))
+    def top_projection(self, M: Repn) -> Mat:
+        """The projection M -> M/MJ onto the top, as a matrix."""
+        return quotient_projection(self.radical_rows(M))[0]
 
 
 def _radical_rows(M: Repn, j: Mat) -> Mat:
@@ -491,7 +492,7 @@ def _build_presentation(M: Repn) -> Presentation:
     if M.dim == 0:
         empty = Mat.zeros(f, 0, 0)
         return Presentation(zero_hom(zero_module(M.algebra), M), [], empty, empty)
-    T, piT = ctx.top(M)
+    to_top = ctx.top_projection(M)
     chosen, part_indices = [], []
     # greedy: keep a hom iff its composite to the top is independent of the
     # composites already chosen from the same projective, that is, keep the
@@ -504,7 +505,7 @@ def _build_presentation(M: Repn) -> Presentation:
         space = hom_space(ctx.projectives[pi_idx], M)
         if not space:
             continue
-        _, kept, _ = rref(space.then(piT.mat).T)
+        _, kept, _ = rref(space.then(to_top).T)
         chosen.append(space.flat.take_rows(kept).reshape(len(kept) * space.source.dim, M.dim))
         part_indices += [pi_idx] * len(kept)
     if not part_indices:
@@ -528,20 +529,21 @@ def is_projective(M: Repn) -> bool:
 
     dim P(M) is read off the top, with no cover built:
 
-        dim P(M) = sum_i rank(top(M) e_i) * dim P_i / dim S_i
+        dim P(M) = sum_i rank(rho_M(e_i) pi) * dim P_i / dim S_i
 
-    over the complete set of primitive idempotents e_i of ``context(A)``.
+    over the primitive idempotents e_i of ``context(A)``, for pi: M -> M/MJ
+    the projection onto the top, so that rank(rho_M(e_i) pi) = dim top(M) e_i.
     If S_i has multiplicity m in top(M) and lies over the simple factor
     M_n(D) of A/J, then n of the e_i are conjugate to e_i, each with
-    rank(top(M) e_i) = m dim D, while dim S_i = n dim D: the n terms add
+    rank(rho_M(e_i) pi) = m dim D, while dim S_i = n dim D: the n terms add
     up to m dim P_i.  Dividing by rank(S_i e_i) = dim D instead would
     count P_i n times, which is wrong for non-basic algebras such as the
     Auslander algebra of upper triangular 2x2 matrices.
     """
     ctx = context(M.algebra)
-    top, _ = ctx.top(M)
+    to_top = ctx.top_projection(M)
     dim_cover = sum(
-        Fraction(rank(top.rho(e)) * P.dim, S.dim)
+        Fraction(rank(M.rho(e) @ to_top) * P.dim, S.dim)
         for e, P, S in zip(ctx.idempotents, ctx.projectives, ctx.simples)
     )
     return dim_cover == M.dim

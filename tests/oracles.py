@@ -52,7 +52,14 @@ replacement, on the library's own primitives:
   periodicity flag: it builds each syzygy afresh, searches it against the
   earlier ones and halts on periodicity if asked, against the walk down
   the syzygy chain kept on each presentation in
-  ``homology.projective_resolution`` and ``homology.projective_dimension``.
+  ``homology.projective_resolution`` and ``homology.projective_dimension``;
+* ``module_homology`` builds each homology H_i = ker d_i / im d_(i-1) as a
+  module, against the rank count of ``complexes._is_exact`` behind
+  ``is_acyclic``;
+* ``resolution_ext_dim`` takes Ext^i as the cohomology of Hom(P_*, N) on a
+  whole (possibly non-minimal) resolution, from the ranks of the
+  precomposition maps, against the dimension shift down the syzygy chain
+  of ``homology.ext_dim``.
 """
 
 import itertools
@@ -406,12 +413,12 @@ def greedy_cover(M):
     composite to the top of M is independent of the composites kept
     before out of that projective."""
     ctx = context(M.algebra)
-    _, to_top = ctx.top(M)
+    to_top = ctx.top_projection(M)
     parts, mats = [], []
     for i in ctx.representatives:
         span = None
         for h in hom_space(ctx.projectives[i], M):
-            comp = (h.mat @ to_top.mat).flatten_row()
+            comp = (h.mat @ to_top).flatten_row()
             if comp.is_zero() or (span is not None and RowBasis(span).contains(comp)):
                 continue
             span = comp if span is None else row_basis(span.vstack(comp))
@@ -969,3 +976,47 @@ def loop_projective_resolution(M, max_depth, halt_on_periodic=True):
         ker_rows = pres.syzygy
         depth += 1
     return LoopResolution(modules, diffs, aug, syzygies, status)
+
+
+# -- homology modules and Ext from a resolution ------------------------------
+
+
+def module_homology(C):
+    """H_i = ker d_i / im d_(i-1) as modules, for i in the degree window."""
+    out = []
+    for i in C.degrees():
+        K, incl = sub_repn(C.term(i), left_nullspace(C.diff(i).mat))
+        img = row_basis(C.diff(i - 1).mat)
+        if img.rows:
+            img_in_k = coords_in_rows(incl.mat, img)
+        else:
+            img_in_k = Mat.zeros(C.algebra.field, 0, K.dim)
+        out.append(quotient_repn(K, img_in_k)[0])
+    return out
+
+
+def _precompose_rank(d, src, tgt):
+    """Rank of Hom(P_i, N) -> Hom(P_(i+1), N), f -> d then f (0 without d)."""
+    if d is None or not src or not tgt:
+        return 0
+    try:
+        return rank(tgt.basis.coords(src.after(d.mat)))
+    except ValueError:
+        raise AssertionError("composite escaped the hom space") from None
+
+
+def resolution_ext_dim(M, N, i, res):
+    """dim Ext^i(M, N) as the cohomology at Hom(P_i, N) of Hom(P_*, N), for
+    any projective resolution ``res`` of M (a ``ProjResolution``) that
+    reaches depth i + 1 or is complete."""
+    if not res.complete and len(res.modules) < i + 2:
+        raise ValueError(f"resolution truncated before depth {i + 1}")
+
+    def term(j):
+        return res.modules[j] if 0 <= j < len(res.modules) else zero_module(M.algebra)
+
+    homs = {j: hom_space(term(j), N) for j in (i - 1, i, i + 1) if j >= 0}
+    # res.differential(j) is None for j < 1, so homs[j - 1] exists when read
+    r_in = _precompose_rank(res.differential(i), homs.get(i - 1), homs[i])
+    r_out = _precompose_rank(res.differential(i + 1), homs[i], homs[i + 1])
+    return len(homs[i]) - r_out - r_in

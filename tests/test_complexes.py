@@ -10,9 +10,14 @@ from catres.certify import right_adjoint_sample
 from catres.corpus import truncated_poly_algebra
 from catres.functors import in_mod0, theta_hom, theta_rho
 from catres.io_json import parse_algebra_or_quiver
-from catres.linalg import FieldSpec, Mat
+from catres.linalg import FieldSpec, Mat, rank
 from catres.samples import ModulePool, rng_for
-from oracles import roundtrip_adjunction, roundtrip_right_adjoint
+from oracles import (
+    module_homology,
+    resolution_ext_dim,
+    roundtrip_adjunction,
+    roundtrip_right_adjoint,
+)
 
 F2 = FieldSpec("prime", 2)
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -55,25 +60,25 @@ def test_cone_of_zero_is_sum_with_shift(data, reg):
     cn = cx.cone(cx.ChainMap(c, c, {}))
     assert (cn.lo, cn.hi) == (-1, 0)
     assert [t.dim for t in cn.terms] == [2, 2]
-    assert cx.homology(cn) and all(h.dim == 2 for h in cx.homology(cn))
+    assert module_homology(cn) and all(h.dim == 2 for h in module_homology(cn))
 
 
 def test_cone_of_x_multiplication(data, reg):
     c = cx.module_complex(reg)
     xmul = mod.ModHom(reg, reg, reg.action_mat(1))
     cn = cx.cone(cx.ChainMap(c, c, {0: xmul}))
-    hs = cx.homology(cn)
+    hs = module_homology(cn)
     assert [h.dim for h in hs] == [1, 1]  # the simple in two degrees
 
 
 def test_homology_basics(data, reg):
     assert cx.is_acyclic(cx.zero_complex(data.lam))
     one = cx.module_complex(reg)
-    assert [h.dim for h in cx.homology(one)] == [2]
+    assert [h.dim for h in module_homology(one)] == [2]
     ctx = mod.context(data.lam)
-    T, piT = ctx.top(reg)
+    T, piT = mod.quotient_repn(reg, ctx.radical_rows(reg))
     two = cx.BComplex(data.lam, 0, [reg, T], [piT])
-    assert [h.dim for h in cx.homology(two)] == [1, 0]
+    assert [h.dim for h in module_homology(two)] == [1, 0]
 
 
 def test_kb_hom_single_module(data, reg):
@@ -259,7 +264,8 @@ def test_kb_hom_computes_ext_from_projective_resolutions(data):
         for t in targets:
             for i in range(3):
                 kb = cx.kb_hom(P, cx.module_complex(t).shift(i))
-                assert kb.dim == ext_dim(s, t, i, resolution=res), (s.dim, t.dim, i)
+                expected = resolution_ext_dim(s, t, i, res)
+                assert kb.dim == expected == ext_dim(s, t, i), (s.dim, t.dim, i)
 
 
 def test_injectivity_bundle(data):
@@ -267,6 +273,41 @@ def test_injectivity_bundle(data):
 
     assert is_self_injective(data.lam)
     assert is_injective(data.lam, mod.context(data.lam).regular)
+
+
+def _identity_cone(F):
+    field = F.algebra.field
+    return cx.cone(cx.ChainMap(F, F, {
+        j: mod.ModHom(F.term(j), F.term(j), Mat.identity(field, F.term(j).dim))
+        for j in F.degrees()
+    }))
+
+
+@pytest.mark.parametrize(
+    "field", [F2, FieldSpec("prime", 3), FieldSpec("rational")], ids=["F2", "F3", "Q"]
+)
+def test_is_acyclic_matches_the_homology_modules(field):
+    # dual route: exactness from ranks against each H_i built as a module,
+    # on random complexes over tilde, their restrictions to Lambda and
+    # complexes of projectives over Lambda, and on the cones of their
+    # identities, which are acyclic
+    data = build_auslander(truncated_poly_algebra(field, 2))
+    pool = ModulePool(data)
+    verdicts = []
+    for i in range(4):
+        rng = rng_for(0, "homology", i)
+        tilde = [pool.random_tilde_complex(rng, 3, 8), pool.random_mod0_complex(rng, 3, 8)]
+        lam = [cx.db_theta(F, data) for F in tilde]
+        lam.append(pool.random_projective_lam_complex(rng, 3, 6))
+        for F in tilde + lam:
+            for C in (F, _identity_cone(F)):
+                dims = [h.dim for h in module_homology(C)]
+                ranks = [rank(C.diff(j).mat) for j in range(C.lo - 1, C.hi + 1)]
+                counts = [t.dim - ranks[k] - ranks[k + 1] for k, t in enumerate(C.terms)]
+                assert counts == dims, (field, i, C)
+                verdicts.append(cx.is_acyclic(C))
+                assert verdicts[-1] == (not any(dims)), (field, i, C)
+    assert set(verdicts) == {True, False}
 
 
 def test_acyclic_implies_lambda_acyclic(data, pool):

@@ -17,7 +17,7 @@ from catres.corpus import (
 from catres.auslander import build_auslander
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, left_nullspace, rank
-from oracles import iso_distinct_simples, loop_projective_resolution
+from oracles import iso_distinct_simples, loop_projective_resolution, resolution_ext_dim
 from test_modules import syzygy_chain
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -127,7 +127,7 @@ def test_ext_independent_of_resolution(x2):
             i = rng.choice([0, 1, 2])
             expected = hml.ext_dim(m, n, i)
             padded = _padded_resolution(m, i + 1)
-            assert hml.ext_dim(m, n, i, resolution=padded) == expected
+            assert resolution_ext_dim(m, n, i, padded) == expected
 
 
 def _padded_resolution(m, depth):
@@ -269,7 +269,7 @@ def test_injectivity_resolves_each_simple_once(monkeypatch):
         for M in rng.sample(pool, min(4, len(pool))):
             fresh = [hml.ext_dim(s, M, 1) for s in simples]
             resolved = [hml.projective_resolution(s, max_depth=2) for s in simples]
-            assert [hml.ext_dim(r.module, M, 1, resolution=r) for r in resolved] == fresh, label
+            assert [resolution_ext_dim(r.module, M, 1, r) for r in resolved] == fresh, label
             assert hml.is_injective(A, M) == (not any(fresh)), label
         for s, omega in zip(simples, omegas):
             res = hml.projective_resolution(s, max_depth=4)
@@ -277,6 +277,19 @@ def test_injectivity_resolves_each_simple_once(monkeypatch):
             if len(res.modules) > 1:
                 assert res.modules[1] is mod.projective_cover(omega[0]).source, label
         assert set(built.values()) == {1}, label
+
+
+def test_ext_dim_matches_the_resolution_route_on_corpus_and_auslander_algebras():
+    # dual route: the dimension shift down the syzygy chain against the
+    # cohomology of Hom(P_*, N) on the minimal resolution
+    for label, A in _corpus_and_auslander_algebras():
+        ctx = mod.context(A)
+        targets = [ctx.regular] + list(ctx.simples) + list(ctx.projectives)
+        for s in hml.distinct_simples(A):
+            res = hml.projective_resolution(s, max_depth=4)
+            for n in targets:
+                for i in range(4):
+                    assert hml.ext_dim(s, n, i) == resolution_ext_dim(s, n, i, res), (label, i)
 
 
 _LOOP_KIND = {"complete": "finite", "periodic": "infinite", "truncated": "unknown"}

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from catres import modules as mod
 from catres.algebra import MAX_QUIVER_PATHS, AlgebraError, QuiverSpec, from_quiver
 from catres.auslander import build_auslander
 from catres.cli import main
-from catres.corpus import truncated_poly_algebra
+from catres.corpus import shipped_corpus, truncated_poly_algebra
 from catres.functors import theta_rho
 from catres import io_json
 from catres.io_json import (
@@ -198,6 +199,63 @@ def test_rejects_nonint_scalar_in_prime_field():
         parse_algebra(obj)
 
 
+@pytest.mark.parametrize(
+    "scalar", ["1.5", "1_000", " 7 ", "7\n", "+5", "1e3", "1E-2", ".5", "\u0663", "1e5000000"]
+)
+def test_rejects_a_rational_scalar_string_that_is_not_an_integer_or_p_over_q(scalar):
+    obj = algebra_to_json(truncated_poly_algebra(QQ, 2))
+    obj["mult"][1][0][1] = scalar
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(obj)
+    assert time.perf_counter() - start < 0.5  # read no exponent before the check
+    assert exc.value.path == "$.mult[1][0][1]"
+
+
+def test_rational_scalar_strings_keep_their_reading():
+    assert QQ.scalar_from_json("2/3") == Fraction(2, 3)
+    assert QQ.scalar_from_json("-5") == -5
+    obj = algebra_to_json(truncated_poly_algebra(QQ, 2))
+    obj["mult"][1][0][1] = "1/0"
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(obj)
+    assert exc.value.path == "$.mult[1][0][1]"
+
+
+def _relation_path(k, path):
+    def edit(obj):
+        obj["relations"][k]["terms"][0]["path"] = path
+    return edit
+
+
+def _add_antiparallel_term(obj):
+    obj["relations"][0]["terms"].append({"coeff": 1, "path": ["b", "a"]})
+
+
+def _arrow_to_unknown_vertex(obj):
+    obj["arrows"][1]["to"] = "9"
+
+
+def _zero_length_bound(obj):
+    obj["length_bound"] = 0
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_relation_path(1, ["b", "z"]), "$.relations[1].terms[0].path"),  # an unknown arrow
+    (_relation_path(0, ["a"]), "$.relations[0].terms[0].path"),  # of length 1
+    (_relation_path(1, ["a", "a"]), "$.relations[1].terms[0].path"),  # not composable
+    (_add_antiparallel_term, "$.relations[0]"),
+    (_arrow_to_unknown_vertex, "$.arrows[1]"),
+    (_zero_length_bound, "$.length_bound"),
+])
+def test_quiver_errors_name_the_item_to_blame(edit, where):
+    obj = json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text())
+    edit(obj)
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_or_quiver(obj)
+    assert exc.value.path == where
+
+
 def test_module_roundtrip_and_validation():
     a = truncated_poly_algebra(F5, 2)
     ctx = mod.context(a)
@@ -375,6 +433,14 @@ def test_cli_malformed_input_is_a_parse_error_not_a_traceback(tmp_path, source, 
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_reports_an_integer_over_the_digit_limit_as_invalid_json(tmp_path, capsys):
+    text = json.dumps(algebra_to_json(truncated_poly_algebra(F5, 2)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"unit": [1, 0]', '"unit": [1' + "0" * 5000 + ", 0]"))
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: at {bad}: invalid JSON: ")
+
+
 def test_cli_module_dim_must_not_be_a_boolean(tmp_path):
     a = truncated_poly_algebra(F2, 2)
     obj = module_to_json(mod.context(a).simples[0], algebra_obj=algebra_to_json(a))
@@ -426,6 +492,15 @@ def test_corpus_files_match_generator():
     assert proc.returncode == 0
     after = {p.name: p.read_text() for p in CORPUS.glob("*.json")}
     assert before == after, "shipped corpus files drifted from the generator"
+
+
+def test_shipped_corpus_builders_match_the_corpus_files_one_to_one():
+    files = {p.stem: p for p in CORPUS.glob("*.json")}
+    built = shipped_corpus()
+    assert sorted(built) == sorted(files)
+    for name, lam in built.items():
+        parsed = parse_algebra_or_quiver(json.loads(files[name].read_text()))
+        assert algebra_to_json(lam) == algebra_to_json(parsed), name
 
 
 def test_cli_hom_accepts_two_modules_over_a_quiver_or_auslander_of_spec(tmp_path):

@@ -10,7 +10,13 @@ belongs in the tests (``tests/oracles.py`` for a second route), not in the
 library.  Every tracer target must resolve the way ``Tracer.install`` reads
 it, so a rename that breaks ``--trace 1`` fails here.
 
-It also walks the same files for the matrix carrier: only ``linalg.py``
+It also walks the same files for knobs: every defaulted parameter of a
+public function or method, ``__init__`` of a public class included, must
+be supplied, by keyword or by position, by some call in ``src/catres``, or
+be in ``ALLOWED_KNOBS`` with the reason it stays.  Functions on
+``ALLOWED_UNUSED`` are exempt: no library code calls them at all.
+
+And it walks the same files for the matrix carrier: only ``linalg.py``
 reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array`` or imports a private
 name of ``linalg``, so that the storage of a matrix can change in one file.
 """
@@ -94,6 +100,65 @@ def test_every_allowlisted_name_is_defined_and_unused():
     for qualified in ALLOWED_UNUSED:
         assert qualified in defs, qualified
         assert defs[qualified] not in used, f"{qualified} is used now; drop it from the list"
+
+
+ALLOWED_KNOBS = {
+    "cli.main(argv)": "the console entry point: its script wrapper passes no argv",
+}
+
+
+def unsupplied_knobs() -> set:
+    """'stem.Qualified.name(param)' of every defaulted parameter of a public
+    function or method (the methods of a public class, ``__init__`` as the
+    class) that no call in ``src/catres`` to a function of that bare name
+    supplies."""
+    defs = []  # (qualified name, the bare name it is called by, def node, bound args)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node.name, node, 0))
+            for item in node.body if isinstance(node, ast.ClassDef) else []:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                if item.name == "__init__":
+                    defs.append((f"{path.stem}.{node.name}.__init__", node.name, item, 1))
+                elif not item.name.startswith("_"):
+                    defs.append((f"{path.stem}.{node.name}.{item.name}", item.name, item, 1 - static))
+    calls = {}  # bare name -> [(positional count or None for *args, keywords)]
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                count = None if starred else len(node.args)
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    found = set()
+    for qualified, name, fn, bound in defs:
+        if qualified in ALLOWED_UNUSED:
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first_default = len(positional) - len(a.defaults)
+        knobs = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first_default]
+        knobs += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for param, at in knobs:
+            if not any(
+                param in kws or None in kws or (at is not None and (count is None or count > at))
+                for count, kws in calls.get(name, [])
+            ):
+                found.add(f"{qualified}({param})")
+    return found
+
+
+def test_every_defaulted_parameter_is_supplied_by_some_library_call():
+    assert unsupplied_knobs() - set(ALLOWED_KNOBS) == set(), "knobs that no library call turns"
+
+
+def test_every_allowlisted_knob_is_still_unsupplied():
+    assert set(ALLOWED_KNOBS) <= unsupplied_knobs()
 
 
 CARRIER_ATTRIBUTES = {"a", "den", "with_array"}

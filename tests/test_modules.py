@@ -73,7 +73,7 @@ def test_hom_yoneda_at_regular(x2, x3):
     for a in (x2, x3):
         reg = mod.regular_module(a)
         ctx = mod.context(a)
-        for n in [reg, ctx.simples[0], ctx.top(reg)[0]]:
+        for n in [reg, ctx.simples[0], mod.quotient_repn(reg, ctx.radical_rows(reg))[0]]:
             assert len(mod.hom_space(reg, n)) == n.dim
 
 
@@ -124,7 +124,7 @@ def test_factorization_zero_and_identity(x2):
 def test_factorization_projection_kernel_is_socle(x2):
     reg = mod.regular_module(x2)
     ctx = mod.context(x2)
-    _, pi = ctx.top(reg)
+    _, pi = mod.quotient_repn(reg, ctx.radical_rows(reg))
     K, ki = mod.sub_repn(reg, left_nullspace(pi.mat))
     C, cp = mod.quotient_repn(pi.target, row_basis(pi.mat))
     assert K.dim == 1 and ki.validate()
@@ -263,7 +263,7 @@ def test_endomorphism_algebra_values(x2):
     assert e_reg.dim == 2 and e_reg.validate().ok
     e_s, _ = mod.endomorphism_algebra(ctx.simples[0])
     assert e_s.dim == 1
-    m = mod.direct_sum([ctx.top(reg)[0], reg])
+    m = mod.direct_sum([mod.quotient_repn(reg, ctx.radical_rows(reg))[0], reg])
     e_m, space = mod.endomorphism_algebra(m)
     assert e_m.dim == 5 == len(space) and e_m.validate().ok
 
