@@ -35,6 +35,7 @@ from .linalg import (
     nullspace,
     nullspace_of_rref,
     power_traces,
+    quoted,
     row_basis,
     rref,
     solve_left,
@@ -160,10 +161,8 @@ class Algebra:
             row = (left @ self._table).reshape(d * d, d).first_differing_row(pairs @ left)
             if row is not None:
                 j, k = divmod(row, d)
-                violations.append(
-                    f"associativity fails at triple ({self.basis_labels[i]},"
-                    f" {self.basis_labels[j]}, {self.basis_labels[k]})"
-                )
+                labels = ", ".join(quoted(self.basis_labels[t]) for t in (i, j, k))
+                violations.append(f"associativity fails at triple ({labels})")
                 break
         return ValidationReport(not violations, violations)
 
@@ -547,7 +546,8 @@ class QuiverSpec:
             if name in names:
                 raise AlgebraError("duplicate arrow names", ("arrows", k))
             if s not in vs or t not in vs:
-                raise AlgebraError(f"arrow {name} references unknown vertex", ("arrows", k))
+                at = ("arrows", k)
+                raise AlgebraError(f"arrow {quoted(name)} references unknown vertex", at)
             names.add(name)
 
     def path_count(self) -> int:
@@ -642,14 +642,14 @@ def from_quiver(q: QuiverSpec) -> Algebra:
             at = ("relations", k, "terms", t, "path")
             for nm in arr_names:
                 if nm not in arrow_by_name:
-                    raise AlgebraError(f"relation references unknown arrow {nm!r}", at)
+                    raise AlgebraError(f"relation references unknown arrow {quoted(nm)}", at)
             if len(arr_names) < 2:
                 raise AlgebraError("relations must be admissible: paths of length >= 2", at)
             src = arrow_by_name[arr_names[0]][1]
             tgt = arrow_by_name[arr_names[-1]][2]
             for a, b in zip(arr_names, arr_names[1:]):
                 if arrow_by_name[a][2] != arrow_by_name[b][1]:
-                    raise AlgebraError(f"relation path {arr_names} is not composable", at)
+                    raise AlgebraError(f"relation path {quoted(arr_names)} is not composable", at)
             if sig is None:
                 sig = (src, tgt)
             elif sig != (src, tgt):

@@ -36,7 +36,9 @@ def _load(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
+    # a JSONDecodeError, an int over Python's digit limit, or nesting past
+    # the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from None
 
 

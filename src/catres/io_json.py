@@ -14,7 +14,7 @@ from typing import Optional
 from .algebra import MAX_QUIVER_PATHS, Algebra, AlgebraError, QuiverSpec, from_quiver
 from .auslander import AuslanderData, build_auslander
 from .complexes import BComplex
-from .linalg import FieldSpec, Mat
+from .linalg import FieldSpec, Mat, quoted
 from .modules import ModHom, Repn
 
 ALGEBRA_FORMAT = "catres-algebra-v1"
@@ -42,7 +42,7 @@ def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset
         raise ParseError(path, f"missing required field(s) {sorted(missing)}")
     unknown = set(obj) - required - optional
     if unknown:
-        raise ParseError(path, f"unknown field(s) {sorted(unknown)}")
+        raise ParseError(path, f"unknown field(s) {quoted(sorted(unknown))}")
 
 
 def _list_at(x, path: str, what: str) -> list:
@@ -105,7 +105,7 @@ def parse_algebra(obj: dict, path: str = "$") -> Algebra:
         obj, path, {"format", "field", "dim", "basis", "unit", "mult"}, {"radical"}
     )
     if obj["format"] != ALGEBRA_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
     field = _parse_field(obj["field"], f"{path}.field")
     dim = _parse_dim(obj["dim"], f"{path}.dim")
     basis = obj["basis"]
@@ -143,7 +143,7 @@ def parse_quiver(obj: dict, path: str = "$") -> Algebra:
         obj, path, {"format", "field", "vertices", "arrows", "relations", "length_bound"}
     )
     if obj["format"] != QUIVER_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
     field = _parse_field(obj["field"], f"{path}.field")
     vertices = obj["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
@@ -190,7 +190,7 @@ class ParsedModule:
 def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) -> ParsedModule:
     _require_keys(obj, path, {"format", "algebra", "dim", "action"})
     if obj["format"] != MODULE_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
     dim = _parse_dim(obj["dim"], f"{path}.dim")
     data = None
     if algebra is not None:
@@ -225,13 +225,13 @@ def parse_algebra_or_quiver(obj: dict, path: str = "$") -> Algebra:
         return parse_algebra(obj, path)
     if obj["format"] == QUIVER_FORMAT:
         return parse_quiver(obj, path)
-    raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+    raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
 
 
 def parse_complex(obj: dict, path: str = "$") -> BComplex:
     _require_keys(obj, path, {"format", "algebra", "lo", "hi", "terms", "differentials"})
     if obj["format"] != COMPLEX_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {obj['format']!r}")
+        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
     base = parse_algebra_or_quiver(obj["algebra"], f"{path}.algebra")
     lo, hi = obj["lo"], obj["hi"]
     if not (_is_int(lo) and _is_int(hi) and lo <= hi):

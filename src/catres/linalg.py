@@ -10,14 +10,18 @@ common denominator ``den``.
 * rationals: ``a`` is a numpy object array of Python ints and the matrix
   is a / den, kept canonical: gcd(den, entries) = 1, and den = 1 for the
   zero matrix.  Products, row reduction and coordinate solves run on the
-  integers alone, and equality compares (den, a).
+  numerators alone, and equality compares (den, a).  A product runs on
+  int64 copies of the numerators when the word-size rule below proves it
+  exact, and on the Python ints otherwise; either way its carrier is the
+  same.
 
 ``fractions.Fraction`` values are made only where scalars enter or leave a
 matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
 ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
 
-Only this module reads the carrier (``a``, ``den``, ``with_array``); the
-other layers regroup entries through ``Mat.permuted``, select with
+Only this module reads the carrier (``a``, ``den``, ``with_array``) and
+the int64 copy kept beside it (``_word``, ``_int64``); the other
+layers regroup entries through ``Mat.permuted``, select with
 ``take_rows`` and ``take_cols``, and compare with ``==`` and
 ``first_differing_row``.
 
@@ -43,6 +47,8 @@ No floating point is used anywhere in this package.
 from __future__ import annotations
 
 import re
+import reprlib
+from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,26 +56,46 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-# F_p products run in int64: a dot product of length k sums k terms below
-# (p-1)**2.  With p < MAX_PRIME = 2**20 every term is below 2**40, so any
-# inner dimension below 2**23 fits; ``Mat.__matmul__`` enforces the exact
-# bound k * (p-1)**2 < 2**63 through ``_check_int64_headroom``.
+# The word-size rule (FFLAS-FFPACK's, Dumas, Giorgi and Pernet, ACM TOMS
+# 35(3), 2008): a product runs in int64 when k * max|A| * max|B| < 2**63 for
+# inner dimension k, since then no term and no partial sum of a dot product
+# can wrap.  ``_int64_fits`` owns it.  Over F_p the entries are 0..p-1, and
+# with p < MAX_PRIME = 2**20 any inner dimension below 2**23 fits; a product
+# past the bound is refused, and ``power_traces`` (entries modulo p*q) runs
+# on Python ints past it.  Over Q the numerators of both factors are kept
+# as int64 copies with their max |entry|, and a product past the bound, or
+# with a numerator outside int64, runs on Python ints instead.
 MAX_PRIME = 1 << 20
 
 # the strings a rational scalar may be written as in JSON: "n" or "n/d"
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
-def _int64_headroom(inner: int, modulus: int) -> bool:
-    """Do int64 dot products of length ``inner`` over entries 0..modulus-1 fit?"""
-    return inner * (modulus - 1) ** 2 < 1 << 63
+
+def _int64_fits(inner: int, bound_a: int, bound_b: int) -> bool:
+    """Do dot products of length ``inner`` over entries |a| <= bound_a and
+    |b| <= bound_b, and all their partial sums, stay inside int64?"""
+    return inner * bound_a * bound_b < 1 << 63
 
 
-def _check_int64_headroom(inner: int, p: int) -> None:
-    """Refuse an F_p product whose int64 dot products could wrap."""
-    if not _int64_headroom(inner, p):
-        raise ValueError(
-            f"F_{p} product with inner dimension {inner} would overflow int64"
-        )
+def quoted(x) -> str:
+    """How an error message quotes an input value, in bounded space: the
+    repr that ``reprlib`` abridges (30 characters of a string, 6 items of a
+    list, 6 levels, 40 digits), then the length of a string, list or
+    object that it cut."""
+    text = reprlib.repr(x)
+    if isinstance(x, (str, list, dict)) and "..." in text:
+        return f"{text} (length {len(x)})"
+    return text
+
+
+def _permuted(a: np.ndarray, shape: tuple, axes: tuple, rows: int, cols: int) -> np.ndarray:
+    """The regrouping of ``Mat.permuted`` on one array."""
+    return a.reshape(shape).transpose(axes).reshape(rows, cols)
+
+
+def _object_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on Python ints: the route of a product the word-size rule refuses."""
+    return a @ b
 
 
 def is_prime(n: int) -> bool:
@@ -96,7 +122,7 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind == "prime":
             if self.p is None or not is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
+                raise ValueError(f"modulus {quoted(self.p)} is not prime")
             if self.p >= MAX_PRIME:
                 raise ValueError(f"prime {self.p} exceeds the exact-arithmetic bound {MAX_PRIME}")
         elif self.kind == "rational":
@@ -162,7 +188,9 @@ class FieldSpec:
             raise ValueError("booleans are not scalars")
         if isinstance(x, int) or isinstance(x, str) and _RATIONAL_STRING.fullmatch(x):
             return Fraction(x)
-        raise ValueError(f'cannot read {x!r} as a rational scalar: expected an integer or "p/q"')
+        raise ValueError(
+            f'cannot read {quoted(x)} as a rational scalar: expected an integer or "p/q"'
+        )
 
     def to_json(self) -> dict:
         if self.kind == "prime":
@@ -175,7 +203,7 @@ class FieldSpec:
             raise ValueError("field spec must be an object with a 'type' key")
         extra = set(obj) - {"type", "p"}
         if extra:
-            raise ValueError(f"unknown field keys {sorted(extra)}")
+            raise ValueError(f"unknown field keys {quoted(sorted(extra))}")
         if obj["type"] == "prime":
             p = obj.get("p")
             if isinstance(p, bool) or not isinstance(p, int):
@@ -185,7 +213,7 @@ class FieldSpec:
             if "p" in obj:
                 raise ValueError("rational field takes no modulus")
             return FieldSpec("rational")
-        raise ValueError(f"unknown field type {obj['type']!r}")
+        raise ValueError(f"unknown field type {quoted(obj['type'])}")
 
 
 def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
@@ -203,11 +231,18 @@ class Mat:
     """Immutable dense matrix over a :class:`FieldSpec`: the integer array
     ``a`` over the positive denominator ``den`` (always 1 over F_p).
 
+    Over Q a matrix also keeps, once a product has asked for it, an int64
+    copy of its numerators and their max |entry| (``_int64``).  A product
+    hands its int64 result on as the copy of the product, and the
+    selections and rearrangements (``take_rows``, ``T``, ``permuted``, ...)
+    hand on the same entries of it, so a chain of products converts each
+    input once.
+
     Stored row-major; most callers use the row-vector convention
     (vectors are 1 x n matrices acted on by right multiplication).
     """
 
-    __slots__ = ("field", "a", "den")
+    __slots__ = ("field", "a", "den", "_word")
 
     def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _copy: bool = True):
         assert a.ndim == 2
@@ -222,10 +257,40 @@ class Mat:
         self.a = a.copy() if _copy else a
         self.den = den
         self.a.setflags(write=False)
+        # over Q: None until ``_int64`` builds it, False if a numerator
+        # leaves int64, else (the numerators as int64, max |numerator| or
+        # None until asked)
+        self._word = None
+
+    def _int64(self):
+        """Over Q, (the numerators as int64, max |numerator|), built once and
+        kept; None if a numerator leaves int64."""
+        word = self._word
+        if word is None:
+            try:
+                word = (self.a.astype(np.int64), None)
+            except OverflowError:
+                word = False
+        if word and word[1] is None:
+            w = word[0]
+            # |-2**63| is 2**63 as uint64; every other |entry| is an int64
+            word = (w, int(np.abs(w).view(np.uint64).max()) if w.size else 0)
+        self._word = word
+        return word or None
 
     def with_array(self, a: np.ndarray) -> "Mat":
         """a / self.den, for an array on the scale of ``self.a``; not copied."""
         return Mat(self.field, a, self.den, _copy=False)
+
+    def _view(self, pick, *args) -> "Mat":
+        """``pick(array, *args)``, a selection or rearrangement of entries,
+        applied to the numerators and to their kept int64 copy, whose bound
+        still holds."""
+        out = Mat(self.field, pick(self.a, *args), self.den, _copy=False)
+        word = self._word
+        if word and out.den == self.den:
+            out._word = (pick(word[0], *args), word[1])
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -277,24 +342,24 @@ class Mat:
         return x if self.field.kind == "prime" else Fraction(x, self.den)
 
     def row_at(self, i: int) -> "Mat":
-        return self.with_array(self.a[i : i + 1])
+        return self._view(getitem, slice(i, i + 1))
 
     def take_rows(self, idx) -> "Mat":
         """The rows ``idx``: a slice gives a view, any other iterable a copy."""
-        return self.with_array(self.a[idx if isinstance(idx, slice) else list(idx)])
+        return self._view(getitem, idx if isinstance(idx, slice) else list(idx))
 
     def take_cols(self, idx) -> "Mat":
         """The columns ``idx``: a slice gives a view, a list a copy."""
-        return self.with_array(self.a[:, idx])
+        return self._view(getitem, (slice(None), idx))
 
     def permuted(self, shape: tuple, axes: tuple, rows: int, cols: int) -> "Mat":
         """The entries read row-major as an array of ``shape``, its axes
         permuted by ``axes``, re-read row-major as a rows x cols matrix."""
-        return self.with_array(self.a.reshape(shape).transpose(axes).reshape(rows, cols))
+        return self._view(_permuted, shape, axes, rows, cols)
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """Entries re-read row-major into a rows x cols matrix."""
-        return self.with_array(self.a.reshape(rows, cols))
+        return self._view(np.ndarray.reshape, rows, cols)
 
     def tolist(self) -> list:
         """Entries as field scalars: ints over F_p, Fractions over Q."""
@@ -371,14 +436,28 @@ class Mat:
         if not (m and k and n):
             return Mat.zeros(f, m, n)
         if f.kind == "prime":
-            _check_int64_headroom(k, f.p)
+            if not _int64_fits(k, f.p - 1, f.p - 1):
+                raise ValueError(f"F_{f.p} product with inner dimension {k} would overflow int64")
             return Mat(f, (self.a @ other.a) % f.p, _copy=False)
         # (A / d)(B / e) = (A B) / (d e): one integer product, one normalisation
-        return Mat(f, self.a @ other.a, self.den * other.den, _copy=False)
+        den = self.den * other.den
+        x, y = self._int64(), other._int64()
+        if not (x and y and _int64_fits(k, x[1], y[1])):
+            return Mat(f, _object_product(self.a, other.a), den, _copy=False)
+        c = x[0] @ y[0]
+        if den != 1:
+            g = int(np.gcd.reduce(c, axis=None))
+            if not g:  # the zero matrix has den 1
+                den = 1
+            elif (g := gcd(g, den)) > 1:
+                c, den = c // g, den // g
+        out = Mat(f, c.astype(object), den, _copy=False)
+        out._word = (c, None)
+        return out
 
     @property
     def T(self) -> "Mat":
-        return self.with_array(self.a.T)
+        return self._view(np.ndarray.transpose)
 
     def hstack(self, other: "Mat") -> "Mat":
         assert self.field == other.field and self.rows == other.rows
@@ -456,7 +535,7 @@ def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
     product: in int64 when dot products of length n over entries below
     ``modulus`` fit, otherwise on exact Python integers."""
     z = m.a.reshape(m.rows, n, n)
-    if not _int64_headroom(n, modulus):
+    if not _int64_fits(n, modulus - 1, modulus - 1):
         z = z.astype(object)
     acc = None
     base = z % modulus
@@ -651,7 +730,7 @@ class RowBasis:
         """``v[:, pivots]`` if every row of v lies in the span, else None."""
         if v.field != self.field or v.cols != self.cols:
             raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
-        y = v.with_array(v.a[:, self.pivots])
+        y = v.take_cols(self.pivots)
         return y if y @ self._r == v else None
 
     def contains(self, v: Mat) -> bool:

@@ -59,7 +59,10 @@ replacement, on the library's own primitives:
 * ``resolution_ext_dim`` takes Ext^i as the cohomology of Hom(P_*, N) on a
   whole (possibly non-minimal) resolution, from the ranks of the
   precomposition maps, against the dimension shift down the syzygy chain
-  of ``homology.ext_dim``.
+  of ``homology.ext_dim``;
+* ``object_matmul`` multiplies rational matrices on their Python-int
+  numerators, the library's route for a product that the word-size rule
+  refuses, against the int64 product of ``Mat.__matmul__``.
 """
 
 import itertools
@@ -185,6 +188,12 @@ def naive_matmul(a, b, field):
         p = field.p
         return [[sum(x * y for x, y in zip(ra, cb)) % p for cb in zip(*b)] for ra in a]
     return [[sum(Fraction(x) * Fraction(y) for x, y in zip(ra, cb)) for cb in zip(*b)] for ra in a]
+
+
+def object_matmul(x, y):
+    """x @ y over Q as one product of object arrays of Python ints over the
+    product of the denominators."""
+    return Mat(x.field, x.a.astype(object) @ y.a.astype(object), x.den * y.den)
 
 
 def list_permuted(rows, shape, axes, nrows, ncols):

@@ -37,7 +37,7 @@ from catres.linalg import (
     FieldSpec,
     Mat,
     RowBasis,
-    _int64_headroom,
+    _int64_fits,
     coords_in_rows,
     nullspace,
     power_traces,
@@ -652,14 +652,15 @@ def test_power_traces_match_bigint_traces_on_both_paths():
     flat = Mat(FieldSpec("prime", 53), z.reshape(3, 16))  # one matrix per row
     for k, modulus in ((1, 7), (5, 49), (8, 3**30), (9, 2**61 + 1)):
         traces = power_traces(flat, 4, k, modulus)
-        assert traces.dtype == (np.int64 if _int64_headroom(4, modulus) else object)
+        assert traces.dtype == (np.int64 if _int64_fits(4, modulus - 1, modulus - 1) else object)
         assert [int(t) for t in traces] == [int_matrix_power_trace(m, k) % modulus for m in z]
 
 
 def test_power_traces_headroom_boundary_without_allocation():
     modulus = 3_000_017
     limit = ((1 << 63) - 1) // (modulus - 1) ** 2  # largest n that fits
-    assert _int64_headroom(limit, modulus) and not _int64_headroom(limit + 1, modulus)
+    assert _int64_fits(limit, modulus - 1, modulus - 1)
+    assert not _int64_fits(limit + 1, modulus - 1, modulus - 1)
     # no rows of n x n matrices: the path shows in the dtype, nothing is allocated
     f3 = FieldSpec("prime", 3)
     fits = power_traces(Mat.zeros(f3, 0, limit * limit), limit, 2, modulus)

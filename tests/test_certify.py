@@ -18,7 +18,7 @@ from catres.corpus import (
     upper_triangular_2,
 )
 from catres.io_json import parse_algebra_or_quiver
-from catres.linalg import FieldSpec
+from catres.linalg import FieldSpec, Mat
 from catres.samples import ModulePool
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -269,3 +269,16 @@ def test_config_rejects_a_value_that_is_not_an_int_in_range(field, value):
     # build) before the check; now it is refused at construction
     with pytest.raises(ValueError, match=field):
         CertConfig(**{field: value})
+
+
+def test_certify_x3_q_runs_every_product_on_int64_words(object_products):
+    # the numerators of Q[x]/x^3, of T and of every sample stay far inside a
+    # machine word, so no product of the set-up or the certificate falls
+    # back to Python ints
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x3_q.json").read_text()))
+    report = certify_resolution(lam, CertConfig(seed=0, samples=1))
+    assert report["verdict"] == "pass" and object_products == []
+    # the count is live: a product past the word-size bound is recorded
+    qq = lam.field
+    Mat.from_rows(qq, [[1 << 62, 1 << 62]]) @ Mat.from_rows(qq, [[2], [2]])
+    assert object_products == [((1, 2), (2, 1))]

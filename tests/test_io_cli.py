@@ -441,6 +441,82 @@ def test_cli_reports_an_integer_over_the_digit_limit_as_invalid_json(tmp_path, c
     assert capsys.readouterr().err.startswith(f"error: at {bad}: invalid JSON: ")
 
 
+def test_cli_reports_deeply_nested_json_as_invalid_json(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: at {bad}: invalid JSON: ")
+
+
+_HUGE = "x" * 1_000_000
+
+
+def _set_unit(obj):
+    obj["unit"][0] = _HUGE
+
+
+def _set_format(obj):
+    obj["format"] = _HUGE
+
+
+def _set_field_type(obj):
+    obj["field"]["type"] = _HUGE
+
+
+def _add_huge_key(obj):
+    obj[_HUGE] = 1
+
+
+def _huge_basis_label(obj):
+    obj["basis"][1] = _HUGE
+    obj["mult"][1][2] = [1, 0, 0]  # x * x^2 = 1 but x^2 * x = 0: (x x) x != x (x x)
+
+
+def _huge_arrow_name(obj):
+    obj["relations"][1]["terms"][0]["path"] = ["b", _HUGE]
+
+
+def _huge_arrow(obj):
+    obj["arrows"][0]["name"] = _HUGE
+    obj["arrows"][0]["to"] = "3"
+
+
+def _huge_relation_path(obj):
+    obj["relations"][0]["terms"][0]["path"] = ["a"] * 500_000
+
+
+@pytest.mark.parametrize(
+    "base, edit, path",
+    [
+        ("x3_q", _set_unit, "$.unit[0]"),
+        ("x3_q", _set_format, "$.format"),
+        ("x3_q", _set_field_type, "$.field"),
+        ("x3_q", _add_huge_key, "$"),
+        ("x3_q", _huge_basis_label, "$"),
+        ("gentle_two_cycle_f2", _set_format, "$.format"),
+        ("gentle_two_cycle_f2", _huge_arrow_name, "$.relations[1].terms[0].path"),
+        ("gentle_two_cycle_f2", _huge_arrow, "$.arrows[0]"),
+        ("gentle_two_cycle_f2", _huge_relation_path, "$.relations[0].terms[0].path"),
+    ],
+)
+def test_errors_quote_a_bounded_prefix_of_a_huge_input(tmp_path, capsys, base, edit, path):
+    obj = json.loads((CORPUS / f"{base}.json").read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: at {path}: ") and len(err.encode()) < 1024, err[:2000]
+    assert "(length " in err
+
+
+def test_quoted_values_stay_whole_when_short():
+    obj = json.loads((CORPUS / "x3_q.json").read_text())
+    obj["format"] = "catres-algebra-v2"
+    with pytest.raises(ParseError, match=r"^at \$.format: unsupported format 'catres-algebra-v2'$"):
+        parse_algebra(obj)
+
+
 def test_cli_module_dim_must_not_be_a_boolean(tmp_path):
     a = truncated_poly_algebra(F2, 2)
     obj = module_to_json(mod.context(a).simples[0], algebra_obj=algebra_to_json(a))

@@ -17,8 +17,10 @@ be in ``ALLOWED_KNOBS`` with the reason it stays.  Functions on
 ``ALLOWED_UNUSED`` are exempt: no library code calls them at all.
 
 And it walks the same files for the matrix carrier: only ``linalg.py``
-reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array`` or imports a private
-name of ``linalg``, so that the storage of a matrix can change in one file.
+reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
+of a rational matrix (``Mat._word``, ``Mat._int64``) or imports a
+private name of ``linalg``, so that the storage of a matrix can change in
+one file.
 """
 
 import ast
@@ -161,7 +163,8 @@ def test_every_allowlisted_knob_is_still_unsupplied():
     assert set(ALLOWED_KNOBS) <= unsupplied_knobs()
 
 
-CARRIER_ATTRIBUTES = {"a", "den", "with_array"}
+# the canonical carrier, and the int64 copy of the numerators kept beside it
+CARRIER_ATTRIBUTES = {"a", "den", "with_array", "_word", "_int64"}
 
 # (file stem, Class.method) allowed to read the carrier outside linalg
 CARRIER_READERS = {

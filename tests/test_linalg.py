@@ -10,7 +10,7 @@ from catres.linalg import (
     Mat,
     MAX_PRIME,
     RowBasis,
-    _check_int64_headroom,
+    _int64_fits,
     _rref_prime,
     coords_in_rows,
     left_nullspace,
@@ -32,6 +32,7 @@ from oracles import (
     naive_rank,
     naive_rref,
     numpy_rref_prime,
+    object_matmul,
 )
 
 F5 = FieldSpec("prime", 5)
@@ -323,14 +324,93 @@ def test_matmul_matches_naive_oracle(t, zero):
 def test_int64_headroom_guard():
     p = 1048573  # largest prime below MAX_PRIME
     assert p < MAX_PRIME
-    _check_int64_headroom(1 << 23, p)
+    assert _int64_fits(1 << 23, p - 1, p - 1)
     limit = ((1 << 63) - 1) // (p - 1) ** 2  # largest inner dimension that fits
-    _check_int64_headroom(limit, p)
-    with pytest.raises(ValueError, match="overflow int64"):
-        _check_int64_headroom(limit + 1, p)
-    _check_int64_headroom((1 << 61) - 1, 3)
-    with pytest.raises(ValueError):
-        _check_int64_headroom(1 << 61, 3)  # 2**61 * 2**2 = 2**63
+    assert _int64_fits(limit, p - 1, p - 1)
+    assert not _int64_fits(limit + 1, p - 1, p - 1)
+    # the F_p product refuses before it reads an entry, so the zero pages of
+    # these two 64 MB arrays are never touched
+    f = FieldSpec("prime", p)
+    message = f"F_{p} product with inner dimension {limit + 1} would overflow int64"
+    with pytest.raises(ValueError, match=message):
+        Mat.zeros(f, 1, limit + 1) @ Mat.zeros(f, limit + 1, 1)
+    assert _int64_fits((1 << 61) - 1, 2, 2)
+    assert not _int64_fits(1 << 61, 2, 2)  # 2**61 * 2**2 = 2**63
+
+
+def _q_mat(rows, den=1):
+    return Mat(QQ, np.array(rows, dtype=object), den)
+
+
+def _check_product(x, y):
+    """x @ y against the Fraction and the object-int routes."""
+    prod = x @ y
+    assert prod == object_matmul(x, y)
+    assert prod.tolist() == naive_matmul(x.tolist(), y.tolist(), QQ)
+    return prod
+
+
+# 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+_BELOW = (7, 7 * 73 * 127, 337 * 92737 * 649657)
+
+
+@pytest.mark.parametrize("den", [1, 5])
+def test_q_product_at_the_word_size_bound(object_products, den):
+    # inner dimension k, max|A|, max|B| with k * max|A| * max|B| = 2**63 - 1
+    # runs in int64; at 2**63 the product leaves int64 and runs on Python ints
+    for (k, a, b), route in ((_BELOW, []), ((2, 1 << 31, 1 << 31), [((1, 2), (2, 1))])):
+        assert k * a * b == (1 << 63) - (not route)
+        object_products.clear()
+        x = _q_mat([[a] * k], den)
+        y = _q_mat([[b] for _ in range(k)], 3)
+        prod = _check_product(x, y)  # 2**63 would wrap to -2**63 in int64
+        assert prod[0, 0] == Fraction(k * a * b, den * 3)
+        assert object_products[:1] == route
+
+
+@pytest.mark.parametrize("entry", [(1 << 63) - 1, -(1 << 63) + 1, -(1 << 63), 1 << 63])
+def test_q_product_of_entries_at_the_edge_of_int64(object_products, entry):
+    # astype(np.int64) takes +-(2**63 - 1) and -2**63 and overflows at 2**63;
+    # |-2**63| = 2**63 is past the bound unless the other factor is zero
+    x = _q_mat([[entry], [1]], 3)  # inner dimension 1
+    for y, top in ((_q_mat([[1, 0]]), 1), (_q_mat([[0, -1]], 5), 1), (_q_mat([[0, 0]]), 0)):
+        object_products.clear()
+        _check_product(x, y)
+        word = entry < 1 << 63 and abs(entry) * top < 1 << 63
+        assert bool(object_products) != word
+    object_products.clear()
+    _check_product(x, _q_mat([[2, 1]]))  # 2 * entry leaves int64
+    assert object_products
+
+
+@st.composite
+def products_near_the_word_size_bound(draw):
+    """Rational x (m x k) and y (k x n) whose numerators put
+    k * max|x| * max|y| within a few units of 2**63, denominators not 1."""
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    a = draw(st.integers(1, (1 << 62) // k))
+    b = (1 << 63) // (k * a) + draw(st.integers(-2, 2))
+    b = max(b, 1)
+
+    def entries(rows, cols, top):
+        flat = draw(st.lists(st.integers(-top, top), min_size=rows * cols, max_size=rows * cols))
+        flat[0] = draw(st.sampled_from([top, -top]))
+        return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+
+    dens = st.integers(2, 30)
+    return _q_mat(entries(m, k, a), draw(dens)), _q_mat(entries(k, n, b), draw(dens))
+
+
+@given(products_near_the_word_size_bound())
+@example((_q_mat([[-(1 << 31), 1 << 31]], 3), _q_mat([[1 << 31], [1 << 31]], 7)))
+@example((_q_mat([[-1] * 7], 9), _q_mat([[(1 << 63) // 7]] * 7, 2)))
+def test_q_products_near_the_word_size_bound_match_the_oracles(xy):
+    x, y = xy
+    prod = _check_product(x, y)
+    # the product as a factor again, on the int64 copy it keeps if it fits
+    z = _q_mat([[1 - 2 * (j % 2)] for j in range(y.cols)], 7)
+    _check_product(prod, z)
+    _check_product(x.T.take_rows([0]), prod.take_cols(slice(0, 1)))
 
 
 def _copy_shape_identityish(y):
