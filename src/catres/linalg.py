@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import re
 import reprlib
-from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -77,20 +76,29 @@ def _int64_fits(inner: int, bound_a: int, bound_b: int) -> bool:
     return inner * bound_a * bound_b < 1 << 63
 
 
+def _too_long(x) -> bool:
+    """Does ``reprlib`` cut x itself, not only items of it?"""
+    r = reprlib.aRepr
+    if isinstance(x, str):
+        return len(repr(x[: r.maxstring])) > r.maxstring
+    if isinstance(x, list):
+        return len(x) > r.maxlist
+    return isinstance(x, dict) and len(x) > r.maxdict
+
+
 def quoted(x) -> str:
     """How an error message quotes an input value, in bounded space: the
     repr that ``reprlib`` abridges (30 characters of a string, 6 items of a
-    list, 6 levels, 40 digits), then the length of a string, list or
-    object that it cut."""
+    list, 4 of an object, 6 levels, 40 digits), then the length of the
+    value, or of the first item of a list, that it cut."""
     text = reprlib.repr(x)
-    if isinstance(x, (str, list, dict)) and "..." in text:
+    if _too_long(x):
         return f"{text} (length {len(x)})"
+    if isinstance(x, list):  # of at most 6 items, shown in full
+        for i, y in enumerate(x):
+            if _too_long(y):
+                return f"{text} (item {i} has length {len(y)})"
     return text
-
-
-def _permuted(a: np.ndarray, shape: tuple, axes: tuple, rows: int, cols: int) -> np.ndarray:
-    """The regrouping of ``Mat.permuted`` on one array."""
-    return a.reshape(shape).transpose(axes).reshape(rows, cols)
 
 
 def _object_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,15 +241,17 @@ class Mat:
 
     Over Q a matrix also keeps, once a product has asked for it, an int64
     copy of its numerators and their max |entry| (``_int64``).  A product
-    hands its int64 result on as the copy of the product, and the
-    selections and rearrangements (``take_rows``, ``T``, ``permuted``, ...)
-    hand on the same entries of it, so a chain of products converts each
-    input once.
+    run in int64 keeps its result as its own copy, so a chain of products
+    does not convert back; a selection or rearrangement (``take_rows``,
+    ``T``, ``permuted``, ...) builds its copy afresh when it is a factor.
 
     Stored row-major; most callers use the row-vector convention
     (vectors are 1 x n matrices acted on by right multiplication).
     """
 
+    # ``_word``, over Q only, is unset until ``_int64`` builds it or a
+    # product run in int64 sets it; then False if a numerator leaves int64,
+    # else (the numerators as int64, max |numerator| or None until asked)
     __slots__ = ("field", "a", "den", "_word")
 
     def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _copy: bool = True):
@@ -257,15 +267,11 @@ class Mat:
         self.a = a.copy() if _copy else a
         self.den = den
         self.a.setflags(write=False)
-        # over Q: None until ``_int64`` builds it, False if a numerator
-        # leaves int64, else (the numerators as int64, max |numerator| or
-        # None until asked)
-        self._word = None
 
     def _int64(self):
         """Over Q, (the numerators as int64, max |numerator|), built once and
         kept; None if a numerator leaves int64."""
-        word = self._word
+        word = getattr(self, "_word", None)
         if word is None:
             try:
                 word = (self.a.astype(np.int64), None)
@@ -281,16 +287,6 @@ class Mat:
     def with_array(self, a: np.ndarray) -> "Mat":
         """a / self.den, for an array on the scale of ``self.a``; not copied."""
         return Mat(self.field, a, self.den, _copy=False)
-
-    def _view(self, pick, *args) -> "Mat":
-        """``pick(array, *args)``, a selection or rearrangement of entries,
-        applied to the numerators and to their kept int64 copy, whose bound
-        still holds."""
-        out = Mat(self.field, pick(self.a, *args), self.den, _copy=False)
-        word = self._word
-        if word and out.den == self.den:
-            out._word = (pick(word[0], *args), word[1])
-        return out
 
     # -- constructors -------------------------------------------------
 
@@ -342,24 +338,24 @@ class Mat:
         return x if self.field.kind == "prime" else Fraction(x, self.den)
 
     def row_at(self, i: int) -> "Mat":
-        return self._view(getitem, slice(i, i + 1))
+        return self.with_array(self.a[i : i + 1])
 
     def take_rows(self, idx) -> "Mat":
         """The rows ``idx``: a slice gives a view, any other iterable a copy."""
-        return self._view(getitem, idx if isinstance(idx, slice) else list(idx))
+        return self.with_array(self.a[idx if isinstance(idx, slice) else list(idx)])
 
     def take_cols(self, idx) -> "Mat":
         """The columns ``idx``: a slice gives a view, a list a copy."""
-        return self._view(getitem, (slice(None), idx))
+        return self.with_array(self.a[:, idx])
 
     def permuted(self, shape: tuple, axes: tuple, rows: int, cols: int) -> "Mat":
         """The entries read row-major as an array of ``shape``, its axes
         permuted by ``axes``, re-read row-major as a rows x cols matrix."""
-        return self._view(_permuted, shape, axes, rows, cols)
+        return self.with_array(self.a.reshape(shape).transpose(axes).reshape(rows, cols))
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """Entries re-read row-major into a rows x cols matrix."""
-        return self._view(np.ndarray.reshape, rows, cols)
+        return self.with_array(self.a.reshape(rows, cols))
 
     def tolist(self) -> list:
         """Entries as field scalars: ints over F_p, Fractions over Q."""
@@ -445,19 +441,14 @@ class Mat:
         if not (x and y and _int64_fits(k, x[1], y[1])):
             return Mat(f, _object_product(self.a, other.a), den, _copy=False)
         c = x[0] @ y[0]
-        if den != 1:
-            g = int(np.gcd.reduce(c, axis=None))
-            if not g:  # the zero matrix has den 1
-                den = 1
-            elif (g := gcd(g, den)) > 1:
-                c, den = c // g, den // g
         out = Mat(f, c.astype(object), den, _copy=False)
-        out._word = (c, None)
+        # the product's own int64 copy, brought to the normalised den
+        out._word = (c if out.den == den else c // (den // out.den), None)
         return out
 
     @property
     def T(self) -> "Mat":
-        return self._view(np.ndarray.transpose)
+        return self.with_array(self.a.T)
 
     def hstack(self, other: "Mat") -> "Mat":
         assert self.field == other.field and self.rows == other.rows
@@ -730,7 +721,7 @@ class RowBasis:
         """``v[:, pivots]`` if every row of v lies in the span, else None."""
         if v.field != self.field or v.cols != self.cols:
             raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
-        y = v.take_cols(self.pivots)
+        y = v.with_array(v.a[:, self.pivots])
         return y if y @ self._r == v else None
 
     def contains(self, v: Mat) -> bool:

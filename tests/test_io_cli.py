@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from catres.io_json import (
     parse_complex,
     parse_module,
 )
-from catres.linalg import FieldSpec
+from catres.linalg import FieldSpec, quoted
 from test_algebra import q_times_q
 
 F2 = FieldSpec("prime", 2)
@@ -507,14 +508,28 @@ def test_errors_quote_a_bounded_prefix_of_a_huge_input(tmp_path, capsys, base, e
     assert main(["analyze", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: at {path}: ") and len(err.encode()) < 1024, err[:2000]
-    assert "(length " in err
+    assert re.search(r"\blength (1000000|500000)\)", err), err
 
 
-def test_quoted_values_stay_whole_when_short():
+@pytest.mark.parametrize("fmt", ["catres-algebra-v2", "v1...", "a...b", "x" * 28])
+def test_quoted_values_stay_whole_when_short(fmt):
+    # a short value is quoted whole, with no length, even if it holds "..."
     obj = json.loads((CORPUS / "x3_q.json").read_text())
-    obj["format"] = "catres-algebra-v2"
-    with pytest.raises(ParseError, match=r"^at \$.format: unsupported format 'catres-algebra-v2'$"):
+    obj["format"] = fmt
+    with pytest.raises(ParseError) as err:
         parse_algebra(obj)
+    assert str(err.value) == f"at $.format: unsupported format {fmt!r}"
+
+
+def test_quoted_names_the_length_exactly_when_cut():
+    assert quoted("x" * 29) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx' (length 29)"
+    assert quoted([1, 2, 3, 4, 5, 6]) == "[1, 2, 3, 4, 5, 6]"
+    assert quoted([1, 2, 3, 4, 5, 6, "..."]) == "[1, 2, 3, 4, 5, 6, ...] (length 7)"
+    assert quoted(["..."] * 6) == repr(["..."] * 6)
+    assert quoted(["a", "x" * 40]) == "['a', 'xxxxxxxxxxxx...xxxxxxxxxxxxx'] (item 1 has length 40)"
+    assert quoted(dict.fromkeys("abcd", 1)) == repr(dict.fromkeys("abcd", 1))
+    assert quoted(dict.fromkeys("abcde", 1)).endswith(", ...} (length 5)")
+    assert quoted(None) == "None" and quoted(7) == "7"
 
 
 def test_cli_module_dim_must_not_be_a_boolean(tmp_path):
