@@ -101,26 +101,23 @@ def _suite(results):
     }
 
 
-# -- the sampled checks: check(data, pool, cfg, index) -> (ok, detail) ------
+# -- the sampled checks: check(data, pool, cfg, rng) -> (ok, detail) --------
 
 
-def unit_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "unit_iso", i)
+def unit_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     sv = step_v_unit(P, data)
     return sv.ok, sv.detail
 
 
-def naturality_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "unit_naturality", i)
+def naturality_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     Q = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     u = pool.random_chain_map(rng, P, Q)
     return step_v_naturality(u, data), "naturality square broke"
 
 
-def adjunction_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "adjunction", i)
+def adjunction_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     r = step_iv_adjunction(P, F, data)
@@ -137,8 +134,7 @@ def _assembled(F, data: AuslanderData):
         return None, f"assembly failed: {exc}"
 
 
-def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "four_term", i)
+def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     p31, failure = _assembled(F, data)
     if p31 is None:
@@ -161,8 +157,7 @@ def four_term_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: 
     return True, ""
 
 
-def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "four_term", i)  # same stream: same complexes
+def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     p31, failure = _assembled(F, data)
     if p31 is None:
@@ -170,8 +165,7 @@ def density_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: in
     return is_lambda_acyclic(cone(p31.alpha), data), "cone of the unit map is not corner-acyclic"
 
 
-def kernel_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "kernel_char", i)
+def kernel_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     lhs = is_lambda_acyclic(F, data)
     rhs = is_acyclic(db_theta(F, data))
@@ -185,8 +179,7 @@ def kernel_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int
     return True, ""
 
 
-def wc_lemma44_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "wc_lemma44", i)
+def wc_lemma44_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     G = pool.random_mod0_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     N = pool.random_lam_module(rng, cfg.max_term_dim // 2 + 1)
     target = module_complex(theta_rho(N, data), rng.randrange(cfg.max_degree_window))
@@ -194,8 +187,7 @@ def wc_lemma44_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i:
     return kb.dim == 0, f"nonzero Hom from a corner-killed complex (dim {kb.dim})"
 
 
-def wc_right_adjoint_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, i: int):
-    rng = rng_for(cfg.seed, "wc_right_adjoint", i)
+def wc_right_adjoint_sample(data: AuslanderData, pool: ModulePool, cfg: CertConfig, rng):
     F = pool.random_tilde_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     P = pool.random_projective_lam_complex(rng, cfg.max_degree_window, cfg.max_term_dim)
     r = right_adjoint_sample(F, P, data)
@@ -206,30 +198,30 @@ def _every(n: int) -> int:
     return n
 
 
-# suite -> (its check, its sample count as a function of cfg.samples), in
-# run order; certify_resolution and replay_sample both run these checks,
-# and each check draws from the rng stream keyed by (seed, stream, index).
-# The wc_ suites run inside weakly_crepant_check, for self-injective inputs.
+# suite -> (its check, its sample count as a function of cfg.samples, its
+# rng stream), in run order; certify_resolution and replay_sample run sample
+# i on the rng keyed by (seed, stream, i), so density_witness sees the
+# four_term complexes.  The wc_ suites run in weakly_crepant_check.
 SAMPLE_CHECKS = {
-    "unit_iso": (unit_sample, _every),
-    "unit_naturality": (naturality_sample, lambda n: max(1, n // 5)),
-    "adjunction": (adjunction_sample, _every),
-    "four_term": (four_term_sample, _every),
-    "density_witness": (density_sample, _every),
-    "kernel_char": (kernel_sample, _every),
-    "wc_lemma44": (wc_lemma44_sample, lambda n: max(1, 3 * n // 5)),
-    "wc_right_adjoint": (wc_right_adjoint_sample, _every),
+    "unit_iso": (unit_sample, _every, "unit_iso"),
+    "unit_naturality": (naturality_sample, lambda n: max(1, n // 5), "unit_naturality"),
+    "adjunction": (adjunction_sample, _every, "adjunction"),
+    "four_term": (four_term_sample, _every, "four_term"),
+    "density_witness": (density_sample, _every, "four_term"),
+    "kernel_char": (kernel_sample, _every, "kernel_char"),
+    "wc_lemma44": (wc_lemma44_sample, lambda n: max(1, 3 * n // 5), "wc_lemma44"),
+    "wc_right_adjoint": (wc_right_adjoint_sample, _every, "wc_right_adjoint"),
 }
 
 
 def suite_results(suite: str, n: int, data: AuslanderData, pool: ModulePool, cfg: CertConfig):
     """(ok, detail) of samples 0..n-1 of one suite."""
-    check, _ = SAMPLE_CHECKS[suite]
-    return [check(data, pool, cfg, i) for i in range(n)]
+    check, _, stream = SAMPLE_CHECKS[suite]
+    return [check(data, pool, cfg, rng_for(cfg.seed, stream, i)) for i in range(n)]
 
 
 def _run_suite(suite: str, data: AuslanderData, pool: ModulePool, cfg: CertConfig) -> dict:
-    _, count = SAMPLE_CHECKS[suite]
+    _, count, _ = SAMPLE_CHECKS[suite]
     return _suite(suite_results(suite, count(cfg.samples), data, pool, cfg))
 
 
@@ -280,10 +272,9 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     through g -> (unit map, then Hom(M,-) of g), bijective on homotopy
     classes.  A failed assembly of the unit map gives ``bijective`` False
     and the failure as ``detail``."""
-    lifted = kb_theta_lambda_data(P, data)
     thetaF = db_theta(F, data)
     B = kb_hom(thetaF, P)
-    A = kb_hom(F, lifted.complex)
+    A = kb_hom(F, kb_theta_lambda_data(P, data))
     p31, failure = _assembled(F, data)
     if p31 is None:
         return {"bijective": False, "detail": failure}
@@ -291,9 +282,8 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     blocks = {}
     for i in B.window:
         if B.spaces[i] and A.spaces[i]:
-            s = p31.degreewise[i]
-            lifted_g = theta_rho_maps(B.spaces[i], s.middle_data, lifted.term_data[i])
-            blocks[i] = A.spaces[i].basis.coords(lifted_g.after(s.alpha.mat))
+            lifted_g = theta_rho_maps(B.spaces[i], data)
+            blocks[i] = A.spaces[i].basis.coords(lifted_g.after(p31.degreewise[i].alpha.mat))
     return B.induced_bijection(A, blocks)
 
 
@@ -336,14 +326,14 @@ def weakly_crepant_check(
 def replay_sample(lam: Algebra, cfg: CertConfig, suite: str, index: int):
     """Re-execute a single sampled check in isolation.
 
-    The per-sample RNG streams are keyed by (seed, suite, index) only, and
-    the check is the one the suite runs, so a sample recorded in a report
-    reproduces here exactly.  Returns (ok, detail)."""
+    The per-sample RNG streams are keyed by (seed, the suite's stream,
+    index) only, and the check is the one the suite runs, so a sample
+    recorded in a report reproduces here exactly.  Returns (ok, detail)."""
     if suite not in SAMPLE_CHECKS:
         raise ValueError(f"unknown suite {suite!r}")
-    check, _ = SAMPLE_CHECKS[suite]
+    check, _, stream = SAMPLE_CHECKS[suite]
     data = build_auslander(lam)
-    return check(data, ModulePool(data), cfg, index)
+    return check(data, ModulePool(data), cfg, rng_for(cfg.seed, stream, index))
 
 
 def report_to_json_str(report: dict) -> str:

@@ -12,6 +12,10 @@ complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
 
+Each term keeps its functor values (``functors._kept``), so the lifts,
+counits and lifted maps below ask for them where they need them, and no
+term is restricted or lifted twice.
+
 Exactness is read off ranks (``_is_exact``), on the terms in
 ``is_acyclic`` and on their corner rows in ``is_lambda_acyclic``.
 
@@ -34,7 +38,7 @@ from .functors import (
     theta,
     theta_hom,
     theta_maps,
-    theta_rho_data,
+    theta_rho,
     theta_rho_hom,
 )
 from .linalg import (
@@ -334,39 +338,22 @@ def kb_hom(C: BComplex, D: BComplex) -> KbHom:
 
 def db_theta(F: BComplex, data: AuslanderData) -> BComplex:
     """Termwise corner restriction with induced differentials."""
-    thetas = [theta(t, data) for t in F.terms]
-    diffs = [
-        theta_hom(F.diffs[k], data, thetas[k], thetas[k + 1]) for k in range(len(F.diffs))
-    ]
-    return BComplex(data.lam, F.lo, thetas, diffs)
+    diffs = [theta_hom(d, data) for d in F.diffs]
+    return BComplex(data.lam, F.lo, [theta(t, data) for t in F.terms], diffs)
 
 
-@dataclass
-class KbThetaLambda:
-    complex: BComplex  # over tilde
-    term_data: dict  # degree -> ThetaRho
-
-
-def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> KbThetaLambda:
-    """Termwise Hom(M, -) on a bounded complex of projectives."""
-    term_data = {}
-    terms = []
-    for i in P.degrees():
-        t = P.term(i)
+def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> BComplex:
+    """Termwise Hom(M, -) on a bounded complex of projectives; the Hom(M, -)
+    data of each term stays kept on the term of P."""
+    for i, t in zip(P.degrees(), P.terms):
         if t.dim and not is_projective(t):
             raise ComplexError(f"kb_theta_lambda: term at degree {i} is not projective")
-        trd = theta_rho_data(t, data)
-        term_data[i] = trd
-        terms.append(trd.module)
-    diffs = []
-    degs = list(P.degrees())
-    for i in degs[:-1]:
-        diffs.append(theta_rho_hom(P.diff(i), term_data[i], term_data[i + 1]))
-    out = BComplex(data.tilde, P.lo, terms, diffs)
-    for i, t in zip(degs, out.terms):
+    terms = [theta_rho(t, data) for t in P.terms]
+    out = BComplex(data.tilde, P.lo, terms, [theta_rho_hom(d, data) for d in P.diffs])
+    for i, t in zip(P.degrees(), out.terms):
         if t.dim and not is_projective(t):
             raise ComplexError(f"kb_theta_lambda produced a non-projective term at {i}")
-    return KbThetaLambda(complex=out, term_data=term_data)
+    return out
 
 
 # -- Step V: the unit isomorphism, on the nose through the counit ----------------
@@ -374,9 +361,8 @@ def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> KbThetaLambda:
 
 @dataclass
 class StepV:
-    lifted: KbThetaLambda
-    back: BComplex  # db_theta(kb_theta_lambda(P))
-    counits: dict  # degree -> ModHom back.term(i) -> P.term(i)
+    lifted: BComplex  # kb_theta_lambda_data(P)
+    counits: dict  # degree -> ModHom db_theta(lifted).term(i) -> P.term(i)
     ok: bool
     detail: str
 
@@ -384,12 +370,12 @@ class StepV:
 def step_v_unit(P: BComplex, data: AuslanderData) -> StepV:
     """db_theta(kb_theta_lambda(P)) equals P termwise through the counit."""
     lifted = kb_theta_lambda_data(P, data)
-    back = db_theta(lifted.complex, data)
+    back = db_theta(lifted, data)
     counits = {}
     ok = True
     detail = ""
     for i in P.degrees():
-        c = counit(P.term(i), data, lifted.term_data[i])
+        c = counit(P.term(i), data)
         counits[i] = c
         if c.mat.rows != c.mat.cols or rank(c.mat) != c.mat.rows:
             ok = False
@@ -402,7 +388,7 @@ def step_v_unit(P: BComplex, data: AuslanderData) -> StepV:
                 ok = False
                 detail = f"transported differential differs at degree {i}"
                 break
-    return StepV(lifted=lifted, back=back, counits=counits, ok=ok, detail=detail)
+    return StepV(lifted=lifted, counits=counits, ok=ok, detail=detail)
 
 
 def step_v_naturality(u: ChainMap, data: AuslanderData) -> bool:
@@ -414,8 +400,7 @@ def step_v_naturality(u: ChainMap, data: AuslanderData) -> bool:
         return False
     # degrees without a component of u hold zero maps on both sides
     for i, u_i in u.comps.items():
-        lifted = theta_rho_hom(u_i, sv_src.lifted.term_data[i], sv_tgt.lifted.term_data[i])
-        back = theta_hom(lifted, data, sv_src.back.term(i), sv_tgt.back.term(i))
+        back = theta_hom(theta_rho_hom(u_i, data), data)
         if back.mat @ sv_tgt.counits[i].mat != sv_src.counits[i].mat @ u_i.mat:
             return False
     return True
@@ -447,8 +432,7 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
     mid_terms = [seqs[i].middle for i in degs]
     mid_diffs = []
     for i in degs[:-1]:
-        t_d = theta_hom(F.diff(i), data, seqs[i].theta_F, seqs[i + 1].theta_F)
-        delta = theta_rho_hom(t_d, seqs[i].middle_data, seqs[i + 1].middle_data)
+        delta = theta_rho_hom(theta_hom(F.diff(i), data), data)
         mid_diffs.append(delta)
         lhs = seqs[i].alpha.mat @ delta.mat
         rhs = F.diff(i).mat @ seqs[i + 1].alpha.mat
@@ -484,9 +468,8 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
     sv = step_v_unit(P, data)
     if not sv.ok:
         return {"ok": False, "detail": f"unit failed: {sv.detail}"}
-    lifted = sv.lifted
     thetaF = db_theta(F, data)
-    A = kb_hom(lifted.complex, F)
+    A = kb_hom(sv.lifted, F)
     B = kb_hom(P, thetaF)
     # f -> counit^(-1) then theta(f), on every basis map of each degree
     blocks = {}
@@ -494,7 +477,7 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
         if A.spaces[i] and B.spaces[i]:
             c = sv.counits[i].mat
             inv = solve(c, Mat.identity(P.algebra.field, c.rows))
-            moved = theta_maps(A.spaces[i], data, sv.back.term(i), thetaF.term(i)).after(inv)
+            moved = theta_maps(A.spaces[i], data).after(inv)
             blocks[i] = B.spaces[i].basis.coords(moved)
     result = A.induced_bijection(B, blocks)
     result["ok"] = result["bijective"]

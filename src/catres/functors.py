@@ -12,11 +12,16 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 * the unit alpha: F -> theta_rho(theta(F)) with its four-term exact sequence
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
+``theta(F)``, ``theta_rho_data(N)`` and ``theta_lambda_data(N)`` are
+built on first use and kept on the module (``Repn.lifts``, by ``_kept``),
+so callers ask for them where they need them and each is built once.
+
 On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
 ``theta_maps`` restricts every map of a space to the corners with one
 product and one coordinate solve, and ``theta_rho_maps`` postcomposes the
-basis of Hom(M, N) with every map the same way.  ``theta_hom`` and
-``theta_rho_hom`` are their one-map calls.
+basis of Hom(M, N) with every map the same way; both read the kept values
+of the space's source and target.  ``theta_hom`` and ``theta_rho_hom``
+are their one-map calls.
 
 The independent oracle for the corner-restriction route, theta recomputed
 from a projective presentation over tilde, lives in ``tests/oracles.py``.
@@ -39,6 +44,15 @@ from .modules import (
 )
 
 
+def _kept(M: Repn, name: str, data: AuslanderData, build):
+    """``build(M, data)``, kept on M under ``name`` for the last ``data``
+    (matched by identity: an ``id`` is reused once its object is freed)."""
+    hit = M.lifts.get(name)
+    if hit is None or hit[0] is not data:
+        hit = M.lifts[name] = (data, build(M, data))
+    return hit[1]
+
+
 # -- theta: corner restriction ------------------------------------------------
 
 
@@ -49,6 +63,10 @@ def corner_rows(F: Repn, data: AuslanderData) -> Mat:
 
 def theta(F: Repn, data: AuslanderData) -> Repn:
     """F.e as a right module over Lambda, acting through the corner."""
+    return _kept(F, "theta", data, _theta)
+
+
+def _theta(F: Repn, data: AuslanderData) -> Repn:
     lam = data.lam
     rows = corner_rows(F, data)
     k = rows.rows
@@ -58,16 +76,16 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
     return Repn(lam, k, RowBasis(rows).coords(moved).reshape(lam.dim, k * k))
 
 
-def theta_hom(f: ModHom, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> ModHom:
-    """theta on one morphism, for ``thetaF`` and ``thetaG`` theta of its
-    source and target: ``theta_maps`` of a one-map space."""
-    return theta_maps(HomSpace(f.source, f.target, f.mat.flatten_row()), data, thetaF, thetaG)[0]
+def theta_hom(f: ModHom, data: AuslanderData) -> ModHom:
+    """theta on one morphism: ``theta_maps`` of a one-map space."""
+    return theta_maps(HomSpace(f.source, f.target, f.mat.flatten_row()), data)[0]
 
 
-def theta_maps(space: HomSpace, data: AuslanderData, thetaF: Repn, thetaG: Repn) -> HomSpace:
-    """theta of every map of ``space`` at once, as maps thetaF -> thetaG:
-    the corner rows of the source followed by each map, in coordinates of
-    the corner rows of the target."""
+def theta_maps(space: HomSpace, data: AuslanderData) -> HomSpace:
+    """theta of every map of ``space`` at once, as maps between theta of
+    its source and target: the corner rows of the source followed by each
+    map, in coordinates of the corner rows of the target."""
+    thetaF, thetaG = theta(space.source, data), theta(space.target, data)
     rows_src = corner_rows(space.source, data)
     rows_tgt = corner_rows(space.target, data)
     k, a, b = len(space), rows_src.rows, rows_tgt.rows
@@ -92,6 +110,11 @@ class ThetaRho:
 
 
 def theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
+    """Hom(M, N) as a right tilde-module, with its Hom space."""
+    return _kept(N, "theta_rho", data, _theta_rho_data)
+
+
+def _theta_rho_data(N: Repn, data: AuslanderData) -> ThetaRho:
     space = hom_space(data.M, N)
     k, d, m = len(space), data.tilde.dim, data.M.dim
     # row t * d + j is f_t . phi_j, which applies phi_j first
@@ -105,11 +128,11 @@ def theta_rho(N: Repn, data: AuslanderData) -> Repn:
     return theta_rho_data(N, data).module
 
 
-def theta_rho_maps(space: HomSpace, src: ThetaRho, tgt: ThetaRho) -> HomSpace:
-    """theta_rho of every map g_t of ``space`` at once, as maps src.module ->
-    tgt.module: postcomposition Hom(M,N) -> Hom(M,N') for ``src`` and ``tgt``
-    the theta_rho data of N and N'.  Row s of block t is f_s followed by g_t,
-    in coordinates of the basis of Hom(M,N')."""
+def theta_rho_maps(space: HomSpace, data: AuslanderData) -> HomSpace:
+    """theta_rho of every map g_t: N -> N' of ``space`` at once:
+    postcomposition Hom(M,N) -> Hom(M,N').  Row s of block t is f_s
+    followed by g_t, in coordinates of the basis of Hom(M,N')."""
+    src, tgt = theta_rho_data(space.source, data), theta_rho_data(space.target, data)
     k, h, hh = len(space), len(src.space), len(tgt.space)
     if not (k and h and hh):
         return HomSpace(src.module, tgt.module, Mat.zeros(space.flat.field, k, h * hh))
@@ -120,15 +143,15 @@ def theta_rho_maps(space: HomSpace, src: ThetaRho, tgt: ThetaRho) -> HomSpace:
     return HomSpace(src.module, tgt.module, tgt.space.basis.coords(moved).reshape(k, h * hh))
 
 
-def theta_rho_hom(g: ModHom, src: ThetaRho, tgt: ThetaRho) -> ModHom:
+def theta_rho_hom(g: ModHom, data: AuslanderData) -> ModHom:
     """theta_rho on one morphism: ``theta_rho_maps`` of a one-map space."""
-    return theta_rho_maps(HomSpace(g.source, g.target, g.mat.flatten_row()), src, tgt)[0]
+    return theta_rho_maps(HomSpace(g.source, g.target, g.mat.flatten_row()), data)[0]
 
 
-def counit(N: Repn, data: AuslanderData, trd: ThetaRho) -> ModHom:
+def counit(N: Repn, data: AuslanderData) -> ModHom:
     """The natural isomorphism theta(theta_rho(N)) -> N, by evaluation at
-    the image of the unit in the Lambda-summand; ``trd`` is the theta_rho
-    data of N."""
+    the image of the unit in the Lambda-summand."""
+    trd = theta_rho_data(N, data)
     F = trd.module
     rows = corner_rows(F, data)
     thetaF = theta(F, data)
@@ -146,42 +169,41 @@ class ThetaLambda:
     module: Repn  # over tilde
     quotient: ModHom  # theta_rho(P0) -> module
     cover: ModHom  # P0 -> N over Lambda
-    p0_data: ThetaRho
 
 
 def theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
+    """coker(Hom(M,P1) -> Hom(M,P0)) with its quotient map and the cover."""
+    return _kept(N, "theta_lambda", data, _theta_lambda_data)
+
+
+def _theta_lambda_data(N: Repn, data: AuslanderData) -> ThetaLambda:
     res = projective_resolution(N, max_depth=1)
     cover = res.augmentation
-    trd0 = theta_rho_data(cover.source, data)
     d = res.differential(1)  # P1 -> P0
     if d is None:
         # N projective: theta_lambda(N) = theta_rho(N) on the nose
-        trdN = theta_rho_data(N, data)
-        quotient = theta_rho_hom(cover, trd0, trdN)
-        return ThetaLambda(module=trdN.module, quotient=quotient, cover=cover, p0_data=trd0)
-    trd1 = theta_rho_data(d.source, data)
-    lifted = theta_rho_hom(d, trd1, trd0)
-    img = row_basis(lifted.mat)
-    Q, proj = quotient_repn(trd0.module, img)
-    return ThetaLambda(module=Q, quotient=proj, cover=cover, p0_data=trd0)
+        quotient = theta_rho_hom(cover, data)
+        return ThetaLambda(module=quotient.target, quotient=quotient, cover=cover)
+    lifted = theta_rho_hom(d, data)
+    Q, proj = quotient_repn(lifted.target, row_basis(lifted.mat))
+    return ThetaLambda(module=Q, quotient=proj, cover=cover)
 
 
 def theta_lambda(N: Repn, data: AuslanderData) -> Repn:
     return theta_lambda_data(N, data).module
 
 
-def unit_on_module(N: Repn, data: AuslanderData, tld: ThetaLambda) -> ModHom:
-    """The unit N -> theta(theta_lambda(N)) of the left adjunction, for
-    ``tld`` the theta_lambda data of N.
+def unit_on_module(N: Repn, data: AuslanderData) -> ModHom:
+    """The unit N -> theta(theta_lambda(N)) of the left adjunction.
 
     Built by factoring theta(quotient) o counit^(-1): P0 -> theta(theta_lambda N)
     through the cover P0 -> N; existence and uniqueness are theorems, and the
     construction solves the factorization exactly.
     """
-    c0 = counit(tld.cover.source, data, tld.p0_data)
+    tld = theta_lambda_data(N, data)
+    c0 = counit(tld.cover.source, data)
     # theta applied to the quotient map theta_rho(P0) -> theta_lambda(N)
-    q = tld.quotient
-    tq = theta_hom(q, data, theta(q.source, data), theta(q.target, data))
+    tq = theta_hom(tld.quotient, data)
     # c0 is invertible; route P0 -> theta(theta_rho P0) via its inverse
     inv = solve(c0.mat, Mat.identity(N.field, c0.mat.rows))
     assert inv is not None and c0.mat.rows == tld.cover.source.dim
@@ -203,8 +225,6 @@ class FourTermSeq:
     middle: Repn  # theta_rho(theta(F))
     F1: Repn
     f1_proj: ModHom
-    theta_F: Repn
-    middle_data: ThetaRho
 
 
 def unit_psis(data: AuslanderData) -> Mat:
@@ -228,8 +248,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     """
     m = data.M.dim
     rows = corner_rows(F, data)
-    thetaF = theta(F, data)
-    trd = theta_rho_data(thetaF, data)
+    trd = theta_rho_data(theta(F, data), data)
     middle = trd.module
     psi_coords = data.end.basis.coords(unit_psis(data))
     # block j, row k: the coordinates in F.e of v_k . psi_j
@@ -242,15 +261,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))
     F1, f1_proj = quotient_repn(middle, row_basis(alpha_mat))
     return FourTermSeq(
-        F=F,
-        F0=F0,
-        f0_incl=f0_incl,
-        alpha=alpha,
-        middle=middle,
-        F1=F1,
-        f1_proj=f1_proj,
-        theta_F=thetaF,
-        middle_data=trd,
+        F=F, F0=F0, f0_incl=f0_incl, alpha=alpha, middle=middle, F1=F1, f1_proj=f1_proj
     )
 
 
@@ -264,22 +275,20 @@ def adjunction_check(F: Repn, N: Repn, data: AuslanderData) -> dict:
     g -> counit o theta(g).  Left: Hom_tilde(theta_lambda N, F) =
     Hom_Lambda(N, theta F) via h -> theta(h) o unit.
     """
-    trdN = theta_rho_data(N, data)
     thetaF = theta(F, data)
-    c = counit(N, data, trdN)
+    c = counit(N, data)
 
-    left_homs = hom_space(F, trdN.module)
+    left_homs = hom_space(F, theta_rho(N, data))
     right_homs = hom_space(thetaF, N)
     # g -> theta(g) then the counit, on every basis map at once
-    phi = right_homs.basis.coords(theta_maps(left_homs, data, thetaF, c.source).then(c.mat))
+    phi = right_homs.basis.coords(theta_maps(left_homs, data).then(c.mat))
     right_ok = len(left_homs) == len(right_homs) and rank(phi) == len(left_homs)
 
-    tld = theta_lambda_data(N, data)
-    unit = unit_on_module(N, data, tld)
+    unit = unit_on_module(N, data)
     lam_homs = hom_space(N, thetaF)
-    tilde_homs = hom_space(tld.module, F)
+    tilde_homs = hom_space(theta_lambda(N, data), F)
     # h -> the unit then theta(h)
-    psi = lam_homs.basis.coords(theta_maps(tilde_homs, data, unit.target, thetaF).after(unit.mat))
+    psi = lam_homs.basis.coords(theta_maps(tilde_homs, data).after(unit.mat))
     left_ok = len(tilde_homs) == len(lam_homs) and rank(psi) == len(tilde_homs)
 
     return {

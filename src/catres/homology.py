@@ -26,6 +26,7 @@ from .modules import (
     hom_space,
     is_isomorphic,
     projective_presentation,
+    regular_module,
 )
 
 
@@ -173,7 +174,5 @@ def is_injective(A: Algebra, M: Repn) -> bool:
 
 
 def is_self_injective(A: Algebra) -> bool:
-    from .modules import regular_module
-
     return is_injective(A, regular_module(A))
 

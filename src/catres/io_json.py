@@ -299,7 +299,6 @@ def module_to_json(m: Repn, algebra_obj: Optional[dict] = None) -> dict:
 def complex_to_json(c: BComplex, algebra_obj: Optional[dict] = None) -> dict:
     if algebra_obj is None:
         algebra_obj = algebra_to_json(c.algebra)
-    f = c.algebra.field
     return {
         "format": COMPLEX_FORMAT,
         "algebra": algebra_obj,

@@ -63,6 +63,9 @@ class Repn:
         self.projective_parts: Optional[tuple] = None
         # the projective presentation, built once by projective_presentation
         self._presentation: Optional[Presentation] = None
+        # name -> (AuslanderData, value): the functor values of this module
+        # that ``functors`` builds once and keeps
+        self.lifts: dict = {}
 
     @property
     def field(self) -> FieldSpec:
@@ -398,8 +401,22 @@ class ModuleContext:
         return self._representatives
 
     def _simples_and_projectives(self):
+        """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J.
+
+        Returns the simples, the projectives and the row basis of each P_i
+        inside A (row k of L(e_i) is e_i b_k).
+        """
         if self._simples_projs is None:
-            self._simples_projs = simple_and_projective_modules(self.algebra, self.idempotents)
+            simples, projs, spans = [], [], []
+            for idx, e in enumerate(self.idempotents):
+                span = row_basis(self.algebra.left_mult_matrix(e))
+                P, _ = sub_repn(self.regular, span)
+                P.projective_parts = (idx,)
+                S, _ = quotient_repn(P, _radical_rows(P, self.chain.radical))
+                projs.append(P)
+                simples.append(S)
+                spans.append(span)
+            self._simples_projs = simples, projs, spans
         return self._simples_projs
 
     def radical_rows(self, M: Repn) -> Mat:
@@ -429,26 +446,6 @@ def context(A: Algebra) -> ModuleContext:
     if A.module_context is None:
         A.module_context = ModuleContext(A)
     return A.module_context
-
-
-def simple_and_projective_modules(A: Algebra, idempotents: list):
-    """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J.
-
-    Returns the simples, the projectives and the row basis of each P_i
-    inside A (row k of L(e_i) is e_i b_k).
-    """
-    ctx_reg = regular_module(A)
-    chain = A.radical_chain()
-    simples, projs, spans = [], [], []
-    for idx, e in enumerate(idempotents):
-        span = row_basis(A.left_mult_matrix(e))
-        P, _ = sub_repn(ctx_reg, span)
-        P.projective_parts = (idx,)
-        S, _ = quotient_repn(P, _radical_rows(P, chain.radical))
-        projs.append(P)
-        simples.append(S)
-        spans.append(span)
-    return simples, projs, spans
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ from catres.complexes import (
     prop31_sequence,
     step_v_unit,
 )
-from catres.functors import theta_hom
+from catres.functors import theta_hom, theta_rho_data
 from catres.linalg import (
     Mat,
     RowBasis,
@@ -585,7 +585,7 @@ def roundtrip_adjunction(P, F, data):
     if not sv.ok:
         return {"ok": False, "detail": f"unit failed: {sv.detail}"}
     thetaF = db_theta(F, data)
-    A = kb_hom(sv.lifted.complex, F)
+    A = kb_hom(sv.lifted, F)
     B = kb_hom(P, thetaF)
     fld = P.algebra.field
     inv_counits = {i: solve(c.mat, Mat.identity(fld, c.mat.rows)) for i, c in sv.counits.items()}
@@ -594,7 +594,7 @@ def roundtrip_adjunction(P, F, data):
         comps = {}
         for i in P.degrees():
             if P.term(i).dim and thetaF.term(i).dim:
-                tf = theta_hom(f.comp(i), data, sv.back.term(i), thetaF.term(i))
+                tf = theta_hom(f.comp(i), data)
                 comps[i] = ModHom(P.term(i), thetaF.term(i), inv_counits[i] @ tf.mat)
         return ChainMap(P, thetaF, comps)
 
@@ -609,19 +609,19 @@ def roundtrip_right_adjoint(F, P, data):
     lifted = kb_theta_lambda_data(P, data)
     thetaF = db_theta(F, data)
     B = kb_hom(thetaF, P)
-    A = kb_hom(F, lifted.complex)
+    A = kb_hom(F, lifted)
     p31 = prop31_sequence(F, data)
 
     def convert(g):
         comps = {}
         for i in F.degrees():
-            trd_target = lifted.term_data.get(i)
-            if trd_target is None or lifted.complex.term(i).dim == 0 or F.term(i).dim == 0:
+            if lifted.term(i).dim == 0 or F.term(i).dim == 0:
                 continue
             s = p31.degreewise[i]
-            tr_g = loop_theta_rho_hom(g.comp(i), s.middle_data, trd_target)
-            comps[i] = ModHom(F.term(i), lifted.complex.term(i), s.alpha.mat @ tr_g.mat)
-        return ChainMap(F, lifted.complex, comps)
+            src = theta_rho_data(thetaF.term(i), data)
+            tr_g = loop_theta_rho_hom(g.comp(i), src, theta_rho_data(P.term(i), data))
+            comps[i] = ModHom(F.term(i), lifted.term(i), s.alpha.mat @ tr_g.mat)
+        return ChainMap(F, lifted, comps)
 
     return _roundtrip_bijection(B, A, convert)
 

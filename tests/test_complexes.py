@@ -111,9 +111,7 @@ def test_db_theta_functoriality(data, pool):
         u = pool.random_chain_map(rng, F, G)
         tf = cx.db_theta(F, data)
         tg = cx.db_theta(G, data)
-        tu = cx.ChainMap(tf, tg, {
-            j: theta_hom(h, data, tf.term(j), tg.term(j)) for j, h in u.comps.items()
-        })
+        tu = cx.ChainMap(tf, tg, {j: theta_hom(h, data) for j, h in u.comps.items()})
         assert tf.validate() == [] and tg.validate() == []
         assert tu.validate()
 
@@ -126,7 +124,7 @@ def test_db_theta_on_mod0_complex_vanishes(data, pool):
 
 def test_kb_theta_lambda_projective_terms(data, reg):
     p = cx.BComplex(data.lam, 0, [reg, reg], [mod.ModHom(reg, reg, reg.action_mat(1))])
-    lifted = cx.kb_theta_lambda_data(p, data).complex
+    lifted = cx.kb_theta_lambda_data(p, data)
     assert [t.dim for t in lifted.terms] == [3, 3]
     assert lifted.validate() == []
     for t in lifted.terms:
@@ -164,7 +162,7 @@ def test_yoneda_vanishing_mod0(data, pool):
     for i in range(15):
         rng = rng_for(0, "yoneda0", i)
         P = pool.random_projective_lam_complex(rng, 4, 10)
-        lifted = cx.kb_theta_lambda_data(P, data).complex
+        lifted = cx.kb_theta_lambda_data(P, data)
         G = pool.random_mod0_complex(rng, 3, 10)
         assert cx.kb_hom(lifted, G).dim == 0
 

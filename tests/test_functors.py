@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from catres import complexes as cx
+from catres import functors
 from catres import modules as mod
 from catres.auslander import build_auslander
 from catres.corpus import gentle_two_cycle, truncated_poly_algebra
@@ -45,6 +47,72 @@ def lam_ctx(data):
     return mod.context(data.lam)
 
 
+def _same_module(a, b):
+    return (a.algebra, a.dim) == (b.algebra, b.dim) and a.flat_action() == b.flat_action()
+
+
+def test_functor_values_are_kept_on_the_module(data, pool):
+    rng = rng_for(0, "kept", 0)
+    F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
+    assert theta(F, data) is theta(F, data)
+    assert theta_rho_data(N, data) is theta_rho_data(N, data)
+    assert theta_lambda_data(N, data) is theta_lambda_data(N, data)
+
+
+def test_kept_values_follow_the_auslander_data(data, pool):
+    # one slot per value, matched by the identity of the data: other data
+    # get their own value, and asking for the first data again rebuilds it
+    rng = rng_for(0, "kept-data", 0)
+    F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
+    first_theta, first_trd = theta(F, data), theta_rho_data(N, data)
+    other = build_auslander(data.lam)
+    second_theta, second_trd = theta(F, other), theta_rho_data(N, other)
+    assert second_theta is not first_theta and second_trd is not first_trd
+    assert second_theta.flat_action() == first_theta.flat_action()
+    assert second_trd.module.algebra is other.tilde
+    assert second_trd.module.flat_action() == first_trd.module.flat_action()
+    again_theta, again_trd = theta(F, data), theta_rho_data(N, data)
+    assert again_theta is not first_theta and _same_module(again_theta, first_theta)
+    assert again_trd is not first_trd and _same_module(again_trd.module, first_trd.module)
+    assert again_trd.space.flat == first_trd.space.flat
+    assert theta(F, data) is again_theta and theta_rho_data(N, data) is again_trd
+
+
+def test_kept_values_equal_a_fresh_build(data, pool):
+    for i in range(10):
+        rng = rng_for(0, "kept-fresh", i)
+        F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
+        assert _same_module(theta(F, data), functors._theta(F, data))
+        kept, fresh = theta_rho_data(N, data), functors._theta_rho_data(N, data)
+        assert _same_module(kept.module, fresh.module) and kept.space.flat == fresh.space.flat
+        kept, fresh = theta_lambda_data(N, data), functors._theta_lambda_data(N, data)
+        assert _same_module(kept.module, fresh.module)
+        assert kept.quotient.mat == fresh.quotient.mat and kept.cover.mat == fresh.cover.mat
+
+
+def test_step_v_builds_each_term_value_once(data, pool, monkeypatch):
+    # fresh data, so no value kept by an earlier test is reused
+    data = build_auslander(data.lam)
+    built = {"_theta": [], "_theta_rho_data": []}
+    for name, log in built.items():
+        real = getattr(functors, name)
+
+        def counted(M, d, real=real, log=log):
+            log.append(M)
+            return real(M, d)
+
+        monkeypatch.setattr(functors, name, counted)
+    for i in range(5):
+        rng = rng_for(0, "kept-step-v", i)
+        P = pool.random_projective_lam_complex(rng, 4, 12)
+        for log in built.values():
+            log.clear()
+        sv = cx.step_v_unit(P, data)
+        assert sv.ok, (i, sv.detail)
+        for log, terms in ((built["_theta_rho_data"], P.terms), (built["_theta"], sv.lifted.terms)):
+            assert sorted(map(id, log)) == sorted({id(t) for t in terms}), i
+
+
 def test_theta_rho_dims(data):
     ctx = lam_ctx(data)
     assert theta_rho(ctx.regular, data).dim == 3
@@ -55,7 +123,7 @@ def test_theta_rho_dims(data):
 def test_theta_of_theta_rho_is_counit_iso(data):
     ctx = lam_ctx(data)
     for n in [ctx.regular, ctx.simples[0]]:
-        c = counit(n, data, theta_rho_data(n, data))
+        c = counit(n, data)
         assert c.validate()
         assert c.mat.rows == c.mat.cols == n.dim
         assert rank(c.mat) == n.dim
@@ -68,24 +136,22 @@ def test_counit_natural_on_random_modules(data, pool):
         n1 = pool.random_lam_module(rng, 6)
         n2 = pool.random_lam_module(rng, 6)
         g = random_hom(rng, n1, n2)
-        trd1 = theta_rho_data(n1, data)
-        trd2 = theta_rho_data(n2, data)
-        c1 = counit(n1, data, trd1)
-        c2 = counit(n2, data, trd2)
+        c1 = counit(n1, data)
+        c2 = counit(n2, data)
         assert rank(c1.mat) == n1.dim and rank(c2.mat) == n2.dim
-        lifted = theta_rho_hom(g, trd1, trd2)
-        back = theta_hom(lifted, data, c1.source, c2.source)
+        lifted = theta_rho_hom(g, data)
+        back = theta_hom(lifted, data)
         assert back.mat @ c2.mat == c1.mat @ g.mat
 
 
 def _theta_rho_maps_match_the_loop(space, data):
     src, tgt = theta_rho_data(space.source, data), theta_rho_data(space.target, data)
-    lifted = theta_rho_maps(space, src, tgt)
+    lifted = theta_rho_maps(space, data)
     assert (lifted.source, lifted.target) == (src.module, tgt.module)
     assert (lifted.flat.rows, lifted.flat.cols) == (len(space), src.module.dim * tgt.module.dim)
     for t, g in enumerate(space):
         assert lifted[t].mat == loop_theta_rho_hom(g, src, tgt).mat, t
-        assert theta_rho_hom(g, src, tgt).mat == lifted[t].mat, t
+        assert theta_rho_hom(g, data).mat == lifted[t].mat, t
 
 
 @pytest.mark.parametrize("corpus_file", ["x2_f2", "x3_q"])
@@ -130,9 +196,8 @@ def test_theta_exactness_on_random_short_exact_sequences(data, pool):
         f = random_hom(rng, other, big)
         sub, incl = mod.sub_repn(big, row_basis(f.mat))
         quot, proj = mod.quotient_repn(big, row_basis(f.mat))
-        t_sub, t_big, t_quot = (theta(m, data) for m in (sub, big, quot))
-        t_incl = theta_hom(incl, data, t_sub, t_big)
-        t_proj = theta_hom(proj, data, t_big, t_quot)
+        t_incl = theta_hom(incl, data)
+        t_proj = theta_hom(proj, data)
         assert rank(t_incl.mat) == t_incl.source.dim  # still mono
         assert rank(t_proj.mat) == t_proj.target.dim  # still epi
         assert (t_incl.mat @ t_proj.mat).is_zero()
@@ -172,7 +237,7 @@ def test_unit_on_module_is_iso(data, pool):
     for i in range(10):
         rng = rng_for(0, "unit-mod", i)
         n = pool.random_lam_module(rng, 5)
-        u = unit_on_module(n, data, theta_lambda_data(n, data))
+        u = unit_on_module(n, data)
         assert u.validate()
         assert u.mat.rows == u.mat.cols == n.dim
         assert rank(u.mat) == n.dim
@@ -197,10 +262,8 @@ def test_four_term_fixture_cokernel_of_socle_postcomposition(data):
     ctx = lam_ctx(data)
     s, reg = ctx.simples[0], ctx.regular
     incl = next(h for h in mod.hom_space(s, reg) if not h.is_zero())
-    trd_s = theta_rho_data(s, data)
-    trd_r = theta_rho_data(reg, data)
-    lifted = theta_rho_hom(incl, trd_s, trd_r)
-    F, _ = mod.quotient_repn(trd_r.module, row_basis(lifted.mat))
+    lifted = theta_rho_hom(incl, data)
+    F, _ = mod.quotient_repn(theta_rho(reg, data), row_basis(lifted.mat))
     assert F.dim == 1
     seq = four_term_sequence(F, data)
     assert seq.F0.dim == 0 and seq.F1.dim == 1
@@ -224,7 +287,7 @@ def test_four_term_invariants_random(data, pool):
         assert (seq.f0_incl.mat @ seq.alpha.mat).is_zero()
         assert (seq.alpha.mat @ seq.f1_proj.mat).is_zero()
         # theta applied to the sequence: middle map becomes an isomorphism
-        t_alpha = theta_hom(seq.alpha, data, seq.theta_F, theta(seq.middle, data))
+        t_alpha = theta_hom(seq.alpha, data)
         assert t_alpha.mat.rows == t_alpha.mat.cols
         assert rank(t_alpha.mat) == t_alpha.mat.rows
 

@@ -20,7 +20,9 @@ And it walks the same files for the matrix carrier: only ``linalg.py``
 reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
 of a rational matrix (``Mat._word``, ``Mat._int64``) or imports a
 private name of ``linalg``, so that the storage of a matrix can change in
-one file.
+one file.  Likewise only ``functors.py`` reads or writes the functor
+values a module keeps (``Repn.lifts``), so that every caller asks
+``functors`` for them.
 """
 
 import ast
@@ -175,24 +177,25 @@ CARRIER_READERS = {
 }
 
 
-def carrier_reads() -> list:
-    """``file:line`` of every carrier attribute and every private linalg
-    import in ``src/catres`` outside ``linalg.py`` and ``CARRIER_READERS``."""
+def attribute_uses(attributes: set, owner: str, readers: set) -> list:
+    """``file:line`` of every use of one of ``attributes`` and every private
+    import from ``owner`` in ``src/catres`` outside ``owner.py`` and the
+    (file stem, Class.method) pairs of ``readers``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "linalg":
+        if path.stem == owner:
             continue
         tree = ast.parse(path.read_text())
         allowed = set()
         for cls in tree.body:
             for fn in cls.body if isinstance(cls, ast.ClassDef) else []:
-                if (path.stem, f"{cls.name}.{getattr(fn, 'name', '')}") in CARRIER_READERS:
+                if (path.stem, f"{cls.name}.{getattr(fn, 'name', '')}") in readers:
                     allowed.update(id(node) for node in ast.walk(fn))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in CARRIER_ATTRIBUTES:
+            if isinstance(node, ast.Attribute) and node.attr in attributes:
                 if id(node) not in allowed:
                     found.append(f"{path.name}:{node.lineno} .{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module in ("linalg", "catres.linalg"):
+            elif isinstance(node, ast.ImportFrom) and node.module in (owner, f"catres.{owner}"):
                 found += [
                     f"{path.name}:{node.lineno} {alias.name}"
                     for alias in node.names
@@ -201,8 +204,25 @@ def carrier_reads() -> list:
     return found
 
 
+def carrier_reads() -> list:
+    """``file:line`` of every carrier attribute and every private linalg
+    import in ``src/catres`` outside ``linalg.py`` and ``CARRIER_READERS``."""
+    return attribute_uses(CARRIER_ATTRIBUTES, "linalg", CARRIER_READERS)
+
+
 def test_only_linalg_reads_the_matrix_carrier():
     assert carrier_reads() == []
+
+
+# (file stem, Class.method) allowed to touch ``Repn.lifts`` outside functors
+LIFTS_READERS = {
+    # creates the empty slot of every new module
+    ("modules", "Repn.__init__"),
+}
+
+
+def test_only_functors_reads_the_kept_functor_values():
+    assert attribute_uses({"lifts"}, "functors", LIFTS_READERS) == []
 
 
 def test_the_carrier_readers_exist_and_read_the_carrier():
