@@ -8,9 +8,12 @@ Each line carries the SHA-256 of the certify report without its
 ``catres analyze --format json`` output (radical dimensions, primitive
 idempotents, global dimensions) and one SHA-256 of the outputs of
 ``catres gldim --format json --max-depth d`` for d = 0..4 joined (the
-depths where the global dimension turns from unknown to known); the wall
-times go to stderr.  So a plain ``diff`` of the stdout of two checkouts
-shows whether every report is byte-identical.
+depths where the global dimension turns from unknown to known).  The wall
+time of each certify call and the peak resident set size of the process
+so far (``ru_maxrss``, in MB) go to stderr, so a memory regression shows
+in the same run, and a plain ``diff`` of the stdout of two checkouts
+shows whether every report is byte-identical.  Name corpus files (e.g.
+``x3_q.json``) to run only those, one per process to read each one's peak.
 """
 
 import argparse
@@ -18,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -59,10 +63,12 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("files", nargs="*", help="corpus file names to run (default: all)")
     args = ap.parse_args()
 
+    paths = [CORPUS / name for name in args.files] or sorted(CORPUS.glob("*.json"))
     worst = 0
-    for path in sorted(CORPUS.glob("*.json")):
+    for path in paths:
         obj = json.loads(path.read_text())
         alg = parse_algebra_or_quiver(obj)
         t0 = time.time()
@@ -81,7 +87,8 @@ def main():
             f"analyze={analyze_digest(path)} gldim={gldim_digest(path)}  {conds}",
             flush=True,
         )
-        print(f"{path.name:28s} {dt:6.1f}s", file=sys.stderr, flush=True)
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{path.name:28s} {dt:6.1f}s {rss_mb:6.1f} MB", file=sys.stderr, flush=True)
     return 1 if worst == 1 else 0
 
 

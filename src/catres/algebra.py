@@ -20,6 +20,7 @@ modules.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -93,6 +94,9 @@ class Algebra:
         self.radical_hint = radical_hint
         self._radical_chain: Optional[RadicalChain] = None
         self.module_context = None  # set by catres.modules.context
+        # (dim, action key) -> the values kept for that module content, held
+        # by the modules that have it (catres.modules.Repn)
+        self.module_records = weakref.WeakValueDictionary()
         assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
         assert unit.rows == 1 and unit.cols == self.dim
 

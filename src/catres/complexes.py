@@ -12,9 +12,10 @@ complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
 
-Each term keeps its functor values (``functors._kept``), so the lifts,
-counits and lifted maps below ask for them where they need them, and no
-term is restricted or lifted twice.
+Each term keeps its functor values on the record it shares with every
+equal module (``functors._kept``), so the lifts, counits and lifted maps
+below ask for them where they need them, and no term content is
+restricted or lifted twice.
 
 Exactness is read off ranks (``_is_exact``), on the terms in
 ``is_acyclic`` and on their corner rows in ``is_lambda_acyclic``.

@@ -12,9 +12,11 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 * the unit alpha: F -> theta_rho(theta(F)) with its four-term exact sequence
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
-``theta(F)``, ``theta_rho_data(N)`` and ``theta_lambda_data(N)`` are
-built on first use and kept on the module (``Repn.lifts``, by ``_kept``),
-so callers ask for them where they need them and each is built once.
+``corner_rows(F)``, ``theta(F)``, ``theta_rho_data(N)`` and
+``theta_lambda_data(N)`` are built on first use and kept, by ``_kept``, in
+the ``lifts`` of the module's ``ModuleRecord``, which every module over
+the same algebra with the same action shares: callers ask for them where
+they need them, and each is built once per (content, data).
 
 On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
 ``theta_maps`` restricts every map of a space to the corners with one
@@ -45,11 +47,13 @@ from .modules import (
 
 
 def _kept(M: Repn, name: str, data: AuslanderData, build):
-    """``build(M, data)``, kept on M under ``name`` for the last ``data``
-    (matched by identity: an ``id`` is reused once its object is freed)."""
-    hit = M.lifts.get(name)
+    """``build(M, data)``, kept on M's record under ``name`` for the last
+    ``data`` (matched by identity: an ``id`` is reused once its object is
+    freed)."""
+    lifts = M.record.lifts
+    hit = lifts.get(name)
     if hit is None or hit[0] is not data:
-        hit = M.lifts[name] = (data, build(M, data))
+        hit = lifts[name] = (data, build(M, data))
     return hit[1]
 
 
@@ -58,6 +62,10 @@ def _kept(M: Repn, name: str, data: AuslanderData, build):
 
 def corner_rows(F: Repn, data: AuslanderData) -> Mat:
     """Canonical basis (rref rows) of F.e inside F."""
+    return _kept(F, "corner_rows", data, _corner_rows)
+
+
+def _corner_rows(F: Repn, data: AuslanderData) -> Mat:
     return row_basis(F.rho(data.e))
 
 

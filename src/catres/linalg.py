@@ -22,8 +22,9 @@ matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
 Only this module reads the carrier (``a``, ``den``, ``with_array``) and
 the int64 copy kept beside it (``_word``, ``_int64``); the other
 layers regroup entries through ``Mat.permuted``, select with
-``take_rows`` and ``take_cols``, and compare with ``==`` and
-``first_differing_row``.
+``take_rows`` and ``take_cols``, compare with ``==`` and
+``first_differing_row``, and key a matrix by its content with
+``Mat.key``.
 
 Row reduction runs on Python lists over both fields.  Over F_p it is
 Gauss-Jordan over the nonzero rows only, touching only the rows with an
@@ -68,6 +69,10 @@ MAX_PRIME = 1 << 20
 
 # the strings a rational scalar may be written as in JSON: "n" or "n/d"
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+# (largest entry, type) of the integer types a content key narrows to
+_KEY_WIDTHS = [(int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64)]
 
 
 def _int64_fits(inner: int, bound_a: int, bound_b: int) -> bool:
@@ -388,6 +393,24 @@ class Mat:
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
+
+    def key(self) -> tuple:
+        """An exact hashable content key: equal keys iff equal matrices over
+        one field.  The shape, ``den`` and the numerators as bytes of the
+        narrowest signed integer type that holds them (over F_p the
+        canonical entries 0..p-1; over Q from the kept int64 copy, built if
+        need be), or, for a numerator outside int64, a tuple of Python
+        ints.  Equal matrices narrow to one width; at two widths the bytes
+        of one shape differ in length."""
+        if self.field.kind == "prime":
+            w, bound = self.a, self.field.p - 1
+        else:
+            word = self._int64()
+            if not word:
+                return self.a.shape, self.den, tuple(self.a.flat)
+            w, bound = word
+        narrow = next(t for top, t in _KEY_WIDTHS if bound <= top)
+        return self.a.shape, self.den, w.astype(narrow).tobytes()
 
     def __repr__(self):
         return f"Mat({self.field.kind},{self.rows}x{self.cols})"

@@ -11,11 +11,21 @@ Hom spaces are computed one way: out of a sum of indecomposable
 projectives by Yoneda, Hom(e_i A, N) = N e_i, and out of any other module
 M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
 presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
-2003).  The presentation is memoised on M, and the syzygy Omega on the
-presentation.  ``hom_space`` returns one ``HomSpace``: the reduced basis
+2003).  ``hom_space`` returns one ``HomSpace``: the reduced basis
 stacked, one flattened map per row, with its side-by-side layout, its
 batched compositions and its factored ``RowBasis``.  No other code lays
 out or factors a Hom basis.
+
+What depends only on a module's action is built once per content, not
+per object: modules over one algebra with equal (dim, action) share one
+``ModuleRecord``, which keeps the presentation (and, on it, the syzygy
+Omega), the radical rows and the top projection, the Yoneda blocks
+Hom(P_i, N), the projectivity test and the functor values of
+``functors``.  The algebra holds its records in a weak table
+(``Algebra.module_records``) keyed by ``(dim, Mat.key())``, and every
+module holds its record, so a record lives exactly as long as some module
+with its content (hash-consing, Filliatre and Conchon, ML Workshop 2006).
+What names the Hom route, ``Repn.projective_parts``, stays on the object.
 """
 
 from __future__ import annotations
@@ -47,6 +57,24 @@ class IsoInconclusive(Exception):
     """Isomorphism search exhausted its budget without a certificate either way."""
 
 
+class ModuleRecord:
+    """The values kept for one module content, shared by every ``Repn``
+    over the same algebra with equal (dim, action).
+
+    ``values`` maps a name (or a (name, index) pair) to a value that
+    depends only on the action: "presentation", "radical_rows",
+    "top_projection", "is_projective" and ("yoneda", i).  ``lifts`` maps a
+    name to (AuslanderData, value): the functor values that ``functors``
+    builds and keeps.
+    """
+
+    __slots__ = ("values", "lifts", "__weakref__")
+
+    def __init__(self):
+        self.values: dict = {}
+        self.lifts: dict = {}
+
+
 class Repn:
     """A right module, stored as its flat action: row i of the
     algebra.dim x dim^2 matrix ``flat_action()`` is the matrix of the i-th
@@ -61,11 +89,13 @@ class Repn:
         # indices into context(algebra).projectives, block by block, when the
         # module is built as their direct sum; hom_space then uses Yoneda
         self.projective_parts: Optional[tuple] = None
-        # the projective presentation, built once by projective_presentation
-        self._presentation: Optional[Presentation] = None
-        # name -> (AuslanderData, value): the functor values of this module
-        # that ``functors`` builds once and keeps
-        self.lifts: dict = {}
+        # the record of this content, shared with every equal module that
+        # is alive; the algebra's table holds it only weakly
+        key = (dim, action.key())
+        record = algebra.module_records.get(key)
+        if record is None:
+            record = algebra.module_records[key] = ModuleRecord()
+        self.record = record
 
     @property
     def field(self) -> FieldSpec:
@@ -113,6 +143,14 @@ class Repn:
         return f"Repn(dim={self.dim})"
 
 
+def _recorded(M: Repn, key, build):
+    """``build()``, kept on the record of M under ``key``."""
+    values = M.record.values
+    if key not in values:
+        values[key] = build()
+    return values[key]
+
+
 class ModHom:
     def __init__(self, source: Repn, target: Repn, mat: Mat):
         assert mat.rows == source.dim and mat.cols == target.dim
@@ -129,8 +167,9 @@ class ModHom:
         return _first_non_intertwiner(space) is None
 
     def then(self, g: "ModHom") -> "ModHom":
-        """self followed by g (apply self first)."""
-        assert self.target is g.source or self.target.dim == g.source.dim
+        """self followed by g (apply self first).  The target of self and
+        the source of g share a record: they are one module or equal ones."""
+        assert self.target.record is g.source.record
         return ModHom(self.source, g.target, self.mat @ g.mat)
 
     def is_zero(self) -> bool:
@@ -291,22 +330,28 @@ def _yoneda_homs(M: Repn, N: Repn) -> Mat:
     rows of [rho_N(p_0) | rho_N(p_1) | ...] span Hom(P_i, N), flattened.
     One product against the action builds them, and ``reverse_row_basis``
     turns them into the canonical basis.  Summands of P occupy disjoint
-    columns, so each block is reduced on its own, once per distinct summand.
-    Returns the basis flattened, one hom per row.
+    columns, so each block is reduced on its own, once per distinct summand
+    and content of N: the block of P_i is kept on N's record.  Returns the
+    basis flattened, one hom per row.
     """
     ctx = context(M.algebra)
     n = N.dim
-    blocks, placed, row, off = {}, [], 0, 0
+    placed, row, off = [], 0, 0
     for i in M.projective_parts:
         k = ctx.projectives[i].dim
-        if i not in blocks:
-            rho = ctx.projective_rows[i] @ N.flat_action()  # row t: rho_N(p_t)
-            blocks[i] = reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
+        block = _recorded(N, ("yoneda", i), lambda: _yoneda_block(ctx, i, N))
         # the rows off..off+k of a dim P x n matrix, flattened
-        placed.append((row, off * n, blocks[i]))
-        row += blocks[i].rows
+        placed.append((row, off * n, block))
+        row += block.rows
         off += k
     return Mat.from_blocks(M.field, row, M.dim * n, placed)
+
+
+def _yoneda_block(ctx: "ModuleContext", i: int, N: Repn) -> Mat:
+    """The canonical basis of Hom(P_i, N), flattened, one hom per row."""
+    k, n = ctx.projectives[i].dim, N.dim
+    rho = ctx.projective_rows[i] @ N.flat_action()  # row t: rho_N(p_t)
+    return reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
 
 
 def _presentation_homs(M: Repn, N: Repn) -> Mat:
@@ -412,7 +457,7 @@ class ModuleContext:
                 span = row_basis(self.algebra.left_mult_matrix(e))
                 P, _ = sub_repn(self.regular, span)
                 P.projective_parts = (idx,)
-                S, _ = quotient_repn(P, _radical_rows(P, self.chain.radical))
+                S, _ = quotient_repn(P, self.radical_rows(P))
                 projs.append(P)
                 simples.append(S)
                 spans.append(span)
@@ -420,12 +465,13 @@ class ModuleContext:
         return self._simples_projs
 
     def radical_rows(self, M: Repn) -> Mat:
-        """Row span of M . J inside M."""
-        return _radical_rows(M, self.chain.radical)
+        """Row span of M . J inside M, kept on M's record."""
+        return _recorded(M, "radical_rows", lambda: _radical_rows(M, self.chain.radical))
 
     def top_projection(self, M: Repn) -> Mat:
-        """The projection M -> M/MJ onto the top, as a matrix."""
-        return quotient_projection(self.radical_rows(M))[0]
+        """The projection M -> M/MJ onto the top, as a matrix, kept on M's
+        record."""
+        return _recorded(M, "top_projection", lambda: quotient_projection(self.radical_rows(M))[0])
 
 
 def _radical_rows(M: Repn, j: Mat) -> Mat:
@@ -476,11 +522,10 @@ def projective_cover(M: Repn) -> ModHom:
 
 def projective_presentation(M: Repn) -> Presentation:
     """The presentation of M from its minimal projective cover, built once
-    and kept on M: resolutions, isomorphism tests and Hom spaces out of M
-    all share it."""
-    if M._presentation is None:
-        M._presentation = _build_presentation(M)
-    return M._presentation
+    per content and kept on M's record: resolutions, isomorphism tests and
+    Hom spaces out of M, and out of every module equal to M, share it.  So
+    its cover may end in such an equal module rather than in M itself."""
+    return _recorded(M, "presentation", lambda: _build_presentation(M))
 
 
 def _build_presentation(M: Repn) -> Presentation:
@@ -535,15 +580,19 @@ def is_projective(M: Repn) -> bool:
     rank(rho_M(e_i) pi) = m dim D, while dim S_i = n dim D: the n terms add
     up to m dim P_i.  Dividing by rank(S_i e_i) = dim D instead would
     count P_i n times, which is wrong for non-basic algebras such as the
-    Auslander algebra of upper triangular 2x2 matrices.
+    Auslander algebra of upper triangular 2x2 matrices.  The answer is kept
+    on M's record.
     """
+    return _recorded(M, "is_projective", lambda: _cover_dim(M) == M.dim)
+
+
+def _cover_dim(M: Repn) -> Fraction:
     ctx = context(M.algebra)
     to_top = ctx.top_projection(M)
-    dim_cover = sum(
+    return sum(
         Fraction(rank(M.rho(e) @ to_top) * P.dim, S.dim)
         for e, P, S in zip(ctx.idempotents, ctx.projectives, ctx.simples)
     )
-    return dim_cover == M.dim
 
 
 # -- isomorphism search -----------------------------------------------------

@@ -62,7 +62,10 @@ replacement, on the library's own primitives:
   of ``homology.ext_dim``;
 * ``object_matmul`` multiplies rational matrices on their Python-int
   numerators, the library's route for a product that the word-size rule
-  refuses, against the int64 product of ``Mat.__matmul__``.
+  refuses, against the int64 product of ``Mat.__matmul__``;
+* ``module_content`` keys a module by its action's entries as field
+  scalars, against the ``Mat.key`` by which the library shares one
+  ``ModuleRecord`` among equal modules.
 """
 
 import itertools
@@ -1029,3 +1032,9 @@ def resolution_ext_dim(M, N, i, res):
     r_in = _precompose_rank(res.differential(i), homs.get(i - 1), homs[i])
     r_out = _precompose_rank(res.differential(i + 1), homs[i], homs[i + 1])
     return len(homs[i]) - r_out - r_in
+
+
+def module_content(M):
+    """(algebra, dim, action entries as field scalars) of M: equal for two
+    modules iff they have the same content."""
+    return id(M.algebra), M.dim, tuple(map(tuple, M.flat_action().tolist()))

@@ -10,6 +10,7 @@ from catres.auslander import build_auslander
 from catres.corpus import gentle_two_cycle, truncated_poly_algebra
 from catres.functors import (
     adjunction_check,
+    corner_rows,
     counit,
     four_term_sequence,
     in_mod0,
@@ -27,7 +28,12 @@ from catres.functors import (
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, solve_left
 from catres.samples import ModulePool, random_hom, rng_for
-from oracles import loop_theta_rho_hom, loop_unit_psis, theta_via_presentation
+from oracles import (
+    loop_theta_rho_hom,
+    loop_unit_psis,
+    module_content,
+    theta_via_presentation,
+)
 
 F2 = FieldSpec("prime", 2)
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -51,12 +57,19 @@ def _same_module(a, b):
     return (a.algebra, a.dim) == (b.algebra, b.dim) and a.flat_action() == b.flat_action()
 
 
+def _copy(M):
+    """Another module object with M's content."""
+    return mod.Repn(M.algebra, M.dim, M.flat_action())
+
+
 def test_functor_values_are_kept_on_the_module(data, pool):
+    # and shared with every module of the same content
     rng = rng_for(0, "kept", 0)
     F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
-    assert theta(F, data) is theta(F, data)
-    assert theta_rho_data(N, data) is theta_rho_data(N, data)
-    assert theta_lambda_data(N, data) is theta_lambda_data(N, data)
+    assert theta(F, data) is theta(F, data) is theta(_copy(F), data)
+    assert corner_rows(F, data) is corner_rows(_copy(F), data)
+    assert theta_rho_data(N, data) is theta_rho_data(N, data) is theta_rho_data(_copy(N), data)
+    assert theta_lambda_data(N, data) is theta_lambda_data(_copy(N), data)
 
 
 def test_kept_values_follow_the_auslander_data(data, pool):
@@ -82,6 +95,7 @@ def test_kept_values_equal_a_fresh_build(data, pool):
     for i in range(10):
         rng = rng_for(0, "kept-fresh", i)
         F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
+        assert corner_rows(_copy(F), data) == row_basis(F.rho(data.e))
         assert _same_module(theta(F, data), functors._theta(F, data))
         kept, fresh = theta_rho_data(N, data), functors._theta_rho_data(N, data)
         assert _same_module(kept.module, fresh.module) and kept.space.flat == fresh.space.flat
@@ -91,26 +105,34 @@ def test_kept_values_equal_a_fresh_build(data, pool):
 
 
 def test_step_v_builds_each_term_value_once(data, pool, monkeypatch):
-    # fresh data, so no value kept by an earlier test is reused
+    # fresh data, so no value kept by an earlier test is reused; equal terms
+    # share one record, so each value is built once per distinct content
     data = build_auslander(data.lam)
     built = {"_theta": [], "_theta_rho_data": []}
     for name, log in built.items():
         real = getattr(functors, name)
 
         def counted(M, d, real=real, log=log):
-            log.append(M)
+            log.append(M)  # keeps every record alive
             return real(M, d)
 
         monkeypatch.setattr(functors, name, counted)
+    terms = {"_theta": [], "_theta_rho_data": []}  # every term, kept alive
     for i in range(5):
         rng = rng_for(0, "kept-step-v", i)
         P = pool.random_projective_lam_complex(rng, 4, 12)
-        for log in built.values():
-            log.clear()
+        start = {name: len(log) for name, log in built.items()}
         sv = cx.step_v_unit(P, data)
         assert sv.ok, (i, sv.detail)
-        for log, terms in ((built["_theta_rho_data"], P.terms), (built["_theta"], sv.lifted.terms)):
-            assert sorted(map(id, log)) == sorted({id(t) for t in terms}), i
+        terms["_theta_rho_data"] += P.terms
+        terms["_theta"] += sv.lifted.terms
+        for name, new in (("_theta_rho_data", P.terms), ("_theta", sv.lifted.terms)):
+            fresh = {module_content(M) for M in built[name][start[name]:]}
+            assert fresh <= {module_content(t) for t in new}, (name, i)
+    for name, log in built.items():
+        contents = [module_content(M) for M in log]
+        assert len(contents) == len(set(contents)), name  # no content built twice
+        assert set(contents) == {module_content(t) for t in terms[name]}, name
 
 
 def test_theta_rho_dims(data):

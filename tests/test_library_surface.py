@@ -20,9 +20,12 @@ And it walks the same files for the matrix carrier: only ``linalg.py``
 reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
 of a rational matrix (``Mat._word``, ``Mat._int64``) or imports a
 private name of ``linalg``, so that the storage of a matrix can change in
-one file.  Likewise only ``functors.py`` reads or writes the functor
-values a module keeps (``Repn.lifts``), so that every caller asks
-``functors`` for them.
+one file; the content key by which modules share their kept values,
+``Mat.key``, is made there too.  Likewise only ``modules.py`` and
+``functors.py`` touch the record of kept values that equal modules share
+(``Repn.record``), and of it only ``functors.py`` reads or writes the
+functor values (``ModuleRecord.lifts``), so that every caller asks
+``modules`` and ``functors`` for them.
 """
 
 import ast
@@ -214,15 +217,35 @@ def test_only_linalg_reads_the_matrix_carrier():
     assert carrier_reads() == []
 
 
-# (file stem, Class.method) allowed to touch ``Repn.lifts`` outside functors
+# (file stem, Class.method) allowed to touch ``ModuleRecord.lifts`` outside
+# functors
 LIFTS_READERS = {
-    # creates the empty slot of every new module
-    ("modules", "Repn.__init__"),
+    # creates the empty slot of every new record
+    ("modules", "ModuleRecord.__init__"),
 }
 
 
 def test_only_functors_reads_the_kept_functor_values():
     assert attribute_uses({"lifts"}, "functors", LIFTS_READERS) == []
+
+
+# the files that touch ``Repn.record``: modules.py makes, shares and fills
+# it, functors.py keeps its functor values on it
+RECORD_READERS = {"modules", "functors"}
+
+
+def test_only_modules_and_functors_read_the_module_record():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in RECORD_READERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "record"
+    ]
+    assert found == []
+    for stem in RECORD_READERS:  # a reader that no longer reads it leaves the list
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        assert any(isinstance(n, ast.Attribute) and n.attr == "record" for n in ast.walk(tree))
 
 
 def test_the_carrier_readers_exist_and_read_the_carrier():

@@ -618,3 +618,43 @@ def test_reverse_row_basis_of_a_kernel_span_is_the_nullspace_basis(m, data):
         mixed = _rand_mat(data.draw, m.field, data.draw(st.integers(1, 3)), kernel.rows)
         spanning = (mixed @ kernel).vstack(kernel.scale(-1))
         assert reverse_row_basis(spanning) == kernel
+
+
+# -- content keys --------------------------------------------------------------
+
+
+@st.composite
+def mat_pairs(draw):
+    """Two matrices of one field and shape, equal about half the time."""
+    field = draw(st.sampled_from([FieldSpec("prime", 2), F5, QQ]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = _rand_mat(draw, field, rows, cols)
+    return m, _rand_mat(draw, field, rows, cols) if draw(st.booleans()) else m
+
+
+@given(mat_pairs())
+def test_key_is_equal_iff_the_matrices_are(pair):
+    m, other = pair
+    assert (m.key() == other.key()) == (m == other)
+    assert hash(m.key()) == hash(m.take_rows(range(m.rows)).key())
+    # the same content as a strided view, as a product that keeps its own
+    # int64 copy over Q, and as a fresh copy of its numerators
+    for twin in (m.T.T, m @ Mat.identity(m.field, m.cols), m.take_rows(range(m.rows))):
+        assert twin.key() == m.key()
+
+
+def test_key_tells_apart_denominators_shapes_and_big_numerators():
+    m = Mat.from_rows(QQ, [[Fraction(1, 2), Fraction(3, 2)]])
+    halved = Mat(QQ, m.a, m.den * 2)  # the same numerators over twice the den
+    assert halved != m and halved.key() != m.key()
+    assert m.reshape(2, 1).key() != m.key()
+    # a numerator outside int64 is keyed by the Python ints themselves
+    big = np.array([[1 << 70, 1]], dtype=object)
+    assert Mat(QQ, big).key() == Mat(QQ, big.copy()).key()
+    assert Mat(QQ, big).key() != Mat(QQ, big * 3).key() != Mat(QQ, big, 7).key()
+    # entries that agree in their lowest byte, over a large prime and over Q
+    f = FieldSpec("prime", 65537)
+    assert Mat.from_rows(f, [[65536, 257]]).key() != Mat.from_rows(f, [[0, 1]]).key()
+    assert Mat.from_rows(QQ, [[256, 1]]).key() != Mat.from_rows(QQ, [[0, 1]]).key()
+    # one shape at two widths: the lengths differ
+    assert Mat.from_rows(QQ, [[1 << 40]]).key() != Mat.from_rows(QQ, [[1]]).key()

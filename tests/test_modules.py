@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catres import homology as hml
 from catres import modules as mod
-from catres.algebra import Algebra
+from catres.algebra import Algebra, quotient_projection
 from catres.auslander import build_auslander, verify_auslander
 from catres.homology import (
     global_dimension,
@@ -31,11 +32,18 @@ from catres.linalg import (
     RowBasis,
     left_nullspace,
     rank,
+    reverse_row_basis,
     row_basis,
     solve_left,
 )
 from catres.samples import random_hom
-from oracles import cover_is_projective, greedy_cover, kron_hom_space, naive_hom_dim
+from oracles import (
+    cover_is_projective,
+    greedy_cover,
+    kron_hom_space,
+    module_content,
+    naive_hom_dim,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -587,15 +595,22 @@ def test_projective_cover_matches_greedy_route_on_corpus_and_auslander_algebras(
 
 
 def test_presentation_is_built_once_per_module(monkeypatch):
-    built, alive = Counter(), []
-    build = mod._build_presentation
+    # once per content: modules with equal actions share one presentation
+    built, alive, asked = Counter(), [], []
+    build, present = mod._build_presentation, mod.projective_presentation
 
     def counting(M):
-        built[id(M)] += 1
-        alive.append(M)  # keeps every id distinct
+        built[module_content(M)] += 1
+        alive.append(M)  # keeps every record alive
         return build(M)
 
+    def asking(M):
+        asked.append(M)
+        return present(M)
+
     monkeypatch.setattr(mod, "_build_presentation", counting)
+    monkeypatch.setattr(mod, "projective_presentation", asking)
+    monkeypatch.setattr(hml, "projective_presentation", asking)
     lam = parse_algebra_or_quiver(json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text()))
     assert global_dimension(lam).kind == "infinite"
     assert is_injective(lam, mod.context(lam).regular)
@@ -608,12 +623,14 @@ def test_presentation_is_built_once_per_module(monkeypatch):
         assert len(res.modules) == 5 and all(z.dim for z in syzygies)
         assert projective_dimension(s, 4).kind == "infinite"
         for z, P in zip([s] + syzygies, res.modules):
-            assert built[id(z)] == 1
+            assert built[module_content(z)] == 1
             assert mod.projective_cover(z).source is P
         assert mod.projective_presentation(s).omega is mod.projective_presentation(s).omega
         assert mod.projective_cover(s) is res.augmentation
         assert mod.projective_cover(s) is mod.projective_cover(s)
+    # no content is built twice, and every content asked for is built once
     assert set(built.values()) == {1}
+    assert sum(built.values()) == len({module_content(M) for M in asked})
 
 
 def test_hom_space_rejects_a_false_projective_tag():
@@ -670,3 +687,137 @@ def test_context_is_freed_with_its_algebra():
     del A, ctx
     gc.collect()
     assert alive() is None
+
+
+# -- one record of kept values per module content ------------------------------
+
+
+def _record_algebras():
+    """(label, algebra) over F_2, F_3 and Q, with and without isomorphic
+    projectives, and an Auslander algebra."""
+    lams = {}
+    for stem in ("x3_q", "t2_f3", "gentle_two_cycle_f2"):
+        lams[stem] = parse_algebra_or_quiver(json.loads((CORPUS / f"{stem}.json").read_text()))
+    lams["F2[S3]"] = f2_s3()
+    yield from lams.items()
+    yield "T(x3_q)", build_auslander(lams["x3_q"]).tilde
+
+
+def _rebuilt(M):
+    """M's content on a fresh carrier, read back from its scalars."""
+    f = M.field
+    return mod.Repn(M.algebra, M.dim, Mat.from_rows(f, M.flat_action().tolist()))
+
+
+def test_equal_modules_share_one_record_and_distinct_ones_do_not():
+    rng = random.Random(67)
+    seen = set()
+    for label, A in _record_algebras():
+        mods = _layout_modules(A, rng)[:-1]
+        mods += [_rebuilt(M) for M in mods]
+        for M in mods:
+            for N in mods:
+                same = module_content(M) == module_content(N)
+                assert (M.record is N.record) == same, (label, M.dim, N.dim)
+                seen.add("shared" if same and M is not N else "apart")
+            flat = M.flat_action()
+            if A.field.kind == "rational" and not flat.is_zero():
+                # the same numerators over twice the denominator: another content
+                halved = mod.Repn(A, M.dim, Mat(QQ, flat.a, flat.den * 2))
+                assert halved.record is not M.record, label
+                seen.add("den")
+        # equal contents over another algebra object have their own records
+        B = Algebra(A.field, A.basis_labels, A.unit, A.table_matrix(), A.radical_hint)
+        assert all(mod.Repn(B, M.dim, M.flat_action()).record is not M.record for M in mods)
+        seen.add(label)
+    assert {"shared", "apart", "den", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
+
+
+def test_the_projective_tag_stays_on_the_object(monkeypatch):
+    # an untagged copy of P_i shares its record but takes the presentation
+    # route, a sum of one P_i takes Yoneda, and both give P_i's basis
+    routed = []
+    real = mod._presentation_homs
+
+    def counted(M, N):
+        routed.append(M)
+        return real(M, N)
+
+    monkeypatch.setattr(mod, "_presentation_homs", counted)
+    for label, A in _record_algebras():
+        ctx = mod.context(A)
+        targets = [s for s in ctx.simples if s.dim] + [ctx.regular]
+        for i, P in enumerate(ctx.projectives):
+            if not P.dim:
+                continue
+            untagged, summed = _untagged(P), mod.direct_sum([P])
+            assert untagged.record is P.record and summed.record is P.record, label
+            assert (P.projective_parts, summed.projective_parts) == ((i,), (i,)), label
+            assert untagged.projective_parts is None, label
+            for N in targets:
+                routed.clear()
+                spaces = [mod.hom_space(X, N).flat for X in (P, summed, untagged)]
+                assert routed == [untagged] and spaces[0] == spaces[1] == spaces[2], label
+
+
+def test_every_kept_value_equals_a_fresh_build():
+    # each value is asked for through an equal copy first, then compared
+    # with its builder on the module itself
+    rng = random.Random(71)
+    seen = set()
+    for label, A in _record_algebras():
+        ctx = mod.context(A)
+        for M in _layout_modules(A, rng)[:-1]:
+            copy = _rebuilt(M)
+            kept = mod.projective_presentation(copy)
+            fresh = mod._build_presentation(M)
+            assert kept.parts == fresh.parts and kept.cover.mat == fresh.cover.mat, label
+            assert kept.syzygy == fresh.syzygy and kept.section == fresh.section, label
+            assert kept.cover.source.flat_action() == fresh.cover.source.flat_action()
+            assert kept is mod.projective_presentation(M), label
+            rad = mod._radical_rows(M, ctx.chain.radical)
+            assert ctx.radical_rows(copy) == rad, label
+            assert ctx.top_projection(copy) == quotient_projection(rad)[0], label
+            projective = mod.is_projective(copy)
+            assert projective == (mod.projective_cover(M).source.dim == M.dim), label
+            seen.add("projective" if projective else "not projective")
+            # the Yoneda block of every P_i, one product against the action
+            n = M.dim
+            for i, P in enumerate(ctx.projectives):
+                k = P.dim
+                if not k:
+                    continue
+                rho = ctx.projective_rows[i] @ M.flat_action()
+                block = reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
+                assert mod.hom_space(P, copy).flat == block, (label, i)
+                assert mod.hom_space(P, M).flat == block, (label, i)
+        seen.add(label)
+    assert {"projective", "not projective", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
+
+
+def test_module_records_die_with_their_last_module():
+    A = truncated_poly_algebra(F3, 3)
+    s = next(s for s in mod.context(A).simples if s.dim)
+    hml.global_dimension(A)
+
+    def live_records():
+        gc.collect()
+        objs = gc.get_objects()
+        return {id(x.record) for x in objs if isinstance(x, mod.Repn) and x.algebra is A}
+
+    # modules of contents that nothing else has, with their values kept
+    sums = [mod.direct_sum([s] * k) for k in (4, 5)]
+    for M in sums:
+        mod.projective_presentation(M).omega
+        mod.is_projective(M)
+        mod.hom_space(M, mod.context(A).regular)
+    records = [weakref.ref(M.record) for M in sums]
+    held = {id(r) for r in A.module_records.values()}
+    assert held == live_records() and all(r() is not None for r in records)
+    del sums, M
+    gc.collect()
+    # the table shrinks to the records that live modules still hold
+    assert all(r() is None for r in records)
+    assert {id(r) for r in A.module_records.values()} == live_records()
+    assert len(A.module_records) < len(held)
+    assert mod.direct_sum([s] * 5).record.values == {}
