@@ -10,7 +10,9 @@ corner at a time, by one of two candidate searches: a central element
 whose minimal polynomial has a root when the corner's center has
 dimension > 1, a zero divisor when the corner is simple.  The random
 coefficients of a search are drawn from a seeded rng before any of its
-candidates is tried, so the idempotents are a function of the input.
+candidates is tried, so the idempotents are a function of the input.  An
+algebra whose construction gives its idempotents carries them as
+``idempotent_hint``; ``checked_idempotents`` checks them instead.
 
 Conventions (fixed across the package): elements are coordinate row
 vectors; the path ``[a, b]`` means "a first, then b"; modules are right
@@ -69,6 +71,7 @@ class ValidationReport:
 class RadicalChain:
     powers: list  # row bases of J^1 >= J^2 >= ... >= J^n (last one is zero)
     nilpotency_index: int
+    top: tuple  # (A/J, proj, section) as ``quotient_algebra(A, J)`` returns them
 
     @property
     def radical(self) -> Mat:
@@ -92,6 +95,10 @@ class Algebra:
         self._table = table
         self._right_table: Optional[Mat] = None
         self.radical_hint = radical_hint
+        # a complete set of primitive idempotents known from a construction,
+        # one row each; catres.modules.context takes them, checked, instead
+        # of splitting A/J (``checked_idempotents``)
+        self.idempotent_hint: Optional[Mat] = None
         self._radical_chain: Optional[RadicalChain] = None
         self.module_context = None  # set by catres.modules.context
         # (dim, action key) -> the values kept for that module content, held
@@ -191,10 +198,10 @@ class Algebra:
             powers.append(_subspace_product(self, powers[-1], j))
             if len(powers) > self.dim + 1:
                 raise AlgebraError("claimed radical is not nilpotent")
-        quot, _, _ = quotient_algebra(self, j)
+        quot, proj, section = quotient_algebra(self, j)
         if quot.dim and _radical_by_traces(quot).rows:
             raise AlgebraError("quotient by claimed radical is not semisimple")
-        self._radical_chain = RadicalChain(powers=powers, nilpotency_index=len(powers))
+        self._radical_chain = RadicalChain(powers, len(powers), (quot, proj, section))
         return self._radical_chain
 
 
@@ -496,7 +503,7 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
     """
     if A.dim == 0:
         return []
-    quot, proj, section = quotient_algebra(A, chain.radical)
+    quot, proj, section = chain.top
     rng = random.Random(20240801)
     ssquare = _split_semisimple(quot, _corner_rows(quot, quot.unit), quot.unit, rng)
     lifted = []
@@ -522,6 +529,42 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
     if A.products(e, e).reshape(n, n * A.dim) != Mat.block_diag(A.field, lifted):
         raise AlgebraError("lifted idempotents are not orthogonal")
     return lifted
+
+
+def checked_idempotents(A: Algebra, chain: RadicalChain, hint: Mat) -> list:
+    """The rows of ``hint`` as 1 x dim coordinate rows, once they are shown
+    to be a complete set of orthogonal primitive idempotents of A.
+
+    Three checks, each raising an ``AlgebraError`` that names the check
+    and the rows that fail it: e_i e_j is e_i for i = j and zero
+    otherwise (one product against ``Mat.block_diag``, as
+    ``primitive_idempotents`` checks its lifts); the rows sum to the unit;
+    each e_i spans a corner of dimension 1 in A/J (``RadicalChain.top``).
+    The last test is exact when A/J is split (a product of matrix algebras
+    over the field): then e is primitive iff e (A/J) e is the field.  Over
+    a non-split A/J it rejects primitive idempotents too, so it never
+    passes an imprimitive one.
+    """
+    f, n, d = A.field, hint.rows, A.dim
+    rows = [hint.row_at(i) for i in range(n)]
+    # row i * n + j of the products is e_i e_j, of the block rows e_i or 0
+    expected = Mat.block_diag(f, rows).reshape(n * n, d)
+    bad = A.products(hint, hint).first_differing_row(expected)
+    if bad is not None:
+        i, j = divmod(bad, n)
+        check = "not idempotent" if i == j else "not orthogonal"
+        raise AlgebraError(f"idempotent hint: rows ({i}, {j}) are {check}")
+    if Mat.row(f, [1] * n) @ hint != A.unit:
+        raise AlgebraError("idempotent hint: the rows do not sum to the unit")
+    quot, proj, _ = chain.top
+    for i, e in enumerate(rows):
+        corner = _corner_rows(quot, e @ proj).rows
+        if corner != 1:
+            raise AlgebraError(
+                f"idempotent hint: row {i} is not primitive (its corner of A/J"
+                f" has dimension {corner})"
+            )
+    return rows
 
 
 # -- quiver frontend ------------------------------------------------------

@@ -7,9 +7,11 @@ convention (fg)(m) = f(g(m)), which absorbs the usual opposite-algebra
 twist), and the map zeta: Lambda -> tilde, b -> (project, left-multiply
 by b, include).  The idempotent e = zeta(1) projects onto the
 Lambda-summand, and ``check_corner_iso`` certifies that zeta is an
-algebra isomorphism onto e*tilde*e.  tilde carries its radical from the
-construction (``local_piece_radical``) as its radical hint, which
-``Algebra.radical_chain`` certifies.
+algebra isomorphism onto e*tilde*e.  tilde carries its radical and its
+primitive idempotents from the construction (``local_piece_radical``):
+the radical hint, which ``Algebra.radical_chain`` certifies, and the
+projections onto the local pieces of M as its idempotent hint, which
+``algebra.checked_idempotents`` checks, so that T/J is never split.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     summands = [quotient_repn(reg, chain.power(i))[0] for i in range(1, n + 1)]
     M = direct_sum(summands)
     tilde, end = endomorphism_algebra(M)
-    tilde.radical_hint = local_piece_radical(lam, chain, M, end)
+    tilde.radical_hint, tilde.idempotent_hint = local_piece_radical(lam, chain, M, end)
 
     # the Lambda-summand Lambda/J^n is the last block of M
     iota = Mat.identity(lam.field, M.dim).take_rows(range(M.dim - lam.dim, M.dim))
@@ -81,14 +83,18 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     return data
 
 
-def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpace) -> Mat:
-    """rad End(M) for M = Lambda/J + ... + Lambda/J^n, from the local pieces
-    of M, as coordinates against the basis of ``end``, one row per element
-    of a spanning set.
+def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpace):
+    """rad End(M) for M = Lambda/J + ... + Lambda/J^n, and the projections
+    onto the local pieces of M, both from the construction, as coordinates
+    against the basis of ``end``: (a spanning set of the radical, one row
+    per piece projection).
 
     Left multiplication by a primitive idempotent e_v of Lambda on the
     summand Lambda/J^i is an idempotent eps of End(M) whose image is the
-    local module X = e_v Lambda / e_v J^i; these pieces decompose M.  By
+    local module X = e_v Lambda / e_v J^i; these pieces decompose M, so
+    their eps are a complete set of orthogonal primitive idempotents of
+    End(M).  They are listed from Lambda/J^n down to Lambda/J, and within
+    one summand in the order of the idempotents of Lambda.  By
     Krull-Schmidt, f lies in rad End(M) iff no component f_kl: X_l -> X_k
     is an isomorphism (Auslander, Reiten and Smalo, Representation Theory
     of Artin Algebras, ch. I-II).  A map between local modules of equal
@@ -97,7 +103,8 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     pieces of dimension d and G_d the sum of their eps followed by the
     projection M -> M/MJ, f is radical iff B_d mat(f) G_d = 0 for every d:
     two products over all of ``end`` give every condition.
-    ``Algebra.radical_chain`` certifies the result.
+    ``Algebra.radical_chain`` certifies the radical and
+    ``algebra.checked_idempotents`` the idempotents.
     """
     f, dl, m, k = lam.field, lam.dim, M.dim, len(end)
     ctx = context(lam)
@@ -106,19 +113,24 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     # row v * dl + c is e_v b_c: every left multiplication, stacked
     lefts = (e_rows @ lam.table_matrix()).reshape(nv * dl, dl)
     rows_by_dim, eps_by_dim = {}, {}  # d -> placed piece rows; d -> {offset: sum of eps}
+    levels = []  # per summand Lambda/J^i: each piece's eps placed in M
     off = 0
     for i in range(1, chain.nilpotency_index + 1):
         proj, nonpiv = quotient_projection(chain.power(i))
         s = len(nonpiv)
         # on Lambda/J^i: the section picks the non-pivot rows, then project
         eps_all = lefts.take_rows([v * dl + c for v in range(nv) for c in nonpiv]) @ proj
+        level = []
         for v in range(nv):
             eps = eps_all.take_rows(range(v * s, (v + 1) * s))
             rows = row_basis(eps)
             rows_by_dim.setdefault(rows.rows, []).append((off, rows))
             sums = eps_by_dim.setdefault(rows.rows, {})
             sums[off] = sums[off] + eps if off in sums else eps
+            level.append(Mat.from_blocks(f, m, m, [(off, off, eps)]).flatten_row())
+        levels.append(level)
         off += s
+    idempotents = end.basis.coords(Mat.stack_rows(f, [e for lv in reversed(levels) for e in lv]))
     top = ctx.top_projection(M)
     dims = sorted(rows_by_dim)
     placed, spans, r = [], [], 0
@@ -142,7 +154,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     cols = [
         c for j, (lo, hi) in enumerate(spans) for c in range((j * r + lo) * t, (j * r + hi) * t)
     ]
-    return left_nullspace(z.take_cols(cols))
+    return left_nullspace(z.take_cols(cols)), idempotents
 
 
 def corner_dim(data: AuslanderData) -> int:

@@ -39,7 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, primitive_idempotents, quotient_projection
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    checked_idempotents,
+    primitive_idempotents,
+    quotient_projection,
+)
 from .linalg import (
     FieldSpec,
     Mat,
@@ -399,7 +405,11 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
 
 
 class ModuleContext:
-    """Memoized per-algebra data: radical, idempotents, simples, projectives."""
+    """Memoized per-algebra data: radical, idempotents, simples, projectives.
+
+    The idempotents are the algebra's checked idempotent hint when it
+    carries one (the Auslander algebra T, from its local pieces), else the
+    split of A/J (``primitive_idempotents``)."""
 
     def __init__(self, A: Algebra):
         self.algebra = A
@@ -412,7 +422,11 @@ class ModuleContext:
     @property
     def idempotents(self):
         if self._idempotents is None:
-            self._idempotents = primitive_idempotents(self.algebra, self.chain)
+            A, hint = self.algebra, self.algebra.idempotent_hint
+            self._idempotents = (
+                primitive_idempotents(A, self.chain) if hint is None
+                else checked_idempotents(A, self.chain, hint)
+            )
         return self._idempotents
 
     @property

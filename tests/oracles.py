@@ -65,7 +65,11 @@ replacement, on the library's own primitives:
   refuses, against the int64 product of ``Mat.__matmul__``;
 * ``module_content`` keys a module by its action's entries as field
   scalars, against the ``Mat.key`` by which the library shares one
-  ``ModuleRecord`` among equal modules.
+  ``ModuleRecord`` among equal modules;
+* ``idempotent_set_defect`` checks a set of idempotents on plain lists
+  against the radical it is given (the library's certified one), against
+  the block products and the corners of T/J of
+  ``algebra.checked_idempotents``.
 """
 
 import itertools
@@ -627,6 +631,48 @@ def roundtrip_right_adjoint(F, P, data):
         return ChainMap(F, lifted, comps)
 
     return _roundtrip_bijection(B, A, convert)
+
+
+def idempotent_set_defect(A, rows, radical):
+    """The first way in which the coordinate lists ``rows`` fail to be a
+    complete set of orthogonal primitive idempotents of A, or None.
+
+    Plain lists throughout: the left and right multiplication matrices of
+    each e are read off the table one entry at a time, e_i e_j is e_i
+    times R(e_j), and e is primitive iff its corner eAe (the rows of
+    L(e) R(e)) adds exactly one dimension to the rows of ``radical``, a
+    basis of J: dim eAe / eJe = dim e(A/J)e, which is 1 for a primitive e
+    over a split A/J.
+    """
+    field, d = A.field, A.dim
+    table = A.table_matrix().tolist()  # row i, column j * d + k: (b_i b_j)_k
+    rows = [[field.coerce(x) for x in r] for r in rows]
+
+    def mult(e, right):
+        # row k of L(e): e b_k; of R(e): b_k e
+        return [
+            [field.coerce(sum(e[i] * (table[k][i * d + m] if right else table[i][k * d + m])
+                              for i in range(d)))
+             for m in range(d)]
+            for k in range(d)
+        ]
+
+    lefts = [mult(e, False) for e in rows]
+    rights = [mult(e, True) for e in rows]
+    for i, ei in enumerate(rows):
+        for j, rj in enumerate(rights):
+            prod = naive_matmul([ei], rj, field)[0]
+            if prod != (ei if i == j else [field.zero] * d):
+                return f"e_{i} e_{j} is wrong"
+    total = [field.coerce(sum(col)) for col in zip(*rows)] if rows else [field.zero] * d
+    if total != [field.coerce(x) for x in A.unit.tolist()[0]]:
+        return "the idempotents do not sum to the unit"
+    rad = naive_rank(radical, field)
+    for i, (le, re) in enumerate(zip(lefts, rights)):
+        corner = naive_matmul(le, re, field)
+        if naive_rank(corner + list(radical), field) - rad != 1:
+            return f"e_{i} is not primitive"
+    return None
 
 
 def corner_algebra(A, e):

@@ -1,12 +1,19 @@
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from catres import auslander
-from catres.algebra import AlgebraError, QuiverSpec, _radical_by_traces, from_quiver
+from catres import auslander, modules
+from catres.algebra import (
+    AlgebraError,
+    QuiverSpec,
+    _radical_by_traces,
+    from_quiver,
+    primitive_idempotents,
+)
 from catres.auslander import (
     build_auslander,
     check_corner_iso,
@@ -15,11 +22,12 @@ from catres.auslander import (
     verify_auslander,
 )
 from catres.corpus import shipped_corpus, truncated_poly_algebra, two_fields
+from catres.homology import global_dimension
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, rank, row_basis
-from catres.modules import is_isomorphic
-from oracles import corner_route_iso
-from test_algebra import with_radical_hint
+from catres.modules import context, is_isomorphic
+from oracles import corner_route_iso, idempotent_set_defect
+from test_algebra import idempotent_inputs, with_radical_hint
 from test_modules import f2_s3
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -221,3 +229,133 @@ def test_mutant_zeta_fails_both_routes_and_the_build(monkeypatch, mutant):
     monkeypatch.setattr(auslander, "AuslanderData", with_mutant)
     with pytest.raises(AlgebraError, match=re.escape(f"corner isomorphism check failed: {detail}")):
         build_auslander(lam)
+
+
+# -- T's primitive idempotents from its local pieces ----------------------------
+
+
+def _hinted_copy(tilde, hint):
+    """A fresh copy of ``tilde`` with its radical hint and ``hint`` as its
+    idempotent hint."""
+    copy = with_radical_hint(tilde, tilde.radical_hint)
+    copy.idempotent_hint = hint
+    return copy
+
+
+def _dropped(tilde, rows):
+    return Mat.stack_rows(tilde.field, rows[1:])
+
+
+def _merged(tilde, rows):
+    return Mat.stack_rows(tilde.field, [rows[0] + rows[1], *rows[2:]])
+
+
+def _not_orthogonal(tilde, rows):
+    """e_i replaced by e_i + u for some nonzero u = e_j b_k e_i, j != i: an
+    idempotent (u e_i = u, e_i u = 0, u u = 0) with e_j (e_i + u) = u."""
+    for i, j in itertools.permutations(range(len(rows)), 2):
+        corner = tilde.products(tilde.left_mult_matrix(rows[j]), rows[i])  # row k: e_j b_k e_i
+        k = next((k for k in range(corner.rows) if not corner.row_at(k).is_zero()), None)
+        if k is not None:
+            return Mat.stack_rows(
+                tilde.field, [r + corner.row_at(k) if t == i else r for t, r in enumerate(rows)]
+            )
+    raise AssertionError("no two pieces with a map between them")
+
+
+BROKEN_HINTS = {
+    "one idempotent dropped": (_dropped, "the rows do not sum to the unit"),
+    "two idempotents merged": (_merged, r"row 0 is not primitive"),
+    "one replaced by a non-orthogonal idempotent": (_not_orthogonal, r"are not orthogonal"),
+}
+
+
+def _cyc4():
+    arrows = [(f"a{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    return from_quiver(QuiverSpec(F2, list("0123"), arrows, [], 2))
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_HINTS))
+@pytest.mark.parametrize("name", ["x3_f3", "x3_q", "cyc4"])
+def test_broken_idempotent_hint_is_rejected_before_any_module(name, broken):
+    lam = _cyc4() if name == "cyc4" else parse_algebra_or_quiver(
+        json.loads((CORPUS / f"{name}.json").read_text())
+    )
+    tilde = build_auslander(lam).tilde
+    rows = context(tilde).idempotents
+    assert context(_hinted_copy(tilde, tilde.idempotent_hint)).idempotents == rows
+    breaker, message = BROKEN_HINTS[broken]
+    ctx = context(_hinted_copy(tilde, breaker(tilde, rows)))
+    with pytest.raises(AlgebraError, match=f"^idempotent hint: .*{message}"):
+        ctx.projectives  # the simples and projectives follow the idempotents
+    assert ctx._simples_projs is None
+
+
+def test_an_algebra_without_a_hint_takes_the_split_route(monkeypatch):
+    routes = []
+    for name, fn in (("split", modules.primitive_idempotents),
+                     ("hint", modules.checked_idempotents)):
+        monkeypatch.setattr(
+            modules, fn.__name__, lambda *a, _fn=fn, _name=name: routes.append(_name) or _fn(*a)
+        )
+    lam = truncated_poly_algebra(F3, 3)
+    tilde = build_auslander(lam).tilde  # takes Lambda's idempotents: one split
+    assert lam.idempotent_hint is None and routes == ["split"]
+    assert tilde.idempotent_hint is not None
+    context(tilde).idempotents
+    assert routes == ["split", "hint"]
+    bare = with_radical_hint(tilde, tilde.radical_hint)
+    assert bare.idempotent_hint is None
+    assert context(bare).idempotents == primitive_idempotents(bare, bare.radical_chain())
+    assert routes == ["split", "hint", "split"]
+
+
+def _piece_dual_route_algebras():
+    """(label, Lambda): every corpus file and every input of
+    ``idempotent_inputs`` but F_3[A_4] (dim T 95)."""
+    for path in sorted(CORPUS.glob("*.json")):
+        yield path.stem, parse_algebra_or_quiver(json.loads(path.read_text()))
+    for label, build in idempotent_inputs().items():
+        if label != "F_3[A_4]":
+            yield label, build()
+
+
+# the inputs where the split of T/J lists the pieces in the order of the
+# hint; the pins of ``test_golden_reports.IDEMPOTENT_GOLDEN`` cover the others
+SPLIT_ORDER_EQUALS_PIECE_ORDER = {
+    "x3_f3", "kQ/J^2 on the 4-cycle over F_2", "F_3[C_6]", "F_3[x]/x^4",
+}
+
+
+def test_piece_idempotents_match_the_split_route():
+    seen = set()
+    for label, lam in _piece_dual_route_algebras():
+        tilde = build_auslander(lam).tilde
+        chain = tilde.radical_chain()
+        hinted = context(tilde).idempotents
+        split = primitive_idempotents(tilde, chain)
+        rows = [e.tolist()[0] for e in hinted]
+        assert idempotent_set_defect(tilde, rows, chain.radical.tolist()) is None, label
+        assert len(hinted) == len(split), label
+
+        def dims(es):
+            return sorted(rank(tilde.left_mult_matrix(e)) for e in es)
+
+        assert dims(hinted) == dims(split), label
+        bare = with_radical_hint(tilde, tilde.radical_hint)  # takes the split route
+        assert context(bare).idempotents == split, label
+        depth = lam.radical_chain().nilpotency_index + 2
+        assert global_dimension(tilde, depth) == global_dimension(bare, depth), label
+        if label in SPLIT_ORDER_EQUALS_PIECE_ORDER:
+            assert hinted == split, label
+        seen.add(label)
+    assert SPLIT_ORDER_EQUALS_PIECE_ORDER | {"x3_q", "M_2(Q)", "F_2[S_3]"} <= seen
+
+
+def test_idempotent_oracle_finds_each_defect():
+    tilde = build_auslander(truncated_poly_algebra(F3, 3)).tilde
+    rows = context(tilde).idempotents
+    radical = tilde.radical_chain().radical.tolist()
+    for broken, (breaker, _) in BROKEN_HINTS.items():
+        bad = breaker(tilde, rows).tolist()
+        assert idempotent_set_defect(tilde, bad, radical) is not None, broken

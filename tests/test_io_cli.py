@@ -280,6 +280,21 @@ def test_module_auslander_of():
     assert pm.base.dim == data.tilde.dim
 
 
+def test_module_auslander_of_carries_the_piece_idempotents(tmp_path):
+    # the path of ``catres functor theta``: a module file over
+    # {"auslander_of": ...} parses to a T with its idempotents from the pieces
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text()))
+    data = build_auslander(lam)
+    lifted = theta_rho(mod.context(lam).simples[1], data)
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps(module_to_json(lifted, {"auslander_of": algebra_to_json(lam)})))
+    pm = parse_module(json.loads(path.read_text()))
+    assert pm.base is pm.auslander.tilde and pm.base.idempotent_hint is not None
+    assert pm.base.idempotent_hint == data.tilde.idempotent_hint
+    assert mod.context(pm.base).idempotents == mod.context(data.tilde).idempotents
+    assert len(mod.context(pm.base).idempotents) == 4  # 2 vertices, 2 summands
+
+
 def test_complex_roundtrip():
     from catres import complexes as cx
 

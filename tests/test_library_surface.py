@@ -258,3 +258,42 @@ def test_the_carrier_readers_exist_and_read_the_carrier():
         assert any(
             isinstance(n, ast.Attribute) and n.attr in CARRIER_ATTRIBUTES for n in ast.walk(fn)
         ), qualified
+
+
+
+def idempotent_hint_uses() -> set:
+    """(file stem, enclosing Class.method or function, "read" or "write") of
+    every use of ``Algebra.idempotent_hint`` in ``src/catres``; the scope
+    is None at module level."""
+    uses = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # id(node) -> the function or method around it
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    name = f"{top.name}.{getattr(item, 'name', '')}"
+                    scope.update((id(node), name) for node in ast.walk(item))
+            elif isinstance(top, ast.FunctionDef):
+                scope.update((id(node), top.name) for node in ast.walk(top))
+        uses.update(
+            (path.stem, scope.get(id(node)), "write" if isinstance(node.ctx, ast.Store) else "read")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "idempotent_hint"
+        )
+    return uses
+
+
+def test_only_auslander_writes_and_only_algebra_and_the_context_read_the_idempotent_hint():
+    # outside algebra.py and ModuleContext.idempotents only auslander.py uses
+    # the hint, and only to write it
+    outside = attribute_uses({"idempotent_hint"}, "algebra", {("modules", "ModuleContext.idempotents")})
+    assert outside and all(use.startswith("auslander.py:") for use in outside)
+    uses = idempotent_hint_uses()
+    assert {u for u in uses if u[2] == "write"} == {
+        ("auslander", "build_auslander", "write"),
+        ("algebra", "Algebra.__init__", "write"),  # the default, None
+    }
+    assert {u for u in uses if u[0] not in ("algebra", "auslander")} == {
+        ("modules", "ModuleContext.idempotents", "read"),
+    }
