@@ -6,7 +6,8 @@ the resolutions, projective dimensions and Ext groups of a module all read
 one chain, built once.  Periodicity is certified only in
 ``projective_dimension``: once some syzygy is isomorphic to M or to an
 earlier syzygy, the minimal resolution can never terminate, and the
-projective dimension is infinite.
+projective dimension is infinite.  Isomorphism is decided exactly, by
+Krull-Schmidt (``modules.is_isomorphic``).
 
 Ext is read off Hom dimensions down the same chain, by dimension shifting
 (Auslander, Reiten and Smalo, Representation theory of Artin algebras).
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, SplitGiveUp
 from .modules import (
-    IsoInconclusive,
     ModHom,
     Repn,
     context,
@@ -39,10 +39,8 @@ class ProjResolution:
     complete: bool  # the syzygy after P_d is zero: the resolution ends at P_d
 
     def differential(self, i: int) -> Optional[ModHom]:
-        """d_i: P_i -> P_(i-1) when both exist."""
-        if 1 <= i < len(self.modules):
-            return self.differentials[i - 1]
-        return None
+        """d_i: P_i -> P_(i-1) when both exist, else None."""
+        return self.differentials[i - 1] if 1 <= i < len(self.modules) else None
 
 
 def projective_resolution(M: Repn, max_depth: int) -> ProjResolution:
@@ -74,10 +72,10 @@ def projective_dimension(M: Repn, max_depth: int) -> PdResult:
 
     Finite, with value k, when Omega^(k+1) is the first zero syzygy and
     k <= max_depth.  Before that, each Omega^k is compared, in order, with
-    M = Omega^0, Omega^1, ..., Omega^(k-1) of its dimension (inconclusive
-    searches are skipped); an isomorphism with Omega^j certifies infinite
-    pd with offset j and period k - j.  Unknown when neither happens within
-    max_depth steps.
+    M = Omega^0, Omega^1, ..., Omega^(k-1) of its dimension (a comparison
+    that raises SplitGiveUp is skipped); an isomorphism with Omega^j
+    certifies infinite pd with offset j and period k - j.  Unknown when
+    neither happens within max_depth steps.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -91,7 +89,7 @@ def projective_dimension(M: Repn, max_depth: int) -> PdResult:
             try:
                 if prev.dim == omega.dim and is_isomorphic(omega, prev) is not None:
                     return PdResult(kind="infinite", period=len(seen) - j, offset=j)
-            except IsoInconclusive:
+            except SplitGiveUp:
                 pass
         seen.append(omega)
         pres = projective_presentation(omega)
@@ -127,12 +125,7 @@ class GldimResult:
     bound: Optional[int] = None
 
     def to_json(self):
-        out = {"kind": self.kind}
-        for k in ("value", "witness", "period", "offset", "bound"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def distinct_simples(A: Algebra) -> list:

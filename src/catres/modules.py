@@ -30,8 +30,6 @@ What names the Hom route, ``Repn.projective_parts``, stays on the object.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,10 +55,6 @@ from .linalg import (
     row_basis,
     rref,
 )
-
-
-class IsoInconclusive(Exception):
-    """Isomorphism search exhausted its budget without a certificate either way."""
 
 
 class ModuleRecord:
@@ -609,21 +603,32 @@ def _cover_dim(M: Repn) -> Fraction:
     )
 
 
-# -- isomorphism search -----------------------------------------------------
-
-EXHAUSTIVE_BUDGET = 1 << 16
-RANDOM_TRIALS = 64
+# -- isomorphism ---------------------------------------------------------------
 
 
 def _is_invertible(m: Mat) -> bool:
     return m.rows == m.cols and rref(m)[2] == m.rows
 
 
-def is_isomorphic(M: Repn, N: Repn):
-    """An invertible intertwiner M -> N, None if certified non-isomorphic.
+def _split_pair(X: Repn, K: Repn):
+    """Basis maps f: X -> K and g: K -> X with f then g invertible, or None.
+    For local End(X) they exist iff X is a summand of K: if some composite
+    is the identity, not all basis composites lie in rad End(X)."""
+    into = hom_space(X, K)
+    pairs = ((f, g) for g in hom_space(K, X) for f in into)
+    return next((p for p in pairs if _is_invertible(p[0].mat @ p[1].mat)), None)
 
-    Raises IsoInconclusive when neither a certificate of isomorphism nor an
-    exhaustive refutation fits in the search budget.
+
+def is_isomorphic(M: Repn, N: Repn) -> Optional[ModHom]:
+    """An invertible intertwiner M -> N, or None if there is none, decided
+    exactly by Krull-Schmidt.
+
+    A basis map of Hom(M, N) is tried first, which is exact for
+    indecomposable M: for an isomorphism phi the basis maps are a_t then
+    phi, a_t a basis of the local End(M), not all in its radical.  Else the
+    summands X_i of M are split off N in turn, which by cancellation
+    succeeds iff M and N are isomorphic, and the maps X_i -> N assemble the
+    isomorphism.  Raises SplitGiveUp where the split of End(M) gives up.
     """
     if M.algebra is not N.algebra:
         raise ValueError("is_isomorphic: different algebras")
@@ -637,24 +642,24 @@ def is_isomorphic(M: Repn, N: Repn):
     for h in homs:
         if _is_invertible(h.mat):
             return h
+    # the summands X_i of M: the images of the primitive idempotents of End(M)
+    E, space = endomorphism_algebra(M)
+    idempotents = primitive_idempotents(E, E.radical_chain())
+    xs = [sub_repn(M, (e @ space.flat).reshape(M.dim, M.dim)) for e in idempotents]
+    if len(xs) == 1:  # M is indecomposable, so the basis test was exact
+        return None
     f = M.field
-    k = len(homs)
-    rng = random.Random(f"catres-iso:{M.dim}:{k}")
-    for _ in range(RANDOM_TRIALS):
-        cand = hom_combination(homs, [f.random_scalar(rng, 3) for _ in range(k)])
-        if _is_invertible(cand.mat):
-            return cand
-    # deterministic exhaustive fallback: every combination over F_p; over Q
-    # the det of a combination has degree <= dim in each coefficient, so
-    # vanishing on the grid {0..dim}^k certifies no isomorphism exists
-    values = f.p if f.kind == "prime" else M.dim + 1
-    if values**k > EXHAUSTIVE_BUDGET:
-        raise IsoInconclusive(f"hom dimension {k} exceeds the exhaustive budget")
-    for coeffs in itertools.product(range(values), repeat=k):
-        cand = hom_combination(homs, coeffs)
-        if _is_invertible(cand.mat):
-            return cand
-    return None
+    images, rows = [], Mat.identity(f, N.dim)  # the rows of K_(i-1) inside N
+    for X, _ in xs:
+        K, incl = sub_repn(N, rows)
+        pair = _split_pair(X, K)
+        if pair is None:
+            return None
+        images.append(pair[0].mat @ incl.mat)
+        rows = left_nullspace(pair[1].mat) @ incl.mat  # K_i, the kernel of g
+    # the rows of B_M are the X_i inside M: B_M^-1 sends M onto the X_i
+    to_parts = RowBasis(Mat.stack_rows(f, [incl.mat for _, incl in xs])).coords(Mat.identity(f, M.dim))
+    return ModHom(M, N, to_parts @ Mat.stack_rows(f, images))
 
 
 def hom_combination(space: HomSpace, coeffs) -> ModHom:

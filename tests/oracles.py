@@ -11,8 +11,13 @@ replacement, on the library's own primitives:
   generator (``generating_indices``), against the Yoneda and the
   projective-presentation routes of ``hom_space`` (the library builds no
   intertwining system any more);
-* ``iso_distinct_simples`` searches isomorphisms, against the idempotent
-  test of ``ModuleContext.representatives`` behind ``distinct_simples``;
+* ``iso_distinct_simples`` compares simples by ``is_isomorphic``, against
+  the idempotent test of ``ModuleContext.representatives`` behind
+  ``distinct_simples``;
+* ``search_isomorphism`` is the budgeted search for an isomorphism (basis
+  maps, random combinations, then every combination while their number
+  fits the budget), against the Krull-Schmidt decision of
+  ``modules.is_isomorphic``;
 * ``bigint_divided_trace_gram`` takes exact big-integer matrix powers one
   product at a time, against the batched powers modulo p*q;
 * ``loop_is_ideal`` builds the left- and right-multiplication matrices one
@@ -112,10 +117,11 @@ from catres.linalg import (
 )
 from catres.modules import (
     HomSpace,
-    IsoInconclusive,
     ModHom,
+    _is_invertible,
     context,
     direct_sum,
+    hom_combination,
     hom_space,
     is_isomorphic,
     projective_cover,
@@ -382,6 +388,49 @@ def iso_distinct_simples(A):
             continue
         reps.append(s)
     return reps
+
+
+EXHAUSTIVE_BUDGET = 1 << 16
+RANDOM_TRIALS = 64
+INCONCLUSIVE = "inconclusive"
+
+
+def search_isomorphism(M, N):
+    """An invertible intertwiner M -> N, None if none exists, or
+    ``INCONCLUSIVE``, by the budgeted search that ``modules.is_isomorphic``
+    once ran: the basis maps of Hom(M, N), then ``RANDOM_TRIALS`` random
+    combinations, then every combination while their number fits in
+    ``EXHAUSTIVE_BUDGET``."""
+    if M.algebra is not N.algebra:
+        raise ValueError("search_isomorphism: different algebras")
+    if M.dim != N.dim:
+        return None
+    if M.dim == 0:
+        return zero_hom(M, N)
+    homs = hom_space(M, N)
+    if not homs:
+        return None
+    for h in homs:
+        if _is_invertible(h.mat):
+            return h
+    f = M.field
+    k = len(homs)
+    rng = random.Random(f"catres-iso:{M.dim}:{k}")
+    for _ in range(RANDOM_TRIALS):
+        cand = hom_combination(homs, [f.random_scalar(rng, 3) for _ in range(k)])
+        if _is_invertible(cand.mat):
+            return cand
+    # deterministic exhaustive fallback: every combination over F_p; over Q
+    # the det of a combination has degree <= dim in each coefficient, so
+    # vanishing on the grid {0..dim}^k certifies no isomorphism exists
+    values = f.p if f.kind == "prime" else M.dim + 1
+    if values**k > EXHAUSTIVE_BUDGET:
+        return INCONCLUSIVE
+    for coeffs in itertools.product(range(values), repeat=k):
+        cand = hom_combination(homs, coeffs)
+        if _is_invertible(cand.mat):
+            return cand
+    return None
 
 
 def int_matrix_power_trace(m, k):
@@ -992,8 +1041,9 @@ def loop_projective_resolution(M, max_depth, halt_on_periodic=True):
     """The minimal resolution of M as the library once built it: each
     syzygy from ``sub_repn`` on the kernel rows, compared with M and every
     earlier syzygy of its dimension, in order, until the first isomorphism
-    (inconclusive searches skipped); with ``halt_on_periodic`` the loop
-    stops there, otherwise it resolves on to ``max_depth``."""
+    (a comparison that raises SplitGiveUp is skipped); with
+    ``halt_on_periodic`` the loop stops there, otherwise it resolves on to
+    ``max_depth``."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     pres = projective_presentation(M)
@@ -1022,7 +1072,7 @@ def loop_projective_resolution(M, max_depth, halt_on_periodic=True):
                     if prev.dim == omega.dim and is_isomorphic(omega, prev) is not None:
                         periodic = (j, len(omegas) - j)
                         break
-                except IsoInconclusive:
+                except SplitGiveUp:
                     pass
         omegas.append(omega)
         if periodic is not None and halt_on_periodic:

@@ -26,6 +26,11 @@ one file; the content key by which modules share their kept values,
 (``Repn.record``), and of it only ``functors.py`` reads or writes the
 functor values (``ModuleRecord.lifts``), so that every caller asks
 ``modules`` and ``functors`` for them.
+
+And it walks them for the choice between F_p and Q: outside ``linalg.py``
+no code compares a ``.kind`` attribute with "prime" or "rational",
+except the branches of ``FIELD_KIND_BRANCHES``, each with the reason it
+stays.
 """
 
 import ast
@@ -297,3 +302,55 @@ def test_only_auslander_writes_and_only_algebra_and_the_context_read_the_idempot
     assert {u for u in uses if u[0] not in ("algebra", "auslander")} == {
         ("modules", "ModuleContext.idempotents", "read"),
     }
+
+
+# (file stem, enclosing function or Class.method) allowed to branch on the
+# field kind outside linalg, with the reason each stays
+FIELD_KIND_BRANCHES = {
+    ("algebra", "_poly_roots"): "ROADMAP item 9",
+}
+
+
+def _names_a_field_kind(node) -> bool:
+    """Is ``node`` the string "prime" or "rational", or a tuple, list or set
+    that holds one?"""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_field_kind(x) for x in node.elts)
+    return isinstance(node, ast.Constant) and node.value in ("prime", "rational")
+
+
+def field_kind_branches() -> list:
+    """(file stem, enclosing function or Class.method, line) of every
+    comparison of a ``.kind`` attribute with "prime" or "rational" in
+    ``src/catres`` outside ``linalg.py``; the scope is None at module
+    level."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = ast.parse(path.read_text())
+        scope = {}  # id(node) -> the function or method around it
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    name = f"{top.name}.{getattr(item, 'name', '')}"
+                    scope.update((id(node), name) for node in ast.walk(item))
+            elif isinstance(top, ast.FunctionDef):
+                scope.update((id(node), top.name) for node in ast.walk(top))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands) and any(
+                _names_a_field_kind(x) for x in operands
+            ):
+                found.append((path.stem, scope.get(id(node)), node.lineno))
+    return found
+
+
+def test_only_linalg_branches_on_the_field_kind():
+    # one place owns the choice between F_p and Q
+    found = field_kind_branches()
+    assert [(stem, where) for stem, where, _ in found if (stem, where) not in FIELD_KIND_BRANCHES] == []
+    # an allowlisted branch that is gone leaves the list
+    assert {(stem, where) for stem, where, _ in found} == set(FIELD_KIND_BRANCHES)

@@ -4,14 +4,16 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catres import homology as hml
 from catres import modules as mod
-from catres.algebra import Algebra, quotient_projection
+from catres.algebra import Algebra, QuiverSpec, SplitGiveUp, from_quiver, quotient_projection
 from catres.auslander import build_auslander, verify_auslander
 from catres.homology import (
     global_dimension,
@@ -38,11 +40,13 @@ from catres.linalg import (
 )
 from catres.samples import random_hom
 from oracles import (
+    INCONCLUSIVE,
     cover_is_projective,
     greedy_cover,
     kron_hom_space,
     module_content,
     naive_hom_dim,
+    search_isomorphism,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -821,3 +825,124 @@ def test_module_records_die_with_their_last_module():
     assert {id(r) for r in A.module_records.values()} == live_records()
     assert len(A.module_records) < len(held)
     assert mod.direct_sum([s] * 5).record.values == {}
+
+
+# -- isomorphism by Krull-Schmidt ----------------------------------------------
+
+
+@cache
+def _iso_pool(stem):
+    """Pairwise non-isomorphic indecomposables over one corpus algebra: the
+    Lambda/J^i of a local one, else the indecomposable projectives and the
+    simples that are not projective, one per isomorphism class."""
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / f"{stem}.json").read_text()))
+    ctx = mod.context(lam)
+    if stem.startswith("x"):
+        chain = lam.radical_chain()
+        return [mod.quotient_repn(ctx.regular, chain.power(i))[0] for i in range(1, chain.nilpotency_index + 1)]
+    pool = [ctx.projectives[i] for i in ctx.representatives]
+    return pool + [ctx.simples[i] for i in ctx.representatives if not mod.is_projective(ctx.simples[i])]
+
+
+@st.composite
+def _iso_case(draw):
+    """(stem, summands of M, summands of N, conjugation seed): the summands
+    of N are those of M in another order, or another draw of the same
+    total dimension."""
+    stem = draw(st.sampled_from(["x2_f2", "x3_f3", "x3_q", "t2_f3", "gentle_two_cycle_f2"]))
+    pool = _iso_pool(stem)
+    m = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        n = draw(st.permutations(m))
+    else:
+        n, left = [], sum(pool[i].dim for i in m)
+        while left:  # every pool has a member of dimension 1
+            n.append(draw(st.sampled_from([i for i, X in enumerate(pool) if X.dim <= left])))
+            left -= pool[n[-1]].dim
+    return stem, m, n, draw(st.integers(0, 1 << 16))
+
+
+def _assert_isomorphism(h, M, N):
+    assert h.source is M and h.target is N
+    assert h.validate() and mod._is_invertible(h.mat)
+
+
+@settings(max_examples=30)
+@given(_iso_case())
+def test_is_isomorphic_decides_sums_of_indecomposables(case):
+    stem, m, n, seed = case
+    pool = _iso_pool(stem)
+    M = mod.direct_sum([pool[i] for i in m])
+    N = _conjugate(mod.direct_sum([pool[i] for i in n]), random.Random(seed))
+    h = mod.is_isomorphic(M, N)
+    # Krull-Schmidt: M and N are isomorphic iff the multisets agree
+    assert (h is not None) == (Counter(m) == Counter(n))
+    if h is not None:
+        _assert_isomorphism(h, M, N)
+    found = search_isomorphism(M, N)
+    if found is not INCONCLUSIVE:
+        assert (found is None) == (h is None)
+    if found not in (None, INCONCLUSIVE):
+        _assert_isomorphism(found, M, N)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_is_isomorphic_decides_sums_the_search_gave_up_on(field):
+    # over k[x]/x^2, S^3 + P^2 against S + P^3: the former budgeted search
+    # found no isomorphism and could not refute one
+    ctx = mod.context(truncated_poly_algebra(field, 2))
+    S, P = ctx.simples[0], ctx.projectives[0]
+    M = mod.direct_sum([S, S, S, P, P])
+    assert mod.is_isomorphic(M, mod.direct_sum([S, P, P, P])) is None
+    N = _conjugate(mod.direct_sum([P, S, P, S, S]), random.Random(5))
+    homs = mod.hom_space(M, N)
+    # no basis map is invertible, so the isomorphism is assembled from the
+    # summands of M split off N
+    assert len(homs) == 29 and not any(mod._is_invertible(h.mat) for h in homs)
+    _assert_isomorphism(mod.is_isomorphic(M, N), M, N)
+
+
+def _kronecker_band():
+    """Over F_2, the Kronecker quiver 1 => 2 and its module X with a = I and
+    b the companion matrix of t^2 + t + 1, whose End(X) is F_4."""
+    K = from_quiver(QuiverSpec(F2, ["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], 2))
+    blocks = {"e_1": ([[1, 0], [0, 1]], 0, 0), "e_2": ([[1, 0], [0, 1]], 2, 2),
+              "a": ([[1, 0], [0, 1]], 0, 2), "b": ([[0, 1], [1, 1]], 0, 2)}
+    rows = []
+    for label in K.basis_labels:
+        block, r, c = blocks[label]
+        act = [[0] * 4 for _ in range(4)]
+        for i in range(2):
+            act[r + i][c : c + 2] = block[i]
+        rows.append([x for row in act for x in row])
+    X = mod.Repn(K, 4, Mat.from_rows(F2, rows))
+    assert X.validate()
+    return X
+
+
+def test_is_isomorphic_raises_split_give_up_beyond_the_prime_field(monkeypatch):
+    X = _kronecker_band()
+    Y = _conjugate(X, random.Random(1))
+    XX = mod.direct_sum([X, X])
+    YY = _conjugate(XX, random.Random(1))
+    # End(X + X) = M_2(F_4): no basis map is invertible, and its split
+    # gives up, as the split of a non-split algebra does
+    assert not any(mod._is_invertible(h.mat) for h in mod.hom_space(XX, YY))
+    with pytest.raises(SplitGiveUp, match="beyond the prime field"):
+        mod.is_isomorphic(XX, YY)
+    # X is indecomposable: a basis map answers, and nothing is split
+    monkeypatch.setattr(mod, "endomorphism_algebra", lambda M: pytest.fail("split an indecomposable"))
+    _assert_isomorphism(mod.is_isomorphic(X, Y), X, Y)
+
+
+def test_projective_dimension_skips_a_comparison_that_gives_up(monkeypatch):
+    # the syzygy of the simple of k[x]/x^2 is the simple again: with every
+    # comparison giving up, periodicity is never certified
+    S = mod.context(truncated_poly_algebra(F3, 2)).simples[0]
+    assert projective_dimension(S, 3).kind == "infinite"
+
+    def give_up(M, N):
+        raise SplitGiveUp("cannot split the center: division components beyond the prime field")
+
+    monkeypatch.setattr(hml, "is_isomorphic", give_up)
+    assert projective_dimension(S, 3).kind == "unknown"
