@@ -9,11 +9,13 @@ Each line carries the SHA-256 of the certify report without its
 idempotents, global dimensions) and one SHA-256 of the outputs of
 ``catres gldim --format json --max-depth d`` for d = 0..4 joined (the
 depths where the global dimension turns from unknown to known).  The wall
-time of each certify call and the peak resident set size of the process
-so far (``ru_maxrss``, in MB) go to stderr, so a memory regression shows
-in the same run, and a plain ``diff`` of the stdout of two checkouts
-shows whether every report is byte-identical.  Name corpus files (e.g.
-``x3_q.json``) to run only those, one per process to read each one's peak.
+time of each certify call (``time.perf_counter``) and the peak resident
+set size of the process so far (``ru_maxrss``, in MB) go to stderr, and
+a last stderr line gives the wall time of the whole run and its peak, so
+a memory regression shows in the same run, and a plain ``diff`` of the
+stdout of two checkouts shows whether every report is byte-identical.
+Name corpus files (e.g. ``x3_q.json``) to run only those, one per
+process to read each one's peak.
 """
 
 import argparse
@@ -59,6 +61,11 @@ def gldim_digest(path: Path) -> str:
     return hashlib.sha256("".join(outputs).encode()).hexdigest()
 
 
+def peak_rss_mb() -> float:
+    """The peak resident set size of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=30)
@@ -68,12 +75,13 @@ def main():
 
     paths = [CORPUS / name for name in args.files] or sorted(CORPUS.glob("*.json"))
     worst = 0
+    start = time.perf_counter()
     for path in paths:
         obj = json.loads(path.read_text())
         alg = parse_algebra_or_quiver(obj)
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = certify_resolution(alg, CertConfig(seed=args.seed, samples=args.samples))
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         code = exit_code_for(report)
         worst = max(worst, code)
         conds = " ".join(
@@ -87,8 +95,9 @@ def main():
             f"analyze={analyze_digest(path)} gldim={gldim_digest(path)}  {conds}",
             flush=True,
         )
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-        print(f"{path.name:28s} {dt:6.1f}s {rss_mb:6.1f} MB", file=sys.stderr, flush=True)
+        print(f"{path.name:28s} {dt:6.1f}s {peak_rss_mb():6.1f} MB", file=sys.stderr, flush=True)
+    total = time.perf_counter() - start
+    print(f"{'total':28s} {total:6.1f}s {peak_rss_mb():6.1f} MB peak", file=sys.stderr, flush=True)
     return 1 if worst == 1 else 0
 
 

@@ -168,8 +168,15 @@ def check_corner_iso(data: AuslanderData):
 
     Multiplicativity makes e = zeta(1) idempotent and gives zeta(b) =
     zeta(1 b 1) = e zeta(b) e, so zeta lands in the corner; injective and
-    of the corner's dimension, it is onto it.
+    of the corner's dimension, it is onto it.  Returns (ok, detail).
     """
+    detail = _corner_iso_defect(data, corner_dim(data))
+    return not detail, detail
+
+
+def _corner_iso_defect(data: AuslanderData, dim_corner: int) -> str:
+    """Why zeta is not an isomorphism onto a corner of dimension
+    ``dim_corner``, or "" if it is."""
     lam, zeta = data.lam, data.lambda_to_tilde
     d = lam.dim
     lhs = data.tilde.products(zeta, zeta)  # row i * d + j: zeta(b_i) zeta(b_j)
@@ -177,12 +184,12 @@ def check_corner_iso(data: AuslanderData):
     row = lhs.first_differing_row(rhs)
     if row is not None:
         i, j = divmod(row, d)
-        return False, f"multiplicativity fails at basis pair ({i}, {j})"
+        return f"multiplicativity fails at basis pair ({i}, {j})"
     if rank(zeta) != d:
-        return False, "zeta is not injective"
-    if corner_dim(data) != d:
-        return False, "corner dimension differs from dim Lambda"
-    return True, ""
+        return "zeta is not injective"
+    if dim_corner != d:
+        return "corner dimension differs from dim Lambda"
+    return ""
 
 
 def hom_dim_sum(data: AuslanderData) -> int:
@@ -206,7 +213,9 @@ def verify_auslander(data: AuslanderData) -> dict:
     """
     n = data.lam.radical_chain().nilpotency_index
     g: GldimResult = global_dimension(data.tilde, n + 2)
-    corner_ok, corner_detail = check_corner_iso(data)
+    dim_corner = corner_dim(data)
+    corner_detail = _corner_iso_defect(data, dim_corner)
+    corner_ok = not corner_detail
     dim_two_ways = hom_dim_sum(data)
     report = {
         "dim_lambda": data.lam.dim,
@@ -220,7 +229,7 @@ def verify_auslander(data: AuslanderData) -> dict:
         "internal_inconsistency": g.kind != "finite",
         "corner_iso_ok": corner_ok,
         "corner_iso_detail": corner_detail,
-        "corner_dim": corner_dim(data),
+        "corner_dim": dim_corner,
         "e_coords": data.e.to_json()[0],
     }
     report["ok"] = bool(

@@ -550,8 +550,14 @@ def _build_presentation(M: Repn) -> Presentation:
     # projective of each isomorphism class covers: isomorphic copies (such
     # as the conjugate e_i of one matrix block of A/J) have composites in
     # different bases, so they would double-cover.  Repeated homs out of
-    # one representative give its multiplicity.
-    for pi_idx in ctx.representatives:
+    # one representative give its multiplicity.  Only the projectives in
+    # top(M) are solved: a map P_i -> M sends e_i into M e_i, so its
+    # composite to the top lies in top(M) e_i, and a zero block keeps no map.
+    reps = ctx.representatives
+    blocks = _top_blocks(M, [ctx.idempotents[i] for i in reps])
+    for pi_idx, block in zip(reps, blocks):
+        if block.is_zero():
+            continue
         space = hom_space(ctx.projectives[pi_idx], M)
         if not space:
             continue
@@ -596,11 +602,19 @@ def is_projective(M: Repn) -> bool:
 
 def _cover_dim(M: Repn) -> Fraction:
     ctx = context(M.algebra)
-    to_top = ctx.top_projection(M)
     return sum(
-        Fraction(rank(M.rho(e) @ to_top) * P.dim, S.dim)
-        for e, P, S in zip(ctx.idempotents, ctx.projectives, ctx.simples)
+        Fraction(rank(block) * P.dim, S.dim)
+        for block, P, S in zip(_top_blocks(M, ctx.idempotents), ctx.projectives, ctx.simples)
     )
+
+
+def _top_blocks(M: Repn, idempotents: list) -> list:
+    """rho_M(e) pi for each idempotent e, with pi: M -> M/MJ the projection
+    onto the top: the map of M e onto top(M) e, all from one product."""
+    k, m = len(idempotents), M.dim
+    moved = (Mat.stack_rows(M.field, idempotents) @ M.flat_action()).reshape(k * m, m)
+    tops = moved @ context(M.algebra).top_projection(M)
+    return [tops.take_rows(slice(r * m, (r + 1) * m)) for r in range(k)]
 
 
 # -- isomorphism ---------------------------------------------------------------

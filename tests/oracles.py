@@ -24,13 +24,14 @@ replacement, on the library's own primitives:
   basis element at a time, against the two table products of
   ``algebra._is_ideal``;
 * ``greedy_cover`` picks the covering maps of a projective cover one hom at
-  a time, against the one rref per projective of
-  ``modules._build_presentation``;
+  a time out of every representative projective, against the one rref per
+  projective in top(M) of ``modules._build_presentation``;
 * ``theta_via_presentation`` recomputes theta from a projective
   presentation over tilde with no corner restriction anywhere, against the
   corner-restriction route of ``functors.theta``;
 * ``numpy_rref_prime`` eliminates over F_p with whole-array numpy row
-  operations, against the list Gauss-Jordan of ``linalg._rref_prime``;
+  operations, against the sparse-row Gauss-Jordan of
+  ``linalg._rref_prime``;
 * ``loop_unit_psis`` builds each map psi_j of the four-term sequence one
   row of m_hat_j at a time, against the one product of
   ``functors.unit_psis``;

@@ -149,21 +149,33 @@ def test_rref_matches_naive_oracle(m):
     assert r.tolist() == [[m.field.coerce(x) for x in row] for row in rows]
 
 
+def _random_prime_mat(p, rows, cols, density, zero_rows, seed):
+    """A random F_p matrix: each entry nonzero with probability ``density``,
+    then each row zeroed with probability ``zero_rows``."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+    a[rng.random(rows) < zero_rows, :] = 0
+    return Mat(FieldSpec("prime", p), a.astype(np.int64))
+
+
 @st.composite
 def sparse_prime_mats(draw):
-    """Tall sparse F_p matrices, the shapes the library reduces: up to
-    80 x 30, density at most 0.2, with all-zero rows mixed in."""
+    """F_p matrices of the shapes the library reduces and past them: tall
+    (up to 80 x 30) or wide (up to 30 x 200), sparse up to dense, with
+    all-zero rows mixed in."""
     p = draw(st.sampled_from([2, 3, 5]))
-    rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 30))
-    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
-    a[rng.random(rows) < draw(st.sampled_from([0.0, 0.3, 0.7])), :] = 0
-    return Mat(FieldSpec("prime", p), a.astype(np.int64))
+    tall = draw(st.booleans())
+    rows = draw(st.integers(1, 80 if tall else 30))
+    cols = draw(st.integers(1, 30 if tall else 200))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]))
+    zero_rows = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    return _random_prime_mat(p, rows, cols, density, zero_rows, draw(st.integers(0, 2**32 - 1)))
 
 
 @given(sparse_prime_mats())
 @example(Mat.zeros(FieldSpec("prime", 3), 40, 12))
+@example(_random_prime_mat(3, 20, 164, 0.013, 0.0, 1))  # a typical Hom system
+@example(_random_prime_mat(3, 126, 21, 0.1, 0.3, 2))
 def test_sparse_prime_rref_matches_the_numpy_and_naive_routes(m):
     p, before = m.field.p, m.a.copy()
     r, piv, rk = rref(m)

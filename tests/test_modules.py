@@ -598,6 +598,61 @@ def test_projective_cover_matches_greedy_route_on_corpus_and_auslander_algebras(
     assert "multiplicity" in seen and {"T(t2_f3)", "F2[S3]", "T(F2[S3])"} <= seen
 
 
+def _cycle_quiver_f2(vertices):
+    """kQ/J^2 on the oriented cycle with ``vertices`` vertices over F_2."""
+    names = [str(i + 1) for i in range(vertices)]
+    return parse_algebra_or_quiver({
+        "format": "catres-quiver-v1",
+        "field": {"type": "prime", "p": 2},
+        "vertices": names,
+        "arrows": [
+            {"name": f"a{i + 1}", "from": names[i], "to": names[(i + 1) % vertices]}
+            for i in range(vertices)
+        ],
+        "relations": [],
+        "length_bound": 2,
+    })
+
+
+def test_gldim_covers_match_the_unfiltered_greedy_route(monkeypatch):
+    # every presentation global_dimension walks, over Lambda and T, against
+    # greedy_cover, which solves Hom(P_i, M) for every representative P_i
+    asked, skipped, solved = [], [], []
+    build, present, hom = mod._build_presentation, mod.projective_presentation, mod.hom_space
+
+    def building(M):
+        before = len(solved)
+        pres = build(M)
+        sources = {P.projective_parts for P, N in solved[before:] if N is M}
+        if len(sources) < len(mod.context(M.algebra).representatives):
+            skipped.append(M)
+        return pres
+
+    def asking(M):
+        asked.append(M)
+        return present(M)
+
+    def solving(M, N):
+        solved.append((M, N))
+        return hom(M, N)
+
+    monkeypatch.setattr(mod, "_build_presentation", building)
+    monkeypatch.setattr(hml, "projective_presentation", asking)
+    monkeypatch.setattr(mod, "hom_space", solving)
+    algebras = [lam for _, lam in _dual_route_algebras()] + [_cycle_quiver_f2(4)]
+    for lam in algebras:
+        T = build_auslander(lam).tilde
+        asked.clear()
+        global_dimension(T)
+        global_dimension(lam)
+        assert asked
+        for M in asked:
+            parts, cover = greedy_cover(M)
+            pres = mod.projective_presentation(M)
+            assert pres.parts == parts and pres.cover.mat == cover, M.dim
+    assert skipped
+
+
 def test_presentation_is_built_once_per_module(monkeypatch):
     # once per content: modules with equal actions share one presentation
     built, alive, asked = Counter(), [], []
