@@ -24,8 +24,6 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt, lcm
 from typing import Optional
 
 import numpy as np
@@ -33,6 +31,7 @@ import numpy as np
 from .linalg import (
     FieldSpec,
     Mat,
+    RootSearchBound,
     RowBasis,
     left_nullspace,
     nullspace,
@@ -232,7 +231,7 @@ def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> Mat:
     Only tr(Z^q) mod p*q is needed, so the lifts of all products are raised
     to the q-th power together, modulo p*q, in stacks of bounded size.
     """
-    p, n, r = A.field.p, A.dim, basis.rows
+    p, n, r = A.field.characteristic, A.dim, basis.rows
     w = A.products(basis, basis)  # row s * r + t is b_s * b_t
     table = A.table_matrix()
     step = max(1, _STACK_ENTRIES // (n * n))
@@ -263,8 +262,7 @@ def _radical_by_traces(A: Algebra) -> Mat:
     traces = table @ Mat.identity(f, n).reshape(n * n, 1)  # row k: tr(L_{b_k})
     gram = (table.reshape(n * n, n) @ traces).reshape(n, n)
     basis = row_basis(nullspace(gram).T)
-    p = f.p or 0  # the characteristic: over Q, level 1 is the radical
-    q = p
+    p = q = f.characteristic  # 0 over Q, where level 1 is the radical
     while basis.rows and 0 < q <= n:
         ker = nullspace(_divided_trace_gram(A, basis, q))
         basis = row_basis(ker.T @ basis)
@@ -304,50 +302,6 @@ def quotient_projection(rows: Mat):
 
 
 # -- primitive idempotents ------------------------------------------------
-
-
-# the rational root search trial-divides up to the square roots of the
-# lowest nonzero and the leading coefficient of the integer-cleared
-# polynomial and then tries every pair of divisors; a product below this
-# bounds both steps to about a second
-MAX_ROOT_SEARCH_PRODUCT = 1 << 48
-
-
-def _poly_roots(field: FieldSpec, coeffs):
-    """Roots in the base field of a monic polynomial given low-to-high.
-
-    Over Q, raises SplitGiveUp when the lowest nonzero and the leading
-    coefficient of the integer-cleared polynomial have a product of at
-    least ``MAX_ROOT_SEARCH_PRODUCT``.
-    """
-    if field.kind == "prime":
-        return [x for x in range(field.p) if _eval_scalar(field, coeffs, x) == 0]
-    # rational roots of an integer-cleared polynomial; monic, so the
-    # leading coefficient is the common denominator
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * den) for c in coeffs]
-    lead = ints[-1]
-    const = next(c for c in ints if c != 0)
-    if abs(const * lead) >= MAX_ROOT_SEARCH_PRODUCT:
-        raise SplitGiveUp(
-            f"rational root search: lowest coefficient {const} times leading"
-            f" coefficient {lead} reaches the bound {MAX_ROOT_SEARCH_PRODUCT}"
-        )
-
-    def divisors(n):
-        small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
-        return sorted({*small, *(abs(n) // d for d in small)})
-
-    roots = []
-    for num in divisors(const):
-        for dq in divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, dq)
-                if _eval_scalar(field, coeffs, cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    if coeffs[0] == 0:  # the candidates above are all nonzero
-        roots.append(Fraction(0))
-    return roots
 
 
 # random combinations tried per split, after the rows themselves
@@ -417,11 +371,14 @@ def _central_idempotent(B: Algebra, unit: Mat, z: Mat) -> Optional[Mat]:
     coeffs = _min_poly(B, unit, z)
     if len(coeffs) <= 2:
         return None
-    roots = _poly_roots(B.field, coeffs)
+    try:
+        roots = B.field.roots(coeffs)
+    except RootSearchBound as exc:
+        raise SplitGiveUp(str(exc)) from None
     if not roots:
         return None
     g = _poly_divide_linear(B.field, coeffs, roots[0])
-    glam = _eval_scalar(B.field, g, roots[0])
+    glam = B.field.evaluate(g, roots[0])
     if glam == 0:
         return None
     gz = Mat.zeros(B.field, 1, B.dim)
@@ -466,13 +423,6 @@ def _min_poly(B: Algebra, unit: Mat, u: Mat):
         if rel is not None:
             return (-rel).tolist()[0] + [B.field.one]
         rows.append(power)
-
-
-def _eval_scalar(field: FieldSpec, coeffs, x):
-    acc = field.zero
-    for cf in reversed(coeffs):
-        acc = field.coerce(acc * x + field.coerce(cf))
-    return acc
 
 
 def _poly_divide_linear(field: FieldSpec, coeffs, lam):
@@ -597,30 +547,6 @@ class QuiverSpec:
                 raise AlgebraError(f"arrow {quoted(name)} references unknown vertex", at)
             names.add(name)
 
-    def path_count(self) -> int:
-        """The number of paths of length < length_bound, lazy paths included,
-        or the first partial count above MAX_QUIVER_PATHS.
-
-        The paths of length l are counted by the entries of A^l, A the
-        adjacency matrix, in exact integers: entry t of the row 1 A^l counts
-        those ending at vertex t.  Each nonzero power adds a path, so at most
-        MAX_QUIVER_PATHS + 1 vector products are taken, whatever the bound.
-        """
-        at = {v: i for i, v in enumerate(self.vertices)}
-        if len(at) > MAX_QUIVER_PATHS:
-            return len(at)  # before the adjacency matrix is allocated
-        adj = np.zeros((len(at), len(at)), dtype=object)
-        for _, s, t in self.arrows:
-            adj[at[s], at[t]] += 1
-        ends = np.ones(len(at), dtype=object)  # the row 1 A^0
-        total = len(at)
-        for _ in range(self.length_bound - 1):
-            if total > MAX_QUIVER_PATHS or not ends.any():
-                break
-            ends = ends @ adj
-            total += int(ends.sum())
-        return total
-
 
 def from_quiver(q: QuiverSpec) -> Algebra:
     """Bounded path algebra modulo relations.
@@ -630,35 +556,37 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     bound).  The path [a, b] means "a first, then b"; right modules act
     by path concatenation on the right.
     """
-    if q.path_count() > MAX_QUIVER_PATHS:
-        raise AlgebraError(
-            f"more than {MAX_QUIVER_PATHS} paths of length < {q.length_bound}", ("length_bound",)
-        )
     f = q.field
     arrow_by_name = {a[0]: a for a in q.arrows}
-    # enumerate paths of length < L: tuples of arrow names; source/target tracked
-    paths = [((), v, v) for v in q.vertices]
-    frontier = list(paths)
-    for _ in range(q.length_bound - 1):
-        nxt = []
-        for arrs, s, t in frontier:
-            for name, a_s, a_t in q.arrows:
-                if a_s == t:
-                    nxt.append((arrs + (name,), s, a_t))
-        paths.extend(nxt)
-        frontier = nxt
+    leaving = {}  # vertex -> the arrows out of it, in spec order
+    for a in q.arrows:
+        leaving.setdefault(a[1], []).append(a)
+    # enumerate paths of length < L, one length at a time: tuples of arrow
+    # names, source/target tracked.  The count is checked as each length
+    # is added, before the next is made and before the table is built, so
+    # a level is at most MAX_QUIVER_PATHS paths times the arrows at their ends.
+    paths, frontier = [], [((), v, v) for v in q.vertices]
+    for _ in range(q.length_bound):
+        if not frontier:
+            break
+        paths += frontier
+        if len(paths) > MAX_QUIVER_PATHS:
+            raise AlgebraError(
+                f"more than {MAX_QUIVER_PATHS} paths of length < {q.length_bound}",
+                ("length_bound",),
+            )
+        frontier = [
+            (arrs + (name,), s, a_t)
+            for arrs, s, t in frontier
+            for name, _, a_t in leaving.get(t, ())
+        ]
     # key by (arrow tuple, source): arrow names pin everything except the
     # vertex of a lazy path
     index = {}
     for i, (arrs, s, t) in enumerate(paths):
         index[(arrs, s)] = i
     d = len(paths)
-
-    def label(p):
-        arrs, s, t = p
-        return f"e_{s}" if not arrs else "*".join(arrs)
-
-    labels = [label(p) for p in paths]
+    labels = ["*".join(arrs) if arrs else f"e_{s}" for arrs, s, _ in paths]
 
     def concat(i: int, j: int):
         arrs_i, si, ti = paths[i]

@@ -57,14 +57,13 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     tilde, end = endomorphism_algebra(M)
     tilde.radical_hint, tilde.idempotent_hint = local_piece_radical(lam, chain, M, end)
 
-    # the Lambda-summand Lambda/J^n is the last block of M
-    iota = Mat.identity(lam.field, M.dim).take_rows(range(M.dim - lam.dim, M.dim))
+    # the Lambda-summand Lambda/J^n is the last block of M, so pi L(b_t) iota
+    # is L(b_t), row t of Lambda's table, placed in that block
+    f, rest = lam.field, M.dim - lam.dim
+    iota = Mat.identity(f, M.dim).take_rows(range(rest, M.dim))
     pi = iota.T
-    zetas = [
-        (pi @ lam.left_mult_matrix(lam.basis_element(t)) @ iota).flatten_row()
-        for t in range(lam.dim)
-    ]
-    lambda_to_tilde = end.basis.coords(Mat.stack_rows(lam.field, zetas))
+    blocks = [Mat.zeros(f, lam.dim, rest * rest), lam.table_matrix()]
+    lambda_to_tilde = end.basis.coords(Mat.block_diag_rows(f, blocks, [rest, lam.dim]))
 
     data = AuslanderData(
         lam=lam,
@@ -102,8 +101,8 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     pieces of unequal dimension impose nothing.  With B_d the rows of the
     pieces of dimension d and G_d the sum of their eps followed by the
     projection M -> M/MJ, f is radical iff B_d mat(f) G_d = 0 for every d:
-    two products over all of ``end`` give every condition.
-    ``Algebra.radical_chain`` certifies the radical and
+    two products over all of ``end`` per dimension give its conditions,
+    side by side.  ``Algebra.radical_chain`` certifies the radical and
     ``algebra.checked_idempotents`` the idempotents.
     """
     f, dl, m, k = lam.field, lam.dim, M.dim, len(end)
@@ -112,7 +111,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     nv = e_rows.rows
     # row v * dl + c is e_v b_c: every left multiplication, stacked
     lefts = (e_rows @ lam.table_matrix()).reshape(nv * dl, dl)
-    rows_by_dim, eps_by_dim = {}, {}  # d -> placed piece rows; d -> {offset: sum of eps}
+    by_dim = {}  # d -> the sum of the eps of the pieces of dimension d
     levels = []  # per summand Lambda/J^i: each piece's eps placed in M
     off = 0
     for i in range(1, chain.nilpotency_index + 1):
@@ -122,39 +121,23 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
         eps_all = lefts.take_rows([v * dl + c for v in range(nv) for c in nonpiv]) @ proj
         level = []
         for v in range(nv):
-            eps = eps_all.take_rows(range(v * s, (v + 1) * s))
-            rows = row_basis(eps)
-            rows_by_dim.setdefault(rows.rows, []).append((off, rows))
-            sums = eps_by_dim.setdefault(rows.rows, {})
-            sums[off] = sums[off] + eps if off in sums else eps
-            level.append(Mat.from_blocks(f, m, m, [(off, off, eps)]).flatten_row())
+            block = eps_all.take_rows(range(v * s, (v + 1) * s))
+            d = rank(block)
+            eps = Mat.from_blocks(f, m, m, [(off, off, block)])
+            by_dim[d] = by_dim[d] + eps if d in by_dim else eps
+            level.append(eps.flatten_row())
         levels.append(level)
         off += s
     idempotents = end.basis.coords(Mat.stack_rows(f, [e for lv in reversed(levels) for e in lv]))
     top = ctx.top_projection(M)
-    dims = sorted(rows_by_dim)
-    placed, spans, r = [], [], 0
-    for d in dims:
-        start = r
-        for o, rows in rows_by_dim[d]:
-            placed.append((r, o, rows))
-            r += rows.rows
-        spans.append((start, r))
-    b = Mat.from_blocks(f, r, m, placed)
-    g = Mat.stack_cols(f, [
-        Mat.from_blocks(f, m, m, [(o, o, e) for o, e in eps_by_dim[d].items()]) @ top
-        for d in dims
-    ])
-    t = top.cols
-    # y[a, j] = row a of B mat(phi_j); then z[a, j, d] = that row times G_d
-    y = b @ end.wide()
-    z = y.reshape(r * k, m) @ g
-    # regrouped as z[j, d, a]: condition d keeps the rows a of its span
-    z = z.permuted((r, k, len(dims), t), (1, 2, 0, 3), k, len(dims) * r * t)
-    cols = [
-        c for j, (lo, hi) in enumerate(spans) for c in range((j * r + lo) * t, (j * r + hi) * t)
-    ]
-    return left_nullspace(z.take_cols(cols)), idempotents
+    conditions = []
+    for d in sorted(by_dim):
+        # the eps are orthogonal, so their sum has the rows of all the pieces
+        b = row_basis(by_dim[d])
+        # row a * k + j is row a of B_d mat(phi_j) G_d; condition j gathers them
+        z = (b @ end.wide()).reshape(b.rows * k, m) @ (by_dim[d] @ top)
+        conditions.append(z.permuted((b.rows, k, top.cols), (1, 0, 2), k, b.rows * top.cols))
+    return left_nullspace(Mat.stack_cols(f, conditions)), idempotents
 
 
 def corner_dim(data: AuslanderData) -> int:

@@ -41,6 +41,7 @@ from .modules import (
     ModHom,
     Repn,
     hom_space,
+    induced_action,
     quotient_repn,
     sub_repn,
 )
@@ -75,13 +76,11 @@ def theta(F: Repn, data: AuslanderData) -> Repn:
 
 
 def _theta(F: Repn, data: AuslanderData) -> Repn:
-    lam = data.lam
+    # Lambda acts on F through zeta: the flat action zeta(b_t), induced on
+    # the corner rows
     rows = corner_rows(F, data)
-    k = rows.rows
-    moved = Mat.stack_rows(
-        F.field, [rows @ F.rho(data.lambda_to_tilde.row_at(t)) for t in range(lam.dim)]
-    )
-    return Repn(lam, k, RowBasis(rows).coords(moved).reshape(lam.dim, k * k))
+    flat = data.lambda_to_tilde @ F.flat_action()
+    return Repn(data.lam, rows.rows, induced_action(flat, rows))
 
 
 def theta_hom(f: ModHom, data: AuslanderData) -> ModHom:
@@ -145,9 +144,8 @@ def theta_rho_maps(space: HomSpace, data: AuslanderData) -> HomSpace:
     if not (k and h and hh):
         return HomSpace(src.module, tgt.module, Mat.zeros(space.flat.field, k, h * hh))
     m, n = src.space.source.dim, space.target.dim
-    # entry (s * m + i, t * n + j) is entry (i, j) of f_s followed by g_t
-    prod = src.space.flat.reshape(h * m, space.source.dim) @ space.wide()
-    moved = prod.permuted((h, m, k, n), (2, 0, 1, 3), k * h, m * n)
+    # row t * h + s is f_s followed by g_t
+    moved = space.after(src.space.flat.reshape(h * m, space.source.dim)).reshape(k * h, m * n)
     return HomSpace(src.module, tgt.module, tgt.space.basis.coords(moved).reshape(k, h * hh))
 
 

@@ -15,9 +15,12 @@ common denominator ``den``.
   exact, and on the Python ints otherwise; either way its carrier is the
   same.
 
+``FieldSpec`` owns the choice between the two fields: the scalars, the
+characteristic and the roots of a polynomial (``FieldSpec.roots``); no
+other module branches on the field kind or reads p.
 ``fractions.Fraction`` values are made only where scalars enter or leave a
 matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
-``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
+``FieldSpec.roots``, ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
 
 Only this module reads the carrier (``a``, ``den``, ``with_array``) and
 the int64 copy kept beside it (``_word``, ``_int64``); the other
@@ -58,7 +61,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,6 +76,12 @@ import numpy as np
 # as int64 copies with their max |entry|, and a product past the bound, or
 # with a numerator outside int64, runs on Python ints instead.
 MAX_PRIME = 1 << 20
+
+# the rational root search trial-divides up to the square roots of the
+# lowest nonzero and the leading coefficient of the integer-cleared
+# polynomial and then tries every pair of divisors; a product below this
+# bounds both steps to about a second
+MAX_ROOT_SEARCH_PRODUCT = 1 << 48
 
 # the strings a rational scalar may be written as in JSON: "n" or "n/d"
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -132,9 +141,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class RootSearchBound(ValueError):
+    """The rational root search of ``FieldSpec.roots`` would pass
+    ``MAX_ROOT_SEARCH_PRODUCT``."""
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """An exact coefficient field: F_p (``kind="prime"``) or Q (``kind="rational"``)."""
+    """An exact coefficient field: F_p (``kind="prime"``) or Q
+    (``kind="rational"``), and what depends on which one it is."""
 
     kind: str
     p: Optional[int] = None
@@ -180,6 +195,56 @@ class FieldSpec:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / x
+
+    @property
+    def characteristic(self) -> int:
+        """p over F_p, 0 over Q."""
+        return self.p if self.kind == "prime" else 0
+
+    def evaluate(self, coeffs, x):
+        """The polynomial with coefficients ``coeffs``, low to high, at x."""
+        acc = self.zero
+        for cf in reversed(coeffs):
+            acc = self.coerce(acc * x + self.coerce(cf))
+        return acc
+
+    def roots(self, coeffs) -> list:
+        """Roots in the field of a monic polynomial given low-to-high.
+
+        Over F_p in increasing order.  Over Q the rational root test on the
+        integer-cleared polynomial: the candidates +-num/den for num
+        dividing its lowest nonzero and den its leading coefficient, in
+        increasing num, then den, + before -, then 0 if it is a root.
+        Raises RootSearchBound when those two coefficients have a product
+        of at least ``MAX_ROOT_SEARCH_PRODUCT``.
+        """
+        if self.kind == "prime":
+            return [x for x in range(self.p) if self.evaluate(coeffs, x) == 0]
+        # monic, so the leading coefficient is the common denominator
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        ints = [int(Fraction(c) * den) for c in coeffs]
+        lead = ints[-1]
+        const = next(c for c in ints if c != 0)
+        if abs(const * lead) >= MAX_ROOT_SEARCH_PRODUCT:
+            raise RootSearchBound(
+                f"rational root search: lowest coefficient {const} times leading"
+                f" coefficient {lead} reaches the bound {MAX_ROOT_SEARCH_PRODUCT}"
+            )
+
+        def divisors(n):
+            small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+            return sorted({*small, *(abs(n) // d for d in small)})
+
+        roots = []
+        for num in divisors(const):
+            for dq in divisors(lead):
+                for sign in (1, -1):
+                    cand = Fraction(sign * num, dq)
+                    if self.evaluate(coeffs, cand) == 0 and cand not in roots:
+                        roots.append(cand)
+        if coeffs[0] == 0:  # the candidates above are all nonzero
+            roots.append(Fraction(0))
+        return roots
 
     def random_scalar(self, rng, spread: int):
         """A random scalar: uniform on F_p, or an integer in

@@ -31,7 +31,6 @@ What names the Hom route, ``Repn.projective_parts``, stays on the object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -193,22 +192,24 @@ def regular_module(A: Algebra) -> Repn:
     return Repn(A, A.dim, A.right_table())
 
 
-def _action_on_rows(M: Repn, rows: Mat) -> Mat:
-    """Induced flat action on an action-stable row subspace."""
-    A = M.algebra
-    k = rows.rows
-    moved = (rows @ M.wide_action()).permuted((k, A.dim, M.dim), (1, 0, 2), A.dim * k, M.dim)
+def induced_action(flat: Mat, rows: Mat) -> Mat:
+    """The flat action that ``flat`` (one row per algebra basis element, its
+    n x n matrix flattened) induces on the action-stable row span of
+    ``rows``, against the basis ``rows``."""
+    d, k, n = flat.rows, rows.rows, rows.cols
+    wide = flat.permuted((d, n, n), (1, 0, 2), n, d * n)
+    moved = (rows @ wide).permuted((k, d, n), (1, 0, 2), d * k, n)
     try:
         c = RowBasis(rows).coords(moved)
     except ValueError:
         raise ValueError("subspace is not action-stable") from None
-    return c.reshape(A.dim, k * k)
+    return c.reshape(d, k * k)
 
 
 def sub_repn(M: Repn, rows: Mat):
     """Submodule on an action-stable row subspace.  Returns (S, inclusion)."""
     rows = row_basis(rows)
-    S = Repn(M.algebra, rows.rows, _action_on_rows(M, rows))
+    S = Repn(M.algebra, rows.rows, induced_action(M.flat_action(), rows))
     return S, ModHom(S, M, rows)
 
 
@@ -553,9 +554,7 @@ def _build_presentation(M: Repn) -> Presentation:
     # one representative give its multiplicity.  Only the projectives in
     # top(M) are solved: a map P_i -> M sends e_i into M e_i, so its
     # composite to the top lies in top(M) e_i, and a zero block keeps no map.
-    reps = ctx.representatives
-    blocks = _top_blocks(M, [ctx.idempotents[i] for i in reps])
-    for pi_idx, block in zip(reps, blocks):
+    for pi_idx, block in _top_blocks(M):
         if block.is_zero():
             continue
         space = hom_space(ctx.projectives[pi_idx], M)
@@ -585,36 +584,31 @@ def is_projective(M: Repn) -> bool:
 
     dim P(M) is read off the top, with no cover built:
 
-        dim P(M) = sum_i rank(rho_M(e_i) pi) * dim P_i / dim S_i
+        dim P(M) = sum_r rank(rho_M(e_r) pi) * dim P_r
 
-    over the primitive idempotents e_i of ``context(A)``, for pi: M -> M/MJ
-    the projection onto the top, so that rank(rho_M(e_i) pi) = dim top(M) e_i.
-    If S_i has multiplicity m in top(M) and lies over the simple factor
-    M_n(D) of A/J, then n of the e_i are conjugate to e_i, each with
-    rank(rho_M(e_i) pi) = m dim D, while dim S_i = n dim D: the n terms add
-    up to m dim P_i.  Dividing by rank(S_i e_i) = dim D instead would
-    count P_i n times, which is wrong for non-basic algebras such as the
-    Auslander algebra of upper triangular 2x2 matrices.  The answer is kept
-    on M's record.
+    over the representatives e_r of ``context(A)``, for pi: M -> M/MJ the
+    projection onto the top.  Every primitive idempotent of the context
+    spans a corner of dimension 1 in A/J, so S_r e_r is 1-dimensional and
+    rank(rho_M(e_r) pi) = dim top(M) e_r is the multiplicity of S_r in
+    top(M).  The answer is kept on M's record.
     """
     return _recorded(M, "is_projective", lambda: _cover_dim(M) == M.dim)
 
 
-def _cover_dim(M: Repn) -> Fraction:
+def _cover_dim(M: Repn) -> int:
+    projs = context(M.algebra).projectives
+    return sum(rank(block) * projs[r].dim for r, block in _top_blocks(M))
+
+
+def _top_blocks(M: Repn) -> list:
+    """(r, rho_M(e_r) pi) for each representative r of ``context(A)``, with
+    pi: M -> M/MJ the projection onto the top: the map of M e_r onto
+    top(M) e_r, all from one product."""
     ctx = context(M.algebra)
-    return sum(
-        Fraction(rank(block) * P.dim, S.dim)
-        for block, P, S in zip(_top_blocks(M, ctx.idempotents), ctx.projectives, ctx.simples)
-    )
-
-
-def _top_blocks(M: Repn, idempotents: list) -> list:
-    """rho_M(e) pi for each idempotent e, with pi: M -> M/MJ the projection
-    onto the top: the map of M e onto top(M) e, all from one product."""
-    k, m = len(idempotents), M.dim
-    moved = (Mat.stack_rows(M.field, idempotents) @ M.flat_action()).reshape(k * m, m)
-    tops = moved @ context(M.algebra).top_projection(M)
-    return [tops.take_rows(slice(r * m, (r + 1) * m)) for r in range(k)]
+    reps, m = ctx.representatives, M.dim
+    e = Mat.stack_rows(M.field, [ctx.idempotents[r] for r in reps])
+    tops = (e @ M.flat_action()).reshape(len(reps) * m, m) @ ctx.top_projection(M)
+    return [(r, tops.take_rows(slice(i * m, (i + 1) * m))) for i, r in enumerate(reps)]
 
 
 # -- isomorphism ---------------------------------------------------------------

@@ -40,6 +40,12 @@ replacement, on the library's own primitives:
   ``algebra._radical_by_traces`` over Q;
 * ``loop_theta_rho_hom`` lifts one map at a time, against the one product
   and one coordinate solve of ``functors.theta_rho_maps``;
+* ``loop_theta`` moves the corner rows by rho_F(zeta(b_t)) one basis
+  element of Lambda at a time, against the action that
+  ``modules.induced_action`` induces in ``functors.theta``;
+* ``loop_zeta`` builds each zeta(b_t) as the product pi L(b_t) iota,
+  against the one ``Mat.block_diag_rows`` of Lambda's table in
+  ``auslander.build_auslander``;
 * ``roundtrip_adjunction`` and ``roundtrip_right_adjoint`` send each basis
   row of a homotopy Hom through a ``ChainMap`` of per-map functor images
   and solve it back to coordinates, against the one coordinate matrix per
@@ -90,7 +96,6 @@ import numpy as np
 
 from catres.algebra import (
     _RANDOM_COMBINATIONS,
-    MAX_ROOT_SEARCH_PRODUCT,
     Algebra,
     AlgebraError,
     SplitGiveUp,
@@ -106,6 +111,7 @@ from catres.complexes import (
 )
 from catres.functors import theta_hom, theta_rho_data
 from catres.linalg import (
+    MAX_ROOT_SEARCH_PRODUCT,
     Mat,
     RowBasis,
     coords_in_rows,
@@ -119,6 +125,7 @@ from catres.linalg import (
 from catres.modules import (
     HomSpace,
     ModHom,
+    Repn,
     _is_invertible,
     context,
     direct_sum,
@@ -586,6 +593,29 @@ def trace_form_radical(A):
     flat = Mat.stack_rows(A.field, [m.flatten_row() for m in lmats])
     flat_t = Mat.stack_rows(A.field, [m.T.flatten_row() for m in lmats])
     return row_basis(left_nullspace(flat @ flat_t.T))
+
+
+def loop_theta(F, data):
+    """theta(F) one basis element b_t of Lambda at a time: the corner rows
+    of F moved by rho_F(zeta(b_t)), in coordinates of the corner rows."""
+    lam = data.lam
+    rows = row_basis(F.rho(data.e))
+    k = rows.rows
+    moved = Mat.stack_rows(
+        F.field, [rows @ F.rho(data.lambda_to_tilde.row_at(t)) for t in range(lam.dim)]
+    )
+    return Repn(lam, k, RowBasis(rows).coords(moved).reshape(lam.dim, k * k))
+
+
+def loop_zeta(data):
+    """zeta: Lambda -> tilde one basis element b_t at a time, as the map
+    pi L(b_t) iota of M in coordinates of the basis of End(M)."""
+    lam = data.lam
+    zetas = [
+        (data.pi @ lam.left_mult_matrix(lam.basis_element(t)) @ data.iota).flatten_row()
+        for t in range(lam.dim)
+    ]
+    return data.end.basis.coords(Mat.stack_rows(lam.field, zetas))
 
 
 def loop_theta_rho_hom(g, src, tgt):

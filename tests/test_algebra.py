@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from catres.algebra import (
     Algebra,
-    MAX_ROOT_SEARCH_PRODUCT,
     AlgebraError,
     QuiverSpec,
     _RANDOM_COMBINATIONS,
@@ -18,7 +17,6 @@ from catres.algebra import (
     _corner_rows,
     _divided_trace_gram,
     _is_ideal,
-    _poly_roots,
     _radical_by_traces,
     _with_random_combinations,
     from_quiver,
@@ -34,8 +32,10 @@ from catres.corpus import (
 )
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import (
+    MAX_ROOT_SEARCH_PRODUCT,
     FieldSpec,
     Mat,
+    RootSearchBound,
     RowBasis,
     _int64_fits,
     coords_in_rows,
@@ -616,8 +616,12 @@ def test_rational_root_search_under_its_bound_keeps_the_idempotents():
 
 def test_rational_root_search_gives_up_at_its_bound():
     n = MAX_ROOT_SEARCH_PRODUCT
+    with pytest.raises(RootSearchBound, match=f"lowest coefficient -{n} times leading"):
+        QQ.roots([Fraction(0), Fraction(-n), Fraction(1)])
+    # the split of A/J gives up with the same message
+    a = parse_algebra_or_quiver(q_times_q(n))
     with pytest.raises(SplitGiveUp, match=f"lowest coefficient -{n} times leading"):
-        _poly_roots(QQ, [Fraction(0), Fraction(-n), Fraction(1)])
+        primitive_idempotents(a, a.radical_chain())
 
 
 def test_poly_roots_over_q_with_a_denominator_beyond_int64():
@@ -625,7 +629,7 @@ def test_poly_roots_over_q_with_a_denominator_beyond_int64():
     # forms d * d on the way and wraps
     d = 2**32 + 15
     coeffs = [Fraction(1, d), -(1 + Fraction(1, d)), Fraction(1)]
-    assert set(_poly_roots(QQ, coeffs)) == {Fraction(1, d), Fraction(1)}
+    assert set(QQ.roots(coeffs)) == {Fraction(1, d), Fraction(1)}
 
 
 @given(
@@ -636,14 +640,14 @@ def test_poly_roots_over_q_match_the_loop_route(roots, low):
     coeffs = [*low, Fraction(1)]
     for r in roots:  # times (t - r)
         coeffs = [a - r * b for a, b in zip([Fraction(0), *coeffs], [*coeffs, Fraction(0)])]
-    assert _poly_roots(QQ, coeffs) == loop_poly_roots(QQ, coeffs)
+    assert QQ.roots(coeffs) == loop_poly_roots(QQ, coeffs)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), max_size=5))
 def test_poly_roots_over_f_p_match_the_loop_route(p, low):
     field = FieldSpec("prime", p)
     coeffs = [c % p for c in low] + [1]
-    assert _poly_roots(field, coeffs) == loop_poly_roots(field, coeffs)
+    assert field.roots(coeffs) == loop_poly_roots(field, coeffs)
 
 
 def test_power_traces_match_bigint_traces_on_both_paths():

@@ -26,7 +26,7 @@ from catres.homology import global_dimension
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, rank, row_basis
 from catres.modules import context, is_isomorphic
-from oracles import corner_route_iso, idempotent_set_defect
+from oracles import corner_route_iso, idempotent_set_defect, loop_zeta
 from test_algebra import idempotent_inputs, with_radical_hint
 from test_modules import f2_s3
 
@@ -148,6 +148,12 @@ def test_local_piece_radical_matches_the_field_route():
         assert tilde.radical_chain().radical == expected, label
         fields.add(tilde.field.kind)
     assert fields == {"prime", "rational"}
+
+
+def test_zeta_matches_the_per_element_loop():
+    for label, lam in _radical_dual_route_algebras():
+        d = build_auslander(lam)
+        assert d.lambda_to_tilde == loop_zeta(d), label
 
 
 @pytest.mark.parametrize("name", ["x3_f3", "x3_q", "gentle_two_cycle_f2"])

@@ -29,11 +29,13 @@ from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, left_nullspace, rank, row_basis, solve_left
 from catres.samples import ModulePool, random_hom, rng_for
 from oracles import (
+    loop_theta,
     loop_theta_rho_hom,
     loop_unit_psis,
     module_content,
     theta_via_presentation,
 )
+from test_modules import _cycle_quiver_f2, _dual_route_algebras
 
 F2 = FieldSpec("prime", 2)
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -193,6 +195,26 @@ def test_theta_rho_maps_match_the_per_map_loop(corpus_file):
     for a, b in ((reg, zero), (zero, reg)):
         assert theta_rho(zero, data).dim == 0
         _theta_rho_maps_match_the_loop(mod.HomSpace(a, b, Mat.zeros(lam.field, 1, 0)), data)
+
+
+def test_theta_and_theta_rho_maps_match_the_per_element_loops_on_corpus_and_group_algebras():
+    seen = set()
+    for label, lam in [*_dual_route_algebras(), ("cycle4", _cycle_quiver_f2(4))]:
+        data = build_auslander(lam)
+        pool = ModulePool(data)
+        ctx = mod.context(data.tilde)
+        rng = rng_for(0, "theta-loop", lam.dim)
+        mods = [*ctx.simples, *ctx.projectives, ctx.regular, mod.zero_module(data.tilde)]
+        mods += [pool.random_tilde_module(rng, 8) for _ in range(4)]
+        for F in mods:
+            assert _same_module(theta(F, data), loop_theta(F, data)), (label, F.dim)
+        for _ in range(3):
+            n1, n2 = pool.random_lam_module(rng, 6), pool.random_lam_module(rng, 6)
+            space = mod.hom_space(n1, n2)
+            _theta_rho_maps_match_the_loop(space, data)
+            if len(space):
+                seen.add(label)
+    assert {"F2[S3]", "cycle4"} <= seen
 
 
 def test_theta_on_mod0_simple_is_zero(data):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from catres import algebra
 from catres import modules as mod
 from catres.algebra import MAX_QUIVER_PATHS, AlgebraError, QuiverSpec, from_quiver
 from catres.auslander import build_auslander
@@ -162,18 +163,40 @@ def test_cli_analyze_gives_up_on_an_oversized_rational_root_search(tmp_path, cap
     assert f"lowest coefficient -{10**30} times leading" in capsys.readouterr().err
 
 
-def test_path_count_sums_the_powers_of_the_adjacency_matrix():
+class _TableBuilt(Exception):
+    """Raised in place of building the bounded path algebra."""
+
+
+def test_from_quiver_enumerates_paths_up_to_its_bound(monkeypatch):
     f2 = FieldSpec("prime", 2)
-    loops = [("a", "v", "v"), ("b", "v", "v")]
-    # 2**l paths of length l on two loops: 1 + 2 + ... + 64 = 127 below length 7
-    assert QuiverSpec(f2, ["v"], loops, [], 7).path_count() == 127
-    assert QuiverSpec(f2, ["v"], loops, [], 8).path_count() == 255
+    loop, two_loops = [("a", "v", "v")], [("a", "v", "v"), ("b", "v", "v")]
+    # 2**l paths of length l on two loops: 1 + 2 + 4 + 8 + 16 = 31 below length 5
+    assert from_quiver(QuiverSpec(f2, ["v"], two_loops, [], 5)).dim == 31
     cycle = [(f"a{i}", str(i), str((i + 1) % 3)) for i in range(3)]
-    assert QuiverSpec(f2, list("012"), cycle, [], 3).path_count() == 9
-    many = QuiverSpec(f2, [str(i) for i in range(10**4)], [], [], 2)
-    assert many.path_count() > MAX_QUIVER_PATHS
-    with pytest.raises(AlgebraError):
-        from_quiver(QuiverSpec(f2, ["v"], loops, [], 8))
+    assert from_quiver(QuiverSpec(f2, list("012"), cycle, [], 3)).dim == 9
+    # an acyclic quiver runs out of paths long before its bound, and the
+    # enumeration stops there
+    line = [("a", "1", "2"), ("b", "2", "3")]
+    start = time.perf_counter()
+    assert from_quiver(QuiverSpec(f2, list("123"), line, [], 10**9)).dim == 6
+    assert time.perf_counter() - start < 5.0
+
+    def table_built(field, labels, unit, table, radical_hint=None):
+        raise _TableBuilt(len(labels))
+
+    monkeypatch.setattr(algebra, "Algebra", table_built)
+    # one loop has one path of each length 0..L-1
+    with pytest.raises(_TableBuilt) as built:
+        from_quiver(QuiverSpec(f2, ["v"], loop, [], MAX_QUIVER_PATHS))
+    assert built.value.args == (MAX_QUIVER_PATHS,)
+    for spec in (
+        QuiverSpec(f2, ["v"], loop, [], MAX_QUIVER_PATHS + 1),
+        QuiverSpec(f2, ["v"], two_loops, [], 10**9),
+        QuiverSpec(f2, [str(i) for i in range(10**4)], [], [], 2),
+    ):
+        with pytest.raises(AlgebraError) as exc:
+            from_quiver(spec)
+        assert exc.value.at == ("length_bound",)
 
 
 def test_rejects_invariant_violation():

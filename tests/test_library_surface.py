@@ -28,9 +28,9 @@ functor values (``ModuleRecord.lifts``), so that every caller asks
 ``modules`` and ``functors`` for them.
 
 And it walks them for the choice between F_p and Q: outside ``linalg.py``
-no code compares a ``.kind`` attribute with "prime" or "rational",
-except the branches of ``FIELD_KIND_BRANCHES``, each with the reason it
-stays.
+no code compares a ``.kind`` attribute with "prime" or "rational" or
+reads a ``.p`` attribute; ``FieldSpec`` answers for the field (its
+``characteristic``, ``roots``, scalars and JSON form).
 """
 
 import ast
@@ -304,13 +304,6 @@ def test_only_auslander_writes_and_only_algebra_and_the_context_read_the_idempot
     }
 
 
-# (file stem, enclosing function or Class.method) allowed to branch on the
-# field kind outside linalg, with the reason each stays
-FIELD_KIND_BRANCHES = {
-    ("algebra", "_poly_roots"): "ROADMAP item 9",
-}
-
-
 def _names_a_field_kind(node) -> bool:
     """Is ``node`` the string "prime" or "rational", or a tuple, list or set
     that holds one?"""
@@ -319,15 +312,13 @@ def _names_a_field_kind(node) -> bool:
     return isinstance(node, ast.Constant) and node.value in ("prime", "rational")
 
 
-def field_kind_branches() -> list:
+def field_kind_branches(paths) -> list:
     """(file stem, enclosing function or Class.method, line) of every
-    comparison of a ``.kind`` attribute with "prime" or "rational" in
-    ``src/catres`` outside ``linalg.py``; the scope is None at module
-    level."""
+    comparison of a ``.kind`` attribute with "prime" or "rational", and of
+    every read of a ``.p`` attribute, in the files ``paths``; the scope is
+    None at module level."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "linalg":
-            continue
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         scope = {}  # id(node) -> the function or method around it
         for top in tree.body:
@@ -338,6 +329,8 @@ def field_kind_branches() -> list:
             elif isinstance(top, ast.FunctionDef):
                 scope.update((id(node), top.name) for node in ast.walk(top))
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "p":
+                found.append((path.stem, scope.get(id(node)), node.lineno))
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -349,8 +342,8 @@ def field_kind_branches() -> list:
 
 
 def test_only_linalg_branches_on_the_field_kind():
-    # one place owns the choice between F_p and Q
-    found = field_kind_branches()
-    assert [(stem, where) for stem, where, _ in found if (stem, where) not in FIELD_KIND_BRANCHES] == []
-    # an allowlisted branch that is gone leaves the list
-    assert {(stem, where) for stem, where, _ in found} == set(FIELD_KIND_BRANCHES)
+    # one place owns the choice between F_p and Q: FieldSpec
+    assert field_kind_branches(p for p in SRC.glob("*.py") if p.stem != "linalg") == []
+    # the walk sees both kinds of branch where they are allowed
+    scopes = {where for _, where, _ in field_kind_branches([SRC / "linalg.py"])}
+    assert {"FieldSpec.roots", "FieldSpec.characteristic"} <= scopes

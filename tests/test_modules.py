@@ -326,27 +326,38 @@ def _random_modules(A, rng, count):
     return out
 
 
+def _projectivity_algebras():
+    """(label, A) for every corpus file and its T, F_2[S_3] and its T, and
+    F_3[A_4]."""
+    for name, lam in _dual_route_algebras():
+        yield name, lam
+        yield f"T({name})", build_auslander(lam).tilde
+    yield "F3[A4]", f3_a4()
+
+
 def test_is_projective_matches_cover_on_corpus_and_auslander_algebras():
     rng = random.Random(31)
-    non_basic = set()
-    for path in sorted(CORPUS.glob("*.json")):
-        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
-        for label, A in ((path.stem, lam), (f"T({path.stem})", build_auslander(lam).tilde)):
-            ctx = mod.context(A)
-            for m in list(ctx.projectives) + [ctx.regular]:
-                assert mod.is_projective(m) and cover_is_projective(m), label
-            for m in list(ctx.simples) + _random_modules(A, rng, 6):
-                assert mod.is_projective(m) == cover_is_projective(m), (label, m.dim)
-            # conjugate primitive idempotents: two isomorphic indecomposable projectives
-            projs = ctx.projectives
-            if any(
-                mod.is_isomorphic(projs[i], projs[j]) is not None
-                for i in range(len(projs))
-                for j in range(i + 1, len(projs))
-                if projs[i].dim == projs[j].dim
-            ):
-                non_basic.add(label)
-    assert "T(t2_f3)" in non_basic
+    non_basic, fewer_representatives = set(), set()
+    for label, A in _projectivity_algebras():
+        ctx = mod.context(A)
+        if len(ctx.representatives) < len(ctx.idempotents):
+            fewer_representatives.add(label)
+        for m in list(ctx.projectives) + [ctx.regular]:
+            assert mod.is_projective(m) and cover_is_projective(m), label
+        for m in list(ctx.simples) + _random_modules(A, rng, 6):
+            assert mod.is_projective(m) == cover_is_projective(m), (label, m.dim)
+        # conjugate primitive idempotents: two isomorphic indecomposable projectives
+        projs = ctx.projectives
+        if any(
+            mod.is_isomorphic(projs[i], projs[j]) is not None
+            for i in range(len(projs))
+            for j in range(i + 1, len(projs))
+            if projs[i].dim == projs[j].dim
+        ):
+            non_basic.add(label)
+    assert {"T(t2_f3)", "F2[S3]", "T(F2[S3])", "F3[A4]"} <= non_basic
+    # fewer representatives than idempotents exactly where projectives repeat
+    assert fewer_representatives == non_basic
 
 
 def _conjugate(N, rng):
