@@ -42,11 +42,12 @@ def _load(path: str):
         raise ParseError(path, f"invalid JSON: {exc}") from None
 
 
-def _emit(obj, fmt: str, text_renderer=None):
-    if fmt == "json" or text_renderer is None:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
+def _emit(obj, fmt: str = "json", text_renderer=None):
+    """Print ``obj`` as sorted JSON, or through ``text_renderer`` for text."""
+    if fmt == "text":
         print(text_renderer(obj))
+    else:
+        print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def cmd_analyze(args) -> int:
@@ -81,7 +82,7 @@ def cmd_auslander(args) -> int:
     alg = parse_algebra_or_quiver(_load(args.input))
     data = build_auslander(alg)
     report = verify_auslander(data)
-    _emit(report, args.format, None)
+    _emit(report)
     return 0 if report["ok"] else 1
 
 
@@ -135,7 +136,7 @@ def cmd_functor(args) -> int:
         fn = theta_rho if args.which == "theta-rho" else theta_lambda
         result = fn(pm.module, data)
         algebra_obj = {"auslander_of": algebra_to_json(data.lam)}
-    _emit(module_to_json(result, algebra_obj=algebra_obj), args.format, None)
+    _emit(module_to_json(result, algebra_obj=algebra_obj))
     return 0
 
 
@@ -203,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("auslander", help="build and verify the Auslander data")
     sp.add_argument("input")
-    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_auslander)
 
     sp = sub.add_parser("gldim", help="tri-state global dimension")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("functor", help="apply theta / theta-rho / theta-lambda")
     sp.add_argument("which", choices=["theta", "theta-rho", "theta-lambda"])
     sp.add_argument("module")
-    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_functor)
 
     sp = sub.add_parser("certify", help="run the categorical-resolution suites")

@@ -29,28 +29,23 @@ layers regroup entries through ``Mat.permuted``, select with
 ``first_differing_row``, and key a matrix by its content with
 ``Mat.key``.
 
-Over F_p, row reduction is Gauss-Jordan on sparse rows: the nonzero
-entries are read once, each row is a {column: residue} map, each input
-row is reduced against the pivot rows kept so far, and its pivot column
-is then cleared from them, so the work follows the nonzero entries.  The
-library's F_p matrices are small and sparse: in the set-ups of
+Row reduction is one Gauss-Jordan kernel on sparse rows over both
+fields, told only the characteristic: each row is a {column: value} map,
+each input row is reduced against the pivot rows kept so far and its
+pivot column is then cleared from them, so the work follows the nonzero
+entries.  The library's matrices are sparse: in the set-ups of
 F_3[x]/x^4 to x^6, every one of 1,000 cells or more has under 5 %
-nonzero entries, and the largest, 7225 x 91 in the chain of powers of
-rad T for F_3[x]/x^6, has 510 nonzeros.  Over F_3, best of runs on a
-shared 2-core Xeon with Python 3.11: a 20 x 164 Hom system with 1.3 %
-nonzero entries takes 0.06-0.12 ms (0.4-0.7 ms with the former
-Gauss-Jordan on dense Python lists) and the 7225 x 91 matrix 3-5 ms
-(8-12 ms).  Dense matrices pay for the maps: a dense 100 x 100 takes
-25-31 ms, about 3x numpy row operations, which remain in the tests as
-the reference route, and a dense 200 x 400 0.8-1.4 s, 6-8x numpy.
-Over Q, row reduction is fraction-free Gauss-Jordan on the numerators,
-as Python lists.
+nonzero entries.  Over F_p the values are residues and each kept row has
+1 at its pivot; over Q they are the integer numerators, a kept row k
+clears column c of a row as k[c] * row - row[c] * k divided by its
+content, and the rows are scaled to the lcm of the pivots at the end.
+README.md gives the timings of both fields.
 
-Coordinates against a fixed row basis go through :class:`RowBasis`: one
-rref factors the basis, after which each batch of right-hand sides costs
-one column slice, one product and one exact residual check.
-``coords_in_rows`` is a one-shot wrapper over it; callers that solve
-against the same basis repeatedly hold the factored basis instead.
+Every solve goes through :class:`RowBasis`: one rref factors the basis,
+after which each batch of right-hand sides costs one column slice, one
+product and one exact residual check.  ``coords_in_rows``, ``solve_left``
+and ``solve`` (transposed) are one-shot wrappers over it; callers that
+solve against one basis repeatedly hold the factored basis instead.
 
 No floating point is used anywhere in this package.
 """
@@ -604,17 +599,6 @@ class Mat:
         return self.reshape(1, self.rows * self.cols)
 
 
-def flat_products(lefts: list, rights: list) -> Mat:
-    """Row ``a * len(rights) + b`` is ``lefts[a] @ rights[b]`` flattened row-major.
-
-    All lefts share one shape, all rights another; one product does it all.
-    """
-    f = lefts[0].field
-    p, r, k, h = lefts[0].rows, rights[0].cols, len(lefts), len(rights)
-    big = Mat.stack_rows(f, lefts) @ Mat.stack_cols(f, rights)
-    return big.permuted((k, p, h, r), (0, 2, 1, 3), k * h, p * r)
-
-
 def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
     """tr(Z^k) mod ``modulus`` for each row of the F_p matrix ``m``, read as
     an n x n integer matrix Z.  Repeated squaring, reducing after every
@@ -637,101 +621,82 @@ def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
 # -- row reduction ------------------------------------------------------
 
 
-def _rref_prime(a: np.ndarray, p: int):
-    # Gauss-Jordan on sparse rows, {column: residue}, one input row at a
-    # time (see the module docstring for why); the input is never written.
-    # Every kept row is reduced: 1 at its pivot, 0 at every other pivot.
-    # So a new row is cleared by one pass over the pivots it meets, and
-    # its own pivot column is then cleared from the kept rows.
+def _gauss_jordan(a: np.ndarray, p: int):
+    # Gauss-Jordan on sparse rows, {column: value}, one input row at a time
+    # (see the module docstring); the input is never written.  Kept rows are
+    # reduced (0 at every other pivot) and normalised, so a new row is
+    # cleared by one pass over the pivots it meets; its own pivot column is
+    # then cleared from the kept rows.  Each output row holds den, the lcm
+    # of the pivots (1 over F_p), at its pivot.
     n = a.shape[1]
     flat = a.ravel()
     nz = flat.nonzero()[0]
     rows = {}
     for k, x in zip(nz.tolist(), flat[nz].tolist()):
-        x %= p
+        if p:
+            x %= p
         if x:
             i, c = divmod(k, n)
             rows.setdefault(i, {})[c] = x
     kept = {}  # pivot column -> its reduced row
     for row in rows.values():
         for c in [c for c in row if c in kept]:
-            _axpy(row, -row[c], kept[c], p)
+            _clear(row, c, kept[c], p)
         if not row:
             continue
         c = min(row)
-        inv = pow(row[c], p - 2, p)
-        for k in row:
-            row[k] = row[k] * inv % p
+        _normalise(row, c, p)
         for other in kept.values():
             if c in other:
-                _axpy(other, -other[c], row, p)
+                _clear(other, c, row, p)
         kept[c] = row
     pivots = sorted(kept)
+    den = 1 if p else lcm(*(kept[c][c] for c in pivots))
     at, vals = [], []  # flat positions and values of the output's entries
     for i, c in enumerate(pivots):
-        at += [i * n + k for k in kept[c]]
-        vals += kept[c].values()
-    out = np.zeros(a.size, dtype=np.int64)
-    out[at] = vals
-    return out.reshape(a.shape), pivots
+        row = kept[c]
+        at += [i * n + k for k in row]
+        vals += row.values() if p else [x * (den // row[c]) for x in row.values()]
+    out = np.zeros(a.shape, dtype=np.int64 if p else object)  # as ``_empty`` makes it
+    out.put(at, vals)
+    return out, pivots
 
 
-def _axpy(row: dict, f: int, other: dict, p: int):
-    """row += f * other over F_p, in place, dropping the entries that vanish."""
-    for c, x in other.items():
-        y = (row.get(c, 0) + f * x) % p
+def _clear(row: dict, c: int, other: dict, p: int):
+    """row := other[c] * row - row[c] * other in place (0 at c, zeros dropped):
+    reduced modulo p over F_p (other[c] is 1), divided by its content over Q."""
+    f, s = row[c], other[c]
+    if s != 1:
+        for k in row:
+            row[k] *= s
+    for k, x in other.items():
+        y = row.get(k, 0) - f * x
+        if p:
+            y %= p
         if y:
-            row[c] = y
+            row[k] = y
         else:
-            row.pop(c, None)
+            row.pop(k, None)
+    if not p:
+        _normalise(row, c, p)
 
 
-def _rref_rational(a: np.ndarray):
-    # Fraction-free Gauss-Jordan on the numerators: scaling does not change
-    # the row space, so the rows of a have the RREF of a / den.  Updated
-    # rows are divided by their content to keep entries small; the pivots
-    # divide out only at the end, as the lcm of the pivots.
-    rows = [_primitive(r) for r in a.tolist()]
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-    den = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
-    out = np.zeros((m, n), dtype=object)
-    for i, pc in enumerate(pivots):
-        s = den // rows[i][pc]
-        out[i, :] = [x * s for x in rows[i]]
-    return out, pivots, den
-
-
-def _primitive(row: list) -> list:
-    """Integer row divided by the gcd of its entries (unchanged if zero)."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+def _normalise(row: dict, c: int, p: int):
+    """In place: over F_p row scaled to 1 at its pivot c, over Q (p = 0)
+    divided by its content, the gcd of its entries."""
+    s = pow(row[c], p - 2, p) if p else gcd(*row.values())
+    if s != 1:
+        for k in row:
+            row[k] = row[k] * s % p if p else row[k] // s
 
 
 def rref(m: Mat):
     """Reduced row-echelon form.  Returns ``(R, pivots, rank)``."""
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
-    if m.field.kind == "prime":
-        a, pivots = _rref_prime(m.a, m.field.p)
-        return Mat(m.field, a, _copy=False), pivots, len(pivots)
-    a, pivots, den = _rref_rational(m.a)
+    p = m.field.characteristic
+    a, pivots = _gauss_jordan(m.a, p)
+    den = 1 if p or not pivots else a[0, pivots[0]]  # a Python int over Q
     return Mat(m.field, a, den, _copy=False), pivots, len(pivots)
 
 
@@ -776,22 +741,18 @@ def nullspace_of_rref(r: Mat, pivots: list) -> Mat:
 
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """Any exact solution x of ``a @ x = b``, or None iff inconsistent."""
+    """``solve_left`` transposed: x with ``a @ x = b``, 0 off a's pivot columns, or None."""
     if a.rows != b.rows:
         raise ValueError(f"solve: {a.rows} equations vs rhs with {b.rows} rows")
-    r, pivots, rk = rref(a.hstack(b))
-    if any(pc >= a.cols for pc in pivots):
-        return None
-    x = _empty(a.field, a.cols, b.cols)
-    if rk:
-        x[pivots, :] = r.a[:rk, a.cols :]
-    return Mat(a.field, x, r.den, _copy=False)
+    sol = solve_left(a.T, b.T)
+    return None if sol is None else sol.T
 
 
 def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
-    """Any exact solution x of ``x @ a = b`` (row-vector convention)."""
-    sol = solve(a.T, b.T)
-    return None if sol is None else sol.T
+    """The exact solution x of ``x @ a = b`` (row-vector convention) that
+    is supported on the first independent rows of a, or None iff a row of
+    b lies outside the row span of a."""
+    return RowBasis(a).solve(b)
 
 
 def left_nullspace(m: Mat) -> Mat:
@@ -808,9 +769,9 @@ class RowBasis:
     V[:, pivots] @ R = V, and then c = V[:, pivots] @ T solves c @ B = V.
     Reversing the identity makes the left-nullspace rows of the rref pivot
     on the rows of B that depend on earlier rows, so T is zero in those
-    columns: for a dependent B, ``coords`` returns the solution
-    ``solve_left`` picks, supported on the first independent rows.  R and
-    T stay on the carrier, so both checks are integer products.
+    columns: for a dependent B, the solution is the one supported on the
+    first independent rows.  R and T stay on the carrier, so both checks
+    are integer products.
     """
 
     __slots__ = ("field", "rows", "cols", "pivots", "basis", "_r", "_t")
@@ -844,12 +805,17 @@ class RowBasis:
         """Is every row of ``v`` in the row span of the basis?"""
         return self._pivot_part(v) is not None
 
+    def solve(self, v: Mat) -> Optional[Mat]:
+        """Coordinates c with c @ B = v, or None if a row of v is outside the span."""
+        y = self._pivot_part(v)
+        return None if y is None else y @ self._t
+
     def coords(self, v: Mat) -> Mat:
         """Coordinates c with c @ B = v; raises if a row of v is outside the span."""
-        y = self._pivot_part(v)
-        if y is None:
+        c = self.solve(v)
+        if c is None:
             raise ValueError("vector not in row span")
-        return y @ self._t
+        return c
 
 
 def coords_in_rows(basis: Mat, v: Mat) -> Mat:

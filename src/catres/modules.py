@@ -47,7 +47,6 @@ from .linalg import (
     FieldSpec,
     Mat,
     RowBasis,
-    flat_products,
     left_nullspace,
     rank,
     reverse_row_basis,
@@ -134,9 +133,10 @@ class Repn:
         if self.rho(A.unit) != Mat.identity(self.field, self.dim):
             return False
         # row i * d + j: rho(b_i) rho(b_j) against rho(b_i b_j), all pairs at once
-        mats = [self.action_mat(i) for i in range(A.dim)]
-        pairs = A.table_matrix().reshape(A.dim * A.dim, A.dim)
-        return flat_products(mats, mats) == pairs @ self._flat
+        d, n = A.dim, self.dim
+        prods = self._flat.reshape(d * n, n) @ self.wide_action()
+        pairs = A.table_matrix().reshape(d * d, d)
+        return prods.permuted((d, n, d, n), (0, 2, 1, 3), d * d, n * n) == pairs @ self._flat
 
     def __repr__(self):
         return f"Repn(dim={self.dim})"

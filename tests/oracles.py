@@ -30,8 +30,16 @@ replacement, on the library's own primitives:
   presentation over tilde with no corner restriction anywhere, against the
   corner-restriction route of ``functors.theta``;
 * ``numpy_rref_prime`` eliminates over F_p with whole-array numpy row
-  operations, against the sparse-row Gauss-Jordan of
-  ``linalg._rref_prime``;
+  operations, and ``fraction_free_rref`` over Q column by column on dense
+  lists of numerators (the library's former Q kernel), each against the
+  one sparse-row Gauss-Jordan kernel ``linalg._gauss_jordan`` behind
+  ``rref``;
+* ``augmented_solve`` reads a solution off rref([a | b]) (the library's
+  former solve), against ``solve`` and ``solve_left``, which go through
+  the factored ``RowBasis``;
+* ``loop_module_validate`` checks a module's action against the unit and
+  the table one pair of basis elements at a time on plain lists, against
+  the one product of ``Repn.validate``;
 * ``loop_unit_psis`` builds each map psi_j of the four-term sequence one
   row of m_hat_j at a time, against the one product of
   ``functors.unit_psis``;
@@ -90,7 +98,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -119,6 +127,7 @@ from catres.linalg import (
     nullspace,
     rank,
     row_basis,
+    rref,
     solve,
     solve_left,
 )
@@ -198,6 +207,84 @@ def numpy_rref_prime(a, p):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def fraction_free_rref(a):
+    """RREF of an object array of Python-int numerators over Q, column by
+    column with fraction-free updates on dense lists: each updated row is
+    p * row - f * pivot_row divided by its content, and the pivots divide
+    out only at the end.  Returns (rref numerators, pivot_cols, den) with
+    den the lcm of the pivots."""
+    rows = [_primitive(r) for r in a.tolist()]
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+    den = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+    out = np.zeros((m, n), dtype=object)
+    for i, pc in enumerate(pivots):
+        s = den // rows[i][pc]
+        out[i, :] = [x * s for x in rows[i]]
+    return out, pivots, den
+
+
+def _primitive(row):
+    """Integer row divided by the gcd of its entries (unchanged if zero)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def augmented_solve(a, b):
+    """The solution x of ``a @ x = b`` read off rref([a | b]), 0 on the
+    free columns of a, or None iff a pivot falls in b's columns."""
+    r, pivots, rk = rref(a.hstack(b))
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    x = [[a.field.zero] * b.cols for _ in range(a.cols)]
+    red = r.tolist()
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][a.cols :]
+    return Mat.from_rows(a.field, x) if a.cols else Mat.zeros(a.field, 0, b.cols)
+
+
+def loop_module_validate(M):
+    """``Repn.validate`` on plain lists, one pair at a time: rho(1) is the
+    identity and rho(b_i) rho(b_j) = sum_k c_ijk rho(b_k) for every i, j."""
+    A, f, n, d = M.algebra, M.field, M.dim, M.algebra.dim
+    if n == 0:
+        return True
+    acts = [M.action_mat(i).tolist() for i in range(d)]
+    table = A.table_matrix().tolist()  # row i, column j * d + k: c_ijk
+
+    def combination(coeffs):
+        out = [[f.zero] * n for _ in range(n)]
+        for c, act in zip(coeffs, acts):
+            for r in range(n):
+                for s in range(n):
+                    out[r][s] = f.coerce(out[r][s] + c * act[r][s])
+        return out
+
+    identity = [[f.one if r == s else f.zero for s in range(n)] for r in range(n)]
+    if combination(A.unit.tolist()[0]) != identity:
+        return False
+    return all(
+        naive_matmul(acts[i], acts[j], f) == combination(table[i][j * d : (j + 1) * d])
+        for i, j in itertools.product(range(d), repeat=2)
+    )
 
 
 def naive_rank(rows, field):

@@ -292,6 +292,17 @@ def test_module_roundtrip_and_validation():
         parse_module(obj_bad)
 
 
+def test_rejects_a_module_whose_action_breaks_the_table():
+    a = truncated_poly_algebra(FieldSpec("prime", 3), 3)  # basis 1, x, x^2
+    obj = module_to_json(mod.context(a).regular)
+    assert parse_module(obj).module.validate()
+    obj["action"][2] = [[0, 0, 0]] * 3  # rho(1) stays the identity, rho(x^2) != rho(x)^2
+    with pytest.raises(ParseError) as exc:
+        parse_module(obj)
+    assert exc.value.path == "$"
+    assert exc.value.reason == "module invariant violated: action does not respect the table"
+
+
 def test_module_auslander_of():
     a = truncated_poly_algebra(F2, 2)
     data = build_auslander(a)
@@ -601,6 +612,15 @@ def test_cli_hom_and_functor(tmp_path):
     lifted.write_text(out)
     back = run_cli("functor", "theta", str(lifted)).stdout
     assert json.loads(back)["dim"] == 1
+
+
+@pytest.mark.parametrize("argv", [("auslander", "corpus/x2_f2.json"), ("functor", "theta", "m.json")])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_verbs_that_print_only_json_refuse_format(argv, fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", fmt])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_cli_auslander_summary():

@@ -30,7 +30,10 @@ functor values (``ModuleRecord.lifts``), so that every caller asks
 And it walks them for the choice between F_p and Q: outside ``linalg.py``
 no code compares a ``.kind`` attribute with "prime" or "rational" or
 reads a ``.p`` attribute; ``FieldSpec`` answers for the field (its
-``characteristic``, ``roots``, scalars and JSON form).
+``characteristic``, ``roots``, scalars and JSON form).  Inside
+``linalg.py`` only ``FieldSpec``, ``Mat`` and ``_empty`` do, so the one
+row-reduction kernel, ``RowBasis`` and the solves read only the
+characteristic.
 """
 
 import ast
@@ -341,9 +344,22 @@ def field_kind_branches(paths) -> list:
     return found
 
 
+# the scopes of linalg.py that may branch on the field kind or read p: the
+# field, the matrix carrier and its zero array; the row reduction, RowBasis,
+# the solves, the nullspaces and power_traces read only ``characteristic``
+LINALG_FIELD_SCOPES = ("FieldSpec.", "Mat.", "_empty")
+
+
 def test_only_linalg_branches_on_the_field_kind():
     # one place owns the choice between F_p and Q: FieldSpec
     assert field_kind_branches(p for p in SRC.glob("*.py") if p.stem != "linalg") == []
     # the walk sees both kinds of branch where they are allowed
     scopes = {where for _, where, _ in field_kind_branches([SRC / "linalg.py"])}
-    assert {"FieldSpec.roots", "FieldSpec.characteristic"} <= scopes
+    assert {"FieldSpec.roots", "FieldSpec.characteristic", "_empty"} <= scopes
+    assert sorted(s for s in scopes if not (s or "").startswith(LINALG_FIELD_SCOPES)) == []
+    # and the one kernel is handed the characteristic
+    rref = next(
+        n for n in ast.parse((SRC / "linalg.py").read_text()).body
+        if isinstance(n, ast.FunctionDef) and n.name == "rref"
+    )
+    assert any(isinstance(n, ast.Attribute) and n.attr == "characteristic" for n in ast.walk(rref))

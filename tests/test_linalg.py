@@ -10,8 +10,8 @@ from catres.linalg import (
     Mat,
     MAX_PRIME,
     RowBasis,
+    _gauss_jordan,
     _int64_fits,
-    _rref_prime,
     coords_in_rows,
     left_nullspace,
     nullspace,
@@ -23,6 +23,8 @@ from catres.linalg import (
     solve_left,
 )
 from oracles import (
+    augmented_solve,
+    fraction_free_rref,
     list_block_diag_rows,
     list_first_differing_row,
     list_permuted,
@@ -188,10 +190,62 @@ def test_sparse_prime_rref_matches_the_numpy_and_naive_routes(m):
     assert (m.a == before).all()
 
 
+def _random_rational_mat(rows, cols, density, zero_rows, big, dependent, den, seed):
+    """A random Q matrix: each numerator nonzero in [-9, 9] with probability
+    ``density``, each row zeroed with probability ``zero_rows``, then with
+    ``big`` about half the entries times 2**70 + 1 (past int64), then
+    ``dependent`` integer combinations of the rows appended and the rows
+    shuffled, all over the denominator ``den``."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-9, 10, (rows, cols)) * (rng.random((rows, cols)) < density)
+    a[rng.random(rows) < zero_rows, :] = 0
+    a = a.astype(object)
+    if big:
+        a[rng.random((rows, cols)) < 0.5] *= 2**70 + 1
+    if dependent:
+        a = np.vstack([a, rng.integers(-3, 4, (dependent, rows)).astype(object) @ a])
+    return Mat(QQ, a[rng.permutation(a.shape[0])], den)
+
+
+@st.composite
+def sparse_rational_mats(draw):
+    """Q matrices, tall (up to 40 x 15) or wide (up to 15 x 60), sparse up
+    to dense, with zero rows, dependent rows, denominators and numerators
+    past int64."""
+    tall = draw(st.booleans())
+    rows = draw(st.integers(1, 40 if tall else 15))
+    cols = draw(st.integers(1, 15 if tall else 60))
+    return _random_rational_mat(
+        rows,
+        cols,
+        draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0])),
+        draw(st.sampled_from([0.0, 0.3])),
+        draw(st.booleans()),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([1, 6, 2**65 + 7])),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(sparse_rational_mats())
+@example(Mat.zeros(QQ, 12, 7))
+@example(_random_rational_mat(20, 60, 0.03, 0.0, False, 2, 1, 1))  # a sparse Hom system
+@example(_random_rational_mat(15, 15, 1.0, 0.0, True, 3, 2**65 + 7, 2))
+def test_rational_rref_matches_the_fraction_free_and_naive_routes(m):
+    before = m.a.copy()
+    r, piv, rk = rref(m)
+    via_columns, piv_columns, den = fraction_free_rref(m.a)
+    via_lists, piv_naive = naive_rref(m.tolist(), m.field)
+    assert piv == piv_columns == piv_naive and rk == len(piv)
+    assert r.a.dtype == object and r.a.shape == m.a.shape
+    assert r == Mat(QQ, via_columns, den) and r.tolist() == via_lists
+    assert (m.a == before).all()
+
+
 def test_prime_kernel_reduces_entries_outside_the_residues():
     # a leading 3 and a row of multiples of 3 are zero over F_3
     a = np.array([[3, 7, -2], [6, 4, 1], [0, 0, 3], [-1, 5, 8]], dtype=np.int64)
-    out, piv = _rref_prime(a, 3)
+    out, piv = _gauss_jordan(a, 3)
     expected, piv_numpy = numpy_rref_prime(a, 3)
     assert piv == piv_numpy == [0, 1]
     assert (out == expected).all()
@@ -214,9 +268,10 @@ def test_solve_exactness_or_certified_failure(m, seed):
     )
     b = m @ x0
     x = solve(m, b)
-    assert x is not None and m @ x == b
+    assert x is not None and m @ x == b and x == augmented_solve(m, b)
     b2 = Mat.from_rows(field, [[(seed // (i + 2)) % 5] for i in range(m.rows)])
     x2 = solve(m, b2)
+    assert x2 == augmented_solve(m, b2)
     if x2 is None:
         assert rank(m.hstack(b2)) > rank(m)
     else:
@@ -262,9 +317,11 @@ def test_row_basis_matches_solve_left_and_naive_rank(case):
     assert rb.rank == naive_rank(basis.tolist(), f)
     inside = naive_rank(basis.tolist() + v.tolist(), f) == rb.rank
     assert rb.contains(v) == inside
-    expected = solve_left(basis, v)
-    assert (expected is not None) == inside
+    expected, got = augmented_solve(basis.T, v.T), solve_left(basis, v)
+    assert (expected is not None) == inside and (got is not None) == inside
     if inside:
+        expected = expected.T
+        assert got == expected
         assert rb.coords(v).tolist() == expected.tolist()
         assert rb.coords(v) @ rb.basis == v
         assert coords_in_rows(basis, v).tolist() == expected.tolist()

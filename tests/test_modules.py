@@ -44,6 +44,7 @@ from oracles import (
     cover_is_projective,
     greedy_cover,
     kron_hom_space,
+    loop_module_validate,
     module_content,
     naive_hom_dim,
     search_isomorphism,
@@ -358,6 +359,32 @@ def test_is_projective_matches_cover_on_corpus_and_auslander_algebras():
     assert {"T(t2_f3)", "F2[S3]", "T(F2[S3])", "F3[A4]"} <= non_basic
     # fewer representatives than idempotents exactly where projectives repeat
     assert fewer_representatives == non_basic
+
+
+def test_validate_matches_the_per_pair_loop_on_random_actions():
+    rng = random.Random(53)
+    seen = Counter()
+    names = ("x3_f3.json", "x3_q.json", "t2_f3.json", "kxk_f5.json", "gentle_two_cycle_f2.json")
+    algebras = [parse_algebra_or_quiver(json.loads((CORPUS / n).read_text())) for n in names]
+    algebras.append(build_auslander(algebras[0]).tilde)  # T of F_3[x]/x^3, dim 14
+    for name, A in zip([*names, "T(x3_f3)"], algebras):
+        f, d = A.field, A.dim
+        ctx = mod.context(A)
+        for M in [ctx.regular, *ctx.simples, *ctx.projectives, *_random_modules(A, rng, 3)]:
+            n = M.dim
+            if n == 0:
+                continue
+            rows = M.flat_action().tolist()
+            # one entry of one action moved, and a whole random action
+            i, k = rng.randrange(d), rng.randrange(n * n)
+            rows[i][k] += 1
+            noise = [[f.random_scalar(rng, 2) for _ in range(n * n)] for _ in range(d)]
+            for flat in (M.flat_action(), Mat.from_rows(f, rows), Mat.from_rows(f, noise)):
+                N = mod.Repn(A, n, flat)
+                verdict = N.validate()
+                assert verdict == loop_module_validate(N), name
+                seen[verdict] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
 
 
 def _conjugate(N, rng):
