@@ -22,7 +22,6 @@ modules.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,9 +99,6 @@ class Algebra:
         self.idempotent_hint: Optional[Mat] = None
         self._radical_chain: Optional[RadicalChain] = None
         self.module_context = None  # set by catres.modules.context
-        # (dim, action key) -> the values kept for that module content, held
-        # by the modules that have it (catres.modules.Repn)
-        self.module_records = weakref.WeakValueDictionary()
         assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
         assert unit.rows == 1 and unit.cols == self.dim
 

@@ -16,7 +16,7 @@ projections onto the local pieces of M as its idempotent hint, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraError, RadicalChain, quotient_projection
 from .homology import GldimResult, global_dimension
@@ -44,6 +44,8 @@ class AuslanderData:
     end: HomSpace  # End(M), whose basis is the basis of tilde
     e: Mat  # 1 x dim tilde: zeta(1), the Lambda-summand projector
     lambda_to_tilde: Mat  # zeta: lam -> tilde, b -> (project, left-multiply, include)
+    # (name, algebra, module content) -> the value of ``functors`` kept for it
+    functor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_auslander(lam: Algebra) -> AuslanderData:

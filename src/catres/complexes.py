@@ -12,8 +12,8 @@ complex of projectives, landing in projective modules over tilde.  Their
 interplay (unit isomorphism, adjunction, four-term sequence, acyclicity
 transfer) carries the categorical-resolution certificates.
 
-Each term keeps its functor values on the record it shares with every
-equal module (``functors._kept``), so the lifts, counits and lifted maps
+The functor values of each term are kept on the Auslander data, by the
+term's content (``functors._kept``), so the lifts, counits and lifted maps
 below ask for them where they need them, and no term content is
 restricted or lifted twice.
 

@@ -13,10 +13,11 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
 ``corner_rows(F)``, ``theta(F)``, ``theta_rho_data(N)`` and
-``theta_lambda_data(N)`` are built on first use and kept, by ``_kept``, in
-the ``lifts`` of the module's ``ModuleRecord``, which every module over
-the same algebra with the same action shares: callers ask for them where
-they need them, and each is built once per (content, data).
+``theta_lambda_data(N)`` are functions of the module's content and of the
+Auslander data, so they are built on first use and kept, by ``_kept``, on
+the data (``AuslanderData.functor_values``), keyed by the module's algebra
+and content: callers ask for them where they need them, each is built once
+per (content, data), and each is freed with its data.
 
 On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
 ``theta_maps`` restricts every map of a space to the corners with one
@@ -48,14 +49,13 @@ from .modules import (
 
 
 def _kept(M: Repn, name: str, data: AuslanderData, build):
-    """``build(M, data)``, kept on M's record under ``name`` for the last
-    ``data`` (matched by identity: an ``id`` is reused once its object is
-    freed)."""
-    lifts = M.record.lifts
-    hit = lifts.get(name)
-    if hit is None or hit[0] is not data:
-        hit = lifts[name] = (data, build(M, data))
-    return hit[1]
+    """``build(M, data)``, kept on ``data`` under ``name`` and M's content.
+    The key holds M's algebra, since Lambda and tilde modules are both
+    asked for."""
+    values, key = data.functor_values, (name, M.algebra, M.key)
+    if key not in values:
+        values[key] = build(M, data)
+    return values[key]
 
 
 # -- theta: corner restriction ------------------------------------------------

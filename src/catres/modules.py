@@ -18,14 +18,16 @@ out or factors a Hom basis.
 
 What depends only on a module's action is built once per content, not
 per object: modules over one algebra with equal (dim, action) share one
-``ModuleRecord``, which keeps the presentation (and, on it, the syzygy
-Omega), the radical rows and the top projection, the Yoneda blocks
-Hom(P_i, N), the projectivity test and the functor values of
-``functors``.  The algebra holds its records in a weak table
-(``Algebra.module_records``) keyed by ``(dim, Mat.key())``, and every
-module holds its record, so a record lives exactly as long as some module
-with its content (hash-consing, Filliatre and Conchon, ML Workshop 2006).
-What names the Hom route, ``Repn.projective_parts``, stays on the object.
+record, a dict in ``context(A).records`` keyed by ``(dim, Mat.key())``
+(hash-consing, Filliatre and Conchon, ML Workshop 2006).  It keeps the
+presentation (and, on it, the syzygy Omega), the radical rows and the top
+projection, the Yoneda blocks Hom(P_i, N) and the projectivity test.  The
+context owns the records and lives as long as the algebra, so a value is
+built once per algebra, however long its modules live, and the work of a
+run does not depend on when the garbage collector runs.  The functor
+values, which also depend on the Auslander data, are kept on that data
+(``functors``).  What names the Hom route, ``Repn.projective_parts``,
+stays on the object.
 """
 
 from __future__ import annotations
@@ -55,24 +57,6 @@ from .linalg import (
 )
 
 
-class ModuleRecord:
-    """The values kept for one module content, shared by every ``Repn``
-    over the same algebra with equal (dim, action).
-
-    ``values`` maps a name (or a (name, index) pair) to a value that
-    depends only on the action: "presentation", "radical_rows",
-    "top_projection", "is_projective" and ("yoneda", i).  ``lifts`` maps a
-    name to (AuslanderData, value): the functor values that ``functors``
-    builds and keeps.
-    """
-
-    __slots__ = ("values", "lifts", "__weakref__")
-
-    def __init__(self):
-        self.values: dict = {}
-        self.lifts: dict = {}
-
-
 class Repn:
     """A right module, stored as its flat action: row i of the
     algebra.dim x dim^2 matrix ``flat_action()`` is the matrix of the i-th
@@ -87,13 +71,11 @@ class Repn:
         # indices into context(algebra).projectives, block by block, when the
         # module is built as their direct sum; hom_space then uses Yoneda
         self.projective_parts: Optional[tuple] = None
-        # the record of this content, shared with every equal module that
-        # is alive; the algebra's table holds it only weakly
-        key = (dim, action.key())
-        record = algebra.module_records.get(key)
-        if record is None:
-            record = algebra.module_records[key] = ModuleRecord()
-        self.record = record
+        # the record of this content, shared with every equal module over
+        # the algebra: a name, or a (name, index) pair, to a value that
+        # depends only on the action (``_recorded``)
+        self.key = (dim, action.key())
+        self.record = context(algebra).records.setdefault(self.key, {})
 
     @property
     def field(self) -> FieldSpec:
@@ -144,10 +126,10 @@ class Repn:
 
 def _recorded(M: Repn, key, build):
     """``build()``, kept on the record of M under ``key``."""
-    values = M.record.values
-    if key not in values:
-        values[key] = build()
-    return values[key]
+    record = M.record
+    if key not in record:
+        record[key] = build()
+    return record[key]
 
 
 class ModHom:
@@ -254,14 +236,10 @@ class HomSpace:
         self.source = source
         self.target = target
         self.flat = flat
-        self._basis: Optional[RowBasis] = None
-        self._maps: Optional[list] = None
 
-    @property
+    @cached_property
     def basis(self) -> RowBasis:
-        if self._basis is None:
-            self._basis = RowBasis(self.flat)
-        return self._basis
+        return RowBasis(self.flat)
 
     def wide(self) -> Mat:
         """m x (k*n): the maps side by side, the layout of ``Repn.wide_action``."""
@@ -278,23 +256,22 @@ class HomSpace:
         k, p, n = self.flat.rows, d.rows, self.target.dim
         return (d @ self.wide()).permuted((p, k, n), (1, 0, 2), k, p * n)
 
+    @cached_property
     def _homs(self) -> list:
-        if self._maps is None:
-            m, n = self.source.dim, self.target.dim
-            self._maps = [
-                ModHom(self.source, self.target, self.flat.row_at(t).reshape(m, n))
-                for t in range(self.flat.rows)
-            ]
-        return self._maps
+        m, n = self.source.dim, self.target.dim
+        return [
+            ModHom(self.source, self.target, self.flat.row_at(t).reshape(m, n))
+            for t in range(self.flat.rows)
+        ]
 
     def __len__(self) -> int:
         return self.flat.rows
 
     def __iter__(self):
-        return iter(self._homs())
+        return iter(self._homs)
 
     def __getitem__(self, t: int) -> ModHom:
-        return self._homs()[t]
+        return self._homs[t]
 
 
 def hom_space(M: Repn, N: Repn) -> HomSpace:
@@ -400,44 +377,47 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
 
 
 class ModuleContext:
-    """Memoized per-algebra data: radical, idempotents, simples, projectives.
+    """Per-algebra data: the records of the module contents, and the
+    radical, idempotents, simples and projectives, each built on first use.
 
-    The idempotents are the algebra's checked idempotent hint when it
-    carries one (the Auslander algebra T, from its local pieces), else the
-    split of A/J (``primitive_idempotents``)."""
+    Every ``Repn`` asks for the context of its algebra, so making one
+    computes nothing.  The idempotents are the algebra's checked idempotent
+    hint when it carries one (the Auslander algebra T, from its local
+    pieces), else the split of A/J (``primitive_idempotents``)."""
 
     def __init__(self, A: Algebra):
         self.algebra = A
-        self.regular = regular_module(A)
-        self.chain = A.radical_chain()
-        self._idempotents = None
-        self._simples_projs = None
-        self._representatives = None
+        self.records: dict = {}  # (dim, action key) -> that content's record
 
-    @property
+    @cached_property
+    def regular(self) -> Repn:
+        return regular_module(self.algebra)
+
+    @cached_property
+    def chain(self):
+        return self.algebra.radical_chain()
+
+    @cached_property
     def idempotents(self):
-        if self._idempotents is None:
-            A, hint = self.algebra, self.algebra.idempotent_hint
-            self._idempotents = (
-                primitive_idempotents(A, self.chain) if hint is None
-                else checked_idempotents(A, self.chain, hint)
-            )
-        return self._idempotents
+        A, hint = self.algebra, self.algebra.idempotent_hint
+        if hint is None:
+            return primitive_idempotents(A, self.chain)
+        return checked_idempotents(A, self.chain, hint)
 
     @property
     def projectives(self):
-        return self._simples_and_projectives()[1]
+        return self._simples_and_projectives[1]
 
     @property
     def simples(self):
-        return self._simples_and_projectives()[0]
+        return self._simples_and_projectives[0]
 
     @property
     def projective_rows(self):
         """Row basis of each P_i = e_i A inside A: the basis of P_i."""
-        return self._simples_and_projectives()[2]
+        return self._simples_and_projectives[2]
 
-    @property
+    @cached_property
     def representatives(self) -> list:
         """Indices of one primitive idempotent per isomorphism class of
         simples (equivalently, of indecomposable projectives), the lowest
@@ -446,32 +426,29 @@ class ModuleContext:
         S_t is isomorphic to S_s iff S_t e_s != 0: Hom(P_s, S_t) = S_t e_s,
         and a nonzero map P_s -> S_t factors through the top S_s of P_s.
         """
-        if self._representatives is None:
-            kept = []
-            for t, s in enumerate(self.simples):
-                if all(s.rho(self.idempotents[r]).is_zero() for r in kept):
-                    kept.append(t)
-            self._representatives = kept
-        return self._representatives
+        kept = []
+        for t, s in enumerate(self.simples):
+            if all(s.rho(self.idempotents[r]).is_zero() for r in kept):
+                kept.append(t)
+        return kept
 
+    @cached_property
     def _simples_and_projectives(self):
         """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J.
 
-        Returns the simples, the projectives and the row basis of each P_i
-        inside A (row k of L(e_i) is e_i b_k).
+        The simples, the projectives and the row basis of each P_i inside A
+        (row k of L(e_i) is e_i b_k).
         """
-        if self._simples_projs is None:
-            simples, projs, spans = [], [], []
-            for idx, e in enumerate(self.idempotents):
-                span = row_basis(self.algebra.left_mult_matrix(e))
-                P, _ = sub_repn(self.regular, span)
-                P.projective_parts = (idx,)
-                S, _ = quotient_repn(P, self.radical_rows(P))
-                projs.append(P)
-                simples.append(S)
-                spans.append(span)
-            self._simples_projs = simples, projs, spans
-        return self._simples_projs
+        simples, projs, spans = [], [], []
+        for idx, e in enumerate(self.idempotents):
+            span = row_basis(self.algebra.left_mult_matrix(e))
+            P, _ = sub_repn(self.regular, span)
+            P.projective_parts = (idx,)
+            S, _ = quotient_repn(P, self.radical_rows(P))
+            projs.append(P)
+            simples.append(S)
+            spans.append(span)
+        return simples, projs, spans
 
     def radical_rows(self, M: Repn) -> Mat:
         """Row span of M . J inside M, kept on M's record."""
@@ -496,7 +473,7 @@ def context(A: Algebra) -> ModuleContext:
 
     The context refers back to A (its modules do), so a registry keyed
     weakly by A would keep every algebra alive; on A the two form a cycle
-    that the garbage collector frees with A.
+    that the garbage collector frees with A, records and all.
     """
     if A.module_context is None:
         A.module_context = ModuleContext(A)

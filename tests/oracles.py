@@ -85,7 +85,7 @@ replacement, on the library's own primitives:
   refuses, against the int64 product of ``Mat.__matmul__``;
 * ``module_content`` keys a module by its action's entries as field
   scalars, against the ``Mat.key`` by which the library shares one
-  ``ModuleRecord`` among equal modules;
+  record of kept values among equal modules;
 * ``idempotent_set_defect`` checks a set of idempotents on plain lists
   against the radical it is given (the library's certified one), against
   the block products and the corners of T/J of

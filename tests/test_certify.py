@@ -1,8 +1,10 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
+from catres import linalg
 from catres.certify import (
     CertConfig,
     certify_resolution,
@@ -10,7 +12,7 @@ from catres.certify import (
     report_to_json_str,
     weakly_crepant_check,
 )
-from catres.auslander import build_auslander
+from catres.auslander import AuslanderData, build_auslander
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
@@ -19,6 +21,7 @@ from catres.corpus import (
 )
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat
+from catres.modules import context
 from catres.samples import ModulePool
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -282,3 +285,43 @@ def test_certify_x3_q_runs_every_product_on_int64_words(object_products):
     qq = lam.field
     Mat.from_rows(qq, [[1 << 62, 1 << 62]]) @ Mat.from_rows(qq, [[2], [2]])
     assert object_products == [((1, 2), (2, 1))]
+
+
+def test_certify_leaves_no_auslander_data_alive():
+    # the functor values are kept on the data, not on Lambda, so a finished
+    # run frees its data
+    lam = truncated_poly_algebra(F3, 2)
+    for seed in (0, 1):
+        assert certify_resolution(lam, CertConfig(seed=seed, samples=2))["verdict"] == "pass"
+        gc.collect()
+        left = [x for x in gc.get_objects() if isinstance(x, AuslanderData) and x.lam is lam]
+        assert left == [], seed
+
+
+def test_the_work_of_a_run_does_not_depend_on_the_garbage_collector(monkeypatch):
+    # kept values live as long as what they depend on, so when the cyclic
+    # collector runs changes neither the rref calls nor the records
+    calls = []
+    real = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(1) or real(*a))
+    text = (CORPUS / "x3_f3.json").read_text()
+
+    def run():
+        calls.clear()
+        lam = parse_algebra_or_quiver(json.loads(text))
+        report = report_to_json_str(certify_resolution(lam, CertConfig(seed=0, samples=8)))
+        return len(calls), len(context(lam).records), report
+
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    try:
+        default = run()
+        gc.set_threshold(10)
+        eager = run()
+        gc.set_threshold(*threshold)
+        gc.disable()
+        never = run()
+    finally:
+        gc.set_threshold(*threshold)
+        if enabled:
+            gc.enable()
+    assert default == eager == never

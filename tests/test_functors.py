@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -75,8 +77,9 @@ def test_functor_values_are_kept_on_the_module(data, pool):
 
 
 def test_kept_values_follow_the_auslander_data(data, pool):
-    # one slot per value, matched by the identity of the data: other data
-    # get their own value, and asking for the first data again rebuilds it
+    # each data keeps its own values: other data get their own value,
+    # asking for the first data again returns the first value, and a value
+    # is freed with its data
     rng = rng_for(0, "kept-data", 0)
     F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
     first_theta, first_trd = theta(F, data), theta_rho_data(N, data)
@@ -86,11 +89,14 @@ def test_kept_values_follow_the_auslander_data(data, pool):
     assert second_theta.flat_action() == first_theta.flat_action()
     assert second_trd.module.algebra is other.tilde
     assert second_trd.module.flat_action() == first_trd.module.flat_action()
-    again_theta, again_trd = theta(F, data), theta_rho_data(N, data)
-    assert again_theta is not first_theta and _same_module(again_theta, first_theta)
-    assert again_trd is not first_trd and _same_module(again_trd.module, first_trd.module)
-    assert again_trd.space.flat == first_trd.space.flat
-    assert theta(F, data) is again_theta and theta_rho_data(N, data) is again_trd
+    assert theta(F, data) is first_theta and theta_rho_data(N, data) is first_trd
+    assert theta(F, other) is second_theta and theta_rho_data(N, other) is second_trd
+    assert theta_rho_data(_copy(N), other) is second_trd
+    freed = [weakref.ref(x) for x in (other, other.tilde, second_theta, second_trd)]
+    del other, second_theta, second_trd
+    gc.collect()
+    assert [r() for r in freed] == [None] * len(freed)
+    assert theta(F, data) is first_theta and theta_rho_data(N, data) is first_trd
 
 
 def test_kept_values_equal_a_fresh_build(data, pool):
@@ -107,15 +113,15 @@ def test_kept_values_equal_a_fresh_build(data, pool):
 
 
 def test_step_v_builds_each_term_value_once(data, pool, monkeypatch):
-    # fresh data, so no value kept by an earlier test is reused; equal terms
-    # share one record, so each value is built once per distinct content
+    # fresh data, so no value kept by an earlier test is reused; values are
+    # kept on the data by content, so each is built once per distinct content
     data = build_auslander(data.lam)
     built = {"_theta": [], "_theta_rho_data": []}
     for name, log in built.items():
         real = getattr(functors, name)
 
         def counted(M, d, real=real, log=log):
-            log.append(M)  # keeps every record alive
+            log.append(M)
             return real(M, d)
 
         monkeypatch.setattr(functors, name, counted)

@@ -21,11 +21,14 @@ reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
 of a rational matrix (``Mat._word``, ``Mat._int64``) or imports a
 private name of ``linalg``, so that the storage of a matrix can change in
 one file; the content key by which modules share their kept values,
-``Mat.key``, is made there too.  Likewise only ``modules.py`` and
-``functors.py`` touch the record of kept values that equal modules share
-(``Repn.record``), and of it only ``functors.py`` reads or writes the
-functor values (``ModuleRecord.lifts``), so that every caller asks
-``modules`` and ``functors`` for them.
+``Mat.key``, is made there too.  Likewise only ``modules.py`` touches the
+record of kept values that equal modules share (``Repn.record``), and only
+``functors.py`` reads or writes the functor values kept on the Auslander
+data (``AuslanderData.functor_values``), so that every caller asks
+``modules`` and ``functors`` for them.  No file imports ``weakref``: a
+kept value lives as long as the object that owns it, the algebra's
+context or the Auslander data, never as long as the garbage collector
+lets it.
 
 And it walks them for the choice between F_p and Q: outside ``linalg.py``
 no code compares a ``.kind`` attribute with "prime" or "rational" or
@@ -225,24 +228,18 @@ def test_only_linalg_reads_the_matrix_carrier():
     assert carrier_reads() == []
 
 
-# (file stem, Class.method) allowed to touch ``ModuleRecord.lifts`` outside
-# functors
-LIFTS_READERS = {
-    # creates the empty slot of every new record
-    ("modules", "ModuleRecord.__init__"),
-}
-
-
 def test_only_functors_reads_the_kept_functor_values():
-    assert attribute_uses({"lifts"}, "functors", LIFTS_READERS) == []
+    # auslander.py declares the field, which is no attribute use
+    assert attribute_uses({"functor_values"}, "functors", set()) == []
+    tree = ast.parse((SRC / "functors.py").read_text())
+    assert any(isinstance(n, ast.Attribute) and n.attr == "functor_values" for n in ast.walk(tree))
 
 
-# the files that touch ``Repn.record``: modules.py makes, shares and fills
-# it, functors.py keeps its functor values on it
-RECORD_READERS = {"modules", "functors"}
+# the files that touch ``Repn.record``: modules.py makes, shares and fills it
+RECORD_READERS = {"modules"}
 
 
-def test_only_modules_and_functors_read_the_module_record():
+def test_only_modules_reads_the_module_record():
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -254,6 +251,17 @@ def test_only_modules_and_functors_read_the_module_record():
     for stem in RECORD_READERS:  # a reader that no longer reads it leaves the list
         tree = ast.parse((SRC / f"{stem}.py").read_text())
         assert any(isinstance(n, ast.Attribute) and n.attr == "record" for n in ast.walk(tree))
+
+
+def test_no_library_file_imports_weakref():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "weakref"
+    ]
+    assert found == []
 
 
 def test_the_carrier_readers_exist_and_read_the_carrier():

@@ -786,6 +786,20 @@ def test_context_is_freed_with_its_algebra():
     assert alive() is None
 
 
+def test_a_module_computes_nothing_of_its_algebra(monkeypatch):
+    # every Repn asks for its algebra's context, so making one is free: no
+    # radical, idempotents or projectives until a value asks for them
+    chains = []
+    real = Algebra.radical_chain
+    monkeypatch.setattr(Algebra, "radical_chain", lambda A: chains.append(A) or real(A))
+    A = truncated_poly_algebra(F3, 3)
+    M = mod.direct_sum([mod.regular_module(A), mod.zero_module(A)])
+    ctx = mod.context(A)
+    assert chains == [] and set(vars(ctx)) == {"algebra", "records"}
+    assert M.record is ctx.records[M.key] and mod.is_projective(M)
+    assert chains == [A] and {"chain", "idempotents", "representatives"} <= set(vars(ctx))
+
+
 # -- one record of kept values per module content ------------------------------
 
 
@@ -892,32 +906,38 @@ def test_every_kept_value_equals_a_fresh_build():
     assert {"projective", "not projective", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
 
 
-def test_module_records_die_with_their_last_module():
+def test_module_records_live_with_their_algebra(monkeypatch):
     A = truncated_poly_algebra(F3, 3)
+    alive = weakref.ref(A)
     s = next(s for s in mod.context(A).simples if s.dim)
     hml.global_dimension(A)
-
-    def live_records():
-        gc.collect()
-        objs = gc.get_objects()
-        return {id(x.record) for x in objs if isinstance(x, mod.Repn) and x.algebra is A}
-
     # modules of contents that nothing else has, with their values kept
     sums = [mod.direct_sum([s] * k) for k in (4, 5)]
     for M in sums:
         mod.projective_presentation(M).omega
         mod.is_projective(M)
         mod.hom_space(M, mod.context(A).regular)
-    records = [weakref.ref(M.record) for M in sums]
-    held = {id(r) for r in A.module_records.values()}
-    assert held == live_records() and all(r() is not None for r in records)
+    records = mod.context(A).records
+    assert all(records[M.key] is M.record for M in sums)
+    kept = [(M.record, mod.projective_presentation(M)) for M in sums]
+    count = len(records)
     del sums, M
     gc.collect()
-    # the table shrinks to the records that live modules still hold
-    assert all(r() is None for r in records)
-    assert {id(r) for r in A.module_records.values()} == live_records()
-    assert len(A.module_records) < len(held)
-    assert mod.direct_sum([s] * 5).record.values == {}
+    # equal modules made later, once the test holds none of the first ones,
+    # find the kept values
+    built = []
+    real = mod._build_presentation
+    monkeypatch.setattr(mod, "_build_presentation", lambda M: built.append(M) or real(M))
+    again = [mod.direct_sum([s] * k) for k in (4, 5)]
+    for M, (record, pres) in zip(again, kept):
+        assert M.record is record and mod.projective_presentation(M) is pres
+        assert mod.is_projective(M) is False and ("yoneda", 0) in M.record
+    assert built == [] and len(records) == count
+    # the algebra frees its context and every record with it
+    freed = [weakref.ref(mod.context(A))] + [weakref.ref(pres) for _, pres in kept]
+    del A, s, again, M, record, pres, kept, records
+    gc.collect()
+    assert alive() is None and [r() for r in freed] == [None] * len(freed)
 
 
 # -- isomorphism by Krull-Schmidt ----------------------------------------------
