@@ -12,7 +12,7 @@ dimension > 1, a zero divisor when the corner is simple.  The random
 coefficients of a search are drawn from a seeded rng before any of its
 candidates is tried, so the idempotents are a function of the input.  An
 algebra whose construction gives its idempotents carries them as
-``idempotent_hint``; ``checked_idempotents`` checks them instead.
+``idempotent_hint``; ``checked_idempotents`` certifies them and the split's.
 
 Conventions (fixed across the package): elements are coordinate row
 vectors; the path ``[a, b]`` means "a first, then b"; modules are right
@@ -445,7 +445,7 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
     combinations of them, whose coefficients are all drawn before the
     first candidate is tried.  The first idempotent e found splits the
     corner into e and 1 - e.  The idempotents of A/J are lifted along the
-    nilpotent kernel by the cubic refinement e <- 3e^2 - 2e^3.
+    nilpotent kernel by e <- 3e^2 - 2e^3 and certified (``checked_idempotents``).
     """
     if A.dim == 0:
         return []
@@ -467,50 +467,42 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
             raise AlgebraError("idempotent refinement failed to converge")
         lifted.append(g)
         total = total + g
-    if not (total - A.unit).is_zero():
-        raise AlgebraError("lifted idempotents do not sum to the unit")
-    # row i of the products, reshaped, is e_i e_0 | ... | e_i e_{n-1}: e_i
-    # in block i and zero elsewhere
-    n, e = len(lifted), Mat.stack_rows(A.field, lifted)
-    if A.products(e, e).reshape(n, n * A.dim) != Mat.block_diag(A.field, lifted):
-        raise AlgebraError("lifted idempotents are not orthogonal")
-    return lifted
+    return checked_idempotents(A, chain, Mat.stack_rows(A.field, lifted))
 
 
-def checked_idempotents(A: Algebra, chain: RadicalChain, hint: Mat) -> list:
-    """The rows of ``hint`` as 1 x dim coordinate rows, once they are shown
+def checked_idempotents(A: Algebra, chain: RadicalChain, rows: Mat) -> list:
+    """The rows of ``rows`` as 1 x dim coordinate rows, once they are shown
     to be a complete set of orthogonal primitive idempotents of A.
 
     Three checks, each raising an ``AlgebraError`` that names the check
     and the rows that fail it: e_i e_j is e_i for i = j and zero
-    otherwise (one product against ``Mat.block_diag``, as
-    ``primitive_idempotents`` checks its lifts); the rows sum to the unit;
-    each e_i spans a corner of dimension 1 in A/J (``RadicalChain.top``).
-    The last test is exact when A/J is split (a product of matrix algebras
-    over the field): then e is primitive iff e (A/J) e is the field.  Over
-    a non-split A/J it rejects primitive idempotents too, so it never
-    passes an imprimitive one.
+    otherwise (one product against ``Mat.block_diag``); the rows sum to
+    the unit; each e_i spans a corner of dimension 1 in A/J
+    (``RadicalChain.top``).  The last test is exact when A/J is split (a
+    product of matrix algebras over the field): then e is primitive iff
+    e (A/J) e is the field.  Over a non-split A/J it rejects primitive
+    idempotents too, so it never passes an imprimitive one.
     """
-    f, n, d = A.field, hint.rows, A.dim
-    rows = [hint.row_at(i) for i in range(n)]
+    f, n, d = A.field, rows.rows, A.dim
+    es = [rows.row_at(i) for i in range(n)]
     # row i * n + j of the products is e_i e_j, of the block rows e_i or 0
-    expected = Mat.block_diag(f, rows).reshape(n * n, d)
-    bad = A.products(hint, hint).first_differing_row(expected)
+    expected = Mat.block_diag(f, es).reshape(n * n, d)
+    bad = A.products(rows, rows).first_differing_row(expected)
     if bad is not None:
         i, j = divmod(bad, n)
         check = "not idempotent" if i == j else "not orthogonal"
-        raise AlgebraError(f"idempotent hint: rows ({i}, {j}) are {check}")
-    if Mat.row(f, [1] * n) @ hint != A.unit:
-        raise AlgebraError("idempotent hint: the rows do not sum to the unit")
+        raise AlgebraError(f"idempotents: rows ({i}, {j}) are {check}")
+    if Mat.row(f, [1] * n) @ rows != A.unit:
+        raise AlgebraError("idempotents: the rows do not sum to the unit")
     quot, proj, _ = chain.top
-    for i, e in enumerate(rows):
+    for i, e in enumerate(es):
         corner = _corner_rows(quot, e @ proj).rows
         if corner != 1:
             raise AlgebraError(
-                f"idempotent hint: row {i} is not primitive (its corner of A/J"
+                f"idempotents: row {i} is not primitive (its corner of A/J"
                 f" has dimension {corner})"
             )
-    return rows
+    return es
 
 
 # -- quiver frontend ------------------------------------------------------

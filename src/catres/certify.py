@@ -272,19 +272,17 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     through g -> (unit map, then Hom(M,-) of g), bijective on homotopy
     classes.  A failed assembly of the unit map gives ``bijective`` False
     and the failure as ``detail``."""
-    thetaF = db_theta(F, data)
-    B = kb_hom(thetaF, P)
+    B = kb_hom(db_theta(F, data), P)
     A = kb_hom(F, kb_theta_lambda_data(P, data))
     p31, failure = _assembled(F, data)
     if p31 is None:
         return {"bijective": False, "detail": failure}
-    # g -> alpha then theta_rho(g), on every basis map of each degree
-    blocks = {}
-    for i in B.window:
-        if B.spaces[i] and A.spaces[i]:
-            lifted_g = theta_rho_maps(B.spaces[i], data)
-            blocks[i] = A.spaces[i].basis.coords(lifted_g.after(p31.degreewise[i].alpha.mat))
-    return B.induced_bijection(A, blocks)
+
+    def lift(i, space):
+        # g -> alpha then theta_rho(g), on every basis map of the degree
+        return theta_rho_maps(space, data).after(p31.degreewise[i].alpha.mat)
+
+    return B.induced_bijection(A, lift)
 
 
 def weakly_crepant_check(

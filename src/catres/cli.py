@@ -142,13 +142,7 @@ def cmd_functor(args) -> int:
 
 def cmd_certify(args) -> int:
     alg = parse_algebra_or_quiver(_load(args.input))
-    cfg = CertConfig(
-        seed=args.seed,
-        samples=args.samples,
-        max_degree_window=args.max_window,
-        max_term_dim=args.max_term_dim,
-        max_resolution_depth=args.max_depth,
-    )
+    cfg = CertConfig(**{name: getattr(args, name) for name in CertConfig().to_json()})
     report = certify_resolution(alg, cfg)
     if args.format == "json":
         sys.stdout.write(report_to_json_str(report))
@@ -225,13 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="run the categorical-resolution suites")
     sp.add_argument("input")
-    sp.add_argument("--samples", type=_positive_int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-depth", type=_non_negative_int, default=None)
-    sp.add_argument("--max-window", type=_positive_int, default=4)
-    sp.add_argument("--max-term-dim", type=_positive_int, default=12)
+    sp.add_argument("--samples", type=_positive_int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--max-depth", type=_non_negative_int, dest="max_resolution_depth")
+    sp.add_argument("--max-window", type=_positive_int, dest="max_degree_window")
+    sp.add_argument("--max-term-dim", type=_positive_int)
     sp.add_argument("--format", choices=["json", "text"], default="json")
-    sp.set_defaults(fn=cmd_certify)
+    # CertConfig owns the defaults of the certify flags
+    sp.set_defaults(fn=cmd_certify, **CertConfig().to_json())
     return p
 
 

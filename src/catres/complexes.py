@@ -20,11 +20,12 @@ restricted or lifted twice.
 Exactness is read off ranks (``_is_exact``), on the terms in
 ``is_acyclic`` and on their corner rows in ``is_lambda_acyclic``.
 
-``KbHom.induced_bijection`` checks that a linear functor on chain maps
-induces a bijection on homotopy classes.  The functor is given by one
-coordinate matrix per degree, from ``theta_maps`` or ``theta_rho_maps`` on
-the whole Hom space of the terms, and the chain and homotopy bases are
-multiplied by them once.
+``KbHom.induced_bijection(other, lift)`` checks that a linear functor on
+chain maps, given by the images ``lift(i, space)`` of the basis maps of
+each degree, induces a bijection on homotopy classes; each adjunction is
+one call of it.  Step V tests the kept counit with ``_is_invertible`` and
+``counit_natural`` alone.  No check here is an ``assert`` (``-O`` strips
+those).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .auslander import AuslanderData
 from .functors import (
     corner_rows,
     counit,
+    counit_natural,
     four_term_sequence,
     theta,
     theta_hom,
@@ -55,6 +57,7 @@ from .linalg import (
 from .modules import (
     ModHom,
     Repn,
+    _is_invertible,
     direct_sum,
     hom_space,
     is_projective,
@@ -74,7 +77,8 @@ class BComplex:
         self.lo = lo
         self.terms = terms
         self.diffs = diffs
-        assert len(diffs) == max(0, len(terms) - 1)
+        if len(diffs) != max(0, len(terms) - 1):
+            raise ComplexError(f"{len(terms)} terms with {len(diffs)} differentials")
 
     @property
     def hi(self) -> int:
@@ -244,18 +248,22 @@ class KbHom:
             comps[i] = ModHom(space.source, space.target, acc)
         return ChainMap(self.source, self.target, comps)
 
-    def induced_bijection(self, other: "KbHom", blocks: dict) -> dict:
-        """Does the linear map on chain maps with coordinate matrix
-        ``blocks[i]`` in degree i, from the coordinates of ``spaces[i]`` to
-        those of ``other.spaces[i]`` (zero in degrees without a block),
-        induce a bijection on homotopy classes?
-
-        Checks: null-homotopics land in null-homotopics; the images of a
-        chain basis span other's chain space modulo homotopy in the full
-        quotient dimension; and the two quotients have equal dimension.
+    def induced_bijection(self, other: "KbHom", lift) -> dict:
+        """Does the linear map on chain maps that sends the basis maps of
+        ``spaces[i]`` to the rows of ``lift(i, spaces[i])``, flattened maps
+        of ``other.spaces[i]`` (zero where either space is empty), induce a
+        bijection on homotopy classes?  Checks: null-homotopics land in
+        null-homotopics; the images of a chain basis span other's chain
+        space modulo homotopy in the full quotient dimension; and the two
+        quotients have equal dimension.
         """
         fld = self.source.algebra.field
-        placed = [(self.offsets[i], other.offsets[i], b) for i, b in blocks.items()]
+        placed = [
+            (self.offsets[i], other.offsets[i],
+             other.spaces[i].basis.coords(lift(i, self.spaces[i])))
+            for i in self.window
+            if self.spaces[i] and other.spaces[i]
+        ]
         big = Mat.from_blocks(fld, self.total, other.total, placed)
         htp = other.homotopy_rows
         htp_ok = RowBasis(htp).contains(self.homotopy_rows @ big)
@@ -363,48 +371,32 @@ def kb_theta_lambda_data(P: BComplex, data: AuslanderData) -> BComplex:
 @dataclass
 class StepV:
     lifted: BComplex  # kb_theta_lambda_data(P)
-    counits: dict  # degree -> ModHom db_theta(lifted).term(i) -> P.term(i)
     ok: bool
     detail: str
 
 
 def step_v_unit(P: BComplex, data: AuslanderData) -> StepV:
-    """db_theta(kb_theta_lambda(P)) equals P termwise through the counit."""
+    """db_theta(kb_theta_lambda(P)) equals P termwise through the counit:
+    every counit is invertible and commutes with every differential of P
+    (``counit_natural``).  The detail names the last degree with a
+    singular counit, else the first differential that differs."""
     lifted = kb_theta_lambda_data(P, data)
-    back = db_theta(lifted, data)
-    counits = {}
-    ok = True
-    detail = ""
-    for i in P.degrees():
-        c = counit(P.term(i), data)
-        counits[i] = c
-        if c.mat.rows != c.mat.cols or rank(c.mat) != c.mat.rows:
-            ok = False
-            detail = f"counit not invertible at degree {i}"
-    if ok:
-        for i in list(P.degrees())[:-1]:
-            lhs = back.diff(i).mat @ counits[i + 1].mat
-            rhs = counits[i].mat @ P.diff(i).mat
-            if lhs != rhs:
-                ok = False
-                detail = f"transported differential differs at degree {i}"
-                break
-    return StepV(lifted=lifted, counits=counits, ok=ok, detail=detail)
+    singular = [i for i in P.degrees() if not _is_invertible(counit(P.term(i), data).mat)]
+    if singular:
+        return StepV(lifted, False, f"counit not invertible at degree {singular[-1]}")
+    for i, d in zip(P.degrees(), P.diffs):
+        if not counit_natural(d, data):
+            return StepV(lifted, False, f"transported differential differs at degree {i}")
+    return StepV(lifted, True, "")
 
 
 def step_v_naturality(u: ChainMap, data: AuslanderData) -> bool:
     """The unit is natural: the square with db_theta(kb_theta_lambda(u))
     commutes on the nose through the counits."""
-    sv_src = step_v_unit(u.source, data)
-    sv_tgt = step_v_unit(u.target, data)
-    if not (sv_src.ok and sv_tgt.ok):
+    if not (step_v_unit(u.source, data).ok and step_v_unit(u.target, data).ok):
         return False
     # degrees without a component of u hold zero maps on both sides
-    for i, u_i in u.comps.items():
-        back = theta_hom(theta_rho_hom(u_i, data), data)
-        if back.mat @ sv_tgt.counits[i].mat != sv_src.counits[i].mat @ u_i.mat:
-            return False
-    return True
+    return all(counit_natural(u_i, data) for u_i in u.comps.values())
 
 
 # -- the complex-level four-term sequence ---------------------------------------
@@ -425,7 +417,8 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
 
     The middle differential is the Hom(M,-) lift of the theta'd
     differential; uniqueness of the induced maps makes all squares commute,
-    which is asserted, not assumed.
+    which is checked, not assumed: a failed check raises ``AssertionError``
+    (also under ``python -O``).
     """
     fld = F.algebra.field
     seqs = {i: four_term_sequence(F.term(i), data) for i in F.degrees()}
@@ -437,7 +430,8 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
         mid_diffs.append(delta)
         lhs = seqs[i].alpha.mat @ delta.mat
         rhs = F.diff(i).mat @ seqs[i + 1].alpha.mat
-        assert lhs == rhs, f"alpha square fails to commute at degree {i}"
+        if lhs != rhs:
+            raise AssertionError(f"alpha square fails to commute at degree {i}")
     middle = BComplex(data.tilde, F.lo, mid_terms, mid_diffs)
     alpha = ChainMap(F, middle, {i: seqs[i].alpha for i in degs})
 
@@ -446,7 +440,8 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
     for k, i in enumerate(degs[:-1]):
         moved = seqs[i].f0_incl.mat @ F.diff(i).mat
         c = solve_left(seqs[i + 1].f0_incl.mat, moved)
-        assert c is not None, "kernel complex differential failed to restrict"
+        if c is None:
+            raise AssertionError("kernel complex differential failed to restrict")
         f0_diffs.append(ModHom(f0_terms[k], f0_terms[k + 1], c))
     F0 = BComplex(data.tilde, F.lo, f0_terms, f0_diffs)
 
@@ -456,7 +451,8 @@ def prop31_sequence(F: BComplex, data: AuslanderData) -> Prop31:
         # unique induced map on the quotient: solve proj_i @ X = delta_i proj_(i+1)
         rhs = mid_diffs[k].mat @ seqs[i + 1].f1_proj.mat
         x = solve(seqs[i].f1_proj.mat, rhs)
-        assert x is not None, "cokernel complex differential failed to descend"
+        if x is None:
+            raise AssertionError("cokernel complex differential failed to descend")
         f1_diffs.append(ModHom(f1_terms[k], f1_terms[k + 1], x))
     F1 = BComplex(data.tilde, F.lo, f1_terms, f1_diffs)
     return Prop31(F=F, F0=F0, alpha=alpha, middle=middle, F1=F1, degreewise=seqs)
@@ -469,18 +465,15 @@ def step_iv_adjunction(P: BComplex, F: BComplex, data: AuslanderData) -> dict:
     sv = step_v_unit(P, data)
     if not sv.ok:
         return {"ok": False, "detail": f"unit failed: {sv.detail}"}
-    thetaF = db_theta(F, data)
     A = kb_hom(sv.lifted, F)
-    B = kb_hom(P, thetaF)
-    # f -> counit^(-1) then theta(f), on every basis map of each degree
-    blocks = {}
-    for i in A.window:
-        if A.spaces[i] and B.spaces[i]:
-            c = sv.counits[i].mat
-            inv = solve(c, Mat.identity(P.algebra.field, c.rows))
-            moved = theta_maps(A.spaces[i], data).after(inv)
-            blocks[i] = B.spaces[i].basis.coords(moved)
-    result = A.induced_bijection(B, blocks)
+    B = kb_hom(P, db_theta(F, data))
+
+    def lift(i, space):
+        # f -> counit^(-1) then theta(f), on every basis map of the degree
+        c = counit(P.term(i), data).mat
+        return theta_maps(space, data).after(solve(c, Mat.identity(c.field, c.rows)))
+
+    result = A.induced_bijection(B, lift)
     result["ok"] = result["bijective"]
     return result
 

@@ -12,12 +12,13 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 * the unit alpha: F -> theta_rho(theta(F)) with its four-term exact sequence
   0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0, both ends killed by e.
 
-``corner_rows(F)``, ``theta(F)``, ``theta_rho_data(N)`` and
-``theta_lambda_data(N)`` are functions of the module's content and of the
-Auslander data, so they are built on first use and kept, by ``_kept``, on
-the data (``AuslanderData.functor_values``), keyed by the module's algebra
-and content: callers ask for them where they need them, each is built once
-per (content, data), and each is freed with its data.
+``corner_rows(F)``, ``theta(F)``, ``theta_rho_data(N)``,
+``theta_lambda_data(N)`` and ``counit(N)`` depend on the module's content
+and the Auslander data, so ``_kept`` builds each once per (content, data)
+and keeps it on the data (``AuslanderData.functor_values``), freed with
+it; a module over another algebra than data.tilde (F) or data.lam (N)
+raises ``ValueError``.  ``counit_natural(g)`` is the one test that the
+counit commutes with a map g, for both loops of Step V.
 
 On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
 ``theta_maps`` restricts every map of a space to the corners with one
@@ -49,10 +50,12 @@ from .modules import (
 
 
 def _kept(M: Repn, name: str, data: AuslanderData, build):
-    """``build(M, data)``, kept on ``data`` under ``name`` and M's content.
-    The key holds M's algebra, since Lambda and tilde modules are both
-    asked for."""
-    values, key = data.functor_values, (name, M.algebra, M.key)
+    """``build(M, data)``, kept on ``data`` under ``name`` and M's content,
+    once M is shown to be over the data's algebra that the value takes."""
+    over = "tilde" if name in ("corner_rows", "theta") else "lam"
+    if M.algebra is not getattr(data, over):
+        raise ValueError(f"{name}: the module is not over data.{over}")
+    values, key = data.functor_values, (name, M.key)
     if key not in values:
         values[key] = build(M, data)
     return values[key]
@@ -157,6 +160,10 @@ def theta_rho_hom(g: ModHom, data: AuslanderData) -> ModHom:
 def counit(N: Repn, data: AuslanderData) -> ModHom:
     """The natural isomorphism theta(theta_rho(N)) -> N, by evaluation at
     the image of the unit in the Lambda-summand."""
+    return _kept(N, "counit", data, _counit)
+
+
+def _counit(N: Repn, data: AuslanderData) -> ModHom:
     trd = theta_rho_data(N, data)
     F = trd.module
     rows = corner_rows(F, data)
@@ -165,6 +172,13 @@ def counit(N: Repn, data: AuslanderData) -> ModHom:
     # row t: the image of iota(1) under the t-th hom; row r of ``rows``
     # combines the homs, so one product evaluates them all
     return ModHom(thetaF, N, rows @ trd.space.after(u))
+
+
+def counit_natural(g: ModHom, data: AuslanderData) -> bool:
+    """Is theta(theta_rho(g)) then counit(N') equal to counit(N) then g,
+    for g: N -> N'?"""
+    back = theta_hom(theta_rho_hom(g, data), data)
+    return back.mat @ counit(g.target, data).mat == counit(g.source, data).mat @ g.mat
 
 
 # -- theta_lambda: presentation cokernel ----------------------------------------
@@ -212,10 +226,11 @@ def unit_on_module(N: Repn, data: AuslanderData) -> ModHom:
     tq = theta_hom(tld.quotient, data)
     # c0 is invertible; route P0 -> theta(theta_rho P0) via its inverse
     inv = solve(c0.mat, Mat.identity(N.field, c0.mat.rows))
-    assert inv is not None and c0.mat.rows == tld.cover.source.dim
-    u0 = inv @ tq.mat  # P0 -> theta(theta_lambda N)
-    sol = solve(tld.cover.mat, u0)
-    assert sol is not None, "unit factorization failed"
+    if inv is None or c0.mat.rows != tld.cover.source.dim:
+        raise AssertionError("counit of the cover is not invertible")
+    sol = solve(tld.cover.mat, inv @ tq.mat)  # inv @ tq.mat: P0 -> theta(theta_lambda N)
+    if sol is None:
+        raise AssertionError("unit factorization failed")
     return ModHom(N, tq.target, sol)
 
 

@@ -771,10 +771,11 @@ class RowBasis:
     on the rows of B that depend on earlier rows, so T is zero in those
     columns: for a dependent B, the solution is the one supported on the
     first independent rows.  R and T stay on the carrier, so both checks
-    are integer products.
+    are integer products; R[:, pivots] = I, so the span check reads only
+    the other columns.
     """
 
-    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_r", "_t")
+    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_free", "_r_free", "_t")
 
     def __init__(self, basis: Mat):
         f = basis.field
@@ -787,7 +788,9 @@ class RowBasis:
         self.rows, self.cols = k, n
         self.pivots = [c for c in pivots if c < n]
         rk = len(self.pivots)
-        self._r = full.with_array(full.a[:rk, :n])
+        taken = set(self.pivots)
+        self._free = [c for c in range(n) if c not in taken]
+        self._r_free = full.with_array(full.a[:rk, self._free])
         self._t = full.with_array(full.a[:rk, n:][:, ::-1])
 
     @property
@@ -799,7 +802,8 @@ class RowBasis:
         if v.field != self.field or v.cols != self.cols:
             raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
         y = v.with_array(v.a[:, self.pivots])
-        return y if y @ self._r == v else None
+        free = self._free
+        return y if not free or y @ self._r_free == v.with_array(v.a[:, free]) else None
 
     def contains(self, v: Mat) -> bool:
         """Is every row of ``v`` in the row span of the basis?"""

@@ -36,7 +36,8 @@ replacement, on the library's own primitives:
   ``rref``;
 * ``augmented_solve`` reads a solution off rref([a | b]) (the library's
   former solve), against ``solve`` and ``solve_left``, which go through
-  the factored ``RowBasis``;
+  the factored ``RowBasis`` and its residual check on the non-pivot
+  columns only;
 * ``loop_module_validate`` checks a module's action against the unit and
   the table one pair of basis elements at a time on plain lists, against
   the one product of ``Repn.validate``;
@@ -56,9 +57,10 @@ replacement, on the library's own primitives:
   ``auslander.build_auslander``;
 * ``roundtrip_adjunction`` and ``roundtrip_right_adjoint`` send each basis
   row of a homotopy Hom through a ``ChainMap`` of per-map functor images
-  and solve it back to coordinates, against the one coordinate matrix per
-  degree of ``KbHom.induced_bijection`` in ``complexes.step_iv_adjunction``
-  and ``certify.right_adjoint_sample``;
+  and solve it back to coordinates, against the one call of
+  ``KbHom.induced_bijection``, which solves the lifted maps of each
+  degree to coordinates once, in ``complexes.step_iv_adjunction`` and
+  ``certify.right_adjoint_sample``;
 * ``corner_route_iso`` builds e*tilde*e as an ``Algebra`` (``corner_algebra``),
   transports it to Lambda by restriction to the Lambda-summand and checks
   that zeta inverts that transport basis element by basis element, against
@@ -66,8 +68,9 @@ replacement, on the library's own primitives:
 * ``corner_split_idempotents`` splits A/J as the library once did: a
   ``_Corner`` per corner, every candidate list of random combinations
   built before the first one is tried, two split-and-recurse blocks and a
-  pairwise orthogonality loop, against the one recursive routine and the
-  one orthogonality product of ``algebra.primitive_idempotents``;
+  pairwise orthogonality loop, against the one recursive routine of
+  ``algebra.primitive_idempotents`` and the certificate
+  ``checked_idempotents`` that ends it;
 * ``loop_projective_resolution`` is the resolution loop with its
   periodicity flag: it builds each syzygy afresh, searches it against the
   earlier ones and halts on periodicity if asked, against the walk down
@@ -88,8 +91,9 @@ replacement, on the library's own primitives:
   record of kept values among equal modules;
 * ``idempotent_set_defect`` checks a set of idempotents on plain lists
   against the radical it is given (the library's certified one), against
-  the block products and the corners of T/J of
-  ``algebra.checked_idempotents``.
+  the block products and the corners of A/J of
+  ``algebra.checked_idempotents``, which certifies the idempotents of a
+  hint and of the split alike.
 """
 
 import itertools
@@ -117,7 +121,7 @@ from catres.complexes import (
     prop31_sequence,
     step_v_unit,
 )
-from catres.functors import theta_hom, theta_rho_data
+from catres.functors import counit, theta_hom, theta_rho_data
 from catres.linalg import (
     MAX_ROOT_SEARCH_PRODUCT,
     Mat,
@@ -762,7 +766,8 @@ def roundtrip_adjunction(P, F, data):
     A = kb_hom(sv.lifted, F)
     B = kb_hom(P, thetaF)
     fld = P.algebra.field
-    inv_counits = {i: solve(c.mat, Mat.identity(fld, c.mat.rows)) for i, c in sv.counits.items()}
+    counits = {i: counit(P.term(i), data).mat for i in P.degrees()}
+    inv_counits = {i: solve(c, Mat.identity(fld, c.rows)) for i, c in counits.items()}
 
     def convert(f):
         comps = {}

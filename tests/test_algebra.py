@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from catres import algebra
 from catres.algebra import (
     Algebra,
     AlgebraError,
@@ -421,6 +422,14 @@ def test_primitive_idempotents_kxk():
     idems = primitive_idempotents(a, a.radical_chain())
     assert len(idems) == 2
     assert sorted(e.tolist() for e in idems) == [[[0, 1]], [[1, 0]]]
+
+
+def test_a_split_that_stops_early_is_refused(monkeypatch):
+    # the split's output goes through the certificate a hint goes through
+    monkeypatch.setattr(algebra, "_split_semisimple", lambda B, basis, unit, rng: [unit])
+    a = two_fields(F5)
+    with pytest.raises(AlgebraError, match=r"^idempotents: row 0 is not primitive"):
+        primitive_idempotents(a, a.radical_chain())
 
 
 def test_primitive_idempotents_t2():

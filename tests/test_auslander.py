@@ -292,7 +292,7 @@ def test_broken_idempotent_hint_is_rejected_before_any_module(name, broken):
     assert context(_hinted_copy(tilde, tilde.idempotent_hint)).idempotents == rows
     breaker, message = BROKEN_HINTS[broken]
     ctx = context(_hinted_copy(tilde, breaker(tilde, rows)))
-    with pytest.raises(AlgebraError, match=f"^idempotent hint: .*{message}"):
+    with pytest.raises(AlgebraError, match=f"^idempotents: .*{message}"):
         ctx.projectives  # the simples and projectives follow the idempotents
     assert "_simples_and_projectives" not in vars(ctx)
 

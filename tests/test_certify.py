@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,54 @@ def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch)
         for index, (ok, detail) in enumerate(recorded[suite]):
             assert not ok and "assembly failed: forged" in detail, (suite, index)
             assert ct.replay_sample(lam, cfg, suite, index) == (ok, detail), (suite, index)
+
+
+# run under ``python -O``: a two-term complex T -> T (the identity) over the
+# Auslander algebra of F_3[x]/x^3, whose alpha in degree 0 is forged to
+# twice itself, so the alpha square at degree 0 no longer commutes
+FORGED_ALPHA_UNDER_O = """
+import sys
+from catres import certify, complexes
+from catres.auslander import build_auslander
+from catres.corpus import truncated_poly_algebra
+from catres.linalg import FieldSpec, Mat
+from catres.modules import ModHom, Repn, context
+from catres.samples import ModulePool
+
+assert sys.flags.optimize
+data = build_auslander(truncated_poly_algebra(FieldSpec("prime", 3), 3))
+T = context(data.tilde).regular
+G = Repn(T.algebra, T.dim, T.flat_action())
+F = complexes.BComplex(data.tilde, 0, [G, T], [ModHom(G, T, Mat.identity(T.field, T.dim))])
+real = complexes.four_term_sequence
+
+def forged(M, d):
+    s = real(M, d)
+    if M is G:
+        s.alpha = ModHom(s.alpha.source, s.alpha.target, s.alpha.mat.scale(2))
+    return s
+
+complexes.four_term_sequence = forged
+pool = ModulePool(data)
+pool.random_tilde_complex = lambda *args: F
+for suite in ("four_term", "density_witness", "wc_right_adjoint"):
+    print(suite, certify.suite_results(suite, 1, data, pool, certify.CertConfig())[0])
+"""
+
+
+def test_a_forged_alpha_is_recorded_under_python_o():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_ALPHA_UNDER_O], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    detail = "assembly failed: alpha square fails to commute at degree 0"
+    failure = {"bijective": False, "detail": detail}
+    assert proc.stdout.splitlines() == [
+        f"four_term {(False, detail)}",
+        f"density_witness {(False, detail)}",
+        f"wc_right_adjoint {(False, str(failure))}",
+    ]
 
 
 def test_failure_soundness_forged_counterexample(monkeypatch):

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from catres import complexes as cx
+from catres import functors
 from catres import modules as mod
 from catres.auslander import build_auslander, corner_dim
-from catres.certify import right_adjoint_sample
+from catres.certify import CertConfig, right_adjoint_sample, suite_results
 from catres.corpus import truncated_poly_algebra
 from catres.functors import in_mod0, theta_hom, theta_rho
 from catres.io_json import parse_algebra_or_quiver
@@ -156,6 +157,38 @@ def test_step_v_naturality_20_chain_maps(data, pool):
         assert cx.step_v_naturality(u, data), i
 
 
+def _x3_f3():
+    return parse_algebra_or_quiver(json.loads((CORPUS / "x3_f3.json").read_text()))
+
+
+def test_a_scaled_counit_fails_step_v(monkeypatch):
+    # the counit scaled by 2 over F_3 on one term content stays invertible,
+    # but no longer commutes with a nonzero map out of that term
+    lam = _x3_f3()
+    P = ModulePool(build_auslander(lam)).random_projective_lam_complex(
+        rng_for(0, "unit_iso", 4), 4, 12
+    )
+    i, d = next((i, d) for i, d in zip(P.degrees(), P.diffs) if not d.mat.is_zero())
+    assert d.source.key != d.target.key and cx.step_v_unit(P, build_auslander(lam)).ok
+    real = functors._counit
+
+    def scaled(N, data):
+        c = real(N, data)
+        return mod.ModHom(c.source, c.target, c.mat.scale(2)) if N.key == d.source.key else c
+
+    monkeypatch.setattr(functors, "_counit", scaled)
+    data = build_auslander(lam)  # fresh, so every counit it keeps is built scaled
+    sv = cx.step_v_unit(P, data)
+    assert (sv.ok, sv.detail) == (False, f"transported differential differs at degree {i}")
+    naturality = suite_results("unit_naturality", 10, data, ModulePool(data), CertConfig())
+    assert not all(ok for ok, _ in naturality)
+
+
+def test_bcomplex_refuses_a_wrong_number_of_differentials(data, reg):
+    with pytest.raises(cx.ComplexError, match="^2 terms with 0 differentials$"):
+        cx.BComplex(data.lam, 0, [reg, reg], [])
+
+
 def test_yoneda_vanishing_mod0(data, pool):
     # Hom in the homotopy category from a lifted projective complex into a
     # corner-killed complex is zero
@@ -200,6 +233,43 @@ def test_adjunction_checks_match_the_chainmap_round_trip_over_q():
     lam = parse_algebra_or_quiver(json.loads((CORPUS / "x3_q.json").read_text()))
     data = build_auslander(lam)
     assert _adjunctions_match_the_round_trip(data, ModulePool(data), "roundtrip-q", 12, 2, 4) > 0
+
+
+def test_a_lift_that_drops_a_basis_map_is_not_bijective(monkeypatch):
+    # the lift of the first basis map of every degree sent to zero, on the
+    # first ten pairs of the adjunction stream over F_3[x]/x^3
+    lam = _x3_f3()
+    data = build_auslander(lam)
+    pool = ModulePool(data)
+    pairs = []
+    for i in range(10):
+        rng = rng_for(0, "adjunction", i)
+        P = pool.random_projective_lam_complex(rng, 4, 12)
+        pairs.append((P, pool.random_tilde_complex(rng, 4, 12)))
+
+    def verdicts():
+        return [
+            (cx.step_iv_adjunction(P, F, data), right_adjoint_sample(F, P, data)) for P, F in pairs
+        ]
+
+    honest = verdicts()
+    assert all(left["bijective"] and right["bijective"] for left, right in honest)
+    assert [left["dims"][0] for left, _ in honest] == [0, 2, 3, 2, 6, 0, 0, 0, 0, 1]
+    real = cx.KbHom.induced_bijection
+
+    def dropping(self, other, lift):
+        def dropped(i, space):
+            images = lift(i, space)
+            return Mat.zeros(images.field, 1, images.cols).vstack(images.take_rows(slice(1, None)))
+
+        return real(self, other, dropped)
+
+    monkeypatch.setattr(cx.KbHom, "induced_bijection", dropping)
+    mutated = [(left["bijective"], right["bijective"]) for left, right in verdicts()]
+    # a pair with a zero homotopy Hom stays bijective; on pair 3 the
+    # mutated right adjunction still happens to be bijective
+    nonzero = [1, 2, 3, 4, 9]
+    assert mutated == [(i not in nonzero, i not in nonzero or i == 3) for i in range(10)]
 
 
 def test_prop31_assembly_and_mod0_ends(data, pool):

@@ -77,26 +77,49 @@ def test_functor_values_are_kept_on_the_module(data, pool):
 
 
 def test_kept_values_follow_the_auslander_data(data, pool):
-    # each data keeps its own values: other data get their own value,
-    # asking for the first data again returns the first value, and a value
-    # is freed with its data
+    # each data keeps its own values: other data get their own value, asked
+    # with F's copy over their own tilde, asking for the first data again
+    # returns the first value, and a value is freed with its data
     rng = rng_for(0, "kept-data", 0)
     F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
     first_theta, first_trd = theta(F, data), theta_rho_data(N, data)
     other = build_auslander(data.lam)
-    second_theta, second_trd = theta(F, other), theta_rho_data(N, other)
+    F_other = mod.Repn(other.tilde, F.dim, F.flat_action())
+    second_theta, second_trd = theta(F_other, other), theta_rho_data(N, other)
     assert second_theta is not first_theta and second_trd is not first_trd
     assert second_theta.flat_action() == first_theta.flat_action()
     assert second_trd.module.algebra is other.tilde
     assert second_trd.module.flat_action() == first_trd.module.flat_action()
     assert theta(F, data) is first_theta and theta_rho_data(N, data) is first_trd
-    assert theta(F, other) is second_theta and theta_rho_data(N, other) is second_trd
+    assert theta(F_other, other) is second_theta and theta_rho_data(N, other) is second_trd
+    assert theta(_copy(F_other), other) is second_theta
     assert theta_rho_data(_copy(N), other) is second_trd
     freed = [weakref.ref(x) for x in (other, other.tilde, second_theta, second_trd)]
-    del other, second_theta, second_trd
+    del other, F_other, second_theta, second_trd
     gc.collect()
     assert [r() for r in freed] == [None] * len(freed)
     assert theta(F, data) is first_theta and theta_rho_data(N, data) is first_trd
+
+
+def test_functor_values_refuse_a_module_over_another_algebra(data, pool):
+    # a tilde-module over another data's tilde, and a Lambda-module where a
+    # tilde-module belongs or the other way round, raise before anything
+    # is built or kept
+    rng = rng_for(0, "kept-data", 1)
+    F, N = pool.random_tilde_module(rng, 8), pool.random_lam_module(rng, 5)
+    other = build_auslander(data.lam)
+    calls = [
+        (theta, F, other, "theta: the module is not over data.tilde"),
+        (corner_rows, N, data, "corner_rows: the module is not over data.tilde"),
+        (theta_rho_data, F, data, "theta_rho: the module is not over data.lam"),
+        (theta_lambda_data, F, data, "theta_lambda: the module is not over data.lam"),
+        (counit, F, data, "counit: the module is not over data.lam"),
+    ]
+    kept = len(data.functor_values)
+    for fn, M, d, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(M, d)
+    assert other.functor_values == {} and len(data.functor_values) == kept
 
 
 def test_kept_values_equal_a_fresh_build(data, pool):
@@ -172,6 +195,7 @@ def test_counit_natural_on_random_modules(data, pool):
         lifted = theta_rho_hom(g, data)
         back = theta_hom(lifted, data)
         assert back.mat @ c2.mat == c1.mat @ g.mat
+        assert functors.counit_natural(g, data)
 
 
 def _theta_rho_maps_match_the_loop(space, data):

@@ -12,6 +12,8 @@ from catres import algebra
 from catres import modules as mod
 from catres.algebra import MAX_QUIVER_PATHS, AlgebraError, QuiverSpec, from_quiver
 from catres.auslander import build_auslander
+from catres.certify import CertConfig
+from catres import cli
 from catres.cli import main
 from catres.corpus import shipped_corpus, truncated_poly_algebra
 from catres.functors import theta_rho
@@ -412,6 +414,25 @@ def test_cli_certify_exit_codes_and_determinism(tmp_path):
     rep = json.loads(out1.stdout)
     assert rep["verdict"] == "pass"
     run_cli("certify", "corpus/kxk_f5.json", "--samples", "3", expect=2)
+
+
+def test_cli_certify_defaults_are_cert_config_defaults(monkeypatch, capsys):
+    seen = []
+
+    def record(alg, cfg):
+        seen.append(cfg)
+        return {"verdict": "pass"}
+
+    monkeypatch.setattr(cli, "certify_resolution", record)
+    path = str(CORPUS / "x2_f2.json")
+    assert main(["certify", path]) == 0
+    flags = ["--samples", "3", "--seed", "7", "--max-depth", "2", "--max-window", "5",
+             "--max-term-dim", "6"]
+    assert main(["certify", path, *flags]) == 0
+    assert seen == [
+        CertConfig(),
+        CertConfig(seed=7, samples=3, max_degree_window=5, max_term_dim=6, max_resolution_depth=2),
+    ]
 
 
 def test_cli_certify_across_hash_seeds(tmp_path):

@@ -334,6 +334,37 @@ def test_row_basis_matches_solve_left_and_naive_rank(case):
         assert rb.contains(v.row_at(i)) == row_inside
 
 
+def _row_basis_edge_cases(field):
+    """(label, basis, batch): rank 0, full rank (no free column) and a
+    dependent basis, each with a batch of rows inside and outside the span
+    (full rank leaves no row outside)."""
+    m = lambda rows: Mat.from_rows(field, rows)
+    inside_outside = m([[0, 0, 0], [1, 0, 0]])
+    dependent = m([[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]])  # rank 2
+    return [
+        ("no rows", Mat.zeros(field, 0, 3), inside_outside),
+        ("zero rows", m([[0, 0, 0], [0, 0, 0]]), inside_outside),
+        ("full rank", m([[1, 2, 0], [0, 1, 1], [1, 0, 2]]), m([[1, 1, 1], [2, 0, 1], [0, 0, 0]])),
+        ("dependent", dependent, m([[3, 7, 1], [0, 0, 1], [1, 3, 1]])),
+    ]
+
+
+@pytest.mark.parametrize("field", [FieldSpec("prime", 3), QQ], ids=["F3", "Q"])
+def test_row_basis_checks_only_the_free_columns_and_keeps_the_verdicts(field):
+    cases = _row_basis_edge_cases(field)
+    assert [len(RowBasis(basis)._free) for _, basis, _ in cases] == [3, 3, 0, 1]
+    for label, basis, batch in cases:
+        rb = RowBasis(basis)
+        for i in range(batch.rows):
+            v = batch.row_at(i)
+            expected = augmented_solve(basis.T, v.T)
+            assert rb.contains(v) == (expected is not None), (label, i)
+            got = rb.solve(v)
+            assert (got is None) == (expected is None), (label, i)
+            if got is not None:
+                assert got == expected.T and got @ basis == v, (label, i)
+
+
 def test_solve_left_and_left_nullspace():
     a = Mat.from_rows(F5, [[1, 2], [0, 1]])
     b = Mat.from_rows(F5, [[2, 4]])
@@ -555,7 +586,7 @@ def test_carrier_stays_canonical_and_matches_the_fraction_oracles(t, k):
     for name, (m, expected) in cases.items():
         assert _canonical(m), name
         assert m.tolist() == expected, name
-    for m in (b, nullspace(x), rb._r, rb._t, rb.coords(c @ x)):
+    for m in (b, nullspace(x), rb._r_free, rb._t, rb.coords(c @ x)):
         assert _canonical(m)
 
 
