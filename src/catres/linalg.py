@@ -719,6 +719,24 @@ def reverse_row_basis(m: Mat) -> Mat:
     return r.with_array(r.a[:rk, ::-1][::-1])
 
 
+def placed_row_basis(field: FieldSpec, cols: int, blocks: list) -> Mat:
+    """The rows of every ``(rows, where)`` pair, each row placed in the
+    columns ``where`` (increasing) of a zero row of length ``cols``,
+    sorted by their last nonzero column.
+
+    When every ``rows`` is a ``reverse_row_basis`` and the column sets are
+    disjoint, the placed rows are zero on each other's pivots, so this is
+    ``reverse_row_basis`` of them all, with no row reduction."""
+    den, arrays = _common_den([b for b, _ in blocks])
+    a = _empty(field, sum(b.rows for b, _ in blocks), cols)
+    r = 0
+    for (b, where), x in zip(blocks, arrays):
+        a[r : r + b.rows, where] = x
+        r += b.rows
+    last = cols - 1 - np.argmax(a[:, ::-1] != 0, axis=1)
+    return Mat(field, a[np.argsort(last, kind="stable")], den, _copy=False)
+
+
 def nullspace(m: Mat) -> Mat:
     """Basis of the right kernel {x : m @ x = 0}, returned as columns."""
     r, pivots, _ = rref(m)

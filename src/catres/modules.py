@@ -8,26 +8,29 @@ convention (fg)(m) = f(g(m)) makes Hom(M, N) a right End(M)-module with
 no opposite-algebra twist anywhere in the code.
 
 Hom spaces are computed one way: out of a sum of indecomposable
-projectives by Yoneda, Hom(e_i A, N) = N e_i, and out of any other module
-M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
-presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
-2003).  ``hom_space`` returns one ``HomSpace``: the reduced basis
-stacked, one flattened map per row, with its side-by-side layout, its
-batched compositions and its factored ``RowBasis``.  No other code lays
-out or factors a Hom basis.
+projectives by Yoneda, Hom(e_i A, N) = N e_i; between other direct sums
+as the sum of the blocks Hom(X_a, Y_b) of their summands, which
+``direct_sum`` tags on its result, nested sums flattened; and out of any
+other module M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its
+projective presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp.
+Math. 12, 2003).  ``hom_space`` returns one ``HomSpace``: the reduced
+basis stacked, one flattened map per row, with its side-by-side layout,
+its batched compositions and its factored ``RowBasis``.  No other code
+lays out or factors a Hom basis.
 
 What depends only on a module's action is built once per content, not
 per object: modules over one algebra with equal (dim, action) share one
 record, a dict in ``context(A).records`` keyed by ``(dim, Mat.key())``
 (hash-consing, Filliatre and Conchon, ML Workshop 2006).  It keeps the
 presentation (and, on it, the syzygy Omega), the radical rows and the top
-projection, the Yoneda blocks Hom(P_i, N) and the projectivity test.  The
+projection, the Yoneda blocks Hom(P_i, N), the projectivity test, and
+each Hom space out of the module, checked, under its target's key.  The
 context owns the records and lives as long as the algebra, so a value is
 built once per algebra, however long its modules live, and the work of a
 run does not depend on when the garbage collector runs.  The functor
 values, which also depend on the Auslander data, are kept on that data
-(``functors``).  What names the Hom route, ``Repn.projective_parts``,
-stays on the object.
+(``functors``).  What names the Hom route, ``Repn.projective_parts`` and
+``Repn.summands``, stays on the object.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .linalg import (
     Mat,
     RowBasis,
     left_nullspace,
+    placed_row_basis,
     rank,
     reverse_row_basis,
     row_basis,
@@ -66,14 +70,22 @@ class Repn:
         self.algebra = algebra
         self.dim = dim
         self._flat = action
-        assert action.field == algebra.field
-        assert (action.rows, action.cols) == (algebra.dim, dim * dim)
+        if action.field != algebra.field:
+            raise ValueError(f"Repn: action over {action.field}, algebra over {algebra.field}")
+        if (action.rows, action.cols) != (algebra.dim, dim * dim):
+            raise ValueError(
+                f"Repn: a {action.rows}x{action.cols} action for a module of dim {dim}"
+                f" over an algebra of dim {algebra.dim}"
+            )
         # indices into context(algebra).projectives, block by block, when the
         # module is built as their direct sum; hom_space then uses Yoneda
         self.projective_parts: Optional[tuple] = None
+        # the nonzero summands, none of them a sum, when the module is built
+        # as a direct sum of two or more; hom_space then assembles from them
+        self.summands: Optional[tuple] = None
         # the record of this content, shared with every equal module over
-        # the algebra: a name, or a (name, index) pair, to a value that
-        # depends only on the action (``_recorded``)
+        # the algebra: a name, or a (name, index or target key) pair, to a
+        # value that depends only on the action (``_recorded``)
         self.key = (dim, action.key())
         self.record = context(algebra).records.setdefault(self.key, {})
 
@@ -134,7 +146,8 @@ def _recorded(M: Repn, key, build):
 
 class ModHom:
     def __init__(self, source: Repn, target: Repn, mat: Mat):
-        assert mat.rows == source.dim and mat.cols == target.dim
+        if (mat.rows, mat.cols) != (source.dim, target.dim):
+            raise ValueError(f"ModHom: a {mat.rows}x{mat.cols} matrix for {source!r} -> {target!r}")
         self.source = source
         self.target = target
         self.mat = mat
@@ -150,7 +163,8 @@ class ModHom:
     def then(self, g: "ModHom") -> "ModHom":
         """self followed by g (apply self first).  The target of self and
         the source of g share a record: they are one module or equal ones."""
-        assert self.target.record is g.source.record
+        if self.target.record is not g.source.record:
+            raise ValueError(f"ModHom.then: {self!r} ends where {g!r} does not start")
         return ModHom(self.source, g.target, self.mat @ g.mat)
 
     def is_zero(self) -> bool:
@@ -216,6 +230,9 @@ def direct_sum(parts: list) -> Repn:
     S = Repn(A, sum(dims), Mat.block_diag_rows(A.field, [p.flat_action() for p in parts], dims))
     if all(p.projective_parts is not None for p in parts):
         S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
+    leaves = tuple(x for p in parts for x in (p.summands or (p,)) if x.dim)
+    if len(leaves) > 1:
+        S.summands = leaves
     return S
 
 
@@ -228,18 +245,21 @@ class HomSpace:
     Hom(M, N) in this form; every layout a caller needs is read off it.
 
     ``len``, iteration and indexing go over the maps as ModHoms, built on
-    first use.  ``basis`` factors ``flat`` once for coordinate solves.
+    first use.  ``basis`` factors ``flat`` once for coordinate solves; a
+    space from ``hom_space`` shares the factoring kept for its contents.
     """
 
     def __init__(self, source: Repn, target: Repn, flat: Mat):
-        assert flat.cols == source.dim * target.dim
+        if flat.cols != source.dim * target.dim:
+            raise ValueError(f"HomSpace: {flat.cols} columns for maps {source!r} -> {target!r}")
         self.source = source
         self.target = target
         self.flat = flat
+        self._kept: Optional[_KeptHoms] = None  # what ``hom_space`` kept it from
 
     @cached_property
     def basis(self) -> RowBasis:
-        return RowBasis(self.flat)
+        return RowBasis(self.flat) if self._kept is None else self._kept.basis
 
     def wide(self) -> Mat:
         """m x (k*n): the maps side by side, the layout of ``Repn.wide_action``."""
@@ -275,22 +295,47 @@ class HomSpace:
 
 
 def hom_space(M: Repn, N: Repn) -> HomSpace:
-    """The reduced basis of Hom(M, N).
+    """The reduced basis of Hom(M, N), built once per (content of M,
+    content of N) and kept on M's record under N's key; a call on other
+    modules of those contents gets the kept maps over its own M and N.
 
     Out of a direct sum of the projectives of ``context(A)`` the basis comes
-    from Yoneda (``_yoneda_homs``); out of any other module from its
-    projective presentation (``_presentation_homs``).  Both return the same
-    reduced basis: the kernel vectors of the intertwining system that are
-    the identity on its free columns, exactly what ``nullspace`` of that
-    system gives.  Every basis vector is then checked against every basis
-    element of the algebra (soundness).
+    from Yoneda (``_yoneda_homs``); between other direct sums from the kept
+    spaces of their summands (``_summed_homs``); out of any other module
+    from its projective presentation (``_presentation_homs``).  All return
+    the same reduced basis: the kernel vectors of the intertwining system
+    that are the identity on its free columns, exactly what ``nullspace``
+    of that system gives.  Every space built is checked once against every
+    basis element of the algebra (soundness), so a false tag is caught.
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space: modules over different algebras")
     if M.dim == 0 or N.dim == 0:
         return HomSpace(M, N, Mat.zeros(M.field, 0, M.dim * N.dim))
+    kept = _recorded(M, ("hom", N.key), lambda: _KeptHoms(_built_hom_space(M, N).flat))
+    space = HomSpace(M, N, kept.flat)
+    space._kept = kept
+    return space
+
+
+class _KeptHoms:
+    """A checked Hom basis as its source's record keeps it: the maps,
+    flattened, and their ``RowBasis``, factored on first use.  It holds no
+    module, so a record keeps no source or target object alive."""
+
+    def __init__(self, flat: Mat):
+        self.flat = flat
+
+    @cached_property
+    def basis(self) -> RowBasis:
+        return RowBasis(self.flat)
+
+
+def _built_hom_space(M: Repn, N: Repn) -> HomSpace:
     if M.projective_parts is not None:
         space = HomSpace(M, N, _yoneda_homs(M, N))
+    elif M.summands or N.summands:
+        space = HomSpace(M, N, _summed_homs(M, N))
     else:
         space = HomSpace(M, N, _presentation_homs(M, N))
     bad = _first_non_intertwiner(space)
@@ -332,6 +377,29 @@ def _yoneda_block(ctx: "ModuleContext", i: int, N: Repn) -> Mat:
     return reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
 
 
+def _summed_homs(M: Repn, N: Repn) -> Mat:
+    """Hom(X_1 + ... + X_p, Y_1 + ... + Y_q) for the summands of M and N
+    (M or N itself where it has none).
+
+    The intertwining system of block-diagonal actions splits into one
+    system per block, so the space is the sum of the kept Hom(X_a, Y_b),
+    each placed in the rows of X_a and the columns of Y_b of an m x n map.
+    The blocks sit in disjoint columns of the flattened layout, so their
+    canonical bases together, ordered by ``placed_row_basis``, are the
+    canonical basis.  Returns it flattened, one hom per row.
+    """
+    n = N.dim
+    blocks, r = [], 0
+    for X in M.summands or (M,):
+        c = 0
+        for Y in N.summands or (N,):
+            where = (np.arange(r, r + X.dim)[:, None] * n + np.arange(c, c + Y.dim)).ravel()
+            blocks.append((hom_space(X, Y).flat, where))
+            c += Y.dim
+        r += X.dim
+    return placed_row_basis(M.field, M.dim * n, blocks)
+
+
 def _presentation_homs(M: Repn, N: Repn) -> Mat:
     """Hom(M, N) = ker(Hom(P_0, N) -> Hom(Omega, N)) for the presentation
     0 -> Omega -> P_0 -> M -> 0 of ``projective_presentation(M)``.
@@ -346,8 +414,10 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
     the canonical basis.  Returns it flattened, one hom per row.
     """
     pres = projective_presentation(M)
-    m, n = M.dim, N.dim
-    homs = HomSpace(pres.cover.source, N, _yoneda_homs(pres.cover.source, N))
+    m, n, P = M.dim, N.dim, pres.cover.source
+    # the kept Hom(P_0, N), unless P_0 has M's content: that is the space
+    # being built
+    homs = hom_space(P, N) if P.record is not M.record else HomSpace(P, N, _yoneda_homs(P, N))
     h, k = len(homs), pres.syzygy.rows
     if h == 0:  # no map out of P_0, so none out of M
         return Mat.zeros(M.field, 0, m * n)

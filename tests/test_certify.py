@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from catres.corpus import (
 )
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat
+from catres import modules
 from catres.modules import context
 from catres.samples import ModulePool
 
@@ -225,6 +227,7 @@ def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch)
 # twice itself, so the alpha square at degree 0 no longer commutes
 FORGED_ALPHA_UNDER_O = """
 import sys
+from collections import Counter
 from catres import certify, complexes
 from catres.auslander import build_auslander
 from catres.corpus import truncated_poly_algebra
@@ -349,30 +352,63 @@ def test_certify_leaves_no_auslander_data_alive():
         assert left == [], seed
 
 
+def _certify_x3_f3(after):
+    """One 8-sample certify of x3_f3: its report, then ``after(lam)``."""
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x3_f3.json").read_text()))
+    report = report_to_json_str(certify_resolution(lam, CertConfig(seed=0, samples=8)))
+    return report, after(lam)
+
+
+def _under_gc_modes(run, modes=("default", "eager", "never")):
+    """``run()`` at the default threshold, at threshold 10 and with the
+    cyclic collector off, in that order (those of ``modes``)."""
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    out = []
+    try:
+        for mode in modes:
+            gc.set_threshold(*((10,) if mode == "eager" else threshold))
+            if mode == "never":
+                gc.disable()
+            out.append(run())
+            gc.enable()
+    finally:
+        gc.set_threshold(*threshold)
+        if not enabled:
+            gc.disable()
+    return out
+
+
 def test_the_work_of_a_run_does_not_depend_on_the_garbage_collector(monkeypatch):
     # kept values live as long as what they depend on, so when the cyclic
     # collector runs changes neither the rref calls nor the records
     calls = []
     real = linalg._gauss_jordan
     monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(1) or real(*a))
-    text = (CORPUS / "x3_f3.json").read_text()
 
     def run():
         calls.clear()
-        lam = parse_algebra_or_quiver(json.loads(text))
-        report = report_to_json_str(certify_resolution(lam, CertConfig(seed=0, samples=8)))
-        return len(calls), len(context(lam).records), report
+        return _certify_x3_f3(lambda lam: (len(calls), len(context(lam).records)))
 
-    threshold, enabled = gc.get_threshold(), gc.isenabled()
-    try:
-        default = run()
-        gc.set_threshold(10)
-        eager = run()
-        gc.set_threshold(*threshold)
-        gc.disable()
-        never = run()
-    finally:
-        gc.set_threshold(*threshold)
-        if enabled:
-            gc.enable()
+    default, eager, never = _under_gc_modes(run)
     assert default == eager == never
+
+
+def test_each_hom_space_is_built_once_per_content_pair(monkeypatch):
+    # a Hom space is kept on its source's record, so however often a run
+    # asks for a (source content, target content) pair it is built once
+    built = Counter()
+    real = modules._built_hom_space
+
+    def counted(M, N):
+        built[M.algebra, M.key, N.key] += 1
+        return real(M, N)
+
+    monkeypatch.setattr(modules, "_built_hom_space", counted)
+
+    def run():
+        built.clear()
+        return _certify_x3_f3(lambda lam: sorted(built.values()))
+
+    default, never = _under_gc_modes(run, ("default", "never"))
+    assert default == never
+    assert set(default[1]) == {1} and len(default[1]) > 100

@@ -310,6 +310,25 @@ def test_modhoms_always_intertwine(x2):
                 assert h.validate()
 
 
+def test_module_checks_raise_value_errors(x2):
+    # explicit raises, so that ``python -O`` keeps them
+    ctx = mod.context(x2)
+    reg, s = ctx.regular, ctx.simples[0]
+    sum_s = mod.direct_sum([s, s])  # the dimension of reg, another content
+    f = mod.ModHom(reg, reg, Mat.identity(F5, 2))
+    assert f.then(mod.ModHom(_untagged(reg), s, mod.hom_space(reg, s)[0].mat)).target is s
+    with pytest.raises(ValueError, match="then"):
+        f.then(mod.ModHom(sum_s, sum_s, Mat.identity(F5, 2)))
+    with pytest.raises(ValueError, match="ModHom"):
+        mod.ModHom(reg, s, Mat.identity(F5, 2))
+    with pytest.raises(ValueError, match="HomSpace"):
+        mod.HomSpace(reg, s, Mat.zeros(F5, 1, 4))
+    with pytest.raises(ValueError, match="Repn"):
+        mod.Repn(x2, 3, reg.flat_action())
+    with pytest.raises(ValueError, match="Repn"):
+        mod.Repn(x2, 2, Mat.zeros(F3, 2, 4))
+
+
 def _random_modules(A, rng, count):
     """Sums of pool modules, then possibly a kernel or an image quotient."""
     ctx = mod.context(A)
@@ -744,6 +763,80 @@ def test_hom_space_rejects_a_false_projective_tag():
         mod.hom_space(fake, ctx.regular)
 
 
+def _placed_blocks(S, T):
+    """Every map of every kept Hom(X_a, Y_b) between the summands of S and
+    T, placed in the rows of X_a and the columns of Y_b, flattened."""
+    f, rows, r = S.field, [], 0
+    for X in S.summands or (S,):
+        c = 0
+        for Y in T.summands or (T,):
+            for h in mod.hom_space(X, Y):
+                rows.append(Mat.from_blocks(f, S.dim, T.dim, [(r, c, h.mat)]).flatten_row())
+            c += Y.dim
+        r += X.dim
+    return rows
+
+
+def test_summed_hom_space_matches_kronecker_and_presentation_routes(monkeypatch):
+    # sums with repeated, zero-dimensional and nested summands
+    assembled = []
+    real = mod._summed_homs
+    monkeypatch.setattr(mod, "_summed_homs", lambda M, N: assembled.append(1) or real(M, N))
+    rng = random.Random(73)
+    seen = set()
+    algebras = list(_dual_route_algebras())
+    algebras.append(("T(x3_q)", build_auslander(dict(algebras)["x3_q"]).tilde))
+    for label, A in algebras:
+        ctx = mod.context(A)
+        zero = mod.zero_module(A)
+        a, b = (rng.choice([s for s in ctx.simples if s.dim]) for _ in range(2))
+        c = rng.choice([m for m in _random_modules(A, rng, 2) + [ctx.projectives[-1]] if m.dim])
+        if A.field.kind == "rational" and c.dim <= 6:
+            c = _conjugate(c, rng)
+        twice = mod.direct_sum([a, a])
+        gapped = mod.direct_sum([b, zero, c])
+        nested = mod.direct_sum([twice, mod.direct_sum([c, zero]), gapped])
+        leaves, cs = nested.summands, [x.dim for x in c.summands or (c,)]
+        assert [x.dim for x in leaves] == [a.dim, a.dim, *cs, b.dim, *cs], label
+        assert all(x.summands is None for x in leaves) and leaves[:2] == (a, a), label
+        sums = [twice, gapped, nested]
+        pairs = [(S, T) for S in sums for T in sums] + [(a, nested), (nested, b), (c, twice)]
+        for S, T in pairs:
+            if S.dim * T.dim > 150:
+                continue
+            assembled.clear()
+            space = mod.hom_space(S, T)
+            assert [h.mat for h in space] == kron_hom_space(S, T), (label, S.dim, T.dim)
+            assert space.flat == mod._presentation_homs(_untagged(S), _untagged(T)), label
+            placed = _placed_blocks(S, T)
+            rng.shuffle(placed)
+            if placed:
+                assert reverse_row_basis(Mat.stack_rows(A.field, placed)) == space.flat, label
+            seen.add("assembled" if assembled else "kept")
+            if space.flat.den > 1:
+                seen.add("rational with denominators")
+        seen.add(A.field.kind)
+        seen.add(label)
+    assert {"assembled", "prime", "rational", "rational with denominators"} <= seen
+    assert {"x3_q", "T(x3_q)", "F2[S3]"} <= seen
+
+
+@pytest.mark.parametrize("field", [F3, QQ])
+def test_hom_space_rejects_a_false_summands_tag(field):
+    A = truncated_poly_algebra(field, 3)
+    ctx = mod.context(A)
+    simple = next(s for s in ctx.simples if s.dim)
+    chain = A.radical_chain()
+    top_two = mod.quotient_repn(ctx.regular, chain.power(2))[0]
+    # the indecomposable regular module, tagged as the top plus A/J^2
+    for side in ("source", "target"):
+        fake = _untagged(ctx.regular)
+        fake.summands = (simple, top_two)
+        M, N = (fake, simple) if side == "source" else (simple, fake)
+        with pytest.raises(AssertionError, match="intertwining"):
+            mod.hom_space(M, N)
+
+
 def test_intertwining_check_fails_on_a_hom_wrong_only_by_a_denominator():
     A = truncated_poly_algebra(QQ, 3)
     N = _conjugate(mod.regular_module(A), random.Random(3))  # actions with denominators
@@ -844,17 +937,10 @@ def test_equal_modules_share_one_record_and_distinct_ones_do_not():
     assert {"shared", "apart", "den", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
 
 
-def test_the_projective_tag_stays_on_the_object(monkeypatch):
-    # an untagged copy of P_i shares its record but takes the presentation
-    # route, a sum of one P_i takes Yoneda, and both give P_i's basis
-    routed = []
-    real = mod._presentation_homs
-
-    def counted(M, N):
-        routed.append(M)
-        return real(M, N)
-
-    monkeypatch.setattr(mod, "_presentation_homs", counted)
+def test_the_projective_tag_stays_on_the_object():
+    # an untagged copy of P_i shares its record and a sum of one P_i its tag;
+    # the Yoneda and the presentation builders agree on P_i, and hom_space
+    # of either copy returns the maps kept for P_i over the copy itself
     for label, A in _record_algebras():
         ctx = mod.context(A)
         targets = [s for s in ctx.simples if s.dim] + [ctx.regular]
@@ -864,11 +950,15 @@ def test_the_projective_tag_stays_on_the_object(monkeypatch):
             untagged, summed = _untagged(P), mod.direct_sum([P])
             assert untagged.record is P.record and summed.record is P.record, label
             assert (P.projective_parts, summed.projective_parts) == ((i,), (i,)), label
-            assert untagged.projective_parts is None, label
+            assert untagged.projective_parts is None and summed.summands is None, label
             for N in targets:
-                routed.clear()
-                spaces = [mod.hom_space(X, N).flat for X in (P, summed, untagged)]
-                assert routed == [untagged] and spaces[0] == spaces[1] == spaces[2], label
+                kept = mod.hom_space(P, N)
+                yoneda = mod._yoneda_homs(P, N)
+                assert yoneda == mod._presentation_homs(untagged, N) == kept.flat, label
+                for X in (summed, untagged):
+                    space = mod.hom_space(X, N)
+                    assert space.flat is kept.flat and space.basis is kept.basis, label
+                    assert space.source is X and space.target is N, label
 
 
 def test_every_kept_value_equals_a_fresh_build():
