@@ -44,7 +44,8 @@ class AuslanderData:
     end: HomSpace  # End(M), whose basis is the basis of tilde
     e: Mat  # 1 x dim tilde: zeta(1), the Lambda-summand projector
     lambda_to_tilde: Mat  # zeta: lam -> tilde, b -> (project, left-multiply, include)
-    # (name, algebra, module content) -> the value of ``functors`` kept for it
+    # (name, module content), or a name for a value of the data alone, -> the
+    # value of ``functors`` kept for it
     functor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

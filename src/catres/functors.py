@@ -17,7 +17,9 @@ Fix the Auslander data (M, tilde = End(M), e, corner iso).  Then:
 and the Auslander data, so ``_kept`` builds each once per (content, data)
 and keeps it on the data (``AuslanderData.functor_values``), freed with
 it; a module over another algebra than data.tilde (F) or data.lam (N)
-raises ``ValueError``.  ``counit_natural(g)`` is the one test that the
+raises ``ValueError``.  The coordinates of the psi_j of the four-term
+sequence depend on the data alone and are kept there too.
+``counit_natural(g)`` is the one test that the
 counit commutes with a map g, for both loops of Step V.
 
 On morphisms theta and theta_rho act on a whole ``HomSpace`` at once:
@@ -261,6 +263,15 @@ def unit_psis(data: AuslanderData) -> Mat:
     return prod.permuted((m, m, m), (1, 0, 2), m, m * m)
 
 
+def _psi_coords(data: AuslanderData) -> Mat:
+    """The psi_j in coordinates of the basis of End(M), kept on ``data``:
+    they depend on the data alone."""
+    values = data.functor_values
+    if "psi_coords" not in values:
+        values["psi_coords"] = data.end.basis.coords(unit_psis(data))
+    return values["psi_coords"]
+
+
 def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     """0 -> F0 -> F -> theta_rho(theta F) -> F1 -> 0 with mod0 ends.
 
@@ -271,7 +282,7 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     rows = corner_rows(F, data)
     trd = theta_rho_data(theta(F, data), data)
     middle = trd.module
-    psi_coords = data.end.basis.coords(unit_psis(data))
+    psi_coords = _psi_coords(data)
     # block j, row k: the coordinates in F.e of v_k . psi_j
     moved = (psi_coords @ F.flat_action()).reshape(m * F.dim, F.dim)
     blocks = RowBasis(rows).coords(moved)

@@ -22,8 +22,9 @@ other module branches on the field kind or reads p.
 matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
 ``FieldSpec.roots``, ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
 
-Only this module reads the carrier (``a``, ``den``, ``with_array``) and
-the int64 copy kept beside it (``_word``, ``_int64``); the other
+Only this module reads the carrier (``a``, ``den``, ``with_array``), the
+int64 copy kept beside it (``_word``, ``_int64``) and the pivot mark
+(``_pivots``); the other
 layers regroup entries through ``Mat.permuted``, select with
 ``take_rows`` and ``take_cols``, compare with ``==`` and
 ``first_differing_row``, and key a matrix by its content with
@@ -41,11 +42,22 @@ clears column c of a row as k[c] * row - row[c] * k divided by its
 content, and the rows are scaled to the lcm of the pivots at the end.
 README.md gives the timings of both fields.
 
-Every solve goes through :class:`RowBasis`: one rref factors the basis,
+Every solve goes through :class:`RowBasis`, which factors a basis once,
 after which each batch of right-hand sides costs one column slice, one
 product and one exact residual check.  ``coords_in_rows``, ``solve_left``
 and ``solve`` (transposed) are one-shot wrappers over it; callers that
 solve against one basis repeatedly hold the factored basis instead.
+
+A basis that is already canonical is factored without a reduction.  The
+library keeps its spaces as bases that are the identity on k of their
+columns: rref rows, ``reverse_row_basis`` and kernel rows.  ``RowBasis``
+reads those columns off each row's first, else last, nonzero entry and
+checks the identity there exactly; ``row_basis`` marks its output with
+its pivots (``_Reduced._pivots``), so that ``rref``, ``RowBasis`` and a
+quotient by it read them instead of reducing it again.  The pivots come
+from the code that made the matrix, never from a test in ``rref``, which
+would cost more than reducing a small matrix (FFLAS-FFPACK keeps the
+pivots of its echelon forms the same way).
 
 No floating point is used anywhere in this package.
 """
@@ -532,8 +544,10 @@ class Mat:
             return Mat(f, _object_product(self.a, other.a), den, _copy=False)
         c = x[0] @ y[0]
         out = Mat(f, c.astype(object), den, _copy=False)
-        # the product's own int64 copy, brought to the normalised den
-        out._word = (c if out.den == den else c // (den // out.den), None)
+        # the product's own int64 copy, brought to the normalised den: c is a
+        # multiple of den // out.den, so it is zero if that passes int64
+        g = den // out.den
+        out._word = (c // g if 1 < g < 1 << 63 else c, None)
         return out
 
     @property
@@ -597,6 +611,15 @@ class Mat:
     def flatten_row(self) -> "Mat":
         """Matrix entries as a single 1 x (rows*cols) row, row-major."""
         return self.reshape(1, self.rows * self.cols)
+
+
+class _Reduced(Mat):
+    """A ``row_basis`` output: rref rows with no zero row, marked with
+    their pivot columns.  A subclass, so that no other Mat carries the
+    slot (a fifth slot moves every Mat up a 16-byte size class); a view of
+    it is a plain Mat."""
+
+    __slots__ = ("_pivots",)
 
 
 def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
@@ -691,7 +714,10 @@ def _normalise(row: dict, c: int, p: int):
 
 
 def rref(m: Mat):
-    """Reduced row-echelon form.  Returns ``(R, pivots, rank)``."""
+    """Reduced row-echelon form.  Returns ``(R, pivots, rank)``; a
+    ``row_basis`` output is its own, with the pivots it is marked with."""
+    if isinstance(m, _Reduced):
+        return m, list(m._pivots), len(m._pivots)
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
     p = m.field.characteristic
@@ -705,9 +731,11 @@ def rank(m: Mat) -> int:
 
 
 def row_basis(m: Mat) -> Mat:
-    """Canonical basis (rref rows) of the row space."""
-    r, _, rk = rref(m)
-    return r.with_array(r.a[:rk, :])
+    """Canonical basis (rref rows) of the row space, marked with its pivots."""
+    r, pivots, rk = rref(m)
+    out = _Reduced(r.field, r.a[:rk, :], r.den, _copy=False)
+    out._pivots = tuple(pivots)
+    return out
 
 
 def reverse_row_basis(m: Mat) -> Mat:
@@ -778,38 +806,67 @@ def left_nullspace(m: Mat) -> Mat:
     return nullspace(m.T).T
 
 
+def _identity_columns(b: Mat) -> Optional[list]:
+    """Columns P, one per row, with b[:, P] = I: the pivots a ``row_basis``
+    output is marked with, else each row's first nonzero column, else its
+    last, checked exactly; None if neither reading gives the identity."""
+    if isinstance(b, _Reduced):
+        return list(b._pivots)
+    a, (k, n) = b.a, b.a.shape
+    if not n:
+        return None if k else []
+    nonzero = a != 0
+    cols = nonzero.argmax(axis=1)
+    for _ in range(2):
+        at = a[:, cols]  # den * I iff den on its diagonal and k nonzeros
+        if np.count_nonzero(at) == k and (at.diagonal() == b.den).all():
+            return cols.tolist()
+        cols = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return None
+
+
 class RowBasis:
     """A k x n matrix B factored once, for many coordinate solves against it.
 
-    One rref of ``[B | J]``, with J the k x k identity with its columns
-    reversed, gives R = rref(B), its pivots, and a transform T with
-    T @ B = R.  A batch V (m x n) lies in the row span of B iff
-    V[:, pivots] @ R = V, and then c = V[:, pivots] @ T solves c @ B = V.
-    Reversing the identity makes the left-nullspace rows of the rref pivot
-    on the rows of B that depend on earlier rows, so T is zero in those
-    columns: for a dependent B, the solution is the one supported on the
-    first independent rows.  R and T stay on the carrier, so both checks
-    are integer products; R[:, pivots] = I, so the span check reads only
-    the other columns.
+    Factoring gives columns P (``pivots``), R with the row span of B and
+    R[:, P] = I, and T with T @ B = R.  A batch V (m x n) lies in the row
+    span of B iff V[:, P] @ R = V, and then c = V[:, P] @ T solves
+    c @ B = V.  R and T stay on the carrier, so both checks are integer
+    products; R[:, P] = I, so the span check reads only the other columns.
+
+    A canonical B, the identity on k of its columns (``_identity_columns``),
+    is its own R with T = I and independent rows, so c = V[:, P] with no
+    reduction and no product.  Any other B takes one rref of ``[B | J]``,
+    with J the k x k identity with its columns reversed: R = rref(B), P
+    its pivots, T read off J's columns.  Reversing the identity makes the
+    left-nullspace rows of the rref pivot on the rows of B that depend on
+    earlier rows, so T is zero in those columns: for a dependent B, the
+    solution is the one supported on the first independent rows.  Against
+    independent rows the coordinates are unique, so both routes agree.
     """
 
-    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_free", "_r_free", "_t")
+    # ``_kernel`` is None for a canonical B, whose T is the identity
+    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_free", "_r_free", "_t", "_kernel")
 
     def __init__(self, basis: Mat):
-        f = basis.field
-        k, n = basis.rows, basis.cols
-        self.basis = basis
-        flip = _empty(f, k, k)
-        flip[np.arange(k), np.arange(k)[::-1]] = 1
-        full, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
-        self.field = f
-        self.rows, self.cols = k, n
-        self.pivots = [c for c in pivots if c < n]
-        rk = len(self.pivots)
-        taken = set(self.pivots)
+        f, (k, n) = basis.field, basis.a.shape
+        self.field, self.rows, self.cols, self.basis = f, k, n, basis
+        pivots = _identity_columns(basis)
+        if pivots is None:
+            flip = _empty(f, k, k)
+            flip[np.arange(k), np.arange(k)[::-1]] = 1
+            r, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
+            pivots = [c for c in pivots if c < n]
+            # J's columns put back in order: T on the rows that pivot in B,
+            # x for a basis of {x : x B = 0} on the others (``left_kernel``)
+            t, rk = r.a[:, n:][:, ::-1], len(pivots)
+            self._t, self._kernel = r.with_array(t[:rk]), r.with_array(t[rk:][::-1])
+        else:
+            r, self._t, self._kernel = basis, Mat.identity(f, k), None
+        self.pivots = pivots
+        taken = set(pivots)
         self._free = [c for c in range(n) if c not in taken]
-        self._r_free = full.with_array(full.a[:rk, self._free])
-        self._t = full.with_array(full.a[:rk, n:][:, ::-1])
+        self._r_free = r.with_array(r.a[: len(pivots), self._free])
 
     @property
     def rank(self) -> int:
@@ -830,7 +887,7 @@ class RowBasis:
     def solve(self, v: Mat) -> Optional[Mat]:
         """Coordinates c with c @ B = v, or None if a row of v is outside the span."""
         y = self._pivot_part(v)
-        return None if y is None else y @ self._t
+        return y if y is None or self._kernel is None else y @ self._t
 
     def coords(self, v: Mat) -> Mat:
         """Coordinates c with c @ B = v; raises if a row of v is outside the span."""
@@ -838,6 +895,13 @@ class RowBasis:
         if c is None:
             raise ValueError("vector not in row span")
         return c
+
+    def left_kernel(self) -> Mat:
+        """Basis of {x : x @ B = 0} as rows, equal to ``left_nullspace(B)``:
+        the rows of rref([B | J]) that vanish on B are x J for a basis of
+        those x, in rref on J, so reversed they are the one reduced basis
+        that is the identity on the kernel's free columns."""
+        return Mat.zeros(self.field, 0, self.rows) if self._kernel is None else self._kernel
 
 
 def coords_in_rows(basis: Mat, v: Mat) -> Mat:

@@ -175,7 +175,8 @@ class ModHom:
 
 
 def zero_module(A: Algebra) -> Repn:
-    return Repn(A, 0, Mat.zeros(A.field, A.dim, 0))
+    """The zero module over A, one per algebra (``ModuleContext.zero``)."""
+    return context(A).zero
 
 
 def zero_hom(M: Repn, N: Repn) -> ModHom:
@@ -464,6 +465,12 @@ class ModuleContext:
         return regular_module(self.algebra)
 
     @cached_property
+    def zero(self) -> Repn:
+        """The zero module, shared: no code tags a module it was handed."""
+        A = self.algebra
+        return Repn(A, 0, Mat.zeros(A.field, A.dim, 0))
+
+    @cached_property
     def chain(self):
         return self.algebra.radical_chain()
 
@@ -619,7 +626,7 @@ def _build_presentation(M: Repn) -> Presentation:
     rows = RowBasis(q.mat)
     if rows.rank != M.dim:
         raise AlgebraError("projective cover construction is not surjective")
-    ker_rows = left_nullspace(q.mat)
+    ker_rows = rows.left_kernel()
     prad = ctx.radical_rows(P)
     if not RowBasis(prad).contains(ker_rows):
         raise AlgebraError("projective cover kernel is not superfluous")

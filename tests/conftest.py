@@ -25,3 +25,20 @@ def object_products(monkeypatch):
 
     monkeypatch.setattr(linalg, "_object_product", counted)
     return calls
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """A list that records the shape of every matrix that the row-reduction
+    kernel ``linalg._gauss_jordan`` reduces."""
+    from catres import linalg
+
+    calls = []
+    kernel = linalg._gauss_jordan
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return kernel(a, p)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    return calls

@@ -358,6 +358,20 @@ def list_reverse_row_basis(rows, field):
     return [r[::-1] for r in red[: len(pivots)]][::-1]
 
 
+def list_identity_columns(rows):
+    """The columns, one per row, where ``rows`` (lists of field scalars) is
+    the identity, read at every row's first nonzero entry, else at every
+    row's last; None if neither reading gives the identity or a row is
+    zero."""
+    if any(not any(r) for r in rows):
+        return None
+    nonzero = [[c for c, x in enumerate(r) if x != 0] for r in rows]
+    for cols in ([cs[0] for cs in nonzero], [cs[-1] for cs in nonzero]):
+        if all(r[c] == (i == j) for i, r in enumerate(rows) for j, c in enumerate(cols)):
+            return cols
+    return None
+
+
 def naive_hom_dim(M, N):
     """dim Hom(M, N) by solving every intertwining equation densely.
 

@@ -18,7 +18,8 @@ be in ``ALLOWED_KNOBS`` with the reason it stays.  Functions on
 
 And it walks the same files for the matrix carrier: only ``linalg.py``
 reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
-of a rational matrix (``Mat._word``, ``Mat._int64``) or imports a
+of a rational matrix (``Mat._word``, ``Mat._int64``), the pivots that
+``row_basis`` marks its output with (``_Reduced._pivots``) or imports a
 private name of ``linalg``, so that the storage of a matrix can change in
 one file; the content key by which modules share their kept values,
 ``Mat.key``, is made there too.  Likewise only ``modules.py`` touches the
@@ -180,8 +181,9 @@ def test_every_allowlisted_knob_is_still_unsupplied():
     assert set(ALLOWED_KNOBS) <= unsupplied_knobs()
 
 
-# the canonical carrier, and the int64 copy of the numerators kept beside it
-CARRIER_ATTRIBUTES = {"a", "den", "with_array", "_word", "_int64"}
+# the canonical carrier, the int64 copy of the numerators kept beside it and
+# the pivots a ``row_basis`` output is marked with
+CARRIER_ATTRIBUTES = {"a", "den", "with_array", "_word", "_int64", "_pivots"}
 
 # (file stem, Class.method) allowed to read the carrier outside linalg
 CARRIER_READERS = {

@@ -3,8 +3,9 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from catres.algebra import quotient_projection
 from catres.linalg import (
     FieldSpec,
     Mat,
@@ -15,6 +16,7 @@ from catres.linalg import (
     coords_in_rows,
     left_nullspace,
     nullspace,
+    placed_row_basis,
     rank,
     reverse_row_basis,
     row_basis,
@@ -27,6 +29,7 @@ from oracles import (
     fraction_free_rref,
     list_block_diag_rows,
     list_first_differing_row,
+    list_identity_columns,
     list_permuted,
     list_reverse_row_basis,
     list_take_cols,
@@ -450,6 +453,16 @@ def _check_product(x, y):
     return prod
 
 
+def test_q_zero_product_over_denominators_past_int64(object_products):
+    # the int64 product is 0 over den 1, not over den (2**65 + 7)**2, and
+    # its kept int64 copy is not divided by that den; the copy serves the
+    # next product
+    big = 2**65 + 7
+    zero = _check_product(_q_mat([[1, 0]], big), _q_mat([[0], [1]], big))
+    assert zero.is_zero() and zero.den == 1
+    assert _check_product(zero, _q_mat([[1, 2]])).is_zero() and object_products == []
+
+
 # 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
 _BELOW = (7, 7 * 73 * 127, 337 * 92737 * 649657)
 
@@ -718,6 +731,172 @@ def test_reverse_row_basis_of_a_kernel_span_is_the_nullspace_basis(m, data):
         mixed = _rand_mat(data.draw, m.field, data.draw(st.integers(1, 3)), kernel.rows)
         spanning = (mixed @ kernel).vstack(kernel.scale(-1))
         assert reverse_row_basis(spanning) == kernel
+
+
+# -- canonical bases: factored with no reduction ----------------------------
+
+BIG_DEN = 2**65 + 7
+
+
+# the ``reductions`` fixture patches the kernel once per test: each example
+# clears it before the calls it counts
+counts_reductions = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _scaled(m, rows, cols):
+    """Over Q, m with the rows and the columns flagged True divided by
+    BIG_DEN: the same row-reduction pattern, other denominators."""
+    r = np.array([1 if x else BIG_DEN for x in rows], dtype=object)
+    c = np.array([1 if x else BIG_DEN for x in cols], dtype=object)
+    return Mat(QQ, m.a * np.outer(r, c), m.den * BIG_DEN**2)
+
+
+@st.composite
+def canonical_bases(draw):
+    """(route, basis): a basis that is the identity on some of its columns,
+    from each route by which the library makes one, over F_3 or Q, with
+    rows and columns of the input over 2**65 + 7 at random over Q."""
+    field = draw(st.sampled_from([FieldSpec("prime", 3), QQ]))
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    m = _rand_mat(draw, field, k, n)
+    if field == QQ and draw(st.booleans()):
+        flags = st.lists(st.booleans(), min_size=k + n, max_size=k + n)
+        f = draw(flags)
+        m = _scaled(m, f[:k], f[k:])
+    route = draw(st.sampled_from(["row_basis", "reverse", "left_nullspace", "placed"]))
+    if route == "row_basis":
+        return route, row_basis(m)
+    if route == "reverse":
+        return route, reverse_row_basis(m)
+    if route == "left_nullspace":
+        return route, left_nullspace(m)
+    # two reverse_row_basis blocks on disjoint columns of a wider row
+    other = _rand_mat(draw, field, draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    where = draw(st.permutations(range(n + other.cols)))
+    blocks = [
+        (reverse_row_basis(m), sorted(where[:n])),
+        (reverse_row_basis(other), sorted(where[n:])),
+    ]
+    return route, placed_row_basis(field, n + other.cols, blocks)
+
+
+def _batch(draw, basis, m):
+    """m rows: combinations of the basis rows, or any rows, at random."""
+    if basis.rows and draw(st.booleans()):
+        return _rand_mat(draw, basis.field, m, basis.rows) @ basis
+    return _rand_mat(draw, basis.field, m, basis.cols)
+
+
+def _assert_solves_match_the_augmented_route(rb, basis, v):
+    """``contains``, ``solve`` and ``coords`` of rb against the solution
+    read off rref([basis^T | v^T])."""
+    expected = augmented_solve(basis.T, v.T)
+    assert rb.contains(v) == (expected is not None)
+    got = rb.solve(v)
+    assert got == (None if expected is None else expected.T)
+    if expected is None:
+        with pytest.raises(ValueError):
+            rb.coords(v)
+    else:
+        assert rb.coords(v) == got and got @ basis == v
+
+
+def _assert_factored_with_no_reduction(reductions, basis, v):
+    reductions.clear()
+    rb = RowBasis(basis)
+    assert reductions == []
+    assert rb.pivots == list_identity_columns(basis.tolist())
+    assert rb.rank == basis.rows == naive_rank(basis.tolist(), basis.field)
+    assert rb.left_kernel() == left_nullspace(basis)
+    _assert_solves_match_the_augmented_route(rb, basis, v)
+
+
+@counts_reductions
+@given(canonical_bases(), st.data())
+def test_row_basis_of_a_canonical_basis_reads_its_identity_columns(reductions, case, data):
+    _, basis = case
+    v = _batch(data.draw, basis, data.draw(st.integers(1, 4)))
+    _assert_factored_with_no_reduction(reductions, basis, v)
+
+
+def test_a_canonical_basis_over_a_denominator_past_int64(reductions):
+    # the rows of [I | X] over 2**65 + 7, read at their first and at their
+    # last nonzero columns
+    x = np.array([[BIG_DEN, 0, 1, 5], [0, BIG_DEN, 2, 0]], dtype=object)
+    for a in (x, x[::-1, ::-1]):
+        basis = Mat(QQ, a, BIG_DEN)
+        assert basis.den == BIG_DEN
+        inside = Mat.from_rows(QQ, [[3, 0], [1, -1]]) @ basis
+        outside = Mat.from_rows(QQ, [[1, 1, 0, 0]])
+        for v in (inside, outside, inside.vstack(outside)):
+            _assert_factored_with_no_reduction(reductions, basis, v)
+
+
+@counts_reductions
+@given(canonical_bases(), st.data())
+def test_a_nearly_canonical_basis_takes_the_reduction_route(reductions, case, data):
+    _, basis = case
+    rows = basis.tolist()
+    pivots = list_identity_columns(rows)
+    if data.draw(st.booleans()) and basis.rows > 1:
+        # one extra nonzero in a column where the basis is the identity
+        i, j = data.draw(st.permutations(range(basis.rows)))[:2]
+        rows[j][pivots[i]] = basis.field.coerce(data.draw(st.integers(1, 2)))
+    elif rows:
+        # a row repeated: the rows are dependent
+        again = rows[data.draw(st.integers(0, len(rows) - 1))]
+        rows.insert(data.draw(st.integers(0, len(rows))), list(again))
+    else:
+        rows = [[basis.field.zero] * basis.cols]  # a zero row
+    near = Mat.from_rows(basis.field, rows)
+    reductions.clear()
+    rb = RowBasis(near)
+    # a perturbed basis can still be the identity on other columns
+    assert len(reductions) == (list_identity_columns(rows) is None)
+    assert rb.rank == naive_rank(rows, basis.field)
+    assert rb.left_kernel() == left_nullspace(near)
+    v = _batch(data.draw, near, data.draw(st.integers(1, 4)))
+    _assert_solves_match_the_augmented_route(rb, near, v)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("prime", 3), QQ], ids=["F3", "Q"])
+def test_a_basis_off_the_identity_on_both_readings_is_reduced(reductions, field):
+    # the first nonzeros repeat a column; the last ones read 2, not 1
+    near = Mat.from_rows(field, [[1, 0, 2], [1, 1, 0]])
+    rb = RowBasis(near)
+    assert len(reductions) == 1 and rb.pivots == [0, 1]
+    v = Mat.from_rows(field, [[2, 1, 2], [0, 0, 1]])
+    _assert_solves_match_the_augmented_route(rb, near, v)
+
+
+@counts_reductions
+@given(mats())
+def test_rref_and_quotient_of_a_row_basis_read_its_pivots(reductions, m):
+    b = row_basis(m)
+    copy = b.with_array(b.a.copy())  # the same matrix, unmarked
+    reductions.clear()
+    r, pivots, rk = rref(b)
+    proj, nonpiv = quotient_projection(b)
+    rb = RowBasis(b)
+    assert reductions == []
+    assert (r, pivots, rk) == rref(copy) and (r.rows, rk) == (b.rows, b.rows)
+    assert (proj, nonpiv) == quotient_projection(copy)
+    assert rb.pivots == pivots and rb.left_kernel() == left_nullspace(b)
+    # a view carries no mark: rref reduces it
+    reductions.clear()
+    rref(b.take_rows(range(b.rows)))
+    assert len(reductions) == (b.rows > 0)
+
+
+@given(row_basis_cases())
+def test_the_left_kernel_of_the_factoring_is_the_left_nullspace(case):
+    basis, _ = case
+    assert RowBasis(basis).left_kernel() == left_nullspace(basis)
+
+
+@given(sparse_rational_mats())
+def test_the_left_kernel_matches_over_big_denominators(m):
+    assert RowBasis(m).left_kernel() == left_nullspace(m)
 
 
 # -- content keys --------------------------------------------------------------

@@ -41,6 +41,7 @@ from catres.linalg import (
 from catres.samples import random_hom
 from oracles import (
     INCONCLUSIVE,
+    augmented_solve,
     cover_is_projective,
     greedy_cover,
     kron_hom_space,
@@ -655,6 +656,45 @@ def test_projective_cover_matches_greedy_route_on_corpus_and_auslander_algebras(
     assert "multiplicity" in seen and {"T(t2_f3)", "F2[S3]", "T(F2[S3])"} <= seen
 
 
+def test_presentation_kernel_from_the_cover_factoring_is_the_left_nullspace():
+    rng = random.Random(67)
+    seen = set()
+    for name, lam in _dual_route_algebras():
+        for label, A in ((name, lam), (f"T({name})", build_auslander(lam).tilde)):
+            for M in _layout_modules(A, rng)[:-1]:
+                pres = mod.projective_presentation(M)
+                assert pres.syzygy == left_nullspace(pres.cover.mat), (label, M.dim)
+                seen.add("kernel" if pres.syzygy.rows else "no kernel")
+    assert seen == {"kernel", "no kernel"}
+
+
+def test_kept_hom_bases_of_T_x3_q_are_factored_with_no_reduction(reductions):
+    rng = random.Random(71)
+    lam = parse_algebra_or_quiver(json.loads((CORPUS / "x3_q.json").read_text()))
+    T = build_auslander(lam).tilde
+    ctx = mod.context(T)
+    pool = [m for m in _layout_modules(T, rng)[:-1] if m.dim <= 8]
+    pool += [mod.direct_sum(pool[:2]), syzygy_chain(ctx.simples[-1], 1)[0]]
+    seen = set()
+    for X in pool:
+        for Y in pool:
+            space = mod.hom_space(X, Y)
+            basis = space.flat
+            if not basis.rows:
+                continue
+            reductions.clear()
+            rb = RowBasis(basis)
+            assert reductions == [] and rb.rank == basis.rows
+            inside = _random_mat(T.field, 2, basis.rows, rng) @ basis
+            for v in (inside, inside.vstack(_random_mat(T.field, 1, basis.cols, rng))):
+                expected = augmented_solve(basis.T, v.T)
+                assert rb.solve(v) == space.basis.solve(v)
+                assert rb.solve(v) == (None if expected is None else expected.T)
+            assert rb.left_kernel() == left_nullspace(basis)
+            seen.add("denominators" if basis.den > 1 else "integral")
+    assert seen == {"denominators", "integral"}
+
+
 def _cycle_quiver_f2(vertices):
     """kQ/J^2 on the oriented cycle with ``vertices`` vertices over F_2."""
     names = [str(i + 1) for i in range(vertices)]
@@ -881,14 +921,16 @@ def test_context_is_freed_with_its_algebra():
 
 def test_a_module_computes_nothing_of_its_algebra(monkeypatch):
     # every Repn asks for its algebra's context, so making one is free: no
-    # radical, idempotents or projectives until a value asks for them
+    # radical, idempotents or projectives until a value asks for them; the
+    # context keeps only the one zero module that ``zero_module`` made
     chains = []
     real = Algebra.radical_chain
     monkeypatch.setattr(Algebra, "radical_chain", lambda A: chains.append(A) or real(A))
     A = truncated_poly_algebra(F3, 3)
     M = mod.direct_sum([mod.regular_module(A), mod.zero_module(A)])
     ctx = mod.context(A)
-    assert chains == [] and set(vars(ctx)) == {"algebra", "records"}
+    assert chains == [] and set(vars(ctx)) == {"algebra", "records", "zero"}
+    assert mod.zero_module(A) is ctx.zero
     assert M.record is ctx.records[M.key] and mod.is_projective(M)
     assert chains == [A] and {"chain", "idempotents", "representatives"} <= set(vars(ctx))
 
