@@ -99,8 +99,13 @@ class Algebra:
         self.idempotent_hint: Optional[Mat] = None
         self._radical_chain: Optional[RadicalChain] = None
         self.module_context = None  # set by catres.modules.context
-        assert table.field == field and (table.rows, table.cols) == (self.dim, self.dim**2)
-        assert unit.rows == 1 and unit.cols == self.dim
+        d = self.dim
+        for name, m, shape in (("table", table, (d, d * d)), ("unit", unit, (1, d))):
+            if m.field != field or (m.rows, m.cols) != shape:
+                raise ValueError(
+                    f"{name}: a {m.rows}x{m.cols} matrix over {m.field}, not"
+                    f" {shape[0]}x{shape[1]} over {field}"
+                )
 
     # -- raw arithmetic on coordinate rows ------------------------------
 

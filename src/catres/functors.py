@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .auslander import AuslanderData
 from .homology import projective_resolution
-from .linalg import Mat, RowBasis, coords_in_rows, left_nullspace, rank, row_basis, solve
+from .linalg import Mat, RowBasis, coords_in_rows, rank, row_basis, solve
 from .modules import (
     HomSpace,
     ModHom,
@@ -290,8 +290,10 @@ def four_term_sequence(F: Repn, data: AuslanderData) -> FourTermSeq:
     g = blocks.permuted((m, F.dim, rows.rows), (1, 0, 2), F.dim, m * rows.rows)
     alpha_mat = trd.space.basis.coords(g)
     alpha = ModHom(F, middle, alpha_mat)
-    F0, f0_incl = sub_repn(F, left_nullspace(alpha_mat))
-    F1, f1_proj = quotient_repn(middle, row_basis(alpha_mat))
+    # one factoring of alpha gives both its left kernel and its row space
+    factored = RowBasis(alpha_mat)
+    F0, f0_incl = sub_repn(F, factored.left_kernel())
+    F1, f1_proj = quotient_repn(middle, row_basis(factored))
     return FourTermSeq(
         F=F, F0=F0, f0_incl=f0_incl, alpha=alpha, middle=middle, F1=F1, f1_proj=f1_proj
     )

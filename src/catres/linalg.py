@@ -15,6 +15,17 @@ common denominator ``den``.
   exact, and on the Python ints otherwise; either way its carrier is the
   same.
 
+Every product the word-size rule below admits, over F_p and on the int64
+copies over Q, runs in ``_word_product``: the dense ``a @ b``, or, when
+the dense product reaches ``_GATHER_FLOOR`` multiply-adds and at most one
+entry in ``_GATHER_SHARE`` of the left operand is nonzero, a row-gather
+product that sums the rows of the right operand at the left one's
+nonzeros.  Each entry is the same integer sum either way, so the one
+``_int64_fits`` bound covers both.  T's table and the matrices made from
+it are almost all zeros (0.09 % nonzero at F_3[x]/x^6), so most products
+of a large set-up take the gather; README.md gives the crossovers and the
+set-up times.
+
 ``FieldSpec`` owns the choice between the two fields: the scalars, the
 characteristic and the roots of a polynomial (``FieldSpec.roots``); no
 other module branches on the field kind or reads p.
@@ -132,6 +143,52 @@ def quoted(x) -> str:
 def _object_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b on Python ints: the route of a product the word-size rule refuses."""
     return a @ b
+
+
+# The dense int64 product spends one multiply-add per entry of its m x k
+# left operand A and column of the right one; ``_row_gather`` spends about
+# twelve times as long on each nonzero of A it gathers.  It runs when the
+# dense product reaches ``_GATHER_FLOOR`` multiply-adds and at most one
+# entry of A in ``_GATHER_SHARE`` is nonzero (the crossover tables are in
+# README.md)
+_GATHER_FLOOR = 1 << 15
+_GATHER_SHARE = 16
+
+
+def _word_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b on int64 arrays whose product ``_int64_fits`` admits, reduced
+    modulo p over F_p (p = 0 over Q): by ``_row_gather`` for a large
+    product whose left operand is mostly zeros, else dense.  Nonzeros are
+    counted only once the dense product reaches ``_GATHER_FLOOR``."""
+    if a.size * b.shape[1] >= _GATHER_FLOOR:  # sizes, not shapes: no tuple per call
+        flat = a.ravel()
+        at = flat.nonzero()[0]
+        if at.size * _GATHER_SHARE <= flat.size:
+            return _row_gather(flat, at, a.shape[1], b, p)
+    c = a @ b
+    return c % p if p else c
+
+
+def _row_gather(flat: np.ndarray, at: np.ndarray, k: int, b: np.ndarray, p: int) -> np.ndarray:
+    """The product of A, the m x k array read row-major from ``flat`` with
+    nonzeros at the flat positions ``at``, and b, row by row (Gustavson, ACM
+    TOMS 4(3), 1978): the rows of b at the nonzeros of A, scaled and summed
+    per row of A with ``np.add.reduceat``.  Every entry is the dense
+    product's integer sum less its zero terms, so ``_int64_fits`` covers it;
+    only the rows with a nonzero are reduced modulo p.  The columns of b go
+    in blocks, so that the gathered terms never outgrow the output."""
+    m, n = flat.size // k, b.shape[1]
+    rows, cols = np.divmod(at, k)
+    first = np.ones(at.size, dtype=bool)  # the first nonzero of its row
+    first[1:] = rows[1:] != rows[:-1]
+    starts = first.nonzero()[0]
+    vals, hit = flat[at, None], rows[starts]
+    out = np.zeros((m, n), dtype=np.int64)
+    step = max(1, m * n // max(1, at.size))
+    for j in range(0, n, step):
+        s = np.add.reduceat(vals * b[cols, j : j + step], starts, axis=0)
+        out[hit, j : j + step] = s % p if p else s
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -339,7 +396,8 @@ class Mat:
     __slots__ = ("field", "a", "den", "_word")
 
     def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _copy: bool = True):
-        assert a.ndim == 2
+        if a.ndim != 2:
+            raise ValueError(f"a matrix is a 2-d array, not {a.ndim}-d of shape {a.shape}")
         if field.kind == "rational":
             if a.dtype != object:
                 a, _copy = a.astype(object), False
@@ -501,8 +559,13 @@ class Mat:
             a = a % self.field.p
         return Mat(self.field, a, den, _copy=False)
 
+    def _same_field(self, other: "Mat"):
+        # one FieldSpec object in the common case, which needs no comparison
+        if self.field is not other.field and self.field != other.field:
+            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
+
     def _aligned(self, other: "Mat"):
-        assert self.field == other.field
+        self._same_field(other)
         if self.den == other.den:
             return self.a, other.a, self.den
         den, (a, b) = _common_den([self, other])
@@ -527,7 +590,7 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         f = self.field
-        assert f == other.field
+        self._same_field(other)
         (m, k), (k2, n) = self.a.shape, other.a.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
@@ -536,13 +599,13 @@ class Mat:
         if f.kind == "prime":
             if not _int64_fits(k, f.p - 1, f.p - 1):
                 raise ValueError(f"F_{f.p} product with inner dimension {k} would overflow int64")
-            return Mat(f, (self.a @ other.a) % f.p, _copy=False)
+            return Mat(f, _word_product(self.a, other.a, f.p), _copy=False)
         # (A / d)(B / e) = (A B) / (d e): one integer product, one normalisation
         den = self.den * other.den
         x, y = self._int64(), other._int64()
         if not (x and y and _int64_fits(k, x[1], y[1])):
             return Mat(f, _object_product(self.a, other.a), den, _copy=False)
-        c = x[0] @ y[0]
+        c = _word_product(x[0], y[0], 0)
         out = Mat(f, c.astype(object), den, _copy=False)
         # the product's own int64 copy, brought to the normalised den: c is a
         # multiple of den // out.den, so it is zero if that passes int64
@@ -555,11 +618,15 @@ class Mat:
         return self.with_array(self.a.T)
 
     def hstack(self, other: "Mat") -> "Mat":
-        assert self.field == other.field and self.rows == other.rows
+        self._same_field(other)
+        if self.rows != other.rows:
+            raise ValueError(f"hstack of {self.rows} rows with {other.rows} rows")
         return Mat.stack_cols(self.field, [self, other])
 
     def vstack(self, other: "Mat") -> "Mat":
-        assert self.field == other.field and self.cols == other.cols
+        self._same_field(other)
+        if self.cols != other.cols:
+            raise ValueError(f"vstack of {self.cols} columns with {other.cols} columns")
         return Mat.stack_rows(self.field, [self, other])
 
     @staticmethod
@@ -730,10 +797,17 @@ def rank(m: Mat) -> int:
     return rref(m)[2]
 
 
-def row_basis(m: Mat) -> Mat:
-    """Canonical basis (rref rows) of the row space, marked with its pivots."""
-    r, pivots, rk = rref(m)
-    out = _Reduced(r.field, r.a[:rk, :], r.den, _copy=False)
+def row_basis(m) -> Mat:
+    """Canonical basis (rref rows) of the row space, marked with its pivots.
+
+    ``m`` is a Mat, or a ``RowBasis`` whose B it is read off: a B factored
+    by reduction gives the rows of rref([B | J]) that pivot in B, with no
+    second reduction."""
+    if isinstance(m, RowBasis) and m._kernel is not None:
+        r, pivots = m._r.take_cols(slice(0, m.cols)), m.pivots
+    else:
+        r, pivots, _ = rref(m.basis if isinstance(m, RowBasis) else m)
+    out = _Reduced(r.field, r.a[: len(pivots), :], r.den, _copy=False)
     out._pivots = tuple(pivots)
     return out
 
@@ -825,6 +899,11 @@ def _identity_columns(b: Mat) -> Optional[list]:
     return None
 
 
+# entries of the free columns of a batch that ``RowBasis`` checks against
+# its span at once
+_CHECK_CELLS = 1 << 20
+
+
 class RowBasis:
     """A k x n matrix B factored once, for many coordinate solves against it.
 
@@ -845,8 +924,11 @@ class RowBasis:
     independent rows the coordinates are unique, so both routes agree.
     """
 
-    # ``_kernel`` is None for a canonical B, whose T is the identity
-    __slots__ = ("field", "rows", "cols", "pivots", "basis", "_free", "_r_free", "_t", "_kernel")
+    # ``_kernel`` is None for a canonical B, whose T is the identity; ``_r``
+    # is rref([B | J]) on the reduction route
+    __slots__ = (
+        "field", "rows", "cols", "pivots", "basis", "_free", "_r", "_r_free", "_t", "_kernel"
+    )
 
     def __init__(self, basis: Mat):
         f, (k, n) = basis.field, basis.a.shape
@@ -863,7 +945,7 @@ class RowBasis:
             self._t, self._kernel = r.with_array(t[:rk]), r.with_array(t[rk:][::-1])
         else:
             r, self._t, self._kernel = basis, Mat.identity(f, k), None
-        self.pivots = pivots
+        self.pivots, self._r = pivots, r
         taken = set(pivots)
         self._free = [c for c in range(n) if c not in taken]
         self._r_free = r.with_array(r.a[: len(pivots), self._free])
@@ -876,9 +958,18 @@ class RowBasis:
         """``v[:, pivots]`` if every row of v lies in the span, else None."""
         if v.field != self.field or v.cols != self.cols:
             raise ValueError(f"{v.rows}x{v.cols} against a row basis of width {self.cols}")
-        y = v.with_array(v.a[:, self.pivots])
-        free = self._free
-        return y if not free or y @ self._r_free == v.with_array(v.a[:, free]) else None
+        y, free = v.with_array(v.a[:, self.pivots]), self._free
+        if not free:
+            return y
+        # the rows go in blocks, so the residual's arrays stay near
+        # _CHECK_CELLS; a batch of one block is checked on y itself, as a
+        # view of y costs a Mat on every solve
+        step = max(1, _CHECK_CELLS // len(free))
+        for i in range(0, v.rows, step):
+            part = y if step >= v.rows else y.take_rows(slice(i, i + step))
+            if part @ self._r_free != v.with_array(v.a[i : i + step, free]):
+                return None
+        return y
 
     def contains(self, v: Mat) -> bool:
         """Is every row of ``v`` in the row span of the basis?"""

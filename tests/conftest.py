@@ -42,3 +42,20 @@ def reductions(monkeypatch):
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counted)
     return calls
+
+
+@pytest.fixture
+def row_gathers(monkeypatch):
+    """A list that records the shapes (m, k, n) of the products that the
+    word-size kernel runs by its row-gather route, ``linalg._row_gather``."""
+    from catres import linalg
+
+    calls = []
+    gather = linalg._row_gather
+
+    def counted(flat, at, k, b, p):
+        calls.append((flat.size // k, k, b.shape[1]))
+        return gather(flat, at, k, b, p)
+
+    monkeypatch.setattr(linalg, "_row_gather", counted)
+    return calls

@@ -108,6 +108,28 @@ def test_validate_detects_broken_table():
     assert not rep.ok and rep.violations
 
 
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("table shape", r"table: a 2x3 matrix over .*, not 2x4 over"),
+        ("table field", r"table: a 2x4 matrix over .*rational.*, not 2x4 over .*prime"),
+        ("unit shape", r"unit: a 1x3 matrix over .*, not 1x2 over"),
+    ],
+)
+def test_a_mis_shaped_table_or_unit_raises_value_error(part, message):
+    # a ValueError, not an assert, so that ``python -O`` checks them too
+    a = truncated_poly_algebra(F5, 2)
+    unit, table = a.unit, a.table_matrix()
+    if part == "table shape":
+        table = table.take_cols(slice(0, 3))
+    elif part == "table field":
+        table = Mat.zeros(QQ, 2, 4)
+    else:
+        unit = Mat.zeros(F5, 1, 3)
+    with pytest.raises(ValueError, match=message):
+        Algebra(F5, a.basis_labels, unit, table)
+
+
 def test_validate_one_dimensional():
     a = truncated_poly_algebra(QQ, 1)
     assert a.validate().ok and a.dim == 1

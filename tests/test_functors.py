@@ -360,6 +360,11 @@ def test_four_term_invariants_random(data, pool):
         assert seq.F0.dim - seq.F.dim + seq.middle.dim - seq.F1.dim == 0
         assert (seq.f0_incl.mat @ seq.alpha.mat).is_zero()
         assert (seq.alpha.mat @ seq.f1_proj.mat).is_zero()
+        # the kernel and the image of alpha, each from its own reduction
+        F0, f0_incl = mod.sub_repn(F, left_nullspace(seq.alpha.mat))
+        F1, f1_proj = mod.quotient_repn(seq.middle, row_basis(seq.alpha.mat))
+        assert _same_module(seq.F0, F0) and seq.f0_incl.mat == f0_incl.mat
+        assert _same_module(seq.F1, F1) and seq.f1_proj.mat == f1_proj.mat
         # theta applied to the sequence: middle map becomes an isomorphism
         t_alpha = theta_hom(seq.alpha, data)
         assert t_alpha.mat.rows == t_alpha.mat.cols

@@ -16,6 +16,11 @@ equal the split's on the basic inputs whose split lists the pieces in the
 same order, and were retaken from the pieces on the others (F_2[S_3],
 F_5[C_4] and the matrix algebras).
 
+The set-up of F_3[x]/x^6 (dim T 91) is pinned as well (``SCALE_GOLDEN``):
+most of its products take the row-gather route of the int64 product,
+which the corpus set-ups are too small to reach; its digests were taken
+with the dense product.
+
 The tri-state global dimensions of Lambda and of T are pinned at the
 resolution depths where the answer turns from unknown to finite or
 infinite (``GLDIM_GOLDEN``); the digests were taken with the former
@@ -33,8 +38,10 @@ import pytest
 from catres.auslander import build_auslander, verify_auslander
 from catres.certify import CertConfig, certify_resolution, report_to_json_str
 from catres.cli import main
+from catres.corpus import truncated_poly_algebra
 from catres.homology import global_dimension
 from catres.io_json import parse_algebra_or_quiver
+from catres.linalg import FieldSpec
 from catres.modules import context
 from test_algebra import idempotent_inputs
 
@@ -170,6 +177,23 @@ def test_idempotents_are_byte_identical(label):
     assert _idempotent_digest(lam) == lam_digest
     if tilde_digest is not None:
         assert _idempotent_digest(build_auslander(lam).tilde) == tilde_digest
+
+
+# -- the set-up at scale -----------------------------------------------------
+
+# digests of the verification report, T's table and T's idempotents
+SCALE_GOLDEN = (
+    "e55fe9b1f0ff2ce6692b4dbf48e8fcb6a93d55e65107b58b558d8ef75066f6a8",
+    "fd55bc4c87ec54b964af25553990800a5bf2161cfc3b7e3c411df459593d1ac5",
+    "d30b49d6f2f826d80c3a6ce73454d75a87dde5747d69ead2677b00673e1bdcd8",
+)
+
+
+def test_the_set_up_of_x6_is_byte_identical():
+    data = build_auslander(truncated_poly_algebra(FieldSpec("prime", 3), 6))
+    verify = _digest(verify_auslander(data))
+    table = hashlib.sha256(report_to_json_str(data.tilde.table_matrix().to_json()).encode())
+    assert (verify, table.hexdigest(), _idempotent_digest(data.tilde)) == SCALE_GOLDEN
 
 
 # -- global dimensions at the depth boundaries ------------------------------

@@ -29,8 +29,8 @@ data (``AuslanderData.functor_values``), so that every caller asks
 ``modules`` and ``functors`` for them.  No file imports ``weakref``: a
 kept value lives as long as the object that owns it, the algebra's
 context or the Auslander data, never as long as the garbage collector
-lets it.  None of ``modules.py``, ``complexes.py`` and ``functors.py``
-makes a check by ``assert``, which ``python -O`` strips.
+lets it.  No module of the library makes a check by ``assert``, which
+``python -O`` strips.
 
 And it walks them for the choice between F_p and Q: outside ``linalg.py``
 no code compares a ``.kind`` attribute with "prime" or "rational" or
@@ -267,12 +267,12 @@ def test_no_library_file_imports_weakref():
     assert found == []
 
 
-def test_complexes_and_functors_check_without_assert():
-    # ``python -O`` strips an assert, and the certificates with it
+def test_the_library_checks_without_assert():
+    # ``python -O`` strips an assert, and the check with it
     found = [
-        f"{stem}.py:{node.lineno}"
-        for stem in ("modules", "complexes", "functors")
-        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text()))
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
     assert found == []

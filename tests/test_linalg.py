@@ -368,6 +368,23 @@ def test_row_basis_checks_only_the_free_columns_and_keeps_the_verdicts(field):
                 assert got == expected.T and got @ basis == v, (label, i)
 
 
+@pytest.mark.parametrize("field", [FieldSpec("prime", 3), QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("cells", [1, 3, 7, 1 << 20])
+def test_a_batch_checked_in_row_blocks_keeps_its_verdict(monkeypatch, field, cells):
+    # the span check of a batch goes in blocks of rows; a row outside the
+    # span in the last block still refuses the batch
+    from catres import linalg
+
+    monkeypatch.setattr(linalg, "_CHECK_CELLS", cells)
+    for label, basis, batch in _row_basis_edge_cases(field):
+        rb = RowBasis(basis)
+        inside = [i for i in range(batch.rows) if rb.contains(batch.row_at(i))]
+        v = batch.take_rows(inside * 3)
+        assert rb.solve(v) @ basis == v, label
+        for i in set(range(batch.rows)) - set(inside):
+            assert not rb.contains(v.vstack(batch.row_at(i))), (label, i)
+
+
 def test_solve_left_and_left_nullspace():
     a = Mat.from_rows(F5, [[1, 2], [0, 1]])
     b = Mat.from_rows(F5, [[2, 4]])
@@ -524,6 +541,128 @@ def test_q_products_near_the_word_size_bound_match_the_oracles(xy):
     z = _q_mat([[1 - 2 * (j % 2)] for j in range(y.cols)], 7)
     _check_product(prod, z)
     _check_product(x.T.take_rows([0]), prod.take_cols(slice(0, 1)))
+
+
+# -- the row-gather route of the word-size product ----------------------------
+
+F_BIG = FieldSpec("prime", 1048573)  # the largest prime below MAX_PRIME
+
+
+@st.composite
+def products_past_the_gather_floor(draw):
+    """x (m x k) @ y (k x n) of at least 2**15 multiply-adds with at most
+    one entry of x in 16 nonzero, over F_2, F_3, F_1048573 and Q
+    (numerators up to 2**20 of either sign, over denominators): x is all
+    zero, or zero but for one nonzero a row, or sparse with or without zero
+    rows; y is dense."""
+    field = draw(st.sampled_from([FieldSpec("prime", 2), FieldSpec("prime", 3), F_BIG, QQ]))
+    m, k, n = draw(st.integers(48, 64)), draw(st.integers(30, 36)), draw(st.integers(32, 40))
+    pattern = draw(st.sampled_from(["all zero", "one a row", "sparse", "sparse, zero rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = field.p - 1 if field.characteristic else 1 << 20
+    x = np.zeros((m, k), dtype=np.int64)
+    if pattern == "one a row":
+        x[np.arange(m), rng.integers(0, k, m)] = rng.integers(1, top + 1, m)
+    elif pattern != "all zero":
+        at = np.zeros(m * k, dtype=bool)
+        at[rng.choice(m * k, m * k // 16, replace=False)] = True
+        at = at.reshape(m, k)
+        if pattern == "sparse, zero rows":
+            at[rng.random(m) < 0.5] = False
+        x[at] = rng.integers(1, top + 1, int(at.sum()))
+    y = rng.integers(0, top + 1, (k, n))
+    if field.characteristic:
+        return Mat(field, x), Mat(field, y)
+    sign = rng.choice([-1, 1], (m, k))
+    return Mat(field, x * sign, int(rng.integers(1, 30))), Mat(field, -y, int(rng.integers(1, 30)))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # cleared per example
+@given(products_past_the_gather_floor())
+def test_sparse_left_operands_take_the_row_gather_route(row_gathers, xy):
+    x, y = xy
+    row_gathers.clear()
+    prod = x @ y
+    assert row_gathers == [(x.rows, x.cols, y.cols)]
+    assert _canonical(prod)
+    expected = naive_matmul(x.tolist(), y.tolist(), x.field)
+    assert prod.tolist() == [[x.field.coerce(v) for v in row] for row in expected]
+    if not x.field.characteristic:
+        assert prod == object_matmul(x, y)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("prime", 2), FieldSpec("prime", 3), QQ])
+def test_denser_left_operands_take_the_dense_route(row_gathers, field):
+    # past the floor, but one entry in 15 nonzero: the dense product is
+    # cheaper than gathering, and gives the same entries
+    rng = np.random.default_rng(0)
+    x = np.zeros(60 * 60, dtype=np.int64)
+    x[rng.choice(x.size, x.size // 15, replace=False)] = 1
+    x, y = Mat(field, x.reshape(60, 60)), Mat(field, rng.integers(0, 2, (60, 60)))
+    prod = x @ y
+    assert row_gathers == []
+    expected = naive_matmul(x.tolist(), y.tolist(), field)
+    assert prod.tolist() == [[field.coerce(v) for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("field", [FieldSpec("prime", 3), QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("m, k, n", [(0, 64, 64), (64, 0, 64), (64, 64, 0)])
+def test_products_with_a_zero_dimension_are_zero(row_gathers, field, m, k, n):
+    prod = Mat.zeros(field, m, k) @ Mat.identity(field, 64).take_rows(range(k)).take_cols(
+        slice(0, n)
+    )
+    assert prod == Mat.zeros(field, m, n) and row_gathers == []
+
+
+@pytest.mark.parametrize("edge, gathered", [(_BELOW, True), ((2, 1 << 31, 1 << 31), False)])
+def test_q_row_gather_at_the_word_size_bound(object_products, row_gathers, edge, gathered):
+    # k * max|x| * max|y| = 2**63 - 1 runs by the row gather in int64; at
+    # 2**63 the product leaves int64 for Python ints and gathers nothing
+    k, a, b, size = *edge, 200
+    x = np.zeros((size, k), dtype=object)
+    x[0] = a  # row 0 meets column 0 of y in k * a * b
+    at = np.arange(1, size, 4)  # and every fourth row one more: x is under 1/16 nonzero
+    x[at, at % k] = [a * (-1) ** i for i in at]
+    y = np.array([[b * (-1) ** (i * j) for j in range(size)] for i in range(k)], dtype=object)
+    prod = _check_product(Mat(QQ, x, 3), Mat(QQ, y, 5))
+    assert prod[0, 0] == Fraction(k * a * b, 15)
+    assert (len(row_gathers), len(object_products)) == ((1, 0) if gathered else (0, 1))
+
+
+_F3 = FieldSpec("prime", 3)
+# label -> (a call on mismatched operands, the ValueError message it raises)
+_MISMATCHES = {
+    "a 1-d array": (lambda: Mat(_F3, np.zeros(3, dtype=np.int64)), "2-d array, not 1-d"),
+    "a sum over two fields": (lambda: Mat.zeros(_F3, 1, 1) + Mat.zeros(F5, 1, 1), "field mismatch"),
+    "a product over two fields": (
+        lambda: Mat.zeros(_F3, 1, 1) @ Mat.zeros(F5, 1, 1),
+        "field mismatch",
+    ),
+    "an hstack over two fields": (
+        lambda: Mat.zeros(_F3, 1, 1).hstack(Mat.zeros(QQ, 1, 1)),
+        "field mismatch",
+    ),
+    "an hstack of unequal rows": (
+        lambda: Mat.zeros(_F3, 1, 2).hstack(Mat.zeros(_F3, 2, 2)),
+        "hstack of 1 rows with 2 rows",
+    ),
+    "a vstack over two fields": (
+        lambda: Mat.zeros(QQ, 1, 1).vstack(Mat.zeros(_F3, 1, 1)),
+        "field mismatch",
+    ),
+    "a vstack of unequal columns": (
+        lambda: Mat.zeros(_F3, 1, 2).vstack(Mat.zeros(_F3, 1, 3)),
+        "vstack of 2 columns with 3 columns",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_MISMATCHES))
+def test_mismatched_operands_raise_value_error(label):
+    # a ValueError, not an assert, so that ``python -O`` checks them too
+    make, message = _MISMATCHES[label]
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def _copy_shape_identityish(y):
@@ -763,9 +902,12 @@ def canonical_bases(draw):
         flags = st.lists(st.booleans(), min_size=k + n, max_size=k + n)
         f = draw(flags)
         m = _scaled(m, f[:k], f[k:])
-    route = draw(st.sampled_from(["row_basis", "reverse", "left_nullspace", "placed"]))
+    route = draw(st.sampled_from(["row_basis", "shuffled", "reverse", "left_nullspace", "placed"]))
     if route == "row_basis":
         return route, row_basis(m)
+    if route == "shuffled":  # rref rows out of order: an unmarked plain Mat
+        b = row_basis(m)
+        return route, b.take_rows(draw(st.permutations(range(b.rows))))
     if route == "reverse":
         return route, reverse_row_basis(m)
     if route == "left_nullspace":
@@ -817,6 +959,8 @@ def test_row_basis_of_a_canonical_basis_reads_its_identity_columns(reductions, c
     _, basis = case
     v = _batch(data.draw, basis, data.draw(st.integers(1, 4)))
     _assert_factored_with_no_reduction(reductions, basis, v)
+    rows = row_basis(RowBasis(basis))
+    assert rows == row_basis(basis) and list(rows._pivots) == rref(basis)[1]
 
 
 def test_a_canonical_basis_over_a_denominator_past_int64(reductions):
@@ -888,15 +1032,32 @@ def test_rref_and_quotient_of_a_row_basis_read_its_pivots(reductions, m):
     assert len(reductions) == (b.rows > 0)
 
 
+def _check_factoring(basis, reductions):
+    """The left kernel and the row basis of one factoring equal
+    ``left_nullspace`` and ``row_basis`` of B, and the row basis carries
+    the pivots, so that rref reads them with no reduction; a B factored by
+    reduction gives its row basis with no second one."""
+    factored = RowBasis(basis)
+    assert factored.left_kernel() == left_nullspace(basis)
+    reductions.clear()
+    rows = row_basis(factored)
+    assert reductions == [] or factored._kernel is None
+    pivots = rref(basis)[1]
+    assert rows == row_basis(basis) and list(rows._pivots) == pivots
+    reductions.clear()
+    assert rref(rows)[1] == pivots and reductions == []
+
+
+@counts_reductions
 @given(row_basis_cases())
-def test_the_left_kernel_of_the_factoring_is_the_left_nullspace(case):
-    basis, _ = case
-    assert RowBasis(basis).left_kernel() == left_nullspace(basis)
+def test_the_left_kernel_of_the_factoring_is_the_left_nullspace(reductions, case):
+    _check_factoring(case[0], reductions)
 
 
+@counts_reductions
 @given(sparse_rational_mats())
-def test_the_left_kernel_matches_over_big_denominators(m):
-    assert RowBasis(m).left_kernel() == left_nullspace(m)
+def test_the_left_kernel_matches_over_big_denominators(reductions, m):
+    _check_factoring(m, reductions)
 
 
 # -- content keys --------------------------------------------------------------
