@@ -179,8 +179,11 @@ def _corner_iso_defect(data: AuslanderData, dim_corner: int) -> str:
 
 
 def hom_dim_sum(data: AuslanderData) -> int:
-    """Sum of pairwise Hom dimensions between the filtration summands,
-    computed by independent pairwise solves (second route for dim tilde)."""
+    """Sum of the dimensions of Hom(Lambda/J^i, Lambda/J^j) over the
+    filtration summands.  It is no second route for dim tilde: End(M) is
+    assembled from exactly these kept blocks (``modules._summed_homs``),
+    so the report's ``dim_sum_consistent`` cannot fail.  An independent
+    dense solve of each block lives in ``tests/oracles.py``."""
     total = 0
     for a in data.summands:
         for b in data.summands:

@@ -802,12 +802,14 @@ def row_basis(m) -> Mat:
 
     ``m`` is a Mat, or a ``RowBasis`` whose B it is read off: a B factored
     by reduction gives the rows of rref([B | J]) that pivot in B, with no
-    second reduction."""
+    second reduction.  Rows fewer than the rows reduced are copied, so a
+    kept basis does not pin the whole reduction output."""
     if isinstance(m, RowBasis) and m._kernel is not None:
         r, pivots = m._r.take_cols(slice(0, m.cols)), m.pivots
     else:
         r, pivots, _ = rref(m.basis if isinstance(m, RowBasis) else m)
-    out = _Reduced(r.field, r.a[: len(pivots), :], r.den, _copy=False)
+    rk = len(pivots)
+    out = _Reduced(r.field, r.a[:rk], r.den, _copy=rk < r.rows)
     out._pivots = tuple(pivots)
     return out
 
@@ -816,9 +818,10 @@ def reverse_row_basis(m: Mat) -> Mat:
     """The rref basis of the row space in reversed column order, rows then
     reversed.  For any rows spanning the kernel of S this is the transpose
     of ``nullspace(S)``, the kernel basis that is the identity on S's free
-    columns."""
+    columns.  Rows fewer than the rows reduced are copied, as in
+    ``row_basis``."""
     r, _, rk = rref(m.with_array(m.a[:, ::-1]))
-    return r.with_array(r.a[:rk, ::-1][::-1])
+    return Mat(r.field, r.a[:rk, ::-1][::-1], r.den, _copy=rk < r.rows)
 
 
 def placed_row_basis(field: FieldSpec, cols: int, blocks: list) -> Mat:
@@ -940,9 +943,10 @@ class RowBasis:
             r, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
             pivots = [c for c in pivots if c < n]
             # J's columns put back in order: T on the rows that pivot in B,
-            # x for a basis of {x : x B = 0} on the others (``left_kernel``)
+            # x for a basis of {x : x B = 0} on the others (``left_kernel``),
+            # copied, as a kept kernel would pin all of rref([B | J])
             t, rk = r.a[:, n:][:, ::-1], len(pivots)
-            self._t, self._kernel = r.with_array(t[:rk]), r.with_array(t[rk:][::-1])
+            self._t, self._kernel = r.with_array(t[:rk]), Mat(f, t[rk:][::-1], r.den)
         else:
             r, self._t, self._kernel = basis, Mat.identity(f, k), None
         self.pivots, self._r = pivots, r

@@ -7,30 +7,29 @@ Composition "f then g" is matrix product F @ G, and the composition
 convention (fg)(m) = f(g(m)) makes Hom(M, N) a right End(M)-module with
 no opposite-algebra twist anywhere in the code.
 
-Hom spaces are computed one way: out of a sum of indecomposable
-projectives by Yoneda, Hom(e_i A, N) = N e_i; between other direct sums
-as the sum of the blocks Hom(X_a, Y_b) of their summands, which
-``direct_sum`` tags on its result, nested sums flattened; and out of any
-other module M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its
-projective presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp.
-Math. 12, 2003).  ``hom_space`` returns one ``HomSpace``: the reduced
-basis stacked, one flattened map per row, with its side-by-side layout,
-its batched compositions and its factored ``RowBasis``.  No other code
-lays out or factors a Hom basis.
+Hom spaces are computed one way: between direct sums as the sum of the
+blocks Hom(X_a, Y_b) of their summands, which ``direct_sum`` tags on its
+result, nested sums flattened; out of the content of a projective
+P_i = e_i A by Yoneda, Hom(e_i A, N) = N e_i; and out of any other module
+M as the kernel of Hom(P_0, N) -> Hom(Omega, N) for its projective
+presentation 0 -> Omega -> P_0 -> M -> 0 (Lux and Szoke, Exp. Math. 12,
+2003).  ``hom_space`` returns one ``HomSpace``: the reduced basis stacked,
+one flattened map per row, with its side-by-side layout, its batched
+compositions and its factored ``RowBasis``.  No other code lays out or
+factors a Hom basis.
 
 What depends only on a module's action is built once per content, not
 per object: modules over one algebra with equal (dim, action) share one
 record, a dict in ``context(A).records`` keyed by ``(dim, Mat.key())``
 (hash-consing, Filliatre and Conchon, ML Workshop 2006).  It keeps the
 presentation (and, on it, the syzygy Omega), the radical rows and the top
-projection, the Yoneda blocks Hom(P_i, N), the projectivity test, and
-each Hom space out of the module, checked, under its target's key.  The
-context owns the records and lives as long as the algebra, so a value is
-built once per algebra, however long its modules live, and the work of a
-run does not depend on when the garbage collector runs.  The functor
+projection, the projectivity test, on the content of P_i its index i,
+and each Hom space out of the module, checked, under its target's key.
+The context owns the records and lives as long as the algebra, so a value
+is built once per algebra, however long its modules live, and the work of
+a run does not depend on when the garbage collector runs.  The functor
 values, which also depend on the Auslander data, are kept on that data
-(``functors``).  What names the Hom route, ``Repn.projective_parts`` and
-``Repn.summands``, stays on the object.
+(``functors``).  Only ``Repn.summands`` stays on the object.
 """
 
 from __future__ import annotations
@@ -77,15 +76,12 @@ class Repn:
                 f"Repn: a {action.rows}x{action.cols} action for a module of dim {dim}"
                 f" over an algebra of dim {algebra.dim}"
             )
-        # indices into context(algebra).projectives, block by block, when the
-        # module is built as their direct sum; hom_space then uses Yoneda
-        self.projective_parts: Optional[tuple] = None
         # the nonzero summands, none of them a sum, when the module is built
         # as a direct sum of two or more; hom_space then assembles from them
         self.summands: Optional[tuple] = None
         # the record of this content, shared with every equal module over
-        # the algebra: a name, or a (name, index or target key) pair, to a
-        # value that depends only on the action (``_recorded``)
+        # the algebra: a name, or a ("hom", target key) pair, to a value
+        # that depends only on the action (``_recorded``)
         self.key = (dim, action.key())
         self.record = context(algebra).records.setdefault(self.key, {})
 
@@ -229,8 +225,6 @@ def direct_sum(parts: list) -> Repn:
     A = parts[0].algebra
     dims = [p.dim for p in parts]
     S = Repn(A, sum(dims), Mat.block_diag_rows(A.field, [p.flat_action() for p in parts], dims))
-    if all(p.projective_parts is not None for p in parts):
-        S.projective_parts = tuple(i for p in parts for i in p.projective_parts)
     leaves = tuple(x for p in parts for x in (p.summands or (p,)) if x.dim)
     if len(leaves) > 1:
         S.summands = leaves
@@ -300,14 +294,14 @@ def hom_space(M: Repn, N: Repn) -> HomSpace:
     content of N) and kept on M's record under N's key; a call on other
     modules of those contents gets the kept maps over its own M and N.
 
-    Out of a direct sum of the projectives of ``context(A)`` the basis comes
-    from Yoneda (``_yoneda_homs``); between other direct sums from the kept
-    spaces of their summands (``_summed_homs``); out of any other module
-    from its projective presentation (``_presentation_homs``).  All return
-    the same reduced basis: the kernel vectors of the intertwining system
-    that are the identity on its free columns, exactly what ``nullspace``
-    of that system gives.  Every space built is checked once against every
-    basis element of the algebra (soundness), so a false tag is caught.
+    ``_hom_builder`` picks the route: between direct sums the kept spaces
+    of their summands; out of the content of a projective P_i, on any
+    object, Yoneda; out of any other module its projective presentation.
+    All return the same reduced basis: the kernel vectors of the
+    intertwining system that are the identity on its free columns, exactly
+    what ``nullspace`` of that system gives.  Every space built is checked
+    once against every basis element of the algebra (soundness), so a
+    false summands tag or projective mark is caught.
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space: modules over different algebras")
@@ -333,48 +327,38 @@ class _KeptHoms:
 
 
 def _built_hom_space(M: Repn, N: Repn) -> HomSpace:
-    if M.projective_parts is not None:
-        space = HomSpace(M, N, _yoneda_homs(M, N))
-    elif M.summands or N.summands:
-        space = HomSpace(M, N, _summed_homs(M, N))
-    else:
-        space = HomSpace(M, N, _presentation_homs(M, N))
+    build = _hom_builder(M, N)
+    space = HomSpace(M, N, build(M, N))
     bad = _first_non_intertwiner(space)
     if bad is not None:
-        raise AssertionError(f"hom basis vector {bad} of {len(space)} fails the intertwining check")
+        where = f"{build.__name__}, dim {M.dim} -> dim {N.dim}: hom basis vector {bad} of {len(space)}"
+        raise AssertionError(f"{where} fails the intertwining check")
     return space
 
 
+def _hom_builder(M: Repn, N: Repn):
+    """The builder of Hom(M, N).  The projectives mark their contents when
+    built, so they are built before M's record is read."""
+    if M.summands or N.summands:
+        return _summed_homs
+    context(M.algebra).projectives  # the regular module may come first
+    return _yoneda_homs if "projective" in M.record else _presentation_homs
+
+
 def _yoneda_homs(M: Repn, N: Repn) -> Mat:
-    """Hom(P, N) for P = M, a direct sum of projectives P_i = e_i A.
+    """Hom(P_i, N) for M of the content of P_i = e_i A, i read off its record.
 
     Hom(e_i A, N) = N e_i: the map with f(e_i) = v sends the basis vector p_t
     of P_i to v rho_N(p_t).  The rows of rho_N(e_i) span N e_i, and
     u rho_N(e_i) rho_N(p_t) = u rho_N(p_t) because e_i p_t = p_t, so the
     rows of [rho_N(p_0) | rho_N(p_1) | ...] span Hom(P_i, N), flattened.
     One product against the action builds them, and ``reverse_row_basis``
-    turns them into the canonical basis.  Summands of P occupy disjoint
-    columns, so each block is reduced on its own, once per distinct summand
-    and content of N: the block of P_i is kept on N's record.  Returns the
-    basis flattened, one hom per row.
+    turns them into the canonical basis, flattened, one hom per row: the
+    same for any P_i of M's content (e_11 A and e_22 A of M_2(k) share one).
     """
-    ctx = context(M.algebra)
-    n = N.dim
-    placed, row, off = [], 0, 0
-    for i in M.projective_parts:
-        k = ctx.projectives[i].dim
-        block = _recorded(N, ("yoneda", i), lambda: _yoneda_block(ctx, i, N))
-        # the rows off..off+k of a dim P x n matrix, flattened
-        placed.append((row, off * n, block))
-        row += block.rows
-        off += k
-    return Mat.from_blocks(M.field, row, M.dim * n, placed)
-
-
-def _yoneda_block(ctx: "ModuleContext", i: int, N: Repn) -> Mat:
-    """The canonical basis of Hom(P_i, N), flattened, one hom per row."""
-    k, n = ctx.projectives[i].dim, N.dim
-    rho = ctx.projective_rows[i] @ N.flat_action()  # row t: rho_N(p_t)
+    k, n = M.dim, N.dim
+    rows = context(M.algebra).projective_rows[M.record["projective"]]
+    rho = rows @ N.flat_action()  # row t: rho_N(p_t)
     return reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
 
 
@@ -417,8 +401,8 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
     pres = projective_presentation(M)
     m, n, P = M.dim, N.dim, pres.cover.source
     # the kept Hom(P_0, N), unless P_0 has M's content: that is the space
-    # being built
-    homs = hom_space(P, N) if P.record is not M.record else HomSpace(P, N, _yoneda_homs(P, N))
+    # being built, so P_0's own builder makes it
+    homs = hom_space(P, N) if P.record is not M.record else HomSpace(P, N, _hom_builder(P, N)(P, N))
     h, k = len(homs), pres.syzygy.rows
     if h == 0:  # no map out of P_0, so none out of M
         return Mat.zeros(M.field, 0, m * n)
@@ -520,7 +504,7 @@ class ModuleContext:
         for idx, e in enumerate(self.idempotents):
             span = row_basis(self.algebra.left_mult_matrix(e))
             P, _ = sub_repn(self.regular, span)
-            P.projective_parts = (idx,)
+            P.record.setdefault("projective", idx)
             S, _ = quotient_repn(P, self.radical_rows(P))
             projs.append(P)
             simples.append(S)

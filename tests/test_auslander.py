@@ -26,7 +26,7 @@ from catres.homology import global_dimension
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, rank, row_basis
 from catres.modules import context, is_isomorphic
-from oracles import corner_route_iso, idempotent_set_defect, loop_zeta
+from oracles import corner_route_iso, idempotent_set_defect, loop_zeta, naive_hom_dim
 from test_algebra import idempotent_inputs, with_radical_hint
 from test_modules import f2_s3
 
@@ -81,8 +81,12 @@ def test_corner_iso_full_checks(data_x2, data_x3):
 
 
 def test_dim_two_ways(data_x2, data_x3):
-    for d in (data_x2, data_x3):
-        assert hom_dim_sum(d) == d.tilde.dim
+    # hom_dim_sum reads the kept blocks End(M) was assembled from, so the
+    # second count is the dense solve of every block
+    corpus = [build_auslander(lam) for lam in shipped_corpus().values()]
+    for d in (data_x2, data_x3, *corpus):
+        dense = sum(naive_hom_dim(a, b) for a in d.summands for b in d.summands)
+        assert hom_dim_sum(d) == dense == d.tilde.dim
 
 
 def test_tilde_is_valid_algebra(data_x2):

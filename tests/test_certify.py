@@ -6,9 +6,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from catres import linalg
+from catres import certify, linalg
 from catres.certify import (
     CertConfig,
     certify_resolution,
@@ -16,7 +17,8 @@ from catres.certify import (
     report_to_json_str,
     weakly_crepant_check,
 )
-from catres.auslander import AuslanderData, build_auslander
+from catres.algebra import Algebra
+from catres.auslander import AuslanderData, build_auslander, verify_auslander
 from catres.corpus import (
     gentle_two_cycle,
     truncated_poly_algebra,
@@ -412,3 +414,52 @@ def test_each_hom_space_is_built_once_per_content_pair(monkeypatch):
     default, never = _under_gc_modes(run, ("default", "never"))
     assert default == never
     assert set(default[1]) == {1} and len(default[1]) > 100
+
+
+def _kept_mats(*roots):
+    """Every Mat reachable from ``roots`` through containers and the
+    attributes of kept objects, short of an algebra or its context."""
+    seen, mats, todo = set(), [], list(roots)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (Algebra, modules.ModuleContext, np.ndarray, str)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Mat):
+            mats.append(x)
+        elif isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple)):
+            todo += x
+        else:
+            todo += vars(x).values() if hasattr(x, "__dict__") else []
+            slots = (s for c in type(x).__mro__ for s in getattr(c, "__slots__", ()))
+            todo += [getattr(x, s) for s in slots if hasattr(x, s)]
+    return mats
+
+
+def _pinned_bytes(m):
+    """The bytes of the array that the entries of ``m`` are a view into."""
+    root = m.a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return root.nbytes
+
+
+def test_kept_values_own_their_rows(monkeypatch):
+    # a kept basis or kernel is copied out of its reduction when it has
+    # fewer rows, so no kept Mat pins a buffer more than twice its bytes
+    certified = []
+    monkeypatch.setattr(
+        certify, "build_auslander", lambda lam: certified.append(build_auslander(lam)) or certified[-1]
+    )
+    setup = build_auslander(truncated_poly_algebra(F3, 5))
+    assert verify_auslander(setup)["ok"]
+    _certify_x3_f3(lambda lam: None)
+    for data in (setup, certified[0]):
+        roots = [data.functor_values]
+        for A in (data.lam, data.tilde):
+            roots += [A.radical_chain(), context(A).records]
+        mats = _kept_mats(*roots)
+        fat = [(m.a.shape, _pinned_bytes(m)) for m in mats if _pinned_bytes(m) > 2 * m.a.nbytes]
+        assert len(mats) > 100 and fat == [], fat[:3]

@@ -461,6 +461,16 @@ def f3_a4():
     return permutation_group_algebra(F3, [(1, 2, 0, 3), (1, 0, 3, 2)])
 
 
+def m2_units(field):
+    """M_2(k) on the matrix units e_11, e_12, e_21, e_22: e_11 A and e_22 A
+    act alike on their bases, so the two projectives share one content."""
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, j, l in np.ndindex(2, 2, 2):
+        table[2 * i + j, 2 * j + l, 2 * i + l] = 1  # e_ij e_jl = e_il
+    unit = Mat.row(field, [1, 0, 0, 1])
+    return Algebra(field, ["e11", "e12", "e21", "e22"], unit, Mat(field, table.reshape(4, 16)))
+
+
 def _dual_route_algebras():
     """(label, Lambda) for every corpus file, and the non-basic F_2[S_3]."""
     for path in sorted(CORPUS.glob("*.json")):
@@ -497,8 +507,8 @@ def test_yoneda_hom_space_matches_kronecker_route_on_corpus_and_auslander_algebr
             ]
             targets = list(ctx.simples) + [ctx.regular] + _random_modules(A, rng, 3)
             targets += [_conjugate(n, rng) for n in targets[-3:] if n.dim]
-            assert all(P.projective_parts is not None for P in sources), label
-            # Yoneda out of sums of projectives; the broadcast system otherwise
+            assert all("projective" in X.record for P in sources for X in P.summands or (P,)), label
+            # Yoneda out of projectives and summed from them out of their sums
             pairs = [(P, N) for P in sources for N in targets]
             pairs += [(M, N) for M in targets[-3:] for N in targets[-3:]]
             for M, N in pairs:
@@ -555,13 +565,17 @@ def test_presentation_hom_space_matches_kronecker_route_on_corpus_and_auslander_
                 sources += [_conjugate(x, rng) for x in sources if x.dim <= 6]
             targets = simples + syzygies + [ctx.regular, M] + _random_modules(A, rng, 3)
             targets += [_conjugate(n, rng) for n in targets[-4:] if 0 < n.dim <= 6]
-            assert all(x.projective_parts is None for x in sources), label
             for src in sources:
                 for N in targets:
                     if src.dim * N.dim > 120:
                         continue
-                    fast = [h.mat for h in mod.hom_space(src, N)]
+                    space = mod.hom_space(src, N)
+                    fast = [h.mat for h in space]
                     assert fast == kron_hom_space(src, N), (label, src.dim, N.dim)
+                    # the presentation route itself, also out of the contents
+                    # of projectives, which hom_space takes by Yoneda
+                    if not src.summands:
+                        assert mod._presentation_homs(src, N) == space.flat, label
                     if src is M:
                         seen.add("M")
                     if not fast:
@@ -720,7 +734,7 @@ def test_gldim_covers_match_the_unfiltered_greedy_route(monkeypatch):
     def building(M):
         before = len(solved)
         pres = build(M)
-        sources = {P.projective_parts for P, N in solved[before:] if N is M}
+        sources = {P.record.get("projective") for P, N in solved[before:] if N is M}
         if len(sources) < len(mod.context(M.algebra).representatives):
             skipped.append(M)
         return pres
@@ -793,13 +807,14 @@ def test_hom_space_rejects_a_false_projective_tag():
     A = upper_triangular_2(F3)
     ctx = mod.context(A)
     i = next(i for i, p in enumerate(ctx.projectives) if p.dim == 1)
-    # a one-dimensional simple that is not P_i, tagged as P_i
+    # a one-dimensional simple that is not P_i, its content marked as P_i's
     s = next(
         s for s in ctx.simples if s.dim == 1 and mod.is_isomorphic(s, ctx.projectives[i]) is None
     )
     fake = mod.Repn(A, 1, s.flat_action())
-    fake.projective_parts = (i,)
-    with pytest.raises(AssertionError, match="intertwining"):
+    fake.record["projective"] = i
+    expected = r"^_yoneda_homs, dim 1 -> dim 3: hom basis vector \d+ of \d+ fails the intertwining"
+    with pytest.raises(AssertionError, match=expected):
         mod.hom_space(fake, ctx.regular)
 
 
@@ -841,6 +856,13 @@ def test_summed_hom_space_matches_kronecker_and_presentation_routes(monkeypatch)
         assert all(x.summands is None for x in leaves) and leaves[:2] == (a, a), label
         sums = [twice, gapped, nested]
         pairs = [(S, T) for S in sums for T in sums] + [(a, nested), (nested, b), (c, twice)]
+        # a sum of projectives, one per class and the last twice, which is
+        # its own cover: its untagged copy shares a record with the cover
+        reps = [ctx.projectives[r] for r in ctx.representatives]
+        projs = mod.direct_sum(reps + reps[-1:])
+        cover = mod.projective_cover(_untagged(projs)).source
+        assert cover.record is projs.record and cover.summands == projs.summands, label
+        pairs += [(projs, T) for T in (a, c, twice, projs)] + [(S, projs) for S in (a, c, gapped)]
         for S, T in pairs:
             if S.dim * T.dim > 150:
                 continue
@@ -853,12 +875,14 @@ def test_summed_hom_space_matches_kronecker_and_presentation_routes(monkeypatch)
             if placed:
                 assert reverse_row_basis(Mat.stack_rows(A.field, placed)) == space.flat, label
             seen.add("assembled" if assembled else "kept")
+            if S is projs or T is projs:
+                seen.add("projective source" if S is projs else "projective target")
             if space.flat.den > 1:
                 seen.add("rational with denominators")
         seen.add(A.field.kind)
         seen.add(label)
     assert {"assembled", "prime", "rational", "rational with denominators"} <= seen
-    assert {"x3_q", "T(x3_q)", "F2[S3]"} <= seen
+    assert {"projective source", "projective target", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
 
 
 @pytest.mark.parametrize("field", [F3, QQ])
@@ -979,11 +1003,21 @@ def test_equal_modules_share_one_record_and_distinct_ones_do_not():
     assert {"shared", "apart", "den", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
 
 
-def test_the_projective_tag_stays_on_the_object():
-    # an untagged copy of P_i shares its record and a sum of one P_i its tag;
-    # the Yoneda and the presentation builders agree on P_i, and hom_space
-    # of either copy returns the maps kept for P_i over the copy itself
-    for label, A in _record_algebras():
+def _yoneda_block(ctx, i, N):
+    """The reduced basis of Hom(P_i, N), flattened, from the basis of P_i
+    inside A: row t of the product is rho_N(p_t)."""
+    k, n = ctx.projectives[i].dim, N.dim
+    rho = ctx.projective_rows[i] @ N.flat_action()
+    return reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
+
+
+def test_the_projective_mark_is_on_the_content():
+    # the index of P_i is kept on its content, so an untagged copy of P_i
+    # and a sum of one P_i take Yoneda and share the maps kept for P_i,
+    # over themselves; the Yoneda and the presentation builders agree, and
+    # two P_i of one content give one basis
+    seen = set()
+    for label, A in [*_record_algebras(), ("M_2(F_3)", m2_units(F3))]:
         ctx = mod.context(A)
         targets = [s for s in ctx.simples if s.dim] + [ctx.regular]
         for i, P in enumerate(ctx.projectives):
@@ -991,16 +1025,46 @@ def test_the_projective_tag_stays_on_the_object():
                 continue
             untagged, summed = _untagged(P), mod.direct_sum([P])
             assert untagged.record is P.record and summed.record is P.record, label
-            assert (P.projective_parts, summed.projective_parts) == ((i,), (i,)), label
-            assert untagged.projective_parts is None and summed.summands is None, label
+            assert summed.summands is None, label
+            mark = P.record["projective"]
+            assert mark <= i and ctx.projectives[mark].record is P.record, label
+            seen.add("shared content" if mark < i else "own content")
             for N in targets:
-                kept = mod.hom_space(P, N)
-                yoneda = mod._yoneda_homs(P, N)
-                assert yoneda == mod._presentation_homs(untagged, N) == kept.flat, label
-                for X in (summed, untagged):
+                kept = mod.hom_space(untagged, N)
+                assert kept.flat == mod._presentation_homs(untagged, N), label
+                assert kept.flat == mod._yoneda_homs(P, N) == _yoneda_block(ctx, i, N), label
+                for X in (P, summed, untagged):
                     space = mod.hom_space(X, N)
                     assert space.flat is kept.flat and space.basis is kept.basis, label
                     assert space.source is X and space.target is N, label
+        seen.add(label)
+    assert {"own content", "shared content", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
+
+
+def test_hom_spaces_out_of_copies_of_projectives_are_built_once(monkeypatch):
+    # the regular module asked for before the projectives exist, and an
+    # untagged copy of each P_i, take the route of their content: each
+    # (source content, target content) pair is built once
+    built = Counter()
+    real = mod._built_hom_space
+
+    def counted(M, N):
+        built[M.key, N.key] += 1
+        return real(M, N)
+
+    monkeypatch.setattr(mod, "_built_hom_space", counted)
+    for path in sorted(CORPUS.glob("*.json")):
+        lam = parse_algebra_or_quiver(json.loads(path.read_text()))
+        ctx = mod.context(lam)
+        assert "_simples_and_projectives" not in vars(ctx), path.stem
+        built.clear()
+        mod.hom_space(ctx.regular, ctx.regular)
+        copies = [ctx.regular] + [_untagged(P) for P in ctx.projectives if P.dim]
+        s = next(s for s in ctx.simples if s.dim)
+        for V in copies:
+            mod.hom_space(V, V)
+            mod.hom_space(V, s)
+        assert set(built.values()) == {1}, (path.stem, built.most_common(1))
 
 
 def test_every_kept_value_equals_a_fresh_build():
@@ -1025,13 +1089,10 @@ def test_every_kept_value_equals_a_fresh_build():
             assert projective == (mod.projective_cover(M).source.dim == M.dim), label
             seen.add("projective" if projective else "not projective")
             # the Yoneda block of every P_i, one product against the action
-            n = M.dim
             for i, P in enumerate(ctx.projectives):
-                k = P.dim
-                if not k:
+                if not P.dim:
                     continue
-                rho = ctx.projective_rows[i] @ M.flat_action()
-                block = reverse_row_basis(rho.permuted((k, n, n), (1, 0, 2), n, k * n))
+                block = _yoneda_block(ctx, i, M)
                 assert mod.hom_space(P, copy).flat == block, (label, i)
                 assert mod.hom_space(P, M).flat == block, (label, i)
         seen.add(label)
@@ -1063,7 +1124,7 @@ def test_module_records_live_with_their_algebra(monkeypatch):
     again = [mod.direct_sum([s] * k) for k in (4, 5)]
     for M, (record, pres) in zip(again, kept):
         assert M.record is record and mod.projective_presentation(M) is pres
-        assert mod.is_projective(M) is False and ("yoneda", 0) in M.record
+        assert mod.is_projective(M) is False
     assert built == [] and len(records) == count
     # the algebra frees its context and every record with it
     freed = [weakref.ref(mod.context(A))] + [weakref.ref(pres) for _, pres in kept]
