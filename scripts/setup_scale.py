@@ -5,6 +5,7 @@ Inputs:
 
 * ``x4`` .. ``x7``: the set-up (``build_auslander`` + ``verify_auslander``,
   the ``catres auslander`` verb) of F_3[x]/x^n, dim T 30, 55, 91 and 140;
+* ``q5`` .. ``q7``: the same set-up of Q[x]/x^n, dim T 55, 91 and 140;
 * ``loops5`` .. ``loops7``: ``from_quiver`` on one vertex with two loops and
   no relations at length bound 5, 6 and 7 (31, 63 and 127 paths), which
   runs ``Algebra.validate`` on the path algebra.
@@ -39,7 +40,8 @@ from catres.io_json import algebra_to_json
 from catres.linalg import FieldSpec
 
 F3 = FieldSpec("prime", 3)
-POWERS = {f"x{n}": n for n in range(4, 8)}
+QQ = FieldSpec("rational")
+POWERS = {**{f"x{n}": (F3, n) for n in range(4, 8)}, **{f"q{n}": (QQ, n) for n in range(5, 8)}}
 LOOPS = {f"loops{bound}": bound for bound in range(5, 8)}
 
 
@@ -51,7 +53,7 @@ def digest(obj: dict) -> str:
 def run(name: str) -> tuple:
     """(wall seconds, digest) of one input, in this process."""
     if name in POWERS:
-        lam = truncated_poly_algebra(F3, POWERS[name])
+        lam = truncated_poly_algebra(*POWERS[name])
         t0 = time.perf_counter()
         report = verify_auslander(build_auslander(lam))
         return time.perf_counter() - t0, digest(report)

@@ -47,6 +47,8 @@ class AuslanderData:
     # (name, module content), or a name for a value of the data alone, -> the
     # value of ``functors`` kept for it
     functor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (dim e*tilde*e, defect) of the last ``check_corner_iso`` on the data
+    corner_iso: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_auslander(lam: Algebra) -> AuslanderData:
@@ -154,9 +156,12 @@ def check_corner_iso(data: AuslanderData):
 
     Multiplicativity makes e = zeta(1) idempotent and gives zeta(b) =
     zeta(1 b 1) = e zeta(b) e, so zeta lands in the corner; injective and
-    of the corner's dimension, it is onto it.  Returns (ok, detail).
+    of the corner's dimension, it is onto it.  Returns (ok, detail), and
+    keeps (dim, detail) on the data for ``verify_auslander``.
     """
-    detail = _corner_iso_defect(data, corner_dim(data))
+    dim = corner_dim(data)
+    detail = _corner_iso_defect(data, dim)
+    data.corner_iso = dim, detail
     return not detail, detail
 
 
@@ -197,13 +202,14 @@ def verify_auslander(data: AuslanderData) -> dict:
     Returns a report: finiteness of gldim(tilde) (with the internal-
     inconsistency flag if the depth n + 2 is exceeded, n the nilpotency
     index of Lambda), the certificate that zeta: Lambda -> tilde is an
-    algebra isomorphism onto e*tilde*e (``check_corner_iso``), and the
-    dimension double-count.
+    algebra isomorphism onto e*tilde*e (``check_corner_iso``, as
+    ``build_auslander`` ran it), and the dimension double-count.
     """
     n = data.lam.radical_chain().nilpotency_index
     g: GldimResult = global_dimension(data.tilde, n + 2)
-    dim_corner = corner_dim(data)
-    corner_detail = _corner_iso_defect(data, dim_corner)
+    if data.corner_iso is None:  # data that did not come from build_auslander
+        check_corner_iso(data)
+    dim_corner, corner_detail = data.corner_iso
     corner_ok = not corner_detail
     dim_two_ways = hom_dim_sum(data)
     report = {

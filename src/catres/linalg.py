@@ -7,39 +7,37 @@ common denominator ``den``.
 
 * prime field F_p: ``a`` is a numpy int64 array with canonical entries
   0..p-1 and ``den`` is 1; all vectorized ops are followed by ``% p``;
-* rationals: ``a`` is a numpy object array of Python ints and the matrix
-  is a / den, kept canonical: gcd(den, entries) = 1, and den = 1 for the
-  zero matrix.  Products, row reduction and coordinate solves run on the
-  numerators alone, and equality compares (den, a).  A product runs on
-  int64 copies of the numerators when the word-size rule below proves it
-  exact, and on the Python ints otherwise; either way its carrier is the
-  same.
+* rationals: the matrix is a / den, kept canonical: gcd(den, entries) =
+  1, den = 1 for the zero matrix, and ``a`` is int64 exactly when every
+  |numerator| is below ``_WORD``, else an object array of Python ints
+  (``_carrier`` picks it, so equal matrices have one carrier).
+  Products, row reduction and coordinate solves run on the numerators
+  alone, and equality compares (den, a).
 
-Every product the word-size rule below admits, over F_p and on the int64
-copies over Q, runs in ``_word_product``: the dense ``a @ b``, or, when
-the dense product reaches ``_GATHER_FLOOR`` multiply-adds and at most one
-entry in ``_GATHER_SHARE`` of the left operand is nonzero, a row-gather
-product that sums the rows of the right operand at the left one's
-nonzeros.  Each entry is the same integer sum either way, so the one
-``_int64_fits`` bound covers both.  T's table and the matrices made from
-it are almost all zeros (0.09 % nonzero at F_3[x]/x^6), so most products
-of a large set-up take the gather; README.md gives the crossovers and the
-set-up times.
+Every product the word-size rule below admits, over F_p and on int64
+carriers over Q, is the dense ``a @ b``, or, when the dense product
+reaches ``_GATHER_FLOOR`` multiply-adds and at most one entry in
+``_GATHER_SHARE`` of the left operand is nonzero, a row-gather product
+that sums the rows of the right operand at the left one's nonzeros
+(``_word_product``).  Each entry is the same integer sum either way, so
+the one ``_int64_fits`` bound covers both.  T's table and the matrices
+made from it are almost all zeros (0.09 % nonzero at F_3[x]/x^6), so most
+products of a large set-up take the gather; README.md gives the
+crossovers and the set-up times.
 
 ``FieldSpec`` owns the choice between the two fields: the scalars, the
 characteristic and the roots of a polynomial (``FieldSpec.roots``); no
 other module branches on the field kind or reads p.
 ``fractions.Fraction`` values are made only where scalars enter or leave a
 matrix: ``FieldSpec.coerce``, ``FieldSpec.scalar_from_json``,
-``FieldSpec.roots``, ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``.
+``FieldSpec.roots``, ``Mat.from_rows``, ``Mat.tolist`` and ``Mat.to_json``,
+and a scalar read off a carrier is a Python int, which cannot wrap.
 
-Only this module reads the carrier (``a``, ``den``, ``with_array``), the
-int64 copy kept beside it (``_word``, ``_int64``) and the pivot mark
-(``_pivots``); the other
-layers regroup entries through ``Mat.permuted``, select with
-``take_rows`` and ``take_cols``, compare with ``==`` and
-``first_differing_row``, and key a matrix by its content with
-``Mat.key``.
+Only this module reads the carrier (``a``, ``den``, ``with_array``) and
+the pivot mark (``_pivots``); the other layers regroup entries through
+``Mat.permuted``, select with ``take_rows`` and ``take_cols``, compare
+with ``==`` and ``first_differing_row``, and key a matrix by its content
+with ``Mat.key``.
 
 Row reduction is one Gauss-Jordan kernel on sparse rows over both
 fields, told only the characteristic: each row is a {column: value} map,
@@ -90,10 +88,13 @@ import numpy as np
 # can wrap.  ``_int64_fits`` owns it.  Over F_p the entries are 0..p-1, and
 # with p < MAX_PRIME = 2**20 any inner dimension below 2**23 fits; a product
 # past the bound is refused, and ``power_traces`` (entries modulo p*q) runs
-# on Python ints past it.  Over Q the numerators of both factors are kept
-# as int64 copies with their max |entry|, and a product past the bound, or
-# with a numerator outside int64, runs on Python ints instead.
+# on Python ints past it.  Over Q a product of int64 carriers past it, or
+# with a factor on Python ints, runs on Python ints (``_object_product``).
 MAX_PRIME = 1 << 20
+
+# a rational carrier is int64 while every |numerator| < _WORD, so that a sum,
+# a difference or a negation cannot wrap; any other int64 op checks a bound
+_WORD = 1 << 62
 
 # the rational root search trial-divides up to the square roots of the
 # lowest nonzero and the leading coefficient of the integer-cleared
@@ -140,9 +141,37 @@ def quoted(x) -> str:
     return text
 
 
+def _top(a: np.ndarray) -> int:
+    """max |entry| of a carrier, 0 if it is empty (no int64 array made
+    here holds -2**63, whose abs wraps)."""
+    if a.dtype == object:
+        return max(map(abs, a.flat), default=0)
+    return int(np.maximum.reduce(np.abs(a), axis=None, initial=0))
+
+
+def _carrier(a: np.ndarray, top: Optional[int] = None) -> np.ndarray:
+    """a on the dtype of a rational carrier whose max |numerator| is
+    ``top`` (by default a's own): int64 below ``_WORD``, else Python ints.
+    The one rule for that dtype."""
+    top = _top(a) if top is None else top
+    return a.astype(np.int64 if top < _WORD else object, copy=False)
+
+
+def _times(a: np.ndarray, c: int) -> np.ndarray:
+    """The carrier a * c for a carrier a and an integer c: in int64 when
+    max|a| * |c| < ``_WORD``, else on Python ints."""
+    top = _top(a) * abs(c)
+    return _carrier(a, top) * c if top else np.zeros(a.shape, dtype=np.int64)
+
+
+def _zeros(shape: tuple, arrays: list) -> np.ndarray:
+    """A zero array of ``shape`` on the dtype that holds the carriers ``arrays``."""
+    return np.zeros(shape, dtype=np.result_type(np.int64, *arrays))
+
+
 def _object_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b on Python ints: the route of a product the word-size rule refuses."""
-    return a @ b
+    return a.astype(object, copy=False) @ b  # an int64 b is read as Python ints
 
 
 # The dense int64 product spends one multiply-add per entry of its m x k
@@ -156,15 +185,14 @@ _GATHER_SHARE = 16
 
 
 def _word_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b on int64 arrays whose product ``_int64_fits`` admits, reduced
-    modulo p over F_p (p = 0 over Q): by ``_row_gather`` for a large
-    product whose left operand is mostly zeros, else dense.  Nonzeros are
-    counted only once the dense product reaches ``_GATHER_FLOOR``."""
-    if a.size * b.shape[1] >= _GATHER_FLOOR:  # sizes, not shapes: no tuple per call
-        flat = a.ravel()
-        at = flat.nonzero()[0]
-        if at.size * _GATHER_SHARE <= flat.size:
-            return _row_gather(flat, at, a.shape[1], b, p)
+    """a @ b on int64 arrays whose product ``_int64_fits`` admits and
+    reaches ``_GATHER_FLOOR`` multiply-adds, reduced modulo p over F_p
+    (p = 0 over Q): by ``_row_gather`` when the left operand is mostly
+    zeros, else dense."""
+    flat = a.ravel()
+    at = flat.nonzero()[0]
+    if at.size * _GATHER_SHARE <= flat.size:
+        return _row_gather(flat, at, a.shape[1], b, p)
     c = a @ b
     return c % p if p else c
 
@@ -365,82 +393,59 @@ class FieldSpec:
         raise ValueError(f"unknown field type {quoted(obj['type'])}")
 
 
-def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
-    """A zero carrier array: int64 over F_p, Python ints over Q."""
-    return np.zeros((rows, cols), dtype=np.int64 if field.kind == "prime" else object)
-
-
 def _common_den(mats: list) -> tuple[int, list]:
-    """The lcm of the denominators, and each array brought to it."""
+    """The lcm of the denominators, and each carrier brought to it."""
     den = lcm(*(m.den for m in mats))
-    return den, [m.a if m.den == den else m.a * (den // m.den) for m in mats]
+    return den, [m.a if m.den == den else _times(m.a, den // m.den) for m in mats]
 
 
 class Mat:
     """Immutable dense matrix over a :class:`FieldSpec`: the integer array
     ``a`` over the positive denominator ``den`` (always 1 over F_p).
 
-    Over Q a matrix also keeps, once a product has asked for it, an int64
-    copy of its numerators and their max |entry| (``_int64``).  A product
-    run in int64 keeps its result as its own copy, so a chain of products
-    does not convert back; a selection or rearrangement (``take_rows``,
-    ``T``, ``permuted``, ...) builds its copy afresh when it is a factor.
+    Over Q it is brought to lowest terms and its carrier dtype.  A
+    ``_made`` array (made here or selected from a carrier) is not copied,
+    and an int64 one is below ``_WORD``; any other is copied as Python ints.
 
     Stored row-major; most callers use the row-vector convention
     (vectors are 1 x n matrices acted on by right multiplication).
     """
 
-    # ``_word``, over Q only, is unset until ``_int64`` builds it or a
-    # product run in int64 sets it; then False if a numerator leaves int64,
-    # else (the numerators as int64, max |numerator| or None until asked)
-    __slots__ = ("field", "a", "den", "_word")
+    __slots__ = ("field", "a", "den")
 
-    def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _copy: bool = True):
+    def __init__(self, field: FieldSpec, a: np.ndarray, den: int = 1, _made: bool = False):
         if a.ndim != 2:
             raise ValueError(f"a matrix is a 2-d array, not {a.ndim}-d of shape {a.shape}")
         if field.kind == "rational":
-            if a.dtype != object:
-                a, _copy = a.astype(object), False
+            if not _made:
+                a, den = a.astype(object), int(den)
             if den != 1:
-                g = gcd(den, *a.flat)
+                g = gcd(den, *(a.flat if a.dtype == object else [np.gcd.reduce(a, axis=None)]))
                 if g != 1:
-                    a, den, _copy = a // g, den // g, False
-        self.field = field
-        self.a = a.copy() if _copy else a
-        self.den = den
-        self.a.setflags(write=False)
-
-    def _int64(self):
-        """Over Q, (the numerators as int64, max |numerator|), built once and
-        kept; None if a numerator leaves int64."""
-        word = getattr(self, "_word", None)
-        if word is None:
-            try:
-                word = (self.a.astype(np.int64), None)
-            except OverflowError:
-                word = False
-        if word and word[1] is None:
-            w = word[0]
-            # |-2**63| is 2**63 as uint64; every other |entry| is an int64
-            word = (w, int(np.abs(w).view(np.uint64).max()) if w.size else 0)
-        self._word = word
-        return word or None
+                    # an int64 a is a multiple of g >= _WORD only if it is zero
+                    a, den = a // g if a.dtype == object or g < _WORD else a, den // g
+            if a.dtype == object:
+                a = _carrier(a)
+        elif not _made:
+            a = a.copy()
+        self.field, self.a, self.den = field, a, den
+        a.setflags(write=False)
 
     def with_array(self, a: np.ndarray) -> "Mat":
-        """a / self.den, for an array on the scale of ``self.a``; not copied."""
-        return Mat(self.field, a, self.den, _copy=False)
+        """a / self.den, for an array of entries of ``self.a``; not copied."""
+        return Mat(self.field, a, self.den, _made=True)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Mat":
-        return Mat(field, _empty(field, rows, cols), _copy=False)
+        return Mat(field, np.zeros((rows, cols), dtype=np.int64), _made=True)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
-        a = _empty(field, n, n)
+        a = np.zeros((n, n), dtype=np.int64)
         np.fill_diagonal(a, 1)
-        return Mat(field, a, _copy=False)
+        return Mat(field, a, _made=True)
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Mat":
@@ -451,14 +456,14 @@ class Mat:
         n = len(vals[0]) if vals else 0
         if any(len(r) != n for r in vals):
             raise ValueError("ragged rows")
-        a = _empty(field, len(vals), n)
+        a = np.zeros((len(vals), n), dtype=np.int64 if field.kind == "prime" else object)
         den = 1
         if field.kind == "rational":
             den = lcm(*(x.denominator for r in vals for x in r))
             vals = [[x.numerator * (den // x.denominator) for x in r] for r in vals]
         if vals:
             a[:, :] = vals
-        return Mat(field, a, den, _copy=False)
+        return Mat(field, a, den, _made=True)
 
     @staticmethod
     def row(field: FieldSpec, entries: Iterable) -> "Mat":
@@ -476,7 +481,7 @@ class Mat:
 
     def __getitem__(self, ij):
         """Entry (i, j) as a field scalar."""
-        x = self.a[ij]
+        x = int(self.a[ij])
         return x if self.field.kind == "prime" else Fraction(x, self.den)
 
     def row_at(self, i: int) -> "Mat":
@@ -535,19 +540,15 @@ class Mat:
         """An exact hashable content key: equal keys iff equal matrices over
         one field.  The shape, ``den`` and the numerators as bytes of the
         narrowest signed integer type that holds them (over F_p the
-        canonical entries 0..p-1; over Q from the kept int64 copy, built if
-        need be), or, for a numerator outside int64, a tuple of Python
-        ints.  Equal matrices narrow to one width; at two widths the bytes
-        of one shape differ in length."""
-        if self.field.kind == "prime":
-            w, bound = self.a, self.field.p - 1
-        else:
-            word = self._int64()
-            if not word:
-                return self.a.shape, self.den, tuple(self.a.flat)
-            w, bound = word
+        canonical entries 0..p-1), or, for a carrier on Python ints, a
+        tuple of them.  Equal matrices have one carrier and narrow to one
+        width; at two widths the bytes of one shape differ in length."""
+        a = self.a
+        if a.dtype == object:
+            return a.shape, self.den, tuple(a.flat)
+        bound = self.field.p - 1 if self.field.kind == "prime" else _top(a)
         narrow = next(t for top, t in _KEY_WIDTHS if bound <= top)
-        return self.a.shape, self.den, w.astype(narrow).tobytes()
+        return a.shape, self.den, a.astype(narrow).tobytes()
 
     def __repr__(self):
         return f"Mat({self.field.kind},{self.rows}x{self.cols})"
@@ -555,9 +556,10 @@ class Mat:
     # -- arithmetic ----------------------------------------------------
 
     def _wrap(self, a: np.ndarray, den: int = 1) -> "Mat":
-        if self.field.kind == "prime":
-            a = a % self.field.p
-        return Mat(self.field, a, den, _copy=False)
+        """a / den for an array made from carriers: reduced modulo p over
+        F_p, brought to its carrier dtype over Q (a sum may reach _WORD)."""
+        a = a % self.field.p if self.field.kind == "prime" else _carrier(a)
+        return Mat(self.field, a, den, _made=True)
 
     def _same_field(self, other: "Mat"):
         # one FieldSpec object in the common case, which needs no comparison
@@ -586,32 +588,29 @@ class Mat:
         c = self.field.coerce(c)
         if self.field.kind == "prime":
             return self._wrap(self.a * c)
-        return self._wrap(self.a * c.numerator, self.den * c.denominator)
+        return Mat(self.field, _times(self.a, c.numerator), self.den * c.denominator, _made=True)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         f = self.field
         self._same_field(other)
-        (m, k), (k2, n) = self.a.shape, other.a.shape
+        x, y = self.a, other.a
+        (m, k), (k2, n) = x.shape, y.shape
         if k != k2:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
+            raise ValueError(f"shape mismatch {x.shape} @ {y.shape}")
         if not (m and k and n):
             return Mat.zeros(f, m, n)
+        dense = m * k * n < _GATHER_FLOOR  # no gather below it: no nonzeros counted
         if f.kind == "prime":
             if not _int64_fits(k, f.p - 1, f.p - 1):
                 raise ValueError(f"F_{f.p} product with inner dimension {k} would overflow int64")
-            return Mat(f, _word_product(self.a, other.a, f.p), _copy=False)
+            return Mat(f, x @ y % f.p if dense else _word_product(x, y, f.p), _made=True)
         # (A / d)(B / e) = (A B) / (d e): one integer product, one normalisation
         den = self.den * other.den
-        x, y = self._int64(), other._int64()
-        if not (x and y and _int64_fits(k, x[1], y[1])):
-            return Mat(f, _object_product(self.a, other.a), den, _copy=False)
-        c = _word_product(x[0], y[0], 0)
-        out = Mat(f, c.astype(object), den, _copy=False)
-        # the product's own int64 copy, brought to the normalised den: c is a
-        # multiple of den // out.den, so it is zero if that passes int64
-        g = den // out.den
-        out._word = (c // g if 1 < g < 1 << 63 else c, None)
-        return out
+        tops = None if object in (x.dtype, y.dtype) else (_top(x), _top(y))
+        if tops is None or not _int64_fits(k, *tops):
+            return Mat(f, _object_product(x, y), den, _made=True)
+        c = x @ y if dense else _word_product(x, y, 0)
+        return Mat(f, c if k * tops[0] * tops[1] < _WORD else _carrier(c), den, _made=True)
 
     @property
     def T(self) -> "Mat":
@@ -636,23 +635,23 @@ class Mat:
         if not mats:
             return Mat.zeros(field, 0, 0)
         den, arrays = _common_den(mats)
-        return Mat(field, np.vstack(arrays), den, _copy=False)
+        return Mat(field, np.vstack(arrays), den, _made=True)
 
     @staticmethod
     def stack_cols(field: FieldSpec, mats: list["Mat"]) -> "Mat":
         """Horizontal stack over the lcm of the denominators."""
         den, arrays = _common_den(mats)
-        return Mat(field, np.hstack(arrays), den, _copy=False)
+        return Mat(field, np.hstack(arrays), den, _made=True)
 
     @staticmethod
     def from_blocks(field: FieldSpec, rows: int, cols: int, blocks: list) -> "Mat":
         """A rows x cols matrix, zero outside the ``(i, j, block)`` triples,
         each block placed with its top-left entry at (i, j)."""
         den, arrays = _common_den([b for _, _, b in blocks])
-        a = _empty(field, rows, cols)
+        a = _zeros((rows, cols), arrays)
         for (i, j, b), x in zip(blocks, arrays):
             a[i : i + b.rows, j : j + b.cols] = x
-        return Mat(field, a, den, _copy=False)
+        return Mat(field, a, den, _made=True)
 
     @staticmethod
     def block_diag(field: FieldSpec, blocks: list["Mat"]) -> "Mat":
@@ -668,12 +667,12 @@ class Mat:
         as dims[t] x dims[t] matrices, flattened row-major."""
         n, total = flats[0].rows, sum(dims)
         den, arrays = _common_den(flats)
-        a = _empty(field, n * total, total).reshape(n, total, total)
+        a = _zeros((n, total, total), arrays)
         o = 0
         for x, m in zip(arrays, dims):
             a[:, o : o + m, o : o + m] = x.reshape(n, m, m)
             o += m
-        return Mat(field, a.reshape(n, total * total), den, _copy=False)
+        return Mat(field, a.reshape(n, total * total), den, _made=True)
 
     def flatten_row(self) -> "Mat":
         """Matrix entries as a single 1 x (rows*cols) row, row-major."""
@@ -683,8 +682,7 @@ class Mat:
 class _Reduced(Mat):
     """A ``row_basis`` output: rref rows with no zero row, marked with
     their pivot columns.  A subclass, so that no other Mat carries the
-    slot (a fifth slot moves every Mat up a 16-byte size class); a view of
-    it is a plain Mat."""
+    slot; a view of it is a plain Mat."""
 
     __slots__ = ("_pivots",)
 
@@ -747,7 +745,7 @@ def _gauss_jordan(a: np.ndarray, p: int):
         row = kept[c]
         at += [i * n + k for k in row]
         vals += row.values() if p else [x * (den // row[c]) for x in row.values()]
-    out = np.zeros(a.shape, dtype=np.int64 if p else object)  # as ``_empty`` makes it
+    out = _carrier(np.zeros(a.shape, dtype=np.int64), 0 if p else max(map(abs, vals), default=0))
     out.put(at, vals)
     return out, pivots
 
@@ -789,8 +787,8 @@ def rref(m: Mat):
         return m, [], 0
     p = m.field.characteristic
     a, pivots = _gauss_jordan(m.a, p)
-    den = 1 if p or not pivots else a[0, pivots[0]]  # a Python int over Q
-    return Mat(m.field, a, den, _copy=False), pivots, len(pivots)
+    den = 1 if p or not pivots else int(a[0, pivots[0]])
+    return Mat(m.field, a, den, _made=True), pivots, len(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -809,7 +807,7 @@ def row_basis(m) -> Mat:
     else:
         r, pivots, _ = rref(m.basis if isinstance(m, RowBasis) else m)
     rk = len(pivots)
-    out = _Reduced(r.field, r.a[:rk], r.den, _copy=rk < r.rows)
+    out = _Reduced(r.field, r.a[:rk].copy() if rk < r.rows else r.a, r.den, _made=True)
     out._pivots = tuple(pivots)
     return out
 
@@ -821,7 +819,8 @@ def reverse_row_basis(m: Mat) -> Mat:
     columns.  Rows fewer than the rows reduced are copied, as in
     ``row_basis``."""
     r, _, rk = rref(m.with_array(m.a[:, ::-1]))
-    return Mat(r.field, r.a[:rk, ::-1][::-1], r.den, _copy=rk < r.rows)
+    a = r.a[:rk, ::-1][::-1]
+    return r.with_array(a.copy() if rk < r.rows else a)
 
 
 def placed_row_basis(field: FieldSpec, cols: int, blocks: list) -> Mat:
@@ -833,13 +832,13 @@ def placed_row_basis(field: FieldSpec, cols: int, blocks: list) -> Mat:
     disjoint, the placed rows are zero on each other's pivots, so this is
     ``reverse_row_basis`` of them all, with no row reduction."""
     den, arrays = _common_den([b for b, _ in blocks])
-    a = _empty(field, sum(b.rows for b, _ in blocks), cols)
+    a = _zeros((sum(b.rows for b, _ in blocks), cols), arrays)
     r = 0
     for (b, where), x in zip(blocks, arrays):
         a[r : r + b.rows, where] = x
         r += b.rows
     last = cols - 1 - np.argmax(a[:, ::-1] != 0, axis=1)
-    return Mat(field, a[np.argsort(last, kind="stable")], den, _copy=False)
+    return Mat(field, a[np.argsort(last, kind="stable")], den, _made=True)
 
 
 def nullspace(m: Mat) -> Mat:
@@ -856,7 +855,8 @@ def nullspace_of_rref(r: Mat, pivots: list) -> Mat:
     """
     rk, pivot_set = len(pivots), set(pivots)
     free = np.array([c for c in range(r.cols) if c not in pivot_set], dtype=np.intp)
-    basis = _empty(r.field, r.cols, len(free))
+    # den, an entry of R at each pivot, fits R's carrier
+    basis = np.zeros((r.cols, len(free)), dtype=r.a.dtype)
     basis[free, np.arange(len(free))] = r.den
     if rk:
         basis[pivots, :] = -r.a[:rk, free]
@@ -938,15 +938,15 @@ class RowBasis:
         self.field, self.rows, self.cols, self.basis = f, k, n, basis
         pivots = _identity_columns(basis)
         if pivots is None:
-            flip = _empty(f, k, k)
+            flip = np.zeros((k, k), dtype=np.int64)
             flip[np.arange(k), np.arange(k)[::-1]] = 1
-            r, pivots, _ = rref(basis.hstack(Mat(f, flip, _copy=False)))
+            r, pivots, _ = rref(basis.hstack(Mat(f, flip, _made=True)))
             pivots = [c for c in pivots if c < n]
             # J's columns put back in order: T on the rows that pivot in B,
             # x for a basis of {x : x B = 0} on the others (``left_kernel``),
             # copied, as a kept kernel would pin all of rref([B | J])
             t, rk = r.a[:, n:][:, ::-1], len(pivots)
-            self._t, self._kernel = r.with_array(t[:rk]), Mat(f, t[rk:][::-1], r.den)
+            self._t, self._kernel = r.with_array(t[:rk]), r.with_array(t[rk:][::-1].copy())
         else:
             r, self._t, self._kernel = basis, Mat.identity(f, k), None
         self.pivots, self._r = pivots, r

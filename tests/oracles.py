@@ -214,11 +214,11 @@ def numpy_rref_prime(a, p):
 
 
 def fraction_free_rref(a):
-    """RREF of an object array of Python-int numerators over Q, column by
-    column with fraction-free updates on dense lists: each updated row is
-    p * row - f * pivot_row divided by its content, and the pivots divide
-    out only at the end.  Returns (rref numerators, pivot_cols, den) with
-    den the lcm of the pivots."""
+    """RREF of an array of integer numerators over Q, read as Python ints,
+    column by column with fraction-free updates on dense lists: each
+    updated row is p * row - f * pivot_row divided by its content, and the
+    pivots divide out only at the end.  Returns (rref numerators,
+    pivot_cols, den) with den the lcm of the pivots."""
     rows = [_primitive(r) for r in a.tolist()]
     m, n = a.shape
     pivots = []

@@ -105,6 +105,20 @@ def test_verify_report_x3(data_x3):
     assert r["ok"] and r["gldim_tilde"] == {"kind": "finite", "value": 2}
 
 
+def test_verify_reports_the_corner_certificate_of_the_build(monkeypatch):
+    # the build checks zeta onto the corner once; the report reads that
+    # check, and data made apart from the build is checked afresh
+    d = build_auslander(truncated_poly_algebra(F3, 3))
+    expected = verify_auslander(d)
+    assert (expected["corner_dim"], expected["corner_iso_detail"]) == d.corner_iso == (3, "")
+    calls = []
+    monkeypatch.setattr(auslander, "corner_dim", lambda data: calls.append(data) or 3)
+    assert verify_auslander(d) == expected and calls == []
+    fresh = dataclasses.replace(d)
+    assert fresh.corner_iso is None
+    assert verify_auslander(fresh) == expected and calls == [fresh]
+
+
 def test_corpus_gldim_tilde_always_finite():
     # the headline finiteness on every corpus member
     for name, lam in shipped_corpus().items():

@@ -17,8 +17,7 @@ be in ``ALLOWED_KNOBS`` with the reason it stays.  Functions on
 ``ALLOWED_UNUSED`` are exempt: no library code calls them at all.
 
 And it walks the same files for the matrix carrier: only ``linalg.py``
-reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the int64 word form
-of a rational matrix (``Mat._word``, ``Mat._int64``), the pivots that
+reads ``Mat.a``, ``Mat.den`` or ``Mat.with_array``, the pivots that
 ``row_basis`` marks its output with (``_Reduced._pivots``) or imports a
 private name of ``linalg``, so that the storage of a matrix can change in
 one file; the content key by which modules share their kept values,
@@ -36,7 +35,7 @@ And it walks them for the choice between F_p and Q: outside ``linalg.py``
 no code compares a ``.kind`` attribute with "prime" or "rational" or
 reads a ``.p`` attribute; ``FieldSpec`` answers for the field (its
 ``characteristic``, ``roots``, scalars and JSON form).  Inside
-``linalg.py`` only ``FieldSpec``, ``Mat`` and ``_empty`` do, so the one
+``linalg.py`` only ``FieldSpec`` and ``Mat`` do, so the one
 row-reduction kernel, ``RowBasis`` and the solves read only the
 characteristic.
 """
@@ -181,9 +180,8 @@ def test_every_allowlisted_knob_is_still_unsupplied():
     assert set(ALLOWED_KNOBS) <= unsupplied_knobs()
 
 
-# the canonical carrier, the int64 copy of the numerators kept beside it and
-# the pivots a ``row_basis`` output is marked with
-CARRIER_ATTRIBUTES = {"a", "den", "with_array", "_word", "_int64", "_pivots"}
+# the canonical carrier and the pivots a ``row_basis`` output is marked with
+CARRIER_ATTRIBUTES = {"a", "den", "with_array", "_pivots"}
 
 # (file stem, Class.method) allowed to read the carrier outside linalg
 CARRIER_READERS = {
@@ -367,9 +365,9 @@ def field_kind_branches(paths) -> list:
 
 
 # the scopes of linalg.py that may branch on the field kind or read p: the
-# field, the matrix carrier and its zero array; the row reduction, RowBasis,
-# the solves, the nullspaces and power_traces read only ``characteristic``
-LINALG_FIELD_SCOPES = ("FieldSpec.", "Mat.", "_empty")
+# field and the matrix carrier; the row reduction, RowBasis, the solves,
+# the nullspaces and power_traces read only ``characteristic``
+LINALG_FIELD_SCOPES = ("FieldSpec.", "Mat.")
 
 
 def test_only_linalg_branches_on_the_field_kind():
@@ -377,7 +375,7 @@ def test_only_linalg_branches_on_the_field_kind():
     assert field_kind_branches(p for p in SRC.glob("*.py") if p.stem != "linalg") == []
     # the walk sees both kinds of branch where they are allowed
     scopes = {where for _, where, _ in field_kind_branches([SRC / "linalg.py"])}
-    assert {"FieldSpec.roots", "FieldSpec.characteristic", "_empty"} <= scopes
+    assert {"FieldSpec.roots", "FieldSpec.characteristic", "Mat.from_rows"} <= scopes
     assert sorted(s for s in scopes if not (s or "").startswith(LINALG_FIELD_SCOPES)) == []
     # and the one kernel is handed the characteristic
     rref = next(

@@ -42,6 +42,9 @@ from oracles import (
 
 F5 = FieldSpec("prime", 5)
 QQ = FieldSpec("rational")
+# a rational carrier is int64 exactly when every |numerator| is below it
+WORD = 1 << 62
+BIG_DEN = 2**65 + 7
 
 
 def test_fieldspec_validation():
@@ -240,7 +243,7 @@ def test_rational_rref_matches_the_fraction_free_and_naive_routes(m):
     via_columns, piv_columns, den = fraction_free_rref(m.a)
     via_lists, piv_naive = naive_rref(m.tolist(), m.field)
     assert piv == piv_columns == piv_naive and rk == len(piv)
-    assert r.a.dtype == object and r.a.shape == m.a.shape
+    assert _canonical(r) and r.a.shape == m.a.shape
     assert r == Mat(QQ, via_columns, den) and r.tolist() == via_lists
     assert (m.a == before).all()
 
@@ -471,9 +474,8 @@ def _check_product(x, y):
 
 
 def test_q_zero_product_over_denominators_past_int64(object_products):
-    # the int64 product is 0 over den 1, not over den (2**65 + 7)**2, and
-    # its kept int64 copy is not divided by that den; the copy serves the
-    # next product
+    # the int64 product is 0 over den 1, not over den (2**65 + 7)**2, which
+    # no int64 divides it by; as a factor again it runs in int64
     big = 2**65 + 7
     zero = _check_product(_q_mat([[1, 0]], big), _q_mat([[0], [1]], big))
     assert zero.is_zero() and zero.den == 1
@@ -498,18 +500,29 @@ def test_q_product_at_the_word_size_bound(object_products, den):
         assert object_products[:1] == route
 
 
-@pytest.mark.parametrize("entry", [(1 << 63) - 1, -(1 << 63) + 1, -(1 << 63), 1 << 63])
+@pytest.mark.parametrize(
+    "entry",
+    [WORD - 1, -WORD + 1, WORD, -WORD, (1 << 63) - 1, -(1 << 63) + 1, -(1 << 63), 1 << 63],
+)
 def test_q_product_of_entries_at_the_edge_of_int64(object_products, entry):
-    # astype(np.int64) takes +-(2**63 - 1) and -2**63 and overflows at 2**63;
-    # |-2**63| = 2**63 is past the bound unless the other factor is zero
+    # a numerator below 2**62 is carried in int64 and its products run there
+    # when the word-size rule admits them; from 2**62 on, and so past the
+    # int64 limits +-(2**63 - 1), -2**63 and 2**63, it is carried on Python
+    # ints and so are its products, also by a zero factor
     x = _q_mat([[entry], [1]], 3)  # inner dimension 1
-    for y, top in ((_q_mat([[1, 0]]), 1), (_q_mat([[0, -1]], 5), 1), (_q_mat([[0, 0]]), 0)):
+    word = abs(entry) < WORD
+    assert _canonical(x) and (x.a.dtype == np.int64) == word
+    for y in (_q_mat([[1, 0]]), _q_mat([[0, -1]], 5), _q_mat([[0, 0]])):
         object_products.clear()
         _check_product(x, y)
-        word = entry < 1 << 63 and abs(entry) * top < 1 << 63
         assert bool(object_products) != word
+    # by 2 an int64 entry's product runs in int64 and its result, past
+    # 2**62, is carried on Python ints; by 3 it leaves int64
     object_products.clear()
-    _check_product(x, _q_mat([[2, 1]]))  # 2 * entry leaves int64
+    assert _canonical(_check_product(x, _q_mat([[2, 1]])))
+    assert bool(object_products) != word
+    object_products.clear()
+    _check_product(x, _q_mat([[3, 1]]))
     assert object_products
 
 
@@ -537,7 +550,7 @@ def products_near_the_word_size_bound(draw):
 def test_q_products_near_the_word_size_bound_match_the_oracles(xy):
     x, y = xy
     prod = _check_product(x, y)
-    # the product as a factor again, on the int64 copy it keeps if it fits
+    # the product as a factor again, on int64 below 2**62, else on Python ints
     z = _q_mat([[1 - 2 * (j % 2)] for j in range(y.cols)], 7)
     _check_product(prod, z)
     _check_product(x.T.take_rows([0]), prod.take_cols(slice(0, 1)))
@@ -688,16 +701,67 @@ def test_prime_scalar_arithmetic_canonical(a, b):
 
 def _canonical(m):
     """The carrier invariant: over F_p int64 entries in 0..p-1 over den 1;
-    over Q Python ints over a positive den with gcd(den, entries) = 1 (so
-    den = 1 for the zero matrix)."""
+    over Q a Python int den >= 1 with gcd(den, entries) = 1 (so den = 1 for
+    the zero matrix), the numerators int64 exactly when every one of them
+    is below 2**62 in absolute value, else Python ints."""
     if m.field.kind == "prime":
         return m.den == 1 and m.a.dtype == np.int64 and ((m.a >= 0) & (m.a < m.field.p)).all()
+    nums = [int(x) for x in m.a.flat]
+    word = all(abs(x) < WORD for x in nums)
     return (
-        m.a.dtype == object
-        and all(type(x) is int for x in m.a.flat)
+        m.a.dtype == (np.int64 if word else object)
+        and (word or all(type(x) is int for x in m.a.flat))
+        and type(m.den) is int
         and m.den >= 1
-        and gcd(m.den, *m.a.flat) == 1
+        and gcd(m.den, *nums) == 1
     )
+
+
+def _raw(a, den):
+    """A rational Mat holding a and den as given, past the constructor."""
+    m = object.__new__(Mat)
+    m.field, m.a, m.den = QQ, a, den
+    return m
+
+
+def test_the_carrier_check_holds_both_ways():
+    # int64 below the word bound and Python ints from it on pass; a carrier
+    # on the other dtype, in higher terms or over a numpy den fails
+    below = np.array([[WORD - 1, -WORD + 1]], dtype=np.int64)
+    at = np.array([[WORD, 1]], dtype=object)
+    assert _canonical(_raw(below, 1)) and _canonical(_raw(at, 3))
+    for a, den in (
+        (below.astype(object), 1),
+        (at.astype(np.int64), 3),
+        (below * 0 + 2, 2),
+        (below, np.int64(1)),
+        (at * 2, 2),
+    ):
+        assert not _canonical(_raw(a, den))
+    # the constructor makes the canonical carrier from any of them, int64
+    # input at the bound and at -2**63 included
+    edge = np.array([[-(1 << 63), 2]], dtype=np.int64)
+    for a, den in (
+        (below.astype(object), 1),
+        (at, 3),
+        (at.astype(np.int64), 3),
+        (at * 4, 4),
+        (edge, 2),
+        (below * 0, 2**70),
+    ):
+        m = Mat(QQ, a, den)
+        assert _canonical(m) and m == Mat.from_rows(QQ, [[Fraction(int(x), den) for x in a[0]]])
+
+
+def test_scalars_read_off_a_carrier_are_python_ints():
+    # Fraction(np.int64(2**62 - 1), 1) * 4 would wrap to -4 with only a warning
+    m = Mat.from_rows(QQ, [[WORD - 1, -1]])
+    assert m.a.dtype == np.int64
+    x = m[0, 0]
+    assert type(x.numerator) is int and x * 4 == 4 * (WORD - 1)
+    assert type(Mat.from_rows(F5, [[3]])[0, 0]) is int
+    r = rref(Mat.from_rows(QQ, [[2, 1]]))[0]
+    assert type(r.den) is int and r.den == 2
 
 
 @given(mat_triples(), st.integers(1, 6))
@@ -740,6 +804,66 @@ def test_carrier_stays_canonical_and_matches_the_fraction_oracles(t, k):
         assert m.tolist() == expected, name
     for m in (b, nullspace(x), rb._r_free, rb._t, rb.coords(c @ x)):
         assert _canonical(m)
+
+
+# numerators on both sides of the word bound, and small ones
+_EDGES = [0, 1, -2, 3, WORD - 1, -WORD + 1, WORD, -WORD, WORD + 1, -WORD - 1]
+
+
+@st.composite
+def pairs_at_the_word_bound(draw):
+    """Two rational matrices of one shape whose numerators sit at +-(2**62
+    - 1), +-2**62, +-(2**62 + 1) or are small, over 1, 3 or 2**65 + 7, the
+    latter also over small numerators alone; and a scalar."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.sampled_from(_EDGES[:4])
+
+    def one():
+        nums = st.sampled_from(_EDGES) if draw(st.booleans()) else small
+        flat = draw(st.lists(nums, min_size=rows * cols, max_size=rows * cols))
+        den = draw(st.sampled_from([1, 3, BIG_DEN]))
+        return Mat(QQ, np.array(flat, dtype=object).reshape(rows, cols), den)
+
+    scalar = st.sampled_from([0, 2, -3, Fraction(1, 2), Fraction(-5, BIG_DEN), BIG_DEN])
+    return one(), one(), draw(scalar)
+
+
+def _fractions(rows, f):
+    return [[f(x) for x in row] for row in rows]
+
+
+@given(pairs_at_the_word_bound())
+@example((Mat(QQ, np.array([[1, -2]], dtype=object), BIG_DEN),) * 2 + (Fraction(1, 2),))
+@example((Mat(QQ, np.array([[WORD - 1], [WORD - 1]], dtype=object)),) * 2 + (2,))
+def test_carriers_at_the_word_bound_match_the_fraction_oracles(case):
+    x, y, c = case
+    xs, ys = x.tolist(), y.tolist()
+    cases = {
+        "sum": (x + y, [[a + b for a, b in zip(p, q)] for p, q in zip(xs, ys)]),
+        "difference": (x - y, [[a - b for a, b in zip(p, q)] for p, q in zip(xs, ys)]),
+        "negation": (-x, _fractions(xs, lambda a: -a)),
+        "scale": (x.scale(c), _fractions(xs, lambda a: a * c)),
+        "product": (x @ y.T, naive_matmul(xs, y.T.tolist(), QQ)),
+        "stack_rows": (Mat.stack_rows(QQ, [x, y]), xs + ys),
+        "hstack": (x.hstack(y), [p + q for p, q in zip(xs, ys)]),
+        "block_diag": (
+            Mat.block_diag(QQ, [x, y]),
+            [p + [0] * y.cols for p in xs] + [[0] * x.cols + q for q in ys],
+        ),
+    }
+    rows, pivots = naive_rref(xs, QQ)
+    free = [j for j in range(x.cols) if j not in pivots]
+    kernel = [[Fraction(int(i == j)) for j in free] for i in range(x.cols)]
+    for r, pc in enumerate(pivots):
+        kernel[pc] = [-rows[r][j] for j in free]
+    cases["nullspace"] = (nullspace(x), kernel)
+    v = Mat.from_rows(QQ, [[1] * x.rows]) @ x
+    expected = augmented_solve(x.T, v.T)
+    cases["coords"] = (RowBasis(x).coords(v), expected.T.tolist())
+    for name, (m, want) in cases.items():
+        assert _canonical(m), name
+        assert m.tolist() == want, name
+    assert RowBasis(x).coords(v) @ x == v
 
 
 def _rand_mat_from_seed(field, seed, rows):
@@ -873,9 +997,6 @@ def test_reverse_row_basis_of_a_kernel_span_is_the_nullspace_basis(m, data):
 
 
 # -- canonical bases: factored with no reduction ----------------------------
-
-BIG_DEN = 2**65 + 7
-
 
 # the ``reductions`` fixture patches the kernel once per test: each example
 # clears it before the calls it counts
@@ -1077,8 +1198,8 @@ def test_key_is_equal_iff_the_matrices_are(pair):
     m, other = pair
     assert (m.key() == other.key()) == (m == other)
     assert hash(m.key()) == hash(m.take_rows(range(m.rows)).key())
-    # the same content as a strided view, as a product that keeps its own
-    # int64 copy over Q, and as a fresh copy of its numerators
+    # the same content as a strided view, as a product and as a fresh copy
+    # of its numerators
     for twin in (m.T.T, m @ Mat.identity(m.field, m.cols), m.take_rows(range(m.rows))):
         assert twin.key() == m.key()
 
@@ -1088,10 +1209,12 @@ def test_key_tells_apart_denominators_shapes_and_big_numerators():
     halved = Mat(QQ, m.a, m.den * 2)  # the same numerators over twice the den
     assert halved != m and halved.key() != m.key()
     assert m.reshape(2, 1).key() != m.key()
-    # a numerator outside int64 is keyed by the Python ints themselves
+    # a carrier on Python ints is keyed by the ints themselves
     big = np.array([[1 << 70, 1]], dtype=object)
     assert Mat(QQ, big).key() == Mat(QQ, big.copy()).key()
     assert Mat(QQ, big).key() != Mat(QQ, big * 3).key() != Mat(QQ, big, 7).key()
+    edge = Mat.from_rows(QQ, [[WORD]])
+    assert edge.key() == Mat.from_rows(QQ, [[WORD]]).key() != Mat.from_rows(QQ, [[WORD - 1]]).key()
     # entries that agree in their lowest byte, over a large prime and over Q
     f = FieldSpec("prime", 65537)
     assert Mat.from_rows(f, [[65536, 257]]).key() != Mat.from_rows(f, [[0, 1]]).key()
