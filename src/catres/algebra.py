@@ -12,7 +12,10 @@ dimension > 1, a zero divisor when the corner is simple.  The random
 coefficients of a search are drawn from a seeded rng before any of its
 candidates is tried, so the idempotents are a function of the input.  An
 algebra whose construction gives its idempotents carries them as
-``idempotent_hint``; ``checked_idempotents`` certifies them and the split's.
+``idempotent_hint``: a quiver algebra its trivial paths (``from_quiver``,
+in the order the split would list them), the Auslander algebra T its
+local pieces; ``checked_idempotents`` certifies them and the split's.  So
+only an algebra given by structure constants is split.
 
 Conventions (fixed across the package): elements are coordinate row
 vectors; the path ``[a, b]`` means "a first, then b"; modules are right
@@ -547,7 +550,9 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     Basis: residue paths of length < length_bound modulo the two-sided
     ideal generated by the relations (all longer paths are killed by the
     bound).  The path [a, b] means "a first, then b"; right modules act
-    by path concatenation on the right.
+    by path concatenation on the right.  The algebra carries its radical,
+    the positive-length paths, as ``radical_hint`` and its primitive
+    idempotents, the trivial paths, as ``idempotent_hint``.
     """
     f = q.field
     arrow_by_name = {a[0]: a for a in q.arrows}
@@ -656,4 +661,12 @@ def from_quiver(q: QuiverSpec) -> Algebra:
     alg.radical_hint = (
         row_basis(Mat.stack_rows(f, pos)) if pos else Mat.zeros(f, 0, alg.dim)
     )
+    # the trivial paths, in the order the split of A/J = k^n lists them: it
+    # splits off g(z)/g(lam) for the first remaining vertex z and the first
+    # root lam of t^2 - t, which is z itself when lam = 1 (first vertex
+    # first) and 1 - z when lam = 0 (last vertex first)
+    trivial = [bounded.basis_element(i) @ proj for i, (arrs, s, t) in enumerate(paths) if not arrs]
+    if f.roots([f.zero, -f.one, f.one])[0] == 0:
+        trivial.reverse()
+    alg.idempotent_hint = Mat.stack_rows(f, trivial)
     return alg

@@ -11,6 +11,8 @@ Krull-Schmidt (``modules.is_isomorphic``).
 
 Ext is read off Hom dimensions down the same chain, by dimension shifting
 (Auslander, Reiten and Smalo, Representation theory of Artin algebras).
+Injectivity reads no chain: it is the dual of ``modules.is_projective``'s
+count on the top, a count on the socle (``is_injective``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, SplitGiveUp
+from .linalg import Mat, rank
 from .modules import (
     ModHom,
     Repn,
@@ -155,15 +158,26 @@ def global_dimension(A: Algebra, max_depth: Optional[int] = None) -> GldimResult
 
 
 def is_injective(A: Algebra, M: Repn) -> bool:
-    """Injectivity via Ext^1 vanishing against every simple.
+    """Is M injective?  Its injective hull I(M) = I(soc M) contains M, so
+    iff dim I(M) = dim M, and dim I(M) is read off the socle, the dual of
+    ``modules.is_projective``'s count on the top:
 
-    Valid for finite-dimensional algebras: a module with Ext^1(S, M) = 0
-    for all simples S has no proper essential extension, by induction on
-    the length of the cokernel.
+        dim I(M) = sum_r dim(soc(M) e_r) * dim A e_r
+
+    over the representatives e_r of ``context(A)``.  S_r e_r is
+    1-dimensional (each primitive idempotent spans a corner of dimension 1
+    in A/J), so dim(soc(M) e_r) is the multiplicity of S_r in soc(M), and
+    the injective hull of S_r is D(A e_r).
     """
     if M.dim == 0:
         return True
-    return all(ext_dim(s, M, 1) == 0 for s in distinct_simples(A))
+    ctx = context(A)
+    soc, reps = ctx.socle_rows(M), ctx.representatives
+    e = Mat.stack_rows(A.field, [ctx.idempotents[r] for r in reps])
+    m = M.dim
+    moved = soc @ (e @ M.flat_action()).permuted((len(reps), m, m), (1, 0, 2), m, len(reps) * m)
+    blocks = [moved.take_cols(slice(i * m, (i + 1) * m)) for i in range(len(reps))]
+    return m == sum(rank(b) * dim for b, dim in zip(blocks, ctx.injective_hull_dims))
 
 
 def is_self_injective(A: Algebra) -> bool:

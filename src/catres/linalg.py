@@ -1002,3 +1002,55 @@ class RowBasis:
 def coords_in_rows(basis: Mat, v: Mat) -> Mat:
     """Coordinates c with c @ basis = v; raises if v is outside the span."""
     return RowBasis(basis).coords(v)
+
+
+def first_non_intertwiner(source: Mat, target: Mat, maps: Mat) -> Optional[int]:
+    """The index of the first row F of ``maps``, an m x n matrix flattened
+    row-major, with A_b F != F B_b for some b, or None if there is none.
+    A_b and B_b are the rows b of ``source`` (d x m^2) and ``target``
+    (d x n^2) read as m x m and n x n matrices: the actions of two modules.
+
+    Every pair (F, b) is checked from two broadcast products on the
+    carriers, ``A F`` and ``F B``, the maps taken in blocks whose sides
+    hold about ``_CHECK_CELLS`` entries.  Over F_p the sides are compared
+    modulo p; over Q, with A, F and B over the denominators a, f and b,
+    (A/a)(F/f) = (F/f)(B/b) iff (A F) b = (F B) a, on int64 where
+    ``_int64_fits`` admits it and on Python ints past it.  Where
+    ``Mat.__matmul__`` would take the row gather for A stacked against the
+    maps side by side (``_word_product``), the two sides are those 2-D
+    products instead."""
+    (d, mm), (_, nn), (k, cells) = source.a.shape, target.a.shape, maps.a.shape
+    m, n = isqrt(mm), isqrt(nn)
+    if not (d and k and cells):
+        return None
+    x, y = source.a, target.a
+    if d * mm * k * n >= _GATHER_FLOOR and np.count_nonzero(x) * _GATHER_SHARE <= x.size:
+        # each product is permuted, and dropped, before the next is made
+        left = (source.reshape(d * m, m) @ maps.permuted((k, m, n), (1, 0, 2), m, k * n)).permuted(
+            (d, m, k, n), (2, 0, 1, 3), k, d * cells
+        )
+        right = (maps.reshape(k * m, n) @ target.permuted((d, n, n), (1, 0, 2), n, d * n)).permuted(
+            (k, m, d, n), (0, 2, 1, 3), k, d * cells
+        )
+        return left.first_differing_row(right)
+    p = source.field.characteristic
+    if not p:
+        x, y = (a if c == 1 else _times(a, c) for a, c in ((x, target.den), (y, source.den)))
+    x, y, f = x.reshape(d, m, m), y.reshape(d, n, n), maps.a
+    tops = (p - 1,) * 3 if p else (_top(x), _top(f), _top(y))
+    wide = object in (x.dtype, f.dtype, y.dtype) or not (
+        _int64_fits(m, tops[0], tops[1]) and _int64_fits(n, tops[1], tops[2])
+    )
+    if wide:
+        x, y, f = x.astype(object), y.astype(object), f.astype(object)
+    step = max(1, _CHECK_CELLS // (d * cells))
+    for i in range(0, k, step):
+        block = f[i : i + step].reshape(-1, 1, m, n)
+        left, right = np.matmul(x, block), np.matmul(block, y)  # (maps, d, m, n)
+        if p:
+            left %= p
+            right %= p
+        bad = (left != right).reshape(len(block), -1).any(axis=1)
+        if bad.any():
+            return i + int(np.argmax(bad))
+    return None

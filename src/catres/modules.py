@@ -22,14 +22,15 @@ What depends only on a module's action is built once per content, not
 per object: modules over one algebra with equal (dim, action) share one
 record, a dict in ``context(A).records`` keyed by ``(dim, Mat.key())``
 (hash-consing, Filliatre and Conchon, ML Workshop 2006).  It keeps the
-presentation (and, on it, the syzygy Omega), the radical rows and the top
-projection, the projectivity test, on the content of P_i its index i,
-and each Hom space out of the module, checked, under its target's key.
-The context owns the records and lives as long as the algebra, so a value
-is built once per algebra, however long its modules live, and the work of
-a run does not depend on when the garbage collector runs.  The functor
-values, which also depend on the Auslander data, are kept on that data
-(``functors``).  Only ``Repn.summands`` stays on the object.
+presentation (and, on it, the syzygy Omega), the radical rows, the top
+projection and the socle rows, the projectivity test, on the content of
+P_i its index i, and each Hom space out of the module, checked, under its
+target's key.  The context owns the records and lives as long as the
+algebra, so a value is built once per algebra, however long its modules
+live, and the work of a run does not depend on when the garbage collector
+runs.  The functor values, which also depend on the Auslander data, are
+kept on that data (``functors``).  Only ``Repn.summands`` stays on the
+object.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .linalg import (
     FieldSpec,
     Mat,
     RowBasis,
+    first_non_intertwiner,
     left_nullspace,
     placed_row_basis,
     rank,
@@ -414,18 +416,9 @@ def _presentation_homs(M: Repn, N: Repn) -> Mat:
 
 def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
     """The index of the first map F of ``space`` with rho_M(b) F != F rho_N(b)
-    for some basis element b, or None if every map intertwines.
-
-    Two products cover every pair: the actions of M stacked, followed by
-    every F, and every F followed by the actions of N side by side.
-    """
-    M, N = space.source, space.target
-    d, m, n, k = M.algebra.dim, M.dim, N.dim, len(space)
-    if k == 0:
-        return None
-    left = space.after(M.flat_action().reshape(d * m, m))
-    right = space.then(N.wide_action())
-    return left.first_differing_row(right.permuted((k, m, d, n), (0, 2, 1, 3), k, d * m * n))
+    for some basis element b, or None if every map intertwines
+    (``linalg.first_non_intertwiner``)."""
+    return first_non_intertwiner(space.source.flat_action(), space.target.flat_action(), space.flat)
 
 
 # -- per-algebra derived data ----------------------------------------------
@@ -437,8 +430,9 @@ class ModuleContext:
 
     Every ``Repn`` asks for the context of its algebra, so making one
     computes nothing.  The idempotents are the algebra's checked idempotent
-    hint when it carries one (the Auslander algebra T, from its local
-    pieces), else the split of A/J (``primitive_idempotents``)."""
+    hint when it carries one (a quiver algebra's trivial paths, the
+    Auslander algebra T's local pieces), else the split of A/J
+    (``primitive_idempotents``)."""
 
     def __init__(self, A: Algebra):
         self.algebra = A
@@ -515,6 +509,19 @@ class ModuleContext:
         """Row span of M . J inside M, kept on M's record."""
         return _recorded(M, "radical_rows", lambda: _radical_rows(M, self.chain.radical))
 
+    def socle_rows(self, M: Repn) -> Mat:
+        """Rows of a basis of soc(M) = {v : v . J = 0} inside M, kept on M's
+        record: the left kernel of [rho(j_1) | ... | rho(j_s)] over the rows
+        j of a basis of J, from one product."""
+        return _recorded(M, "socle_rows", lambda: _socle_rows(M, self.chain.radical))
+
+    @cached_property
+    def injective_hull_dims(self) -> list:
+        """dim A e_r for each representative r: the dimension of the
+        injective hull D(A e_r) of S_r (row k of R(e_r) is b_k e_r)."""
+        A = self.algebra
+        return [rank(A.right_mult_matrix(self.idempotents[r])) for r in self.representatives]
+
     def top_projection(self, M: Repn) -> Mat:
         """The projection M -> M/MJ onto the top, as a matrix, kept on M's
         record."""
@@ -527,6 +534,13 @@ def _radical_rows(M: Repn, j: Mat) -> Mat:
     if j.rows == 0 or M.dim == 0:
         return Mat.zeros(M.field, 0, M.dim)
     return row_basis((j @ M.flat_action()).reshape(j.rows * M.dim, M.dim))
+
+
+def _socle_rows(M: Repn, j: Mat) -> Mat:
+    if j.rows == 0 or M.dim == 0:
+        return Mat.identity(M.field, M.dim)
+    s, m = j.rows, M.dim
+    return left_nullspace((j @ M.flat_action()).permuted((s, m, m), (1, 0, 2), m, s * m))
 
 
 def context(A: Algebra) -> ModuleContext:

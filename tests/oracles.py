@@ -93,7 +93,15 @@ replacement, on the library's own primitives:
   against the radical it is given (the library's certified one), against
   the block products and the corners of A/J of
   ``algebra.checked_idempotents``, which certifies the idempotents of a
-  hint and of the split alike.
+  hint and of the split alike;
+* ``two_product_non_intertwiner`` checks maps against two module actions
+  by two 2-D products of ``Mat``s, one side permuted onto the other (the
+  library's former route), and ``naive_non_intertwiner`` one map and one
+  basis element at a time on lists of field scalars, against the broadcast
+  products of ``linalg.first_non_intertwiner``;
+* ``ext_is_injective`` asks Ext^1(S, M) = 0 of every simple S (the
+  library's former route), against the socle count of
+  ``homology.is_injective``.
 """
 
 import itertools
@@ -102,7 +110,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -122,6 +130,7 @@ from catres.complexes import (
     step_v_unit,
 )
 from catres.functors import counit, theta_hom, theta_rho_data
+from catres.homology import distinct_simples, ext_dim
 from catres.linalg import (
     MAX_ROOT_SEARCH_PRODUCT,
     Mat,
@@ -1271,3 +1280,42 @@ def module_content(M):
     """(algebra, dim, action entries as field scalars) of M: equal for two
     modules iff they have the same content."""
     return id(M.algebra), M.dim, tuple(map(tuple, M.flat_action().tolist()))
+
+
+def two_product_non_intertwiner(source, target, maps):
+    """The first row F of ``maps`` (m x n, flattened) with A_b F != F B_b
+    for a row b of ``source`` (the m x m A_b) or ``target`` (the n x n
+    B_b), or None: the actions of A stacked against the maps side by side,
+    and the maps stacked against the actions of B side by side, the first
+    product permuted onto the layout of the second."""
+    d, k = source.rows, maps.rows
+    m, n = isqrt(source.cols), isqrt(target.cols)
+    if not (d and k and m and n):
+        return None
+    wide = maps.permuted((k, m, n), (1, 0, 2), m, k * n)
+    left = (source.reshape(d * m, m) @ wide).permuted((d, m, k, n), (2, 0, 1, 3), k, d * m * n)
+    right = maps.reshape(k * m, n) @ target.permuted((d, n, n), (1, 0, 2), n, d * n)
+    return left.first_differing_row(right.permuted((k, m, d, n), (0, 2, 1, 3), k, d * m * n))
+
+
+def naive_non_intertwiner(source, target, maps):
+    """``two_product_non_intertwiner`` one map F and one b at a time, as
+    products of lists of field scalars."""
+    f = source.field
+    m, n = isqrt(source.cols), isqrt(target.cols)
+
+    def square(row, size):
+        return [row[i * size : (i + 1) * size] for i in range(size)]
+
+    acts = [(square(a, m), square(b, n)) for a, b in zip(source.tolist(), target.tolist())]
+    for t, flat in enumerate(maps.tolist()):
+        F = [flat[i * n : (i + 1) * n] for i in range(m)]
+        if any(naive_matmul(a, F, f) != naive_matmul(F, b, f) for a, b in acts):
+            return t
+    return None
+
+
+def ext_is_injective(A, M):
+    """Is M injective?  Iff Ext^1(S, M) = 0 for every simple S: a module
+    with no extension by a simple has no proper essential extension."""
+    return M.dim == 0 or all(ext_dim(s, M, 1) == 0 for s in distinct_simples(A))

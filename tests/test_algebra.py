@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catres import algebra
 from catres.algebra import (
@@ -403,6 +403,82 @@ def test_split_routes_agree():
         assert primitive_idempotents(a, ch) == corner_split_idempotents(a, ch), label
         seen.add(label)
     assert {"x3_q", "T(x3_q)", "M_2(Q)", "T(F_2[S_3])", "F_3[A_4]"} <= seen
+
+
+# -- a quiver algebra's idempotents from its vertices ---------------------------
+
+
+def _hint_route_idempotents(a, monkeypatch):
+    """``context(a).idempotents`` with the split refused, so the hint
+    route must give them."""
+    from catres import modules
+
+    def refused(*args):
+        raise AssertionError("the split ran on an algebra with an idempotent hint")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "primitive_idempotents", refused)
+        return modules.context(a).idempotents
+
+
+def _assert_hint_is_the_split(lam, vertices, monkeypatch):
+    """The hint route and the split agree row for row, and the hint lists
+    the trivial paths of ``vertices`` last first over F_p and first first
+    over Q, as the split of A/J = k^n does."""
+    hinted = _hint_route_idempotents(lam, monkeypatch)
+    bare = with_radical_hint(lam, lam.radical_hint)  # no idempotent hint: the split
+    assert hinted == primitive_idempotents(bare, bare.radical_chain())
+    order = vertices if lam.field == QQ else vertices[::-1]
+    assert [lam.basis_labels[int(np.argmax(e.tolist()[0]))] for e in hinted] == [
+        f"e_{v}" for v in order
+    ]
+
+
+def _commutative_square(field):
+    """1 -> 2 -> 4 and 1 -> 3 -> 4 with the relation ab = cd (dim 9)."""
+    arrows = [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    relation = [(1, ["a", "b"]), (-1, ["c", "d"])]
+    return QuiverSpec(field, ["1", "2", "3", "4"], arrows, [relation], 3)
+
+
+def test_quiver_idempotent_hint_is_the_split_on_the_corpus_and_with_relations(monkeypatch):
+    seen = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        obj = json.loads(path.read_text())
+        lam = parse_algebra_or_quiver(obj)
+        if "vertices" not in obj:  # structure constants: no hint, the split
+            assert lam.idempotent_hint is None, path.stem
+            continue
+        _assert_hint_is_the_split(lam, obj["vertices"], monkeypatch)
+        seen.add(path.stem)
+    for field in (F2, F3, F5, QQ):
+        spec = _commutative_square(field)
+        _assert_hint_is_the_split(from_quiver(spec), spec.vertices, monkeypatch)
+        two_cycle = gentle_two_cycle(field)
+        _assert_hint_is_the_split(two_cycle, ["1", "2"], monkeypatch)
+        isolated = QuiverSpec(field, ["u", "v", "w"], [], [], 1)  # A/J = A = k^3
+        _assert_hint_is_the_split(from_quiver(isolated), isolated.vertices, monkeypatch)
+    assert {"gentle_two_cycle_f2", "kxk_f5", "t2_f3"} <= seen
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([F2, F3, F5, QQ]),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_cyclic_quiver_idempotent_hint_is_the_split_at_any_listing_order(
+    monkeypatch, field, n, bound, rng
+):
+    # kQ/J^bound on the oriented n-cycle, its vertices and arrows listed in
+    # a random order
+    vertices = [str(v) for v in range(n)]
+    arrows = [(f"a{v}", str(v), str((v + 1) % n)) for v in range(n)]
+    rng.shuffle(vertices)
+    rng.shuffle(arrows)
+    lam = from_quiver(QuiverSpec(field, vertices, arrows, [], bound))
+    _assert_hint_is_the_split(lam, vertices, monkeypatch)
 
 
 @pytest.mark.parametrize("field", [F3, QQ])

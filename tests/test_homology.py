@@ -1,9 +1,11 @@
 import json
 import random
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catres import homology as hml
 from catres import modules as mod
@@ -17,7 +19,13 @@ from catres.corpus import (
 from catres.auslander import build_auslander
 from catres.io_json import parse_algebra_or_quiver
 from catres.linalg import FieldSpec, Mat, RowBasis, left_nullspace, rank
-from oracles import iso_distinct_simples, loop_projective_resolution, resolution_ext_dim
+from catres.samples import ModulePool
+from oracles import (
+    ext_is_injective,
+    iso_distinct_simples,
+    loop_projective_resolution,
+    resolution_ext_dim,
+)
 from test_modules import syzygy_chain
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -277,6 +285,43 @@ def test_injectivity_resolves_each_simple_once(monkeypatch):
             if len(res.modules) > 1:
                 assert res.modules[1] is mod.projective_cover(omega[0]).source, label
         assert set(built.values()) == {1}, label
+
+
+@cache
+def _corpus_pool(name):
+    """The ``ModulePool`` of the Auslander data of a corpus file."""
+    return ModulePool(build_auslander(parse_algebra_or_quiver(json.loads((CORPUS / name).read_text()))))
+
+
+CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.json"))
+
+
+def test_socle_injectivity_matches_the_ext_route_on_the_module_pools():
+    verdicts = Counter()
+    for name in CORPUS_FILES:
+        pool = _corpus_pool(name)
+        for side, A, modules in (
+            ("lam", pool.data.lam, pool.lam_pool + pool.lam_projectives),
+            ("tilde", pool.data.tilde, pool.tilde_pool + [mod.context(pool.data.tilde).regular]),
+        ):
+            for M in modules:
+                verdict = hml.is_injective(A, M)
+                assert verdict == ext_is_injective(A, M), (name, side, M.dim)
+                verdicts[side, verdict] += 1
+    assert set(verdicts) == {(side, v) for side in ("lam", "tilde") for v in (False, True)}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(CORPUS_FILES), st.sampled_from(["tilde", "mod0", "lam"]), st.integers(0, 2**32 - 1))
+def test_socle_injectivity_matches_the_ext_route_on_random_modules(name, kind, seed):
+    pool = _corpus_pool(name)
+    rng = random.Random(seed)
+    if kind == "lam":
+        A, M = pool.data.lam, pool.random_lam_module(rng, 12)
+    else:
+        pick = pool.random_tilde_module if kind == "tilde" else pool.random_mod0_module
+        A, M = pool.data.tilde, pick(rng, 12)
+    assert hml.is_injective(A, M) == ext_is_injective(A, M)
 
 
 def test_ext_dim_matches_the_resolution_route_on_corpus_and_auslander_algebras():

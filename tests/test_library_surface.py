@@ -312,14 +312,16 @@ def idempotent_hint_uses() -> set:
     return uses
 
 
-def test_only_auslander_writes_and_only_algebra_and_the_context_read_the_idempotent_hint():
+def test_only_auslander_and_from_quiver_write_and_only_algebra_and_the_context_read_the_idempotent_hint():
     # outside algebra.py and ModuleContext.idempotents only auslander.py uses
-    # the hint, and only to write it
+    # the hint, and only to write it; inside algebra.py only from_quiver
+    # writes one, the trivial paths
     outside = attribute_uses({"idempotent_hint"}, "algebra", {("modules", "ModuleContext.idempotents")})
     assert outside and all(use.startswith("auslander.py:") for use in outside)
     uses = idempotent_hint_uses()
     assert {u for u in uses if u[2] == "write"} == {
         ("auslander", "build_auslander", "write"),
+        ("algebra", "from_quiver", "write"),
         ("algebra", "Algebra.__init__", "write"),  # the default, None
     }
     assert {u for u in uses if u[0] not in ("algebra", "auslander")} == {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from catres import linalg
 from catres.algebra import quotient_projection
 from catres.linalg import (
     FieldSpec,
@@ -14,6 +15,7 @@ from catres.linalg import (
     _gauss_jordan,
     _int64_fits,
     coords_in_rows,
+    first_non_intertwiner,
     left_nullspace,
     nullspace,
     placed_row_basis,
@@ -34,10 +36,12 @@ from oracles import (
     list_reverse_row_basis,
     list_take_cols,
     naive_matmul,
+    naive_non_intertwiner,
     naive_rank,
     naive_rref,
     numpy_rref_prime,
     object_matmul,
+    two_product_non_intertwiner,
 )
 
 F5 = FieldSpec("prime", 5)
@@ -1221,3 +1225,143 @@ def test_key_tells_apart_denominators_shapes_and_big_numerators():
     assert Mat.from_rows(QQ, [[256, 1]]).key() != Mat.from_rows(QQ, [[0, 1]]).key()
     # one shape at two widths: the lengths differ
     assert Mat.from_rows(QQ, [[1 << 40]]).key() != Mat.from_rows(QQ, [[1]]).key()
+
+
+# -- the batched intertwining check ------------------------------------------
+
+# the routes of ``first_non_intertwiner``: the broadcast products, with the
+# maps in one block or one map per block, and the 2-D products of
+# ``Mat.__matmul__``, forced onto its row gather
+INTERTWINING_ROUTES = {
+    "broadcast": {"_GATHER_FLOOR": 1 << 62},
+    "broadcast, one map per block": {"_GATHER_FLOOR": 1 << 62, "_CHECK_CELLS": 1},
+    "2-D, gathered": {"_GATHER_FLOOR": 0, "_GATHER_SHARE": 1},
+}
+
+
+def _intertwining_answers(source, target, maps):
+    """The kernel's answer on each route, then the two oracles'."""
+    answers = []
+    for route in INTERTWINING_ROUTES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in route.items():
+                patch.setattr(linalg, name, value)
+            answers.append(first_non_intertwiner(source, target, maps))
+    return answers + [
+        two_product_non_intertwiner(source, target, maps),
+        naive_non_intertwiner(source, target, maps),
+    ]
+
+
+def _flat_rows(field, mats):
+    return Mat.stack_rows(field, [x.flatten_row() for x in mats])
+
+
+@st.composite
+def intertwining_cases(draw, entries=None):
+    """(source, target, maps) over one field: actions A_b that are
+    polynomials in one m x m matrix X; a target that is the source, the
+    source with one entry moved, the source scaled, or other polynomials
+    in X; and maps that are polynomials in X (which intertwine the source
+    with itself), zero or arbitrary."""
+    field = QQ if entries is not None else draw(st.sampled_from([FieldSpec("prime", 2), F5, QQ]))
+    d, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    if entries is None:
+        entries = (
+            st.integers(0, field.p - 1) if field.kind == "prime"
+            else st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+        )
+
+    def square():
+        return Mat.from_rows(field, [[draw(entries) for _ in range(m)] for _ in range(m)])
+
+    x = square()
+    powers = [Mat.identity(field, m), x, x @ x]
+
+    def polynomial():
+        out = Mat.zeros(field, m, m)
+        for power in powers:
+            out = out + power.scale(draw(st.integers(-2, 2)))
+        return out
+
+    source = _flat_rows(field, [polynomial() for _ in range(d)])
+    kind = draw(st.sampled_from(["same", "moved", "scaled", "other"]))
+    target = source
+    if kind == "moved":
+        moved = source.tolist()
+        moved[draw(st.integers(0, d - 1))][draw(st.integers(0, m * m - 1))] += 1
+        target = Mat.from_rows(field, moved)
+    elif kind == "scaled":
+        target = source.scale(Fraction(1, 2) if field == QQ else 2)
+    elif kind == "other":
+        target = _flat_rows(field, [polynomial() for _ in range(d)])
+    choices = {"polynomial": polynomial, "zero": lambda: Mat.zeros(field, m, m), "arbitrary": square}
+    maps = [choices[draw(st.sampled_from(sorted(choices)))]() for _ in range(k)]
+    return source, target, _flat_rows(field, maps) if maps else Mat.zeros(field, 0, m * m)
+
+
+def _assert_routes_agree(source, target, maps):
+    # and against the target over a third of its scale: over Q the same
+    # numerators, mostly, over another denominator
+    third = target.scale(Fraction(1, 3) if target.field == QQ else 2)
+    for other in (target, third):
+        answers = _intertwining_answers(source, other, maps)
+        assert answers == [answers[-1]] * len(answers)
+
+
+@settings(max_examples=80)
+@given(intertwining_cases())
+def test_intertwining_kernel_matches_the_oracles_on_every_route(case):
+    _assert_routes_agree(*case)
+
+
+# numerators at and around the bound of a rational int64 carrier, and 0, +-1
+EDGE_NUMERATORS = [0, 1, -1, WORD - 1, -(WORD - 1), WORD, -WORD, WORD + 1, -(WORD + 1)]
+
+
+@settings(max_examples=60)
+@given(intertwining_cases(st.builds(
+    Fraction, st.sampled_from(EDGE_NUMERATORS), st.sampled_from([1, 3, BIG_DEN])
+)))
+def test_intertwining_kernel_matches_the_oracles_at_the_word_bound(case):
+    _assert_routes_agree(*case)
+
+
+def test_intertwining_kernel_finds_a_known_failure():
+    # k[x]/x^2 on its regular module (unit, x) into the simple (1, 0): a
+    # map intertwines exactly when it kills x, the second basis vector
+    for field in (F5, QQ):
+        regular = Mat.from_rows(field, [[1, 0, 0, 1], [0, 1, 0, 0]])
+        simple = Mat.from_rows(field, [[1], [0]])
+        half = Fraction(1, 2) if field == QQ else 3
+        maps = Mat.from_rows(field, [[1, 0], [half, 0], [0, 0], [half, 1], [0, 1]])
+        assert _intertwining_answers(regular, simple, maps) == [3] * 5
+        assert _intertwining_answers(regular, simple, maps.take_rows(range(3))) == [None] * 5
+    # a rational map wrong only in its scale: A_b = 2 I on the target
+    source = Mat.from_rows(QQ, [[1]])
+    target = Mat.from_rows(QQ, [[Fraction(1, 2)]])
+    assert _intertwining_answers(source, target, Mat.from_rows(QQ, [[0], [Fraction(1, 3)]])) == [1] * 5
+
+
+def test_intertwining_kernel_on_empty_spaces():
+    f = F5
+    act = Mat.from_rows(f, [[1, 0, 0, 1], [0, 1, 0, 0]])
+    cases = {
+        "no maps": (act, act, Mat.zeros(f, 0, 4)),
+        "zero source": (Mat.zeros(f, 2, 0), act, Mat.zeros(f, 3, 0)),
+        "zero target": (act, Mat.zeros(f, 2, 0), Mat.zeros(f, 3, 0)),
+        "zero algebra": (Mat.zeros(f, 0, 4), Mat.zeros(f, 0, 4), Mat.from_rows(f, [[1, 2, 3, 4]])),
+    }
+    for label, case in cases.items():
+        assert _intertwining_answers(*case) == [None] * 5, label
+
+
+def test_intertwining_kernel_does_not_wrap_int64():
+    # 9 * 2^61 and 1 * 2^61 agree modulo 2^64: only the product on Python
+    # ints, past the word-size bound, tells them apart (all three carriers
+    # are int64)
+    maps = Mat.from_rows(QQ, [[0], [1 << 61]])
+    assert _intertwining_answers(Mat.from_rows(QQ, [[9]]), Mat.from_rows(QQ, [[1]]), maps) == [1] * 5
+    edge = Mat.from_rows(QQ, [[WORD - 1]])
+    maps = Mat.from_rows(QQ, [[WORD - 1], [-WORD], [WORD], [-(WORD - 1)]])
+    assert _intertwining_answers(edge, edge, maps) == [None] * 5
