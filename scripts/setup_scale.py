@@ -6,6 +6,11 @@ Inputs:
 * ``x4`` .. ``x7``: the set-up (``build_auslander`` + ``verify_auslander``,
   the ``catres auslander`` verb) of F_3[x]/x^n, dim T 30, 55, 91 and 140;
 * ``q5`` .. ``q7``: the same set-up of Q[x]/x^n, dim T 55, 91 and 140;
+* ``nak233``, ``nak4332`` and ``nak4444``: the same set-up of the cyclic
+  Nakayama algebras over F_3 of Kupisch series (2,3,3), (4,3,3,2) and
+  (4,4,4,4), dim T 41, 113 and 120: the cyclic quiver through the vertices
+  in order, one zero relation of length c_i out of vertex i, and length
+  bound max c_i + 1, built with ``from_quiver``;
 * ``loops5`` .. ``loops7``: ``from_quiver`` on one vertex with two loops and
   no relations at length bound 5, 6 and 7 (31, 63 and 127 paths), which
   runs ``Algebra.validate`` on the path algebra.
@@ -42,6 +47,7 @@ from catres.linalg import FieldSpec
 F3 = FieldSpec("prime", 3)
 QQ = FieldSpec("rational")
 POWERS = {**{f"x{n}": (F3, n) for n in range(4, 8)}, **{f"q{n}": (QQ, n) for n in range(5, 8)}}
+NAKAYAMA = {"nak" + "".join(map(str, c)): c for c in ((2, 3, 3), (4, 3, 3, 2), (4, 4, 4, 4))}
 LOOPS = {f"loops{bound}": bound for bound in range(5, 8)}
 
 
@@ -50,10 +56,18 @@ def digest(obj: dict) -> str:
     return hashlib.sha256(report_to_json_str(canonical).encode()).hexdigest()
 
 
+def nakayama(kupisch: tuple):
+    """The cyclic Nakayama algebra over F_3 of a Kupisch series."""
+    n = len(kupisch)
+    arrows = [(f"a{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+    relations = [[(1, [f"a{(i + t) % n}" for t in range(c)])] for i, c in enumerate(kupisch)]
+    return from_quiver(QuiverSpec(F3, [f"v{i}" for i in range(n)], arrows, relations, max(kupisch) + 1))
+
+
 def run(name: str) -> tuple:
     """(wall seconds, digest) of one input, in this process."""
-    if name in POWERS:
-        lam = truncated_poly_algebra(*POWERS[name])
+    if name in POWERS or name in NAKAYAMA:
+        lam = truncated_poly_algebra(*POWERS[name]) if name in POWERS else nakayama(NAKAYAMA[name])
         t0 = time.perf_counter()
         report = verify_auslander(build_auslander(lam))
         return time.perf_counter() - t0, digest(report)
@@ -67,7 +81,7 @@ def run(name: str) -> tuple:
 
 
 def main():
-    names = [*POWERS, *LOOPS]
+    names = [*POWERS, *NAKAYAMA, *LOOPS]
     ap = argparse.ArgumentParser()
     ap.add_argument("inputs", nargs="*", help=f"inputs to run, of {', '.join(names)} (default: all)")
     ap.add_argument("--child", choices=names, help=argparse.SUPPRESS)

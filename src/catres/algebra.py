@@ -170,9 +170,13 @@ class Algebra:
         d = self.dim
         pairs = self._table.reshape(d * d, d)  # row j * d + k: b_j b_k
         for i in range(d):
-            # row j * d + k: (b_i b_j) b_k on the left, b_i (b_j b_k) on the right
+            # row j * d + k: (b_i b_j) b_k on the left, b_i (b_j b_k) on the right;
+            # the right side is formed transposed, so that the sparse L(b_i)
+            # is the left operand and a row gather scans its nonzeros, not
+            # those of the d^2 x d pairs
             left = self._table.row_at(i).reshape(d, d)  # L(b_i)
-            row = (left @ self._table).reshape(d * d, d).first_differing_row(pairs @ left)
+            right = (left.T @ pairs.T).T
+            row = (left @ self._table).reshape(d * d, d).first_differing_row(right)
             if row is not None:
                 j, k = divmod(row, d)
                 labels = ", ".join(quoted(self.basis_labels[t]) for t in (i, j, k))

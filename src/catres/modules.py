@@ -24,13 +24,14 @@ record, a dict in ``context(A).records`` keyed by ``(dim, Mat.key())``
 (hash-consing, Filliatre and Conchon, ML Workshop 2006).  It keeps the
 presentation (and, on it, the syzygy Omega), the radical rows, the top
 projection and the socle rows, the projectivity test, on the content of
-P_i its index i, and each Hom space out of the module, checked, under its
-target's key.  The context owns the records and lives as long as the
-algebra, so a value is built once per algebra, however long its modules
-live, and the work of a run does not depend on when the garbage collector
-runs.  The functor values, which also depend on the Auslander data, are
-kept on that data (``functors``).  Only ``Repn.summands`` stays on the
-object.
+P_i its index i, on the content of a simple S_i = P_i / P_i J its index i
+and the projection P_i -> S_i, which is its projective cover, and each
+Hom space out of the module, checked, under its target's key.  The context
+owns the records and lives as long as the algebra, so a value is built
+once per algebra, however long its modules live, and the work of a run
+does not depend on when the garbage collector runs.  The functor values,
+which also depend on the Auslander data, are kept on that data
+(``functors``).  Only ``Repn.summands`` stays on the object.
 """
 
 from __future__ import annotations
@@ -432,7 +433,9 @@ class ModuleContext:
     computes nothing.  The idempotents are the algebra's checked idempotent
     hint when it carries one (a quiver algebra's trivial paths, the
     Auslander algebra T's local pieces), else the split of A/J
-    (``primitive_idempotents``)."""
+    (``primitive_idempotents``).  Each simple S_i = P_i / P_i J marks its
+    record with i and the quotient map P_i -> S_i, the projective cover
+    that its presentation takes when i is a representative."""
 
     def __init__(self, A: Algebra):
         self.algebra = A
@@ -492,14 +495,17 @@ class ModuleContext:
         """P_i = e_i A as a submodule of the regular module; S_i = P_i / P_i J.
 
         The simples, the projectives and the row basis of each P_i inside A
-        (row k of L(e_i) is e_i b_k).
+        (row k of L(e_i) is e_i b_k).  Each content is marked by its lowest
+        index: P_i's record with i, S_i's with i and the projection
+        P_i -> S_i.
         """
         simples, projs, spans = [], [], []
         for idx, e in enumerate(self.idempotents):
             span = row_basis(self.algebra.left_mult_matrix(e))
             P, _ = sub_repn(self.regular, span)
             P.record.setdefault("projective", idx)
-            S, _ = quotient_repn(P, self.radical_rows(P))
+            S, top = quotient_repn(P, self.radical_rows(P))
+            S.record.setdefault("simple", (idx, top.mat))
             projs.append(P)
             simples.append(S)
             spans.append(span)
@@ -595,17 +601,44 @@ def _build_presentation(M: Repn) -> Presentation:
     if M.dim == 0:
         empty = Mat.zeros(f, 0, 0)
         return Presentation(zero_hom(zero_module(M.algebra), M), [], empty, empty)
+    # S_i = P_i / P_i J is covered by its projection from P_i when i is the
+    # representative of its class; the simples mark their contents when
+    # built, so they are built before M's record is read
+    reps = ctx.representatives
+    i, top = M.record.get("simple", (None, None))
+    if i in reps:
+        part_indices, q = [i], ModHom(ctx.projectives[i], M, top)
+    else:
+        part_indices, q = _greedy_cover(M)
+    # epi + kernel inside P.J; fails only for non-split simples, which the
+    # idempotent machinery would have rejected earlier
+    rows = RowBasis(q.mat)
+    if rows.rank != M.dim:
+        raise AlgebraError("projective cover construction is not surjective")
+    ker_rows = rows.left_kernel()
+    prad = ctx.radical_rows(q.source)
+    if not RowBasis(prad).contains(ker_rows):
+        raise AlgebraError("projective cover kernel is not superfluous")
+    return Presentation(q, part_indices, ker_rows, rows.coords(Mat.identity(f, M.dim)))
+
+
+def _greedy_cover(M: Repn) -> tuple:
+    """(parts, cover) of M, the cover searched for among the maps out of
+    the representative projectives.
+
+    Greedy: keep a hom iff its composite to the top is independent of the
+    composites already chosen from the same projective, that is, keep the
+    pivot columns of the composites side by side.  Only the lowest
+    projective of each isomorphism class covers: isomorphic copies (such
+    as the conjugate e_i of one matrix block of A/J) have composites in
+    different bases, so they would double-cover.  Repeated homs out of one
+    representative give its multiplicity.  Only the projectives in top(M)
+    are solved: a map P_i -> M sends e_i into M e_i, so its composite to
+    the top lies in top(M) e_i, and a zero block keeps no map.
+    """
+    ctx = context(M.algebra)
     to_top = ctx.top_projection(M)
     chosen, part_indices = [], []
-    # greedy: keep a hom iff its composite to the top is independent of the
-    # composites already chosen from the same projective, that is, keep the
-    # pivot columns of the composites side by side.  Only the lowest
-    # projective of each isomorphism class covers: isomorphic copies (such
-    # as the conjugate e_i of one matrix block of A/J) have composites in
-    # different bases, so they would double-cover.  Repeated homs out of
-    # one representative give its multiplicity.  Only the projectives in
-    # top(M) are solved: a map P_i -> M sends e_i into M e_i, so its
-    # composite to the top lies in top(M) e_i, and a zero block keeps no map.
     for pi_idx, block in _top_blocks(M):
         if block.is_zero():
             continue
@@ -618,17 +651,7 @@ def _build_presentation(M: Repn) -> Presentation:
     if not part_indices:
         raise AlgebraError("projective cover: no covering maps found (nonzero M with zero top?)")
     P = direct_sum([ctx.projectives[i] for i in part_indices])
-    q = ModHom(P, M, Mat.stack_rows(f, chosen))
-    # epi + kernel inside P.J; fails only for non-split simples, which the
-    # idempotent machinery would have rejected earlier
-    rows = RowBasis(q.mat)
-    if rows.rank != M.dim:
-        raise AlgebraError("projective cover construction is not surjective")
-    ker_rows = rows.left_kernel()
-    prad = ctx.radical_rows(P)
-    if not RowBasis(prad).contains(ker_rows):
-        raise AlgebraError("projective cover kernel is not superfluous")
-    return Presentation(q, part_indices, ker_rows, rows.coords(Mat.identity(f, M.dim)))
+    return part_indices, ModHom(P, M, Mat.stack_rows(M.field, chosen))
 
 
 def is_projective(M: Repn) -> bool:

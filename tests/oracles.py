@@ -25,7 +25,8 @@ replacement, on the library's own primitives:
   ``algebra._is_ideal``;
 * ``greedy_cover`` picks the covering maps of a projective cover one hom at
   a time out of every representative projective, against the one rref per
-  projective in top(M) of ``modules._build_presentation``;
+  projective in top(M) of ``modules._greedy_cover`` and against the
+  quotient map P_r -> S_r that a simple's record keeps;
 * ``theta_via_presentation`` recomputes theta from a projective
   presentation over tilde with no corner restriction anywhere, against the
   corner-restriction route of ``functors.theta``;

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -106,6 +107,45 @@ def test_validate_detects_broken_table():
     worse = Algebra(F5, a.basis_labels, a.unit, Mat(F5, table.reshape(2, 4)))
     rep = worse.validate()
     assert not rep.ok and rep.violations
+
+
+def _first_non_associative_triple(A):
+    """(i, j, k) of the first triple, in the order i, then j, then k, with
+    (b_i b_j) b_k != b_i (b_j b_k), one coefficient at a time on plain
+    lists, or None."""
+    d, f = A.dim, A.field
+    c = [[row[j * d : (j + 1) * d] for j in range(d)] for row in A.table_matrix().tolist()]
+    for i, j, k in itertools.product(range(d), repeat=3):
+        for s in range(d):
+            first = sum((c[i][j][t] * c[t][k][s] for t in range(d)), f.zero)
+            then = sum((c[j][k][t] * c[i][t][s] for t in range(d)), f.zero)
+            if f.coerce(first - then) != f.zero:
+                return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_validate_names_the_first_failing_triple_on_the_gather_route(field, row_gathers):
+    # two loops at length bound 4: 15 paths, a table sparse enough that the
+    # products run by the row gather, each with a sparse L(b_i) on the left,
+    # never the d^2 x d pairs b_j b_k
+    A = from_quiver(QuiverSpec(field, ["v"], [("a", "v", "v"), ("b", "v", "v")], [], 4))
+    d = A.dim
+    row_gathers.clear()
+    assert d == 15 and A.validate().ok
+    assert row_gathers and set(row_gathers) == {(d, d, d * d)}
+    table = A.table_matrix().tolist()
+    ab, ba = A.basis_labels.index("a*b"), A.basis_labels.index("b*a")
+    a, b = A.basis_labels.index("a"), A.basis_labels.index("b")
+    # b * a := a * b: b_b (b_a b_t) and (b_b b_a) b_t part ways
+    table[b][a * d : (a + 1) * d] = [field.one if t == ab else field.zero for t in range(d)]
+    bad = Algebra(field, A.basis_labels, A.unit, Mat.from_rows(field, table))
+    triple = _first_non_associative_triple(bad)
+    assert triple == (a, b, a)  # (ab)a = aba, a(ba) = aab: before any triple at b
+    labels = ", ".join(f"'{bad.basis_labels[t]}'" for t in triple)
+    row_gathers.clear()
+    assert bad.validate().violations == [f"associativity fails at triple ({labels})"]
+    assert row_gathers and set(row_gathers) == {(d, d, d * d)}
 
 
 @pytest.mark.parametrize(

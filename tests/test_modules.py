@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from catres import homology as hml
 from catres import modules as mod
-from catres.algebra import Algebra, QuiverSpec, SplitGiveUp, from_quiver, quotient_projection
+from catres.algebra import Algebra, AlgebraError, QuiverSpec, SplitGiveUp, from_quiver, quotient_projection
 from catres.auslander import build_auslander, verify_auslander
 from catres.homology import (
     global_dimension,
@@ -762,6 +762,120 @@ def test_gldim_covers_match_the_unfiltered_greedy_route(monkeypatch):
             pres = mod.projective_presentation(M)
             assert pres.parts == parts and pres.cover.mat == cover, M.dim
     assert skipped
+
+
+def _checked_simple_presentations(label, A):
+    """Check the kept presentation of every simple of A against the greedy
+    route: parts and cover against ``greedy_cover``, the syzygy against
+    ``left_nullspace`` of that cover and the section against the solve of
+    ``augmented_solve`` on it.  Returns the routes the simples took:
+    "quotient" for a mark of a representative index, "shared" where that
+    mark is another index's (the content of S_i is that of S_r), "greedy"
+    for a mark of an index that represents no class."""
+    ctx = mod.context(A)
+    routes = set()
+    for j, S in enumerate(ctx.simples):
+        pres = mod.projective_presentation(S)
+        parts, cover = greedy_cover(S)
+        assert pres.parts == parts and pres.cover.mat == cover, (label, j)
+        assert pres.syzygy == left_nullspace(cover), (label, j)
+        identity = Mat.identity(A.field, S.dim)
+        assert pres.section == augmented_solve(cover.T, identity).T, (label, j)
+        assert pres.section @ pres.cover.mat == identity, (label, j)
+        mark, _ = S.record["simple"]
+        routes.add("greedy" if mark not in ctx.representatives else "shared" if mark != j else "quotient")
+    return routes
+
+
+def test_simple_presentations_match_the_greedy_route():
+    # the corpus (the gentle two-cycle among it) and the T of each,
+    # F_2[S_3] and its T, F_3[A_4], and M_2(F_3)
+    algebras = [*_projectivity_algebras(), ("M_2(F_3)", m2_units(F3))]
+    seen = {(label, r) for label, A in algebras for r in _checked_simple_presentations(label, A)}
+    assert {("T(gentle_two_cycle_f2)", "quotient"), ("M_2(F_3)", "shared"), ("T(t2_f3)", "shared")} <= seen
+    assert {("F2[S3]", "greedy"), ("F3[A4]", "greedy")} <= seen
+
+
+def test_a_representative_simple_is_covered_by_its_quotient_map(monkeypatch):
+    # S_r = P_r / P_r J, r a representative, reads the projection its
+    # quotient made: it asks for no Hom space, builds none and reads no top
+    # blocks; a simple whose mark represents no class searches as any
+    # other module does
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args: calls.update([name]) or real(*args))
+
+    for name in ("hom_space", "_built_hom_space", "_top_blocks", "_greedy_cover"):
+        counted(name)
+    seen = set()
+    for label, A in [*_record_algebras(), ("F3[A4]", f3_a4()), ("M_2(F_3)", m2_units(F3))]:
+        ctx = mod.context(A)
+        ctx.representatives  # the simples and their marks, before any count
+        for j, S in enumerate(ctx.simples):
+            calls.clear()
+            pres = mod._build_presentation(S)
+            mark, top = S.record["simple"]
+            if mark in ctx.representatives:
+                assert not calls, (label, j, calls)
+                assert pres.parts == [mark] and pres.cover.mat is top, (label, j)
+                assert pres.cover.source is ctx.projectives[mark], (label, j)
+                seen.add("quotient")
+            else:
+                assert calls["_greedy_cover"] == calls["_top_blocks"] == 1, (label, j)
+                assert calls["hom_space"] and pres.parts != [mark], (label, j)
+                seen.add("greedy")
+    assert seen == {"quotient", "greedy"}
+
+
+def _nakayama(field, kupisch, vertex_order, arrow_order):
+    """The Nakayama algebra of a Kupisch series: the cyclic quiver on
+    v0 -> v1 -> ... -> v0 with a zero relation of length c_i out of v_i,
+    and no arrow out of v_i where c_i = 1, bounded at max c_i + 1; the
+    vertices and arrows listed in the given orders."""
+    n = len(kupisch)
+    arrows = {i: (f"a{i}", f"v{i}", f"v{(i + 1) % n}") for i, c in enumerate(kupisch) if c > 1}
+    relations = []
+    for i, c in enumerate(kupisch):
+        steps = [(i + t) % n for t in range(c)]
+        if c > 1 and all(t in arrows for t in steps):
+            relations.append([(1, [arrows[t][0] for t in steps])])
+    spec = QuiverSpec(
+        field, [f"v{i}" for i in vertex_order], [arrows[i] for i in arrow_order if i in arrows],
+        relations, max(kupisch) + 1,
+    )
+    return from_quiver(spec)
+
+
+@st.composite
+def _nakayama_case(draw):
+    n = draw(st.integers(2, 4))
+    kupisch = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    field = draw(st.sampled_from([F2, F3, F5, QQ]))
+    return field, kupisch, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@given(_nakayama_case())
+def test_nakayama_simple_presentations_match_the_greedy_route(case):
+    lam = _nakayama(*case)
+    _checked_simple_presentations(case, lam)
+    _checked_simple_presentations(case, build_auslander(lam).tilde)
+
+
+@pytest.mark.parametrize("planted,message", [("zero", "not surjective"), ("radical", "not superfluous")])
+def test_a_false_quotient_mark_fails_the_cover_checks(planted, message):
+    # the cover a simple's mark hands over passes the same two checks as a
+    # searched one: over k[x]/x^3 a zero map is not onto the simple, and a
+    # map that reads the radical row x has the top row 1 in its kernel
+    ctx = mod.context(truncated_poly_algebra(F3, 3))
+    S = ctx.simples[0]
+    mark, top = S.record["simple"]
+    assert top == Mat.from_rows(F3, [[1], [0], [0]])
+    rows = [[0], [0], [0]] if planted == "zero" else [[0], [1], [0]]
+    S.record["simple"] = (mark, Mat.from_rows(F3, rows))
+    with pytest.raises(AlgebraError, match=message):
+        mod._build_presentation(S)
 
 
 def test_presentation_is_built_once_per_module(monkeypatch):
