@@ -244,7 +244,7 @@ def _divided_trace_gram(A: Algebra, basis: Mat, q: int) -> Mat:
     table = A.table_matrix()
     step = max(1, _STACK_ENTRIES // (n * n))
     traces = np.concatenate([
-        power_traces(w.take_rows(slice(c, c + step)) @ table, n, q, p * q)
+        power_traces(w.take_rows(slice(c, c + step)) @ table, q, p * q)
         for c in range(0, r * r, step)
     ])
     if (traces % q).any():
@@ -444,7 +444,7 @@ def _poly_divide_linear(field: FieldSpec, coeffs, lam):
     return out
 
 
-def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
+def primitive_idempotents(A: Algebra) -> list:
     """Complete orthogonal set of primitive idempotents summing to 1, as
     1 x dim coordinate rows.
 
@@ -461,7 +461,7 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
     """
     if A.dim == 0:
         return []
-    quot, proj, section = chain.top
+    quot, proj, section = A.radical_chain().top
     rng = random.Random(20240801)
     ssquare = _split_semisimple(quot, _corner_rows(quot, quot.unit), quot.unit, rng)
     lifted = []
@@ -479,10 +479,10 @@ def primitive_idempotents(A: Algebra, chain: RadicalChain) -> list:
             raise AlgebraError("idempotent refinement failed to converge")
         lifted.append(g)
         total = total + g
-    return checked_idempotents(A, chain, Mat.stack_rows(A.field, lifted))
+    return checked_idempotents(A, Mat.stack_rows(A.field, lifted))
 
 
-def checked_idempotents(A: Algebra, chain: RadicalChain, rows: Mat) -> list:
+def checked_idempotents(A: Algebra, rows: Mat) -> list:
     """The rows of ``rows`` as 1 x dim coordinate rows, once they are shown
     to be a complete set of orthogonal primitive idempotents of A.
 
@@ -506,7 +506,7 @@ def checked_idempotents(A: Algebra, chain: RadicalChain, rows: Mat) -> list:
         raise AlgebraError(f"idempotents: rows ({i}, {j}) are {check}")
     if Mat.row(f, [1] * n) @ rows != A.unit:
         raise AlgebraError("idempotents: the rows do not sum to the unit")
-    quot, proj, _ = chain.top
+    quot, proj, _ = A.radical_chain().top
     for i, e in enumerate(es):
         corner = _corner_rows(quot, e @ proj).rows
         if corner != 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, AlgebraError, RadicalChain, quotient_projection
+from .algebra import Algebra, AlgebraError, quotient_projection
 from .homology import GldimResult, global_dimension
 from .linalg import Mat, left_nullspace, rank, row_basis
 from .modules import (
@@ -30,6 +30,7 @@ from .modules import (
     hom_space,
     quotient_repn,
     regular_module,
+    top_projection,
 )
 
 
@@ -60,7 +61,7 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     summands = [quotient_repn(reg, chain.power(i))[0] for i in range(1, n + 1)]
     M = direct_sum(summands)
     tilde, end = endomorphism_algebra(M)
-    tilde.radical_hint, tilde.idempotent_hint = local_piece_radical(lam, chain, M, end)
+    tilde.radical_hint, tilde.idempotent_hint = local_piece_radical(M)
 
     # the Lambda-summand Lambda/J^n is the last block of M, so pi L(b_t) iota
     # is L(b_t), row t of Lambda's table, placed in that block
@@ -87,11 +88,11 @@ def build_auslander(lam: Algebra) -> AuslanderData:
     return data
 
 
-def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpace):
-    """rad End(M) for M = Lambda/J + ... + Lambda/J^n, and the projections
-    onto the local pieces of M, both from the construction, as coordinates
-    against the basis of ``end``: (a spanning set of the radical, one row
-    per piece projection).
+def local_piece_radical(M: Repn):
+    """rad End(M) for M = Lambda/J + ... + Lambda/J^n over Lambda, and the
+    projections onto the local pieces of M, both from the construction, as
+    coordinates against the basis of the kept ``hom_space(M, M)``: (a
+    spanning set of the radical, one row per piece projection).
 
     Left multiplication by a primitive idempotent e_v of Lambda on the
     summand Lambda/J^i is an idempotent eps of End(M) whose image is the
@@ -110,6 +111,8 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
     side by side.  ``Algebra.radical_chain`` certifies the radical and
     ``algebra.checked_idempotents`` the idempotents.
     """
+    lam, end = M.algebra, hom_space(M, M)
+    chain = lam.radical_chain()
     f, dl, m, k = lam.field, lam.dim, M.dim, len(end)
     ctx = context(lam)
     e_rows = Mat.stack_rows(f, ctx.idempotents)
@@ -134,7 +137,7 @@ def local_piece_radical(lam: Algebra, chain: RadicalChain, M: Repn, end: HomSpac
         levels.append(level)
         off += s
     idempotents = end.basis.coords(Mat.stack_rows(f, [e for lv in reversed(levels) for e in lv]))
-    top = ctx.top_projection(M)
+    top = top_projection(M)
     conditions = []
     for d in sorted(by_dim):
         # the eps are orthogonal, so their sum has the rows of all the pieces

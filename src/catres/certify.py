@@ -199,9 +199,10 @@ def _every(n: int) -> int:
 
 
 # suite -> (its check, its sample count as a function of cfg.samples, its
-# rng stream), in run order; certify_resolution and replay_sample run sample
-# i on the rng keyed by (seed, stream, i), so density_witness sees the
-# four_term complexes.  The wc_ suites run in weakly_crepant_check.
+# rng stream), in run order; ``suite_results`` runs sample i on the rng
+# keyed by (seed, stream, i) alone, so density_witness sees the four_term
+# complexes, and a replay of one reported sample is ``suite_results`` at
+# its index.  The wc_ suites run in weakly_crepant_check.
 SAMPLE_CHECKS = {
     "unit_iso": (unit_sample, _every, "unit_iso"),
     "unit_naturality": (naturality_sample, lambda n: max(1, n // 5), "unit_naturality"),
@@ -214,15 +215,15 @@ SAMPLE_CHECKS = {
 }
 
 
-def suite_results(suite: str, n: int, data: AuslanderData, pool: ModulePool, cfg: CertConfig):
-    """(ok, detail) of samples 0..n-1 of one suite."""
+def suite_results(suite: str, indices, data: AuslanderData, pool: ModulePool, cfg: CertConfig):
+    """(ok, detail) of the samples ``indices`` of one suite, in order."""
     check, _, stream = SAMPLE_CHECKS[suite]
-    return [check(data, pool, cfg, rng_for(cfg.seed, stream, i)) for i in range(n)]
+    return [check(data, pool, cfg, rng_for(cfg.seed, stream, i)) for i in indices]
 
 
 def _run_suite(suite: str, data: AuslanderData, pool: ModulePool, cfg: CertConfig) -> dict:
     _, count, _ = SAMPLE_CHECKS[suite]
-    return _suite(suite_results(suite, count(cfg.samples), data, pool, cfg))
+    return _suite(suite_results(suite, range(count(cfg.samples)), data, pool, cfg))
 
 
 def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
@@ -240,7 +241,7 @@ def certify_resolution(lam: Algebra, cfg: CertConfig) -> dict:
         for suite in SAMPLE_CHECKS
         if not suite.startswith("wc_")
     }
-    wc = weakly_crepant_check(lam, data, cfg, pool)
+    wc = weakly_crepant_check(data, cfg, pool)
     report_conditions["weakly_crepant"] = wc
 
     applicable = [v for k, v in report_conditions.items() if not v.get("inapplicable")]
@@ -285,12 +286,10 @@ def right_adjoint_sample(F, P, data: AuslanderData) -> dict:
     return B.induced_bijection(A, lift)
 
 
-def weakly_crepant_check(
-    lam: Algebra, data: AuslanderData, cfg: CertConfig, pool: ModulePool
-) -> dict:
+def weakly_crepant_check(data: AuslanderData, cfg: CertConfig, pool: ModulePool) -> dict:
     """Theorem-level check that the lift is also a right adjoint when the
-    base algebra is self-injective; inapplicable otherwise."""
-    if not is_self_injective(lam):
+    base algebra ``data.lam`` is self-injective; inapplicable otherwise."""
+    if not is_self_injective(data.lam):
         return {
             "inapplicable": True,
             "passed": True,
@@ -298,12 +297,12 @@ def weakly_crepant_check(
             "samples": 0,
         }
     # injective indecomposables = projective indecomposables here
-    ctx_l = context(lam)
+    ctx_l = context(data.lam)
     lemma_injective = []
     for p in ctx_l.projectives:
         if p.dim == 0:
             continue
-        ok = is_injective(data.tilde, theta_rho(p, data))
+        ok = is_injective(theta_rho(p, data))
         lemma_injective.append({"indecomposable_dim": p.dim, "injective_lift": ok})
     lemma42_ok = all(item["injective_lift"] for item in lemma_injective)
 
@@ -319,19 +318,6 @@ def weakly_crepant_check(
         "right_adjoint": right_adj,
         "samples": cfg.samples,
     }
-
-
-def replay_sample(lam: Algebra, cfg: CertConfig, suite: str, index: int):
-    """Re-execute a single sampled check in isolation.
-
-    The per-sample RNG streams are keyed by (seed, the suite's stream,
-    index) only, and the check is the one the suite runs, so a sample
-    recorded in a report reproduces here exactly.  Returns (ok, detail)."""
-    if suite not in SAMPLE_CHECKS:
-        raise ValueError(f"unknown suite {suite!r}")
-    check, _, stream = SAMPLE_CHECKS[suite]
-    data = build_auslander(lam)
-    return check(data, ModulePool(data), cfg, rng_for(cfg.seed, stream, index))
 
 
 def report_to_json_str(report: dict) -> str:

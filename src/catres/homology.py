@@ -30,6 +30,7 @@ from .modules import (
     is_isomorphic,
     projective_presentation,
     regular_module,
+    socle_rows,
 )
 
 
@@ -157,23 +158,23 @@ def global_dimension(A: Algebra, max_depth: Optional[int] = None) -> GldimResult
     return GldimResult(kind="finite", value=max(values, default=0))
 
 
-def is_injective(A: Algebra, M: Repn) -> bool:
+def is_injective(M: Repn) -> bool:
     """Is M injective?  Its injective hull I(M) = I(soc M) contains M, so
     iff dim I(M) = dim M, and dim I(M) is read off the socle, the dual of
     ``modules.is_projective``'s count on the top:
 
         dim I(M) = sum_r dim(soc(M) e_r) * dim A e_r
 
-    over the representatives e_r of ``context(A)``.  S_r e_r is
-    1-dimensional (each primitive idempotent spans a corner of dimension 1
-    in A/J), so dim(soc(M) e_r) is the multiplicity of S_r in soc(M), and
-    the injective hull of S_r is D(A e_r).
+    over the representatives e_r of ``context(A)``, A the algebra of M.
+    S_r e_r is 1-dimensional (each primitive idempotent spans a corner of
+    dimension 1 in A/J), so dim(soc(M) e_r) is the multiplicity of S_r in
+    soc(M), and the injective hull of S_r is D(A e_r).
     """
     if M.dim == 0:
         return True
-    ctx = context(A)
-    soc, reps = ctx.socle_rows(M), ctx.representatives
-    e = Mat.stack_rows(A.field, [ctx.idempotents[r] for r in reps])
+    ctx = context(M.algebra)
+    soc, reps = socle_rows(M), ctx.representatives
+    e = Mat.stack_rows(M.field, [ctx.idempotents[r] for r in reps])
     m = M.dim
     moved = soc @ (e @ M.flat_action()).permuted((len(reps), m, m), (1, 0, 2), m, len(reps) * m)
     blocks = [moved.take_cols(slice(i * m, (i + 1) * m)) for i in range(len(reps))]
@@ -181,5 +182,5 @@ def is_injective(A: Algebra, M: Repn) -> bool:
 
 
 def is_self_injective(A: Algebra) -> bool:
-    return is_injective(A, regular_module(A))
+    return is_injective(regular_module(A))
 

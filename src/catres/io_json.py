@@ -1,4 +1,4 @@
-"""Strict JSON schemas for algebras, quivers, modules, and complexes.
+"""Strict JSON schemas for algebras, quivers and modules.
 
 Formats are versioned; unknown keys are rejected; every parse error names
 a JSON-pointer-like path and the failing invariant.  Mathematical data is
@@ -13,14 +13,12 @@ from typing import Optional
 
 from .algebra import MAX_QUIVER_PATHS, Algebra, AlgebraError, QuiverSpec, from_quiver
 from .auslander import AuslanderData, build_auslander
-from .complexes import BComplex
 from .linalg import FieldSpec, Mat, quoted
-from .modules import ModHom, Repn
+from .modules import Repn
 
 ALGEBRA_FORMAT = "catres-algebra-v1"
 QUIVER_FORMAT = "catres-quiver-v1"
 MODULE_FORMAT = "catres-module-v1"
-COMPLEX_FORMAT = "catres-complex-v1"
 
 # the largest dim an algebra or module file may declare, checked before anything
 # is built; the quiver frontend's path bound, so a table has at most 200**3 entries
@@ -187,34 +185,34 @@ class ParsedModule:
     auslander: Optional[AuslanderData]  # set when "algebra" was auslander_of
 
 
-def parse_module(obj: dict, path: str = "$", algebra: Optional[Algebra] = None) -> ParsedModule:
-    _require_keys(obj, path, {"format", "algebra", "dim", "action"})
+def parse_module(obj: dict, algebra: Optional[Algebra] = None) -> ParsedModule:
+    _require_keys(obj, "$", {"format", "algebra", "dim", "action"})
     if obj["format"] != MODULE_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
-    dim = _parse_dim(obj["dim"], f"{path}.dim")
+        raise ParseError("$.format", f"unsupported format {quoted(obj['format'])}")
+    dim = _parse_dim(obj["dim"], "$.dim")
     data = None
     if algebra is not None:
         base = algebra
     else:
         aspec = obj["algebra"]
         if isinstance(aspec, dict) and set(aspec) == {"auslander_of"}:
-            lam = parse_algebra_or_quiver(aspec["auslander_of"], f"{path}.algebra.auslander_of")
+            lam = parse_algebra_or_quiver(aspec["auslander_of"], "$.algebra.auslander_of")
             data = build_auslander(lam)
             base = data.tilde
         else:
-            base = parse_algebra_or_quiver(aspec, f"{path}.algebra")
+            base = parse_algebra_or_quiver(aspec, "$.algebra")
     action_obj = obj["action"]
     if not isinstance(action_obj, list) or len(action_obj) != base.dim:
-        raise ParseError(f"{path}.action", f"expected {base.dim} action matrices")
+        raise ParseError("$.action", f"expected {base.dim} action matrices")
     field = base.field
     action = [
-        _parse_matrix(mat, field, dim, dim, f"{path}.action[{i}]").flatten_row()
+        _parse_matrix(mat, field, dim, dim, f"$.action[{i}]").flatten_row()
         for i, mat in enumerate(action_obj)
     ]
     flat = Mat.stack_rows(field, action) if action else Mat.zeros(field, 0, dim * dim)
     module = Repn(base, dim, flat)
     if not module.validate():
-        raise ParseError(path, "module invariant violated: action does not respect the table")
+        raise ParseError("$", "module invariant violated: action does not respect the table")
     return ParsedModule(module=module, base=base, auslander=data)
 
 
@@ -226,43 +224,6 @@ def parse_algebra_or_quiver(obj: dict, path: str = "$") -> Algebra:
     if obj["format"] == QUIVER_FORMAT:
         return parse_quiver(obj, path)
     raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
-
-
-def parse_complex(obj: dict, path: str = "$") -> BComplex:
-    _require_keys(obj, path, {"format", "algebra", "lo", "hi", "terms", "differentials"})
-    if obj["format"] != COMPLEX_FORMAT:
-        raise ParseError(f"{path}.format", f"unsupported format {quoted(obj['format'])}")
-    base = parse_algebra_or_quiver(obj["algebra"], f"{path}.algebra")
-    lo, hi = obj["lo"], obj["hi"]
-    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
-        raise ParseError(f"{path}.lo", "need integers lo <= hi")
-    count = hi - lo + 1
-    term_objs = _list_at(obj["terms"], f"{path}.terms", "modules")
-    diff_objs = _list_at(obj["differentials"], f"{path}.differentials", "matrices")
-    if len(term_objs) != count:
-        raise ParseError(f"{path}.terms", f"expected {count} terms")
-    if len(diff_objs) != max(0, count - 1):
-        raise ParseError(f"{path}.differentials", f"expected {count - 1} differentials")
-    terms = []
-    for k, t in enumerate(term_objs):
-        pm = parse_module(t, f"{path}.terms[{k}]", algebra=base)
-        terms.append(pm.module)
-    diffs = []
-    for k, d in enumerate(diff_objs):
-        m = _parse_matrix(
-            d, base.field, terms[k].dim, terms[k + 1].dim, f"{path}.differentials[{k}]"
-        )
-        h = ModHom(terms[k], terms[k + 1], m)
-        if terms[k].dim and terms[k + 1].dim and not h.validate():
-            raise ParseError(
-                f"{path}.differentials[{k}]", "differential is not a module homomorphism"
-            )
-        diffs.append(h)
-    cx = BComplex(base, lo, terms, diffs)
-    issues = cx.validate()
-    if issues:
-        raise ParseError(path, f"complex invariant violated: {issues[0]}")
-    return cx
 
 
 # -- emission -------------------------------------------------------------------
@@ -293,17 +254,4 @@ def module_to_json(m: Repn, algebra_obj: Optional[dict] = None) -> dict:
         "algebra": algebra_obj,
         "dim": m.dim,
         "action": [m.action_mat(i).to_json() for i in range(m.algebra.dim)],
-    }
-
-
-def complex_to_json(c: BComplex, algebra_obj: Optional[dict] = None) -> dict:
-    if algebra_obj is None:
-        algebra_obj = algebra_to_json(c.algebra)
-    return {
-        "format": COMPLEX_FORMAT,
-        "algebra": algebra_obj,
-        "lo": c.lo,
-        "hi": c.hi,
-        "terms": [module_to_json(t, algebra_obj=algebra_obj) for t in c.terms],
-        "differentials": [d.mat.to_json() for d in c.diffs],
     }

@@ -687,11 +687,12 @@ class _Reduced(Mat):
     __slots__ = ("_pivots",)
 
 
-def power_traces(m: Mat, n: int, k: int, modulus: int) -> np.ndarray:
+def power_traces(m: Mat, k: int, modulus: int) -> np.ndarray:
     """tr(Z^k) mod ``modulus`` for each row of the F_p matrix ``m``, read as
-    an n x n integer matrix Z.  Repeated squaring, reducing after every
-    product: in int64 when dot products of length n over entries below
-    ``modulus`` fit, otherwise on exact Python integers."""
+    an n x n integer matrix Z, n * n = m.cols.  Repeated squaring, reducing
+    after every product: in int64 when dot products of length n over
+    entries below ``modulus`` fit, otherwise on exact Python integers."""
+    n = isqrt(m.cols)
     z = m.a.reshape(m.rows, n, n)
     if not _int64_fits(n, modulus - 1, modulus - 1):
         z = z.astype(object)

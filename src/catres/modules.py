@@ -26,7 +26,10 @@ presentation (and, on it, the syzygy Omega), the radical rows, the top
 projection and the socle rows, the projectivity test, on the content of
 P_i its index i, on the content of a simple S_i = P_i / P_i J its index i
 and the projection P_i -> S_i, which is its projective cover, and each
-Hom space out of the module, checked, under its target's key.  The context
+Hom space out of the module, checked, under its target's key.  Each is
+a function of the module alone: the radical rows, the top and the socle
+read the radical of the module's own algebra (``Algebra.radical_chain``),
+so no caller can hand a module a foreign algebra or chain.  The context
 owns the records and lives as long as the algebra, so a value is built
 once per algebra, however long its modules live, and the work of a run
 does not depend on when the garbage collector runs.  The functor values,
@@ -226,6 +229,8 @@ def direct_sum(parts: list) -> Repn:
     if not parts:
         raise ValueError("direct_sum of no parts needs an algebra; use zero_module")
     A = parts[0].algebra
+    if any(p.algebra is not A for p in parts):
+        raise ValueError("direct_sum: parts over different algebras")
     dims = [p.dim for p in parts]
     S = Repn(A, sum(dims), Mat.block_diag_rows(A.field, [p.flat_action() for p in parts], dims))
     leaves = tuple(x for p in parts for x in (p.summands or (p,)) if x.dim)
@@ -427,7 +432,8 @@ def _first_non_intertwiner(space: HomSpace) -> Optional[int]:
 
 class ModuleContext:
     """Per-algebra data: the records of the module contents, and the
-    radical, idempotents, simples and projectives, each built on first use.
+    idempotents, simples and projectives, each built on first use; the
+    radical chain stays on the algebra, and no method takes a module.
 
     Every ``Repn`` asks for the context of its algebra, so making one
     computes nothing.  The idempotents are the algebra's checked idempotent
@@ -452,15 +458,9 @@ class ModuleContext:
         return Repn(A, 0, Mat.zeros(A.field, A.dim, 0))
 
     @cached_property
-    def chain(self):
-        return self.algebra.radical_chain()
-
-    @cached_property
     def idempotents(self):
         A, hint = self.algebra, self.algebra.idempotent_hint
-        if hint is None:
-            return primitive_idempotents(A, self.chain)
-        return checked_idempotents(A, self.chain, hint)
+        return primitive_idempotents(A) if hint is None else checked_idempotents(A, hint)
 
     @property
     def projectives(self):
@@ -504,22 +504,12 @@ class ModuleContext:
             span = row_basis(self.algebra.left_mult_matrix(e))
             P, _ = sub_repn(self.regular, span)
             P.record.setdefault("projective", idx)
-            S, top = quotient_repn(P, self.radical_rows(P))
+            S, top = quotient_repn(P, radical_rows(P))
             S.record.setdefault("simple", (idx, top.mat))
             projs.append(P)
             simples.append(S)
             spans.append(span)
         return simples, projs, spans
-
-    def radical_rows(self, M: Repn) -> Mat:
-        """Row span of M . J inside M, kept on M's record."""
-        return _recorded(M, "radical_rows", lambda: _radical_rows(M, self.chain.radical))
-
-    def socle_rows(self, M: Repn) -> Mat:
-        """Rows of a basis of soc(M) = {v : v . J = 0} inside M, kept on M's
-        record: the left kernel of [rho(j_1) | ... | rho(j_s)] over the rows
-        j of a basis of J, from one product."""
-        return _recorded(M, "socle_rows", lambda: _socle_rows(M, self.chain.radical))
 
     @cached_property
     def injective_hull_dims(self) -> list:
@@ -528,21 +518,36 @@ class ModuleContext:
         A = self.algebra
         return [rank(A.right_mult_matrix(self.idempotents[r])) for r in self.representatives]
 
-    def top_projection(self, M: Repn) -> Mat:
-        """The projection M -> M/MJ onto the top, as a matrix, kept on M's
-        record."""
-        return _recorded(M, "top_projection", lambda: quotient_projection(self.radical_rows(M))[0])
+
+def radical_rows(M: Repn) -> Mat:
+    """Row span of M . J inside M, kept on M's record (``_radical_rows``)."""
+    return _recorded(M, "radical_rows", lambda: _radical_rows(M))
 
 
-def _radical_rows(M: Repn, j: Mat) -> Mat:
-    """Row span of M . J inside M, for the rows j of a basis of J: the rows
-    of every rho_M(j_t), from one product."""
+def socle_rows(M: Repn) -> Mat:
+    """Rows of a basis of soc(M) = {v : v . J = 0} inside M, kept on M's
+    record: the left kernel of [rho(j_1) | ... | rho(j_s)] over the rows j
+    of a basis of J, from one product."""
+    return _recorded(M, "socle_rows", lambda: _socle_rows(M))
+
+
+def top_projection(M: Repn) -> Mat:
+    """The projection M -> M/MJ onto the top, as a matrix, kept on M's
+    record."""
+    return _recorded(M, "top_projection", lambda: quotient_projection(radical_rows(M))[0])
+
+
+def _radical_rows(M: Repn) -> Mat:
+    """Row span of M . J inside M, J the radical of M's algebra: the rows of
+    every rho_M(j_t) for the rows j of a basis of J, from one product."""
+    j = M.algebra.radical_chain().radical
     if j.rows == 0 or M.dim == 0:
         return Mat.zeros(M.field, 0, M.dim)
     return row_basis((j @ M.flat_action()).reshape(j.rows * M.dim, M.dim))
 
 
-def _socle_rows(M: Repn, j: Mat) -> Mat:
+def _socle_rows(M: Repn) -> Mat:
+    j = M.algebra.radical_chain().radical
     if j.rows == 0 or M.dim == 0:
         return Mat.identity(M.field, M.dim)
     s, m = j.rows, M.dim
@@ -616,7 +621,7 @@ def _build_presentation(M: Repn) -> Presentation:
     if rows.rank != M.dim:
         raise AlgebraError("projective cover construction is not surjective")
     ker_rows = rows.left_kernel()
-    prad = ctx.radical_rows(q.source)
+    prad = radical_rows(q.source)
     if not RowBasis(prad).contains(ker_rows):
         raise AlgebraError("projective cover kernel is not superfluous")
     return Presentation(q, part_indices, ker_rows, rows.coords(Mat.identity(f, M.dim)))
@@ -637,7 +642,7 @@ def _greedy_cover(M: Repn) -> tuple:
     the top lies in top(M) e_i, and a zero block keeps no map.
     """
     ctx = context(M.algebra)
-    to_top = ctx.top_projection(M)
+    to_top = top_projection(M)
     chosen, part_indices = [], []
     for pi_idx, block in _top_blocks(M):
         if block.is_zero():
@@ -682,7 +687,7 @@ def _top_blocks(M: Repn) -> list:
     ctx = context(M.algebra)
     reps, m = ctx.representatives, M.dim
     e = Mat.stack_rows(M.field, [ctx.idempotents[r] for r in reps])
-    tops = (e @ M.flat_action()).reshape(len(reps) * m, m) @ ctx.top_projection(M)
+    tops = (e @ M.flat_action()).reshape(len(reps) * m, m) @ top_projection(M)
     return [(r, tops.take_rows(slice(i * m, (i + 1) * m))) for i, r in enumerate(reps)]
 
 
@@ -727,7 +732,7 @@ def is_isomorphic(M: Repn, N: Repn) -> Optional[ModHom]:
             return h
     # the summands X_i of M: the images of the primitive idempotents of End(M)
     E, space = endomorphism_algebra(M)
-    idempotents = primitive_idempotents(E, E.radical_chain())
+    idempotents = primitive_idempotents(E)
     xs = [sub_repn(M, (e @ space.flat).reshape(M.dim, M.dim)) for e in idempotents]
     if len(xs) == 1:  # M is indecomposable, so the basis test was exact
         return None

@@ -159,6 +159,7 @@ from catres.modules import (
     projective_presentation,
     quotient_repn,
     sub_repn,
+    top_projection,
     zero_hom,
     zero_module,
 )
@@ -601,7 +602,7 @@ def greedy_cover(M):
     composite to the top of M is independent of the composites kept
     before out of that projective."""
     ctx = context(M.algebra)
-    to_top = ctx.top_projection(M)
+    to_top = top_projection(M)
     parts, mats = [], []
     for i in ctx.representatives:
         span = None
@@ -1316,7 +1317,8 @@ def naive_non_intertwiner(source, target, maps):
     return None
 
 
-def ext_is_injective(A, M):
-    """Is M injective?  Iff Ext^1(S, M) = 0 for every simple S: a module
-    with no extension by a simple has no proper essential extension."""
-    return M.dim == 0 or all(ext_dim(s, M, 1) == 0 for s in distinct_simples(A))
+def ext_is_injective(M):
+    """Is M injective?  Iff Ext^1(S, M) = 0 for every simple S of M's
+    algebra: a module with no extension by a simple has no proper essential
+    extension."""
+    return M.dim == 0 or all(ext_dim(s, M, 1) == 0 for s in distinct_simples(M.algebra))

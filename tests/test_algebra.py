@@ -298,12 +298,12 @@ def test_radical_of_modular_group_algebras():
     b = group_algebra(F3, 6)
     ch = b.radical_chain()
     assert ch.radical.rows == 4 and ch.nilpotency_index == 3
-    assert len(primitive_idempotents(b, ch)) == 2
+    assert len(primitive_idempotents(b)) == 2
     # F_5[C_4]: 4 invertible in F_5, semisimple (splits: x^4-1 has 4 roots)
     c = group_algebra(F5, 4)
     ch = c.radical_chain()
     assert ch.radical.rows == 0
-    assert len(primitive_idempotents(c, ch)) == 4
+    assert len(primitive_idempotents(c)) == 4
     # Q[C_3]: semisimple, Q x Q(omega): splitting gives up on the quadratic
     # component but the radical itself is zero
     d = group_algebra(QQ, 3)
@@ -440,7 +440,7 @@ def test_split_routes_agree():
     seen = set()
     for label, a in _split_dual_route_algebras():
         ch = a.radical_chain()
-        assert primitive_idempotents(a, ch) == corner_split_idempotents(a, ch), label
+        assert primitive_idempotents(a) == corner_split_idempotents(a, ch), label
         seen.add(label)
     assert {"x3_q", "T(x3_q)", "M_2(Q)", "T(F_2[S_3])", "F_3[A_4]"} <= seen
 
@@ -467,7 +467,7 @@ def _assert_hint_is_the_split(lam, vertices, monkeypatch):
     over Q, as the split of A/J = k^n does."""
     hinted = _hint_route_idempotents(lam, monkeypatch)
     bare = with_radical_hint(lam, lam.radical_hint)  # no idempotent hint: the split
-    assert hinted == primitive_idempotents(bare, bare.radical_chain())
+    assert hinted == primitive_idempotents(bare)
     order = vertices if lam.field == QQ else vertices[::-1]
     assert [lam.basis_labels[int(np.argmax(e.tolist()[0]))] for e in hinted] == [
         f"e_{v}" for v in order
@@ -546,18 +546,18 @@ def test_split_gives_up_on_the_quaternions():
     assert a.validate().ok
     message = "^no zero divisor found: division algebra of dimension > 1$"
     with pytest.raises(SplitGiveUp, match=message):
-        primitive_idempotents(a, a.radical_chain())
+        primitive_idempotents(a)
 
 
 def test_primitive_idempotents_local():
     a = truncated_poly_algebra(F2, 2)
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     assert len(idems) == 1 and idems[0] == a.unit
 
 
 def test_primitive_idempotents_kxk():
     a = two_fields(F5)
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     assert len(idems) == 2
     assert sorted(e.tolist() for e in idems) == [[[0, 1]], [[1, 0]]]
 
@@ -567,12 +567,12 @@ def test_a_split_that_stops_early_is_refused(monkeypatch):
     monkeypatch.setattr(algebra, "_split_semisimple", lambda B, basis, unit, rng: [unit])
     a = two_fields(F5)
     with pytest.raises(AlgebraError, match=r"^idempotents: row 0 is not primitive"):
-        primitive_idempotents(a, a.radical_chain())
+        primitive_idempotents(a)
 
 
 def test_primitive_idempotents_t2():
     a = upper_triangular_2(F3)
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     assert len(idems) == 2
     total = idems[0] + idems[1]
     assert total == a.unit
@@ -583,7 +583,7 @@ def test_primitive_idempotents_t2():
 def test_primitive_idempotents_matrix_block():
     mats = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
     a = matrix_span_algebra(F2, mats, ["E11", "E12", "E21", "E22"])
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     assert len(idems) == 2
     s = idems[0] + idems[1]
     assert s == a.unit
@@ -597,7 +597,7 @@ def test_split_gives_up_on_proper_division_component():
     mats = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
     a = matrix_span_algebra(F2, mats, ["1", "w"])
     with pytest.raises(SplitGiveUp):
-        primitive_idempotents(a, a.radical_chain())
+        primitive_idempotents(a)
 
 
 def test_corner_identity_and_zero():
@@ -616,7 +616,7 @@ def test_corner_identity_and_zero():
 
 def test_corner_t2_vertex():
     a = upper_triangular_2(F3)
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     c, embed, deg = corner_algebra(a, idems[0])
     assert not deg and c.dim == 1 and c.validate().ok
 
@@ -757,7 +757,7 @@ def q_times_q(n):
 
 def test_rational_root_search_under_its_bound_keeps_the_idempotents():
     a = parse_algebra_or_quiver(q_times_q(10**6))
-    idems = primitive_idempotents(a, a.radical_chain())
+    idems = primitive_idempotents(a)
     assert [e.to_json()[0] for e in idems] == [[0, "1/1000000"], [1, "-1/1000000"]]
 
 
@@ -768,7 +768,7 @@ def test_rational_root_search_gives_up_at_its_bound():
     # the split of A/J gives up with the same message
     a = parse_algebra_or_quiver(q_times_q(n))
     with pytest.raises(SplitGiveUp, match=f"lowest coefficient -{n} times leading"):
-        primitive_idempotents(a, a.radical_chain())
+        primitive_idempotents(a)
 
 
 def test_poly_roots_over_q_with_a_denominator_beyond_int64():
@@ -802,7 +802,7 @@ def test_power_traces_match_bigint_traces_on_both_paths():
     z = np.array([[[rng.randrange(50) for _ in range(4)] for _ in range(4)] for _ in range(3)])
     flat = Mat(FieldSpec("prime", 53), z.reshape(3, 16))  # one matrix per row
     for k, modulus in ((1, 7), (5, 49), (8, 3**30), (9, 2**61 + 1)):
-        traces = power_traces(flat, 4, k, modulus)
+        traces = power_traces(flat, k, modulus)
         assert traces.dtype == (np.int64 if _int64_fits(4, modulus - 1, modulus - 1) else object)
         assert [int(t) for t in traces] == [int_matrix_power_trace(m, k) % modulus for m in z]
 
@@ -814,8 +814,8 @@ def test_power_traces_headroom_boundary_without_allocation():
     assert not _int64_fits(limit + 1, modulus - 1, modulus - 1)
     # no rows of n x n matrices: the path shows in the dtype, nothing is allocated
     f3 = FieldSpec("prime", 3)
-    fits = power_traces(Mat.zeros(f3, 0, limit * limit), limit, 2, modulus)
-    wraps = power_traces(Mat.zeros(f3, 0, (limit + 1) ** 2), limit + 1, 2, modulus)
+    fits = power_traces(Mat.zeros(f3, 0, limit * limit), 2, modulus)
+    wraps = power_traces(Mat.zeros(f3, 0, (limit + 1) ** 2), 2, modulus)
     assert fits.dtype == np.int64 and wraps.dtype == object
 
 

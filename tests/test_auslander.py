@@ -330,7 +330,7 @@ def test_an_algebra_without_a_hint_takes_the_split_route(monkeypatch):
     assert routes == ["split", "hint"]
     bare = with_radical_hint(tilde, tilde.radical_hint)
     assert bare.idempotent_hint is None
-    assert context(bare).idempotents == primitive_idempotents(bare, bare.radical_chain())
+    assert context(bare).idempotents == primitive_idempotents(bare)
     assert routes == ["split", "hint", "split"]
 
 
@@ -357,7 +357,7 @@ def test_piece_idempotents_match_the_split_route():
         tilde = build_auslander(lam).tilde
         chain = tilde.radical_chain()
         hinted = context(tilde).idempotents
-        split = primitive_idempotents(tilde, chain)
+        split = primitive_idempotents(tilde)
         rows = [e.tolist()[0] for e in hinted]
         assert idempotent_set_defect(tilde, rows, chain.radical.tolist()) is None, label
         assert len(hinted) == len(split), label

@@ -137,14 +137,19 @@ def test_report_is_valid_sorted_json(flagship_report):
 def test_weakly_crepant_check_direct():
     lam = truncated_poly_algebra(F3, 3)
     data = build_auslander(lam)
-    wc = weakly_crepant_check(lam, data, CertConfig(seed=0, samples=4), ModulePool(data))
+    wc = weakly_crepant_check(data, CertConfig(seed=0, samples=4), ModulePool(data))
     assert not wc["inapplicable"]
     assert wc["passed"]
 
 
-def test_replay_reproduces_samples():
-    from catres.certify import replay_sample
+def _replay(lam, cfg, suite, index):
+    """(ok, detail) of one sample of one suite on a fresh set-up: a replay
+    from its (seed, suite, index)."""
+    data = build_auslander(lam)
+    return certify.suite_results(suite, [index], data, ModulePool(data), cfg)[0]
 
+
+def test_replay_reproduces_samples():
     lam = truncated_poly_algebra(F2, 2)
     cfg = CertConfig(seed=4, samples=3)
     for suite in [
@@ -158,10 +163,10 @@ def test_replay_reproduces_samples():
         "wc_right_adjoint",
     ]:
         for idx in range(2):
-            ok, detail = replay_sample(lam, cfg, suite, idx)
+            ok, detail = _replay(lam, cfg, suite, idx)
             assert ok, (suite, idx, detail)
-    with pytest.raises(ValueError):
-        replay_sample(lam, cfg, "nonsense", 0)
+    with pytest.raises(KeyError):
+        _replay(lam, cfg, "nonsense", 0)
 
 
 def test_replay_returns_each_suite_sample(monkeypatch):
@@ -175,8 +180,8 @@ def test_replay_returns_each_suite_sample(monkeypatch):
     for forged in (False, True):
         recorded = {}
 
-        def record(suite, n, data, pool, cfg):
-            recorded[suite] = real_results(suite, n, data, pool, cfg)
+        def record(suite, indices, data, pool, cfg):
+            recorded[suite] = real_results(suite, indices, data, pool, cfg)
             return recorded[suite]
 
         monkeypatch.setattr(ct, "suite_results", record)
@@ -190,7 +195,7 @@ def test_replay_returns_each_suite_sample(monkeypatch):
             assert not any(ok for ok, _ in recorded["kernel_char"])
         for suite, results in recorded.items():
             for index, expected in enumerate(results):
-                assert ct.replay_sample(lam, cfg, suite, index) == expected, (suite, index)
+                assert _replay(lam, cfg, suite, index) == expected, (suite, index)
 
 
 def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch):
@@ -205,13 +210,14 @@ def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch)
     cfg = CertConfig(seed=0, samples=2)
     recorded, real_results = {}, ct.suite_results
 
-    def record(suite, n, data, pool, cfg):
-        recorded[suite] = real_results(suite, n, data, pool, cfg)
+    def record(suite, indices, data, pool, cfg):
+        recorded[suite] = real_results(suite, indices, data, pool, cfg)
         return recorded[suite]
 
     monkeypatch.setattr(ct, "suite_results", record)
     monkeypatch.setattr(ct, "prop31_sequence", broken)
     rep = certify_resolution(lam, cfg)
+    monkeypatch.setattr(ct, "suite_results", real_results)
     assert rep["verdict"] == "fail"
     conds = rep["conditions"]
     for suite in (conds["four_term"], conds["density_witness"],
@@ -221,7 +227,7 @@ def test_assembly_failure_is_recorded_by_every_suite_that_assembles(monkeypatch)
     for suite in ("four_term", "density_witness", "wc_right_adjoint"):
         for index, (ok, detail) in enumerate(recorded[suite]):
             assert not ok and "assembly failed: forged" in detail, (suite, index)
-            assert ct.replay_sample(lam, cfg, suite, index) == (ok, detail), (suite, index)
+            assert _replay(lam, cfg, suite, index) == (ok, detail), (suite, index)
 
 
 # run under ``python -O``: a two-term complex T -> T (the identity) over the
@@ -254,7 +260,7 @@ complexes.four_term_sequence = forged
 pool = ModulePool(data)
 pool.random_tilde_complex = lambda *args: F
 for suite in ("four_term", "density_witness", "wc_right_adjoint"):
-    print(suite, certify.suite_results(suite, 1, data, pool, certify.CertConfig())[0])
+    print(suite, certify.suite_results(suite, [0], data, pool, certify.CertConfig())[0])
 """
 
 

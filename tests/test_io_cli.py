@@ -22,11 +22,9 @@ from catres.io_json import (
     MAX_DIM,
     ParseError,
     algebra_to_json,
-    complex_to_json,
     module_to_json,
     parse_algebra,
     parse_algebra_or_quiver,
-    parse_complex,
     parse_module,
 )
 from catres.linalg import FieldSpec, quoted
@@ -329,43 +327,6 @@ def test_module_auslander_of_carries_the_piece_idempotents(tmp_path):
     assert pm.base.idempotent_hint == data.tilde.idempotent_hint
     assert mod.context(pm.base).idempotents == mod.context(data.tilde).idempotents
     assert len(mod.context(pm.base).idempotents) == 4  # 2 vertices, 2 summands
-
-
-def test_complex_roundtrip():
-    from catres import complexes as cx
-
-    a = truncated_poly_algebra(F5, 2)
-    reg = mod.context(a).regular
-    c = cx.BComplex(a, 0, [reg, reg], [mod.ModHom(reg, reg, reg.action_mat(1))])
-    obj = complex_to_json(c)
-    c2 = parse_complex(obj)
-    assert c2.lo == 0 and c2.hi == 1
-    assert complex_to_json(c2) == obj
-    obj_bad = json.loads(json.dumps(obj))
-    obj_bad["differentials"][0][0][0] = 1  # no longer a module map
-    with pytest.raises(ParseError):
-        parse_complex(obj_bad)
-
-
-def _two_term_complex_json():
-    from catres import complexes as cx
-
-    a = truncated_poly_algebra(F5, 2)
-    reg = mod.context(a).regular
-    return complex_to_json(cx.BComplex(a, 0, [reg, reg], [mod.ModHom(reg, reg, reg.action_mat(1))]))
-
-
-@pytest.mark.parametrize("key, value", [
-    ("terms", 3),
-    ("differentials", 5),
-    ("lo", True),
-])
-def test_complex_rejects_malformed_containers_at_their_path(key, value):
-    obj = _two_term_complex_json()
-    obj[key] = value
-    with pytest.raises(ParseError) as exc:
-        parse_complex(obj)
-    assert exc.value.path == f"$.{key}"
 
 
 def test_rational_scalars_roundtrip_as_strings():

@@ -38,6 +38,13 @@ reads a ``.p`` attribute; ``FieldSpec`` answers for the field (its
 ``linalg.py`` only ``FieldSpec`` and ``Mat`` do, so the one
 row-reduction kernel, ``RowBasis`` and the solves read only the
 characteristic.
+
+And it walks them for owners: a value that depends only on a module or an
+algebra takes that object alone.  No function or method has parameters
+annotated with two of ``Algebra``, ``RadicalChain`` and ``Repn``, or with
+both ``Algebra`` and ``AuslanderData`` (a module fixes its algebra, an
+algebra its chain, the data its base algebra), and no ``ModuleContext``
+method takes a ``Repn``, so no caller can hand a kept value a foreign owner.
 """
 
 import ast
@@ -53,9 +60,6 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 ALLOWED_UNUSED = {
     "functors.adjunction_check": "the module-level adjunctions theta_lambda -| theta -| theta_rho",
-    "io_json.parse_complex": "reads the complexes a replay verb will take",
-    "io_json.complex_to_json": "writes the complexes a replay verb will take",
-    "certify.replay_sample": "re-runs one sampled check from its (seed, suite, index)",
     "corpus.shipped_corpus": "the builders behind the shipped corpus files",
 }
 
@@ -385,3 +389,58 @@ def test_only_linalg_branches_on_the_field_kind():
         if isinstance(n, ast.FunctionDef) and n.name == "rref"
     )
     assert any(isinstance(n, ast.Attribute) and n.attr == "characteristic" for n in ast.walk(rref))
+
+
+# annotation sets that name an object and what it already fixes
+OWNER_PAIRS = (
+    {"Algebra", "RadicalChain"},
+    {"Algebra", "Repn"},
+    {"RadicalChain", "Repn"},
+    {"Algebra", "AuslanderData"},
+)
+
+
+def _annotated_names(fn) -> set:
+    """The names in the parameter annotations of ``fn``: ``Optional[Repn]``
+    gives {"Optional", "Repn"}, a string annotation its identifiers."""
+    a = fn.args
+    found = set()
+    for arg in a.posonlyargs + a.args + a.kwonlyargs:
+        for node in ast.walk(arg.annotation) if arg.annotation is not None else ():
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(n.id for n in ast.walk(ast.parse(node.value)) if isinstance(n, ast.Name))
+    return found
+
+
+def foreign_owner_parameters() -> list:
+    """``stem.name`` or ``stem.Class.method`` of every function or method in
+    ``src/catres`` whose parameters name an owner beside what it fixes
+    (``OWNER_PAIRS``), and of every ``ModuleContext`` method that takes a
+    ``Repn``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            fns = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                fns = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+            for name, fn in fns:
+                names = _annotated_names(fn)
+                if any(pair <= names for pair in OWNER_PAIRS) or (
+                    name.startswith("ModuleContext.") and "Repn" in names
+                ):
+                    found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_each_kept_value_takes_its_owner_alone():
+    assert foreign_owner_parameters() == []
+    # the walk reads the annotations it is meant to: these take one owner each
+    tree = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    fn = next(n for n in tree["modules"].body if getattr(n, "name", None) == "radical_rows")
+    assert _annotated_names(fn) == {"Repn"}
+    fn = next(n for n in tree["certify"].body if getattr(n, "name", None) == "weakly_crepant_check")
+    assert {"AuslanderData", "CertConfig", "ModulePool"} <= _annotated_names(fn)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catres import homology as hml
+from catres import algebra
 from catres import modules as mod
 from catres.algebra import Algebra, AlgebraError, QuiverSpec, SplitGiveUp, from_quiver, quotient_projection
 from catres.auslander import build_auslander, verify_auslander
@@ -87,7 +88,7 @@ def test_hom_yoneda_at_regular(x2, x3):
     for a in (x2, x3):
         reg = mod.regular_module(a)
         ctx = mod.context(a)
-        for n in [reg, ctx.simples[0], mod.quotient_repn(reg, ctx.radical_rows(reg))[0]]:
+        for n in [reg, ctx.simples[0], mod.quotient_repn(reg, mod.radical_rows(reg))[0]]:
             assert len(mod.hom_space(reg, n)) == n.dim
 
 
@@ -138,7 +139,7 @@ def test_factorization_zero_and_identity(x2):
 def test_factorization_projection_kernel_is_socle(x2):
     reg = mod.regular_module(x2)
     ctx = mod.context(x2)
-    _, pi = mod.quotient_repn(reg, ctx.radical_rows(reg))
+    _, pi = mod.quotient_repn(reg, mod.radical_rows(reg))
     K, ki = mod.sub_repn(reg, left_nullspace(pi.mat))
     C, cp = mod.quotient_repn(pi.target, row_basis(pi.mat))
     assert K.dim == 1 and ki.validate()
@@ -189,6 +190,18 @@ def test_direct_sum_edge_cases(x2):
     assert big.dim == 3
 
 
+def test_direct_sum_refuses_parts_over_two_algebras():
+    # F_3[x]/x^3 and t2_f3 both have dim 3 over F_3, so the actions fit
+    # block by block, but no one algebra acts on the sum
+    x3, t2 = (parse_algebra_or_quiver(json.loads((CORPUS / f"{s}.json").read_text())) for s in ("x3_f3", "t2_f3"))
+    reg, simple = mod.regular_module(x3), mod.context(t2).simples[0]
+    with pytest.raises(ValueError, match="^direct_sum: parts over different algebras$"):
+        mod.direct_sum([reg, simple])
+    with pytest.raises(ValueError, match="^direct_sum: parts over different algebras$"):
+        mod.direct_sum([mod.zero_module(x3), simple])
+    assert mod.is_projective(reg) and mod.direct_sum([reg, mod.zero_module(x3)]).validate()
+
+
 def test_simples_and_projectives_local(x2):
     ctx = mod.context(x2)
     assert len(ctx.simples) == 1
@@ -225,7 +238,7 @@ def test_projective_cover_of_simple(x2):
 
     ker = left_nullspace(q.mat)
     assert ker.rows == 1
-    prad = ctx.radical_rows(q.source)
+    prad = mod.radical_rows(q.source)
     assert RowBasis(prad).contains(ker.row_at(0))
 
 
@@ -245,7 +258,7 @@ def test_projective_cover_superfluity_random():
             q = mod.projective_cover(m)
             assert rank(q.mat) == m.dim
             ker = left_nullspace(q.mat)
-            prad = ctx.radical_rows(q.source)
+            prad = mod.radical_rows(q.source)
             for t in range(ker.rows):
                 assert RowBasis(prad).contains(ker.row_at(t))
 
@@ -277,7 +290,7 @@ def test_endomorphism_algebra_values(x2):
     assert e_reg.dim == 2 and e_reg.validate().ok
     e_s, _ = mod.endomorphism_algebra(ctx.simples[0])
     assert e_s.dim == 1
-    m = mod.direct_sum([mod.quotient_repn(reg, ctx.radical_rows(reg))[0], reg])
+    m = mod.direct_sum([mod.quotient_repn(reg, mod.radical_rows(reg))[0], reg])
     e_m, space = mod.endomorphism_algebra(m)
     assert e_m.dim == 5 == len(space) and e_m.validate().ok
 
@@ -897,7 +910,7 @@ def test_presentation_is_built_once_per_module(monkeypatch):
     monkeypatch.setattr(hml, "projective_presentation", asking)
     lam = parse_algebra_or_quiver(json.loads((CORPUS / "gentle_two_cycle_f2.json").read_text()))
     assert global_dimension(lam).kind == "infinite"
-    assert is_injective(lam, mod.context(lam).regular)
+    assert is_injective(mod.context(lam).regular)
     for s in mod.context(lam).simples:
         res = projective_resolution(s, max_depth=4)
         syzygies = syzygy_chain(s, 4)
@@ -1060,17 +1073,20 @@ def test_context_is_freed_with_its_algebra():
 def test_a_module_computes_nothing_of_its_algebra(monkeypatch):
     # every Repn asks for its algebra's context, so making one is free: no
     # radical, idempotents or projectives until a value asks for them; the
-    # context keeps only the one zero module that ``zero_module`` made
-    chains = []
-    real = Algebra.radical_chain
-    monkeypatch.setattr(Algebra, "radical_chain", lambda A: chains.append(A) or real(A))
+    # context keeps only the one zero module that ``zero_module`` made.
+    # Every value then reads the one chain that the algebra keeps.
+    built = []
+    real = algebra.RadicalChain
+    monkeypatch.setattr(algebra, "RadicalChain", lambda *a: built.append(a) or real(*a))
     A = truncated_poly_algebra(F3, 3)
     M = mod.direct_sum([mod.regular_module(A), mod.zero_module(A)])
     ctx = mod.context(A)
-    assert chains == [] and set(vars(ctx)) == {"algebra", "records", "zero"}
+    assert built == [] and set(vars(ctx)) == {"algebra", "records", "zero"}
     assert mod.zero_module(A) is ctx.zero
     assert M.record is ctx.records[M.key] and mod.is_projective(M)
-    assert chains == [A] and {"chain", "idempotents", "representatives"} <= set(vars(ctx))
+    assert {"idempotents", "representatives"} <= set(vars(ctx)) and "chain" not in vars(ctx)
+    assert mod.radical_rows(ctx.simples[0]).rows == 0 and is_injective(ctx.regular)
+    assert len(built) == 1
 
 
 # -- one record of kept values per module content ------------------------------
@@ -1181,12 +1197,32 @@ def test_hom_spaces_out_of_copies_of_projectives_are_built_once(monkeypatch):
         assert set(built.values()) == {1}, (path.stem, built.most_common(1))
 
 
+def _interleaved_algebras():
+    """(label, algebra) of F_3[x]/x^3 and t2_f3, both of dim 3 over F_3,
+    and their Auslander algebras, after set-ups, global dimensions and
+    injectivity tests over them interleaved: the records of their regular
+    modules, simples and projectives are filled in that order."""
+    x3, t2 = (parse_algebra_or_quiver(json.loads((CORPUS / f"{s}.json").read_text())) for s in ("x3_f3", "t2_f3"))
+    data_x3 = build_auslander(x3)
+    assert global_dimension(t2).kind == "finite"
+    data_t2 = build_auslander(t2)
+    assert global_dimension(x3).kind == "infinite"
+    assert verify_auslander(data_t2)["ok"] and verify_auslander(data_x3)["ok"]
+    assert hml.is_self_injective(x3) and not hml.is_self_injective(t2)
+    out = [("x3_f3", x3), ("t2_f3", t2), ("T(x3_f3)", data_x3.tilde), ("T(t2_f3)", data_t2.tilde)]
+    for _, A in out:
+        ctx = mod.context(A)
+        for M in ctx.simples + ctx.projectives:
+            is_injective(M)
+    return [(f"{label}, interleaved", A) for label, A in out]
+
+
 def test_every_kept_value_equals_a_fresh_build():
     # each value is asked for through an equal copy first, then compared
     # with its builder on the module itself
     rng = random.Random(71)
     seen = set()
-    for label, A in _record_algebras():
+    for label, A in [*_record_algebras(), *_interleaved_algebras()]:
         ctx = mod.context(A)
         for M in _layout_modules(A, rng)[:-1]:
             copy = _rebuilt(M)
@@ -1196,9 +1232,10 @@ def test_every_kept_value_equals_a_fresh_build():
             assert kept.syzygy == fresh.syzygy and kept.section == fresh.section, label
             assert kept.cover.source.flat_action() == fresh.cover.source.flat_action()
             assert kept is mod.projective_presentation(M), label
-            rad = mod._radical_rows(M, ctx.chain.radical)
-            assert ctx.radical_rows(copy) == rad, label
-            assert ctx.top_projection(copy) == quotient_projection(rad)[0], label
+            rad = mod._radical_rows(M)
+            assert mod.radical_rows(copy) == rad, label
+            assert mod.top_projection(copy) == quotient_projection(rad)[0], label
+            assert mod.socle_rows(copy) == mod._socle_rows(M), label
             projective = mod.is_projective(copy)
             assert projective == (mod.projective_cover(M).source.dim == M.dim), label
             seen.add("projective" if projective else "not projective")
@@ -1210,7 +1247,7 @@ def test_every_kept_value_equals_a_fresh_build():
                 assert mod.hom_space(P, copy).flat == block, (label, i)
                 assert mod.hom_space(P, M).flat == block, (label, i)
         seen.add(label)
-    assert {"projective", "not projective", "x3_q", "T(x3_q)", "F2[S3]"} <= seen
+    assert {"projective", "not projective", "x3_q", "T(x3_q)", "F2[S3]", "t2_f3, interleaved"} <= seen
 
 
 def test_module_records_live_with_their_algebra(monkeypatch):
